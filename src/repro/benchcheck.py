@@ -1,13 +1,15 @@
 """Benchmark regression gating: compare runs against committed baselines.
 
 The repo commits benchmark baselines (``BENCH_fleet.json``,
-``BENCH_hotpath.json``, ``BENCH_parallel.json``) but, before this
-module, never looked at them again -- a performance regression shipped
-silently.  ``repro bench check`` closes the loop:
+``BENCH_hotpath.json``) but, before this module, never looked at them
+again -- a performance regression shipped silently.  (The process-pool
+and service planes are measured by ``perf/``'s ``cnn_async_process``
+and ``lstm_serve_sparse`` workloads, with repeats and spread.)
+``repro bench check`` closes the loop:
 
 - each baseline kind has an *extractor* that pulls the gateable
-  metrics out of its report schema (fleet rounds/s, hot-path speedup,
-  parallel speedups) together with their direction;
+  metrics out of its report schema (fleet rounds/s, hot-path speedup)
+  together with their direction;
 - :func:`compare` normalises candidate-vs-baseline into a ratio where
   ``1.0`` means "as good as committed" and ``> 1`` means better,
   whatever the metric's direction, and applies a per-metric tolerance;
@@ -50,8 +52,6 @@ DEFAULT_TOLERANCE = 0.6
 METRIC_TOLERANCES: Tuple[Tuple[str, float], ...] = (
     ("hotpath.speedup_wall", 0.3),
     ("hotpath.peak_alloc_ratio", 0.3),
-    ("parallel.", 0.5),
-    ("serve.", 0.5),
 )
 
 
@@ -105,28 +105,11 @@ def _hotpath_metrics(report: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
             yield f"hotpath.{key}", float(report[key])
 
 
-def _parallel_metrics(report: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
-    for mode, stats in report.get("modes", {}).items():
-        for key in ("train_phase_speedup", "wall_speedup"):
-            if key in stats:
-                yield f"parallel.{mode}.{key}", float(stats[key])
-
-
-def _serve_metrics(report: Dict[str, Any]) -> Iterator[Tuple[str, float]]:
-    for entry in report.get("fleets", []):
-        fleet = entry.get("fleet")
-        for key in ("rounds_per_s", "relative_throughput"):
-            if key in entry:
-                yield f"serve.fleet[{fleet}].{key}", float(entry[key])
-
-
 #: benchmark kind -> metric extractor; every extracted metric is
 #: higher-is-better (lower-better raw numbers are committed as ratios)
 _EXTRACTORS = {
     "fleet_scale_rounds": _fleet_metrics,
     "dispatch_aggregate_hotpath": _hotpath_metrics,
-    "parallel": _parallel_metrics,
-    "serve_loopback": _serve_metrics,
 }
 
 
@@ -134,11 +117,9 @@ def _kind_of(report: Dict[str, Any]) -> str:
     kind = report.get("benchmark")
     if kind in _EXTRACTORS:
         return kind
-    if "modes" in report and "wire_consistency" in report:
-        return "parallel"  # BENCH_parallel.json carries no kind field
     raise ValueError(
         "unrecognised benchmark report: expected a 'benchmark' field of "
-        f"{sorted(_EXTRACTORS)} or the parallel-report shape"
+        f"{sorted(_EXTRACTORS)}"
     )
 
 

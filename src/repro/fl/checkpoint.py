@@ -129,11 +129,6 @@ def capture_engine_state(engine, scheduler: str, next_round: int,
         state = capture() if capture is not None else None
         if state is not None:
             hook_states.append((type(hook).__name__, state))
-    module_rngs = {
-        name: _generator_state(module.rng)
-        for name, module in engine.model.named_modules()
-        if getattr(module, "rng", None) is not None
-    }
     # service-mode extras (fleet roster, registration counters): only
     # present when a FedMPService installed a provider on the engine
     extra_provider = getattr(engine, "checkpoint_extra_provider", None)
@@ -151,7 +146,7 @@ def capture_engine_state(engine, scheduler: str, next_round: int,
             "sampling": _generator_state(engine._sampling_rng),
         },
         "model_state": engine.model.state_dict(),
-        "module_rngs": module_rngs,
+        "module_rngs": engine.model.rng_states(),
         "workers": engine.worker_runtime_states(),
         "strategy": engine.strategy,
         "error_feedback": engine.error_feedback,

@@ -72,9 +72,6 @@ class FLConfig:
     wire_keep_fraction: float = 0.25
     #: delta code width (bits) for wire_profile="sparse+quantized"
     wire_quantize_bits: int = 8
-    #: bound on the executor's shared-memory template store (plan
-    #: signatures retained); evictions propagate to child caches
-    template_cache_limit: int = 8
 
     # checkpoint/resume: when checkpoint_dir is set, the engine writes a
     # versioned, atomic checkpoint every checkpoint_every completed
@@ -164,11 +161,6 @@ class FLConfig:
             raise ValueError(
                 f"wire_quantize_bits must be in [2, 16], "
                 f"got {self.wire_quantize_bits}"
-            )
-        if self.template_cache_limit < 1:
-            raise ValueError(
-                f"template_cache_limit must be >= 1, "
-                f"got {self.template_cache_limit}"
             )
         if self.nan_policy not in self._NAN_POLICIES:
             raise ValueError(

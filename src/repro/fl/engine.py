@@ -208,10 +208,7 @@ class Engine:
         # extraction consumes no randomness (no rng-bearing modules such
         # as Dropout, whose per-clone seed draw must stay per-worker).
         self.fast_path = bool(getattr(config, "fast_path", True))
-        self._has_rng_modules = any(
-            getattr(module, "rng", None) is not None
-            for _, module in self.model.named_modules()
-        )
+        self._has_rng_modules = bool(self.model.rng_states())
         self._share_submodels = self.fast_path and not self._has_rng_modules
         self._plan_cache: Dict[float, object] = {}
         self._submodel_cache: Dict[float, Tuple[object, Dict[str, np.ndarray]]] = {}
@@ -278,7 +275,9 @@ class Engine:
             else make_executor(
                 config, workers=self.workers, specs=self.worker_specs,
                 telemetry=self.telemetry,
-                pickle_submodels=self._has_rng_modules,
+                # pool children fork here, before the model has run a
+                # forward pass: they inherit a graph free of activations
+                skeleton=(self.model, task.extractor),
             )
         )
 
@@ -320,15 +319,13 @@ class Engine:
         self._sampling_rng.bit_generator.state = payload["rng"]["sampling"]
 
         self.model.load_state_dict(payload["model_state"])
-        modules = dict(self.model.named_modules())
-        for name, rng_state in payload["module_rngs"].items():
-            module = modules.get(name)
-            if module is None or getattr(module, "rng", None) is None:
-                raise CheckpointError(
-                    f"checkpoint carries an RNG state for module "
-                    f"{name!r} that the rebuilt model does not have"
-                )
-            module.rng.bit_generator.state = rng_state
+        try:
+            self.model.load_rng_states(payload["module_rngs"])
+        except KeyError as exc:
+            raise CheckpointError(
+                f"checkpoint module RNG states do not fit the rebuilt "
+                f"model: {exc}"
+            ) from exc
 
         specs_by_id = {spec.worker_id: spec for spec in self.worker_specs}
         for worker_id, state in saved_workers.items():

@@ -35,6 +35,9 @@ class ClassificationTask:
     metric_name = "accuracy"
     #: iterator family a pool child must rebuild (see repro.runtime.pool)
     iterator_kind = "batch"
+    #: the family's sub-model extractor as a plain function, so a remote
+    #: receiver can run it on its own skeleton of the global model
+    extractor = staticmethod(extract_submodel)
 
     def __init__(self, dataset: ImageDataset, model_name: str,
                  model_kwargs: Optional[Dict[str, Any]] = None,
@@ -58,7 +61,7 @@ class ClassificationTask:
 
     def extract(self, model: Module, plan: PruningPlan,
                 rng: np.random.Generator) -> Module:
-        return extract_submodel(model, plan, rng=rng)
+        return self.extractor(model, plan, rng=rng)
 
     def partition(self, num_workers: int,
                   rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -112,6 +115,7 @@ class LanguageModelTask:
     metric_name = "perplexity"
     #: iterator family a pool child must rebuild (see repro.runtime.pool)
     iterator_kind = "sequence"
+    extractor = staticmethod(extract_iss_submodel)
 
     def __init__(self, dataset: TextDataset, seq_len: int = 20,
                  lm_batch_size: int = 8,
@@ -135,7 +139,7 @@ class LanguageModelTask:
 
     def extract(self, model: Module, plan: PruningPlan,
                 rng: np.random.Generator) -> Module:
-        return extract_iss_submodel(model, plan, rng=rng)
+        return self.extractor(model, plan, rng=rng)
 
     def partition(self, num_workers: int,
                   rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:

@@ -141,6 +141,29 @@ class Module:
                         state[full], dtype=get_default_dtype()
                     ).copy()
 
+    def rng_states(self) -> Dict[str, dict]:
+        """``bit_generator.state`` of every RNG-bearing descendant
+        (``Dropout``), by qualified module name -- the one part of a
+        module graph that ``state_dict`` and its structure do not pin."""
+        return {
+            name: module.rng.bit_generator.state
+            for name, module in self.named_modules()
+            if getattr(module, "rng", None) is not None
+        }
+
+    def load_rng_states(self, states: Dict[str, dict]) -> None:
+        """Apply a :meth:`rng_states` snapshot; the names must match this
+        graph's RNG-bearing modules exactly."""
+        modules = dict(self.named_modules())
+        expected = set(self.rng_states())
+        if set(states) != expected:
+            raise KeyError(
+                f"RNG states cover modules {sorted(states)} but the "
+                f"model's RNG-bearing modules are {sorted(expected)}"
+            )
+        for name, state in states.items():
+            modules[name].rng.bit_generator.state = state
+
     # ------------------------------------------------------------------
     # training mode / gradients
     # ------------------------------------------------------------------

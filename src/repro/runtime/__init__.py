@@ -9,7 +9,9 @@ package is the execution substrate that actually parallelises it:
   payload mode, CRC32 integrity, strict decode-time validation);
 - :mod:`repro.runtime.pool` -- persistent worker processes rebuilt from
   picklable :class:`~repro.runtime.pool.WorkerSpec` records so the
-  child-side RNG streams are bitwise-identical to in-process execution;
+  child-side RNG streams are bitwise-identical to in-process execution,
+  each deriving dispatched sub-models from its own skeleton of the
+  global model;
 - :mod:`repro.runtime.transport` -- ``LocalTransport`` (zero-copy) and
   ``ProcessTransport`` (pipes + codec) behind one interface, with
   per-call timeouts, bounded retry with backoff, and wall-clock
@@ -17,7 +19,8 @@ package is the execution substrate that actually parallelises it:
   :mod:`repro.simulation.faults`;
 - :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
   :class:`~repro.runtime.executor.SerialExecutor` (default, inline) and
-  :class:`~repro.runtime.executor.ProcessExecutor` (the pool).
+  :class:`~repro.runtime.executor.RemoteExecutor` (the wire codec over a
+  link: the pool's pipes, or the service's sockets).
 
 The headline guarantee is **0-ULP parity**: a run with
 ``executor="process"`` produces bitwise-identical global states and a
@@ -38,7 +41,7 @@ from repro.runtime.codec import (
 )
 from repro.runtime.executor import (
     Executor,
-    ProcessExecutor,
+    RemoteExecutor,
     SerialExecutor,
     TrainRequest,
     TrainResult,
@@ -61,9 +64,9 @@ __all__ = [
     "DispatchPayload",
     "Executor",
     "LocalTransport",
-    "ProcessExecutor",
     "ProcessPool",
     "ProcessTransport",
+    "RemoteExecutor",
     "RetryPolicy",
     "SerialExecutor",
     "StragglerDetector",

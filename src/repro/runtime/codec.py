@@ -14,7 +14,9 @@ carry the negotiated wire profile:
   indices (contribution frames only -- a sparse dispatch is rejected);
 - bits 2-3: on a dispatch, the **negotiated reply profile** the worker
   must use for its contribution (0 = ``exact``, 1 = ``sparse``,
-  2 = ``sparse+quantized``); always 0 on contributions.
+  2 = ``sparse+quantized``); always 0 on contributions;
+- bit 4 (``FLAG_RNG``): the dispatch body ends with a per-module RNG
+  record (dispatch frames only, set only when the record is non-empty).
 
 The CRC32 (:func:`zlib.crc32`) covers everything before the trailer,
 so a flipped bit anywhere in the frame is caught before any payload is
@@ -26,7 +28,13 @@ PruningPlan` (kept indices packed as ``uint32`` per layer) and the
 dispatched sub-model state (per-tensor records with contiguous
 ``float32`` payloads).  When a non-exact reply profile is negotiated
 the body additionally carries the top-k keep fraction and (for
-``sparse+quantized``) the code width in bits.  A **contribution** body
+``sparse+quantized``) the code width in bits.  The receiver derives the
+sub-model's module graph from its own skeleton and the plan, so the one
+thing the plan and state cannot tell it -- the generator state of each
+RNG-bearing module (``Dropout``) -- rides as the RNG record: ``count
+u16``, then per module its qualified path, a ``u8`` state width and the
+PCG64 state (``state u128 | inc u128 | has_uint32 u8 | uinteger u32``).
+A **contribution** body
 carries the worker id, its sample count, the training loss, the
 child-side wall time and the trained state -- dense, or as a sparse
 block when ``FLAG_SPARSE`` is set.
@@ -46,8 +54,8 @@ never negotiates them; the codec round-trips indices/codes exactly.
 Decoding validates strictly: truncated frames, bad magic, unsupported
 versions, CRC mismatches, unknown flag bits, unknown layer kinds or
 dtype codes, kept indices out of range, non-increasing sparse indices,
-out-of-range quantization scales or codes and trailing garbage all
-raise the typed :class:`WireFormatError` -- never a silent wrong
+out-of-range quantization scales or codes, malformed RNG records and
+trailing garbage all raise the typed :class:`WireFormatError` -- never a silent wrong
 decode.
 """
 
@@ -69,6 +77,7 @@ __all__ = [
     "KIND_CONTRIBUTION",
     "FLAG_QUANTIZED",
     "FLAG_SPARSE",
+    "FLAG_RNG",
     "WIRE_PROFILES",
     "WireFormatError",
     "TrainHyper",
@@ -90,13 +99,14 @@ KIND_CONTRIBUTION = 2
 
 FLAG_QUANTIZED = 0x01
 FLAG_SPARSE = 0x02
+FLAG_RNG = 0x10
 
 #: negotiated wire profiles, in ascending-compression order
 WIRE_PROFILES = ("exact", "sparse", "sparse+quantized")
 _PROFILE_CODES = {name: code for code, name in enumerate(WIRE_PROFILES)}
 _PROFILE_SHIFT = 2
 _PROFILE_MASK = 0x0C
-_KNOWN_FLAGS = FLAG_QUANTIZED | FLAG_SPARSE | _PROFILE_MASK
+_KNOWN_FLAGS = FLAG_QUANTIZED | FLAG_SPARSE | _PROFILE_MASK | FLAG_RNG
 
 #: wire dtype code -> numpy little-endian dtype string
 _DTYPE_CODES: Dict[int, str] = {0: "<f4", 1: "<f8"}
@@ -104,6 +114,9 @@ _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 _HEADER = struct.Struct("<4sHBB")
 _CRC = struct.Struct("<I")
+#: one module's PCG64 state: state u128, inc u128, has_uint32, uinteger
+_PCG64 = "16s16sBI"
+_PCG64_WIDTH = struct.calcsize("<" + _PCG64)
 
 
 class WireFormatError(ValueError):
@@ -138,6 +151,9 @@ class DispatchPayload:
     reply_keep_fraction: Optional[float] = None
     #: quantization code width for sparse+quantized replies
     reply_quantize_bits: Optional[int] = None
+    #: module path -> ``bit_generator.state`` of its RNG (see
+    #: :meth:`repro.nn.module.Module.rng_states`)
+    module_rngs: Dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -571,6 +587,49 @@ def _read_sparse_state(reader: _Reader,
 
 
 # ----------------------------------------------------------------------
+# per-module RNG record (dispatch frames)
+# ----------------------------------------------------------------------
+def _write_rngs(writer: _Writer, module_rngs: Dict[str, dict]) -> None:
+    writer.pack("H", len(module_rngs))
+    for path, state in module_rngs.items():
+        if state.get("bit_generator") != "PCG64":
+            raise WireFormatError(
+                f"module {path!r}: unsupported bit generator "
+                f"{state.get('bit_generator')!r} (the wire carries PCG64)"
+            )
+        writer.string(path)
+        writer.pack("B" + _PCG64, _PCG64_WIDTH,
+                    state["state"]["state"].to_bytes(16, "little"),
+                    state["state"]["inc"].to_bytes(16, "little"),
+                    state["has_uint32"], state["uinteger"])
+
+
+def _read_rngs(reader: _Reader) -> Dict[str, dict]:
+    (count,) = reader.unpack("H")
+    if count == 0:
+        raise WireFormatError("FLAG_RNG set on an empty RNG record")
+    module_rngs: Dict[str, dict] = {}
+    for _ in range(count):
+        path = reader.string()
+        if path in module_rngs:
+            raise WireFormatError(f"duplicate RNG record for {path!r}")
+        (width,) = reader.unpack("B")
+        if width != _PCG64_WIDTH:
+            raise WireFormatError(
+                f"module {path!r}: RNG state is {width} byte(s) wide, "
+                f"PCG64 needs {_PCG64_WIDTH}"
+            )
+        state, inc, has_uint32, uinteger = reader.unpack(_PCG64)
+        module_rngs[path] = {
+            "bit_generator": "PCG64",
+            "state": {"state": int.from_bytes(state, "little"),
+                      "inc": int.from_bytes(inc, "little")},
+            "has_uint32": has_uint32, "uinteger": uinteger,
+        }
+    return module_rngs
+
+
+# ----------------------------------------------------------------------
 # frames
 # ----------------------------------------------------------------------
 def _clip_to_wire(clip_norm: Optional[float]) -> float:
@@ -587,13 +646,17 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
                     quantize_bits: Optional[int] = None,
                     reply_profile: str = "exact",
                     reply_keep_fraction: Optional[float] = None,
-                    reply_quantize_bits: Optional[int] = None) -> bytes:
+                    reply_quantize_bits: Optional[int] = None,
+                    module_rngs: Optional[Dict[str, dict]] = None,
+                    ) -> bytes:
     """Encode one PS -> worker dispatch frame.
 
     ``reply_profile`` negotiates how the worker must encode its
     contribution; non-exact profiles additionally ship the top-k keep
-    fraction and (for ``sparse+quantized``) the code width.  An exact
-    dispatch is byte-identical to a pre-negotiation frame.
+    fraction and (for ``sparse+quantized``) the code width.
+    ``module_rngs`` ships the generator state of the sub-model's
+    RNG-bearing modules.  An exact dispatch of an RNG-free sub-model is
+    byte-identical to a pre-negotiation frame.
     """
     if reply_profile not in _PROFILE_CODES:
         raise WireFormatError(
@@ -603,6 +666,8 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     writer = _Writer()
     flags = FLAG_QUANTIZED if quantize_bits is not None else 0
     flags |= _PROFILE_CODES[reply_profile] << _PROFILE_SHIFT
+    if module_rngs:
+        flags |= FLAG_RNG
     writer.header(KIND_DISPATCH, flags)
     writer.pack("II", worker_id, tau)
     writer.pack("d", float(emulate_s))
@@ -623,6 +688,8 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     writer.pack("d", float(plan.ratio))
     _write_plan(writer, plan)
     _write_state(writer, state, quantize_bits)
+    if module_rngs:
+        _write_rngs(writer, module_rngs)
     return writer.finish()
 
 
@@ -754,6 +821,7 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
     (ratio,) = reader.unpack("d")
     plan = _read_plan(reader, ratio)
     state = _read_state(reader, bool(flags & FLAG_QUANTIZED))
+    module_rngs = _read_rngs(reader) if flags & FLAG_RNG else {}
     reader.expect_exhausted()
     return DispatchPayload(
         worker_id=worker_id, tau=tau, emulate_s=emulate_s,
@@ -763,6 +831,7 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
         plan=plan, state=state, reply_profile=reply_profile,
         reply_keep_fraction=reply_keep_fraction,
         reply_quantize_bits=reply_quantize_bits,
+        module_rngs=module_rngs,
     )
 
 
@@ -778,9 +847,9 @@ def decode_contribution(frame: bytes,
     purposes, since no profile negotiates it.)
     """
     reader, flags = _open_frame(frame, KIND_CONTRIBUTION)
-    if flags & _PROFILE_MASK:
+    if flags & (_PROFILE_MASK | FLAG_RNG):
         raise WireFormatError(
-            "contribution frames must not carry reply-profile bits"
+            "contribution frames must not carry reply-profile or RNG bits"
         )
     if flags & FLAG_SPARSE:
         profile = (

@@ -1,54 +1,50 @@
-"""The engine's execution seam: serial (inline) or process-pool training.
+"""The engine's execution seam: serial (inline) or remote training.
 
 Schedulers hand the engine a batch of dispatches; the engine turns them
 into :class:`TrainRequest` records and submits them through its
 executor.  :class:`SerialExecutor` preserves the historical inline
 behaviour exactly (same call order, same RNG consumption, same
-telemetry spans).  :class:`ProcessExecutor` encodes each request with
-the wire codec, fans it out to a persistent
-:class:`~repro.runtime.pool.ProcessPool`, gathers the contribution
-frames, and decodes them -- with per-round ``serialize`` / ``transfer``
-/ ``parallel_train`` spans and ``wire_bytes_total`` /
+telemetry spans).  :class:`RemoteExecutor` encodes each request with
+the wire codec, hands the frames to a *link* -- the pipes of a
+persistent :class:`~repro.runtime.pool.ProcessPool`, or the pull pump
+of a :class:`~repro.serve.service.FedMPService` -- gathers the
+contribution frames, and decodes them, with per-round ``serialize`` /
+``transfer`` / ``parallel_train`` spans and ``wire_bytes_total`` /
 ``retries_total`` / ``stragglers_total`` counters.
 
 Both executors return the same :class:`TrainResult` list in submission
-order, and both are bitwise-identical to each other: the only state a
-training round consumes in the child -- the iterator RNG stream -- is
-reconstructed there from the worker's spec, and trained states travel
+order, and both are bitwise-identical to each other: the receiver
+derives the sub-model from its own skeleton and the frame's plan, state
+and RNG record (:func:`repro.runtime.pool.derive_submodel`), the only
+other state a training round consumes there -- the iterator RNG stream
+-- is reconstructed from the worker's spec, and trained states travel
 back as exact ``float32`` payloads.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
 import time
-from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_for_connections
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.loader import BatchIterator
 from repro.nn.batched import train_cohort
-from repro.pruning.plan import plan_signature, plan_signature_digest
-from repro.runtime import shm
+from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import (
     WIRE_PROFILES,
     TrainHyper,
     decode_contribution,
     encode_dispatch,
 )
-from repro.runtime.pool import ProcessPool, WorkerSpec
+from repro.runtime.pool import InFlight, ProcessPool, Skeleton, WorkerSpec
 from repro.runtime.transport import (
     LocalTransport,
-    ProcessTransport,
-    RetryPolicy,
+    StragglerDetector,
     TransportError,
-    TransportTimeoutError,
-    WorkerCrashError,
 )
 from repro.telemetry.runtime import DISABLED_TELEMETRY, Telemetry
 
@@ -58,7 +54,7 @@ __all__ = [
     "CohortTrainRequest",
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
+    "RemoteExecutor",
     "make_executor",
 ]
 
@@ -133,15 +129,18 @@ class Executor:
         return self.run(self._decompose(request), round_index)
 
     @staticmethod
-    def _decompose(request: CohortTrainRequest) -> List[TrainRequest]:
+    def _decompose(request: CohortTrainRequest,
+                   clone_template: bool = True) -> List[TrainRequest]:
         cohort = request.cohort
         emulate = request.emulate_s or [0.0] * len(request.worker_ids)
         requests = []
         for worker_id, tau, emulate_s in zip(
             request.worker_ids, request.taus, emulate
         ):
-            clone = copy.deepcopy(cohort.template)
-            clone.load_state_dict(cohort.dispatched_state)
+            clone = None
+            if clone_template:
+                clone = copy.deepcopy(cohort.template)
+                clone.load_state_dict(cohort.dispatched_state)
             requests.append(TrainRequest(
                 worker_id=worker_id, ratio=cohort.ratio, tau=tau,
                 plan=cohort.plan, submodel=clone,
@@ -155,8 +154,8 @@ class Executor:
 
         Serial execution trains on the engine's own workers, so there
         is nothing extra to report (the engine captures them
-        directly); the process executor overrides this to pull each
-        child's advanced RNG/iterator streams for checkpointing.
+        directly); the remote executor overrides this to pull each
+        receiver's advanced RNG/iterator streams for checkpointing.
         """
         return {}
 
@@ -308,153 +307,66 @@ class SerialExecutor(Executor):
         )
 
 
-#: template-cache key: two plans with the same signature produce
-#: structurally identical sub-models, so a child may clone a cached
-#: template instead of unpickling a fresh module graph (now shared
-#: with cohort bucketing via :mod:`repro.pruning.plan`)
-_plan_signature = plan_signature
+class RemoteExecutor(Executor):
+    """Training on remote receivers, behind the wire codec.
 
+    Owns everything about a remote round exactly once: serialize ->
+    gather -> decode / validate / materialise -> straggler flagging,
+    with the spans and counters that go with them.  How bytes reach the
+    receivers is the ``link``'s business -- it supplies ``name``,
+    ``parallelism``, ``retry``, ``gather(flights, clock)`` (fill in
+    every :class:`~repro.runtime.pool.InFlight` reply, return
+    per-worker completion seconds), ``capture()`` and ``close()``.
 
-@dataclass
-class _InFlight:
-    """Book-keeping for one outstanding train request."""
+    A dispatch frame is all a receiver needs: it derives the sub-model
+    from its skeleton and the frame's plan, state and RNG record, so
+    ``request.submodel`` is only read for its generator states (and may
+    be None for an RNG-free architecture).
 
-    request: TrainRequest
-    member_index: int
-    frame: Optional[bytes] = field(default=None, repr=False)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution behind the wire codec.
-
-    ``pickle_submodels=True`` ships the actual extracted module graph
-    with every dispatch instead of cloning a cached template in the
-    child.  The engine sets it for models with RNG-bearing modules
-    (e.g. ``Dropout``): their per-module generators are consumed
-    during the forward pass, so a child-side template clone would not
-    carry the same generator state as the parent's extraction.
-
-    Templates otherwise travel through shared memory: one segment per
-    plan signature (see :mod:`repro.runtime.shm`), attached by every
-    child that needs it, so template wire bytes are paid once per
-    signature instead of once per pool member.  The segment store is
-    an LRU bounded by ``template_cache_limit`` -- adaptive ratios mint
-    fresh signatures every round, and an unbounded store (the pre-fix
-    ``_cached_templates`` behaviour) leaks for the whole run.
-    Evictions unlink the segment after the round's gather (no train
-    message is in flight then, so no child can race the unlink) and
-    piggyback drop notices onto each member's next train message so
-    child-side caches shrink too.
-
-    ``wire_profile`` selects how children encode contributions:
+    ``wire_profile`` selects how receivers encode contributions:
     ``exact`` (dense float32, bitwise parity), ``sparse`` (top-k moved
     positions, exact at shipped positions) or ``sparse+quantized``
     (top-k quantized deltas).  The profile rides in the dispatch frame
     flags and replies are validated against it.
     """
 
-    name = "process"
-
-    def __init__(self, specs: Sequence[WorkerSpec],
-                 num_procs: Optional[int] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 pickle_submodels: bool = False,
-                 retry: Optional[RetryPolicy] = None,
+    def __init__(self, link, telemetry: Optional[Telemetry] = None,
                  straggler_quorum: float = 0.85,
                  straggler_multiplier: float = 1.5,
-                 start_method: Optional[str] = None,
                  wire_profile: str = "exact",
                  wire_keep_fraction: float = 0.25,
-                 wire_quantize_bits: int = 8,
-                 template_cache_limit: int = 8) -> None:
+                 wire_quantize_bits: int = 8) -> None:
         super().__init__()
-        from repro.runtime.transport import StragglerDetector
-
         if wire_profile not in WIRE_PROFILES:
             raise ValueError(
                 f"wire_profile must be one of {WIRE_PROFILES}, "
                 f"got {wire_profile!r}"
             )
-        if template_cache_limit < 1:
-            raise ValueError(
-                f"template_cache_limit must be >= 1, "
-                f"got {template_cache_limit}"
-            )
+        self.link = link
+        self.name = link.name
         self.telemetry = (
             telemetry if telemetry is not None else DISABLED_TELEMETRY
         )
-        self.pickle_submodels = pickle_submodels
         self.wire_profile = wire_profile
         self.wire_keep_fraction = wire_keep_fraction
         self.wire_quantize_bits = wire_quantize_bits
-        self.template_cache_limit = template_cache_limit
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.pool = ProcessPool(list(specs), num_procs=num_procs,
-                                start_method=start_method)
-        metrics = self.telemetry.metrics
-        self.transports = {
-            member.index: ProcessTransport(member, retry=self.retry,
-                                           metrics=metrics)
-            for member in self.pool.members
-        }
         self.detector = StragglerDetector(straggler_quorum,
                                           straggler_multiplier)
-        self._seq = 0
-        self._cached_templates: Dict[int, set] = {
-            member.index: set() for member in self.pool.members
-        }
-        #: plan signature -> (segment name, payload size), LRU order
-        self._template_segments: "OrderedDict[object, Tuple[str, int]]" = (
-            OrderedDict()
+
+    @classmethod
+    def from_config(cls, link, config,
+                    telemetry: Optional[Telemetry] = None,
+                    ) -> "RemoteExecutor":
+        """The executor a run configuration implies, over ``link``."""
+        quorum = config.deadline_quorum
+        return cls(
+            link, telemetry=telemetry,
+            straggler_quorum=0.85 if quorum is None else quorum,
+            straggler_multiplier=config.deadline_multiplier,
+            wire_profile=config.wire_profile,
+            wire_keep_fraction=config.wire_keep_fraction,
+            wire_quantize_bits=config.wire_quantize_bits,
         )
-        #: evicted segment names awaiting a safe (post-gather) unlink
-        self._retired_segments: List[str] = []
-        #: member index -> template keys to drop on its next message
-        self._pending_drops: Dict[int, set] = {}
-        # handshake: surface a child that died during start-up as a
-        # typed transport error instead of a hung first round
-        for member in self.pool.members:
-            self.transports[member.index].request(
-                ("ping", self._next_seq(), 0.0)
-            )
-
-    @property
-    def parallelism(self) -> int:
-        return len(self.pool.members)
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _template_segment(self, key: object,
-                          submodel: object) -> Tuple[str, int]:
-        """Segment ``(name, size)`` for a plan signature, creating (and
-        LRU-evicting) as needed.  Template wire bytes are charged here,
-        once per created segment -- never per member."""
-        segments = self._template_segments
-        if key in segments:
-            segments.move_to_end(key)
-            return segments[key]
-        name, size = shm.create_segment(submodel)
-        segments[key] = (name, size)
-        metrics = self.telemetry.metrics
-        metrics.counter("wire_bytes_total", kind="template").inc(size)
-        while len(segments) > self.template_cache_limit:
-            old_key, (old_name, _) = segments.popitem(last=False)
-            self._retired_segments.append(old_name)
-            metrics.counter("dispatch_cache_evictions_total").inc()
-            for index, seen in self._cached_templates.items():
-                if old_key in seen:
-                    seen.discard(old_key)
-                    self._pending_drops.setdefault(
-                        index, set()
-                    ).add(old_key)
-        return name, size
-
-    def _unlink_retired(self) -> None:
-        for name in self._retired_segments:
-            shm.unlink_segment(name)
-        self._retired_segments.clear()
 
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
@@ -463,85 +375,56 @@ class ProcessExecutor(Executor):
         telemetry = self.telemetry
         metrics = telemetry.metrics
         self.last_stragglers = []
+        profile = self.wire_profile
+        negotiated = profile != "exact"
         with telemetry.span("parallel_train", round=round_index,
                             requests=len(requests),
-                            procs=self.parallelism) as batch_span:
+                            procs=self.link.parallelism) as batch_span:
             # -- serialize ----------------------------------------------
-            pending: Dict[int, _InFlight] = {}
-            queues: Dict[int, deque] = {}
-            profile = self.wire_profile
+            flights: List[InFlight] = []
             with telemetry.span("serialize", round=round_index,
                                 requests=len(requests)):
                 for request in requests:
-                    member = self.pool.by_worker[request.worker_id]
                     frame = encode_dispatch(
                         request.worker_id, request.plan,
                         request.dispatched_state, tau=request.tau,
                         hyper=request.hyper, emulate_s=request.emulate_s,
                         reply_profile=profile,
                         reply_keep_fraction=(
-                            self.wire_keep_fraction
-                            if profile != "exact" else None
+                            self.wire_keep_fraction if negotiated else None
                         ),
                         reply_quantize_bits=(
-                            self.wire_quantize_bits
-                            if profile != "exact" else None
+                            self.wire_quantize_bits if negotiated else None
+                        ),
+                        module_rngs=(
+                            request.submodel.rng_states()
+                            if request.submodel is not None else None
                         ),
                     )
-                    key = _plan_signature(request.plan)
-                    if self.pickle_submodels:
-                        blob = pickle.dumps(
-                            request.submodel,
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                        metrics.counter("wire_bytes_total",
-                                        kind="template").inc(len(blob))
-                        template = ("blob", blob)
-                    elif key in self._cached_templates[member.index]:
-                        template = ("cached", key)
-                    else:
-                        name, size = self._template_segment(
-                            key, request.submodel
-                        )
-                        self._cached_templates[member.index].add(key)
-                        template = ("shm", key, name, size)
-                    drops = self._pending_drops.pop(member.index, None)
-                    seq = self._next_seq()
                     metrics.counter("wire_bytes_total",
                                     kind="dispatch").inc(len(frame))
-                    queues.setdefault(member.index, deque()).append(
-                        (seq, ("train", seq, frame, template,
-                               tuple(drops) if drops else ()))
-                    )
-                    pending[seq] = _InFlight(request=request,
-                                             member_index=member.index)
+                    flights.append(InFlight(request.worker_id, frame))
 
             # -- transfer + gather --------------------------------------
-            started = time.perf_counter()
             with telemetry.span("transfer", round=round_index,
                                 requests=len(requests)) as transfer_span:
-                completion_s = self._gather(queues, pending, started)
-                reply_bytes = sum(
-                    len(flight.frame) for flight in pending.values()
+                completion_s = self.link.gather(
+                    flights, self.link.retry.clock()
                 )
+                reply_bytes = sum(len(flight.reply) for flight in flights)
                 metrics.counter("wire_bytes_total",
                                 kind="contribution").inc(reply_bytes)
                 transfer_span.set("reply_bytes", reply_bytes)
-            # the gather is complete: every child has attached whatever
-            # segments this round referenced, so retired ones can go
-            self._unlink_retired()
 
             # -- decode + per-request spans -----------------------------
             results = []
-            for seq, flight in pending.items():
-                request = flight.request
-                payload = decode_contribution(flight.frame,
+            for request, flight in zip(requests, flights):
+                payload = decode_contribution(flight.reply,
                                               expect_profile=profile)
                 if payload.worker_id != request.worker_id:
                     raise TransportError(
-                        f"reply {seq} carries worker "
-                        f"{payload.worker_id}, expected "
-                        f"{request.worker_id}"
+                        f"a reply for worker {request.worker_id} carries "
+                        f"worker {payload.worker_id}"
                     )
                 with telemetry.span("local_train", round=round_index,
                                     worker=request.worker_id,
@@ -559,143 +442,37 @@ class ProcessExecutor(Executor):
                 ))
 
             # -- straggler heartbeat ------------------------------------
-            flagged = self.detector.flag(completion_s)
+            flagged = sorted(self.detector.flag(completion_s))
             if flagged:
-                self.last_stragglers = sorted(flagged)
+                self.last_stragglers = flagged
                 metrics.counter("stragglers_total",
                                 executor=self.name).inc(len(flagged))
                 telemetry.event("straggler_detected", round=round_index,
-                                workers=sorted(flagged))
-                batch_span.set("stragglers", sorted(flagged))
+                                workers=flagged)
+                batch_span.set("stragglers", flagged)
         return results
 
-    def _gather(self, queues: Dict[int, deque],
-                pending: Dict[int, _InFlight],
-                started: float) -> Dict[int, float]:
-        """Pump each member's request queue and collect every reply.
-
-        At most ONE train request is outstanding per member: the next
-        one is sent only after the previous reply has been fully read.
-        This is deadlock-free by construction -- a pipe write can only
-        stall when its reader is busy, and with one request in flight
-        the child is always parked in ``recv`` when the parent writes
-        (frames are regularly larger than the OS pipe buffer, so
-        fire-and-forget batching genuinely deadlocks: parent blocked
-        writing request *n+1*, child blocked writing reply *n*).
-        Sequencing costs nothing because each child handles requests
-        serially anyway.
-
-        Train requests are never resent (a replay would double-consume
-        child RNG streams); each empty poll interval counts as one
-        retry, and the batch fails with a typed error after
-        ``max_retries`` consecutive empty intervals, after
-        ``timeout_s`` of total waiting, or as soon as a member with
-        outstanding work dies.
-        """
-        metrics = self.telemetry.metrics
-        # member index -> seq of its one in-flight request
-        outstanding: Dict[int, int] = {}
-        for index, queue in queues.items():
-            seq, message = queue.popleft()
-            self.transports[index].send(message)
-            outstanding[index] = seq
-        completion: Dict[int, float] = {}
-        clock = self.retry.clock(start=started)
-        while outstanding:
-            conns = {
-                self.pool.members[index].conn: index
-                for index in outstanding
-            }
-            if clock.remaining() <= 0.0:
-                raise TransportTimeoutError(
-                    f"{len(outstanding)} training repl(y/ies) still "
-                    f"missing after {clock.elapsed():.1f}s "
-                    f"(budget {clock.budget_s:.1f}s)"
-                )
-            ready = _wait_for_connections(list(conns),
-                                          timeout=clock.interval())
-            if not ready:
-                metrics.counter("retries_total",
-                                transport="process").inc()
-                for index in outstanding:
-                    if not self.transports[index].alive():
-                        raise WorkerCrashError(
-                            f"pool member {index} died with "
-                            f"{len(outstanding)} training request(s) "
-                            f"outstanding"
-                        )
-                if not clock.tick():
-                    raise TransportTimeoutError(
-                        f"no training reply after "
-                        f"{clock.attempts} backoff interval(s) "
-                        f"({clock.elapsed():.1f}s elapsed)"
-                    )
-                continue
-            clock.reset()
-            for conn in ready:
-                index = conns[conn]
-                transport = self.transports[index]
-                while conn.poll(0):
-                    reply = transport.receive()
-                    op, seq = reply[0], reply[1]
-                    if op == "err":
-                        raise TransportError(
-                            f"worker process raised during training:\n"
-                            f"{reply[2]}"
-                        )
-                    if op != "ok" or seq != outstanding.get(index):
-                        continue  # stale control-plane reply
-                    pending[seq].frame = reply[2]
-                    worker_id = pending[seq].request.worker_id
-                    completion[worker_id] = time.perf_counter() - started
-                    queue = queues[index]
-                    if queue:
-                        next_seq, message = queue.popleft()
-                        transport.send(message)
-                        outstanding[index] = next_seq
-                    else:
-                        del outstanding[index]
-                        break
-        return completion
+    def run_cohort(self, request: CohortTrainRequest,
+                   round_index: int = 0) -> List[TrainResult]:
+        """Encode straight from the cohort's shared plan and state: the
+        receivers derive the module graph themselves (cohorts only form
+        over RNG-free architectures), so no template is cloned."""
+        return self.run(self._decompose(request, clone_template=False),
+                        round_index)
 
     def capture_worker_states(self) -> Dict[int, Dict[str, object]]:
-        """Pull every child's worker runtime states over the pipe.
-
-        In process mode the data/worker RNG streams advance in the
-        children, so a checkpoint must read them from there.  Uses the
-        idempotent control-plane ``("capture", seq)`` round trip per
-        member (safe to resend -- capturing does not consume any
-        stream).
-        """
-        states: Dict[int, Dict[str, object]] = {}
-        for member in self.pool.members:
-            reply = self.transports[member.index].request(
-                ("capture", self._next_seq())
-            )
-            states.update(pickle.loads(reply[2]))
-        return states
+        return self.link.capture()
 
     def close(self) -> None:
-        """Shut the pool down and unlink every live template segment.
-
-        Idempotent, and the segment unlink runs even when the pool
-        shutdown is dirty (killed children), so a crashed run cannot
-        strand ``/dev/shm`` entries past ``close``.
-        """
-        try:
-            self.pool.close()
-        finally:
-            self._unlink_retired()
-            for name, _ in self._template_segments.values():
-                shm.unlink_segment(name)
-            self._template_segments.clear()
+        self.link.close()
 
 
 def make_executor(config, *, workers: Dict[int, object],
                   specs: Sequence[WorkerSpec],
                   telemetry: Optional[Telemetry] = None,
-                  pickle_submodels: bool = False) -> Executor:
-    """Build the executor ``config.executor`` names."""
+                  skeleton: Optional[Skeleton] = None) -> Executor:
+    """Build the executor ``config.executor`` names (``skeleton`` is
+    what pool children derive dispatched sub-models from)."""
     kind = getattr(config, "executor", "serial")
     if kind == "serial":
         return SerialExecutor(workers, telemetry=telemetry)
@@ -707,20 +484,10 @@ def make_executor(config, *, workers: Dict[int, object],
                 "with executor='process' the modules it would instrument "
                 "train in child processes"
             )
-        quorum = (
-            config.deadline_quorum
-            if getattr(config, "deadline_quorum", None) is not None else 0.85
+        pool = ProcessPool(
+            list(specs), num_procs=config.num_procs, skeleton=skeleton,
+            metrics=bundle.metrics,
         )
-        return ProcessExecutor(
-            specs, num_procs=getattr(config, "num_procs", None),
-            telemetry=telemetry, pickle_submodels=pickle_submodels,
-            straggler_quorum=quorum,
-            straggler_multiplier=getattr(config, "deadline_multiplier", 1.5),
-            wire_profile=getattr(config, "wire_profile", "exact"),
-            wire_keep_fraction=getattr(config, "wire_keep_fraction", 0.25),
-            wire_quantize_bits=getattr(config, "wire_quantize_bits", 8),
-            template_cache_limit=getattr(
-                config, "template_cache_limit", 8
-            ),
-        )
+        pool.ping()
+        return RemoteExecutor.from_config(pool, config, telemetry)
     raise ValueError(f"unknown executor {kind!r}")

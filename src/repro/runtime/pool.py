@@ -24,40 +24,71 @@ batch stream.
 Each pool child owns a *group* of workers (round-robin over sorted
 worker ids, so the assignment is a pure function of the fleet) and
 serves ``train`` requests off one duplex pipe: decode the dispatch
-frame, materialise the sub-model, run ``local_train``, reply with a
+frame, derive the sub-model, run ``local_train``, reply with a
 contribution frame encoded under the dispatch's negotiated wire
-profile.  Sub-model templates arrive out-of-band through shared
-memory (see :mod:`repro.runtime.shm`) and are cached per plan
-signature, so steady-state dispatches ship only the codec frame --
-the pipe never carries a module graph except on the explicit
-``pickle_submodels`` path.  The parent bounds its template store and
-piggybacks eviction notices on train messages so child caches track
-the parent's.
+profile.  No module graph ever crosses the pipe after start-up: the
+child holds a *skeleton* of the global model (shipped once, next to its
+specs) and derives every dispatched sub-model from it -- see
+:func:`derive_submodel`.
+
+:class:`ProcessPool` is also the pipe *link* of
+:class:`~repro.runtime.executor.RemoteExecutor`: ``gather`` pumps one
+batch of dispatch frames through the children and collects the replies,
+``capture`` pulls their worker runtime states for a checkpoint.
 """
 
 from __future__ import annotations
 
-import copy
 import multiprocessing as mp
 import pickle
 import time
 import traceback
+import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from multiprocessing.connection import wait as _wait_for_connections
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.runtime.codec import (
+    DispatchPayload,
+    WireFormatError,
     decode_dispatch,
     encode_contribution,
 )
-from repro.runtime.shm import read_segment
+from repro.runtime.transport import (
+    ProcessTransport,
+    RetryClock,
+    RetryPolicy,
+    TransportError,
+    TransportTimeoutError,
+    WorkerCrashError,
+)
 from repro.simulation.device import DeviceProfile
+from repro.telemetry.runtime import DISABLED_TELEMETRY
 
 if TYPE_CHECKING:  # cycle guard: repro.fl.engine imports this package
     from repro.fl.worker import Worker
+    from repro.nn.module import Module
 
-__all__ = ["ITERATOR_KINDS", "WorkerSpec", "PoolMember", "ProcessPool"]
+__all__ = [
+    "ITERATOR_KINDS",
+    "InFlight",
+    "Skeleton",
+    "WorkerSpec",
+    "PoolMember",
+    "ProcessPool",
+    "derive_submodel",
+    "handle_train",
+    "pack_skeleton",
+    "unpack_skeleton",
+]
+
+#: what a receiver derives sub-models from: the global model's module
+#: graph and the task family's extractor, a plain function
+#: ``(model, plan, rng=...) -> sub-model``
+Skeleton = Tuple["Module", Callable]
 
 #: iterator families a spec can rebuild ("batch" draws an epoch
 #: permutation at construction; "sequence" draws only per batch)
@@ -126,34 +157,62 @@ class WorkerSpec:
 
 
 # ----------------------------------------------------------------------
-# child side
+# the skeleton, and what a receiver does with it
 # ----------------------------------------------------------------------
-def _handle_train(workers: Dict[int, Worker], templates: Dict[object, object],
-                  frame: bytes, template: Tuple,
-                  drops: Tuple) -> bytes:
-    for key in drops:
-        templates.pop(key, None)
+def pack_skeleton(task) -> bytes:
+    """A skeleton for ``task`` as bytes, for a receiver in another
+    address space (a service client).
+
+    The graph's arrays are zeroed: their values are never read (each
+    dispatch overwrites them), only their shapes, and zeros compress to
+    almost nothing -- so a skeleton costs kilobytes, not a model's
+    worth.
+    """
+    model = task.build_model(np.random.default_rng(0))
+    for _, module in model.named_modules():
+        for arrays in (module.params, module.grads, module.buffers):
+            for value in arrays.values():
+                value.fill(0)
+    blob = pickle.dumps((model, task.extractor),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    return zlib.compress(blob, 1)
+
+
+def unpack_skeleton(blob: bytes) -> Skeleton:
+    return pickle.loads(zlib.decompress(blob))
+
+
+def derive_submodel(skeleton: Skeleton, payload: DispatchPayload) -> Module:
+    """The dispatched sub-model, rebuilt at the receiver.
+
+    A sub-model's structure is a pure function of (architecture, plan):
+    run the family's extractor on the local skeleton, load the frame's
+    state over whatever the extractor gathered (``load_state_dict``
+    copies every array, so ``payload.state`` stays the pristine base a
+    sparse reply diffs against), and put each RNG-bearing module at the
+    generator state the frame recorded.  Layer construction inside the
+    extractor draws from a throwaway generator; every value it
+    initialises is overwritten.
+    """
+    model, extract = skeleton
+    submodel = extract(model, payload.plan, rng=np.random.default_rng(0))
+    try:
+        submodel.load_state_dict(payload.state)
+        submodel.load_rng_states(payload.module_rngs)
+    except (KeyError, ValueError) as exc:
+        raise WireFormatError(
+            f"dispatch does not fit the sub-model its plan derives: {exc}"
+        ) from exc
+    return submodel
+
+
+def handle_train(workers: Dict[int, Worker], skeleton: Optional[Skeleton],
+                 frame: bytes) -> bytes:
+    """Serve one dispatch frame: derive, train, encode the reply."""
+    if skeleton is None:
+        raise RuntimeError("this receiver was started without a skeleton")
     payload = decode_dispatch(frame)
-    mode = template[0]
-    if mode == "blob":
-        submodel = pickle.loads(template[1])
-    elif mode == "shm":
-        _, key, name, size = template
-        cached = read_segment(name, size)
-        templates[key] = cached
-        submodel = copy.deepcopy(cached)
-    elif mode == "cached":
-        cached = templates.get(template[1])
-        if cached is None:
-            raise RuntimeError(
-                f"no cached sub-model template for key {template[1]!r}"
-            )
-        submodel = copy.deepcopy(cached)
-    else:
-        raise RuntimeError(f"unknown template reference {mode!r}")
-    # load_state_dict copies every array, so payload.state stays the
-    # pristine dispatched base the sparse reply encoder diffs against
-    submodel.load_state_dict(payload.state)
+    submodel = derive_submodel(skeleton, payload)
     worker = workers[payload.worker_id]
     hyper = payload.hyper
     start = time.perf_counter()
@@ -184,30 +243,24 @@ def _handle_train(workers: Dict[int, Worker], templates: Dict[object, object],
     )
 
 
-def _child_main(conn, specs_blob: bytes) -> None:
+def _child_main(conn, skeleton: Optional[Skeleton],
+                specs_blob: bytes) -> None:
     """Serve one pipe until shutdown.
 
     Message grammar (tuples; ``seq`` correlates replies to requests):
 
     - ``("ping", seq, delay_s)`` -> ``("pong", seq)`` after sleeping
       ``delay_s`` (the delay exists so tests can provoke timeouts);
-    - ``("train", seq, frame, template, drops)``
-      -> ``("ok", seq, contribution_frame)`` or
-      ``("err", seq, traceback_text)``, where ``template`` references
-      the sub-model graph as ``("cached", key)`` (clone the child's
-      cache), ``("shm", key, name, size)`` (attach the named
-      shared-memory segment, cache under ``key``, clone) or
-      ``("blob", pickle_bytes)`` (one-shot module, never cached), and
-      ``drops`` lists template keys to evict before handling;
-    - ``("capture", seq)`` -> ``("state", seq, blob)`` where ``blob``
-      pickles ``{worker_id: capture_runtime_state()}`` for this child's
-      workers (the checkpoint subsystem merges these into the parent's
-      view, since in process mode the data/RNG streams advance here);
+    - ``("train", seq, frame)`` -> ``("ok", seq, contribution_frame)``
+      or ``("err", seq, traceback_text)``;
+    - ``("capture", seq)`` -> ``("state", seq, states)`` with
+      ``{worker_id: capture_runtime_state()}`` for this child's workers
+      (the checkpoint subsystem merges these into the parent's view,
+      since in process mode the data/RNG streams advance here);
     - ``("shutdown",)`` -> exit.
     """
     specs: List[WorkerSpec] = pickle.loads(specs_blob)
     workers = {spec.worker_id: spec.build() for spec in specs}
-    templates: Dict[object, object] = {}
     try:
         while True:
             try:
@@ -223,10 +276,9 @@ def _child_main(conn, specs_blob: bytes) -> None:
                     time.sleep(delay_s)
                 conn.send(("pong", seq))
             elif op == "train":
-                _, seq, frame, template, drops = message
+                _, seq, frame = message
                 try:
-                    reply = _handle_train(workers, templates, frame,
-                                          template, drops)
+                    reply = handle_train(workers, skeleton, frame)
                 except Exception:
                     conn.send(("err", seq, traceback.format_exc()))
                 else:
@@ -241,7 +293,7 @@ def _child_main(conn, specs_blob: bytes) -> None:
                 except Exception:
                     conn.send(("err", seq, traceback.format_exc()))
                 else:
-                    conn.send(("state", seq, pickle.dumps(states)))
+                    conn.send(("state", seq, states))
             # unknown ops are dropped silently: the parent's sequence
             # numbers make lost requests visible as timeouts
     except KeyboardInterrupt:
@@ -253,6 +305,15 @@ def _child_main(conn, specs_blob: bytes) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
+@dataclass
+class InFlight:
+    """One dispatch frame on its way through a link, and its reply."""
+
+    worker_id: int
+    frame: bytes = field(repr=False)
+    reply: Optional[bytes] = field(default=None, repr=False)
+
+
 @dataclass
 class PoolMember:
     """One child process and the parent's end of its pipe."""
@@ -274,26 +335,40 @@ class ProcessPool:
     Workers are assigned round-robin over their sorted ids, so the
     worker -> child mapping is deterministic for a given fleet and
     pool size.  Children are daemonic: an abnormal parent exit cannot
-    leave them behind.
+    leave them behind.  ``skeleton`` is what the children derive
+    sub-models from (under ``fork`` they simply inherit it: nothing is
+    pickled); a pool started without one serves only the control plane
+    (``ping`` / ``capture``).
     """
+
+    name = "process"
 
     def __init__(self, specs: List[WorkerSpec],
                  num_procs: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+                 start_method: Optional[str] = None,
+                 skeleton: Optional[Skeleton] = None,
+                 retry: Optional[RetryPolicy] = None,
+                 metrics=None) -> None:
         if not specs:
             raise ValueError("a process pool needs at least one WorkerSpec")
         specs = sorted(specs, key=lambda spec: spec.worker_id)
         count = num_procs if num_procs is not None else (mp.cpu_count() or 1)
         count = max(1, min(int(count), len(specs)))
         ctx = mp.get_context(start_method or _pick_start_method())
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.metrics = (
+            metrics if metrics is not None else DISABLED_TELEMETRY.metrics
+        )
         self.members: List[PoolMember] = []
         self.by_worker: Dict[int, PoolMember] = {}
+        self.transports: Dict[int, ProcessTransport] = {}
+        self._seq = 0
         for index in range(count):
             group = specs[index::count]
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_child_main,
-                args=(child_conn, pickle.dumps(group)),
+                args=(child_conn, skeleton, pickle.dumps(group)),
                 name=f"repro-pool-{index}", daemon=True,
             )
             proc.start()
@@ -303,11 +378,133 @@ class ProcessPool:
                 worker_ids=[spec.worker_id for spec in group],
             )
             self.members.append(member)
+            self.transports[index] = ProcessTransport(
+                member, retry=self.retry, metrics=self.metrics
+            )
             for spec in group:
                 self.by_worker[spec.worker_id] = member
-
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def parallelism(self) -> int:
+        return len(self.members)
+
+    def _next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
+
+    def ping(self) -> None:
+        """Round-trip every member: a child that died during start-up
+        surfaces here as a typed transport error."""
+        for transport in self.transports.values():
+            transport.request(("ping", self._next_seq(), 0.0))
+
+    def gather(self, flights: List[InFlight],
+               clock: RetryClock) -> Dict[int, float]:
+        """Pump every flight through its worker's child; fill in the
+        replies.  Returns ``{worker_id: completion seconds}``.
+
+        At most ONE train request is outstanding per member: the next
+        one is sent only after the previous reply has been fully read.
+        This is deadlock-free by construction -- a pipe write can only
+        stall when its reader is busy, and with one request in flight
+        the child is always parked in ``recv`` when the parent writes
+        (frames are regularly larger than the OS pipe buffer, so
+        fire-and-forget batching genuinely deadlocks: parent blocked
+        writing request *n+1*, child blocked writing reply *n*).
+        Sequencing costs nothing because each child handles requests
+        serially anyway.
+
+        Train requests are never resent (a replay would double-consume
+        child RNG streams); each empty poll interval counts as one
+        retry, and the batch fails with a typed error after
+        ``max_retries`` consecutive empty intervals, after
+        ``timeout_s`` of total waiting, or as soon as a member with
+        outstanding work dies.
+        """
+        queues: Dict[int, deque] = {}
+        for flight in flights:
+            member = self.by_worker[flight.worker_id]
+            queues.setdefault(member.index, deque()).append(flight)
+        # member index -> (seq, flight) of its one in-flight request
+        outstanding: Dict[int, Tuple[int, InFlight]] = {}
+
+        def send_next(index: int) -> None:
+            flight = queues[index].popleft()
+            seq = self._next_seq()
+            self.transports[index].send(("train", seq, flight.frame))
+            outstanding[index] = (seq, flight)
+
+        for index in queues:
+            send_next(index)
+        completion: Dict[int, float] = {}
+        while outstanding:
+            conns = {
+                self.members[index].conn: index for index in outstanding
+            }
+            if clock.remaining() <= 0.0:
+                raise TransportTimeoutError(
+                    f"{len(outstanding)} training repl(y/ies) still "
+                    f"missing after {clock.elapsed():.1f}s "
+                    f"(budget {clock.budget_s:.1f}s)"
+                )
+            ready = _wait_for_connections(list(conns),
+                                          timeout=clock.interval())
+            if not ready:
+                self.metrics.counter("retries_total",
+                                     transport=self.name).inc()
+                for index in outstanding:
+                    if not self.transports[index].alive():
+                        raise WorkerCrashError(
+                            f"pool member {index} died with "
+                            f"{len(outstanding)} training request(s) "
+                            f"outstanding"
+                        )
+                if not clock.tick():
+                    raise TransportTimeoutError(
+                        f"no training reply after "
+                        f"{clock.attempts} backoff interval(s) "
+                        f"({clock.elapsed():.1f}s elapsed)"
+                    )
+                continue
+            clock.reset()
+            for conn in ready:
+                index = conns[conn]
+                transport = self.transports[index]
+                while conn.poll(0):
+                    reply = transport.receive()
+                    op, seq = reply[0], reply[1]
+                    if op == "err":
+                        raise TransportError(
+                            f"worker process raised during training:\n"
+                            f"{reply[2]}"
+                        )
+                    expected, flight = outstanding[index]
+                    if op != "ok" or seq != expected:
+                        continue  # stale control-plane reply
+                    flight.reply = reply[2]
+                    completion[flight.worker_id] = clock.elapsed()
+                    if queues[index]:
+                        send_next(index)
+                    else:
+                        del outstanding[index]
+                        break
+        return completion
+
+    def capture(self) -> Dict[int, Dict[str, object]]:
+        """Every child's worker runtime states, over the pipes.
+
+        In process mode the data/worker RNG streams advance in the
+        children, so a checkpoint must read them from there.  Uses the
+        idempotent control-plane ``("capture", seq)`` round trip per
+        member (safe to resend -- capturing consumes no stream).
+        """
+        states: Dict[int, Dict[str, object]] = {}
+        for transport in self.transports.values():
+            reply = transport.request(("capture", self._next_seq()))
+            states.update(reply[2])
+        return states
 
     def close(self, join_timeout_s: float = 5.0) -> None:
         """Ask every child to exit; terminate any that do not."""

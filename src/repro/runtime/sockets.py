@@ -10,6 +10,13 @@ adds framing only, never re-encodes, so the wire profiles (exact /
 sparse / sparse+quantized) and their parity guarantees carry over
 unchanged.
 
+Nothing that crosses the socket needs more than builtin containers,
+scalars, ``bytes`` and NumPy arrays, so every receive path here
+unpickles through :func:`safe_loads`, an allow-list unpickler: a frame
+that names any other global -- the ``__reduce__`` route to code
+execution -- raises :class:`~repro.runtime.transport.TransportError`
+before anything is constructed.
+
 Two consumption styles:
 
 - :func:`send_message` / :func:`recv_message` -- blocking helpers for
@@ -32,6 +39,7 @@ schedule.
 
 from __future__ import annotations
 
+import io
 import pickle
 import select
 import socket
@@ -51,6 +59,7 @@ __all__ = [
     "SocketClosedError",
     "FrameBuffer",
     "encode_message",
+    "safe_loads",
     "send_message",
     "recv_message",
     "SocketTransport",
@@ -63,8 +72,43 @@ _LENGTH = struct.Struct("!I")
 MAX_MESSAGE_BYTES = 1 << 30
 
 
+#: the only globals a socket peer's pickle may name: NumPy's array,
+#: scalar and dtype reconstructors
+_NUMPY_RECONSTRUCTORS = (
+    ("numpy", "dtype"), ("numpy", "ndarray"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "scalar"),
+)
+_ALLOWED_GLOBALS = frozenset(_NUMPY_RECONSTRUCTORS) | frozenset(
+    # the module spelling NumPy 1.x pickles carry
+    (module.replace("._core.", ".core."), name)
+    for module, name in _NUMPY_RECONSTRUCTORS
+)
+
+
 class SocketClosedError(TransportError):
     """The peer closed the connection mid-conversation."""
+
+
+class _AllowListUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _ALLOWED_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"global {module}.{name} is not allowed on the wire"
+            )
+        return super().find_class(module, name)
+
+
+def safe_loads(data: bytes):
+    """Unpickle bytes from a socket peer: builtin containers, scalars,
+    ``bytes`` and NumPy arrays only.  Anything else -- a disallowed
+    global, truncated or garbage pickle -- is a typed
+    :class:`~repro.runtime.transport.TransportError`."""
+    try:
+        return _AllowListUnpickler(io.BytesIO(data)).load()
+    except Exception as exc:
+        raise TransportError(f"undecodable message: {exc}") from exc
 
 
 def encode_message(message) -> bytes:
@@ -114,7 +158,7 @@ def recv_message(sock: socket.socket):
             f"frame announces {length} bytes, over the "
             f"{MAX_MESSAGE_BYTES}-byte cap -- stream corrupt?"
         )
-    return pickle.loads(_recv_exact(sock, length))
+    return safe_loads(_recv_exact(sock, length))
 
 
 class FrameBuffer:
@@ -148,7 +192,7 @@ class FrameBuffer:
                 return
             payload = bytes(self._buffer[_LENGTH.size:end])
             del self._buffer[:end]
-            yield pickle.loads(payload)
+            yield safe_loads(payload)
 
 
 class SocketTransport(Transport):

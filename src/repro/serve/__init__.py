@@ -1,8 +1,8 @@
 """Parameter-server service mode: live workers over sockets.
 
 See :mod:`repro.serve.protocol` for the request grammar,
-:mod:`repro.serve.service` for the daemon and its socket-backed
-executor, and :mod:`repro.serve.client` for the worker process.
+:mod:`repro.serve.service` for the daemon and its pull link, and
+:mod:`repro.serve.client` for the worker process.
 """
 
 from repro.serve.client import ClientError, ServiceClient
@@ -15,9 +15,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.service import (
     FedMPService,
+    PullLink,
     ServiceDrained,
     ServiceError,
-    SocketExecutor,
 )
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "ClientError",
     "ServiceClient",
     "FedMPService",
+    "PullLink",
     "ServiceDrained",
     "ServiceError",
-    "SocketExecutor",
 ]

@@ -3,12 +3,18 @@
 :class:`ServiceClient` dials a :class:`~repro.serve.service.
 FedMPService`, registers (taking any free slot, or a specific
 ``worker_id``), rebuilds its worker from the spec the service ships
-back, and then serves the pull loop: poll ``pull_dispatch``, run the
-exact :func:`repro.runtime.pool._handle_train` body every pool child
-runs, push the contribution frame back.  Because both the worker
+back and keeps the model skeleton shipped with it, and then serves the
+pull loop: poll ``pull_dispatch``, run the exact
+:func:`repro.runtime.pool.handle_train` body every pool child runs
+(derive the sub-model from the skeleton and the frame, train, encode),
+push the contribution frame back.  Because both the worker
 construction (``WorkerSpec.build``) and the training body are shared
 verbatim with the process executor, socket-run training is bitwise
 identical to pipe-run training by construction.
+
+The ``spec`` and ``skeleton`` blobs of the ``registered`` reply are the
+only bytes this side unpickles without the framing layer's allow-list:
+a client trusts the parameter server it dialled, not the reverse.
 
 Churn knobs:
 
@@ -68,7 +74,7 @@ class ServiceClient:
         self._seq = 0
         self.transport: Optional[SocketTransport] = None
         self.workers: Dict[int, object] = {}
-        self.templates: Dict[object, object] = {}
+        self.skeleton = None
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -129,7 +135,7 @@ class ServiceClient:
         # shipped spec: its runtime_state puts every stream (data RNG,
         # iterator cursor, jitter) at the service's recorded position
         self.workers = {self.worker_id: spec.build()}
-        self.templates = {}
+        self.skeleton = pool.unpack_skeleton(payload["skeleton"])
         self.transport = transport
 
     def _serve(self) -> None:
@@ -140,8 +146,12 @@ class ServiceClient:
             )
             op = reply[0]
             if op == "dispatch":
-                _, _, tseq, frame, template, drops = reply
-                self._train_and_push(tseq, frame, template, drops)
+                _, _, tseq, frame = reply
+                out = pool.handle_train(self.workers, self.skeleton, frame)
+                self.transport.request(
+                    ("push_contribution", self._next_seq(),
+                     self.worker_id, tseq, out)
+                )
                 self.completed += 1
                 if (self.leave_after is not None
                         and self.completed >= self.leave_after):
@@ -158,14 +168,10 @@ class ServiceClient:
                     last_beat = now
                 time.sleep(hint)
             elif op == "capture":
-                cseq = reply[2]
-                blob = pickle.dumps(
-                    self.workers[self.worker_id].capture_runtime_state(),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
                 self.transport.request(
                     ("push_state", self._next_seq(), self.worker_id,
-                     cseq, blob)
+                     reply[2],
+                     self.workers[self.worker_id].capture_runtime_state())
                 )
             elif op == "drain":
                 self._leave()
@@ -175,29 +181,11 @@ class ServiceClient:
                     f"unexpected pull_dispatch reply op {op!r}"
                 )
 
-    def _train_and_push(self, tseq: int, frame: bytes, template,
-                        drops) -> None:
-        # a ("tblob", ...) materialises into the local template cache
-        # first, then trains through the "cached" branch -- the byte-
-        # for-byte path every pool child takes after an shm attach
-        if template[0] == "tblob":
-            _, key, blob = template
-            self.templates[key] = pickle.loads(blob)
-            template = ("cached", key)
-        out = pool._handle_train(self.workers, self.templates, frame,
-                                 template, tuple(drops))
-        self.transport.request(
-            ("push_contribution", self._next_seq(), self.worker_id,
-             tseq, out)
-        )
-
     def _leave(self) -> None:
         try:
             state = self.workers[self.worker_id].capture_runtime_state()
-            blob = pickle.dumps(state,
-                                protocol=pickle.HIGHEST_PROTOCOL)
             self.transport.request(
-                ("leave", self._next_seq(), self.worker_id, blob)
+                ("leave", self._next_seq(), self.worker_id, state)
             )
         finally:
             self._close()

@@ -1,9 +1,12 @@
 """The parameter-server service protocol: ops, versioning, lifecycle.
 
 Every message is a pickled ``(op, seq, *args)`` tuple inside a
-length-prefixed frame (see :mod:`repro.runtime.sockets`).  All requests
-are **client-initiated**: the service never pushes, so a worker's
-single TCP connection is a clean request/response channel and
+length-prefixed frame (see :mod:`repro.runtime.sockets`), unpickled on
+receipt through that module's allow-list: builtin containers, scalars,
+``bytes`` and NumPy arrays are all the grammar below needs, so a frame
+naming any other global is refused and its connection dropped.  All
+requests are **client-initiated**: the service never pushes, so a
+worker's single TCP connection is a clean request/response channel and
 :class:`~repro.runtime.sockets.SocketTransport` drives the whole
 client side.  Training payloads stay in the CRC-checked
 :mod:`repro.runtime.codec` frames and ride as ``bytes`` arguments.
@@ -15,29 +18,32 @@ comes back as ``("err", seq, traceback_text)``):
 request                                      replies
 ===========================================  =================================
 ``("register", seq, info)``                  ``("registered", seq, payload)``
-``("leave", seq, wid, state_blob)``          ``("bye", seq)``
-``("pull_dispatch", seq, wid)``              ``("dispatch", seq, tseq, frame,
-                                             template, drops)`` /
-                                             ``("idle", seq, hint_s)`` /
+``("leave", seq, wid, state)``               ``("bye", seq)``
+``("pull_dispatch", seq, wid)``              ``("dispatch", seq, tseq, frame)``
+                                             / ``("idle", seq, hint_s)`` /
                                              ``("capture", seq, cseq)`` /
                                              ``("drain", seq)``
 ``("push_contribution", seq, wid, tseq,      ``("accepted", seq)``
 frame)``
-``("push_state", seq, wid, cseq, blob)``     ``("accepted", seq)``
+``("push_state", seq, wid, cseq, state)``    ``("accepted", seq)``
 ``("heartbeat", seq, wid, sent_at)``         ``("pong", seq)``
 ``("status", seq)``                          ``("status_ok", seq, report)``
 ===========================================  =================================
 
 ``info`` carries ``{"protocol": PROTOCOL_VERSION, "worker_id": id or
-None}``; the ``registered`` payload returns the assigned worker id and
-a pickled :class:`~repro.runtime.pool.WorkerSpec` from which the client
-rebuilds the worker with bitwise-identical RNG streams (including any
-checkpoint- or leave-captured runtime state, so rejoining workers
-resume their streams mid-position).  ``template`` references the
-sub-model graph as ``("blob", bytes)`` (one-shot, never cached),
-``("tblob", key, bytes)`` (cache under ``key``, then clone) or
-``("cached", key)``; ``drops`` lists template keys to evict first --
-the socket analogue of the pipe transport's shm/cached modes.
+None}``; the ``registered`` payload returns the assigned worker id plus
+two ``bytes`` blobs the client unpickles itself (it trusts the service
+it dialled): ``spec``, a :class:`~repro.runtime.pool.WorkerSpec` from
+which it rebuilds the worker with bitwise-identical RNG streams
+(including any checkpoint- or leave-captured runtime state, so
+rejoining workers resume their streams mid-position), and
+``skeleton``, the global model's module graph and the task family's
+extractor.  A ``dispatch`` reply carries nothing but the codec frame:
+the client derives the sub-model from the skeleton and the frame's
+plan, state and RNG record
+(:func:`repro.runtime.pool.derive_submodel`), so a re-issued dispatch
+is the same bytes again.  ``state`` is a worker's
+``capture_runtime_state()`` dict, sent as is.
 
 Worker lifecycle::
 
@@ -68,7 +74,7 @@ __all__ = [
 
 #: bumped on any incompatible change to the request grammar above;
 #: ``register`` is refused when client and service disagree
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: lifecycle states of a roster entry
 ACTIVE = "active"

@@ -3,38 +3,37 @@
 :class:`FedMPService` binds a loopback/LAN listener, accepts live
 worker registrations, and drives the ordinary round
 :class:`~repro.fl.engine.Engine` + scheduler over them.  Training
-itself runs in the *clients* (see :mod:`repro.serve.client`):
-:class:`SocketExecutor` is the engine's execution seam, queueing
-encoded dispatches per worker and collecting contribution frames as
-clients pull and push them through the request protocol of
-:mod:`repro.serve.protocol`.
+itself runs in the *clients* (see :mod:`repro.serve.client`): the
+engine's execution seam is the same
+:class:`~repro.runtime.executor.RemoteExecutor` the process pool runs
+under, over a :class:`PullLink` that queues encoded dispatches per
+worker and collects contribution frames as clients pull and push them
+through the request protocol of :mod:`repro.serve.protocol`.
 
 Determinism carries over from the process executor by construction:
-the service encodes dispatches with the exact
-:func:`~repro.runtime.codec.encode_dispatch` arguments the process
-executor uses, clients run the exact
-:func:`repro.runtime.pool._handle_train` body on workers rebuilt from
-their :class:`~repro.runtime.pool.WorkerSpec`, and decode/aggregate
-order in the parent is submission order -- so a loopback-socket run is
-bitwise identical to a serial run over the same membership script
-(pinned by ``repro verify``'s service stage).
+one executor encodes every dispatch and decodes every reply, clients
+run the exact :func:`repro.runtime.pool.handle_train` body on workers
+rebuilt from their :class:`~repro.runtime.pool.WorkerSpec`, and
+decode/aggregate order in the parent is submission order -- so a
+loopback-socket run is bitwise identical to a serial run over the same
+membership script (pinned by ``repro verify``'s service stage).
 
 The service is single-threaded: one ``selectors`` pump serves every
-connection, driven from three places -- the executor's gather loop,
-the membership provider's wait, and checkpoint-time worker-state
-capture.  There are no locks and no cross-thread hand-offs.
+connection, driven from three places -- the link's gather loop, the
+membership provider's wait, and checkpoint-time worker-state capture.  There are no locks and no cross-thread hand-offs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
+import select
 import selectors
 import signal
 import socket
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -45,15 +44,11 @@ from repro.fl.checkpoint import (
 )
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
-from repro.pruning.plan import plan_signature
-from repro.runtime.codec import (
-    WIRE_PROFILES,
-    decode_contribution,
-    encode_dispatch,
-)
-from repro.runtime.executor import Executor, TrainResult
+from repro.runtime.executor import RemoteExecutor
+from repro.runtime.pool import InFlight, pack_skeleton
 from repro.runtime.sockets import FrameBuffer, encode_message
 from repro.runtime.transport import (
+    RetryClock,
     RetryPolicy,
     TransportError,
     TransportTimeoutError,
@@ -71,7 +66,7 @@ from repro.telemetry.runtime import DISABLED_TELEMETRY, Telemetry
 __all__ = [
     "ServiceError",
     "ServiceDrained",
-    "SocketExecutor",
+    "PullLink",
     "FedMPService",
 ]
 
@@ -85,18 +80,6 @@ class ServiceDrained(ServiceError):
 
 
 @dataclass
-class _Outstanding:
-    """One dispatched training request awaiting its contribution."""
-
-    request: object
-    #: the exact outbox message, kept so a reconnecting worker can have
-    #: its lost dispatch re-issued (with a rebuilt template reference)
-    message: Tuple = ()
-    handed: bool = False
-    frame: Optional[bytes] = field(default=None, repr=False)
-
-
-@dataclass
 class _Connection:
     """Per-socket read state on the service side."""
 
@@ -105,363 +88,108 @@ class _Connection:
     worker_id: Optional[int] = None
 
 
-class SocketExecutor(Executor):
-    """Engine execution seam that trains on remote socket clients.
+class PullLink:
+    """The service's link for :class:`~repro.runtime.executor.
+    RemoteExecutor`: clients pull dispatch frames and push replies.
 
-    Mirrors :class:`~repro.runtime.executor.ProcessExecutor`'s round
-    shape exactly -- same ``serialize`` / ``transfer`` /
-    ``parallel_train`` spans, same ``encode_dispatch`` arguments, same
-    ``wire_bytes_total`` kinds, same decode/validate/materialise and
-    straggler flagging -- but instead of writing to pool pipes it
-    queues ``(seq, frame, template, drops)`` per worker and lets
-    clients pull them through the service's request loop.
-
-    Templates travel as ``("blob", ...)`` when sub-models must be
-    pickled per dispatch (rng-bearing modules), else once per plan
-    signature per worker as ``("tblob", key, ...)`` which the client
-    caches and the service thereafter references as ``("cached",
-    key)`` -- the socket analogue of the process executor's shared-
-    memory segments, LRU-bounded by ``template_cache_limit`` with
-    evictions piggybacked as drop notices.
+    Where the pool link writes to pipes, this one queues ``(tseq,
+    frame)`` per worker and lets clients collect them through the
+    service's request loop; ``gather`` pumps the service until every
+    contribution frame is back.  A dispatch frame is self-sufficient
+    (the client derives the sub-model itself), so re-issuing one to a
+    reconnected worker is re-queueing the same bytes.
     """
 
     name = "socket"
 
-    def __init__(self, telemetry: Optional[Telemetry] = None,
-                 pickle_submodels: bool = False,
-                 retry: Optional[RetryPolicy] = None,
-                 straggler_quorum: float = 0.85,
-                 straggler_multiplier: float = 1.5,
-                 wire_profile: str = "exact",
-                 wire_keep_fraction: float = 0.25,
-                 wire_quantize_bits: int = 8,
-                 template_cache_limit: int = 8) -> None:
-        super().__init__()
-        from repro.runtime.transport import StragglerDetector
-
-        if wire_profile not in WIRE_PROFILES:
-            raise ValueError(
-                f"wire_profile must be one of {WIRE_PROFILES}, "
-                f"got {wire_profile!r}"
-            )
-        if template_cache_limit < 1:
-            raise ValueError(
-                f"template_cache_limit must be >= 1, "
-                f"got {template_cache_limit}"
-            )
-        self.telemetry = (
-            telemetry if telemetry is not None else DISABLED_TELEMETRY
-        )
-        self.pickle_submodels = pickle_submodels
-        self.wire_profile = wire_profile
-        self.wire_keep_fraction = wire_keep_fraction
-        self.wire_quantize_bits = wire_quantize_bits
-        self.template_cache_limit = template_cache_limit
+    def __init__(self, service: "FedMPService",
+                 retry: Optional[RetryPolicy] = None) -> None:
+        self.service = service
         self.retry = retry if retry is not None else RetryPolicy()
-        self.detector = StragglerDetector(straggler_quorum,
-                                          straggler_multiplier)
-        #: owning service, installed by :class:`FedMPService`
-        self.service: Optional["FedMPService"] = None
+        self.metrics = service.telemetry.metrics
         self._seq = 0
-        self._capture_seq = 0
         #: worker id -> queued outbound items, drained by pull_dispatch
         self._outbox: Dict[int, deque] = {}
-        #: the current round's in-flight table (None between rounds)
-        self._pending: Optional[Dict[int, _Outstanding]] = None
-        #: worker id -> plan-signature keys its client process holds
-        self._client_templates: Dict[int, "OrderedDict[object, bool]"] = {}
-        self._pending_drops: Dict[int, set] = {}
-        #: capture seq -> collected runtime-state blob (None = waiting)
-        self._captures: Dict[int, Optional[bytes]] = {}
-        self._capture_owner: Dict[int, int] = {}
-
-    # -- plumbing ------------------------------------------------------
-    def _service(self) -> "FedMPService":
-        if self.service is None:
-            raise ServiceError(
-                "SocketExecutor is not attached to a FedMPService"
-            )
-        return self.service
+        #: the current round's in-flight table (empty between rounds)
+        self._pending: Dict[int, InFlight] = {}
+        #: capture seq -> (worker id, collected runtime state or None)
+        self._captures: Dict[int, Tuple[int, Optional[dict]]] = {}
 
     @property
     def parallelism(self) -> int:
-        if self.service is None:
-            return 0
-        return sum(
-            1 for entry in self.service.roster.values()
-            if entry.state == ACTIVE
-        )
+        return self.service._active_count()
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _next_capture_seq(self) -> int:
-        self._capture_seq += 1
-        return self._capture_seq
+    def _queue(self, worker_id: int, item: Tuple) -> None:
+        self._outbox.setdefault(worker_id, deque()).append(item)
 
-    def _template_for(self, worker_id: int, request) -> Tuple:
-        """Template reference for one dispatch, charging template wire
-        bytes exactly when a module graph actually travels."""
-        metrics = self.telemetry.metrics
-        if self.pickle_submodels:
-            blob = pickle.dumps(request.submodel,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            metrics.counter("wire_bytes_total",
-                            kind="template").inc(len(blob))
-            return ("blob", blob)
-        key = plan_signature(request.plan)
-        cache = self._client_templates.setdefault(worker_id, OrderedDict())
-        if key in cache:
-            cache.move_to_end(key)
-            return ("cached", key)
-        blob = pickle.dumps(request.submodel,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        metrics.counter("wire_bytes_total", kind="template").inc(len(blob))
-        cache[key] = True
-        while len(cache) > self.template_cache_limit:
-            old_key, _ = cache.popitem(last=False)
-            metrics.counter("dispatch_cache_evictions_total").inc()
-            self._pending_drops.setdefault(worker_id, set()).add(old_key)
-        return ("tblob", key, blob)
-
-    # -- the round -----------------------------------------------------
-    def run(self, requests, round_index: int = 0) -> List[TrainResult]:
-        if not requests:
-            return []
-        telemetry = self.telemetry
-        metrics = telemetry.metrics
-        self.last_stragglers = []
-        with telemetry.span("parallel_train", round=round_index,
-                            requests=len(requests),
-                            procs=self.parallelism) as batch_span:
-            # -- serialize ----------------------------------------------
-            pending: Dict[int, _Outstanding] = {}
-            profile = self.wire_profile
-            with telemetry.span("serialize", round=round_index,
-                                requests=len(requests)):
-                for request in requests:
-                    frame = encode_dispatch(
-                        request.worker_id, request.plan,
-                        request.dispatched_state, tau=request.tau,
-                        hyper=request.hyper, emulate_s=request.emulate_s,
-                        reply_profile=profile,
-                        reply_keep_fraction=(
-                            self.wire_keep_fraction
-                            if profile != "exact" else None
-                        ),
-                        reply_quantize_bits=(
-                            self.wire_quantize_bits
-                            if profile != "exact" else None
-                        ),
-                    )
-                    worker_id = request.worker_id
-                    template = self._template_for(worker_id, request)
-                    drops = self._pending_drops.pop(worker_id, None)
-                    seq = self._next_seq()
-                    metrics.counter("wire_bytes_total",
-                                    kind="dispatch").inc(len(frame))
-                    message = ("dispatch", seq, frame, template,
-                               tuple(drops) if drops else ())
-                    self._outbox.setdefault(worker_id, deque()).append(
-                        message
-                    )
-                    pending[seq] = _Outstanding(request=request,
-                                                message=message)
-            self._pending = pending
-
-            # -- transfer + gather --------------------------------------
-            started = time.perf_counter()
-            try:
-                with telemetry.span("transfer", round=round_index,
-                                    requests=len(requests)
-                                    ) as transfer_span:
-                    completion_s = self._gather(pending, started)
-                    reply_bytes = sum(
-                        len(flight.frame) for flight in pending.values()
-                    )
-                    metrics.counter("wire_bytes_total",
-                                    kind="contribution").inc(reply_bytes)
-                    transfer_span.set("reply_bytes", reply_bytes)
-            finally:
-                self._pending = None
-
-            # -- decode + per-request spans -----------------------------
-            results = []
-            for seq, flight in pending.items():
-                request = flight.request
-                payload = decode_contribution(flight.frame,
-                                              expect_profile=profile)
-                if payload.worker_id != request.worker_id:
-                    raise TransportError(
-                        f"reply {seq} carries worker "
-                        f"{payload.worker_id}, expected "
-                        f"{request.worker_id}"
-                    )
-                with telemetry.span("local_train", round=round_index,
-                                    worker=request.worker_id,
-                                    tau=request.tau,
-                                    ratio=request.ratio) as span:
-                    span.set("train_loss", float(payload.train_loss))
-                    span.set("worker_wall_s", float(payload.wall_time_s))
-                results.append(TrainResult(
-                    worker_id=payload.worker_id,
-                    sub_state=payload.materialise(
-                        request.dispatched_state
-                    ),
-                    train_loss=float(payload.train_loss),
-                    wall_time_s=float(payload.wall_time_s),
-                ))
-
-            # -- straggler heartbeat ------------------------------------
-            flagged = self.detector.flag(completion_s)
-            if flagged:
-                self.last_stragglers = sorted(flagged)
-                metrics.counter("stragglers_total",
-                                executor=self.name).inc(len(flagged))
-                telemetry.event("straggler_detected", round=round_index,
-                                workers=sorted(flagged))
-                batch_span.set("stragglers", sorted(flagged))
-        return results
-
-    def _gather(self, pending: Dict[int, _Outstanding],
-                started: float) -> Dict[int, float]:
+    # -- the executor-facing half --------------------------------------
+    def gather(self, flights: List[InFlight],
+               clock: RetryClock) -> Dict[int, float]:
         """Pump the service until every contribution frame is in.
 
         Dispatches are never re-encoded mid-round (a replay with fresh
         streams would double-consume client RNG), but a worker that
-        reconnects gets its lost messages re-queued verbatim by
+        reconnects gets its lost frames re-queued verbatim by
         :meth:`forget_worker`.  A worker that *gracefully leaves* with
         work outstanding can never finish it -- that fails fast as
         :class:`~repro.runtime.transport.WorkerCrashError`; a lost
         connection waits out the retry budget (the client may redial).
         """
-        service = self._service()
-        metrics = self.telemetry.metrics
+        service = self.service
+        self._pending = {self._next_seq(): flight for flight in flights}
+        for tseq, flight in self._pending.items():
+            self._queue(flight.worker_id, ("dispatch", tseq, flight.frame))
         completion: Dict[int, float] = {}
-        clock = self.retry.clock(start=started)
-        while True:
-            remaining = [
-                seq for seq, flight in pending.items()
-                if flight.frame is None
-            ]
-            if not remaining:
-                return completion
-            if clock.remaining() <= 0.0:
-                raise TransportTimeoutError(
-                    f"{len(remaining)} contribution(s) still missing "
-                    f"after {clock.elapsed():.1f}s "
-                    f"(budget {clock.budget_s:.1f}s)"
-                )
-            handled = service.pump(clock.interval())
-            arrived = [
-                seq for seq in remaining
-                if pending[seq].frame is not None
-            ]
-            if arrived:
-                now = time.perf_counter() - started
-                for seq in arrived:
-                    completion[pending[seq].request.worker_id] = now
-            if handled:
-                # any inbound traffic counts as liveness (idle polls,
-                # heartbeats): the attempt budget is for a *silent*
-                # fleet, the wall-clock budget bounds a wedged one --
-                # mirroring the process gather, where any readable pipe
-                # resets the attempt clock
-                clock.reset()
-                continue
-            metrics.counter("retries_total", transport="socket").inc()
-            left = sorted({
-                pending[seq].request.worker_id for seq in remaining
-                if service.gone_reason(
-                    pending[seq].request.worker_id
-                ) == "leave"
-            })
-            if left:
-                raise WorkerCrashError(
-                    f"worker(s) {left} left the service with training "
-                    f"request(s) outstanding"
-                )
-            if not clock.tick():
-                raise TransportTimeoutError(
-                    f"no contribution after {clock.attempts} backoff "
-                    f"interval(s) ({clock.elapsed():.1f}s elapsed)"
-                )
-
-    # -- service-facing surface ----------------------------------------
-    def next_for(self, worker_id: int) -> Optional[Tuple]:
-        """The next queued outbox item for a polling worker, if any."""
-        queue = self._outbox.get(worker_id)
-        if not queue:
-            return None
-        item = queue.popleft()
-        if item[0] == "dispatch" and self._pending is not None:
-            flight = self._pending.get(item[1])
-            if flight is not None:
-                flight.handed = True
-        return item
-
-    def deliver(self, tseq: int, worker_id: int, frame: bytes) -> None:
-        """Accept one pushed contribution frame (first delivery wins)."""
-        pending = self._pending or {}
-        flight = pending.get(tseq)
-        if flight is None or flight.request.worker_id != worker_id:
-            raise ServiceError(
-                f"unexpected contribution seq {tseq} from worker "
-                f"{worker_id}"
-            )
-        if flight.frame is None:
-            flight.frame = frame
-
-    def deliver_state(self, cseq: int, worker_id: int,
-                      blob: bytes) -> None:
-        """Accept one pushed runtime-state capture."""
-        owner = self._capture_owner.get(cseq)
-        if owner != worker_id:
-            raise ServiceError(
-                f"unexpected state capture seq {cseq} from worker "
-                f"{worker_id}"
-            )
-        self._captures[cseq] = blob
-
-    def forget_worker(self, worker_id: int) -> None:
-        """Reset all per-client-process assumptions for a worker.
-
-        Called on every (re-)registration: a fresh client process has
-        an empty template cache, and anything handed to (or queued
-        for) the previous connection is gone -- so cached-template
-        bookkeeping is dropped and the worker's unanswered dispatches
-        and capture markers are re-queued, templates rebuilt.
-        """
-        self._client_templates.pop(worker_id, None)
-        self._pending_drops.pop(worker_id, None)
-        queue = self._outbox.get(worker_id)
-        if queue is not None:
-            queue.clear()
-        if self._pending:
-            for seq in sorted(self._pending):
-                flight = self._pending[seq]
-                if (flight.request.worker_id != worker_id
-                        or flight.frame is not None):
+        try:
+            while True:
+                missing = [
+                    flight for flight in flights if flight.reply is None
+                ]
+                if not missing:
+                    return completion
+                if clock.remaining() <= 0.0:
+                    raise TransportTimeoutError(
+                        f"{len(missing)} contribution(s) still missing "
+                        f"after {clock.elapsed():.1f}s "
+                        f"(budget {clock.budget_s:.1f}s)"
+                    )
+                active = service.pump(clock.interval())
+                for flight in missing:
+                    if flight.reply is not None:
+                        completion[flight.worker_id] = clock.elapsed()
+                if active:
+                    # any inbound traffic counts as liveness (idle
+                    # polls, heartbeats, one chunk of a large frame):
+                    # the attempt budget is for a *silent* fleet, the
+                    # wall-clock budget bounds a wedged one -- like the
+                    # pool's gather, where any readable pipe resets the
+                    # attempt clock
+                    clock.reset()
                     continue
-                frame = flight.message[2]
-                template = self._template_for(worker_id, flight.request)
-                drops = self._pending_drops.pop(worker_id, None)
-                message = ("dispatch", seq, frame, template,
-                           tuple(drops) if drops else ())
-                flight.message = message
-                flight.handed = False
-                self._outbox.setdefault(worker_id, deque()).append(
-                    message
-                )
-        for cseq, owner in sorted(self._capture_owner.items()):
-            if owner == worker_id and self._captures.get(cseq) is None:
-                self._outbox.setdefault(worker_id, deque()).append(
-                    ("capture", cseq)
-                )
+                self.metrics.counter("retries_total",
+                                     transport=self.name).inc()
+                left = sorted({
+                    flight.worker_id for flight in missing
+                    if service.gone_reason(flight.worker_id) == "leave"
+                })
+                if left:
+                    raise WorkerCrashError(
+                        f"worker(s) {left} left the service with "
+                        f"training request(s) outstanding"
+                    )
+                if not clock.tick():
+                    raise TransportTimeoutError(
+                        f"no contribution after {clock.attempts} backoff "
+                        f"interval(s) ({clock.elapsed():.1f}s elapsed)"
+                    )
+        finally:
+            self._pending = {}
 
-    # -- checkpoint support --------------------------------------------
-    def capture_worker_states(self) -> Dict[int, Dict[str, object]]:
+    def capture(self) -> Dict[int, Dict[str, object]]:
         """Pull runtime state from every live client, roster for the rest.
 
         Active workers answer a queued ``capture`` marker on their next
@@ -471,53 +199,92 @@ class SocketExecutor(Executor):
         them (best effort; their true stream position died with the
         client process).
         """
-        service = self._service()
+        service = self.service
         states: Dict[int, Dict[str, object]] = {}
-        waiting: Dict[int, int] = {}
+        waiting: List[int] = []
         for worker_id in sorted(service.roster):
             entry = service.roster[worker_id]
             if entry.state in (ACTIVE, DRAINING):
-                cseq = self._next_capture_seq()
-                self._captures[cseq] = None
-                self._capture_owner[cseq] = worker_id
-                self._outbox.setdefault(worker_id, deque()).append(
-                    ("capture", cseq)
-                )
-                waiting[cseq] = worker_id
+                cseq = self._next_seq()
+                self._captures[cseq] = (worker_id, None)
+                self._queue(worker_id, ("capture", cseq))
+                waiting.append(cseq)
             elif entry.runtime_state is not None:
                 states[worker_id] = entry.runtime_state
         clock = self.retry.clock()
         while waiting:
             progressed = bool(service.pump(clock.interval()))
-            for cseq in sorted(waiting):
-                worker_id = waiting[cseq]
-                blob = self._captures.get(cseq)
-                if blob is not None:
-                    states[worker_id] = pickle.loads(blob)
-                elif service.roster[worker_id].state == GONE:
+            for cseq in list(waiting):
+                worker_id, state = self._captures[cseq]
+                entry = service.roster[worker_id]
+                if state is None and entry.state == GONE:
                     # left (or was lost) while the marker was queued;
                     # fall back to its leave capture when there is one
-                    entry = service.roster[worker_id]
-                    if entry.runtime_state is not None:
-                        states[worker_id] = entry.runtime_state
-                else:
+                    state = entry.runtime_state
+                elif state is None:
                     continue
-                del waiting[cseq]
-                self._captures.pop(cseq, None)
-                self._capture_owner.pop(cseq, None)
+                if state is not None:
+                    states[worker_id] = state
+                waiting.remove(cseq)
+                del self._captures[cseq]
                 progressed = True
             if progressed:
                 clock.reset()
             elif not clock.tick():
+                owners = sorted(self._captures[cseq][0] for cseq in waiting)
                 raise TransportTimeoutError(
-                    f"worker(s) {sorted(set(waiting.values()))} never "
-                    f"answered the checkpoint state capture"
+                    f"worker(s) {owners} never answered the checkpoint "
+                    f"state capture"
                 )
         return states
 
     def close(self) -> None:
-        if self.service is not None:
-            self.service.shutdown()
+        self.service.shutdown()
+
+    # -- the service-facing half ---------------------------------------
+    def next_for(self, worker_id: int) -> Optional[Tuple]:
+        """The next queued outbox item for a polling worker, if any."""
+        queue = self._outbox.get(worker_id)
+        return queue.popleft() if queue else None
+
+    def deliver(self, tseq: int, worker_id: int, frame: bytes) -> None:
+        """Accept one pushed contribution frame (first delivery wins)."""
+        flight = self._pending.get(tseq)
+        if flight is None or flight.worker_id != worker_id:
+            raise ServiceError(
+                f"unexpected contribution seq {tseq} from worker "
+                f"{worker_id}"
+            )
+        if not isinstance(frame, bytes):
+            raise ServiceError("a contribution frame must be bytes")
+        if flight.reply is None:
+            flight.reply = frame
+
+    def deliver_state(self, cseq: int, worker_id: int,
+                      state: dict) -> None:
+        """Accept one pushed runtime-state capture."""
+        if self._captures.get(cseq, (None,))[0] != worker_id:
+            raise ServiceError(
+                f"unexpected state capture seq {cseq} from worker "
+                f"{worker_id}"
+            )
+        self._captures[cseq] = (worker_id, state)
+
+    def forget_worker(self, worker_id: int) -> None:
+        """Reset what the previous connection of a worker was owed.
+
+        Called on every (re-)registration: anything handed to (or
+        queued for) the previous connection is gone, so the worker's
+        unanswered dispatch frames and capture markers are re-queued,
+        in their original order.
+        """
+        self._outbox.pop(worker_id, None)
+        for tseq, flight in self._pending.items():
+            if flight.worker_id == worker_id and flight.reply is None:
+                self._queue(worker_id, ("dispatch", tseq, flight.frame))
+        for cseq, (owner, state) in self._captures.items():
+            if owner == worker_id and state is None:
+                self._queue(worker_id, ("capture", cseq))
 
 
 class FedMPService:
@@ -610,40 +377,23 @@ class FedMPService:
         self._selector.register(listener, selectors.EVENT_READ, None)
         self._conn_by_worker: Dict[int, _Connection] = {}
 
-        quorum = (
-            config.deadline_quorum
-            if getattr(config, "deadline_quorum", None) is not None
-            else 0.85
+        self.link = PullLink(self, retry=retry)
+        self.executor = RemoteExecutor.from_config(
+            self.link, config, self.telemetry
         )
-        executor = SocketExecutor(
-            telemetry=self.telemetry,
-            retry=retry,
-            straggler_quorum=quorum,
-            straggler_multiplier=getattr(
-                config, "deadline_multiplier", 1.5
-            ),
-            wire_profile=getattr(config, "wire_profile", "exact"),
-            wire_keep_fraction=getattr(
-                config, "wire_keep_fraction", 0.25
-            ),
-            wire_quantize_bits=getattr(config, "wire_quantize_bits", 8),
-            template_cache_limit=getattr(
-                config, "template_cache_limit", 8
-            ),
-        )
-        executor.service = self
-        self.executor = executor
-        # note: config.executor stays "serial" -- the socket executor is
-        # injected through the engine's executor seam, so the stored
-        # config equals a plain serial run's and a service checkpoint
-        # resumes under either `repro serve --resume` or `repro run
-        # --resume` without a config-equality mismatch
+        # note: config.executor stays "serial" -- the socket-linked
+        # executor is injected through the engine's executor seam, so
+        # the stored config equals a plain serial run's and a service
+        # checkpoint resumes under either `repro serve --resume` or
+        # `repro run --resume` without a config-equality mismatch
         self.engine = Engine(
             task, devices, config, hooks=hooks, telemetry=self.telemetry,
-            executor=executor, restore=checkpoint,
+            executor=self.executor, restore=checkpoint,
             checkpoint_meta=checkpoint_meta,
         )
-        executor.pickle_submodels = self.engine._has_rng_modules
+        #: shipped once per registration, next to the worker's spec:
+        #: what the client derives every dispatched sub-model from
+        self._skeleton_blob = pack_skeleton(task)
         self.engine.membership_provider = self._membership
         self.engine.checkpoint_extra_provider = (
             self._service_checkpoint_state
@@ -748,16 +498,17 @@ class FedMPService:
 
     # -- the pump ------------------------------------------------------
     def pump(self, timeout_s: float = 0.0) -> int:
-        """Serve pending socket events; returns messages handled."""
+        """Serve pending socket events; returns how many sockets had
+        any (a partial frame is activity too: the peer is alive)."""
         if self._closed:
             return 0
-        handled = 0
-        for key, _ in self._selector.select(timeout_s):
+        events = self._selector.select(timeout_s)
+        for key, _ in events:
             if key.data is None:
                 self._accept()
             else:
-                handled += self._read(key.data)
-        return handled
+                self._read(key.data)
+        return len(events)
 
     def _accept(self) -> None:
         while True:
@@ -773,7 +524,7 @@ class FedMPService:
                 sock, selectors.EVENT_READ, _Connection(sock=sock)
             )
 
-    def _read(self, connection: _Connection) -> int:
+    def _read(self, connection: _Connection) -> None:
         alive = True
         while True:
             try:
@@ -787,13 +538,19 @@ class FedMPService:
                 alive = False
                 break
             connection.frames.feed(chunk)
-        handled = 0
-        for message in connection.frames.pop_messages():
-            self._handle(connection, message)
-            handled += 1
+        try:
+            for message in connection.frames.pop_messages():
+                self._handle(connection, message)
+        except TransportError as exc:
+            # an over-cap length prefix or a frame the allow-list
+            # unpickler refuses: this peer is broken or hostile, and
+            # only this peer pays for it
+            self.telemetry.event("peer_rejected",
+                                 worker=connection.worker_id,
+                                 reason=str(exc))
+            alive = False
         if not alive:
             self._disconnect(connection)
-        return handled
 
     def _send(self, connection: _Connection, message) -> None:
         data = memoryview(encode_message(message))
@@ -804,8 +561,7 @@ class FedMPService:
             except BlockingIOError:
                 # the client's receive buffer is full mid-frame: wait
                 # for writability (bounded; a stuck peer is dropped)
-                import select as _select
-                _, writable, _ = _select.select([], [sock], [], 5.0)
+                _, writable, _ = select.select([], [sock], [], 5.0)
                 if not writable:
                     self._disconnect(connection)
                     return
@@ -916,7 +672,7 @@ class FedMPService:
             self._drop_connection(stale)
         connection.worker_id = worker_id
         self._conn_by_worker[worker_id] = connection
-        self.executor.forget_worker(worker_id)
+        self.link.forget_worker(worker_id)
         # a no-op for fleet-provisioned slots (the agent already
         # exists, no RNG is drawn), so parity with a serial reference
         # run survives any number of reconnects; a genuinely new
@@ -944,6 +700,7 @@ class FedMPService:
             "worker_id": worker_id,
             "spec": pickle.dumps(shipped,
                                  protocol=pickle.HIGHEST_PROTOCOL),
+            "skeleton": self._skeleton_blob,
         })
 
     def _registered_entry(self, connection: _Connection,
@@ -956,12 +713,12 @@ class FedMPService:
         return self.roster[worker_id]
 
     def _op_leave(self, connection: _Connection, message):
-        _, seq, worker_id, blob = message
+        _, seq, worker_id, state = message
         entry = self._registered_entry(connection, int(worker_id))
         entry.state = GONE
         entry.last_seen = time.time()
-        if blob is not None:
-            entry.runtime_state = pickle.loads(blob)
+        if state is not None:
+            entry.runtime_state = state
         self._gone_reason[entry.worker_id] = "leave"
         self.counters["leave"] += 1
         if self._conn_by_worker.get(entry.worker_id) is connection:
@@ -973,7 +730,7 @@ class FedMPService:
             float(self._active_count())
         )
         self.telemetry.event("worker_left", worker=entry.worker_id,
-                             captured=blob is not None)
+                             captured=state is not None)
         return ("bye", seq)
 
     def _op_pull_dispatch(self, connection: _Connection, message):
@@ -982,26 +739,24 @@ class FedMPService:
         entry.last_seen = time.time()
         if self.draining:
             return ("drain", seq)
-        item = self.executor.next_for(entry.worker_id)
+        item = self.link.next_for(entry.worker_id)
         if item is None:
             return ("idle", seq, self.idle_hint_s)
-        if item[0] == "capture":
-            return ("capture", seq, item[1])
-        _, tseq, frame, template, drops = item
-        return ("dispatch", seq, tseq, frame, template, drops)
+        # ("dispatch", tseq, frame) or ("capture", cseq)
+        return (item[0], seq, *item[1:])
 
     def _op_push_contribution(self, connection: _Connection, message):
         _, seq, worker_id, tseq, frame = message
         entry = self._registered_entry(connection, int(worker_id))
         entry.last_seen = time.time()
-        self.executor.deliver(int(tseq), entry.worker_id, frame)
+        self.link.deliver(int(tseq), entry.worker_id, frame)
         return ("accepted", seq)
 
     def _op_push_state(self, connection: _Connection, message):
-        _, seq, worker_id, cseq, blob = message
+        _, seq, worker_id, cseq, state = message
         entry = self._registered_entry(connection, int(worker_id))
         entry.last_seen = time.time()
-        self.executor.deliver_state(int(cseq), entry.worker_id, blob)
+        self.link.deliver_state(int(cseq), entry.worker_id, state)
         return ("accepted", seq)
 
     def _op_heartbeat(self, connection: _Connection, message):

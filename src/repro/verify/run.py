@@ -276,13 +276,26 @@ def run_verification(preset: str = "cnn", rounds: int = 5,
             tolerance_ulps=semisync_tolerance_ulps,
         ),
     ))
-    report.results.append(_differential_stage(
-        "differential/cohort_vs_member",
-        lambda: differential_cohort_vs_member(
-            lambda: bench.make_task(0.0), devices, base,
-            tolerance_ulps=tolerance_ulps,
-        ),
-    ))
+    rng_modules = sorted(
+        bench.make_task(0.0).build_model(np.random.default_rng(0))
+        .rng_states()
+    )
+    if rng_modules:
+        # cohorts only form when same-plan members can share one
+        # template, which an RNG-bearing module (Dropout) rules out
+        report.results.append(CheckResult(
+            "differential/cohort_vs_member", True,
+            f"not applicable: {rng_modules} carry "
+            f"per-member RNG state, so the engine never forms cohorts",
+        ))
+    else:
+        report.results.append(_differential_stage(
+            "differential/cohort_vs_member",
+            lambda: differential_cohort_vs_member(
+                lambda: bench.make_task(0.0), devices, base,
+                tolerance_ulps=tolerance_ulps,
+            ),
+        ))
 
     # --- stage 3: fault conformance --------------------------------------
     fault_rounds = min(3, rounds)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.nn.dtype import get_default_dtype, set_default_dtype
+# "bitwise" in this suite means "at one BLAS thread" (DESIGN.md section
+# 6): GEMM reduction order varies with the thread count, so the goldens
+# only replay under the threading they were cut with.  Pinned before
+# NumPy loads its BLAS; pool children and verify subprocesses inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.nn.dtype import get_default_dtype, set_default_dtype  # noqa: E402
 
 
 @pytest.fixture

@@ -52,45 +52,23 @@ def test_extract_fleet_metrics():
     }
 
 
-def test_extract_hotpath_and_parallel_metrics():
+def test_extract_hotpath_metrics():
     hotpath = extract_metrics({
         "benchmark": "dispatch_aggregate_hotpath",
         "speedup_wall": 1.1, "peak_alloc_ratio": 1.5,
     })
     assert hotpath == {"hotpath.speedup_wall": 1.1,
                        "hotpath.peak_alloc_ratio": 1.5}
-    # BENCH_parallel.json has no 'benchmark' field: shape-detected
-    parallel = extract_metrics({
-        "modes": {"emulated": {"train_phase_speedup": 2.0,
-                               "wall_speedup": 1.4}},
-        "wire_consistency": {},
-    })
-    assert parallel == {"parallel.emulated.train_phase_speedup": 2.0,
-                        "parallel.emulated.wall_speedup": 1.4}
-
-
-def test_extract_serve_metrics():
-    metrics = extract_metrics({
-        "benchmark": "serve_loopback",
-        "fleets": [
-            {"fleet": 4, "rounds_per_s": 1.2,
-             "relative_throughput": 0.9},
-            {"fleet": 16, "rounds_per_s": 0.3,
-             "relative_throughput": 0.6},
-        ],
-    })
-    assert metrics == {
-        "serve.fleet[4].rounds_per_s": 1.2,
-        "serve.fleet[4].relative_throughput": 0.9,
-        "serve.fleet[16].rounds_per_s": 0.3,
-        "serve.fleet[16].relative_throughput": 0.6,
-    }
-    assert tolerance_for("serve.fleet[4].rounds_per_s") == 0.5
 
 
 def test_extract_rejects_unknown_report():
     with pytest.raises(ValueError, match="unrecognised"):
         extract_metrics({"something": "else"})
+    # the retired parallel/serve reports (perf/ measures those planes)
+    with pytest.raises(ValueError, match="unrecognised"):
+        extract_metrics({"benchmark": "serve_loopback", "fleets": []})
+    with pytest.raises(ValueError, match="unrecognised"):
+        extract_metrics({"modes": {}, "wire_consistency": {}})
 
 
 def test_self_compare_passes():
@@ -140,7 +118,6 @@ def test_no_overlap_raises():
 
 def test_tolerance_overrides():
     assert tolerance_for("hotpath.speedup_wall") == 0.3
-    assert tolerance_for("parallel.emulated.wall_speedup") == 0.5
     assert tolerance_for("fleet[1000].cohort_sampled.rounds_per_s") \
         == DEFAULT_TOLERANCE
     # tightening the default flips a mild regression into a failure

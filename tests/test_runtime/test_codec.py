@@ -10,6 +10,7 @@ from repro.pruning.quantize import quantize_state_dict
 from repro.pruning.iss import build_iss_plan, extract_iss_submodel
 from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
+    FLAG_RNG,
     KIND_CONTRIBUTION,
     KIND_DISPATCH,
     WIRE_VERSION,
@@ -21,6 +22,7 @@ from repro.runtime.codec import (
     encode_dispatch,
     frame_kind,
 )
+from repro.runtime.pool import derive_submodel
 from repro.verify.strategies import (
     linear_chain_scenarios,
     state_dicts,
@@ -129,12 +131,110 @@ def _sample_frame() -> bytes:
     return encode_contribution(2, state, train_loss=0.5, wall_time_s=0.1)
 
 
+def _reseal(frame) -> bytes:
+    """Recompute the CRC so the check under test (not the CRC) fires."""
+    import struct
+    import zlib
+    body = bytes(frame[:-4])
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _dropout_dispatch():
+    """(skeleton, plan, state, rng states) of a Dropout-bearing model."""
+    model = build_model("alexnet", rng=np.random.default_rng(3),
+                        width_mult=0.125, dropout=0.1)
+    plan = build_pruning_plan(model, 0.3)
+    submodel = extract_submodel(model, plan, np.random.default_rng(4))
+    rngs = submodel.rng_states()
+    assert sorted(rngs) == ["drop1", "drop2"]
+    return (model, extract_submodel), plan, submodel.state_dict(), rngs
+
+
 def test_truncated_prefixes_rejected():
     frame = _sample_frame()
     # every strict prefix must be rejected (truncation at any offset)
     for cut in range(len(frame)):
         with pytest.raises(WireFormatError):
             decode_contribution(frame[:cut])
+    # ... including anywhere inside a dispatch's trailing RNG record
+    _, plan, state, rngs = _dropout_dispatch()
+    frame = encode_dispatch(0, plan, state, tau=1,
+                            hyper=TrainHyper(lr=0.1), module_rngs=rngs)
+    record_start = bytes(frame).index(b"\x05\x00drop1") - 2
+    for cut in range(record_start, len(frame) - 4):
+        with pytest.raises(WireFormatError):
+            decode_dispatch(_reseal(frame[:cut] + frame[-4:]))
+
+
+def test_rng_record_roundtrips_and_restores_generators():
+    skeleton, plan, state, rngs = _dropout_dispatch()
+    frame = encode_dispatch(0, plan, state, tau=1,
+                            hyper=TrainHyper(lr=0.1), module_rngs=rngs)
+    assert frame[7] & FLAG_RNG
+    payload = decode_dispatch(frame)
+    assert payload.module_rngs == rngs
+    assert derive_submodel(skeleton, payload).rng_states() == rngs
+    # an RNG-free dispatch sets no flag and grows by no byte
+    bare = encode_dispatch(0, plan, state, tau=1, hyper=TrainHyper(lr=0.1))
+    assert not bare[7] & FLAG_RNG
+    assert bare == encode_dispatch(0, plan, state, tau=1,
+                                   hyper=TrainHyper(lr=0.1),
+                                   module_rngs={})
+    assert decode_dispatch(bare).module_rngs == {}
+
+
+@pytest.mark.parametrize("corruption", [
+    "unknown_path", "missing_path", "wrong_width", "flag_without_record",
+    "empty_record", "flag_on_contribution", "foreign_generator",
+])
+def test_rng_record_corruptions_rejected(corruption):
+    skeleton, plan, state, rngs = _dropout_dispatch()
+    hyper = TrainHyper(lr=0.1)
+
+    def dispatch(module_rngs):
+        return encode_dispatch(0, plan, state, tau=1, hyper=hyper,
+                               module_rngs=module_rngs)
+
+    if corruption == "unknown_path":
+        # decodes, but names a module the derived sub-model lacks
+        payload = decode_dispatch(dispatch(
+            {"drop1": rngs["drop1"], "drop9": rngs["drop2"]}
+        ))
+        with pytest.raises(WireFormatError, match="drop9"):
+            derive_submodel(skeleton, payload)
+    elif corruption == "missing_path":
+        # a Dropout left at a skeleton-default generator would diverge
+        # silently: an incomplete record is as bad as a wrong one
+        payload = decode_dispatch(dispatch({"drop1": rngs["drop1"]}))
+        with pytest.raises(WireFormatError, match="drop2"):
+            derive_submodel(skeleton, payload)
+    elif corruption == "wrong_width":
+        frame = bytearray(dispatch(rngs))
+        width_at = bytes(frame).index(b"\x05\x00drop1") + 7
+        assert frame[width_at] == 37
+        frame[width_at] = 36
+        with pytest.raises(WireFormatError, match="wide"):
+            decode_dispatch(_reseal(frame))
+    elif corruption == "flag_without_record":
+        frame = bytearray(dispatch(None))
+        frame[7] |= FLAG_RNG
+        with pytest.raises(WireFormatError, match="truncated"):
+            decode_dispatch(_reseal(frame))
+    elif corruption == "empty_record":
+        frame = bytearray(dispatch(None))
+        frame[7] |= FLAG_RNG
+        frame[-4:-4] = b"\x00\x00"
+        with pytest.raises(WireFormatError, match="empty"):
+            decode_dispatch(_reseal(frame))
+    elif corruption == "flag_on_contribution":
+        frame = bytearray(_sample_frame())
+        frame[7] |= FLAG_RNG
+        with pytest.raises(WireFormatError, match="RNG"):
+            decode_contribution(_reseal(frame))
+    else:
+        foreign = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(WireFormatError, match="PCG64"):
+            dispatch({"drop1": foreign.bit_generator.state})
 
 
 def test_flipped_byte_rejected_by_crc():
@@ -153,14 +253,10 @@ def test_trailing_garbage_rejected():
 
 def test_version_mismatch_rejected():
     import struct
-    import zlib
     frame = bytearray(_sample_frame())
     struct.pack_into("<H", frame, 4, WIRE_VERSION + 1)
-    # re-seal so the version check (not the CRC) is what fires
-    body = bytes(frame[:-4])
-    sealed = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     with pytest.raises(WireFormatError, match="version"):
-        decode_contribution(sealed)
+        decode_contribution(_reseal(frame))
 
 
 def test_wrong_kind_rejected():
@@ -178,8 +274,6 @@ def test_kept_index_out_of_range_rejected():
     state = {"fc.weight": np.zeros((2, 3), dtype=np.float32)}
     frame = bytearray(encode_dispatch(0, plan, state, tau=1,
                                       hyper=TrainHyper(lr=0.1)))
-    import struct
-    import zlib
     # locate the plan entry by its length-prefixed name, skip the kind
     # byte and the (out_full, count) pair, then patch kept index 1 -> 9
     # (out of range for out_full=4) and re-seal
@@ -187,10 +281,8 @@ def test_kept_index_out_of_range_rejected():
     offset = entry + 4 + 1 + 8
     assert frame[offset:offset + 8] == np.array([0, 1], dtype="<u4").tobytes()
     frame[offset:offset + 8] = np.array([0, 9], dtype="<u4").tobytes()
-    body = bytes(frame[:-4])
-    sealed = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     with pytest.raises(WireFormatError, match="out of range"):
-        decode_dispatch(sealed)
+        decode_dispatch(_reseal(frame))
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +302,14 @@ def test_registry_models_roundtrip(model_name, ratio):
         plan = build_pruning_plan(model, ratio)
         submodel = extract_submodel(model, plan, np.random.default_rng(12))
     state = submodel.state_dict()
+    rngs = submodel.rng_states()
+    assert bool(rngs) == (model_name in ("alexnet", "vgg19"))
     frame = encode_dispatch(0, plan, state, tau=2,
-                            hyper=TrainHyper(lr=0.05))
+                            hyper=TrainHyper(lr=0.05), module_rngs=rngs)
     payload = decode_dispatch(frame)
     _assert_plans_equal(payload.plan, plan)
     _assert_states_equal(payload.state, state)
+    assert payload.module_rngs == rngs
     # corrupting any single byte of a real frame must raise, not decode
     corrupt = bytearray(frame)
     corrupt[len(corrupt) // 3] ^= 0x01

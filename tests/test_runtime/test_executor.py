@@ -19,11 +19,12 @@ from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask, LanguageModelTask
 from repro.runtime.codec import TrainHyper
 from repro.runtime.executor import (
-    ProcessExecutor,
+    RemoteExecutor,
     SerialExecutor,
     TrainRequest,
     make_executor,
 )
+from repro.runtime.pool import ProcessPool
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import LayerProfiler
@@ -97,10 +98,10 @@ def test_parity_semi_sync_scheduler(mnist, devices):
     assert histories_match
 
 
-def test_parity_dropout_model_ships_pickled_submodels(devices):
-    """alexnet carries RNG-bearing Dropout modules, so the engine must
-    pickle the extracted sub-model per dispatch instead of cloning a
-    child-side template -- and parity must still hold."""
+def test_parity_dropout_model_ships_rng_record(devices):
+    """alexnet carries RNG-bearing Dropout modules: each dispatch frame
+    must put the child-derived sub-model's generators where the
+    parent's extraction left them -- and parity must still hold."""
     cifar = make_synthetic_cifar10(train_per_class=6, test_per_class=2,
                                    rng=np.random.default_rng(1))
 
@@ -145,10 +146,9 @@ def test_parity_lstm_sequence_iterators(devices):
 
 
 # ----------------------------------------------------------------------
-# telemetry + template caching
+# telemetry
 # ----------------------------------------------------------------------
-def test_process_run_emits_spans_counters_and_caches_templates(
-        mnist, devices):
+def test_process_run_emits_spans_and_counters(mnist, devices):
     sink = ListSink()
     telemetry = Telemetry(tracer=Tracer(sink=sink),
                           metrics=MetricsRegistry())
@@ -156,7 +156,8 @@ def test_process_run_emits_spans_counters_and_caches_templates(
     config = _config(executor="process", num_procs=2)
     engine = Engine(task, devices, config, telemetry=telemetry)
     try:
-        assert isinstance(engine.executor, ProcessExecutor)
+        assert isinstance(engine.executor, RemoteExecutor)
+        assert engine.executor.name == "process"
         assert engine.executor.run([]) == []
         make_scheduler(config).run(engine)
 
@@ -166,11 +167,7 @@ def test_process_run_emits_spans_counters_and_caches_templates(
         assert _counter_sum(metrics, "wire_bytes_total",
                             kind="contribution") > 0
         assert _counter_sum(metrics, "wire_bytes_total",
-                            kind="template") > 0
-        # fixed ratio => one plan signature; each member unpickles one
-        # template and clones it for every later dispatch
-        for cached in engine.executor._cached_templates.values():
-            assert len(cached) == 1
+                            kind="template") == 0
         # quorum 0.85 over 4 workers anchors the deadline at the last
         # arrival, so the heartbeat cannot misfire here
         assert engine.executor.last_stragglers == []
@@ -187,7 +184,7 @@ def test_process_run_emits_spans_counters_and_caches_templates(
     finally:
         engine.close()
     assert all(not member.proc.is_alive()
-               for member in engine.executor.pool.members)
+               for member in engine.executor.link.members)
 
 
 def test_straggler_heartbeat_flags_slow_member(mnist, devices):
@@ -199,10 +196,12 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     task = ClassificationTask(mnist, "cnn")
     config = _config(max_rounds=1)
     engine = Engine(task, devices, config)
-    executor = ProcessExecutor(engine.worker_specs, num_procs=4,
-                               telemetry=telemetry,
-                               straggler_quorum=0.75,
-                               straggler_multiplier=1.5)
+    executor = RemoteExecutor(
+        ProcessPool(engine.worker_specs, num_procs=4,
+                    skeleton=(engine.model, task.extractor)),
+        telemetry=telemetry, straggler_quorum=0.75,
+        straggler_multiplier=1.5,
+    )
     try:
         slow_id = engine.worker_ids[-1]
         dispatches = [engine.dispatch(worker_id, 0.3, 0.0, round_index=0)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
 
 from repro.runtime.sockets import (
@@ -15,6 +18,7 @@ from repro.runtime.sockets import (
     SocketTransport,
     encode_message,
     recv_message,
+    safe_loads,
     send_message,
 )
 from repro.runtime.transport import (
@@ -57,6 +61,70 @@ def test_frame_buffer_rejects_oversized_length_prefix():
     buffer.feed(struct.pack("!I", MAX_MESSAGE_BYTES + 1))
     with pytest.raises(TransportError):
         list(buffer.pop_messages())
+
+
+class _Touch:
+    """Pickles to a call of ``os.mkdir`` -- the ``__reduce__`` route to
+    running code in whoever unpickles it."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def hostile_frames(sentinel) -> dict:
+    """Framed payloads a hostile peer might send (shared with the
+    service-level test): each must end in a TransportError."""
+    bomb = pickle.dumps(("register", 1, _Touch(str(sentinel))))
+    garbage = np.random.default_rng(0).bytes(256)
+    return {
+        "reduce_bomb": struct.pack("!I", len(bomb)) + bomb,
+        "garbage": struct.pack("!I", len(garbage)) + garbage,
+        "over_cap": struct.pack("!I", MAX_MESSAGE_BYTES + 1) + b"x" * 64,
+    }
+
+
+@pytest.mark.parametrize("kind", ["reduce_bomb", "garbage", "over_cap"])
+def test_hostile_frames_raise_typed_errors(tmp_path, kind):
+    sentinel = tmp_path / "pwned"
+    wire = hostile_frames(sentinel)[kind]
+    buffer = FrameBuffer()
+    buffer.feed(wire)
+    with pytest.raises(TransportError):
+        list(buffer.pop_messages())
+    a, b = socket.socketpair()
+    try:
+        a.sendall(wire)
+        with pytest.raises(TransportError):
+            recv_message(b)
+    finally:
+        a.close()
+        b.close()
+    assert not sentinel.exists()
+    # the control: plain pickle.loads would have run the payload
+    if kind == "reduce_bomb":
+        pickle.loads(wire[4:])
+        assert sentinel.exists()
+
+
+def test_safe_loads_admits_exactly_what_the_protocol_ships():
+    state = {
+        "rng": np.random.default_rng(3).bit_generator.state,
+        "iterator": {"order": np.arange(7)[::-1], "cursor": 3},
+        "scalars": (np.float32(0.5), np.int64(4), 1.5, None, True),
+        "frame": b"\x00\x01",
+    }
+    for protocol in (4, pickle.HIGHEST_PROTOCOL):
+        decoded = safe_loads(pickle.dumps(state, protocol=protocol))
+        assert decoded["rng"] == state["rng"]
+        np.testing.assert_array_equal(decoded["iterator"]["order"],
+                                      state["iterator"]["order"])
+        assert decoded["scalars"] == state["scalars"]
+    for refused in (RetryPolicy(), np.random.default_rng(0), os.getcwd):
+        with pytest.raises(TransportError, match="undecodable"):
+            safe_loads(pickle.dumps(refused))
 
 
 def test_recv_on_closed_peer_raises():

@@ -1,10 +1,11 @@
-"""Shared-memory template transport and wire-profile executor tests.
+"""Receiver-side sub-model derivation and wire-profile executor tests.
 
-Covers the transport-economics guarantees: templates ship through one
-shared-memory segment per plan signature (charged once, bounded by an
-LRU with child-cache drop propagation), segments never leak past
-``close`` -- normal exit or killed-worker crash -- and the negotiated
-sparse profiles run end-to-end through the engine.
+Covers the transport-economics guarantees: a dispatch frame is all a
+receiver needs (it derives the module graph from its skeleton, the
+plan, the state and the RNG record -- bitwise the sub-model the parent
+extracted, Dropout included), a killed worker surfaces as a typed
+error, and the negotiated sparse profiles run end-to-end through the
+engine.
 """
 
 from __future__ import annotations
@@ -13,14 +14,21 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_synthetic_mnist
+from repro.experiments import fleet
+from repro.experiments.setups import make_bench_task
 from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
-from repro.runtime import shm
-from repro.runtime.codec import TrainHyper
-from repro.runtime.executor import ProcessExecutor, TrainRequest
-from repro.runtime.pool import ProcessPool, WorkerSpec
+from repro.runtime.codec import TrainHyper, decode_dispatch, encode_dispatch
+from repro.runtime.executor import RemoteExecutor, TrainRequest
+from repro.runtime.pool import (
+    ProcessPool,
+    WorkerSpec,
+    derive_submodel,
+    pack_skeleton,
+    unpack_skeleton,
+)
 from repro.runtime.transport import (
     ProcessTransport,
     TransportError,
@@ -75,83 +83,102 @@ def _requests(engine, config, ratio):
 
 
 # ----------------------------------------------------------------------
-# shared-memory template lifecycle
+# receiver-side derivation
 # ----------------------------------------------------------------------
-def test_template_bytes_charged_once_per_signature(mnist, devices):
-    """Two pool members training the same fixed-ratio plan must cost
-    ONE template segment on the wire, not one pickled blob each."""
+TASKS = {
+    **{key: make_bench_task(key).make_task
+       for key in ("cnn", "alexnet", "vgg19", "resnet50", "lstm")},
+    # the fleet MLP is in no registry: only task.build_model knows it
+    "fleet_mlp": fleet.make_task,
+}
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("family", sorted(TASKS))
+def test_receiver_derived_submodel_trains_bitwise(family, ratio):
+    """From (skeleton, dispatch frame) alone the receiver rebuilds the
+    sub-model the parent extracted: same parameter names and shapes,
+    and -- after local training on the same batch stream -- the same
+    state to the last bit, Dropout masks included."""
+    task = TASKS[family]()
+    model = task.build_model(np.random.default_rng(5))
+    plan = task.build_plan(model, ratio)
+    extracted = task.extract(model, plan, np.random.default_rng(6))
+    rngs = extracted.rng_states()
+    assert bool(rngs) == (family in ("alexnet", "vgg19"))
+
+    frame = encode_dispatch(0, plan, extracted.state_dict(), tau=3,
+                            hyper=TrainHyper(lr=0.05),
+                            module_rngs=rngs)
+    derived = derive_submodel(unpack_skeleton(pack_skeleton(task)),
+                              decode_dispatch(frame))
+    assert type(derived) is type(extracted)
+    assert ([(name, value.shape) for name, value
+             in derived.named_parameters()]
+            == [(name, value.shape) for name, value
+                in extracted.named_parameters()])
+    assert derived.rng_states() == rngs
+
+    shard = task.partition(2, np.random.default_rng(8))[0]
+    device = make_scenario_devices({"A": 1}, np.random.default_rng(3))[0]
+    spec = WorkerSpec(
+        worker_id=0, seed=21, shard_inputs=shard[0],
+        shard_targets=shard[1], batch_size=4, device=device,
+        jitter_sigma=0.05, num_samples=int(shard[0].shape[0]),
+        iterator_kind=task.iterator_kind,
+    )
+    losses = [
+        spec.build().local_train(submodel, tau=3, lr=0.05, momentum=0.9)
+        for submodel in (extracted, derived)
+    ]
+    assert losses[0] == losses[1]
+    trained, expected = derived.state_dict(), extracted.state_dict()
+    assert trained.keys() == expected.keys()
+    for key, value in expected.items():
+        np.testing.assert_array_equal(trained[key], value, err_msg=key)
+
+
+def test_skeleton_ships_structure_not_weights(mnist):
+    """A skeleton's arrays are zeroed, so it compresses to a sliver of
+    the model it describes -- registration cost, not dispatch cost."""
+    task = ClassificationTask(mnist, "cnn")
+    blob = pack_skeleton(task)
+    model, extract = unpack_skeleton(blob)
+    assert extract is task.extractor
+    assert all(not value.any() for _, value in model.named_parameters())
+    assert len(blob) < 0.01 * 4 * model.num_parameters()
+
+
+def test_no_module_graph_on_the_wire(mnist, devices):
+    """Only ``dispatch`` and ``contribution`` bytes are ever charged:
+    the template channel is gone, counter and all."""
     telemetry = Telemetry(metrics=MetricsRegistry())
     task = ClassificationTask(mnist, "cnn")
     config = _config(executor="process", num_procs=2)
     engine = Engine(task, devices, config, telemetry=telemetry)
     try:
         make_scheduler(config).run(engine)
-        executor = engine.executor
-        assert len(executor.pool.members) == 2
-        # fixed ratio + stable kept sets => a single plan signature,
-        # cached by both members from the same segment
-        assert len(executor._template_segments) == 1
-        ((_, size),) = executor._template_segments.values()
-        assert _counter_sum(telemetry.metrics, "wire_bytes_total",
-                            kind="template") == size
-        for cached in executor._cached_templates.values():
-            assert len(cached) == 1
-        assert shm.leaked_segments()  # live while the executor is open
+        assert len(engine.executor.link.members) == 2
+        kinds = {
+            counter.labels.get("kind")
+            for counter in telemetry.metrics.counters
+            if counter.name == "wire_bytes_total"
+        }
+        assert kinds == {"dispatch", "contribution"}
     finally:
         engine.close()
-    # normal exit: every segment unlinked
-    assert shm.leaked_segments() == []
 
 
-def test_template_store_evicts_and_propagates_drops(mnist, devices):
-    """template_cache_limit=1 with two plan signatures forces an
-    eviction: counted, segment store bounded, child caches notified."""
-    telemetry = Telemetry(metrics=MetricsRegistry())
+def test_killed_worker_raises_worker_crash_error(mnist, devices):
     task = ClassificationTask(mnist, "cnn")
     config = _config()
     engine = Engine(task, devices, config)
-    executor = ProcessExecutor(engine.worker_specs, num_procs=2,
-                               telemetry=telemetry,
-                               template_cache_limit=1)
+    pool = ProcessPool(engine.worker_specs, num_procs=2,
+                       skeleton=(engine.model, task.extractor))
+    executor = RemoteExecutor(pool)
     try:
         executor.run(_requests(engine, config, 0.3), round_index=0)
-        assert _counter_sum(telemetry.metrics,
-                            "dispatch_cache_evictions_total") == 0
-        executor.run(_requests(engine, config, 0.6), round_index=1)
-        assert _counter_sum(telemetry.metrics,
-                            "dispatch_cache_evictions_total") == 1
-        # the store stays at its bound and the evicted segment is gone
-        assert len(executor._template_segments) == 1
-        assert executor._retired_segments == []
-        assert len(shm.leaked_segments()) == 1
-        # parent-side member caches dropped the evicted key; the drop
-        # notices were piggybacked (all members saw round-1 traffic)
-        for cached in executor._cached_templates.values():
-            assert len(cached) == 1
-        assert executor._pending_drops == {}
-        # the evicted signature still trains fine: it is re-shipped
-        results = executor.run(_requests(engine, config, 0.3),
-                               round_index=2)
-        assert len(results) == len(engine.worker_ids)
-        assert _counter_sum(telemetry.metrics,
-                            "dispatch_cache_evictions_total") == 2
-    finally:
-        executor.close()
-        engine.close()
-    assert shm.leaked_segments() == []
-
-
-def test_segments_unlinked_after_worker_crash(mnist, devices):
-    """A killed child surfaces as WorkerCrashError and close() still
-    unlinks every segment -- no stranded /dev/shm entries."""
-    task = ClassificationTask(mnist, "cnn")
-    config = _config()
-    engine = Engine(task, devices, config)
-    executor = ProcessExecutor(engine.worker_specs, num_procs=2)
-    try:
-        executor.run(_requests(engine, config, 0.3), round_index=0)
-        assert shm.leaked_segments()
-        for member in executor.pool.members:
+        for member in pool.members:
             member.proc.kill()
             member.proc.join(timeout=5.0)
         with pytest.raises(WorkerCrashError):
@@ -159,20 +186,14 @@ def test_segments_unlinked_after_worker_crash(mnist, devices):
     finally:
         executor.close()
         engine.close()
-    assert shm.leaked_segments() == []
 
 
-def test_template_cache_limit_validation(mnist, devices):
-    engine = Engine(ClassificationTask(mnist, "cnn"), devices, _config())
-    try:
-        with pytest.raises(ValueError, match="template_cache_limit"):
-            ProcessExecutor(engine.worker_specs, num_procs=1,
-                            template_cache_limit=0)
-        with pytest.raises(ValueError, match="wire_profile"):
-            ProcessExecutor(engine.worker_specs, num_procs=1,
-                            wire_profile="dense")
-    finally:
-        engine.close()
+def test_remote_executor_validates_wire_profile(mnist, devices):
+    class _NoLink:
+        name = "none"
+
+    with pytest.raises(ValueError, match="wire_profile"):
+        RemoteExecutor(_NoLink(), wire_profile="dense")
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +223,6 @@ def test_sparse_profiles_run_through_the_engine(mnist, devices, profile):
         assert 0 < contribution < 0.75 * dispatch
     finally:
         engine.close()
-    assert shm.leaked_segments() == []
 
 
 def test_sparse_profile_matches_serial_at_full_keep(mnist, devices):
@@ -249,9 +269,7 @@ def test_transport_request_raises_on_err_reply():
         # a garbage frame makes the child reply ("err", seq, traceback);
         # the pre-fix transport returned that tuple as a success
         with pytest.raises(TransportError, match="raised"):
-            transport.request(
-                ("train", 1, b"garbage", ("cached", None), ())
-            )
+            transport.request(("train", 1, b"garbage"))
         # the channel survives the failed call
         assert transport.request(("ping", 2, 0.0)) == ("pong", 2)
     finally:

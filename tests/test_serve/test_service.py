@@ -10,6 +10,7 @@ at 0 ULP.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import numpy as np
@@ -20,7 +21,8 @@ from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
-from repro.runtime.sockets import SocketTransport
+from repro.runtime import pool
+from repro.runtime.sockets import SocketTransport, encode_message
 from repro.runtime.transport import WorkerCrashError
 from repro.serve import (
     ACTIVE,
@@ -31,6 +33,8 @@ from repro.serve import (
     ServiceError,
 )
 from repro.simulation.cluster import make_scenario_devices
+from repro.telemetry.runtime import Telemetry
+from repro.telemetry.spans import ListSink, Tracer
 from repro.verify.differential import (
     StateCaptureHook,
     normalised_history_bytes,
@@ -101,6 +105,19 @@ def _ulps(reference, candidate):
     )
 
 
+def _scripted_reference(task, devices, config, script):
+    """Final state + history of the serial run over ``script``."""
+    capture = StateCaptureHook()
+    engine = Engine(task, devices, config, hooks=[capture])
+    engine.membership_provider = lambda round_index: list(
+        script[max(key for key in script if key <= round_index)]
+    )
+    try:
+        return make_scheduler(config).run(engine), capture.states[-1]
+    finally:
+        engine.close()
+
+
 # ----------------------------------------------------------------------
 # end-to-end runs
 # ----------------------------------------------------------------------
@@ -124,16 +141,9 @@ def test_scripted_churn_matches_serial_reference(task, devices):
     script = {0: [0, 1, 2], 2: [0, 1, 3]}
     config = _config(max_rounds=4)
 
-    # serial in-process reference over the same membership script
-    capture = StateCaptureHook()
-    engine = Engine(task, devices, config, hooks=[capture])
-    engine.membership_provider = lambda round_index: list(
-        script[max(key for key in script if key <= round_index)]
+    reference, reference_state = _scripted_reference(
+        task, devices, config, script
     )
-    try:
-        reference = make_scheduler(config).run(engine)
-    finally:
-        engine.close()
 
     served_capture = StateCaptureHook()
     service = FedMPService(task, devices, config,
@@ -152,7 +162,109 @@ def test_scripted_churn_matches_serial_reference(task, devices):
     assert results == {0: 4, 1: 4, 2: 2, 3: 2}
     assert (normalised_history_bytes(history)
             == normalised_history_bytes(reference))
-    assert _ulps(capture.states[-1], served_capture.states[-1]) == 0
+    assert _ulps(reference_state, served_capture.states[-1]) == 0
+
+
+def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch):
+    """A connection lost between pulling a dispatch and training it:
+    the redialled client is handed the very same frame -- all it needs,
+    no template to rebuild -- and the run stays bitwise on the serial
+    reference."""
+    script = {0: [0, 1]}
+    config = _config()
+    reference, reference_state = _scripted_reference(
+        task, devices, config, script
+    )
+
+    handle_train = pool.handle_train
+    seen = []
+
+    def drop_first_dispatch(workers, skeleton, frame):
+        seen.append(frame)
+        if len(seen) == 1:
+            raise ConnectionResetError("lost before training")
+        return handle_train(workers, skeleton, frame)
+
+    monkeypatch.setattr(pool, "handle_train", drop_first_dispatch)
+    served_capture = StateCaptureHook()
+    service = FedMPService(task, devices, config,
+                           hooks=[served_capture], roster_script=script)
+    clients = {
+        wid: ServiceClient(service.address, worker_id=wid,
+                           reconnect=True)
+        for wid in (0, 1)
+    }
+    history, results, errors = _run_fleet(service, clients)
+    assert errors == {}
+    assert service.counters["lost"] == 1
+    assert service.counters["reconnect"] == 1
+    # the re-issue is the same bytes, not a re-encode
+    assert seen.count(seen[0]) == 2
+    assert (normalised_history_bytes(history)
+            == normalised_history_bytes(reference))
+    assert _ulps(reference_state, served_capture.states[-1]) == 0
+
+
+def test_hostile_peers_are_dropped_and_the_run_completes(
+        task, devices, tmp_path):
+    """Code-execution pickles, garbage and an over-cap length prefix --
+    from unregistered peers and from a registered worker -- each cost
+    the sender its connection and nobody else anything."""
+    from tests.test_runtime.test_sockets import hostile_frames
+
+    sentinel = tmp_path / "pwned"
+    frames = hostile_frames(sentinel)
+    sink = ListSink()
+    service = FedMPService(
+        task, devices, _config(), roster_script={0: [0]},
+        telemetry=Telemetry(tracer=Tracer(sink=sink)),
+    )
+    closed = {}
+
+    def attack(kind, register_as=None):
+        sock = socket.create_connection(service.address, timeout=30)
+        try:
+            if register_as is not None:
+                sock.sendall(encode_message(
+                    ("register", 1, {"protocol": PROTOCOL_VERSION,
+                                     "worker_id": register_as})
+                ))
+                assert sock.recv(1 << 16)     # the registered reply
+            sock.sendall(frames[kind])
+            while sock.recv(1 << 16):
+                pass
+            closed[kind] = True                # EOF: the service hung up
+        finally:
+            sock.close()
+
+    attackers = [
+        threading.Thread(target=attack, args=("reduce_bomb", 3),
+                         daemon=True),
+        threading.Thread(target=attack, args=("garbage",), daemon=True),
+        threading.Thread(target=attack, args=("over_cap",), daemon=True),
+    ]
+    for thread in attackers:
+        thread.start()
+    history, results, errors = _run_fleet(
+        service, {0: ServiceClient(service.address, worker_id=0)}
+    )
+    for thread in attackers:
+        thread.join(timeout=30)
+    assert errors == {}
+    assert results == {0: 3}
+    assert len(history.rounds) == 3
+    assert closed == {"reduce_bomb": True, "garbage": True,
+                      "over_cap": True}
+    assert not sentinel.exists()
+    reasons = sorted(event["attrs"]["reason"]
+                     for event in sink.events("peer_rejected"))
+    assert len(reasons) == 3
+    assert any("os.mkdir" in reason or "posix.mkdir" in reason
+               for reason in reasons)
+    assert any("cap" in reason for reason in reasons)
+    # only the registered attacker shows up in the roster's ledger
+    assert service.counters["lost"] == 1
+    assert service.roster[3].state == GONE
 
 
 def test_leaver_slot_can_be_reclaimed(task, devices):
