@@ -81,8 +81,10 @@ class Conv2d(Module):
         out_w = F.conv_output_size(w, k, s, p)
 
         cols = F.im2col(x, k, k, s, p)
-        self._cols = cols
-        self._x_shape = x.shape
+        # inference keeps no backward state (the column matrix is the
+        # largest array of a forward pass)
+        self._cols = cols if self.training else None
+        self._x_shape = x.shape if self.training else None
 
         w_mat = self.params["weight"].reshape(self.out_channels, -1)
         out = cols @ w_mat.T + self.params["bias"]
@@ -180,8 +182,9 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -207,6 +210,17 @@ class MaxPool2d(Module):
         k, s = self.kernel_size, self.stride
         out_h = F.conv_output_size(h, k, s, 0)
         out_w = F.conv_output_size(w, k, s, 0)
+
+        if not self.training:
+            # argmax's rule without the argmax: the first maximum of a
+            # window wins and a NaN sticks, so values and zero signs
+            # equal the training paths' below, with nothing cached
+            self._cache = None
+            out = x[:, :, :s * out_h:s, :s * out_w:s].copy()
+            for i, j in (divmod(t, k) for t in range(1, k * k)):
+                v = x[:, :, i:i + s * out_h:s, j:j + s * out_w:s]
+                np.copyto(out, v, where=~((v <= out) | (out != out)))
+            return out
 
         if s == k:
             windows = (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.models.blocks import Bottleneck
+from repro.nn.layers import BatchNorm2d
 
 
 def test_identity_skip_shape(rng):
@@ -40,12 +41,14 @@ def test_asymmetric_mid_channels(rng):
 @pytest.mark.usefixtures("float64_mode")
 def test_bottleneck_gradcheck(rng, gradcheck):
     block = Bottleneck(4, 2, 4, stride=1, rng=rng)
-    block.eval()  # freeze batch-norm statistics for a clean check
     x = rng.normal(size=(2, 4, 4, 4))
     # warm up running stats so eval mode is well-defined
-    block.train()
     block.forward(rng.normal(size=(8, 4, 4, 4)))
-    block.eval()
+    # freeze batch-norm statistics for a clean check; the other layers
+    # stay in training mode, where forward keeps what backward needs
+    for _, module in block.named_modules():
+        if isinstance(module, BatchNorm2d):
+            module.eval()
 
     target = np.zeros_like(block.forward(x))
 

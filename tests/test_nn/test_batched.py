@@ -7,8 +7,12 @@ import pytest
 
 from repro.data.loader import BatchIterator
 from repro.models.cnn import build_cnn
-from repro.nn.batched import supports_cohort_training, train_cohort
-from repro.nn.layers import BatchNorm2d, Dropout, Linear, ReLU
+from repro.nn.batched import (
+    _StackedConv2d,
+    supports_cohort_training,
+    train_cohort,
+)
+from repro.nn.layers import BatchNorm2d, Conv2d, Dropout, Linear, ReLU
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.nn.optim import SGD, ProximalSGD
@@ -97,6 +101,30 @@ def test_cohort_training_matches_member_path(hyper):
         _model(), init_state, _iterators(50), TAU, anchor=anchor, **hyper
     )
     _assert_bitwise(ref_states, ref_losses, cohort_states, cohort_losses)
+
+
+def test_stacked_conv_matches_members_at_stride_2_padding_1():
+    """The paper CNN only has stride 1 / padding 2; the stacked layer
+    shares one im2col/col2im over the cohort at any geometry."""
+    rng = np.random.default_rng(9)
+    members = [Conv2d(3, 4, 3, stride=2, padding=1, rng=rng)
+               for _ in range(MEMBERS)]
+    stacked = _StackedConv2d("conv", members[0], members[0].params["weight"],
+                             members[0].params["bias"], MEMBERS)
+    for key in ("weight", "bias"):
+        stacked.params[key][...] = [m.params[key] for m in members]
+    x = rng.normal(size=(MEMBERS, BATCH, 3, 7, 6)).astype(np.float32)
+    out = stacked.forward(x.reshape(-1, 3, 7, 6))
+    grad_out = rng.normal(size=out.shape).astype(np.float32)
+    grad_x = stacked.backward(grad_out)
+    for index, member in enumerate(members):
+        rows = slice(index * BATCH, (index + 1) * BATCH)
+        assert np.array_equal(member.forward(x[index]), out[rows])
+        member.zero_grad()
+        assert np.array_equal(member.backward(grad_out[rows]), grad_x[rows])
+        for key in ("weight", "bias"):
+            assert np.array_equal(member.grads[key],
+                                  stacked.grads[key][index]), key
 
 
 def test_supports_cohort_training():

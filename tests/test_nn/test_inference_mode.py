@@ -1,0 +1,93 @@
+"""Inference-mode forwards: same bits as training mode, no backward state.
+
+``evaluate_classifier`` runs the global model under ``eval()``; what a
+layer caches there is pinned until the next training forward (conv2's
+column matrix is 160 MB at the default eval batch), and the values must
+not depend on the mode.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.models.cnn import build_cnn
+from repro.nn.layers import Conv2d, MaxPool2d, ReLU
+from repro.nn.metrics import evaluate_classifier
+
+
+def _bits_equal(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _signed_zero_input(rng, shape):
+    """Pre-activations as ReLU sees them, then as a pool sees them: both
+    zeros, ties inside a window, and a few NaNs."""
+    return rng.choice(
+        np.array([-0.0, 0.0, -1.5, 1.5, 0.25, np.nan], dtype=np.float32),
+        size=shape, p=[0.3, 0.3, 0.15, 0.1, 0.1, 0.05],
+    )
+
+
+# name -> (factory, input shape, the attributes backward reads)
+LAYERS = {
+    "conv": (lambda rng: Conv2d(3, 4, 3, stride=2, padding=1, rng=rng),
+             (2, 3, 7, 6), ("_cols", "_x_shape")),
+    "relu": (lambda rng: ReLU(), (2, 3, 7, 6), ("_mask",)),
+    "pool": (lambda rng: MaxPool2d(2), (2, 3, 7, 6), ("_cache",)),
+    "pool_overlap": (lambda rng: MaxPool2d(3, stride=2), (2, 3, 7, 6),
+                     ("_cache",)),
+    "pool_k3": (lambda rng: MaxPool2d(3), (2, 3, 9, 10), ("_cache",)),
+}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_eval_forward_equals_train_forward_and_keeps_nothing(rng, name):
+    factory, shape, state = LAYERS[name]
+    layer = factory(rng)
+    inputs = [rng.normal(size=shape).astype(np.float32)]
+    if name != "conv":  # a GEMM turns one NaN into many; not the point
+        inputs.append(_signed_zero_input(rng, shape))
+    for x in inputs:
+        layer.train()
+        expected = layer.forward(x)
+        assert all(getattr(layer, attr) is not None for attr in state)
+
+        layer.eval()
+        out = layer.forward(x)
+        assert _bits_equal(out, expected)
+        assert not np.shares_memory(out, x)
+        assert all(getattr(layer, attr) is None for attr in state)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.ones_like(out))
+
+
+def test_conv2d_backward_is_repeatable_after_one_forward(rng):
+    layer = Conv2d(2, 3, 3, padding=1, rng=rng)
+    x = rng.normal(size=(4, 2, 5, 5)).astype(np.float32)
+    grad_out = rng.normal(size=layer.forward(x).shape).astype(np.float32)
+    layer.zero_grad()
+    first = layer.backward(grad_out)
+    grads = {k: v.copy() for k, v in layer.grads.items()}
+    layer.zero_grad()
+    second = layer.backward(grad_out)
+    assert _bits_equal(first, second)
+    assert all(_bits_equal(grads[k], layer.grads[k]) for k in grads)
+
+
+def test_evaluate_leaves_no_column_matrix_on_the_model(rng):
+    model = build_cnn(rng=rng)
+    x = rng.normal(size=(6, 1, 28, 28)).astype(np.float32)
+    y = rng.integers(0, 10, size=6)
+    model.train()
+    logits = model.forward(x)
+    evaluate_classifier(model, x, y, batch_size=4)
+    assert model.training
+    kept = [(name, attr) for name, module in model.named_modules()
+            if isinstance(module, (Conv2d, ReLU, MaxPool2d))
+            for attr in ("_cols", "_x_shape", "_mask", "_cache")
+            if getattr(module, attr, None) is not None]
+    assert kept == []
+    model.eval()
+    assert _bits_equal(model.forward(x), logits)
