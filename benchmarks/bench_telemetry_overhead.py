@@ -32,17 +32,15 @@ from repro.telemetry import (
 def run_pair(fleet: int, rounds: int, trace_dir: Path) -> dict:
     task = make_task()
     devices = make_fleet(fleet)
-    mode = "cohort_sampled"
-
     # warm-up: first run pays numpy/import one-offs for both arms
-    measure(task, devices, mode, 1)
+    measure(task, devices, 1)
 
-    disabled = measure(task, devices, mode, rounds)
+    disabled = measure(task, devices, rounds)
 
     trace_path = trace_dir / f"fleet_{fleet}.jsonl"
     telemetry = Telemetry(tracer=Tracer(JsonlSink(trace_path)),
                           metrics=MetricsRegistry())
-    enabled = measure(task, devices, mode, rounds, telemetry=telemetry)
+    enabled = measure(task, devices, rounds, telemetry=telemetry)
     telemetry.close()
 
     overhead = (enabled["wall_s_total"] / disabled["wall_s_total"]) - 1.0

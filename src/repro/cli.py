@@ -19,14 +19,11 @@ connecting over TCP (see DESIGN.md section 3.8)::
         --min-workers 4
     python -m repro.cli client --connect 127.0.0.1:5641   # x4 terminals
 
-Inspect a run afterwards, or gate a change against the committed
-benchmark baselines::
+Inspect a run afterwards::
 
     python -m repro.cli trace summary trace.jsonl
     python -m repro.cli trace diff before.jsonl after.jsonl
     python -m repro.cli trace folded trace.jsonl --out stacks.folded
-
-    python -m repro.cli bench check --smoke
 
 ``--task`` names a bench-scale workload from
 :mod:`repro.experiments.setups` (cnn / alexnet / vgg19 / resnet50 /
@@ -122,18 +119,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=("raise", "skip", "off"),
                         help="poisoned-upload handling: reject the round, "
                              "drop the contribution, or disable the scan")
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="disable the dispatch/aggregation fast path "
-                             "(A/B debugging; bitwise-identical results)")
     parser.add_argument("--clients-per-round", type=int, default=None,
                         metavar="M",
                         help="sample M clients per round instead of "
                              "dispatching to the whole fleet")
-    parser.add_argument("--cohort-rounds", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="cohort-sharded dispatch/training/aggregation "
-                             "(one shared sub-model per ratio x cluster "
-                             "bucket; bitwise-identical results)")
     parser.add_argument("--history-detail", default="auto",
                         choices=("auto", "member", "cohort"),
                         help="round-record granularity: per-worker entries "
@@ -232,9 +221,7 @@ def _build_history(task_key: str, strategy: str, args,
         wire_keep_fraction=getattr(args, "wire_keep_fraction", 0.25),
         wire_quantize_bits=getattr(args, "wire_quantize_bits", 8),
         nan_policy=getattr(args, "nan_policy", "raise"),
-        fast_path=not getattr(args, "no_fast_path", False),
         clients_per_round=getattr(args, "clients_per_round", None),
-        cohort_rounds=getattr(args, "cohort_rounds", "auto"),
         history_detail=getattr(args, "history_detail", "auto"),
     )
     if args.rounds is not None:
@@ -450,9 +437,7 @@ def _cmd_serve(args) -> int:
             wire_keep_fraction=args.wire_keep_fraction,
             wire_quantize_bits=args.wire_quantize_bits,
             nan_policy=args.nan_policy,
-            fast_path=not args.no_fast_path,
             clients_per_round=args.clients_per_round,
-            cohort_rounds=args.cohort_rounds,
             history_detail=args.history_detail,
         )
         if args.rounds is not None:
@@ -640,54 +625,6 @@ def _cmd_trace_folded(args) -> int:
               f"(feed to flamegraph.pl / speedscope / inferno)")
     else:
         print(text, end="")
-    return 0
-
-
-def _cmd_bench_check(args) -> int:
-    from repro.benchcheck import (
-        DEFAULT_TOLERANCE,
-        compare,
-        load_report,
-        run_fleet_smoke,
-        write_report,
-    )
-
-    tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
-                 else args.tolerance)
-    baseline = load_report(args.baseline)
-    if args.candidate is not None:
-        candidate = load_report(args.candidate)
-        source = args.candidate
-    else:
-        print(f"running fleet smoke benchmark "
-              f"(fleet={args.smoke_fleet}) ...")
-        candidate = run_fleet_smoke(fleet=args.smoke_fleet, progress=print)
-        source = "<fresh smoke run>"
-    report = compare(baseline, candidate,
-                     baseline_path=str(args.baseline),
-                     default_tolerance=tolerance)
-
-    from repro.experiments.reporting import print_table
-
-    print_table(
-        f"Benchmark check: {args.baseline} vs {source}",
-        ("metric", "baseline", "candidate", "ratio", "floor", "status"),
-        [(result.metric, f"{result.baseline:.4g}",
-          f"{result.candidate:.4g}",
-          f"{result.ratio:.3f}", f"{1.0 - result.tolerance:.2f}",
-          "ok" if result.ok else "REGRESSED")
-         for result in report.results],
-        note=(f"skipped (not measured by candidate): "
-              f"{', '.join(report.skipped)}" if report.skipped else ""),
-    )
-    if args.report is not None:
-        write_report(args.report, report)
-        print(f"comparison report written to {args.report}")
-    if not report.ok:
-        failed = [r.metric for r in report.results if not r.ok]
-        print(f"\nREGRESSION: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print("\nall benchmark metrics within tolerance")
     return 0
 
 
@@ -891,31 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_folded.add_argument("--out", default=None,
                               help="write to this file instead of stdout")
     trace_folded.set_defaults(func=_cmd_trace_folded)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark baseline utilities")
-    bench_subparsers = bench_parser.add_subparsers(
-        dest="bench_command", required=True)
-    bench_check = bench_subparsers.add_parser(
-        "check",
-        help="gate a candidate benchmark report against a committed "
-             "baseline; exits 1 on regression")
-    bench_check.add_argument("--baseline", default="BENCH_fleet.json",
-                             help="committed baseline report "
-                                  "(default: BENCH_fleet.json)")
-    bench_check.add_argument("--candidate", default=None,
-                             help="candidate report file; omit to run a "
-                                  "fresh fleet smoke benchmark")
-    bench_check.add_argument("--smoke-fleet", type=int, default=100_000,
-                             metavar="N",
-                             help="fleet size for the fresh smoke run "
-                                  "(default: 100000)")
-    bench_check.add_argument("--tolerance", type=float, default=None,
-                             help="override the default fractional "
-                                  "regression tolerance")
-    bench_check.add_argument("--report", default=None,
-                             help="write the comparison report JSON here")
-    bench_check.set_defaults(func=_cmd_bench_check)
     return parser
 
 

@@ -1,30 +1,20 @@
-"""Fleet-scale round-throughput workload (shared with the benchmark).
+"""Fleet-scale round workload (shared by ``perf/`` and the benchmarks).
 
-The synthetic fleet workload behind ``benchmarks/bench_fleet.py`` and
-``repro bench check --smoke``: a deliberately small shared-shard MLP
-task whose fleet size scales the *engine* work (dispatch, pricing,
-training-loop overhead, aggregation) rather than raw model flops.
-Living inside the package -- ``benchmarks/`` is not importable -- lets
-the CLI's regression gate re-run the exact committed workload.
-
-Three operating points on the same seeded task:
-
-- ``member_full`` -- the pre-cohort engine: every worker is dispatched
-  its own sub-model clone and trained individually, every round;
-- ``member_sampled`` -- per-member dispatch/training, but only
-  ``clients_per_round`` sampled workers per round;
-- ``cohort_sampled`` -- the cohort-sharded path: sampled workers are
-  bucketed by (ratio, cluster), one shared sub-model per bucket, local
-  training vectorised across each cohort, per-cohort aggregation
-  partial sums.
-
-All three points run bit-identical arithmetic per trained member.
+A deliberately small shared-shard MLP task whose fleet size scales the
+*engine* work (dispatch, pricing, training-loop overhead, aggregation)
+rather than raw model flops.  Living inside the package --
+``benchmarks/`` is not importable -- lets ``perf/``'s ``fleet_cohort``
+workload and ``benchmarks/bench_telemetry_overhead.py`` run the exact
+same task: ``clients_per_round`` sampled workers per round, bucketed
+by (ratio, cluster) into cohorts, one shared sub-model per bucket,
+local training vectorised across each cohort, per-cohort aggregation
+partial sums.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -39,25 +29,13 @@ from repro.simulation.cluster import make_scenario_devices
 
 __all__ = [
     "CLIENTS_PER_ROUND",
-    "FLEETS",
-    "MODES",
     "FleetTask",
     "make_task",
     "make_fleet",
     "measure",
-    "rounds_for",
 ]
 
 CLIENTS_PER_ROUND = 256
-FLEETS = (1_000, 10_000, 100_000)
-
-MODES = {
-    "member_full": dict(cohort_rounds="off", clients_per_round=None),
-    "member_sampled": dict(cohort_rounds="off",
-                           clients_per_round=CLIENTS_PER_ROUND),
-    "cohort_sampled": dict(cohort_rounds="on",
-                           clients_per_round=CLIENTS_PER_ROUND),
-}
 
 
 def _build_mlp(num_classes=10, input_shape=(1, 28, 28), rng=None):
@@ -100,16 +78,9 @@ def make_fleet(count: int):
                                  np.random.default_rng(5))
 
 
-def rounds_for(mode: str, fleet: int) -> int:
-    """Round count keeping per-member full-fleet wall time bounded."""
-    if mode == "member_full":
-        return 3 if fleet <= 1_000 else (2 if fleet <= 10_000 else 1)
-    return 3
-
-
-def measure(task: FleetTask, devices: List, mode: str, rounds: int,
+def measure(task: FleetTask, devices: List, rounds: int,
             telemetry=None) -> dict:
-    """Run ``rounds`` rounds of ``mode`` and report throughput.
+    """Run ``rounds`` sampled rounds and report throughput.
 
     ``telemetry`` is threaded into the engine when given (the overhead
     benchmark measures enabled-vs-disabled on this exact workload).
@@ -117,7 +88,7 @@ def measure(task: FleetTask, devices: List, mode: str, rounds: int,
     config = FLConfig(strategy="fixed", strategy_kwargs={"ratio": 0.3},
                       max_rounds=rounds, local_iterations=2,
                       batch_size=8, eval_every=10_000, seed=7,
-                      **MODES[mode])
+                      clients_per_round=CLIENTS_PER_ROUND)
     start = time.perf_counter()
     engine = Engine(task, devices, config, telemetry=telemetry)
     build_s = time.perf_counter() - start
@@ -127,51 +98,10 @@ def measure(task: FleetTask, devices: List, mode: str, rounds: int,
     finally:
         engine.close()
     wall_s = time.perf_counter() - start
-    sampled = config.clients_per_round or len(devices)
     return {
         "rounds": len(history.rounds),
-        "members_trained_per_round": min(sampled, len(devices)),
+        "members_trained_per_round": min(CLIENTS_PER_ROUND, len(devices)),
         "engine_build_s": round(build_s, 3),
         "wall_s_total": round(wall_s, 4),
         "rounds_per_s": round(len(history.rounds) / wall_s, 4),
-    }
-
-
-def sweep(fleets: Tuple[int, ...], smoke: bool,
-          progress: Optional[callable] = None) -> dict:
-    """The full benchmark sweep (``smoke`` = one cohort-sampled point).
-
-    ``progress`` receives one formatted line per measurement.
-    """
-    task = make_task()
-    entries = []
-    for fleet in fleets:
-        devices = make_fleet(fleet)
-        entry = {"fleet": fleet}
-        modes = ("cohort_sampled",) if smoke else tuple(MODES)
-        for mode in modes:
-            rounds = 1 if smoke else rounds_for(mode, fleet)
-            entry[mode] = measure(task, devices, mode, rounds)
-            if progress is not None:
-                progress(
-                    f"fleet={fleet:>7} {mode:<15} "
-                    f"{entry[mode]['rounds_per_s']:>9.4f} rounds/s "
-                    f"(build {entry[mode]['engine_build_s']:.2f}s)"
-                )
-        if not smoke:
-            entry["speedup_vs_member_full"] = round(
-                entry["cohort_sampled"]["rounds_per_s"]
-                / entry["member_full"]["rounds_per_s"], 2)
-            entry["speedup_vs_member_sampled"] = round(
-                entry["cohort_sampled"]["rounds_per_s"]
-                / entry["member_sampled"]["rounds_per_s"], 2)
-        entries.append(entry)
-    return {
-        "benchmark": "fleet_scale_rounds",
-        "model": "fleet_mlp (784-64-10, shared shard)",
-        "clients_per_round": CLIENTS_PER_ROUND,
-        "local_iterations": 2,
-        "batch_size": 8,
-        "smoke": smoke,
-        "fleets": entries,
     }

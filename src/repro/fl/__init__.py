@@ -8,12 +8,12 @@ independently pluggable layers:
   language modelling) so one engine drives all five of the paper's
   workloads;
 - :mod:`repro.fl.worker` -- local training on a simulated edge device;
-- :mod:`repro.fl.server` -- global model custody on the PS;
 - :mod:`repro.fl.aggregation` -- R2SP/BSP aggregators plus their
   sample-count-weighted variants;
 - :mod:`repro.fl.strategies` -- FedMP plus the four baselines
   (Syn-FL, UP-FL, FedProx, FlexCom) and the asynchronous variants;
-- :mod:`repro.fl.engine` -- shared dispatch/train/record plumbing;
+- :mod:`repro.fl.engine` -- global model custody on the PS plus the
+  shared dispatch/train/aggregate/record plumbing;
 - :mod:`repro.fl.schedulers` -- synchronisation rules: sync barrier
   (Eq. 6), async first-``m`` arrivals (Algorithm 2), semi-sync
   per-round deadline with straggler carry-over;

@@ -43,13 +43,8 @@ from typing import Dict, List, Optional, Type
 
 import numpy as np
 
-from repro.pruning.masks import residual_state_dict
 from repro.pruning.plan import PruningPlan
-from repro.pruning.structured import (
-    recover_state_dict,
-    scatter_add_param,
-    scatter_add_residual,
-)
+from repro.pruning.structured import scatter_add_param, scatter_add_residual
 
 
 class AggregationError(ValueError):
@@ -92,18 +87,16 @@ class Contribution:
     weighted aggregators read it (the uniform ones weight every
     contribution equally).
 
-    R2SP-family aggregators need the residual model.  It can be supplied
-    in either of two forms: ``residual`` (the materialised
-    ``global - sparse`` dict, the legacy slow path) or ``global_state``
-    (the frozen pre-round global state, shared by every contribution of
-    the round), from which the aggregator folds the residual in-place
-    without allocating it.  ``residual`` wins when both are set.
+    R2SP-family aggregators need the residual model (global minus the
+    dispatched sparse version).  It is never materialised: the
+    contribution carries ``global_state``, the frozen pre-round global
+    state shared by every contribution of the round, and the aggregator
+    folds the residual in from it at the pruned positions.
     """
 
     worker_id: int
     sub_state: Dict[str, np.ndarray]
     plan: PruningPlan
-    residual: Optional[Dict[str, np.ndarray]] = None
     num_samples: int = 1
     global_state: Optional[Dict[str, np.ndarray]] = None
 
@@ -119,10 +112,6 @@ class Aggregator:
     name: str = "base"
     #: whether contributions must carry a residual model (R2SP family)
     needs_residual: bool = False
-    #: when True, use the reference dense path (zero-expand every
-    #: contribution via :func:`recover_state_dict`) instead of in-place
-    #: scatter-add.  Bitwise-identical output; kept for A/B testing.
-    dense: bool = False
     #: what to do with NaN/Inf-poisoned contributions: "raise" (reject
     #: the round with :class:`PoisonedUpdateError`), "skip" (drop the
     #: contribution and count it) or "off" (no finiteness scan)
@@ -144,18 +133,17 @@ class Aggregator:
                 return key
         return None
 
-    def aggregate(self, contributions: List[Contribution],
-                  template: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Aggregate one round of contributions into a new global state.
+    def weigh(self, contributions: List[Contribution]) -> list:
+        """Validate one round's contributions and attach their weights.
 
-        ``template`` supplies the global shapes for zero-expansion.
-        Zero-weight contributions (e.g. a worker handed an empty shard
-        by a pathological non-IID partition) carry no information and
-        are skipped; only a round where *every* weight vanishes is an
-        error.  Negative weights are always rejected, as are duplicate
-        worker ids (no scheduler produces them legitimately).
-        NaN/Inf-poisoned contributions are rejected or skipped per
-        ``nan_policy``.
+        Returns the ``(contribution, weight)`` pairs that take part in
+        the average.  Zero-weight contributions (e.g. a worker handed an
+        empty shard by a pathological non-IID partition) carry no
+        information and are skipped; only a round where *every* weight
+        vanishes is an error.  Negative weights are always rejected, as
+        are duplicate worker ids (no scheduler produces them
+        legitimately).  NaN/Inf-poisoned contributions are rejected or
+        skipped per ``nan_policy``.
         """
         if not contributions:
             raise EmptyRoundError("cannot aggregate an empty contribution set")
@@ -178,6 +166,11 @@ class Aggregator:
                 )
             if weight == 0.0:
                 continue
+            if self.needs_residual and contribution.global_state is None:
+                raise ValueError(
+                    f"R2SP residual recovery needs the pre-round global "
+                    f"state of worker {contribution.worker_id}"
+                )
             if self.nan_policy != "off":
                 poisoned = self._poisoned_entry(contribution)
                 if poisoned is not None:
@@ -198,27 +191,33 @@ class Aggregator:
                 "all contributions have non-positive aggregation weight; "
                 "nothing to aggregate"
             )
+        return weighted
 
+    def aggregate(self, contributions: List[Contribution],
+                  template: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Aggregate one round of contributions into a new global state.
+
+        ``template`` supplies the global shapes for zero-expansion; see
+        :meth:`weigh` for which contributions take part.  Members of one
+        dispatched cohort fold in as a partial sum, everything else by
+        per-member scatter-add.
+        """
+        weighted = self.weigh(contributions)
         accumulator: Dict[str, np.ndarray] = {
             key: np.zeros_like(value, dtype=np.float64)
             for key, value in template.items()
         }
         total_weight = 0.0
-        for contribution, weight in weighted:
+        for _contribution, weight in weighted:
             total_weight += weight
 
-        if self.dense:
-            for contribution, weight in weighted:
-                self._accumulate_dense(accumulator, contribution, weight,
-                                       template)
-        else:
-            for members in self._cohort_groups(weighted):
-                if len(members) == 1:
-                    contribution, weight = members[0]
-                    self._accumulate_scatter(accumulator, contribution,
-                                             weight, template)
-                else:
-                    self._accumulate_cohort(accumulator, members, template)
+        for members in self._cohort_groups(weighted):
+            if len(members) == 1:
+                contribution, weight = members[0]
+                self._accumulate_scatter(accumulator, contribution, weight,
+                                         template)
+            else:
+                self._accumulate_cohort(accumulator, members, template)
 
         return {
             key: value / total_weight for key, value in accumulator.items()
@@ -228,23 +227,17 @@ class Aggregator:
         """Group weighted contributions that share one dispatched cohort.
 
         Contributions qualify when they share the identical plan object
-        and (under R2SP) the identical frozen global snapshot, and carry
-        unit weight -- the conditions under which a per-cohort partial
-        sum plus a single residual fold is exactly the member-order
-        accumulation (see :meth:`_accumulate_cohort`).  Everything else
+        and the identical frozen global snapshot, and carry unit weight
+        -- the conditions under which a per-cohort partial sum plus a
+        single residual fold is exactly the member-order accumulation
+        (see :meth:`_accumulate_cohort`).  Everything else
         stays a singleton group on the per-member scatter path.  Groups
         come back in first-occurrence order.
         """
         groups: Dict[object, list] = {}
         order = []
         for contribution, weight in weighted:
-            shareable = (
-                weight == 1.0
-                and contribution.residual is None
-                and (not self.needs_residual
-                     or contribution.global_state is not None)
-            )
-            if shareable:
+            if weight == 1.0:
                 key = (id(contribution.plan), id(contribution.global_state))
             else:
                 key = ("solo", contribution.worker_id)
@@ -313,24 +306,10 @@ class Aggregator:
                 time.perf_counter() - scatter_start
             )
 
-    def _accumulate_dense(self, accumulator: Dict[str, np.ndarray],
-                          contribution: Contribution, weight: float,
-                          template: Dict[str, np.ndarray]) -> None:
-        """Reference path: full zero-expansion per contribution."""
-        recovered = recover_state_dict(
-            contribution.sub_state, contribution.plan, template
-        )
-        for key in accumulator:
-            accumulator[key] += weight * recovered[key]
-        if self.needs_residual:
-            residual = self._residual_of(contribution)
-            for key in accumulator:
-                accumulator[key] += weight * residual[key]
-
     def _accumulate_scatter(self, accumulator: Dict[str, np.ndarray],
                             contribution: Contribution, weight: float,
                             template: Dict[str, np.ndarray]) -> None:
-        """Fast path: indexed in-place accumulation, no full-size
+        """Per-member path: indexed in-place accumulation, no full-size
         per-contribution allocations."""
         plan = contribution.plan
         planned = plan.param_names()
@@ -350,37 +329,16 @@ class Aggregator:
                     )
                 accumulator[key] += weight * sub_value
         if self.needs_residual:
-            if contribution.residual is not None:
-                for key in accumulator:
-                    accumulator[key] += weight * contribution.residual[key]
-            elif contribution.global_state is not None:
-                # The residual is the pre-round global value at pruned
-                # positions and zero at kept ones; unplanned keys were
-                # dispatched whole so their residual vanishes entirely.
-                global_state = contribution.global_state
-                for key, (layer_name, suffix) in planned.items():
-                    if key in accumulator:
-                        scatter_add_residual(
-                            accumulator[key], suffix, plan[layer_name],
-                            global_state[key], weight,
-                        )
-            else:
-                raise ValueError(
-                    f"R2SP needs a residual model for worker "
-                    f"{contribution.worker_id}"
-                )
-
-    def _residual_of(self, contribution: Contribution) -> Dict[str, np.ndarray]:
-        """Materialised residual for the dense reference path."""
-        if contribution.residual is not None:
-            return contribution.residual
-        if contribution.global_state is not None:
-            return residual_state_dict(contribution.global_state,
-                                       contribution.plan)
-        raise ValueError(
-            f"R2SP needs a residual model for worker "
-            f"{contribution.worker_id}"
-        )
+            # The residual is the pre-round global value at pruned
+            # positions and zero at kept ones; unplanned keys were
+            # dispatched whole so their residual vanishes entirely.
+            global_state = contribution.global_state
+            for key, (layer_name, suffix) in planned.items():
+                if key in accumulator:
+                    scatter_add_residual(
+                        accumulator[key], suffix, plan[layer_name],
+                        global_state[key], weight,
+                    )
 
 
 class BSPAggregator(Aggregator):

@@ -63,7 +63,7 @@ __all__ = [
 #: field below versions the *payload schema*
 MAGIC = b"FEDMPCKPT\x00"
 #: current payload schema version; bump on any incompatible change
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _VERSION_STRUCT = struct.Struct("<I")
 _HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size

@@ -1,12 +1,13 @@
-"""Cohorts: the unit of work for fleet-scale rounds.
+"""Cohorts: the unit of work of every round.
 
 A *cohort* is the set of sampled workers that share one
-``(pruning ratio, device cluster)`` bucket in a round.  Everything the
-parameter server used to materialise per member -- the
-:class:`~repro.pruning.plan.PruningPlan`, the extracted sub-model and
-its pristine state dict -- is materialised once per cohort instead, so
-dispatch cost is O(cohorts) while per-member bookkeeping shrinks to a
-handful of scalars (``tau``, round costs, sample counts).
+``(pruning ratio, device cluster)`` bucket in a round (a single worker
+when the model carries rng-bearing modules, whose extraction must not
+be shared).  The :class:`~repro.pruning.plan.PruningPlan`, the
+extracted sub-model and its pristine state dict are materialised once
+per cohort, so dispatch cost is O(cohorts) while per-member
+bookkeeping shrinks to a handful of scalars (``tau``, round costs,
+sample counts).
 
 The cohort is also the granularity of execution (see
 :meth:`repro.runtime.executor.Executor.run_cohort`) and of scatter-add
@@ -27,8 +28,9 @@ import numpy as np
 class Cohort:
     """One ``(ratio, cluster)`` bucket of a round's sampled workers.
 
-    ``template`` is the shared extracted sub-model; it is *never*
-    trained in place -- executors clone it (or stack it) per member.
+    ``template`` is the shared extracted sub-model; the engine's
+    executors never train it in place -- they clone it (or stack it)
+    per member.
     ``dispatched_state`` is its pristine state dict, treated as
     immutable by every consumer.
     """

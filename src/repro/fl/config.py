@@ -38,12 +38,6 @@ class FLConfig:
     time_budget_s: Optional[float] = None
     target_metric: Optional[float] = None
 
-    # hot-loop fast path: per-round dispatch cache (plan/sub-model reuse
-    # across same-ratio workers) + scatter-add aggregation with the
-    # residual folded from one shared global snapshot.  Bitwise-identical
-    # to the dense slow path; disable only for A/B debugging.
-    fast_path: bool = True
-
     # NaN/Inf-poisoned uploads: "raise" rejects the round with a typed
     # PoisonedUpdateError, "skip" drops the offending contribution (and
     # counts it in telemetry), "off" disables the finiteness scan
@@ -112,12 +106,13 @@ class FLConfig:
     # trains the whole present fleet every round
     clients_per_round: Optional[int] = None
 
-    # cohort-sharded rounds: workers that share a (pruning-plan, cluster)
-    # bucket are dispatched/trained/aggregated as one cohort.  "auto"
-    # enables cohorts whenever the fast path can share sub-models,
-    # "on"/"off" force the choice.  "off" is the per-member reference
-    # path the cohort differential compares against.
-    cohort_rounds: str = "auto"   # "auto" | "on" | "off"
+    # deprecated spelling, read nowhere: every round is cohort-sharded
+    # (workers sharing a (pruning-plan, cluster) bucket are dispatched,
+    # trained and aggregated as one cohort; a worker alone is a cohort
+    # of one).  "auto" and "on" are accepted and identical; the old
+    # "off" per-member path is now the repro.verify.oracle reference
+    # round.
+    cohort_rounds: str = "auto"   # "auto" | "on"
 
     # history granularity: "member" keeps per-worker ratios/completion
     # times in every RoundRecord (O(fleet) JSON), "cohort" stores
@@ -130,7 +125,6 @@ class FLConfig:
     _NAN_POLICIES = ("raise", "skip", "off")
     _EXECUTORS = ("serial", "process")
     _WIRE_PROFILES = ("exact", "sparse", "sparse+quantized")
-    _COHORT_MODES = ("auto", "on", "off")
     _HISTORY_DETAILS = ("auto", "member", "cohort")
     #: fleet size at which history_detail="auto" switches to cohort
     _HISTORY_DETAIL_AUTO_FLEET = 1024
@@ -201,10 +195,12 @@ class FLConfig:
             )
         if self.clients_per_round is not None and self.clients_per_round <= 0:
             raise ValueError("clients_per_round must be positive when set")
-        if self.cohort_rounds not in self._COHORT_MODES:
+        if self.cohort_rounds not in ("auto", "on"):
             raise ValueError(
-                f"cohort_rounds must be one of {self._COHORT_MODES}, "
-                f"got {self.cohort_rounds!r}"
+                f"cohort_rounds is deprecated and accepts only 'auto' or "
+                f"'on' (identical), got {self.cohort_rounds!r}; the "
+                f"per-member path survives only as the reference round "
+                f"in repro.verify.oracle"
             )
         if self.history_detail not in self._HISTORY_DETAILS:
             raise ValueError(

@@ -1,13 +1,20 @@
 """The round engine: shared dispatch/train/record plumbing.
 
 An :class:`Engine` owns everything one federated experiment needs --
-the global model and parameter server, the worker pool, the strategy,
-the simulated clock, the aggregator and the hook list -- and exposes
-the per-round building blocks (``dispatch``, ``train``, ``aggregate``,
-``evaluate``, ``finish_round``).  It deliberately contains **no round
+the global model (the parameter server's copy), the worker pool, the
+strategy, the simulated clock, the aggregator and the hook list -- and
+exposes the per-round building blocks (``dispatch_many``,
+``train_all``, ``aggregate``, ``evaluate``, ``finish_round``).  It deliberately contains **no round
 loop**: a :mod:`repro.fl.schedulers` scheduler decides *when* to call
 the blocks (barrier, first-``m`` arrivals, or per-round deadline), so
 new synchronisation rules are one scheduler file, not a runner fork.
+
+There is one round path.  A :class:`~repro.fl.cohort.Cohort` -- one or
+more workers sharing a pruning plan, an extracted template and a frozen
+global snapshot -- is the only thing dispatched, trained and
+aggregated; a worker dispatched alone is a cohort of one.  The slow
+reference behaviours this path is checked against live in
+:mod:`repro.verify.oracle`, which nothing here imports.
 
 RNG discipline: every random stream is derived from ``config.seed`` in
 a fixed order at construction time, and the building blocks consume
@@ -17,7 +24,6 @@ devices are bitwise identical, whichever scheduler drives them.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,17 +41,14 @@ from repro.fl.compression import ErrorFeedback, top_k_sparsify
 from repro.fl.config import FLConfig
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.hooks import HookList, RoundHook
-from repro.fl.server import ParameterServer
 from repro.fl.strategies import Strategy, make_strategy
 from repro.fl.worker import Worker
 from repro.nn.batched import supports_cohort_training
-from repro.pruning.masks import residual_state_dict
 from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import TrainHyper
 from repro.runtime.executor import (
     CohortTrainRequest,
     Executor,
-    TrainRequest,
     make_executor,
 )
 from repro.runtime.pool import WorkerSpec
@@ -58,31 +61,42 @@ from repro.telemetry.runtime import DISABLED_TELEMETRY, Telemetry
 
 @dataclass
 class Dispatch:
-    """Everything the PS remembers about one dispatched sub-model."""
+    """One worker's share of a dispatched cohort.
+
+    The plan, the pristine sub-model state and the frozen global
+    snapshot live once on ``cohort``; the member record adds only what
+    differs per worker (pricing, timing, shard size).
+    """
 
     worker_id: int
     ratio: float
-    plan: object
-    submodel: object
-    dispatched_state: Dict[str, np.ndarray]
-    residual: Optional[Dict[str, np.ndarray]]
+    cohort: Cohort
     tau: int
     costs: RoundCosts
     dispatch_time: float = 0.0
-    download_params: int = 0
     upload_params: int = 0
-    #: frozen pre-round global state shared by the round's dispatches;
-    #: set on the fast path instead of materialising ``residual``
-    global_state: Optional[Dict[str, np.ndarray]] = None
     #: local shard size, carried so aggregation-time weighting never
     #: re-resolves the full worker table
     num_samples: int = 1
-    #: owning :class:`~repro.fl.cohort.Cohort` on the cohort path, in
-    #: which case ``submodel`` is None (the cohort template is shared)
-    cohort: Optional[Cohort] = None
     #: raw trained sub-model state (pre upload-compression), recorded by
     #: ``train_all`` for observer hooks and invariant checks
     trained_state: Optional[Dict[str, np.ndarray]] = None
+
+    @property
+    def plan(self):
+        return self.cohort.plan
+
+    @property
+    def dispatched_state(self) -> Dict[str, np.ndarray]:
+        return self.cohort.dispatched_state
+
+    @property
+    def global_state(self) -> Optional[Dict[str, np.ndarray]]:
+        return self.cohort.global_state
+
+    @property
+    def download_params(self) -> int:
+        return self.cohort.num_params
 
     @property
     def finish_time(self) -> float:
@@ -160,7 +174,9 @@ class Engine:
                                  nan_policy=config.nan_policy)
         )
         self.aggregator.metrics = self.telemetry.metrics
-        self.server = ParameterServer(self.model, aggregator=self.aggregator)
+        #: global shapes for zero-expansion, captured once (values go
+        #: stale; read only shapes/keys from it)
+        self.template: Dict[str, np.ndarray] = self.model.state_dict()
         self.hooks = HookList(hooks)
 
         shard_rng = np.random.default_rng(self.master_rng.integers(2 ** 31))
@@ -201,15 +217,13 @@ class Engine:
             )
         self.extract_rng = np.random.default_rng(self.master_rng.integers(2 ** 31))
 
-        # Dispatch fast path: within one cache epoch (between two
+        # Dispatch cache: within one cache epoch (between two
         # aggregations) the global model is frozen, so same-ratio workers
-        # share one plan / extracted sub-model and the round needs at most
-        # one global-state snapshot.  Sub-model sharing is only exact when
-        # extraction consumes no randomness (no rng-bearing modules such
-        # as Dropout, whose per-clone seed draw must stay per-worker).
-        self.fast_path = bool(getattr(config, "fast_path", True))
+        # share one plan and the round needs at most one global-state
+        # snapshot.  The extracted template is shared too unless
+        # extraction consumes randomness the members must not share
+        # (rng-bearing modules such as Dropout draw a seed per clone).
         self._has_rng_modules = bool(self.model.rng_states())
-        self._share_submodels = self.fast_path and not self._has_rng_modules
         self._plan_cache: Dict[float, object] = {}
         self._submodel_cache: Dict[float, Tuple[object, Dict[str, np.ndarray]]] = {}
         self._round_state: Optional[Dict[str, np.ndarray]] = None
@@ -236,18 +250,6 @@ class Engine:
             self.master_rng.integers(2 ** 31)
         )
 
-        # Cohort-sharded rounds: bucket sampled workers by
-        # (ratio, cluster) and dispatch/train/aggregate per bucket.
-        # Requires the sub-model-sharing fast path (one template serves
-        # the whole cohort), so "auto" follows _share_submodels.
-        if config.cohort_rounds == "on" and not self._share_submodels:
-            raise ValueError(
-                "cohort_rounds='on' requires the sub-model-sharing fast "
-                "path (fast_path=True and no rng-bearing modules)"
-            )
-        self.cohort_mode = (
-            self._share_submodels and config.cohort_rounds != "off"
-        )
         self.history_detail = config.history_detail
         if self.history_detail == "auto":
             self.history_detail = (
@@ -499,31 +501,80 @@ class Engine:
     # ------------------------------------------------------------------
     # per-round building blocks
     # ------------------------------------------------------------------
-    def dispatch(self, worker_id: int, ratio: float, dispatch_time: float,
-                 round_index: int) -> Dispatch:
-        """Prune the global model for one worker and price the round."""
-        with self.telemetry.span("dispatch", round=round_index,
-                                 worker=worker_id, ratio=ratio) as span:
-            with self.telemetry.span("prune", round=round_index,
-                                     worker=worker_id, ratio=ratio):
-                plan, submodel, dispatched_state = self._pruned_submodel(ratio)
-                residual = None
-                global_state = None
-                if self.aggregator.needs_residual:
-                    if self.fast_path:
-                        global_state = self._round_global_state()
-                    else:
-                        residual = residual_state_dict(
-                            self.server.global_state, plan
-                        )
+    def dispatch_many(self, ratios: Dict[int, float], dispatch_time: float,
+                      round_index: int) -> Dict[int, Dispatch]:
+        """Prune the global model for a round's workers and price them.
 
+        Workers are bucketed by ``(ratio, cluster)`` in first-occurrence
+        order and each bucket becomes one
+        :class:`~repro.fl.cohort.Cohort`: one plan, one extracted
+        template and one pristine state for all its members, so
+        per-member work shrinks to pricing (round costs) and a
+        lightweight :class:`Dispatch` pointing at the cohort.  When the
+        model carries rng-bearing modules every worker is a cohort of
+        its own -- the plan is still cached per ratio, but each member
+        gets a fresh extraction, in ``ratios`` order, so ``extract_rng``
+        is consumed once per worker.
+        """
+        buckets: Dict[tuple, List[int]] = {}
+        for worker_id, ratio in ratios.items():
+            key = (float(ratio), self.workers[worker_id].device.cluster)
+            if self._has_rng_modules:
+                key += (worker_id,)     # never shared: a cohort of one
+            buckets.setdefault(key, []).append(worker_id)
+
+        metrics = self.telemetry.metrics
+        dispatches: Dict[int, Dispatch] = {}
+        for (ratio, cluster, *_), member_ids in buckets.items():
+            with self.telemetry.span(
+                "dispatch_cohort", round=round_index, ratio=ratio,
+                cluster=cluster, members=len(member_ids),
+            ) as cohort_span:
+                with self.telemetry.span("prune", round=round_index,
+                                         ratio=ratio, cluster=cluster):
+                    plan, template, state = self._cohort_template(ratio)
+                cohort = Cohort(
+                    ratio=ratio, cluster=cluster, plan=plan,
+                    template=template, dispatched_state=state,
+                    member_ids=list(member_ids),
+                    num_params=template.num_parameters(),
+                    supports_vectorised=supports_cohort_training(template),
+                    global_state=(
+                        self._round_global_state()
+                        if self.aggregator.needs_residual else None
+                    ),
+                )
+                flops = self.task.count_flops(template)
+                cohort_span.set("download_params", cohort.num_params)
+                if self.telemetry.tracer.enabled:
+                    cohort_span.set("plan_sig",
+                                    plan_signature_digest(plan))
+                metrics.gauge("cohort_members", ratio=ratio,
+                              cluster=cluster).set(len(member_ids))
+                for worker_id in member_ids:
+                    dispatches[worker_id] = self._dispatch_member(
+                        worker_id, cohort, flops, dispatch_time, round_index
+                    )
+            metrics.counter("dispatch_cohorts_total").inc()
+            metrics.counter("dispatch_cohort_members_total").inc(
+                len(member_ids)
+            )
+        return {worker_id: dispatches[worker_id] for worker_id in ratios}
+
+    def _dispatch_member(self, worker_id: int, cohort: Cohort, flops: float,
+                         dispatch_time: float, round_index: int) -> Dispatch:
+        """Price one member's round on its device and record the
+        dispatch (``flops`` is the cohort template's forward cost)."""
+        with self.telemetry.span("dispatch", round=round_index,
+                                 worker=worker_id, ratio=cohort.ratio) as span:
+            worker = self.workers[worker_id]
+            num_params = cohort.num_params
             tau = self.strategy.local_iterations(worker_id)
-            num_params = submodel.num_parameters()
             keep = self.strategy.upload_keep_fraction(worker_id)
             upload_params = max(1, int(round(num_params * keep)))
-            costs = self.workers[worker_id].round_costs(
-                self.task.count_flops(submodel),
-                download_params=num_params, upload_params=upload_params,
+            costs = worker.round_costs(
+                flops, download_params=num_params,
+                upload_params=upload_params,
                 batch_size=self.config.batch_size, tau=tau,
             )
             span.set("download_params", num_params)
@@ -531,117 +582,22 @@ class Engine:
             span.set("tau", tau)
             span.set("completion_time_s", costs.total_s)
             dispatch = Dispatch(
-                worker_id=worker_id, ratio=ratio, plan=plan,
-                submodel=submodel, dispatched_state=dispatched_state,
-                residual=residual, tau=tau, costs=costs,
-                dispatch_time=dispatch_time, download_params=num_params,
-                upload_params=upload_params, global_state=global_state,
-                num_samples=self.workers[worker_id].num_samples,
+                worker_id=worker_id, ratio=cohort.ratio, cohort=cohort,
+                tau=tau, costs=costs, dispatch_time=dispatch_time,
+                upload_params=upload_params, num_samples=worker.num_samples,
             )
             self.hooks.on_dispatch(round_index, dispatch)
         return dispatch
 
-    def dispatch_many(self, ratios: Dict[int, float], dispatch_time: float,
-                      round_index: int) -> Dict[int, Dispatch]:
-        """Dispatch a round's worth of workers, cohort-sharded when on.
+    def _cohort_template(self, ratio: float):
+        """Plan + extracted template + its pristine state for ``ratio``,
+        served from the per-epoch cache.
 
-        On the cohort path, workers are bucketed by ``(ratio, cluster)``
-        in first-occurrence order -- which preserves the per-member
-        path's cache-miss order, hence its ``extract_rng`` consumption
-        -- and each bucket materialises one plan/template/state for all
-        its members.  Per-member work shrinks to pricing (round costs)
-        and a lightweight :class:`Dispatch` that points at the shared
-        :class:`~repro.fl.cohort.Cohort`.
+        A cached template is returned itself (no clone): nothing trains
+        it in place.  The shared ``dispatched_state`` dict is treated as
+        immutable by all consumers.  Rng-bearing models cache only the
+        plan -- extraction draws a seed per clone there.
         """
-        if not self.cohort_mode:
-            return {
-                worker_id: self.dispatch(
-                    worker_id, ratios[worker_id], dispatch_time, round_index
-                )
-                for worker_id in ratios
-            }
-
-        buckets: Dict[Tuple[float, str], List[int]] = {}
-        for worker_id, ratio in ratios.items():
-            key = (float(ratio), self.workers[worker_id].device.cluster)
-            buckets.setdefault(key, []).append(worker_id)
-
-        metrics = self.telemetry.metrics
-        dispatches: Dict[int, Dispatch] = {}
-        for (ratio, cluster), member_ids in buckets.items():
-            with self.telemetry.span(
-                "dispatch_cohort", round=round_index, ratio=ratio,
-                cluster=cluster, members=len(member_ids),
-            ) as cohort_span:
-                with self.telemetry.span("prune", round=round_index,
-                                         ratio=ratio, cluster=cluster):
-                    plan, template, state, fresh = self._cohort_submodel(
-                        ratio
-                    )
-                num_params = template.num_parameters()
-                saved_clones = len(member_ids) - 1 if fresh else len(member_ids)
-                if saved_clones > 0:
-                    metrics.counter("dispatch_alloc_saved_params_total").inc(
-                        saved_clones * num_params
-                    )
-                global_state = (
-                    self._round_global_state()
-                    if self.aggregator.needs_residual else None
-                )
-                flops = self.task.count_flops(template)
-                cohort = Cohort(
-                    ratio=ratio, cluster=cluster, plan=plan,
-                    template=template, dispatched_state=state,
-                    member_ids=list(member_ids), num_params=num_params,
-                    supports_vectorised=supports_cohort_training(template),
-                    global_state=global_state,
-                )
-                cohort_span.set("download_params", num_params)
-                if self.telemetry.tracer.enabled:
-                    cohort_span.set("plan_sig",
-                                    plan_signature_digest(plan))
-                metrics.gauge("cohort_members", ratio=ratio,
-                              cluster=cluster).set(len(member_ids))
-                for worker_id in member_ids:
-                    with self.telemetry.span(
-                        "dispatch", round=round_index, worker=worker_id,
-                        ratio=ratio,
-                    ) as span:
-                        tau = self.strategy.local_iterations(worker_id)
-                        keep = self.strategy.upload_keep_fraction(worker_id)
-                        upload_params = max(1, int(round(num_params * keep)))
-                        costs = self.workers[worker_id].round_costs(
-                            flops, download_params=num_params,
-                            upload_params=upload_params,
-                            batch_size=self.config.batch_size, tau=tau,
-                        )
-                        span.set("download_params", num_params)
-                        span.set("upload_params", upload_params)
-                        span.set("tau", tau)
-                        span.set("completion_time_s", costs.total_s)
-                        dispatch = Dispatch(
-                            worker_id=worker_id, ratio=ratio, plan=plan,
-                            submodel=None, dispatched_state=state,
-                            residual=None, tau=tau, costs=costs,
-                            dispatch_time=dispatch_time,
-                            download_params=num_params,
-                            upload_params=upload_params,
-                            global_state=global_state,
-                            num_samples=self.workers[worker_id].num_samples,
-                            cohort=cohort,
-                        )
-                        dispatches[worker_id] = dispatch
-                        self.hooks.on_dispatch(round_index, dispatch)
-            metrics.counter("dispatch_cohorts_total").inc()
-            metrics.counter("dispatch_cohort_members_total").inc(
-                len(member_ids)
-            )
-        return {worker_id: dispatches[worker_id] for worker_id in ratios}
-
-    def _cohort_submodel(self, ratio: float):
-        """Like :meth:`_pruned_submodel`, but returns the shared cached
-        template itself (no per-call clone) plus whether it was freshly
-        extracted; cohort-mode callers never train the template."""
         metrics = self.telemetry.metrics
         key = float(ratio)
         plan = self._plan_cache.get(key)
@@ -653,80 +609,26 @@ class Engine:
             metrics.counter("dispatch_cache_hits_total", kind="plan").inc()
 
         cached = self._submodel_cache.get(key)
-        if cached is None:
-            submodel = self.task.extract(self.model, plan, self.extract_rng)
-            state = submodel.state_dict()
-            self._submodel_cache[key] = (submodel, state)
+        if cached is not None:
+            template, state = cached
+            metrics.counter("dispatch_cache_hits_total",
+                            kind="submodel").inc()
+            return plan, template, state
+        template = self.task.extract(self.model, plan, self.extract_rng)
+        state = template.state_dict()
+        if not self._has_rng_modules:
+            self._submodel_cache[key] = (template, state)
             metrics.counter("dispatch_cache_misses_total",
                             kind="submodel").inc()
-            return plan, submodel, state, True
-        template, state = cached
-        metrics.counter("dispatch_cache_hits_total", kind="submodel").inc()
-        return plan, template, state, False
-
-    def _pruned_submodel(self, ratio: float):
-        """Plan + extracted sub-model + its pristine state for ``ratio``,
-        served from the per-epoch cache when the fast path allows it.
-
-        On a sub-model cache hit the clone is rebuilt by deep-copying the
-        cached template and reloading the pristine state, which skips the
-        l1 walk, the fancy-indexed weight extraction and the layer-init
-        RNG draws entirely.  The shared ``dispatched_state`` dict is
-        treated as immutable by all consumers.
-        """
-        if not self.fast_path:
-            plan = self.task.build_plan(self.model, ratio)
-            submodel = self.task.extract(self.model, plan, self.extract_rng)
-            return plan, submodel, submodel.state_dict()
-
-        metrics = self.telemetry.metrics
-        key = float(ratio)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self.task.build_plan(self.model, ratio)
-            self._plan_cache[key] = plan
-            metrics.counter("dispatch_cache_misses_total", kind="plan").inc()
-        else:
-            metrics.counter("dispatch_cache_hits_total", kind="plan").inc()
-
-        if not self._share_submodels:
-            submodel = self.task.extract(self.model, plan, self.extract_rng)
-            return plan, submodel, submodel.state_dict()
-
-        cached = self._submodel_cache.get(key)
-        if cached is None:
-            submodel = self.task.extract(self.model, plan, self.extract_rng)
-            state = submodel.state_dict()
-            self._submodel_cache[key] = (submodel, state)
-            metrics.counter("dispatch_cache_misses_total",
-                            kind="submodel").inc()
-            return plan, submodel, state
-        template, state = cached
-        clone = copy.deepcopy(template)
-        clone.load_state_dict(state)
-        metrics.counter("dispatch_cache_hits_total", kind="submodel").inc()
-        metrics.counter("dispatch_alloc_saved_params_total").inc(
-            clone.num_parameters()
-        )
-        return plan, clone, state
+        return plan, template, state
 
     def _round_global_state(self) -> Dict[str, np.ndarray]:
         """One frozen global-state snapshot per cache epoch, shared by
         every R2SP dispatch of the round in place of a materialised
         residual model."""
         if self._round_state is None:
-            self._round_state = self.server.global_state
-        else:
-            self.telemetry.metrics.counter(
-                "dispatch_alloc_saved_arrays_total", kind="residual",
-            ).inc(2 * len(self._round_state))
+            self._round_state = self.global_state
         return self._round_state
-
-    def train(self, dispatch: Dispatch,
-              round_index: int) -> Tuple[Contribution, float]:
-        """Run one worker's local training; returns its contribution and
-        mean training loss.  Convenience wrapper over :meth:`train_all`."""
-        return self.train_all([dispatch], round_index)[0]
 
     def train_all(self, dispatches: Sequence[Dispatch],
                   round_index: int) -> List[Tuple[Contribution, float]]:
@@ -754,8 +656,7 @@ class Engine:
                 )
             contribution = Contribution(
                 worker_id=dispatch.worker_id, sub_state=sub_state,
-                plan=dispatch.plan, residual=dispatch.residual,
-                num_samples=dispatch.num_samples,
+                plan=dispatch.plan, num_samples=dispatch.num_samples,
                 global_state=dispatch.global_state,
             )
             self.hooks.on_contribution(round_index, dispatch, contribution,
@@ -765,10 +666,10 @@ class Engine:
 
     def _run_training(self, dispatches: Sequence[Dispatch],
                       round_index: int) -> List[object]:
-        """Route dispatches to the executor, cohort-grouped when on.
+        """Hand the dispatches to the executor, one request per cohort.
 
         Returns :class:`~repro.runtime.executor.TrainResult` objects
-        aligned with ``dispatches`` whichever route each one took.
+        aligned with ``dispatches``.
         """
         hyper = TrainHyper(
             lr=self.config.lr, momentum=self.config.momentum,
@@ -778,22 +679,6 @@ class Engine:
         )
         emulate = self.config.emulate_device_factor
 
-        def member_request(dispatch: Dispatch) -> TrainRequest:
-            return TrainRequest(
-                worker_id=dispatch.worker_id, ratio=dispatch.ratio,
-                tau=dispatch.tau, plan=dispatch.plan,
-                submodel=dispatch.submodel,
-                dispatched_state=dispatch.dispatched_state,
-                hyper=hyper,
-                emulate_s=dispatch.costs.total_s * emulate,
-            )
-
-        if not self.cohort_mode:
-            return self.executor.run(
-                [member_request(dispatch) for dispatch in dispatches],
-                round_index,
-            )
-
         # group by owning cohort, preserving dispatch order within and
         # across groups so result scatter-back is deterministic
         groups: Dict[int, List[int]] = {}
@@ -802,25 +687,16 @@ class Engine:
 
         results: List[object] = [None] * len(dispatches)
         for indices in groups.values():
-            cohort = dispatches[indices[0]].cohort
-            if cohort is None:
-                # dispatched via the per-member API (e.g. direct callers)
-                batch = self.executor.run(
-                    [member_request(dispatches[i]) for i in indices],
-                    round_index,
-                )
-            else:
-                request = CohortTrainRequest(
-                    cohort=cohort,
-                    worker_ids=[dispatches[i].worker_id for i in indices],
-                    taus=[dispatches[i].tau for i in indices],
-                    hyper=hyper,
-                    emulate_s=[
-                        dispatches[i].costs.total_s * emulate
-                        for i in indices
-                    ],
-                )
-                batch = self.executor.run_cohort(request, round_index)
+            request = CohortTrainRequest(
+                cohort=dispatches[indices[0]].cohort,
+                worker_ids=[dispatches[i].worker_id for i in indices],
+                taus=[dispatches[i].tau for i in indices],
+                hyper=hyper,
+                emulate_s=[
+                    dispatches[i].costs.total_s * emulate for i in indices
+                ],
+            )
+            batch = self.executor.run_cohort(request, round_index)
             for index, result in zip(indices, batch):
                 results[index] = result
         return results
@@ -841,10 +717,10 @@ class Engine:
         buckets: Dict[Tuple[float, str], List[int]] = {}
         for worker_id, ratio in ratios.items():
             dispatch = dispatches.get(worker_id)
-            if dispatch is not None and dispatch.cohort is not None:
-                cluster = dispatch.cohort.cluster
-            else:
-                cluster = self.workers[worker_id].device.cluster
+            cluster = (
+                dispatch.cohort.cluster if dispatch is not None
+                else self.workers[worker_id].device.cluster
+            )
             buckets.setdefault((float(ratio), cluster), []).append(worker_id)
 
         cohorts = []
@@ -888,10 +764,15 @@ class Engine:
         compensated = feedback.compensate(delta, plan=plan)
         sparse_delta, _ = top_k_sparsify(compensated, keep)
         feedback.update(compensated, sparse_delta, plan=plan,
-                        template=self.server.template)
+                        template=self.template)
         return {
             key: dispatched[key] + sparse_delta[key] for key in trained
         }
+
+    @property
+    def global_state(self) -> Dict[str, np.ndarray]:
+        """A fresh copy of the current global model state."""
+        return self.model.state_dict()
 
     def aggregate(self, contributions: List[Contribution],
                   round_index: int) -> Dict[str, np.ndarray]:
@@ -911,29 +792,21 @@ class Engine:
             contributions = self.hooks.before_aggregate(round_index,
                                                         contributions)
             apply_start = time.perf_counter()
-            new_state = self.server.apply(contributions)
+            self.model.load_state_dict(
+                self.aggregator.aggregate(contributions, self.template)
+            )
             apply_s = time.perf_counter() - apply_start
             span.set("apply_s", apply_s)
             self.telemetry.metrics.histogram(
                 "aggregate_apply_s",
             ).observe(apply_s)
-            if self.fast_path and not self.aggregator.dense:
-                saved = len(contributions) * len(self.server.template)
-                if self.aggregator.needs_residual:
-                    saved += len(self.server.template) * sum(
-                        1 for c in contributions
-                        if c.residual is None and c.global_state is not None
-                    )
-                self.telemetry.metrics.counter(
-                    "aggregate_alloc_saved_arrays_total",
-                ).inc(saved)
             # the global model changed: every cached plan/sub-model and
             # the round snapshot are stale from here on
             self._plan_cache.clear()
             self._submodel_cache.clear()
             self._round_state = None
             self.hooks.on_aggregate(round_index, contributions)
-        return new_state
+        return self.global_state
 
     def evaluate(self, round_index: int,
                  force: bool = False) -> Tuple[Optional[float], Optional[float]]:

@@ -119,31 +119,34 @@ class Executor:
         """Train one cohort; results align with ``request.worker_ids``.
 
         The base route decomposes the cohort into per-member
-        :class:`TrainRequest` records -- cloning the shared template
-        exactly the way per-member dispatch would have (deep-copy +
-        pristine-state reload, so results stay bitwise identical) --
-        and delegates to :meth:`run`.  Subclasses may override with a
-        genuinely cohort-level execution (see
-        :meth:`SerialExecutor.run_cohort`).
+        :class:`TrainRequest` records, each with its own clone of the
+        shared template (deep-copy + pristine-state reload, generator
+        states included, so every member trains exactly the sub-model a
+        fresh extraction would have given it), and delegates to
+        :meth:`run`.  Subclasses may override with a genuinely
+        cohort-level execution (see :meth:`SerialExecutor.run_cohort`).
         """
         return self.run(self._decompose(request), round_index)
 
     @staticmethod
     def _decompose(request: CohortTrainRequest,
                    clone_template: bool = True) -> List[TrainRequest]:
+        """Per-member requests of one cohort.  Without
+        ``clone_template`` every request points at the shared template
+        itself, which the caller must then only read."""
         cohort = request.cohort
         emulate = request.emulate_s or [0.0] * len(request.worker_ids)
         requests = []
         for worker_id, tau, emulate_s in zip(
             request.worker_ids, request.taus, emulate
         ):
-            clone = None
+            submodel = cohort.template
             if clone_template:
-                clone = copy.deepcopy(cohort.template)
-                clone.load_state_dict(cohort.dispatched_state)
+                submodel = copy.deepcopy(submodel)
+                submodel.load_state_dict(cohort.dispatched_state)
             requests.append(TrainRequest(
                 worker_id=worker_id, ratio=cohort.ratio, tau=tau,
-                plan=cohort.plan, submodel=clone,
+                plan=cohort.plan, submodel=submodel,
                 dispatched_state=cohort.dispatched_state,
                 hyper=request.hyper, emulate_s=emulate_s,
             ))
@@ -320,8 +323,7 @@ class RemoteExecutor(Executor):
 
     A dispatch frame is all a receiver needs: it derives the sub-model
     from its skeleton and the frame's plan, state and RNG record, so
-    ``request.submodel`` is only read for its generator states (and may
-    be None for an RNG-free architecture).
+    ``request.submodel`` is only read for its generator states.
 
     ``wire_profile`` selects how receivers encode contributions:
     ``exact`` (dense float32, bitwise parity), ``sparse`` (top-k moved
@@ -396,10 +398,7 @@ class RemoteExecutor(Executor):
                         reply_quantize_bits=(
                             self.wire_quantize_bits if negotiated else None
                         ),
-                        module_rngs=(
-                            request.submodel.rng_states()
-                            if request.submodel is not None else None
-                        ),
+                        module_rngs=request.submodel.rng_states(),
                     )
                     metrics.counter("wire_bytes_total",
                                     kind="dispatch").inc(len(frame))
@@ -454,9 +453,9 @@ class RemoteExecutor(Executor):
 
     def run_cohort(self, request: CohortTrainRequest,
                    round_index: int = 0) -> List[TrainResult]:
-        """Encode straight from the cohort's shared plan and state: the
-        receivers derive the module graph themselves (cohorts only form
-        over RNG-free architectures), so no template is cloned."""
+        """Encode straight from the cohort's shared plan, state and
+        generator record: the receivers derive the module graph
+        themselves, so no template is cloned."""
         return self.run(self._decompose(request, clone_template=False),
                         round_index)
 

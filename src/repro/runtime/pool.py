@@ -244,8 +244,13 @@ def handle_train(workers: Dict[int, Worker], skeleton: Optional[Skeleton],
 
 
 def _child_main(conn, skeleton: Optional[Skeleton],
-                specs_blob: bytes) -> None:
+                specs_blob: bytes, inherited=()) -> None:
     """Serve one pipe until shutdown.
+
+    ``inherited`` holds the parent-side pipe ends a forked child was
+    born with (its own and every earlier member's).  They are closed
+    first: while any copy stays open, a SIGKILLed parent never shows up
+    as EOF on ``conn`` and the child would serve a dead pipe for ever.
 
     Message grammar (tuples; ``seq`` correlates replies to requests):
 
@@ -259,6 +264,8 @@ def _child_main(conn, skeleton: Optional[Skeleton],
       since in process mode the data/RNG streams advance here);
     - ``("shutdown",)`` -> exit.
     """
+    for parent_end in inherited:
+        parent_end.close()
     specs: List[WorkerSpec] = pickle.loads(specs_blob)
     workers = {spec.worker_id: spec.build() for spec in specs}
     try:
@@ -334,8 +341,9 @@ class ProcessPool:
 
     Workers are assigned round-robin over their sorted ids, so the
     worker -> child mapping is deterministic for a given fleet and
-    pool size.  Children are daemonic: an abnormal parent exit cannot
-    leave them behind.  ``skeleton`` is what the children derive
+    pool size.  Children are daemonic and hold no copy of the parent's
+    pipe ends, so they exit on EOF however the parent dies (SIGKILL
+    included).  ``skeleton`` is what the children derive
     sub-models from (under ``fork`` they simply inherit it: nothing is
     pickled); a pool started without one serves only the control plane
     (``ping`` / ``capture``).
@@ -355,6 +363,9 @@ class ProcessPool:
         count = num_procs if num_procs is not None else (mp.cpu_count() or 1)
         count = max(1, min(int(count), len(specs)))
         ctx = mp.get_context(start_method or _pick_start_method())
+        # only fork hands a child the parent's open descriptors (and
+        # only fork passes args without pickling them)
+        forked = ctx.get_start_method() == "fork"
         self.retry = retry if retry is not None else RetryPolicy()
         self.metrics = (
             metrics if metrics is not None else DISABLED_TELEMETRY.metrics
@@ -366,9 +377,13 @@ class ProcessPool:
         for index in range(count):
             group = specs[index::count]
             parent_conn, child_conn = ctx.Pipe()
+            inherited = (
+                [parent_conn] + [member.conn for member in self.members]
+                if forked else []
+            )
             proc = ctx.Process(
                 target=_child_main,
-                args=(child_conn, skeleton, pickle.dumps(group)),
+                args=(child_conn, skeleton, pickle.dumps(group), inherited),
                 name=f"repro-pool-{index}", daemon=True,
             )
             proc.start()
@@ -383,6 +398,7 @@ class ProcessPool:
             )
             for spec in group:
                 self.by_worker[spec.worker_id] = member
+
     def __len__(self) -> int:
         return len(self.members)
 

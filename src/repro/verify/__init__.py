@@ -8,9 +8,12 @@ it claims (see DESIGN.md section 3.4):
   accounting and E-UCB statistics integrity every round against slow
   reference oracles.
 - :mod:`repro.verify.differential` -- runs semantics-preserving
-  configuration pairs (fast path vs dense reference, sync vs
+  pairs (the engine vs the per-member reference round, sync vs
   semi-sync with an unreachable deadline) under one seed and reports
   the first ULP divergence.
+- :mod:`repro.verify.oracle` -- the slow reference implementations the
+  two above compare against: a dense aggregator and a per-member
+  reference round.  Production code never imports it.
 - :mod:`repro.verify.faults` -- deterministic injection of dropped,
   duplicated, poisoned, stale and zero-sample contributions, with the
   engine's response pinned per fault kind.
@@ -32,7 +35,7 @@ from repro.verify.differential import (
     ParamDivergence,
     StateCaptureHook,
     compare_state_sequences,
-    differential_fast_vs_dense,
+    differential_engine_vs_reference,
     differential_serial_vs_process,
     differential_sync_vs_semisync,
     normalised_history_bytes,
@@ -74,7 +77,7 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "compare_state_sequences",
-    "differential_fast_vs_dense",
+    "differential_engine_vs_reference",
     "differential_serial_vs_process",
     "differential_sync_vs_semisync",
     "normalised_history_bytes",

@@ -1,11 +1,12 @@
 """Differential testing: two configurations of the same seeded run.
 
-The round engine promises that several configuration axes are
+The round engine promises that several axes are
 *semantics-preserving*:
 
-- the dispatch/aggregation **fast path** (plan & sub-model caching +
-  scatter-add accumulation) is bitwise identical to the dense
-  reference path (``fast_path=False`` + ``Aggregator.dense=True``);
+- the **production round** (plan & template caching, cohort requests
+  through the executor, scatter-add accumulation) is bitwise identical
+  to the per-member reference round with dense aggregation
+  (:class:`repro.verify.oracle.ReferenceEngine`);
 - a **semi-synchronous** round with an unreachable deadline admits
   every worker, so it aggregates the same contribution *set* as the
   synchronous barrier -- in arrival order rather than worker-id order,
@@ -32,6 +33,7 @@ from repro.fl.history import TrainingHistory
 from repro.fl.hooks import RoundHook
 from repro.fl.schedulers import make_scheduler
 from repro.verify.errors import DivergenceError
+from repro.verify.oracle import ReferenceEngine
 
 __all__ = [
     "ulp_distance",
@@ -40,9 +42,8 @@ __all__ = [
     "DifferentialReport",
     "capture_run",
     "compare_state_sequences",
-    "differential_fast_vs_dense",
+    "differential_engine_vs_reference",
     "differential_sync_vs_semisync",
-    "differential_cohort_vs_member",
     "differential_serial_vs_process",
     "normalised_history_bytes",
 ]
@@ -158,21 +159,19 @@ class StateCaptureHook(RoundHook):
 
     def on_aggregate(self, round_index, contributions) -> None:
         # global_state already returns a fresh copy
-        self.states.append(self._engine.server.global_state)
+        self.states.append(self._engine.global_state)
 
 
 def capture_run(task, devices: Sequence, config: FLConfig,
-                dense: bool = False,
                 extra_hooks: Sequence[RoundHook] = (),
+                engine_cls: type = Engine,
                 ) -> Tuple[TrainingHistory, List[Dict[str, np.ndarray]]]:
     """Run one experiment, returning its history and the per-round
-    global states.  ``dense=True`` forces the reference aggregation
-    path (full zero-expansion, no dispatch cache)."""
+    global states.  ``engine_cls`` swaps in the reference round
+    (:class:`~repro.verify.oracle.ReferenceEngine`)."""
     capture = StateCaptureHook()
-    engine = Engine(task, devices, config,
-                    hooks=[capture, *extra_hooks])
-    if dense:
-        engine.aggregator.dense = True
+    engine = engine_cls(task, devices, config,
+                        hooks=[capture, *extra_hooks])
     scheduler = make_scheduler(config)
     try:
         history = scheduler.run(engine)
@@ -225,23 +224,28 @@ def compare_state_sequences(states_a: List[Dict[str, np.ndarray]],
     )
 
 
-def differential_fast_vs_dense(task_factory: Callable[[], object],
-                               devices: Sequence, config: FLConfig,
-                               tolerance_ulps: int = 0,
-                               ) -> DifferentialReport:
-    """Fast path vs dense reference under one seed.
+def differential_engine_vs_reference(task_factory: Callable[[], object],
+                                     devices: Sequence, config: FLConfig,
+                                     tolerance_ulps: int = 0,
+                                     ) -> DifferentialReport:
+    """The production round vs the per-member reference under one seed.
 
-    The fast path is *specified* to be bitwise identical, so the
-    default tolerance is zero ULPs.
+    The engine buckets workers into cohorts, caches one plan and one
+    template per bucket, may train a cohort as one vectorised batch,
+    and scatter-adds per-cohort float64 partial sums; the reference
+    plans, extracts and trains every member on its own and aggregates
+    densely (:mod:`repro.verify.oracle`).  The two are *specified* to
+    be bitwise identical (DESIGN.md section 3.3), rng-bearing models
+    included, so the default tolerance is zero ULPs.
     """
-    fast_config = replace(config, fast_path=True)
-    dense_config = replace(config, fast_path=False)
-    _, states_fast = capture_run(task_factory(), devices, fast_config)
-    _, states_dense = capture_run(task_factory(), devices, dense_config,
-                                  dense=True)
+    _, states_engine = capture_run(task_factory(), devices, config)
+    _, states_reference = capture_run(
+        task_factory(), devices, replace(config, executor="serial"),
+        engine_cls=ReferenceEngine,
+    )
     return compare_state_sequences(
-        states_fast, states_dense, tolerance_ulps,
-        label_a="fast_path", label_b="dense_reference",
+        states_engine, states_reference, tolerance_ulps,
+        label_a="engine", label_b="reference",
     )
 
 
@@ -275,30 +279,6 @@ def differential_sync_vs_semisync(task_factory: Callable[[], object],
     return compare_state_sequences(
         states_sync, states_semi, tolerance_ulps,
         label_a="sync", label_b="semi_sync_inf",
-    )
-
-
-def differential_cohort_vs_member(task_factory: Callable[[], object],
-                                  devices: Sequence, config: FLConfig,
-                                  tolerance_ulps: int = 0,
-                                  ) -> DifferentialReport:
-    """Cohort-sharded rounds vs the per-member path under one seed.
-
-    The cohort path (``cohort_rounds="on"``) buckets workers by
-    (pruning ratio, cluster), extracts one shared sub-model per
-    cohort, optionally trains members as one vectorised batch, and
-    aggregates per-cohort float64 partial sums before the global
-    merge.  All of this is *specified* to be bitwise identical to
-    dispatching, training and accumulating each member individually
-    (DESIGN.md section 3.6), so the default tolerance is zero ULPs.
-    """
-    cohort_config = replace(config, fast_path=True, cohort_rounds="on")
-    member_config = replace(config, cohort_rounds="off")
-    _, states_cohort = capture_run(task_factory(), devices, cohort_config)
-    _, states_member = capture_run(task_factory(), devices, member_config)
-    return compare_state_sequences(
-        states_cohort, states_member, tolerance_ulps,
-        label_a="cohort", label_b="member",
     )
 
 

@@ -1,7 +1,7 @@
 """Runtime invariant checkers for the round engine.
 
 :class:`InvariantHook` is a :class:`~repro.fl.hooks.RoundHook` that
-re-derives, every round, the properties the engine's fast paths are
+re-derives, every round, the properties the engine's round path is
 supposed to preserve, using the slow reference implementations as
 oracles:
 
@@ -47,6 +47,7 @@ from repro.pruning.plan import PruningPlan, keep_count
 from repro.pruning.structured import gather_param
 from repro.verify.differential import ulp_distance
 from repro.verify.errors import InvariantViolation
+from repro.verify.oracle import dense_aggregate
 
 __all__ = ["InvariantHook", "ALL_CHECKS"]
 
@@ -161,7 +162,7 @@ class InvariantHook(RoundHook):
     def _check_shapes(self, round_index: int, plan: PruningPlan,
                       state: Dict[str, np.ndarray], what: str) -> None:
         self._checked("shapes")
-        template = self._engine.server.template
+        template = self._engine.template
         planned = plan.param_names()
         for key, value in state.items():
             full = template.get(key)
@@ -247,11 +248,9 @@ class InvariantHook(RoundHook):
 
         plan = contribution.plan
         planned = plan.param_names()
-        # cohort dispatches carry no per-member submodel; the engine
-        # records the trained state on the dispatch before this hook runs
+        # the engine records the raw trained state on the dispatch
+        # before this hook runs
         trained = dispatch.trained_state
-        if trained is None:
-            trained = dispatch.submodel.state_dict()
         for key, uploaded in contribution.sub_state.items():
             new_mem = after.get(key)
             if new_mem is None:
@@ -309,11 +308,9 @@ class InvariantHook(RoundHook):
                     contributions: List[Contribution]) -> None:
         self._checked("mass")
         engine = self._engine
-        reference = type(engine.aggregator)()
-        reference.dense = True
-        reference.nan_policy = engine.aggregator.nan_policy
-        expected = reference.aggregate(contributions, engine.server.template)
-        actual = engine.server.global_state
+        expected = dense_aggregate(engine.aggregator, contributions,
+                                   engine.template)
+        actual = engine.global_state
         for key in sorted(actual):
             target = expected[key].astype(actual[key].dtype)
             ulps = ulp_distance(actual[key], target)

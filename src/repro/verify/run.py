@@ -7,11 +7,10 @@ bench preset:
    exercises compressed uploads, hence the error-feedback accounting)
    with every :class:`~repro.verify.invariants.InvariantHook` check in
    ``record`` mode.
-2. **Differential runs** -- fast path vs dense reference (must be
-   bitwise identical), sync vs semi-sync with an unreachable
-   deadline (equal up to floating-point summation reordering), and
-   cohort-sharded rounds vs the per-member path (must be bitwise
-   identical).
+2. **Differential runs** -- the engine vs the per-member reference
+   round with dense aggregation (must be bitwise identical, on
+   rng-bearing models too), and sync vs semi-sync with an unreachable
+   deadline (equal up to floating-point summation reordering).
 3. **Fault conformance** -- every fault kind in
    :data:`~repro.verify.faults.FAULT_KINDS` is injected into a short
    run and the engine's documented behaviour is asserted.
@@ -45,8 +44,7 @@ from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.verify.differential import (
     DifferentialReport,
     StateCaptureHook,
-    differential_cohort_vs_member,
-    differential_fast_vs_dense,
+    differential_engine_vs_reference,
     differential_serial_vs_process,
     differential_sync_vs_semisync,
 )
@@ -263,8 +261,8 @@ def run_verification(preset: str = "cnn", rounds: int = 5,
     base = bench.make_config("fedmp", max_rounds=rounds, seed=seed,
                              target_metric=None, eval_every=rounds)
     report.results.append(_differential_stage(
-        "differential/fast_vs_dense",
-        lambda: differential_fast_vs_dense(
+        "differential/engine_vs_reference",
+        lambda: differential_engine_vs_reference(
             lambda: bench.make_task(0.0), devices, base,
             tolerance_ulps=tolerance_ulps,
         ),
@@ -276,26 +274,6 @@ def run_verification(preset: str = "cnn", rounds: int = 5,
             tolerance_ulps=semisync_tolerance_ulps,
         ),
     ))
-    rng_modules = sorted(
-        bench.make_task(0.0).build_model(np.random.default_rng(0))
-        .rng_states()
-    )
-    if rng_modules:
-        # cohorts only form when same-plan members can share one
-        # template, which an RNG-bearing module (Dropout) rules out
-        report.results.append(CheckResult(
-            "differential/cohort_vs_member", True,
-            f"not applicable: {rng_modules} carry "
-            f"per-member RNG state, so the engine never forms cohorts",
-        ))
-    else:
-        report.results.append(_differential_stage(
-            "differential/cohort_vs_member",
-            lambda: differential_cohort_vs_member(
-                lambda: bench.make_task(0.0), devices, base,
-                tolerance_ulps=tolerance_ulps,
-            ),
-        ))
 
     # --- stage 3: fault conformance --------------------------------------
     fault_rounds = min(3, rounds)

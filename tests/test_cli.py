@@ -73,16 +73,25 @@ def test_run_process_executor_matches_serial_history(tmp_path, capsys):
     assert serial == process
 
 
-def test_run_nan_policy_and_fast_path_flags_reach_config(tmp_path, capsys):
+def test_run_nan_policy_and_history_detail_flags_reach_config(
+        tmp_path, capsys):
     history_path = tmp_path / "history.json"
     code = main([
         "run", "--task", "cnn", "--strategy", "synfl",
         "--rounds", "1", "--seed", "1", "--nan-policy", "skip",
-        "--no-fast-path", "--history", str(history_path),
+        "--history-detail", "cohort", "--history", str(history_path),
     ])
     assert code == 0
     capsys.readouterr()
-    assert json.loads(history_path.read_text())["rounds"]
+    rounds = json.loads(history_path.read_text())["rounds"]
+    assert rounds and rounds[0]["cohorts"] and not rounds[0]["ratios"]
+
+
+@pytest.mark.parametrize("flag", ["--no-fast-path", "--cohort-rounds"])
+def test_run_rejects_the_removed_path_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", flag])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_rejects_profiler_with_process_executor(capsys):

@@ -18,32 +18,37 @@ from repro.fl.aggregation import (
     WeightedR2SPAggregator,
     make_aggregator,
 )
-from repro.fl.server import ParameterServer
+from repro.data.synthetic import make_synthetic_mnist
+from repro.fl.config import FLConfig
+from repro.fl.engine import Engine
+from repro.fl.tasks import ClassificationTask
+from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry import MetricsRegistry
 from repro.models import build_cnn
 from repro.pruning import (
     build_pruning_plan,
     extract_submodel,
+    recover_state_dict,
     residual_state_dict,
 )
+from repro.verify.oracle import dense_aggregate
 
 
 def _identity_contribution(model, worker_id, shift, num_samples=1):
     """Full-model (ratio 0) contribution whose state is global + shift."""
     plan = build_pruning_plan(model, 0.0)
-    state = {k: v + shift for k, v in model.state_dict().items()}
-    residual = {k: np.zeros_like(v) for k, v in state.items()}
+    global_state = model.state_dict()
+    state = {k: v + shift for k, v in global_state.items()}
     return Contribution(worker_id=worker_id, sub_state=state, plan=plan,
-                        residual=residual, num_samples=num_samples)
+                        num_samples=num_samples, global_state=global_state)
 
 
 def _pruned_contribution(model, ratio, rng, num_samples=1, worker_id=0):
     plan = build_pruning_plan(model, ratio)
     sub = extract_submodel(model, plan, rng=rng)
-    residual = residual_state_dict(model.state_dict(), plan)
     return Contribution(worker_id=worker_id, sub_state=sub.state_dict(),
-                        plan=plan, residual=residual,
-                        num_samples=num_samples)
+                        plan=plan, num_samples=num_samples,
+                        global_state=model.state_dict())
 
 
 def test_registry_covers_all_schemes():
@@ -175,24 +180,20 @@ def test_negative_weight_rejected(rng):
 
 
 def _trained_pruned_contribution(model, worker_id, ratio, shift, rng,
-                                 num_samples=1, materialise_residual=True):
+                                 num_samples=1):
     """Pruned contribution whose sub-state was 'trained' (shifted)."""
     plan = build_pruning_plan(model, ratio)
     sub = extract_submodel(model, plan, rng=rng)
     sub_state = {k: v + shift for k, v in sub.state_dict().items()}
-    global_state = model.state_dict()
-    residual = (residual_state_dict(global_state, plan)
-                if materialise_residual else None)
     return Contribution(worker_id=worker_id, sub_state=sub_state, plan=plan,
-                        residual=residual, num_samples=num_samples,
-                        global_state=None if materialise_residual
-                        else global_state)
+                        num_samples=num_samples,
+                        global_state=model.state_dict())
 
 
 @pytest.mark.parametrize("scheme", sorted(AGGREGATORS))
 def test_scatter_path_matches_dense_path_bitwise(scheme, rng):
-    """The in-place scatter-add fast path must reproduce the reference
-    dense (zero-expansion) path bit for bit."""
+    """The in-place scatter-add path must reproduce the reference
+    dense (zero-expansion) oracle bit for bit."""
     model = build_cnn(rng=rng)
     template = model.state_dict()
     extract_rng = np.random.default_rng(7)
@@ -203,61 +204,71 @@ def test_scatter_path_matches_dense_path_bitwise(scheme, rng):
             ((0.0, 0.125, 2), (0.3, -0.5, 9), (0.6, 1.0, 4))
         )
     ]
-    dense_agg = make_aggregator(scheme)
-    dense_agg.dense = True
-    fast_agg = make_aggregator(scheme)
-    dense = dense_agg.aggregate(contributions, template)
-    fast = fast_agg.aggregate(contributions, template)
+    aggregator = make_aggregator(scheme)
+    dense = dense_aggregate(aggregator, contributions, template)
+    fast = aggregator.aggregate(contributions, template)
     assert set(dense) == set(fast)
     for key in dense:
         assert np.array_equal(dense[key], fast[key]), key
 
 
 def test_global_state_residual_matches_materialised_residual(rng):
-    """Folding the residual from the shared global snapshot equals the
-    legacy per-contribution materialised residual, bit for bit."""
+    """Folding the residual from the shared global snapshot equals
+    adding each contribution's materialised residual model, bit for
+    bit."""
     model = build_cnn(rng=rng)
     template = model.state_dict()
-    legacy = [
+    contributions = [
         _trained_pruned_contribution(model, i, ratio, shift,
                                      np.random.default_rng(11 + i))
         for i, (ratio, shift) in enumerate(((0.25, 0.5), (0.5, -0.25)))
     ]
-    shared = [
-        _trained_pruned_contribution(model, i, ratio, shift,
-                                     np.random.default_rng(11 + i),
-                                     materialise_residual=False)
-        for i, (ratio, shift) in enumerate(((0.25, 0.5), (0.5, -0.25)))
-    ]
-    after_legacy = R2SPAggregator().aggregate(legacy, template)
-    after_shared = R2SPAggregator().aggregate(shared, template)
+    expected = {key: np.zeros_like(value, dtype=np.float64)
+                for key, value in template.items()}
+    for contribution in contributions:
+        recovered = recover_state_dict(contribution.sub_state,
+                                       contribution.plan, template)
+        residual = residual_state_dict(contribution.global_state,
+                                       contribution.plan)
+        for key in expected:
+            expected[key] += recovered[key]
+            expected[key] += residual[key]
+    after = R2SPAggregator().aggregate(contributions, template)
     for key in template:
-        assert np.array_equal(after_legacy[key], after_shared[key]), key
+        assert np.array_equal(after[key], expected[key] / 2.0), key
 
 
 def test_missing_residual_rejected(rng):
     model = build_cnn(rng=rng)
     contribution = _identity_contribution(model, 0, 0.0)
-    contribution.residual = None
+    contribution.global_state = None
     with pytest.raises(ValueError, match="residual"):
         WeightedR2SPAggregator().aggregate([contribution],
                                            model.state_dict())
 
 
-def test_server_default_aggregator_is_r2sp(rng):
-    server = ParameterServer(build_cnn(rng=rng))
-    assert isinstance(server.aggregator, R2SPAggregator)
+def _engine(**kwargs):
+    dataset = make_synthetic_mnist(train_per_class=2, test_per_class=1,
+                                   rng=np.random.default_rng(0))
+    devices = make_scenario_devices({"A": 1, "B": 1},
+                                    np.random.default_rng(7))
+    return Engine(ClassificationTask(dataset, "cnn"), devices,
+                  FLConfig(max_rounds=1), **kwargs)
 
 
-def test_server_apply_uses_injected_aggregator(rng):
-    model = build_cnn(rng=rng)
+def test_server_default_aggregator_is_r2sp():
+    assert isinstance(_engine().aggregator, R2SPAggregator)
+
+
+def test_server_apply_uses_injected_aggregator():
+    engine = _engine(aggregator=WeightedR2SPAggregator())
+    model = engine.model
     before = model.state_dict()
-    server = ParameterServer(model, aggregator=WeightedR2SPAggregator())
     contributions = [
         _identity_contribution(model, 0, 0.0, num_samples=1),
         _identity_contribution(model, 1, 4.0, num_samples=3),
     ]
-    after = server.apply(contributions)
+    after = engine.aggregate(contributions, round_index=0)
     for key in before:
         assert np.allclose(after[key], before[key] + 3.0, atol=1e-5)
 

@@ -1,15 +1,15 @@
 """Cohort-sharded rounds: bitwise parity, cache conformance, sampling.
 
-The cohort path (DESIGN.md section 3.6) is specified to be a pure
+The cohort path (DESIGN.md section 3.3) is specified to be a pure
 execution-plan change: bucketing workers by (ratio, cluster), sharing
 one extracted sub-model per bucket, vectorising local training and
 accumulating per-cohort float64 partial sums must all be bitwise
-invisible next to dispatching and accumulating each member alone.
+invisible next to dispatching and accumulating each member alone --
+which is what the ``repro.verify.oracle`` reference round does.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +25,12 @@ from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import Telemetry
 from repro.verify.differential import (
+    StateCaptureHook,
     capture_run,
     compare_state_sequences,
     normalised_history_bytes,
 )
+from repro.verify.oracle import ReferenceEngine
 
 SCHEDULER_CONFIGS = {
     "sync": {},
@@ -73,29 +75,31 @@ def _counter_sum(telemetry, name, **labels):
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_CONFIGS))
 def test_cohort_path_is_bitwise_identical(task, devices, scheduler):
     config = _config(**SCHEDULER_CONFIGS[scheduler])
-    _, cohort = capture_run(task, devices,
-                            replace(config, cohort_rounds="on"))
-    _, member = capture_run(task, devices,
-                            replace(config, cohort_rounds="off"))
-    report = compare_state_sequences(cohort, member, tolerance_ulps=0,
+    telemetry = Telemetry(metrics=MetricsRegistry())
+    capture = StateCaptureHook()
+    engine = Engine(task, devices, config, hooks=[capture],
+                    telemetry=telemetry)
+    make_scheduler(config).run(engine)
+    # the ten-device fleet really exercises the shared routes: E-UCB's
+    # warm-up round puts whole clusters into one vectorised cohort
+    assert _counter_sum(telemetry, "cohort_train_vectorised_total") > 0
+    assert _counter_sum(telemetry, "dispatch_cohort_members_total") \
+        > _counter_sum(telemetry, "dispatch_cohorts_total")
+    _, member = capture_run(task, devices, config,
+                            engine_cls=ReferenceEngine)
+    report = compare_state_sequences(capture.states, member,
+                                     tolerance_ulps=0,
                                      label_a="cohort", label_b="member")
     assert report.passed, report.describe()
 
 
 def test_cohort_histories_match_member_histories(task, devices):
     config = _config()
-    history_cohort, _ = capture_run(task, devices,
-                                    replace(config, cohort_rounds="on"))
-    history_member, _ = capture_run(task, devices,
-                                    replace(config, cohort_rounds="off"))
+    history_cohort, _ = capture_run(task, devices, config)
+    history_member, _ = capture_run(task, devices, config,
+                                    engine_cls=ReferenceEngine)
     assert normalised_history_bytes(history_cohort) \
         == normalised_history_bytes(history_member)
-
-
-def test_cohort_mode_requires_fast_path(task, devices):
-    with pytest.raises(ValueError):
-        Engine(task, devices,
-               _config(cohort_rounds="on", fast_path=False))
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +119,7 @@ def _run_with_metrics(task, devices, config):
 def test_cohort_cache_counters_conform(task, devices, scheduler):
     rounds = 3
     config = _config(strategy="fixed", strategy_kwargs={"ratio": 0.3},
-                     max_rounds=rounds, cohort_rounds="on",
-                     **SCHEDULER_CONFIGS[scheduler])
+                     max_rounds=rounds, **SCHEDULER_CONFIGS[scheduler])
     engine, telemetry = _run_with_metrics(task, devices, config)
     cohorts = _counter_sum(telemetry, "dispatch_cohorts_total")
     assert cohorts > 0
@@ -139,8 +142,7 @@ def test_cohort_cache_counters_conform(task, devices, scheduler):
 
 
 def test_sync_run_leaves_caches_cleared(task, devices):
-    config = _config(strategy="fixed", strategy_kwargs={"ratio": 0.3},
-                     cohort_rounds="on")
+    config = _config(strategy="fixed", strategy_kwargs={"ratio": 0.3})
     engine, _ = _run_with_metrics(task, devices, config)
     # the final aggregation invalidated everything; nothing re-primed it
     assert engine._plan_cache == {}
@@ -176,7 +178,7 @@ def test_sampling_disabled_when_fleet_fits(task, devices):
 
 
 def test_sampled_rounds_count_sampled_clients(task, devices):
-    config = _config(clients_per_round=4, cohort_rounds="on")
+    config = _config(clients_per_round=4)
     _, telemetry = _run_with_metrics(task, devices, config)
     assert _counter_sum(telemetry, "clients_sampled_total") \
         == 4 * config.max_rounds
@@ -191,7 +193,7 @@ def test_cohort_history_detail_shrinks_records_and_roundtrips(
                                   np.random.default_rng(3))
     # a shared ratio is what makes cohorts coarse: 24 workers collapse
     # into one (ratio, cluster) bucket per cluster
-    base = _config(max_rounds=2, cohort_rounds="on", strategy="fixed",
+    base = _config(max_rounds=2, strategy="fixed",
                    strategy_kwargs={"ratio": 0.3})
     history_member, _ = capture_run(
         task, fleet, replace(base, history_detail="member"))

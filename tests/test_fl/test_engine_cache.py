@@ -1,4 +1,4 @@
-"""Dispatch fast path: per-epoch plan/sub-model cache semantics."""
+"""Dispatch cache: per-epoch plan/template cache semantics."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.data.synthetic import make_synthetic_mnist
 from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
-from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
@@ -47,11 +46,19 @@ def _counter_sum(engine, name, **labels):
     return total
 
 
+def _dispatch_each(engine, worker_ids, ratio=0.3, round_index=0):
+    """One ``dispatch_many`` call per worker: every later worker of the
+    epoch has to be served from the cache."""
+    return [
+        engine.dispatch_many({worker_id: ratio}, 0.0, round_index)[worker_id]
+        for worker_id in worker_ids
+    ]
+
+
 def test_same_ratio_dispatches_share_plan_and_submodel(task, devices):
     engine = _engine(task, devices)
     n = len(engine.worker_ids)
-    for worker_id in engine.worker_ids:
-        engine.dispatch(worker_id, 0.3, 0.0, round_index=0)
+    _dispatch_each(engine, engine.worker_ids)
     assert _counter_sum(engine, "dispatch_cache_misses_total",
                         kind="plan") == 1
     assert _counter_sum(engine, "dispatch_cache_hits_total",
@@ -60,35 +67,35 @@ def test_same_ratio_dispatches_share_plan_and_submodel(task, devices):
                         kind="submodel") == 1
     assert _counter_sum(engine, "dispatch_cache_hits_total",
                         kind="submodel") == n - 1
-    assert _counter_sum(engine, "dispatch_alloc_saved_params_total") > 0
 
 
 def test_cached_clones_are_independent_models(task, devices):
     engine = _engine(task, devices)
-    first = engine.dispatch(engine.worker_ids[0], 0.3, 0.0, round_index=0)
-    second = engine.dispatch(engine.worker_ids[1], 0.3, 0.0, round_index=0)
-    assert first.submodel is not second.submodel
+    first, second = _dispatch_each(engine, engine.worker_ids[:2])
+    assert first.cohort is not second.cohort
     assert first.plan is second.plan
-    # identical pristine weights, but training one must not leak into
-    # the other
-    for key, value in first.submodel.state_dict().items():
-        assert np.array_equal(value, second.submodel.state_dict()[key])
-    engine.train(first, round_index=0)
-    trained = first.submodel.state_dict()
-    pristine = second.submodel.state_dict()
+    assert first.cohort.template is second.cohort.template
+    pristine = {key: value.copy()
+                for key, value in first.dispatched_state.items()}
+    # training one member must leak neither into the shared template
+    # nor into the pristine state the other member starts from
+    engine.train_all([first], round_index=0)
     assert any(
-        not np.array_equal(trained[key], pristine[key]) for key in trained
+        not np.array_equal(first.trained_state[key], pristine[key])
+        for key in pristine
     )
+    template_state = second.cohort.template.state_dict()
+    for key, value in pristine.items():
+        assert np.array_equal(second.dispatched_state[key], value)
+        assert np.array_equal(template_state[key], value)
 
 
 def test_aggregate_invalidates_the_cache(task, devices):
     engine = _engine(task, devices)
-    dispatches = [
-        engine.dispatch(worker_id, 0.3, 0.0, round_index=0)
-        for worker_id in engine.worker_ids
-    ]
+    dispatches = _dispatch_each(engine, engine.worker_ids)
     contributions = [
-        engine.train(dispatch, round_index=0)[0] for dispatch in dispatches
+        contribution
+        for contribution, _ in engine.train_all(dispatches, round_index=0)
     ]
     assert engine._plan_cache and engine._submodel_cache
     engine.aggregate(contributions, round_index=0)
@@ -96,27 +103,23 @@ def test_aggregate_invalidates_the_cache(task, devices):
     assert not engine._submodel_cache
     assert engine._round_state is None
     # next round misses again (global model changed)
-    engine.dispatch(engine.worker_ids[0], 0.3, 0.0, round_index=1)
+    _dispatch_each(engine, engine.worker_ids[:1], round_index=1)
     assert _counter_sum(engine, "dispatch_cache_misses_total",
                         kind="plan") == 2
 
 
 def test_r2sp_round_shares_one_global_snapshot(task, devices):
     engine = _engine(task, devices, sync_scheme="r2sp")
-    first = engine.dispatch(engine.worker_ids[0], 0.3, 0.0, round_index=0)
-    second = engine.dispatch(engine.worker_ids[1], 0.3, 0.0, round_index=0)
-    assert first.residual is None and second.residual is None
+    first, second = _dispatch_each(engine, engine.worker_ids[:2])
+    assert first.global_state is not None
     assert first.global_state is second.global_state
-    assert _counter_sum(engine, "dispatch_alloc_saved_arrays_total",
-                        kind="residual") > 0
 
 
-def test_slow_path_materialises_residuals(task, devices):
-    engine = _engine(task, devices, sync_scheme="r2sp", fast_path=False)
-    dispatch = engine.dispatch(engine.worker_ids[0], 0.3, 0.0, round_index=0)
-    assert dispatch.residual is not None
+def test_bsp_dispatch_carries_no_global_snapshot(task, devices):
+    engine = _engine(task, devices, sync_scheme="bsp")
+    (dispatch,) = _dispatch_each(engine, engine.worker_ids[:1])
     assert dispatch.global_state is None
-    assert not engine._plan_cache and not engine._submodel_cache
+    assert engine._round_state is None
 
 
 def test_submodel_sharing_disabled_for_rng_bearing_models(devices):
@@ -135,12 +138,11 @@ def test_submodel_sharing_disabled_for_rng_bearing_models(devices):
     config = FLConfig(strategy="fixed", strategy_kwargs={"ratio": 0.25},
                       max_rounds=1, local_iterations=1, batch_size=4, seed=2)
     engine = Engine(lm_task, devices, config)
-    assert engine.fast_path
-    assert not engine._share_submodels
-    first = engine.dispatch(engine.worker_ids[0], 0.25, 0.0, round_index=0)
-    second = engine.dispatch(engine.worker_ids[1], 0.25, 0.0, round_index=0)
+    first, second = _dispatch_each(engine, engine.worker_ids[:2], ratio=0.25)
     assert first.plan is second.plan          # plans carry no randomness
-    assert first.submodel is not second.submodel
+    assert first.cohort.template is not second.cohort.template
+    assert first.cohort.template.rng_states() \
+        != second.cohort.template.rng_states()
     assert not engine._submodel_cache
 
 
@@ -151,7 +153,8 @@ def test_compressed_upload_survives_ratio_changes(task, devices):
     engine = _engine(task, devices, sync_scheme="bsp")
     worker_id = engine.worker_ids[0]
     for round_index, ratio in enumerate((0.3, 0.6, 0.0)):
-        dispatch = engine.dispatch(worker_id, ratio, 0.0, round_index)
+        (dispatch,) = _dispatch_each(engine, [worker_id], ratio,
+                                     round_index)
         trained = {
             key: value + 0.05
             for key, value in dispatch.dispatched_state.items()
@@ -163,19 +166,3 @@ def test_compressed_upload_survives_ratio_changes(task, devices):
             assert uploaded[key].shape == trained[key].shape
         engine._plan_cache.clear()
         engine._submodel_cache.clear()
-
-
-def test_fast_path_round_matches_slow_path(task, devices):
-    """One full synchronous round, fast vs slow engine: bitwise equal."""
-    results = {}
-    for fast in (True, False):
-        engine = _engine(task, devices, sync_scheme="r2sp_weighted",
-                         fast_path=fast)
-        history = make_scheduler(engine.config).run(engine)
-        results[fast] = (engine.server.global_state, history)
-    fast_state, fast_history = results[True]
-    slow_state, slow_history = results[False]
-    for key in slow_state:
-        assert np.array_equal(fast_state[key], slow_state[key]), key
-    assert [r.train_loss for r in fast_history.rounds] == \
-           [r.train_loss for r in slow_history.rounds]

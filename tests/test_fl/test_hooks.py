@@ -308,7 +308,7 @@ def test_timing_hook_cohort_sampled_totals_reconcile(
     timing = TimingHook()
     history = run_federated_training(
         task, devices,
-        _config(max_rounds=3, cohort_rounds="on", clients_per_round=4,
+        _config(max_rounds=3, clients_per_round=4,
                 **_COHORT_SCHEDULERS[scheduler]),
         hooks=[timing],
     )
@@ -323,7 +323,7 @@ def test_comm_volume_cohort_sampled_reconciles(task, devices, scheduler):
     comm = CommVolumeHook()
     history = run_federated_training(
         task, devices,
-        _config(max_rounds=3, cohort_rounds="on", clients_per_round=4,
+        _config(max_rounds=3, clients_per_round=4,
                 **_COHORT_SCHEDULERS[scheduler]),
         hooks=[comm],
     )
@@ -343,10 +343,10 @@ def test_cohort_sampling_does_not_inflate_comm_volume(task, devices):
     sampled, full = CommVolumeHook(), CommVolumeHook()
     run_federated_training(
         task, devices,
-        _config(cohort_rounds="on", clients_per_round=4),
+        _config(clients_per_round=4),
         hooks=[sampled],
     )
-    run_federated_training(task, devices, _config(cohort_rounds="on"),
+    run_federated_training(task, devices, _config(),
                            hooks=[full])
     assert sampled.total_download_params == pytest.approx(
         full.total_download_params * 4 / len(devices)

@@ -26,8 +26,7 @@ def task():
 
 
 def _dispatch(wid: int, finish: float) -> Dispatch:
-    return Dispatch(worker_id=wid, ratio=0.0, plan=None, submodel=None,
-                    dispatched_state={}, residual=None, tau=1,
+    return Dispatch(worker_id=wid, ratio=0.0, cohort=None, tau=1,
                     costs=RoundCosts(computation_s=finish,
                                      download_s=0.0, upload_s=0.0))
 

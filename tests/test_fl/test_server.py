@@ -5,22 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fl.server import Contribution, ParameterServer
+from repro.data.synthetic import make_synthetic_mnist
+from repro.fl.aggregation import Contribution, make_aggregator
+from repro.fl.config import FLConfig
+from repro.fl.engine import Engine
+from repro.fl.tasks import ClassificationTask
 from repro.models import build_cnn
-from repro.pruning import (
-    build_pruning_plan,
-    extract_submodel,
-    residual_state_dict,
-)
+from repro.pruning import build_pruning_plan, extract_submodel
+from repro.simulation.cluster import make_scenario_devices
 
 
-def _contribution(model, ratio, rng, with_residual=True, worker_id=0):
+def _contribution(model, ratio, rng, with_global_state=True, worker_id=0):
     plan = build_pruning_plan(model, ratio)
     sub = extract_submodel(model, plan, rng=rng)
-    residual = residual_state_dict(model.state_dict(), plan) \
-        if with_residual else None
+    global_state = model.state_dict() if with_global_state else None
     return Contribution(worker_id=worker_id, sub_state=sub.state_dict(),
-                        plan=plan, residual=residual)
+                        plan=plan, global_state=global_state)
+
+
+def _aggregate(model, contributions, scheme):
+    return make_aggregator(scheme).aggregate(contributions,
+                                             model.state_dict())
 
 
 def test_r2sp_untrained_submodel_is_identity(rng):
@@ -28,12 +33,11 @@ def test_r2sp_untrained_submodel_is_identity(rng):
     global model exactly -- the core R2SP invariant."""
     model = build_cnn(rng=rng)
     before = model.state_dict()
-    server = ParameterServer(model)
     contributions = [
         _contribution(model, ratio, rng, worker_id=worker_id)
         for worker_id, ratio in enumerate((0.0, 0.3, 0.6))
     ]
-    after = server.aggregate(contributions, scheme="r2sp")
+    after = _aggregate(model, contributions, "r2sp")
     for key in before:
         assert np.allclose(after[key], before[key], atol=1e-6), key
 
@@ -43,9 +47,8 @@ def test_bsp_shrinks_pruned_positions(rng):
     mass (the degradation Fig. 7 demonstrates)."""
     model = build_cnn(rng=rng)
     before = model.state_dict()
-    server = ParameterServer(model)
-    contributions = [_contribution(model, 0.5, rng, with_residual=False)]
-    after = server.aggregate(contributions, scheme="bsp")
+    contributions = [_contribution(model, 0.5, rng, with_global_state=False)]
+    after = _aggregate(model, contributions, "bsp")
     total_before = sum(np.abs(v).sum() for v in before.values())
     total_after = sum(np.abs(v).sum() for v in after.values())
     assert total_after < total_before
@@ -53,52 +56,55 @@ def test_bsp_shrinks_pruned_positions(rng):
 
 def test_r2sp_requires_residual(rng):
     model = build_cnn(rng=rng)
-    server = ParameterServer(model)
-    contribution = _contribution(model, 0.5, rng, with_residual=False)
+    contribution = _contribution(model, 0.5, rng, with_global_state=False)
     with pytest.raises(ValueError, match="residual"):
-        server.aggregate([contribution], scheme="r2sp")
+        _aggregate(model, [contribution], "r2sp")
 
 
 def test_empty_contributions_rejected(rng):
-    server = ParameterServer(build_cnn(rng=rng))
     with pytest.raises(ValueError):
-        server.aggregate([], scheme="r2sp")
+        _aggregate(build_cnn(rng=rng), [], "r2sp")
 
 
 def test_unknown_scheme_rejected(rng):
     model = build_cnn(rng=rng)
-    server = ParameterServer(model)
     contribution = _contribution(model, 0.0, rng)
     with pytest.raises(ValueError):
-        server.aggregate([contribution], scheme="asp")
+        _aggregate(model, [contribution], "asp")
 
 
 def test_aggregation_is_mean_over_workers(rng):
     """With identity plans, aggregation is plain FedAvg averaging."""
     model = build_cnn(rng=rng)
-    server = ParameterServer(model)
     plan = build_pruning_plan(model, 0.0)
 
     state_a = model.state_dict()
     state_b = {key: value + 2.0 for key, value in state_a.items()}
-    zero_residual = {key: np.zeros_like(v) for key, v in state_a.items()}
     contributions = [
-        Contribution(0, state_a, plan, residual=zero_residual),
-        Contribution(1, state_b, plan, residual=zero_residual),
+        Contribution(0, state_a, plan, global_state=state_a),
+        Contribution(1, state_b, plan, global_state=state_a),
     ]
-    after = server.aggregate(contributions, scheme="r2sp")
+    after = _aggregate(model, contributions, "r2sp")
     for key in state_a:
         assert np.allclose(after[key], state_a[key] + 1.0, atol=1e-5)
 
 
-def test_aggregate_updates_model_in_place(rng):
-    model = build_cnn(rng=rng)
-    server = ParameterServer(model)
-    plan = build_pruning_plan(model, 0.0)
-    shifted = {key: value + 1.0 for key, value in model.state_dict().items()}
-    zero_res = {key: np.zeros_like(v) for key, v in shifted.items()}
-    server.aggregate([Contribution(0, shifted, plan, zero_res)],
-                     scheme="r2sp")
+def test_aggregate_updates_model_in_place():
+    dataset = make_synthetic_mnist(train_per_class=2, test_per_class=1,
+                                   rng=np.random.default_rng(0))
+    devices = make_scenario_devices({"A": 1, "B": 1},
+                                    np.random.default_rng(7))
+    engine = Engine(ClassificationTask(dataset, "cnn"), devices,
+                    FLConfig(max_rounds=1, sync_scheme="r2sp"))
+    before = engine.global_state
+    plan = build_pruning_plan(engine.model, 0.0)
+    shifted = {key: value + 1.0 for key, value in before.items()}
+    engine.aggregate([Contribution(0, shifted, plan, global_state=before)],
+                     round_index=0)
     assert np.allclose(
-        server.global_state["fc2.bias"], shifted["fc2.bias"], atol=1e-6
+        engine.global_state["fc2.bias"], shifted["fc2.bias"], atol=1e-6
+    )
+    assert np.allclose(
+        engine.model.state_dict()["fc2.bias"], shifted["fc2.bias"],
+        atol=1e-6,
     )

@@ -204,15 +204,17 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     )
     try:
         slow_id = engine.worker_ids[-1]
-        dispatches = [engine.dispatch(worker_id, 0.3, 0.0, round_index=0)
-                      for worker_id in engine.worker_ids]
+        dispatches = list(engine.dispatch_many(
+            {worker_id: 0.3 for worker_id in engine.worker_ids},
+            0.0, round_index=0,
+        ).values())
         hyper = TrainHyper(lr=config.lr, momentum=config.momentum,
                            weight_decay=config.weight_decay,
                            prox_mu=0.0, clip_norm=config.clip_norm)
         requests = [
             TrainRequest(
                 worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
-                plan=d.plan, submodel=d.submodel,
+                plan=d.plan, submodel=d.cohort.template,
                 dispatched_state=d.dispatched_state, hyper=hyper,
                 emulate_s=0.8 if d.worker_id == slow_id else 0.05,
             )

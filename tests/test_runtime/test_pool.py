@@ -10,6 +10,12 @@ is load-bearing.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -184,3 +190,58 @@ def test_pool_size_clamped_to_fleet():
 def test_pool_rejects_empty_fleet():
     with pytest.raises(ValueError, match="at least one"):
         ProcessPool([])
+
+
+_POOL_OWNER = """
+import sys, time
+sys.path[:0] = {paths!r}
+from tests.test_runtime.test_pool import _batch_spec
+from repro.runtime.pool import ProcessPool
+
+pool = ProcessPool([_batch_spec(seed=wid, worker_id=wid) for wid in range(3)],
+                   num_procs=3)
+pool.ping()
+print(*(member.proc.pid for member in pool.members), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # a zombie (reparented, not yet reaped) has already exited
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to observe foreign pids")
+def test_pool_children_exit_when_the_parent_is_sigkilled():
+    """Regression: a forked child used to inherit the parent-side end
+    of its own pipe (and of every earlier member's), so a SIGKILLed
+    parent never produced EOF and all children outlived it."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    script = _POOL_OWNER.format(paths=[root, os.path.join(root, "src")])
+    owner = subprocess.Popen([sys.executable, "-c", script],
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 3 and all(_alive(pid) for pid in pids)
+        owner.send_signal(signal.SIGKILL)
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _alive(pid)]
+    finally:
+        owner.kill()
+        owner.wait()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+    assert survivors == []

@@ -69,14 +69,16 @@ def _counter_sum(metrics: MetricsRegistry, name: str, **labels) -> float:
 
 
 def _requests(engine, config, ratio):
-    dispatches = [engine.dispatch(worker_id, ratio, 0.0, round_index=0)
-                  for worker_id in engine.worker_ids]
+    dispatches = engine.dispatch_many(
+        {worker_id: ratio for worker_id in engine.worker_ids},
+        0.0, round_index=0,
+    ).values()
     hyper = TrainHyper(lr=config.lr, momentum=config.momentum,
                        weight_decay=config.weight_decay,
                        prox_mu=0.0, clip_norm=config.clip_norm)
     return [
         TrainRequest(worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
-                     plan=d.plan, submodel=d.submodel,
+                     plan=d.plan, submodel=d.cohort.template,
                      dispatched_state=d.dispatched_state, hyper=hyper)
         for d in dispatches
     ]

@@ -8,7 +8,7 @@ import pytest
 from repro.verify import (
     DivergenceError,
     compare_state_sequences,
-    differential_fast_vs_dense,
+    differential_engine_vs_reference,
     differential_sync_vs_semisync,
     ulp_distance,
 )
@@ -124,8 +124,9 @@ def test_compare_rejects_key_mismatch():
 # ----------------------------------------------------------------------
 # end-to-end differential pairs
 # ----------------------------------------------------------------------
-def test_fast_path_is_bitwise_identical_to_dense(bench, fleet, short_config):
-    report = differential_fast_vs_dense(
+def test_engine_is_bitwise_identical_to_reference(
+        bench, fleet, short_config):
+    report = differential_engine_vs_reference(
         lambda: bench.make_task(0.0), fleet, short_config("fedmp"),
     )
     assert report.passed, report.describe()

@@ -87,10 +87,10 @@ class _CorruptGlobalState(RoundHook):
         self._engine = engine
 
     def on_aggregate(self, round_index, contributions) -> None:
-        state = self._engine.server.global_state
+        state = self._engine.global_state
         key = sorted(state)[0]
         state[key] = state[key] + np.float32(1e-3)
-        self._engine.server.model.load_state_dict(state)
+        self._engine.model.load_state_dict(state)
 
 
 def test_mass_violation_recorded_on_corrupted_global_state(
