@@ -279,7 +279,7 @@ class Engine:
                 telemetry=self.telemetry,
                 # pool children fork here, before the model has run a
                 # forward pass: they inherit a graph free of activations
-                skeleton=(self.model, task.extractor),
+                skeleton=self.model,
             )
         )
 

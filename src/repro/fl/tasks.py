@@ -1,9 +1,9 @@
 """Task adapters: one interface for all five of the paper's workloads.
 
-A task bundles a dataset with the matching model family and the pruning
-machinery that applies to it (structured l1 pruning for CNNs, ISS
-pruning for the LSTM), so the runners in :mod:`repro.fl.runner` never
-special-case the workload.
+A task bundles a dataset with the matching model family, so the runners
+in :mod:`repro.fl.runner` never special-case the workload.  Pruning is
+the same two calls for every family (structured l1 pruning; for the
+LSTM its units are the ISS components).
 """
 
 from __future__ import annotations
@@ -19,25 +19,28 @@ from repro.data.text import TextDataset
 from repro.models import build_model, count_model_flops
 from repro.nn.metrics import evaluate_classifier, evaluate_language_model
 from repro.nn.module import Module
-from repro.pruning import (
-    build_iss_plan,
-    build_pruning_plan,
-    extract_iss_submodel,
-    extract_submodel,
-)
+from repro.pruning import build_pruning_plan, extract_submodel
 from repro.pruning.plan import PruningPlan
 
 
-class ClassificationTask:
+class _Task:
+    """What every task shares: one pruning mechanism for all families."""
+
+    def build_plan(self, model: Module, ratio: float) -> PruningPlan:
+        return build_pruning_plan(model, ratio)
+
+    def extract(self, model: Module, plan: PruningPlan,
+                rng: np.random.Generator) -> Module:
+        return extract_submodel(model, plan, rng=rng)
+
+
+class ClassificationTask(_Task):
     """Image classification (CNN / AlexNet / VGG-19 / ResNet-50 tasks)."""
 
     higher_is_better = True
     metric_name = "accuracy"
     #: iterator family a pool child must rebuild (see repro.runtime.pool)
     iterator_kind = "batch"
-    #: the family's sub-model extractor as a plain function, so a remote
-    #: receiver can run it on its own skeleton of the global model
-    extractor = staticmethod(extract_submodel)
 
     def __init__(self, dataset: ImageDataset, model_name: str,
                  model_kwargs: Optional[Dict[str, Any]] = None,
@@ -55,13 +58,6 @@ class ClassificationTask:
 
     def build_model(self, rng: np.random.Generator) -> Module:
         return build_model(self.model_name, rng=rng, **self.model_kwargs)
-
-    def build_plan(self, model: Module, ratio: float) -> PruningPlan:
-        return build_pruning_plan(model, ratio)
-
-    def extract(self, model: Module, plan: PruningPlan,
-                rng: np.random.Generator) -> Module:
-        return self.extractor(model, plan, rng=rng)
 
     def partition(self, num_workers: int,
                   rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -105,7 +101,7 @@ class _SequenceBatchIterator:
         return self.inputs[index], self.targets[index]
 
 
-class LanguageModelTask:
+class LanguageModelTask(_Task):
     """LSTM language modelling on the synthetic PTB corpus (Table IV).
 
     ``metric`` is the test perplexity, so lower is better.
@@ -115,7 +111,6 @@ class LanguageModelTask:
     metric_name = "perplexity"
     #: iterator family a pool child must rebuild (see repro.runtime.pool)
     iterator_kind = "sequence"
-    extractor = staticmethod(extract_iss_submodel)
 
     def __init__(self, dataset: TextDataset, seq_len: int = 20,
                  lm_batch_size: int = 8,
@@ -133,13 +128,6 @@ class LanguageModelTask:
 
     def build_model(self, rng: np.random.Generator) -> Module:
         return build_model("lstm_lm", rng=rng, **self.model_kwargs)
-
-    def build_plan(self, model: Module, ratio: float) -> PruningPlan:
-        return build_iss_plan(model, ratio)
-
-    def extract(self, model: Module, plan: PruningPlan,
-                rng: np.random.Generator) -> Module:
-        return self.extractor(model, plan, rng=rng)
 
     def partition(self, num_workers: int,
                   rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:

@@ -3,13 +3,14 @@
 Structured pruning inside residual networks follows the standard
 convention (Li et al., 2016): only the *internal* convolutions of a
 block are pruned, block input/output widths are preserved so the skip
-connection always type-checks.  :class:`Bottleneck` is written so the
-pruning engine can clone it with reduced inner widths.
+connection always type-checks.  :class:`Bottleneck` reads its inner
+widths off its children, so a structural clone with pruned children is a
+well-formed block.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class Bottleneck(Module):
     emit ``out_channels`` so the residual addition stays well-formed.
     """
 
+    #: the residual branch, in execution order; its output is added to
+    #: the skip path (``downsample`` or the identity) before ``relu3``
+    MAIN_PATH = ("conv1", "bn1", "relu1", "conv2", "bn2", "relu2",
+                 "conv3", "bn3")
+
     def __init__(self, in_channels, mid_channels, out_channels: int,
                  stride: int = 1, project: bool = False,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -33,8 +39,6 @@ class Bottleneck(Module):
             mid1, mid2 = mid_channels, mid_channels
         else:
             mid1, mid2 = mid_channels
-        self.in_channels = in_channels
-        self.mid_channels = (mid1, mid2)
         self.out_channels = out_channels
         self.stride = stride
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -63,41 +67,35 @@ class Bottleneck(Module):
         self.has_projection = needs_projection
 
     @property
+    def in_channels(self) -> int:
+        return self._children["conv1"].in_channels
+
+    @property
+    def mid_channels(self) -> Tuple[int, int]:
+        """Widths of the two prunable convolutions (read off the
+        children, so a pruned clone reports its reduced widths)."""
+        c = self._children
+        return c["conv1"].out_channels, c["conv2"].out_channels
+
+    @property
     def downsample(self) -> Optional[Module]:
         """The projection path, or ``None`` for identity skips."""
         return self._children.get("downsample")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         c = self._children
-        out = c["conv1"].forward(x)
-        out = c["bn1"].forward(out)
-        out = c["relu1"].forward(out)
-        out = c["conv2"].forward(out)
-        out = c["bn2"].forward(out)
-        out = c["relu2"].forward(out)
-        out = c["conv3"].forward(out)
-        out = c["bn3"].forward(out)
-        if self.has_projection:
-            skip = c["downsample"].forward(x)
-        else:
-            skip = x
+        out = x
+        for name in self.MAIN_PATH:
+            out = c[name].forward(out)
+        skip = c["downsample"].forward(x) if self.has_projection else x
         return c["relu3"].forward(out + skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         c = self._children
         grad_sum = c["relu3"].backward(grad_out)
-
-        grad = c["bn3"].backward(grad_sum)
-        grad = c["conv3"].backward(grad)
-        grad = c["relu2"].backward(grad)
-        grad = c["bn2"].backward(grad)
-        grad = c["conv2"].backward(grad)
-        grad = c["relu1"].backward(grad)
-        grad = c["bn1"].backward(grad)
-        grad_x = c["conv1"].backward(grad)
-
+        grad_x = grad_sum
+        for name in reversed(self.MAIN_PATH):
+            grad_x = c[name].backward(grad_x)
         if self.has_projection:
-            grad_x = grad_x + c["downsample"].backward(grad_sum)
-        else:
-            grad_x = grad_x + grad_sum
-        return grad_x
+            return grad_x + c["downsample"].backward(grad_sum)
+        return grad_x + grad_sum

@@ -13,6 +13,7 @@ usual forward + backward heuristic) by the simulator, not here.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from repro.models.blocks import Bottleneck
@@ -50,8 +51,7 @@ def count_model_flops(model: Module,
         input_shape = getattr(model, "input_shape", None)
     if input_shape is None:
         # Language model: trace as a sequence of length seq_len, batch 1.
-        flops, _ = _count_sequence_model(model, seq_len)
-        return flops
+        return _count_sequence_model(model, seq_len)
     flops, _ = _count(model, tuple(input_shape))
     return flops
 
@@ -123,16 +123,10 @@ def _count(module: Module, shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]
         return c * h * w, (c, h // k, w // k)
 
     if isinstance(module, Flatten):
-        flat = 1
-        for dim in shape:
-            flat *= dim
-        return 0, (flat,)
+        return 0, (math.prod(shape),)
 
     if isinstance(module, ReLU):
-        size = 1
-        for dim in shape:
-            size *= dim
-        return size, shape
+        return math.prod(shape), shape
 
     if isinstance(module, Dropout):
         return 0, shape
@@ -144,9 +138,9 @@ def _count_bottleneck(block: Bottleneck,
                       shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     total = 0
     inner_shape = shape
-    for name in ("conv1", "bn1", "relu1", "conv2", "bn2", "relu2",
-                 "conv3", "bn3"):
-        flops, inner_shape = _count(dict(block.children())[name], inner_shape)
+    children = dict(block.children())
+    for name in block.MAIN_PATH:
+        flops, inner_shape = _count(children[name], inner_shape)
         total += flops
     if block.has_projection:
         flops, _ = _count(block.downsample, shape)
@@ -157,28 +151,29 @@ def _count_bottleneck(block: Bottleneck,
     return total, inner_shape
 
 
-def _count_sequence_model(model: Module, seq_len: int) -> Tuple[int, None]:
+def _count_sequence_model(model: Module, seq_len: int) -> int:
     """FLOPs per sample (= per token sequence of ``seq_len``) for an LM."""
+    if not isinstance(model, Sequential):
+        # pricing an unknown graph at 0 would make the device simulator
+        # charge it no compute time
+        raise TypeError(
+            f"cannot count FLOPs for a {type(model).__name__} without an "
+            "input_shape: sequence models must be Sequential"
+        )
     total = 0
-    feature = None
-    for layer in model.layers if isinstance(model, Sequential) else []:
-        if isinstance(layer, Embedding):
-            feature = layer.embedding_dim
-            total += 0  # lookup only
-        elif isinstance(layer, LSTM):
+    for layer in model.layers:
+        if isinstance(layer, LSTM):
             macs_per_step = (
                 4 * layer.hidden_size * (layer.input_size + layer.hidden_size)
             )
             total += 2 * macs_per_step * seq_len
-            feature = layer.hidden_size
         elif isinstance(layer, _SeqLinear):
             inner = layer.linear
             total += 2 * inner.in_features * inner.out_features * seq_len
-            feature = inner.out_features
-        elif isinstance(layer, Dropout):
-            continue
+        elif isinstance(layer, (Embedding, Dropout)):
+            continue  # a lookup / a mask: no multiply-accumulates
         else:
             raise TypeError(
                 f"cannot count sequence FLOPs for {type(layer).__name__}"
             )
-    return total, None
+    return total

@@ -68,20 +68,6 @@ def supports_cohort_training(model: Module) -> bool:
     return True
 
 
-def _fresh_stateless(layer: Module) -> Module:
-    """Clone a stateless layer so cohort runs never disturb the
-    template's forward caches."""
-    if type(layer) is ReLU:
-        return ReLU()
-    if type(layer) is MaxPool2d:
-        return MaxPool2d(layer.kernel_size, layer.stride)
-    if type(layer) is AvgPool2d:
-        return AvgPool2d(layer.kernel_size)
-    if type(layer) is Flatten:
-        return Flatten()
-    raise TypeError(f"not a supported stateless layer: {type(layer)!r}")
-
-
 class _StackedLinear:
     """``M`` independent Linear layers as one batched computation."""
 
@@ -208,10 +194,14 @@ def _build_stacked(model: Sequential, init_state: Dict[str, np.ndarray],
                 name, layer, init_state[f"{name}.weight"],
                 init_state[f"{name}.bias"], members,
             ))
-        else:
-            clone = _fresh_stateless(layer)
+        elif type(layer) in _STATELESS_TYPES:
+            # a clone, so cohort runs never disturb the template's
+            # forward caches
+            clone = layer.fresh()
             clone.name = name            # type: ignore[attr-defined]
             stacked.append(clone)
+        else:
+            raise TypeError(f"not a supported cohort layer: {type(layer)!r}")
     return stacked
 
 

@@ -9,7 +9,7 @@ parameter-server exchange format used throughout :mod:`repro.fl`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -49,6 +49,24 @@ class Module:
         """Register a sub-module under ``name``."""
         self._children[name] = module
 
+    def fresh(self) -> "Module":
+        """An empty module of this one's class, built by allocation only:
+        no initialiser runs, so no weight draw and no RNG use.
+
+        Public attributes (widths, strides, ``input_shape``, whatever a
+        model builder set) carry over by reference -- so an ``rng`` is
+        *shared* with the source until the caller replaces it; private
+        ones, by convention forward caches, start ``None``; arrays,
+        children and the training flag are those of a new Module.
+        """
+        clone = object.__new__(type(self))
+        Module.__init__(clone)
+        base = set(vars(clone))
+        for key, value in vars(self).items():
+            if key not in base:
+                setattr(clone, key, None if key.startswith("_") else value)
+        return clone
+
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
@@ -76,26 +94,23 @@ class Module:
             if not module._children:
                 yield name, module
 
+    def _named_arrays(self, store: str,
+                      prefix: str) -> Iterator[Tuple[str, np.ndarray]]:
+        for mod_name, module in self.named_modules(prefix):
+            for name, value in getattr(module, store).items():
+                yield (f"{mod_name}.{name}" if mod_name else name), value
+
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """Yield ``(qualified_name, array)`` for every parameter."""
-        for mod_name, module in self.named_modules(prefix):
-            for p_name, value in module.params.items():
-                full = f"{mod_name}.{p_name}" if mod_name else p_name
-                yield full, value
+        return self._named_arrays("params", prefix)
 
     def named_grads(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """Yield ``(qualified_name, array)`` for every gradient."""
-        for mod_name, module in self.named_modules(prefix):
-            for g_name, value in module.grads.items():
-                full = f"{mod_name}.{g_name}" if mod_name else g_name
-                yield full, value
+        return self._named_arrays("grads", prefix)
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """Yield ``(qualified_name, array)`` for every buffer."""
-        for mod_name, module in self.named_modules(prefix):
-            for b_name, value in module.buffers.items():
-                full = f"{mod_name}.{b_name}" if mod_name else b_name
-                yield full, value
+        return self._named_arrays("buffers", prefix)
 
     # ------------------------------------------------------------------
     # state exchange

@@ -6,7 +6,8 @@ an ISS component couples one hidden unit across *all* gate blocks of a
 layer, the matching column of the next layer's input weights, and so on,
 so removing it shrinks the hidden dimension without breaking recurrence.
 The weight layout below (gate blocks stacked along the first axis) is
-chosen so :mod:`repro.pruning.iss` can slice ISS components directly.
+chosen so ISS components are whole rows of each block (the ``"gates"``
+axis role in :data:`repro.pruning.plan.COUPLING`).
 """
 
 from __future__ import annotations

@@ -6,16 +6,17 @@ This subpackage implements Section III-B/C of the paper:
   convolution filters, fully-connected neurons, and LSTM ISS components;
 - :mod:`repro.pruning.plan` -- the :class:`PruningPlan` index record the
   parameter server stores per worker ("we can use a binary vector to
-  store the indexes");
-- :mod:`repro.pruning.structured` -- distributed structured pruning:
-  building a plan from a global model at a pruning ratio, physically
-  extracting the sub-model, and zero-expanding a trained sub-model back
-  to the global shape (model recovery);
+  store the indexes"), and the coupling table saying which array axes a
+  layer's units own;
+- :mod:`repro.pruning.structured` -- distributed structured pruning for
+  every model family (CNN filters and neurons, and the LSTM's Intrinsic
+  Sparse Structure components of Section VI): building a plan from a
+  global model at a pruning ratio, extracting the sub-model, and
+  zero-expanding a trained sub-model back to the global shape (model
+  recovery);
 - :mod:`repro.pruning.masks` -- sparse models (pruned positions zeroed)
   and residual models (global minus sparse), the two auxiliary objects
   of R2SP;
-- :mod:`repro.pruning.iss` -- Intrinsic Sparse Structure pruning for the
-  LSTM language model (Section VI);
 - :mod:`repro.pruning.error` -- the pruning error ``Q_n^k`` from the
   convergence analysis.
 """
@@ -41,7 +42,6 @@ from repro.pruning.structured import (
     scatter_assign_param,
 )
 from repro.pruning.masks import residual_state_dict, sparse_state_dict
-from repro.pruning.iss import build_iss_plan, extract_iss_submodel
 from repro.pruning.error import pruning_error
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "scatter_assign_param",
     "sparse_state_dict",
     "residual_state_dict",
-    "build_iss_plan",
-    "extract_iss_submodel",
     "plan_signature",
     "plan_signature_digest",
     "pruning_error",

@@ -13,17 +13,28 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-#: Recognised layer kinds; each has its own scatter rule during recovery.
-LAYER_KINDS = ("conv", "linear", "bn", "lstm", "embedding")
-
-#: Parameter names owned by each layer kind (used by recovery/scatter).
-KIND_PARAM_NAMES = {
-    "conv": ("weight", "bias"),
-    "linear": ("weight", "bias"),
-    "bn": ("gamma", "beta", "running_mean", "running_var"),
-    "lstm": ("w_ih", "w_hh", "bias"),
-    "embedding": ("weight",),
+#: The coupling table -- the one place the pruning rule of Section III-B
+#: ("the corresponding channels of filters in the next layer are also
+#: removed [and] the weights of the subsequent batch normalization layer
+#: are removed too"; Section VI does the same for LSTM ISS components)
+#: is written down: per layer kind, per array, what each leading axis
+#: counts.  ``"out"`` is the layer's own units, ``"in"`` the upstream
+#: units it reads, ``"gates"`` the layer's units once per stacked LSTM
+#: gate block; trailing axes (conv kernels) are never indexed.
+#: Gather, scatter, the residual fold, sub-model extraction and
+#: :meth:`PruningPlan.param_names` are all derived from it.  The codec
+#: writes a kind as its position here, so new kinds go at the end.
+COUPLING: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "conv": {"weight": ("out", "in"), "bias": ("out",)},
+    "linear": {"weight": ("out", "in"), "bias": ("out",)},
+    "bn": {"gamma": ("out",), "beta": ("out",),
+           "running_mean": ("out",), "running_var": ("out",)},
+    "lstm": {"w_ih": ("gates", "in"), "w_hh": ("gates", "out"),
+             "bias": ("gates",)},
 }
+
+#: Recognised layer kinds, in wire order.
+LAYER_KINDS = tuple(COUPLING)
 
 
 @dataclass
@@ -58,22 +69,39 @@ class LayerPrune:
         if self.kept_in is not None:
             self.kept_in = np.asarray(self.kept_in, dtype=np.intp)
 
+    def roles(self, suffix: str) -> Tuple[str, ...]:
+        """The :data:`COUPLING` row of this entry's array ``suffix``."""
+        try:
+            return COUPLING[self.kind][suffix]
+        except KeyError:
+            raise ValueError(
+                f"no coupling rule for kind={self.kind!r} suffix={suffix!r}"
+            ) from None
+
+    def axis(self, role: str, pruned: bool = False) -> np.ndarray:
+        """Positions along one full-array axis of ``role``: those of the
+        surviving units, or with ``pruned`` those of the removed ones."""
+        if role == "in":
+            if self.kept_in is None:
+                raise ValueError(
+                    f"{self.kind!r} entry carries no input indices")
+            units, full = self.kept_in, self.in_full
+        else:
+            units, full = self.kept_out, self.out_full
+        if pruned:
+            mask = np.ones(full, dtype=bool)
+            mask[units] = False
+            units = np.flatnonzero(mask)
+        if role == "gates":  # the four gate blocks stacked along axis 0
+            units = np.concatenate(
+                [gate * full + units for gate in range(4)]
+            ).astype(np.intp)
+        return units
+
     @property
     def out_pruned(self) -> np.ndarray:
         """Indices of removed output units."""
-        mask = np.ones(self.out_full, dtype=bool)
-        mask[self.kept_out] = False
-        return np.flatnonzero(mask)
-
-    @property
-    def in_pruned(self) -> Optional[np.ndarray]:
-        """Indices of removed input connections (``None`` when the layer
-        has no input axis)."""
-        if self.kept_in is None:
-            return None
-        mask = np.ones(self.in_full, dtype=bool)
-        mask[self.kept_in] = False
-        return np.flatnonzero(mask)
+        return self.axis("out", pruned=True)
 
     def keeps_everything(self) -> bool:
         """True when no unit of this layer was removed."""
@@ -124,7 +152,7 @@ class PruningPlan:
         if self._param_names is None:
             mapping: Dict[str, Tuple[str, str]] = {}
             for layer_name, entry in self.layers.items():
-                for suffix in KIND_PARAM_NAMES[entry.kind]:
+                for suffix in COUPLING[entry.kind]:
                     mapping[f"{layer_name}.{suffix}"] = (layer_name, suffix)
             self._param_names = mapping
         return self._param_names

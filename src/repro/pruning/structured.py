@@ -1,251 +1,168 @@
-"""Distributed structured pruning (Section III-B) and model recovery.
+"""Distributed structured pruning (Section III-B, VI) and model recovery.
 
 Three operations, all driven by a :class:`~repro.pruning.plan.PruningPlan`:
 
 - :func:`build_pruning_plan` -- walk a global model, score every
-  filter/neuron by l1 norm, and decide which units survive at a given
-  pruning ratio (the same ratio in every layer, output layer protected);
-- :func:`extract_submodel` -- physically construct the compact sub-model
-  the PS sends to a worker, copying the surviving weights;
+  filter / neuron / LSTM hidden unit by l1 norm, and decide which units
+  survive at a given pruning ratio (the same ratio in every layer,
+  output layer and residual boundaries protected);
+- :func:`extract_submodel` -- the compact sub-model the PS sends to a
+  worker: a structural clone of the model whose planned arrays are the
+  surviving slices;
 - :func:`recover_state_dict` -- zero-expand a trained sub-model back to
   the global shape (the "model recovery" step R2SP performs before
   aggregation).
 
-The plan walk tracks which channels of the running activation survive,
-so downstream layers drop the matching input connections: "when the
-filters with their feature maps are pruned, the corresponding channels
-of filters in the next layer are also removed [and] the weights of the
-subsequent batch normalization layer are removed too."
+There is one walk for every model family.  It carries which units of
+the running activation survive, so each layer drops the matching input
+connections: "when the filters with their feature maps are pruned, the
+corresponding channels of filters in the next layer are also removed
+[and] the weights of the subsequent batch normalization layer are
+removed too."  An LSTM's hidden units are pruned the same way (an ISS
+component couples unit ``j`` across the four gate blocks, the recurrent
+column ``j`` and the next layer's input column); which array axes that
+touches is :data:`repro.pruning.plan.COUPLING`, not code here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.models.blocks import Bottleneck
-from repro.nn import functional as F
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.module import Module, Sequential
+from repro.nn.layers import BatchNorm2d, Conv2d, Linear
+from repro.nn.module import Module
+from repro.nn.recurrent import LSTM
 from repro.pruning.importance import (
     conv_filter_scores,
     linear_neuron_scores,
+    lstm_iss_scores,
     top_indices,
 )
-from repro.pruning.plan import (
-    KIND_PARAM_NAMES,
-    LayerPrune,
-    PruningPlan,
-    keep_count,
-)
+from repro.pruning.plan import LayerPrune, PruningPlan, keep_count
 
+#: Every module type that owns planned arrays: plan kind, the attribute
+#: holding its input width (``None``: no input axis), the one holding
+#: its output width, and the l1 score of its units.  A row without a
+#: score *follows*: it keeps exactly the units its input kept.
+_PLANNED = {
+    Conv2d: ("conv", "in_channels", "out_channels",
+             lambda m: conv_filter_scores(m.params["weight"])),
+    Linear: ("linear", "in_features", "out_features",
+             lambda m: linear_neuron_scores(m.params["weight"])),
+    LSTM: ("lstm", "input_size", "hidden_size",
+           lambda m: lstm_iss_scores(m.params["w_ih"], m.params["w_hh"])),
+    BatchNorm2d: ("bn", None, "num_features", None),
+}
 
-@dataclass
-class _TraceState:
-    """Running activation description during the plan walk."""
-
-    kept: Optional[np.ndarray]  # surviving channel/feature indices, None=all
-    channels: int               # full channel/feature count
-    spatial: Optional[Tuple[int, int]]  # (H, W), None once flattened
-
-    def kept_indices(self) -> np.ndarray:
-        if self.kept is None:
-            return np.arange(self.channels, dtype=np.intp)
-        return self.kept
+#: what a layer reads: (surviving unit indices, full width) of the
+#: activation before it; ``None`` when nothing planned came before
+_State = Optional[Tuple[np.ndarray, int]]
 
 
 def build_pruning_plan(model: Module, ratio: float) -> PruningPlan:
     """Build a structured pruning plan for ``model`` at ``ratio``.
 
-    Every convolution / fully-connected layer is pruned at the same
-    ratio (the paper avoids layer-wise hyper-parameters); the final
-    classifier layer and residual-block boundary convolutions keep their
-    full width.  ``ratio == 0`` yields an identity plan.
+    Every convolution / fully-connected / LSTM layer is pruned at the
+    same ratio (the paper avoids layer-wise hyper-parameters); the final
+    Linear layer (classifier or vocabulary decoder) and residual-block
+    boundary convolutions keep their full width.  ``ratio == 0`` yields
+    an identity plan.
     """
-    input_shape = getattr(model, "input_shape", None)
-    if input_shape is None:
-        raise ValueError(
-            "model lacks an input_shape attribute; use the model zoo "
-            "builders or set it manually"
-        )
-    if not isinstance(model, Sequential):
-        raise TypeError("structured pruning expects a Sequential model")
-
     plan = PruningPlan(ratio=float(ratio))
-    channels, height, width = input_shape
-    state = _TraceState(kept=None, channels=channels, spatial=(height, width))
-
-    last_linear = _last_linear_name(model)
-    _walk_sequential(model, "", state, ratio, plan, last_linear)
+    _walk(model, "", None, ratio, plan, _protected_layers(model))
     return plan
 
 
-def _last_linear_name(model: Sequential) -> str:
-    """Qualified name of the final Linear layer (the protected output)."""
-    last = None
+def _protected_layers(model: Module) -> Set[str]:
+    """Layers whose output width is never reduced: the last Linear, and
+    in every bottleneck the two convolutions the residual sum joins."""
+    protected: Set[str] = set()
+    last_linear = None
     for name, module in model.named_modules():
         if isinstance(module, Linear):
-            last = name
-    if last is None:
+            last_linear = name
+        elif isinstance(module, Bottleneck):
+            protected.update((f"{name}.conv3", f"{name}.downsample.conv"))
+    if last_linear is None:
         raise ValueError("model has no Linear output layer")
-    return last
+    protected.add(last_linear)
+    return protected
 
 
-def _walk_sequential(seq: Sequential, prefix: str, state: _TraceState,
-                     ratio: float, plan: PruningPlan,
-                     protected: str) -> _TraceState:
-    for name, layer in seq.children():
-        qual = f"{prefix}.{name}" if prefix else name
-        state = _walk_layer(layer, qual, state, ratio, plan, protected)
-    return state
-
-
-def _walk_layer(layer: Module, qual: str, state: _TraceState, ratio: float,
-                plan: PruningPlan, protected: str) -> _TraceState:
-    if isinstance(layer, Sequential):
-        return _walk_sequential(layer, qual, state, ratio, plan, protected)
-
-    if isinstance(layer, Bottleneck):
-        return _walk_bottleneck(layer, qual, state, ratio, plan)
-
-    if isinstance(layer, Conv2d):
-        kept_in = state.kept_indices()
-        keep = keep_count(layer.out_channels, ratio)
-        scores = conv_filter_scores(layer.params["weight"])
-        kept_out = top_indices(scores, keep)
-        plan.add(qual, LayerPrune(
-            kind="conv", kept_out=kept_out, out_full=layer.out_channels,
-            kept_in=kept_in, in_full=layer.in_channels,
-        ))
-        h, w = state.spatial
-        out_h = F.conv_output_size(h, layer.kernel_size, layer.stride,
-                                   layer.padding)
-        out_w = F.conv_output_size(w, layer.kernel_size, layer.stride,
-                                   layer.padding)
-        return _TraceState(kept=kept_out, channels=layer.out_channels,
-                           spatial=(out_h, out_w))
-
-    if isinstance(layer, BatchNorm2d):
-        kept = state.kept_indices()
-        plan.add(qual, LayerPrune(
-            kind="bn", kept_out=kept, out_full=layer.num_features,
-        ))
-        return state
-
-    if isinstance(layer, Linear):
-        kept_in = state.kept_indices()
-        if qual == protected:
-            kept_out = np.arange(layer.out_features, dtype=np.intp)
-        else:
-            keep = keep_count(layer.out_features, ratio)
-            scores = linear_neuron_scores(layer.params["weight"])
-            kept_out = top_indices(scores, keep)
-        plan.add(qual, LayerPrune(
-            kind="linear", kept_out=kept_out, out_full=layer.out_features,
-            kept_in=kept_in, in_full=layer.in_features,
-        ))
-        return _TraceState(kept=kept_out, channels=layer.out_features,
-                           spatial=None)
-
-    if isinstance(layer, MaxPool2d):
-        h, w = state.spatial
-        out_h = F.conv_output_size(h, layer.kernel_size, layer.stride, 0)
-        out_w = F.conv_output_size(w, layer.kernel_size, layer.stride, 0)
-        return _TraceState(state.kept, state.channels, (out_h, out_w))
-
-    if isinstance(layer, AvgPool2d):
-        h, w = state.spatial
-        if layer.kernel_size is None:
-            return _TraceState(state.kept, state.channels, (1, 1))
-        k = layer.kernel_size
-        return _TraceState(state.kept, state.channels, (h // k, w // k))
-
-    if isinstance(layer, Flatten):
-        h, w = state.spatial
-        area = h * w
-        flat_full = state.channels * area
-        if state.kept is None:
-            flat_kept = None
-        else:
-            flat_kept = (
-                state.kept[:, None] * area + np.arange(area)
-            ).reshape(-1).astype(np.intp)
-        return _TraceState(kept=flat_kept, channels=flat_full, spatial=None)
-
-    if isinstance(layer, (ReLU, Dropout)):
-        return state
-
-    raise TypeError(f"cannot plan pruning for layer type {type(layer).__name__}")
-
-
-def _walk_bottleneck(block: Bottleneck, qual: str, state: _TraceState,
-                     ratio: float, plan: PruningPlan) -> _TraceState:
-    """Plan a bottleneck block: prune conv1/conv2, keep boundaries full."""
-    entry_kept = state.kept_indices()
-    if not block.has_projection and entry_kept.size != block.in_channels:
+def _kept_inputs(state: _State, full: int, qual: str,
+                 fan_out: bool = False) -> np.ndarray:
+    """Surviving input connections of a layer reading ``full`` inputs."""
+    if state is None:
+        return np.arange(full, dtype=np.intp)
+    kept, width = state
+    fan, rest = divmod(full, width)
+    if rest or (fan != 1 and not fan_out):
         raise ValueError(
-            f"bottleneck {qual!r} has an identity skip but a pruned input; "
-            "give the first block of each stage a projection"
+            f"layer {qual!r} reads {full} inputs: not "
+            f"{'a multiple of ' if fan_out else ''}the {width} units before it"
         )
-    children = dict(block.children())
-    mid1_full, mid2_full = block.mid_channels
+    if fan == 1:
+        return kept
+    # a Flatten in between: channel c became features [c*fan, (c+1)*fan)
+    return (kept[:, None] * fan + np.arange(fan)).reshape(-1).astype(np.intp)
 
-    conv1 = children["conv1"]
-    kept_mid1 = top_indices(conv_filter_scores(conv1.params["weight"]),
-                            keep_count(mid1_full, ratio))
-    plan.add(f"{qual}.conv1", LayerPrune(
-        kind="conv", kept_out=kept_mid1, out_full=mid1_full,
-        kept_in=entry_kept, in_full=block.in_channels,
-    ))
-    plan.add(f"{qual}.bn1", LayerPrune(
-        kind="bn", kept_out=kept_mid1, out_full=mid1_full,
-    ))
 
-    conv2 = children["conv2"]
-    kept_mid2 = top_indices(conv_filter_scores(conv2.params["weight"]),
-                            keep_count(mid2_full, ratio))
-    plan.add(f"{qual}.conv2", LayerPrune(
-        kind="conv", kept_out=kept_mid2, out_full=mid2_full,
-        kept_in=kept_mid1, in_full=mid1_full,
-    ))
-    plan.add(f"{qual}.bn2", LayerPrune(
-        kind="bn", kept_out=kept_mid2, out_full=mid2_full,
-    ))
-
-    all_out = np.arange(block.out_channels, dtype=np.intp)
-    plan.add(f"{qual}.conv3", LayerPrune(
-        kind="conv", kept_out=all_out, out_full=block.out_channels,
-        kept_in=kept_mid2, in_full=mid2_full,
-    ))
-    plan.add(f"{qual}.bn3", LayerPrune(
-        kind="bn", kept_out=all_out, out_full=block.out_channels,
-    ))
-
-    if block.has_projection:
-        plan.add(f"{qual}.downsample.conv", LayerPrune(
-            kind="conv", kept_out=all_out, out_full=block.out_channels,
-            kept_in=entry_kept, in_full=block.in_channels,
+def _walk(module: Module, qual: str, state: _State, ratio: float,
+          plan: PruningPlan, protected: Set[str]) -> _State:
+    """Plan ``module`` given what it reads; return what it emits."""
+    spec = _PLANNED.get(type(module))
+    if spec is not None:
+        kind, in_attr, out_attr, score = spec
+        out_full = getattr(module, out_attr)
+        if score is None:
+            plan.add(qual, LayerPrune(
+                kind=kind, kept_out=_kept_inputs(state, out_full, qual),
+                out_full=out_full,
+            ))
+            return state
+        in_full = getattr(module, in_attr)
+        if qual in protected:
+            kept_out = np.arange(out_full, dtype=np.intp)
+        else:
+            kept_out = top_indices(score(module), keep_count(out_full, ratio))
+        plan.add(qual, LayerPrune(
+            kind=kind, kept_out=kept_out, out_full=out_full,
+            kept_in=_kept_inputs(state, in_full, qual, kind == "linear"),
+            in_full=in_full,
         ))
-        plan.add(f"{qual}.downsample.bn", LayerPrune(
-            kind="bn", kept_out=all_out, out_full=block.out_channels,
-        ))
+        return kept_out, out_full
 
-    h, w = state.spatial
-    out_h = F.conv_output_size(h, 3, block.stride, 1)
-    out_w = F.conv_output_size(w, 3, block.stride, 1)
-    return _TraceState(kept=None, channels=block.out_channels,
-                       spatial=(out_h, out_w))
+    if module._children:
+        # a container is its children in order; a bottleneck's skip path
+        # reads what the block read and joins the (protected) main path
+        entry = state
+        residual = isinstance(module, Bottleneck)
+        if (residual and not module.has_projection and entry is not None
+                and entry[0].size != entry[1]):
+            raise ValueError(
+                f"bottleneck {qual!r} has an identity skip but a pruned "
+                "input; give the first block of each stage a projection"
+            )
+        for name, child in module.children():
+            sub = f"{qual}.{name}" if qual else name
+            if residual and name == "downsample":
+                _walk(child, sub, entry, ratio, plan, protected)
+            else:
+                state = _walk(child, sub, state, ratio, plan, protected)
+        return state
+
+    if module.params or module.buffers:
+        # arrays no plan entry describes (an embedding table) travel
+        # whole, so they cannot sit behind a pruned layer
+        if state is not None and state[0].size != state[1]:
+            raise TypeError(
+                f"cannot plan pruning through layer {qual!r} of type "
+                f"{type(module).__name__}"
+            )
+        return None
+    return state  # activations, pooling, flatten, dropout: width-preserving
 
 
 # ----------------------------------------------------------------------
@@ -253,101 +170,60 @@ def _walk_bottleneck(block: Bottleneck, qual: str, state: _TraceState,
 # ----------------------------------------------------------------------
 def extract_submodel(model: Module, plan: PruningPlan,
                      rng: Optional[np.random.Generator] = None) -> Module:
-    """Physically construct the compact sub-model described by ``plan``.
+    """The compact sub-model ``plan`` describes: what the PS transmits.
 
-    The returned model has reduced layer widths with the surviving
-    weights copied in; it is what the PS transmits to a worker.
+    A structural clone of ``model`` (:meth:`Module.fresh` -- no layer
+    initialiser runs) in which every planned array is the
+    :func:`gather_param` slice of its source, every other array a copy,
+    and every width attribute the kept count.  ``rng`` is drawn from
+    once per RNG-bearing module (Dropout), in graph order, to seed that
+    module's own generator -- and for nothing else.
+
+    Raises ``ValueError`` unless ``plan`` has an entry of the right kind
+    and full widths for exactly the planned layers of ``model``.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    sub = _extract_module(model, "", plan, rng)
-    for attr in ("input_shape", "num_classes", "name"):
-        if hasattr(model, attr):
-            setattr(sub, attr, getattr(model, attr))
-    return sub
+    planned = {name for name, module in model.named_modules()
+               if type(module) in _PLANNED}
+    if planned != set(plan.layers):
+        raise ValueError(
+            "plan and model disagree on which layers are planned: "
+            f"{sorted(planned ^ set(plan.layers))}"
+        )
+    return _clone(model, "", plan, rng)
 
 
-def _extract_module(module: Module, prefix: str, plan: PruningPlan,
-                    rng: np.random.Generator) -> Module:
-    if isinstance(module, Sequential):
-        children = []
-        for name, child in module.children():
-            qual = f"{prefix}.{name}" if prefix else name
-            children.append((name, _extract_module(child, qual, plan, rng)))
-        return Sequential(*children)
-
-    if isinstance(module, Bottleneck):
-        return _extract_bottleneck(module, prefix, plan, rng)
-
-    if isinstance(module, Conv2d):
-        entry = plan[prefix]
-        sub = Conv2d(entry.kept_in.size, entry.kept_out.size,
-                     module.kernel_size, stride=module.stride,
-                     padding=module.padding, rng=rng)
-        sub.requires_input_grad = module.requires_input_grad
-        sub.params["weight"] = module.params["weight"][
-            np.ix_(entry.kept_out, entry.kept_in)
-        ].copy()
-        sub.params["bias"] = module.params["bias"][entry.kept_out].copy()
-        sub.grads["weight"] = np.zeros_like(sub.params["weight"])
-        sub.grads["bias"] = np.zeros_like(sub.params["bias"])
-        return sub
-
-    if isinstance(module, Linear):
-        entry = plan[prefix]
-        sub = Linear(entry.kept_in.size, entry.kept_out.size, rng=rng)
-        sub.params["weight"] = module.params["weight"][
-            np.ix_(entry.kept_out, entry.kept_in)
-        ].copy()
-        sub.params["bias"] = module.params["bias"][entry.kept_out].copy()
-        sub.grads["weight"] = np.zeros_like(sub.params["weight"])
-        sub.grads["bias"] = np.zeros_like(sub.params["bias"])
-        return sub
-
-    if isinstance(module, BatchNorm2d):
-        entry = plan[prefix]
-        sub = BatchNorm2d(entry.kept_out.size, eps=module.eps,
-                          momentum=module.momentum)
-        for name in ("gamma", "beta"):
-            sub.params[name] = module.params[name][entry.kept_out].copy()
-            sub.grads[name] = np.zeros_like(sub.params[name])
-        for name in ("running_mean", "running_var"):
-            sub.buffers[name] = module.buffers[name][entry.kept_out].copy()
-        return sub
-
-    if isinstance(module, ReLU):
-        return ReLU()
-    if isinstance(module, Flatten):
-        return Flatten()
-    if isinstance(module, MaxPool2d):
-        return MaxPool2d(module.kernel_size, module.stride)
-    if isinstance(module, AvgPool2d):
-        return AvgPool2d(module.kernel_size)
-    if isinstance(module, Dropout):
-        return Dropout(module.p, rng=np.random.default_rng(rng.integers(2 ** 31)))
-
-    raise TypeError(f"cannot extract layer type {type(module).__name__}")
-
-
-def _extract_bottleneck(block: Bottleneck, prefix: str, plan: PruningPlan,
-                        rng: np.random.Generator) -> Bottleneck:
-    conv1_entry = plan[f"{prefix}.conv1"]
-    conv2_entry = plan[f"{prefix}.conv2"]
-    sub = Bottleneck(
-        in_channels=conv1_entry.kept_in.size,
-        mid_channels=(conv1_entry.kept_out.size, conv2_entry.kept_out.size),
-        out_channels=block.out_channels,
-        stride=block.stride,
-        project=block.has_projection,
-        rng=rng,
-    )
-    source = dict(block.children())
-    for name, child in list(sub.children()):
-        qual = f"{prefix}.{name}"
-        if isinstance(child, (Conv2d, BatchNorm2d)):
-            sub._children[name] = _extract_module(source[name], qual, plan, rng)
-        elif isinstance(child, Sequential):  # downsample
-            sub._children[name] = _extract_module(source[name], qual, plan, rng)
-    return sub
+def _clone(module: Module, qual: str, plan: PruningPlan,
+           rng: np.random.Generator) -> Module:
+    clone = module.fresh()
+    entry = None
+    spec = _PLANNED.get(type(module))
+    if spec is not None:
+        kind, in_attr, out_attr, _ = spec
+        entry = plan[qual]
+        fits = (kind, getattr(module, out_attr),
+                getattr(module, in_attr) if in_attr else None)
+        if (entry.kind, entry.out_full, entry.in_full) != fits:
+            raise ValueError(
+                f"layer {qual!r} is (kind, out, in) = {fits} but its plan "
+                f"entry says {(entry.kind, entry.out_full, entry.in_full)}"
+            )
+        setattr(clone, out_attr, entry.kept_out.size)
+        if in_attr:
+            setattr(clone, in_attr, entry.axis("in").size)
+    for arrays, cloned in ((module.params, clone.params),
+                           (module.buffers, clone.buffers)):
+        for name, value in arrays.items():
+            cloned[name] = (value.copy() if entry is None
+                            else gather_param(name, entry, value))
+    for name, value in clone.params.items():
+        clone.grads[name] = np.zeros_like(value)
+    if getattr(module, "rng", None) is not None:
+        clone.rng = np.random.default_rng(rng.integers(2 ** 31))
+    for name, child in module.children():
+        clone.add_child(name, _clone(
+            child, f"{qual}.{name}" if qual else name, plan, rng))
+    return clone
 
 
 # ----------------------------------------------------------------------
@@ -361,58 +237,30 @@ def recover_state_dict(sub_state: Dict[str, np.ndarray], plan: PruningPlan,
     ``state_dict()``); its values are never read, only their shapes.
     Entries not covered by the plan are copied through unchanged.
     """
-    planned = _planned_param_names(plan)
+    planned = plan.param_names()
     recovered: Dict[str, np.ndarray] = {}
     for key, full_value in template.items():
+        sub_value = sub_state[key]
         if key in planned:
             layer_name, suffix = planned[key]
-            entry = plan[layer_name]
-            recovered[key] = _scatter_param(
-                suffix, entry, sub_state[key], full_value.shape
+            recovered[key] = np.zeros(full_value.shape, dtype=sub_value.dtype)
+            scatter_assign_param(recovered[key], suffix, plan[layer_name],
+                                 sub_value)
+        elif sub_value.shape != full_value.shape:
+            raise ValueError(
+                f"unplanned entry {key!r} changed shape: "
+                f"{sub_value.shape} vs {full_value.shape}"
             )
         else:
-            sub_value = sub_state[key]
-            if sub_value.shape != full_value.shape:
-                raise ValueError(
-                    f"unplanned entry {key!r} changed shape: "
-                    f"{sub_value.shape} vs {full_value.shape}"
-                )
             recovered[key] = sub_value.copy()
     return recovered
 
 
-def _planned_param_names(plan: PruningPlan) -> Dict[str, Tuple[str, str]]:
-    """Map full parameter key -> (layer name, param suffix)."""
-    return plan.param_names()
-
-
-def _gate_rows(kept: np.ndarray, hidden_full: int) -> np.ndarray:
-    """Row indices owned by ISS components ``kept`` in a stacked-gate array."""
-    return np.concatenate(
-        [gate * hidden_full + kept for gate in range(4)]
-    ).astype(np.intp)
-
-
-def _kept_index(suffix: str, entry: LayerPrune):
-    """Index object selecting the kept (surviving) positions of a full
-    parameter — the positions a sub-model parameter maps onto."""
-    kind = entry.kind
-    if kind in ("conv", "linear") and suffix == "weight":
-        return np.ix_(entry.kept_out, entry.kept_in)
-    if kind in ("conv", "linear") and suffix == "bias":
-        return entry.kept_out
-    if kind == "bn":
-        return entry.kept_out
-    if kind == "lstm":
-        rows = _gate_rows(entry.kept_out, entry.out_full)
-        if suffix == "w_ih":
-            return np.ix_(rows, entry.kept_in)
-        if suffix == "w_hh":
-            return np.ix_(rows, entry.kept_out)
-        return rows  # bias
-    if kind == "embedding" and suffix == "weight":
-        return (slice(None), entry.kept_out)
-    raise ValueError(f"no scatter rule for kind={kind!r} suffix={suffix!r}")
+def _kept_index(suffix: str, entry: LayerPrune) -> Tuple[np.ndarray, ...]:
+    """Index selecting the kept (surviving) positions of a full array --
+    the positions a sub-model array maps onto: an open mesh of the kept
+    positions along each coupled axis."""
+    return np.ix_(*(entry.axis(role) for role in entry.roles(suffix)))
 
 
 def gather_param(suffix: str, entry: LayerPrune,
@@ -432,8 +280,8 @@ def scatter_assign_param(full: np.ndarray, suffix: str, entry: LayerPrune,
 def scatter_add_param(acc: np.ndarray, suffix: str, entry: LayerPrune,
                       sub_value: np.ndarray, weight: float) -> None:
     """Accumulate ``weight * sub_value`` into the kept positions of
-    ``acc`` in place — equivalent to ``acc += weight *
-    _scatter_param(...)`` without allocating the zero-expanded array."""
+    ``acc`` in place — what ``acc += weight * recovered`` does, without
+    allocating the zero-expanded array."""
     acc[_kept_index(suffix, entry)] += weight * sub_value
 
 
@@ -446,44 +294,13 @@ def scatter_add_residual(acc: np.ndarray, suffix: str, entry: LayerPrune,
     exactly the global value at pruned positions and exactly zero at
     kept positions, so this folds the residual model in without
     materialising ``global - sparse`` as a full array.  The pruned set
-    of a 2-D weight is the disjoint union (pruned rows x all columns)
-    u (kept rows x pruned columns); each position is touched once.
+    is the disjoint union, over the coupled axes ``k``, of (kept on the
+    axes before ``k``) x (pruned on axis ``k``) x (everything after);
+    each position is touched once.
     """
-    kind = entry.kind
-    out_p = entry.out_pruned
-    if kind in ("conv", "linear") and suffix == "weight":
-        if out_p.size:
-            acc[out_p] += weight * full_value[out_p]
-        in_p = entry.in_pruned
-        if in_p is not None and in_p.size:
-            idx = np.ix_(entry.kept_out, in_p)
+    roles = entry.roles(suffix)
+    for k, role in enumerate(roles):
+        pruned = entry.axis(role, pruned=True)
+        if pruned.size:
+            idx = np.ix_(*(entry.axis(r) for r in roles[:k]), pruned)
             acc[idx] += weight * full_value[idx]
-    elif (kind in ("conv", "linear") and suffix == "bias") or kind == "bn":
-        if out_p.size:
-            acc[out_p] += weight * full_value[out_p]
-    elif kind == "lstm":
-        rows_p = _gate_rows(out_p, entry.out_full)
-        if rows_p.size:
-            acc[rows_p] += weight * full_value[rows_p]
-        if suffix == "w_ih":
-            in_p = entry.in_pruned
-            if in_p is not None and in_p.size:
-                idx = np.ix_(_gate_rows(entry.kept_out, entry.out_full), in_p)
-                acc[idx] += weight * full_value[idx]
-        elif suffix == "w_hh":
-            if out_p.size:
-                idx = np.ix_(_gate_rows(entry.kept_out, entry.out_full), out_p)
-                acc[idx] += weight * full_value[idx]
-    elif kind == "embedding" and suffix == "weight":
-        if out_p.size:
-            acc[:, out_p] += weight * full_value[:, out_p]
-    else:
-        raise ValueError(f"no scatter rule for kind={kind!r} suffix={suffix!r}")
-
-
-def _scatter_param(suffix: str, entry: LayerPrune, sub_value: np.ndarray,
-                   full_shape: Tuple[int, ...]) -> np.ndarray:
-    """Place a sub-model parameter into a zero array of the full shape."""
-    full = np.zeros(full_shape, dtype=sub_value.dtype)
-    scatter_assign_param(full, suffix, entry, sub_value)
-    return full

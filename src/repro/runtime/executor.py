@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.data.loader import BatchIterator
 from repro.nn.batched import train_cohort
+from repro.nn.module import Module
 from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import (
     WIRE_PROFILES,
@@ -40,7 +41,7 @@ from repro.runtime.codec import (
     decode_contribution,
     encode_dispatch,
 )
-from repro.runtime.pool import InFlight, ProcessPool, Skeleton, WorkerSpec
+from repro.runtime.pool import InFlight, ProcessPool, WorkerSpec
 from repro.runtime.transport import (
     LocalTransport,
     StragglerDetector,
@@ -469,7 +470,7 @@ class RemoteExecutor(Executor):
 def make_executor(config, *, workers: Dict[int, object],
                   specs: Sequence[WorkerSpec],
                   telemetry: Optional[Telemetry] = None,
-                  skeleton: Optional[Skeleton] = None) -> Executor:
+                  skeleton: Optional[Module] = None) -> Executor:
     """Build the executor ``config.executor`` names (``skeleton`` is
     what pool children derive dispatched sub-models from)."""
     kind = getattr(config, "executor", "serial")

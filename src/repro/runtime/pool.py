@@ -47,10 +47,11 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.pruning.structured import extract_submodel
 from repro.runtime.codec import (
     DispatchPayload,
     WireFormatError,
@@ -75,7 +76,6 @@ if TYPE_CHECKING:  # cycle guard: repro.fl.engine imports this package
 __all__ = [
     "ITERATOR_KINDS",
     "InFlight",
-    "Skeleton",
     "WorkerSpec",
     "PoolMember",
     "ProcessPool",
@@ -84,11 +84,6 @@ __all__ = [
     "pack_skeleton",
     "unpack_skeleton",
 ]
-
-#: what a receiver derives sub-models from: the global model's module
-#: graph and the task family's extractor, a plain function
-#: ``(model, plan, rng=...) -> sub-model``
-Skeleton = Tuple["Module", Callable]
 
 #: iterator families a spec can rebuild ("batch" draws an epoch
 #: permutation at construction; "sequence" draws only per batch)
@@ -173,40 +168,38 @@ def pack_skeleton(task) -> bytes:
         for arrays in (module.params, module.grads, module.buffers):
             for value in arrays.values():
                 value.fill(0)
-    blob = pickle.dumps((model, task.extractor),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    return zlib.compress(blob, 1)
+    return zlib.compress(pickle.dumps(model, pickle.HIGHEST_PROTOCOL), 1)
 
 
-def unpack_skeleton(blob: bytes) -> Skeleton:
+def unpack_skeleton(blob: bytes) -> Module:
     return pickle.loads(zlib.decompress(blob))
 
 
-def derive_submodel(skeleton: Skeleton, payload: DispatchPayload) -> Module:
+def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
     """The dispatched sub-model, rebuilt at the receiver.
 
     A sub-model's structure is a pure function of (architecture, plan):
-    run the family's extractor on the local skeleton, load the frame's
-    state over whatever the extractor gathered (``load_state_dict``
-    copies every array, so ``payload.state`` stays the pristine base a
-    sparse reply diffs against), and put each RNG-bearing module at the
-    generator state the frame recorded.  Layer construction inside the
-    extractor draws from a throwaway generator; every value it
-    initialises is overwritten.
+    extract it from the local skeleton, load the frame's state over
+    whatever the extractor gathered (``load_state_dict`` copies every
+    array, so ``payload.state`` stays the pristine base a sparse reply
+    diffs against), and put each RNG-bearing module at the generator
+    state the frame recorded (the seeds extraction draws for them come
+    from its default throwaway generator and are overwritten).  A frame
+    whose plan, state or RNG record does not fit the skeleton is a
+    :class:`WireFormatError`, whatever it tripped over.
     """
-    model, extract = skeleton
-    submodel = extract(model, payload.plan, rng=np.random.default_rng(0))
     try:
+        submodel = extract_submodel(skeleton, payload.plan)
         submodel.load_state_dict(payload.state)
         submodel.load_rng_states(payload.module_rngs)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, IndexError) as exc:
         raise WireFormatError(
             f"dispatch does not fit the sub-model its plan derives: {exc}"
         ) from exc
     return submodel
 
 
-def handle_train(workers: Dict[int, Worker], skeleton: Optional[Skeleton],
+def handle_train(workers: Dict[int, Worker], skeleton: Optional[Module],
                  frame: bytes) -> bytes:
     """Serve one dispatch frame: derive, train, encode the reply."""
     if skeleton is None:
@@ -243,7 +236,7 @@ def handle_train(workers: Dict[int, Worker], skeleton: Optional[Skeleton],
     )
 
 
-def _child_main(conn, skeleton: Optional[Skeleton],
+def _child_main(conn, skeleton: Optional[Module],
                 specs_blob: bytes, inherited=()) -> None:
     """Serve one pipe until shutdown.
 
@@ -354,7 +347,7 @@ class ProcessPool:
     def __init__(self, specs: List[WorkerSpec],
                  num_procs: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 skeleton: Optional[Skeleton] = None,
+                 skeleton: Optional[Module] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None) -> None:
         if not specs:

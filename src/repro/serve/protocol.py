@@ -37,8 +37,7 @@ it dialled): ``spec``, a :class:`~repro.runtime.pool.WorkerSpec` from
 which it rebuilds the worker with bitwise-identical RNG streams
 (including any checkpoint- or leave-captured runtime state, so
 rejoining workers resume their streams mid-position), and
-``skeleton``, the global model's module graph and the task family's
-extractor.  A ``dispatch`` reply carries nothing but the codec frame:
+``skeleton``, the global model's module graph.  A ``dispatch`` reply carries nothing but the codec frame:
 the client derives the sub-model from the skeleton and the frame's
 plan, state and RNG record
 (:func:`repro.runtime.pool.derive_submodel`), so a re-issued dispatch

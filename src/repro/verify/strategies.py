@@ -1,9 +1,9 @@
 """Hypothesis strategies for property-based verification.
 
 Generators for the domain objects the verification suite fuzzes over:
-random state dicts, well-formed pruning plans over linear-chain
-templates (with matching gathered sub-models), and heterogeneous
-worker fleets.  Kept in a separate module so importing
+random state dicts, well-formed pruning plans over layer-chain
+templates of every plan kind (with matching gathered sub-models), and
+heterogeneous worker fleets.  Kept in a separate module so importing
 :mod:`repro.verify` never requires ``hypothesis``.
 
 Every strategy produces *well-formed* objects by construction (sorted
@@ -27,7 +27,7 @@ from repro.simulation.device import JETSON_TX2_MODES, DeviceProfile
 __all__ = [
     "state_dicts",
     "pruning_ratios",
-    "linear_chain_scenarios",
+    "chain_scenarios",
     "worker_fleets",
 ]
 
@@ -68,19 +68,19 @@ def _kept_indices(draw, full: int, count: int) -> np.ndarray:
 
 
 @st.composite
-def linear_chain_scenarios(draw, max_layers: int = 3,
-                           max_units: int = 8,
-                           max_ratio: float = 0.8):
+def chain_scenarios(draw, max_layers: int = 3, max_units: int = 8,
+                    max_ratio: float = 0.8):
     """A consistent (template, plan, sub_state, weight) quadruple.
 
-    The template is a chain of linear layers ``fc0 .. fcN`` (weight +
-    bias each).  The plan prunes each hidden layer to
-    :func:`keep_count` units at the drawn ratio with the kept set drawn
-    uniformly (not just a prefix), chains ``kept_in`` to the upstream
-    ``kept_out``, and keeps the last layer's outputs whole -- the same
-    shape discipline the real plan builder follows.  ``sub_state`` is
-    the plan's gather of the template; ``weight`` is an aggregation
-    weight in ``(0, 4]``.
+    The template is a chain of layers ``fc0 .. fcN``, each of a drawn
+    kind (linear, conv followed by its batch norm ``bn<i>``, or lstm;
+    the last is linear) with every array that kind owns.  The plan
+    prunes each hidden layer to :func:`keep_count` units at the drawn
+    ratio with the kept set drawn uniformly (not just a prefix), chains
+    ``kept_in`` to the upstream ``kept_out``, and keeps the last layer's
+    outputs whole -- the same shape discipline the real plan builder
+    follows.  ``sub_state`` is the plan's gather of the template;
+    ``weight`` is an aggregation weight in ``(0, 4]``.
     """
     num_layers = draw(st.integers(1, max_layers))
     sizes = [draw(st.integers(2, max_units))
@@ -92,34 +92,39 @@ def linear_chain_scenarios(draw, max_layers: int = 3,
     )
 
     plan = PruningPlan(ratio=ratio)
-    template: Dict[str, np.ndarray] = {}
     kept_in = np.arange(sizes[0], dtype=np.intp)
     for index in range(num_layers):
         in_full, out_full = sizes[index], sizes[index + 1]
-        last = index == num_layers - 1
-        if last:
+        if index == num_layers - 1:
+            kind = "linear"
             kept_out = np.arange(out_full, dtype=np.intp)
         else:
+            kind = draw(st.sampled_from(("linear", "conv", "lstm")))
             kept_out = _kept_indices(
                 draw, out_full, keep_count(out_full, ratio)
             )
-        name = f"fc{index}"
-        plan.add(name, LayerPrune(
-            kind="linear", kept_out=kept_out, out_full=out_full,
+        plan.add(f"fc{index}", LayerPrune(
+            kind=kind, kept_out=kept_out, out_full=out_full,
             kept_in=kept_in, in_full=in_full,
         ))
-        template[f"{name}.weight"] = _array_values(
-            (out_full, in_full), seed + 2 * index
-        )
-        template[f"{name}.bias"] = _array_values(
-            (out_full,), seed + 2 * index + 1
-        )
+        if kind == "conv":
+            plan.add(f"bn{index}", LayerPrune(
+                kind="bn", kept_out=kept_out, out_full=out_full,
+            ))
         kept_in = kept_out
 
-    mapping = plan.param_names()
+    template: Dict[str, np.ndarray] = {}
+    for key, (layer, suffix) in plan.param_names().items():
+        entry = plan[layer]
+        widths = {"out": entry.out_full, "in": entry.in_full,
+                  "gates": 4 * entry.out_full}
+        shape = tuple(widths[role] for role in entry.roles(suffix))
+        if entry.kind == "conv" and suffix == "weight":
+            shape += (3, 3)
+        template[key] = _array_values(shape, seed + len(template))
     sub_state = {
         key: gather_param(suffix, plan[layer], template[key])
-        for key, (layer, suffix) in mapping.items()
+        for key, (layer, suffix) in plan.param_names().items()
     }
     return template, plan, sub_state, weight
 

@@ -78,3 +78,13 @@ def test_unknown_layer_raises():
 
     with pytest.raises(TypeError):
         _count(NotALayer(), (1, 4, 4))
+
+
+def test_sequence_model_that_is_not_sequential_is_not_free(rng):
+    """Without an ``input_shape`` a model is priced as a sequence model;
+    one that is not a Sequential used to come out at 0 FLOPs -- and the
+    device simulator would have charged it no compute time."""
+    from repro.nn.recurrent import LSTM
+
+    with pytest.raises(TypeError, match="LSTM"):
+        count_model_flops(LSTM(4, 8, rng=rng))

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.models import build_alexnet, build_cnn, build_resnet50, build_vgg19
+from repro.models import (
+    build_alexnet,
+    build_cnn,
+    build_lstm_lm,
+    build_resnet50,
+    build_vgg19,
+)
+from repro.nn.layers import Flatten, Linear
+from repro.nn.module import Sequential
 from repro.pruning import (
     build_pruning_plan,
     extract_submodel,
@@ -23,7 +31,18 @@ MODEL_CASES = [
     ("resnet50",
      lambda rng: build_resnet50(width_mult=0.125, blocks_per_stage=(1, 1, 1, 1),
                                 rng=rng), (3, 64, 64)),
+    # the ISS family: same walk, same extractor; the "shape" of an LSTM
+    # input is a (T,) column of token ids
+    ("lstm",
+     lambda rng: build_lstm_lm(vocab_size=60, embedding_dim=12,
+                               hidden_size=16, dropout=0.2, rng=rng), None),
 ]
+
+
+def _inputs(rng, shape, batch=2):
+    if shape is None:
+        return rng.integers(0, 60, size=(5, batch))
+    return rng.normal(size=(batch,) + shape).astype(np.float32)
 
 
 @pytest.mark.parametrize("name,builder,shape", MODEL_CASES)
@@ -44,9 +63,8 @@ def test_submodel_forward_backward(rng, name, builder, shape):
     model = builder(rng)
     plan = build_pruning_plan(model, 0.5)
     sub = extract_submodel(model, plan, rng=rng)
-    x = rng.normal(size=(2,) + shape).astype(np.float32)
-    out = sub.forward(x)
-    assert out.shape[0] == 2
+    out = sub.forward(_inputs(rng, shape))
+    assert 2 in out.shape[:2]
     sub.zero_grad()
     sub.backward(np.ones_like(out) / out.size)
 
@@ -140,13 +158,113 @@ def test_bn_follows_conv(rng):
     assert np.array_equal(plan["bn1_1"].kept_out, plan["conv1_1"].kept_out)
 
 
-def test_plan_requires_input_shape(rng):
-    from repro.nn.layers import Linear
-    from repro.nn.module import Sequential
-
-    model = Sequential(("fc", Linear(4, 2, rng=rng)))
-    with pytest.raises(ValueError, match="input_shape"):
+def test_plan_rejects_fan_in_the_upstream_width_does_not_divide(rng):
+    """No spatial trace is needed: a Flatten's fan-out is the Linear's
+    ``in_features`` over the upstream channel count -- which therefore
+    has to divide it."""
+    model = Sequential(("fc1", Linear(4, 6, rng=rng)),
+                       ("flatten", Flatten()),
+                       ("fc2", Linear(9, 3, rng=rng)),
+                       ("fc3", Linear(3, 2, rng=rng)))
+    with pytest.raises(ValueError, match="fc2.*not a multiple of the 6"):
         build_pruning_plan(model, 0.5)
+
+
+def test_plan_needs_no_input_shape(rng):
+    model = Sequential(("fc1", Linear(4, 6, rng=rng)),
+                       ("fc2", Linear(6, 2, rng=rng)))
+    plan = build_pruning_plan(model, 0.5)
+    assert plan["fc1"].kept_in.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(plan["fc2"].kept_in, plan["fc1"].kept_out)
+    assert plan["fc2"].kept_out.tolist() == [0, 1]
+
+
+def test_identity_skip_rejects_a_pruned_block_input(rng):
+    """A bottleneck without a projection adds its input to its
+    (full-width) output, so nothing before it may have been pruned."""
+    from repro.models.blocks import Bottleneck
+    from repro.nn.layers import Conv2d
+
+    model = Sequential(("stem", Conv2d(3, 8, 3, padding=1, rng=rng)),
+                       ("block", Bottleneck(8, 4, 8, rng=rng)),
+                       ("flatten", Flatten()),
+                       ("fc", Linear(8 * 4 * 4, 2, rng=rng)))
+    assert build_pruning_plan(model, 0.0).is_identity()
+    with pytest.raises(ValueError, match="identity skip"):
+        build_pruning_plan(model, 0.5)
+
+
+@pytest.mark.parametrize("name,builder,shape", MODEL_CASES)
+def test_extraction_is_an_allocation_only_clone(rng, name, builder, shape):
+    """The sub-model is a structural clone: fresh arrays, zero grads, no
+    forward caches, every non-array attribute carried over, and the
+    extraction generator drawn once per RNG-bearing module only."""
+    model = builder(rng)
+    model.forward(_inputs(rng, shape))  # fill the global's forward caches
+    model.marker = ("carried", "over")  # not on any hand-kept list
+    plan = build_pruning_plan(model, 0.4)
+    extract_rng = np.random.default_rng(99)
+    sub = extract_submodel(model, plan, rng=extract_rng)
+
+    assert sub.marker == ("carried", "over")
+    for attr in ("input_shape", "num_classes", "vocab_size", "name"):
+        assert getattr(sub, attr, None) == getattr(model, attr, None)
+    sources = dict(model.named_modules())
+    rng_modules = 0
+    for qual, module in sub.named_modules():
+        source = sources[qual]
+        assert type(module) is type(source) and module is not source
+        assert module.training
+        for key, value in vars(source).items():
+            if key in ("params", "grads", "buffers", "_children",
+                       "training", "rng"):
+                continue
+            if key.startswith("_"):
+                assert getattr(module, key) is None, (qual, key)
+            elif qual not in plan:
+                assert getattr(module, key) == value, (qual, key)
+        for store in ("params", "grads", "buffers"):
+            for key, value in getattr(module, store).items():
+                twin = getattr(source, store)[key]
+                assert not np.shares_memory(value, twin), (qual, key)
+                assert value.dtype == twin.dtype
+                assert value.flags.c_contiguous and value.flags.writeable
+        assert all(not grad.any() for grad in module.grads.values())
+        if getattr(source, "rng", None) is not None:
+            rng_modules += 1
+            assert module.rng is not source.rng
+    if name == "cnn":
+        assert sub.get("conv1").requires_input_grad is False
+        assert sub.get("conv2").requires_input_grad is True
+
+    replay = np.random.default_rng(99)
+    seeds = [replay.integers(2 ** 31) for _ in range(rng_modules)]
+    assert extract_rng.bit_generator.state == replay.bit_generator.state
+    assert rng_modules == {"alexnet": 2, "vgg19": 2, "lstm": 1}.get(name, 0)
+    assert [state["state"] for state in sub.rng_states().values()] == [
+        np.random.default_rng(seed).bit_generator.state["state"]
+        for seed in seeds
+    ]
+
+
+def test_extract_rejects_a_plan_that_does_not_fit_the_model(rng):
+    model = build_cnn(rng=rng)
+    plan = build_pruning_plan(model, 0.5)
+
+    missing = build_pruning_plan(model, 0.5)
+    del missing.layers["conv2"]
+    with pytest.raises(ValueError, match="disagree.*conv2"):
+        extract_submodel(model, missing)
+
+    extra = build_pruning_plan(model, 0.5)
+    extra.add("conv9", plan["conv2"])
+    with pytest.raises(ValueError, match="conv9"):
+        extract_submodel(model, extra)
+
+    other = build_pruning_plan(build_cnn(input_shape=(1, 20, 20), rng=rng),
+                               0.5)
+    with pytest.raises(ValueError, match="fc1"):
+        extract_submodel(model, other)
 
 
 def test_recover_rejects_shape_drift_on_unplanned_entries(rng):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from repro.models.registry import build_model
 from repro.pruning.quantize import quantize_state_dict
-from repro.pruning.iss import build_iss_plan, extract_iss_submodel
 from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
     FLAG_RNG,
@@ -24,7 +23,7 @@ from repro.runtime.codec import (
 )
 from repro.runtime.pool import derive_submodel
 from repro.verify.strategies import (
-    linear_chain_scenarios,
+    chain_scenarios,
     state_dicts,
 )
 
@@ -59,7 +58,7 @@ def _assert_plans_equal(decoded, original):
 # ----------------------------------------------------------------------
 # hypothesis round-trips
 # ----------------------------------------------------------------------
-@given(scenario=linear_chain_scenarios())
+@given(scenario=chain_scenarios())
 @settings(max_examples=50, deadline=None)
 def test_dispatch_roundtrip(scenario):
     _, plan, sub_state, _ = scenario
@@ -147,7 +146,7 @@ def _dropout_dispatch():
     submodel = extract_submodel(model, plan, np.random.default_rng(4))
     rngs = submodel.rng_states()
     assert sorted(rngs) == ["drop1", "drop2"]
-    return (model, extract_submodel), plan, submodel.state_dict(), rngs
+    return model, plan, submodel.state_dict(), rngs
 
 
 def test_truncated_prefixes_rejected():
@@ -285,6 +284,60 @@ def test_kept_index_out_of_range_rejected():
         decode_dispatch(_reseal(frame))
 
 
+def test_removed_layer_kind_code_rejected():
+    """Kinds travel as their position in ``LAYER_KINDS``; code 4 was the
+    never-produced "embedding" kind and is now past the end."""
+    from repro.pruning.plan import LAYER_KINDS, LayerPrune, PruningPlan
+    assert LAYER_KINDS == ("conv", "linear", "bn", "lstm")
+    plan = PruningPlan(ratio=0.5)
+    plan.add("rnn", LayerPrune(kind="lstm", kept_out=np.array([0, 1]),
+                               out_full=4, kept_in=np.array([0]), in_full=2))
+    frame = bytearray(encode_dispatch(0, plan, {}, tau=1,
+                                      hyper=TrainHyper(lr=0.1)))
+    kind_at = bytes(frame).index(b"\x03\x00rnn") + 5
+    assert frame[kind_at] == 3
+    assert decode_dispatch(_reseal(frame)).plan["rnn"].kind == "lstm"
+    frame[kind_at] = 4
+    with pytest.raises(WireFormatError, match="layer-kind code 4"):
+        decode_dispatch(_reseal(frame))
+
+
+@pytest.mark.parametrize("hostile", ["missing_entry", "unknown_entry",
+                                     "wrong_out_full", "index_past_width",
+                                     "wrong_kind", "no_input_indices"])
+def test_plan_that_does_not_fit_the_skeleton_is_a_wire_error(hostile):
+    """A well-formed frame whose plan is not a plan *of this model* must
+    end in the typed error, not in a KeyError / IndexError deep inside a
+    pool child or service client."""
+    from repro.pruning.plan import LayerPrune
+    model = build_model("cnn", rng=np.random.default_rng(3))
+    plan = build_pruning_plan(model, 0.3)
+    state = extract_submodel(model, plan).state_dict()
+    entry = plan.layers["conv2"]
+    if hostile == "missing_entry":
+        del plan.layers["conv2"]
+    elif hostile == "unknown_entry":
+        plan.add("conv9", entry)
+    elif hostile == "wrong_out_full":
+        entry.out_full += 1
+    elif hostile == "index_past_width":
+        # in range for the frame's own out_full (the codec's check), not
+        # for the layer it is applied to
+        entry.out_full = 500
+        entry.kept_out[-1] = 499
+    elif hostile == "wrong_kind":
+        plan.layers["conv2"] = LayerPrune(
+            kind="linear", kept_out=entry.kept_out, out_full=entry.out_full,
+            kept_in=entry.kept_in, in_full=entry.in_full)
+    else:
+        plan.layers["conv2"] = LayerPrune(
+            kind="conv", kept_out=entry.kept_out, out_full=entry.out_full)
+    payload = decode_dispatch(encode_dispatch(
+        0, plan, state, tau=1, hyper=TrainHyper(lr=0.1)))
+    with pytest.raises(WireFormatError, match="does not fit"):
+        derive_submodel(model, payload)
+
+
 # ----------------------------------------------------------------------
 # every registry model round-trips under verify-preset ratios
 # ----------------------------------------------------------------------
@@ -294,13 +347,8 @@ def test_kept_index_out_of_range_rejected():
 def test_registry_models_roundtrip(model_name, ratio):
     rng = np.random.default_rng(11)
     model = build_model(model_name, rng=rng)
-    if model_name == "lstm_lm":
-        plan = build_iss_plan(model, ratio)
-        submodel = extract_iss_submodel(model, plan,
-                                        np.random.default_rng(12))
-    else:
-        plan = build_pruning_plan(model, ratio)
-        submodel = extract_submodel(model, plan, np.random.default_rng(12))
+    plan = build_pruning_plan(model, ratio)
+    submodel = extract_submodel(model, plan, np.random.default_rng(12))
     state = submodel.state_dict()
     rngs = submodel.rng_states()
     assert bool(rngs) == (model_name in ("alexnet", "vgg19"))

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.registry import build_model
-from repro.pruning.iss import build_iss_plan, extract_iss_submodel
 from repro.pruning.quantize import quantize_array
 from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
@@ -172,13 +171,8 @@ def test_materialise_never_mutates_the_base():
 def test_registry_models_sparse_roundtrip(model_name, profile):
     rng = np.random.default_rng(11)
     model = build_model(model_name, rng=rng)
-    if model_name == "lstm_lm":
-        plan = build_iss_plan(model, 0.35)
-        submodel = extract_iss_submodel(model, plan,
-                                        np.random.default_rng(12))
-    else:
-        plan = build_pruning_plan(model, 0.35)
-        submodel = extract_submodel(model, plan, np.random.default_rng(12))
+    plan = build_pruning_plan(model, 0.35)
+    submodel = extract_submodel(model, plan, np.random.default_rng(12))
     base = submodel.state_dict()
     trained = _trained_like(base, seed=13)
     frame = encode_contribution(0, trained, train_loss=0.1,

@@ -198,7 +198,7 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     engine = Engine(task, devices, config)
     executor = RemoteExecutor(
         ProcessPool(engine.worker_specs, num_procs=4,
-                    skeleton=(engine.model, task.extractor)),
+                    skeleton=engine.model),
         telemetry=telemetry, straggler_quorum=0.75,
         straggler_multiplier=1.5,
     )

@@ -145,8 +145,7 @@ def test_skeleton_ships_structure_not_weights(mnist):
     the model it describes -- registration cost, not dispatch cost."""
     task = ClassificationTask(mnist, "cnn")
     blob = pack_skeleton(task)
-    model, extract = unpack_skeleton(blob)
-    assert extract is task.extractor
+    model = unpack_skeleton(blob)
     assert all(not value.any() for _, value in model.named_parameters())
     assert len(blob) < 0.01 * 4 * model.num_parameters()
 
@@ -176,7 +175,7 @@ def test_killed_worker_raises_worker_crash_error(mnist, devices):
     config = _config()
     engine = Engine(task, devices, config)
     pool = ProcessPool(engine.worker_specs, num_procs=2,
-                       skeleton=(engine.model, task.extractor))
+                       skeleton=engine.model)
     executor = RemoteExecutor(pool)
     try:
         executor.run(_requests(engine, config, 0.3), round_index=0)

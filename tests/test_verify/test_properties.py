@@ -1,7 +1,9 @@
 """Property tests: the scatter fast path against dense reference oracles.
 
 Fuzzes over the generators in :mod:`repro.verify.strategies`:
-well-formed pruning plans on linear-chain templates, random state
+well-formed pruning plans on layer-chain templates of every plan kind
+(linear, conv + bn, lstm -- so ``w_ih`` / ``w_hh`` and their stacked
+gate rows go through the same checks), random state
 dicts, and heterogeneous device fleets.
 """
 
@@ -20,7 +22,7 @@ from repro.pruning.structured import (
     scatter_add_residual,
 )
 from repro.verify.strategies import (
-    linear_chain_scenarios,
+    chain_scenarios,
     pruning_ratios,
     state_dicts,
     worker_fleets,
@@ -28,7 +30,7 @@ from repro.verify.strategies import (
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenario=linear_chain_scenarios())
+@given(scenario=chain_scenarios())
 def test_scatter_add_matches_dense_recovery(scenario):
     """The aggregator's scatter-add accumulation of a sub-model is
     bitwise the dense zero-expansion reference, for any plan/weight."""
@@ -51,7 +53,7 @@ def test_scatter_add_matches_dense_recovery(scenario):
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenario=linear_chain_scenarios())
+@given(scenario=chain_scenarios())
 def test_scatter_add_residual_matches_dense_residual(scenario):
     """In-place residual folding == the materialised residual model."""
     template, plan, _, weight = scenario
@@ -71,7 +73,7 @@ def test_scatter_add_residual_matches_dense_residual(scenario):
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenario=linear_chain_scenarios())
+@given(scenario=chain_scenarios())
 def test_recovery_plus_residual_reconstructs_the_global_state(scenario):
     """R2SP's core identity: an untrained sub-model plus its residual
     is exactly the global state (every position carries either its
@@ -85,7 +87,7 @@ def test_recovery_plus_residual_reconstructs_the_global_state(scenario):
 
 
 @settings(max_examples=30, deadline=None)
-@given(scenario=linear_chain_scenarios())
+@given(scenario=chain_scenarios())
 def test_single_untrained_contribution_is_a_fixed_point(scenario):
     """Aggregating one contribution that uploaded exactly what was
     dispatched reproduces the global state bit for bit."""
