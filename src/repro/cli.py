@@ -762,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser = subparsers.add_parser(
         "verify",
         help="run the verification battery (invariants, differential "
-             "fast-vs-dense / sync-vs-semisync, fault conformance, "
+             "engine-vs-reference / sync-vs-semisync, fault conformance, "
              "kill-and-resume, loopback-socket service mode)")
     verify_parser.add_argument("--preset", default="cnn",
                                choices=sorted(BENCH_TASKS),
@@ -771,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="rounds per verification run")
     verify_parser.add_argument("--tolerance", type=int, default=0,
                                metavar="ULPS",
-                               help="fast-vs-dense divergence tolerance "
-                                    "(the fast path is specified bitwise "
+                               help="differential/engine_vs_reference "
+                                    "tolerance (specified bitwise "
                                     "identical: default 0)")
     verify_parser.add_argument("--semisync-tolerance", type=int,
                                default=None, metavar="ULPS",

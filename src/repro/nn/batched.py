@@ -8,8 +8,8 @@ tensors and runs each layer **once** per step over a member-major
 ``(M * B, ...)`` activation block.
 
 The stacked computation is *specified to be bitwise identical* to the
-per-member reference path (the cohort differential in ``repro verify``
-pins this at 0 ULPs).  The equivalences it relies on:
+per-member reference path (``differential/engine_vs_reference`` in
+``repro verify`` pins this at 0 ULPs).  The equivalences it relies on:
 
 - per-sample layers (ReLU, pooling, Flatten, im2col/col2im) act row- or
   sample-wise, so running them on the stacked block is literally the
@@ -19,8 +19,13 @@ pins this at 0 ULPs).  The equivalences it relies on:
   stacked Linear/Conv2d forward/backward products match per-member
   products bit for bit;
 - float scalars (``lr``, ``momentum``, clip scales) are applied
-  elementwise, and the clipping norm is accumulated per member in the
-  exact same python-float order the per-member optimiser uses.
+  elementwise, and the clipping norm is the per-member optimiser's own
+  :func:`repro.nn.optim.squared_norm`, accumulated per member in the
+  same parameter order.
+
+Memory contract (DESIGN.md 3.3): the ``(M, ...)`` parameter and gradient
+blocks are allocated once per cohort, clipping allocates nothing
+cohort-sized, and trained states leave as row views of the blocks.
 
 Members share weights only at dispatch: after the first step their
 parameters diverge (different local batches), hence every Linear/Conv2d
@@ -42,12 +47,17 @@ from repro.nn import functional as F
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.loss import softmax
 from repro.nn.module import Module, Sequential
+from repro.nn.optim import squared_norm
 
 __all__ = ["supports_cohort_training", "train_cohort"]
 
 #: layers with no parameters and strictly per-sample semantics: they run
 #: unchanged on the stacked ``(M * B, ...)`` activation block
 _STATELESS_TYPES = (ReLU, MaxPool2d, AvgPool2d, Flatten)
+
+#: float64 elements per clip-norm block (256 KiB: stays in L2); a
+#: parameter wider than this is walked one member at a time
+_NORM_BLOCK_ELEMENTS = 32 * 1024
 
 
 def supports_cohort_training(model: Module) -> bool:
@@ -79,9 +89,10 @@ class _StackedLinear:
             "weight": np.repeat(weight[None], members, axis=0),
             "bias": np.repeat(bias[None], members, axis=0),
         }
+        # every backward overwrites both through ``out=``
         self.grads = {
-            "weight": np.zeros_like(self.params["weight"]),
-            "bias": np.zeros_like(self.params["bias"]),
+            "weight": np.empty_like(self.params["weight"]),
+            "bias": np.empty_like(self.params["bias"]),
         }
         self._x3: Optional[np.ndarray] = None
 
@@ -129,8 +140,8 @@ class _StackedConv2d:
             "bias": np.repeat(bias[None], members, axis=0),
         }
         self.grads = {
-            "weight": np.zeros_like(self.params["weight"]),
-            "bias": np.zeros_like(self.params["bias"]),
+            "weight": np.empty_like(self.params["weight"]),
+            "bias": np.empty_like(self.params["bias"]),
         }
         self._cols3: Optional[np.ndarray] = None
         self._x_shape: Optional[tuple] = None
@@ -282,13 +293,11 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         _sgd_step(param_layers, velocity, members, lr, momentum,
                   weight_decay, prox_mu, clip_norm, anchor_state)
 
-    states = []
-    for index in range(members):
-        state = {}
-        for layer in param_layers:
-            for name, value in layer.params.items():
-                state[f"{layer.name}.{name}"] = value[index].copy()
-        states.append(state)
+    # hand-off: a member's state is its (disjoint) row of each block
+    named = [(f"{layer.name}.{name}", value) for layer in param_layers
+             for name, value in layer.params.items()]
+    states = [{key: value[index] for key, value in named}
+              for index in range(members)]
     losses = [total / tau for total in totals]
     return states, losses
 
@@ -309,22 +318,28 @@ def _sgd_step(param_layers: Sequence[object],
                     layer.grads[name] += prox_mu * (param - ref[None])
 
     if clip_norm is not None:
-        # per-member squared-norm totals, accumulated in the same
-        # parameter order (and python-float addition order) as
-        # SGD._apply_clipping
+        # per-member totals in SGD._apply_clipping's parameter order;
+        # member blocks keep the float64 copy in cache and change no bit
+        # (a member's reduction covers only its own elements)
+        grads = [grad.reshape(members, -1) for layer in param_layers
+                 for grad in layer.grads.values()]
         norms = np.zeros(members, dtype=np.float64)
-        for layer in param_layers:
-            for name in layer.grads:
-                grad = layer.grads[name].astype(np.float64)
-                axes = tuple(range(1, grad.ndim))
-                norms += (grad ** 2).sum(axis=axes)
-        for index in range(members):
-            norm = float(norms[index]) ** 0.5
-            if norm > clip_norm and norm > 0:
-                scale = clip_norm / norm
-                for layer in param_layers:
-                    for name in layer.grads:
-                        layer.grads[name][index] *= scale
+        for rows in grads:
+            step = max(1, _NORM_BLOCK_ELEMENTS // rows.shape[1])
+            for start in range(0, members, step):
+                norms[start:start + step] += squared_norm(
+                    rows[start:start + step], member_axis=True)
+        # the member optimiser's python-float sqrt and division, over
+        # scalars only; unclipped members keep scale 1 and are masked out
+        scales = np.array([
+            clip_norm / norm if norm > clip_norm and norm > 0 else 1.0
+            for norm in (total ** 0.5 for total in norms.tolist())
+        ])
+        clipped = (scales != 1.0)[:, None]
+        if clipped.any():
+            for rows in grads:
+                np.multiply(rows, scales.astype(rows.dtype)[:, None],
+                            out=rows, where=clipped)
 
     for layer in param_layers:
         for name, param in layer.params.items():

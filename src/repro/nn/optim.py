@@ -9,11 +9,26 @@ Heterogeneous Networks".
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.nn.module import Module
+
+
+def squared_norm(grad: np.ndarray,
+                 member_axis: bool = False) -> Union[float, np.ndarray]:
+    """Sum of squares of ``grad`` in float64: the one clip-norm rule.
+
+    With ``member_axis`` the result is one total per leading-axis row
+    (a cohort member), reduced over that row's own contiguous elements:
+    bit for bit the scalar total of the member's array alone.
+    """
+    rows = grad.reshape(len(grad) if member_axis else 1, -1)
+    squares = rows.astype(np.float64)
+    np.square(squares, out=squares)
+    totals = squares.sum(axis=1)
+    return totals if member_axis else float(totals[0])
 
 
 class SGD:
@@ -38,7 +53,7 @@ class SGD:
             return
         total = 0.0
         for _, grad in self.model.named_grads():
-            total += float((grad.astype(np.float64) ** 2).sum())
+            total += squared_norm(grad)
         norm = total ** 0.5
         if norm > self.clip_norm and norm > 0:
             scale = self.clip_norm / norm

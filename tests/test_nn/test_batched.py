@@ -12,10 +12,10 @@ from repro.nn.batched import (
     supports_cohort_training,
     train_cohort,
 )
-from repro.nn.layers import BatchNorm2d, Conv2d, Dropout, Linear, ReLU
+from repro.nn.layers import BatchNorm2d, Conv2d, Dropout, Flatten, Linear, ReLU
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Sequential
-from repro.nn.optim import SGD, ProximalSGD
+from repro.nn.optim import SGD, ProximalSGD, squared_norm
 
 MEMBERS = 3
 BATCH = 6
@@ -28,11 +28,27 @@ def _model():
                      rng=np.random.default_rng(3))
 
 
-def _iterators(seed_base):
+def _mlp(hidden):
+    """``fc1.weight`` has ``64 * hidden`` elements per member: the width
+    sets how many members one clip-norm block of the stacked step holds."""
+    def build():
+        rng = np.random.default_rng(3)
+        return Sequential(
+            ("flatten", Flatten()),
+            ("fc1", Linear(64, hidden, rng=rng)),
+            ("relu", ReLU()),
+            ("fc2", Linear(hidden, CLASSES, rng=rng)),
+        )
+    return build
+
+
+def _iterators(seed_base, members=MEMBERS, poisoned=None):
     iterators = []
-    for index in range(MEMBERS):
+    for index in range(members):
         rng = np.random.default_rng(seed_base + index)
         inputs = rng.normal(size=(20, 1, 8, 8)).astype(np.float32)
+        if index == poisoned:
+            inputs[:, 0, 0, 0] = np.inf
         targets = rng.integers(0, CLASSES, size=20)
         iterators.append(BatchIterator(
             inputs, targets, BATCH,
@@ -41,13 +57,15 @@ def _iterators(seed_base):
     return iterators
 
 
-def _member_reference(init_state, tau, **hyper):
-    """The per-member path: repro.fl.worker.Worker.local_train inlined."""
+def _member_reference(init_state, tau, build=_model, members=MEMBERS,
+                      poisoned=None, **hyper):
+    """The per-member path: repro.fl.worker.Worker.local_train inlined.
+    Also returns every member's first-step gradient norm."""
     prox_mu = hyper.pop("prox_mu", 0.0)
     anchor = hyper.pop("anchor", None)
-    states, losses = [], []
-    for iterator in _iterators(50):
-        model = _model()
+    states, losses, norms = [], [], []
+    for iterator in _iterators(50, members, poisoned):
+        model = build()
         model.load_state_dict(init_state)
         model.train()
         if prox_mu > 0.0:
@@ -59,23 +77,29 @@ def _member_reference(init_state, tau, **hyper):
             optimizer = SGD(model, **hyper)
         criterion = CrossEntropyLoss()
         total = 0.0
-        for _ in range(tau):
+        for step in range(tau):
             inputs, targets = iterator.next_batch()
             logits = model.forward(inputs)
             total += criterion(logits, targets)
             model.zero_grad()
             model.backward(criterion.backward())
+            if step == 0:
+                norms.append(sum(
+                    squared_norm(grad) for _, grad in model.named_grads()
+                ) ** 0.5)
             optimizer.step()
         states.append(model.state_dict())
         losses.append(total / tau)
-    return states, losses
+    return states, losses, norms
 
 
-def _assert_bitwise(states_a, losses_a, states_b, losses_b):
-    assert losses_a == losses_b
-    assert len(states_a) == len(states_b)
-    for state_a, state_b in zip(states_a, states_b):
+def _assert_bitwise(states_a, losses_a, states_b, losses_b, skip=None):
+    assert len(states_a) == len(states_b) == len(losses_a) == len(losses_b)
+    for index, (state_a, state_b) in enumerate(zip(states_a, states_b)):
         assert state_a.keys() == state_b.keys()
+        if index == skip:
+            continue
+        assert losses_a[index] == losses_b[index]
         for key in state_a:
             a, b = state_a[key], state_b[key]
             assert a.dtype == b.dtype, key
@@ -83,24 +107,77 @@ def _assert_bitwise(states_a, losses_a, states_b, losses_b):
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), key
 
 
-@pytest.mark.parametrize("hyper", [
-    dict(lr=0.05),
-    dict(lr=0.05, momentum=0.9),
-    dict(lr=0.05, clip_norm=0.5),
-    dict(lr=0.05, momentum=0.9, weight_decay=0.01, clip_norm=2.0),
-    dict(lr=0.05, prox_mu=0.1),
-], ids=["plain", "momentum", "clip", "full", "prox"])
-def test_cohort_training_matches_member_path(hyper):
-    init_state = _model().state_dict()
+# (model factory, members, hyper-parameters, poisoned member); the
+# stacked step walks the clip norm in blocks of 32 Ki elements, so with
+# 37 members _mlp(100) spans seven blocks of five members plus a
+# remainder of two; _mlp(600) and the CNN's conv2/fc1 weights are one
+# member per block.  The poisoned member draws an ``inf`` pixel: its
+# gradient norm is NaN, so it is never clipped.
+@pytest.mark.parametrize("build, members, hyper, poisoned", [
+    (_model, MEMBERS, dict(lr=0.05), None),
+    (_model, MEMBERS, dict(lr=0.05, momentum=0.9), None),
+    (_model, MEMBERS, dict(lr=0.05, clip_norm=0.5), None),
+    (_model, MEMBERS,
+     dict(lr=0.05, momentum=0.9, weight_decay=0.01, clip_norm=2.0), None),
+    (_model, MEMBERS, dict(lr=0.05, prox_mu=0.1), None),
+    (_model, 37, dict(lr=0.05, clip_norm=0.5), None),
+    (_mlp(100), 37, dict(lr=0.05, clip_norm="median"), None),
+    (_mlp(600), 5, dict(lr=0.05, momentum=0.9, clip_norm="median"), None),
+    pytest.param(_mlp(100), 7, dict(lr=0.05, clip_norm=0.5), 4,
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["plain", "momentum", "clip", "full", "prox", "clip-37-members",
+        "blocks-with-remainder", "one-member-blocks", "non-finite-member"])
+def test_cohort_training_matches_member_path(build, members, hyper, poisoned):
+    init_state = build().state_dict()
     hyper = dict(hyper)
     if "prox_mu" in hyper:
         hyper["anchor"] = init_state
-    ref_states, ref_losses = _member_reference(init_state, TAU, **hyper)
+    if hyper.get("clip_norm") == "median":
+        # a threshold that clips some members and not others in step 0
+        norms = _member_reference(init_state, 1, build, members,
+                                  lr=hyper["lr"])[2]
+        hyper["clip_norm"] = float(np.median(norms))
+        assert 0 < sum(norm > hyper["clip_norm"] for norm in norms) < members
+    ref_states, ref_losses, norms = _member_reference(
+        init_state, TAU, build, members, poisoned, **hyper)
     anchor = hyper.pop("anchor", None)
     cohort_states, cohort_losses = train_cohort(
-        _model(), init_state, _iterators(50), TAU, anchor=anchor, **hyper
+        build(), init_state, _iterators(50, members, poisoned), TAU,
+        anchor=anchor, **hyper
     )
-    _assert_bitwise(ref_states, ref_losses, cohort_states, cohort_losses)
+    # every healthy member byte for byte, the poisoned one up to NaNs
+    _assert_bitwise(ref_states, ref_losses, cohort_states, cohort_losses,
+                    skip=poisoned)
+    non_finite = [index for index, norm in enumerate(norms)
+                  if not np.isfinite(norm)]
+    assert non_finite == ([] if poisoned is None else [poisoned])
+    if poisoned is not None:
+        assert np.isnan(cohort_losses[poisoned])
+        for key, value in ref_states[poisoned].items():
+            assert np.array_equal(value, cohort_states[poisoned][key],
+                                  equal_nan=True), key
+
+
+def test_member_states_alias_nothing_but_their_own_rows():
+    """The hand-off contract: member states are disjoint views of the
+    cohort's parameter block, never of the dispatched state."""
+    init_state = _model().state_dict()
+    before = {key: value.copy() for key, value in init_state.items()}
+    states, _ = train_cohort(_model(), init_state, _iterators(50), TAU,
+                             lr=0.05, clip_norm=0.5)
+    for key, value in init_state.items():
+        assert np.array_equal(value, before[key]), key
+    arrays = [value for state in states for value in state.values()]
+    for index, array in enumerate(arrays):
+        for other in list(init_state.values()) + arrays[index + 1:]:
+            assert not np.shares_memory(array, other)
+    snapshot = [{key: value.copy() for key, value in state.items()}
+                for state in states[1:]]
+    for value in states[0].values():
+        value.fill(7.0)
+    for state, kept in zip(states[1:], snapshot):
+        for key in state:
+            assert np.array_equal(state[key], kept[key]), key
 
 
 def test_stacked_conv_matches_members_at_stride_2_padding_1():

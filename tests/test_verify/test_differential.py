@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments import fleet as fleet_experiment
+from repro.fl.config import FLConfig
 from repro.verify import (
     DivergenceError,
     compare_state_sequences,
@@ -150,3 +152,23 @@ def test_semisync_differential_rejects_non_sync_base(
         differential_sync_vs_semisync(
             lambda: bench.make_task(0.0), fleet, config,
         )
+
+
+def test_fleet_shaped_engine_is_bitwise_identical_to_reference():
+    """The shape perf's ``fleet_cohort`` workload runs: a fleet sampled
+    per round, cluster-scope E-UCB, clipping on -- so every round trains
+    two stacked cohorts of ~48 members, each walked in many clip-norm
+    blocks -- against the per-member oracle.  Under the default
+    ``clip_norm`` these three rounds hold steps that clip every member,
+    some members, and none."""
+    config = FLConfig(
+        strategy="fedmp", strategy_kwargs={"scope": "cluster"},
+        max_rounds=3, local_iterations=2, batch_size=8, eval_every=3,
+        seed=17, clients_per_round=96,
+    )
+    assert config.clip_norm is not None
+    report = differential_engine_vs_reference(
+        fleet_experiment.make_task, fleet_experiment.make_fleet(300), config,
+    )
+    assert report.passed, report.describe()
+    assert report.max_ulps == 0
