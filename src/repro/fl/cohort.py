@@ -9,8 +9,8 @@ per cohort, so dispatch cost is O(cohorts) while per-member
 bookkeeping shrinks to a handful of scalars (``tau``, round costs,
 sample counts).
 
-The cohort is also the granularity of execution (see
-:meth:`repro.runtime.executor.Executor.run_cohort`) and of scatter-add
+The cohort is also the granularity of a round's training requests
+(see :meth:`repro.runtime.executor.Executor.run_round`) and of scatter-add
 aggregation (per-cohort partial sums folded into the global
 accumulator), and -- with ``scope="cluster"`` -- the granularity at
 which the E-UCB strategy observes rewards.

@@ -666,7 +666,8 @@ class Engine:
 
     def _run_training(self, dispatches: Sequence[Dispatch],
                       round_index: int) -> List[object]:
-        """Hand the dispatches to the executor, one request per cohort.
+        """Hand the dispatches to the executor as one round of cohort
+        requests.
 
         Returns :class:`~repro.runtime.executor.TrainResult` objects
         aligned with ``dispatches``.
@@ -685,9 +686,8 @@ class Engine:
         for index, dispatch in enumerate(dispatches):
             groups.setdefault(id(dispatch.cohort), []).append(index)
 
-        results: List[object] = [None] * len(dispatches)
-        for indices in groups.values():
-            request = CohortTrainRequest(
+        requests = [
+            CohortTrainRequest(
                 cohort=dispatches[indices[0]].cohort,
                 worker_ids=[dispatches[i].worker_id for i in indices],
                 taus=[dispatches[i].tau for i in indices],
@@ -696,7 +696,11 @@ class Engine:
                     dispatches[i].costs.total_s * emulate for i in indices
                 ],
             )
-            batch = self.executor.run_cohort(request, round_index)
+            for indices in groups.values()
+        ]
+        results: List[object] = [None] * len(dispatches)
+        batches = self.executor.run_round(requests, round_index)
+        for indices, batch in zip(groups.values(), batches):
             for index, result in zip(indices, batch):
                 results[index] = result
         return results

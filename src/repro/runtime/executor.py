@@ -1,16 +1,17 @@
 """The engine's execution seam: serial (inline) or remote training.
 
-Schedulers hand the engine a batch of dispatches; the engine turns them
-into :class:`TrainRequest` records and submits them through its
-executor.  :class:`SerialExecutor` preserves the historical inline
-behaviour exactly (same call order, same RNG consumption, same
-telemetry spans).  :class:`RemoteExecutor` encodes each request with
-the wire codec, hands the frames to a *link* -- the pipes of a
-persistent :class:`~repro.runtime.pool.ProcessPool`, or the pull pump
-of a :class:`~repro.serve.service.FedMPService` -- gathers the
-contribution frames, and decodes them, with per-round ``serialize`` /
+Schedulers hand the engine a batch of dispatches; the engine submits
+them, one :class:`CohortTrainRequest` per cohort, as a whole round
+(:meth:`Executor.run_round`).  :class:`SerialExecutor` preserves the
+historical inline behaviour exactly (same call order, same RNG
+consumption, same telemetry spans).  :class:`RemoteExecutor` encodes
+each member with the wire codec, hands the frames to a *link* -- the
+pipes of a persistent :class:`~repro.runtime.pool.ProcessPool` (the
+whole round at once), or the pull pump of a
+:class:`~repro.serve.service.FedMPService` (a cohort at a time) --
+gathers the contribution frames, and decodes them, with ``serialize`` /
 ``transfer`` / ``parallel_train`` spans and ``wire_bytes_total`` /
-``retries_total`` / ``stragglers_total`` counters.
+``retries_total`` / ``stragglers_total`` counters per gather.
 
 Both executors return the same :class:`TrainResult` list in submission
 order, and both are bitwise-identical to each other: the receiver
@@ -128,6 +129,15 @@ class Executor:
         cohort-level execution (see :meth:`SerialExecutor.run_cohort`).
         """
         return self.run(self._decompose(request), round_index)
+
+    def run_round(self, requests: Sequence[CohortTrainRequest],
+                  round_index: int = 0) -> List[List[TrainResult]]:
+        """Train every cohort of one round: the engine's only entry
+        point.  One result list per request, each aligned with its
+        ``worker_ids``.  The base route is :meth:`run_cohort` per
+        request, in order."""
+        return [self.run_cohort(request, round_index)
+                for request in requests]
 
     @staticmethod
     def _decompose(request: CohortTrainRequest,
@@ -318,9 +328,11 @@ class RemoteExecutor(Executor):
     gather -> decode / validate / materialise -> straggler flagging,
     with the spans and counters that go with them.  How bytes reach the
     receivers is the ``link``'s business -- it supplies ``name``,
-    ``parallelism``, ``retry``, ``gather(flights, clock)`` (fill in
-    every :class:`~repro.runtime.pool.InFlight` reply, return
-    per-worker completion seconds), ``capture()`` and ``close()``.
+    ``parallelism``, ``retry``, ``wave_cohorts`` (cohorts per gather;
+    ``None`` = a whole round), ``gather(flights, clock)`` (fill in
+    every :class:`~repro.runtime.pool.InFlight` reply, return each
+    worker's seconds from dispatch to reply), ``capture()`` and
+    ``close()``.
 
     A dispatch frame is all a receiver needs: it derives the sub-model
     from its skeleton and the frame's plan, state and RNG record, so
@@ -373,11 +385,11 @@ class RemoteExecutor(Executor):
 
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
+        self.last_stragglers = []
         if not requests:
             return []
         telemetry = self.telemetry
         metrics = telemetry.metrics
-        self.last_stragglers = []
         profile = self.wire_profile
         negotiated = profile != "exact"
         with telemetry.span("parallel_train", round=round_index,
@@ -408,9 +420,16 @@ class RemoteExecutor(Executor):
             # -- transfer + gather --------------------------------------
             with telemetry.span("transfer", round=round_index,
                                 requests=len(requests)) as transfer_span:
-                completion_s = self.link.gather(
-                    flights, self.link.retry.clock()
+                clock = self.link.retry.clock()
+                completion_s = self.link.gather(flights, clock)
+                # receiver-seconds in use over receiver-seconds offered
+                busy_share = sum(completion_s.values()) / (
+                    max(self.link.parallelism, 1)
+                    * max(clock.elapsed(), 1e-9)
                 )
+                metrics.gauge("pool_busy_share",
+                              executor=self.name).set(busy_share)
+                transfer_span.set("pool_busy_share", busy_share)
                 reply_bytes = sum(len(flight.reply) for flight in flights)
                 metrics.counter("wire_bytes_total",
                                 kind="contribution").inc(reply_bytes)
@@ -421,6 +440,7 @@ class RemoteExecutor(Executor):
             for request, flight in zip(requests, flights):
                 payload = decode_contribution(flight.reply,
                                               expect_profile=profile)
+                flight.reply = None  # a wave's replies are not held twice
                 if payload.worker_id != request.worker_id:
                     raise TransportError(
                         f"a reply for worker {request.worker_id} carries "
@@ -452,13 +472,33 @@ class RemoteExecutor(Executor):
                 batch_span.set("stragglers", flagged)
         return results
 
+    def run_round(self, requests: Sequence[CohortTrainRequest],
+                  round_index: int = 0) -> List[List[TrainResult]]:
+        """Send the round's members through :meth:`run` in *waves* of
+        ``link.wave_cohorts`` cohorts (``None``: the whole round), one
+        ``gather`` each, encoded straight from each cohort's shared
+        plan, state and generator record (no template clone).  Results
+        keep request order whatever the wave size: a worker owns its
+        RNG streams in one receiver and has at most one dispatch in
+        flight, so interleaving across workers reorders no stream.
+        """
+        per_wave = self.link.wave_cohorts or len(requests) or 1
+        batches: List[List[TrainResult]] = []
+        for start in range(0, len(requests), per_wave):
+            wave = requests[start:start + per_wave]
+            results = iter(self.run([
+                member for request in wave
+                for member in self._decompose(request, clone_template=False)
+            ], round_index))
+            batches.extend(
+                [next(results) for _ in request.worker_ids]
+                for request in wave
+            )
+        return batches
+
     def run_cohort(self, request: CohortTrainRequest,
                    round_index: int = 0) -> List[TrainResult]:
-        """Encode straight from the cohort's shared plan, state and
-        generator record: the receivers derive the module graph
-        themselves, so no template is cloned."""
-        return self.run(self._decompose(request, clone_template=False),
-                        round_index)
+        return self.run_round([request], round_index)[0]
 
     def capture_worker_states(self) -> Dict[int, Dict[str, object]]:
         return self.link.capture()

@@ -33,8 +33,9 @@ specs) and derives every dispatched sub-model from it -- see
 
 :class:`ProcessPool` is also the pipe *link* of
 :class:`~repro.runtime.executor.RemoteExecutor`: ``gather`` pumps one
-batch of dispatch frames through the children and collects the replies,
-``capture`` pulls their worker runtime states for a checkpoint.
+wave of dispatch frames (a whole round's: ``wave_cohorts = None``)
+through the children's queues and collects the replies, ``capture``
+pulls their worker runtime states for a checkpoint.
 """
 
 from __future__ import annotations
@@ -310,7 +311,8 @@ class InFlight:
     """One dispatch frame on its way through a link, and its reply."""
 
     worker_id: int
-    frame: bytes = field(repr=False)
+    #: ``None`` once a link that never resends has written it out
+    frame: Optional[bytes] = field(repr=False)
     reply: Optional[bytes] = field(default=None, repr=False)
 
 
@@ -343,6 +345,9 @@ class ProcessPool:
     """
 
     name = "process"
+    #: cohorts per ``RemoteExecutor.run_round`` gather: the whole round
+    #: (children are other OS processes; all of it may be in the air)
+    wave_cohorts: Optional[int] = None
 
     def __init__(self, specs: List[WorkerSpec],
                  num_procs: Optional[int] = None,
@@ -412,7 +417,8 @@ class ProcessPool:
     def gather(self, flights: List[InFlight],
                clock: RetryClock) -> Dict[int, float]:
         """Pump every flight through its worker's child; fill in the
-        replies.  Returns ``{worker_id: completion seconds}``.
+        replies.  Returns ``{worker_id: seconds from its own send to
+        its reply}`` -- the worker's time, not its place in the queue.
 
         At most ONE train request is outstanding per member: the next
         one is sent only after the previous reply has been fully read.
@@ -436,14 +442,16 @@ class ProcessPool:
         for flight in flights:
             member = self.by_worker[flight.worker_id]
             queues.setdefault(member.index, deque()).append(flight)
-        # member index -> (seq, flight) of its one in-flight request
-        outstanding: Dict[int, Tuple[int, InFlight]] = {}
+        # member index -> (seq, flight, sent at) of its one request
+        outstanding: Dict[int, Tuple[int, InFlight, float]] = {}
 
         def send_next(index: int) -> None:
             flight = queues[index].popleft()
             seq = self._next_seq()
+            sent_at = clock.elapsed()
             self.transports[index].send(("train", seq, flight.frame))
-            outstanding[index] = (seq, flight)
+            flight.frame = None  # never resent: do not pin it
+            outstanding[index] = (seq, flight, sent_at)
 
         for index in queues:
             send_next(index)
@@ -489,11 +497,13 @@ class ProcessPool:
                             f"worker process raised during training:\n"
                             f"{reply[2]}"
                         )
-                    expected, flight = outstanding[index]
+                    expected, flight, sent_at = outstanding[index]
                     if op != "ok" or seq != expected:
                         continue  # stale control-plane reply
                     flight.reply = reply[2]
-                    completion[flight.worker_id] = clock.elapsed()
+                    completion[flight.worker_id] = (
+                        clock.elapsed() - sent_at
+                    )
                     if queues[index]:
                         send_next(index)
                     else:

@@ -101,6 +101,10 @@ class PullLink:
     """
 
     name = "socket"
+    #: cohorts per ``RemoteExecutor.run_round`` gather: one, because a
+    #: served fleet may be threads of this interpreter (loopback
+    #: sessions), where a round-wide wave only adds GIL contention
+    wave_cohorts: Optional[int] = 1
 
     def __init__(self, service: "FedMPService",
                  retry: Optional[RetryPolicy] = None) -> None:

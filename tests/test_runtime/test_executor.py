@@ -8,6 +8,9 @@ byte-identical normalised history JSON.
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,14 +20,25 @@ from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask, LanguageModelTask
-from repro.runtime.codec import TrainHyper
+from repro.runtime.codec import (
+    TrainHyper,
+    decode_dispatch,
+    encode_contribution,
+    encode_dispatch,
+)
 from repro.runtime.executor import (
+    CohortTrainRequest,
     RemoteExecutor,
     SerialExecutor,
     TrainRequest,
     make_executor,
 )
-from repro.runtime.pool import ProcessPool
+from repro.runtime.pool import InFlight, ProcessPool
+from repro.runtime.transport import (
+    RetryPolicy,
+    TransportError,
+    TransportTimeoutError,
+)
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import LayerProfiler
@@ -78,13 +92,19 @@ def test_parity_sync_fedmp(mnist, devices):
 
 
 def test_parity_async_scheduler(mnist, devices):
+    """The second shape is the benchmark's (``cnn_async_process``):
+    every aggregation re-dispatches five workers, which cross the
+    2-process pool as one multi-flight wave."""
     factory = lambda: ClassificationTask(mnist, "cnn")  # noqa: E731
-    config = _config(scheduler="async", async_m=2)
-    report, histories_match = differential_serial_vs_process(
-        factory, devices, config, tolerance_ulps=0, num_procs=2,
-    )
-    assert report.passed, report.describe()
-    assert histories_match
+    benchmark_fleet = make_scenario_devices({"A": 5, "B": 5},
+                                            np.random.default_rng(7))
+    for fleet, async_m in ((devices, 2), (benchmark_fleet, 5)):
+        config = _config(scheduler="async", async_m=async_m)
+        report, histories_match = differential_serial_vs_process(
+            factory, fleet, config, tolerance_ulps=0, num_procs=2,
+        )
+        assert report.passed, report.describe()
+        assert histories_match
 
 
 def test_parity_semi_sync_scheduler(mnist, devices):
@@ -117,11 +137,19 @@ def test_parity_dropout_model_ships_rng_record(devices):
         assert probe._has_rng_modules
     finally:
         probe.close()
-    report, histories_match = differential_serial_vs_process(
-        factory, devices, config, tolerance_ulps=0, num_procs=2,
-    )
-    assert report.passed, report.describe()
-    assert histories_match
+    # a Dropout model makes every worker a cohort of one, so a sync
+    # round is one wave of RNG-bearing flights; under E-UCB each of
+    # them also carries a plan of its own
+    for strategy in (
+        {},
+        {"strategy": "fedmp", "strategy_kwargs": {"warmup_rounds": 1}},
+    ):
+        report, histories_match = differential_serial_vs_process(
+            factory, devices, replace(config, **strategy),
+            tolerance_ulps=0, num_procs=2,
+        )
+        assert report.passed, report.describe()
+        assert histories_match
 
 
 def test_parity_lstm_sequence_iterators(devices):
@@ -187,6 +215,29 @@ def test_process_run_emits_spans_and_counters(mnist, devices):
                for member in engine.executor.link.members)
 
 
+def _hyper(config: FLConfig) -> TrainHyper:
+    return TrainHyper(lr=config.lr, momentum=config.momentum,
+                      weight_decay=config.weight_decay,
+                      prox_mu=0.0, clip_norm=config.clip_norm)
+
+
+def _member_requests(engine: Engine, emulate_s: dict) -> list:
+    """One :class:`TrainRequest` per key of ``emulate_s``, in its
+    order."""
+    dispatches = engine.dispatch_many(
+        {worker_id: 0.3 for worker_id in emulate_s}, 0.0, round_index=0,
+    )
+    return [
+        TrainRequest(
+            worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
+            plan=d.plan, submodel=d.cohort.template,
+            dispatched_state=d.dispatched_state,
+            hyper=_hyper(engine.config), emulate_s=emulate_s[d.worker_id],
+        )
+        for d in (dispatches[worker_id] for worker_id in emulate_s)
+    ]
+
+
 def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     """An emulated-latency outlier must be flagged, counted and
     surfaced as an event -- without affecting results."""
@@ -204,33 +255,173 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     )
     try:
         slow_id = engine.worker_ids[-1]
-        dispatches = list(engine.dispatch_many(
-            {worker_id: 0.3 for worker_id in engine.worker_ids},
-            0.0, round_index=0,
-        ).values())
-        hyper = TrainHyper(lr=config.lr, momentum=config.momentum,
-                           weight_decay=config.weight_decay,
-                           prox_mu=0.0, clip_norm=config.clip_norm)
-        requests = [
-            TrainRequest(
-                worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
-                plan=d.plan, submodel=d.cohort.template,
-                dispatched_state=d.dispatched_state, hyper=hyper,
-                emulate_s=0.8 if d.worker_id == slow_id else 0.05,
-            )
-            for d in dispatches
-        ]
+        requests = _member_requests(engine, {
+            worker_id: 0.8 if worker_id == slow_id else 0.05
+            for worker_id in engine.worker_ids
+        })
         results = executor.run(requests, round_index=0)
-        assert [r.worker_id for r in results] \
-            == [d.worker_id for d in dispatches]
+        assert [r.worker_id for r in results] == engine.worker_ids
         assert executor.last_stragglers == [slow_id]
         assert _counter_sum(telemetry.metrics, "stragglers_total",
                             executor="process") == 1
         events = sink.events("straggler_detected")
         assert events and events[0]["attrs"]["workers"] == [slow_id]
+        # an empty batch has no stragglers: the flags do not linger
+        assert executor.run([]) == []
+        assert executor.last_stragglers == []
     finally:
         executor.close()
         engine.close()
+
+
+def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
+    """Three flights queue on one child and one goes to the other.
+    Equal-cost workers flag nobody however late in the queue they ran,
+    and a genuinely slow one is flagged at the head and at the tail."""
+    sink = ListSink()
+    telemetry = Telemetry(tracer=Tracer(sink=sink),
+                          metrics=MetricsRegistry())
+    fleet = make_scenario_devices({"A": 3, "B": 3}, np.random.default_rng(7))
+    engine = Engine(ClassificationTask(mnist, "cnn"), fleet,
+                    _config(max_rounds=1))
+    pool = ProcessPool(engine.worker_specs, num_procs=2,
+                       skeleton=engine.model)
+    executor = RemoteExecutor(pool, telemetry=telemetry,
+                              straggler_quorum=0.5,
+                              straggler_multiplier=2.0)
+    try:
+        queued = pool.members[0].worker_ids
+        assert len(queued) == 3
+        alone = pool.members[1].worker_ids[0]
+
+        def flagged(order, slow=None):
+            executor.run(_member_requests(engine, {
+                worker_id: 0.8 if worker_id == slow else 0.2
+                for worker_id in order
+            }))
+            return executor.last_stragglers
+
+        assert flagged(queued + [alone]) == []
+        assert flagged(queued + [alone], slow=queued[0]) == [queued[0]]
+        assert flagged(queued + [alone], slow=queued[-1]) == [queued[-1]]
+
+        # the same stamps give the pool's occupancy: the queued child
+        # was busy throughout, the other for a third of the gather
+        shares = [span["attrs"]["pool_busy_share"]
+                  for span in sink.spans("transfer")]
+        assert len(shares) == 3
+        assert 0.5 < shares[0] < 0.9
+        gauge = [g for g in telemetry.metrics.gauges
+                 if g.name == "pool_busy_share"]
+        assert len(gauge) == 1 and gauge[0].value == shares[-1]
+    finally:
+        executor.close()
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# the round seam: waves, alignment, failure inside a wave
+# ----------------------------------------------------------------------
+class _RecordingLink:
+    """A link with no receivers: echoes every dispatched state back as
+    an exact contribution and records the size of each ``gather``."""
+
+    name = "recording"
+    parallelism = 2
+    retry = RetryPolicy()
+
+    def __init__(self, wave_cohorts):
+        self.wave_cohorts = wave_cohorts
+        self.gathers = []
+
+    def gather(self, flights, clock):
+        self.gathers.append([flight.worker_id for flight in flights])
+        for flight in flights:
+            payload = decode_dispatch(flight.frame)
+            flight.reply = encode_contribution(
+                payload.worker_id, payload.state, train_loss=0.0,
+                wall_time_s=0.0, num_samples=1,
+            )
+        return {flight.worker_id: 0.0 for flight in flights}
+
+
+@pytest.mark.parametrize("wave_cohorts", [None, 1])
+def test_run_round_sends_the_waves_its_link_declares(mnist, wave_cohorts):
+    """K one-member cohorts plus a 3-member cohort: one gather of K+3
+    flights over a whole-round link, K+1 gathers over a per-cohort
+    link; either way K+1 result lists aligned with ``worker_ids``."""
+    fleet = make_scenario_devices({"A": 7}, np.random.default_rng(7))
+    engine = Engine(ClassificationTask(mnist, "cnn"), fleet,
+                    _config(max_rounds=1))
+    try:
+        cohort = next(iter(engine.dispatch_many(
+            {worker_id: 0.3 for worker_id in engine.worker_ids},
+            0.0, round_index=0,
+        ).values())).cohort
+        groups = [[w] for w in engine.worker_ids[:4]] \
+            + [engine.worker_ids[4:]]
+        requests = [
+            CohortTrainRequest(cohort=cohort, worker_ids=group,
+                               taus=[2] * len(group),
+                               hyper=_hyper(engine.config))
+            for group in groups
+        ]
+        link = _RecordingLink(wave_cohorts)
+        executor = RemoteExecutor(link)
+
+        assert executor.run_round([]) == []
+        assert link.gathers == []
+
+        batches = executor.run_round(requests, round_index=0)
+        assert [[r.worker_id for r in batch] for batch in batches] == groups
+        assert link.gathers == (
+            [engine.worker_ids] if wave_cohorts is None else groups
+        )
+        # the one-element case
+        assert [r.worker_id for r in executor.run_cohort(requests[-1])] \
+            == groups[-1]
+    finally:
+        engine.close()
+
+
+def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
+    """The second flight of one child's queue blows up while the other
+    child is still working through its own: the gather raises the
+    typed error with the child's traceback (the retry budget, not a
+    sleep, bounds the wait) and the pool still closes in time."""
+    join_timeout_s = 1.5
+    engine = Engine(ClassificationTask(mnist, "cnn"), devices,
+                    _config(max_rounds=1))
+    pool = ProcessPool(
+        engine.worker_specs, num_procs=2, skeleton=engine.model,
+        retry=RetryPolicy(timeout_s=30.0, max_retries=6, backoff_s=0.1),
+    )
+    try:
+        second_in_queue = pool.members[0].worker_ids[1]
+        flights = [
+            InFlight(r.worker_id, encode_dispatch(
+                r.worker_id, r.plan, r.dispatched_state, tau=r.tau,
+                hyper=r.hyper, emulate_s=r.emulate_s,
+            ))
+            for r in _member_requests(engine, {
+                worker_id: 0.3 for worker_id in engine.worker_ids
+            })
+        ]
+        for flight in flights:
+            if flight.worker_id == second_in_queue:
+                flight.frame = b"not a dispatch frame"
+        with pytest.raises(TransportError) as caught:
+            pool.gather(flights, pool.retry.clock())
+        assert not isinstance(caught.value, TransportTimeoutError)
+        assert "Traceback" in str(caught.value)
+        assert "WireFormatError" in str(caught.value)
+    finally:
+        start = time.perf_counter()
+        pool.close(join_timeout_s=join_timeout_s)
+        closed_in = time.perf_counter() - start
+        engine.close()
+    assert closed_in < 2 * join_timeout_s + 1.0
+    assert all(not member.proc.is_alive() for member in pool.members)
 
 
 # ----------------------------------------------------------------------
