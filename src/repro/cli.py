@@ -701,8 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "path (largest key <= round applies)")
     serve_parser.add_argument("--drain-timeout-s", type=float,
                               default=10.0, metavar="S",
-                              help="grace window for clients to observe "
-                                   "the drain at shutdown")
+                              help="grace window at shutdown for clients "
+                                   "to leave (held polls are told to drain "
+                                   "at once; this bounds a busy one)")
     serve_parser.add_argument("--registration-timeout-s", type=float,
                               default=120.0, metavar="S",
                               help="give up waiting for the roster to "

@@ -4,8 +4,9 @@
 FedMPService`, registers (taking any free slot, or a specific
 ``worker_id``), rebuilds its worker from the spec the service ships
 back and keeps the model skeleton shipped with it, and then serves the
-pull loop: poll ``pull_dispatch``, run the exact
-:func:`repro.runtime.pool.handle_train` body every pool child runs
+pull loop: send ``pull_dispatch`` (held by the service until it has
+work, or answered ``idle`` after the hold this client offers), run the
+exact :func:`repro.runtime.pool.handle_train` body every pool child runs
 (derive the sub-model from the skeleton and the frame, train, encode),
 push the contribution frame back.  Because both the worker
 construction (``WorkerSpec.build``) and the training body are shared
@@ -140,9 +141,13 @@ class ServiceClient:
 
     def _serve(self) -> None:
         last_beat = time.monotonic()
+        # under the first retry interval, so a held poll never counts as
+        # a retry, and under the heartbeat cadence, so it beats on time
+        hold_s = 0.8 * min(self.retry.backoff(0), self.heartbeat_s)
         while True:
             reply = self.transport.request(
-                ("pull_dispatch", self._next_seq(), self.worker_id)
+                ("pull_dispatch", self._next_seq(), self.worker_id,
+                 hold_s)
             )
             op = reply[0]
             if op == "dispatch":
@@ -158,7 +163,6 @@ class ServiceClient:
                     self._leave()
                     return
             elif op == "idle":
-                hint = float(reply[2])
                 now = time.monotonic()
                 if now - last_beat >= self.heartbeat_s:
                     self.transport.request(
@@ -166,7 +170,6 @@ class ServiceClient:
                          time.time())
                     )
                     last_beat = now
-                time.sleep(hint)
             elif op == "capture":
                 self.transport.request(
                     ("push_state", self._next_seq(), self.worker_id,

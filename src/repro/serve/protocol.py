@@ -5,11 +5,17 @@ length-prefixed frame (see :mod:`repro.runtime.sockets`), unpickled on
 receipt through that module's allow-list: builtin containers, scalars,
 ``bytes`` and NumPy arrays are all the grammar below needs, so a frame
 naming any other global is refused and its connection dropped.  All
-requests are **client-initiated**: the service never pushes, so a
-worker's single TCP connection is a clean request/response channel and
+requests are **client-initiated**: every byte the service writes is the
+reply to a request made on that connection, so a worker's single TCP
+connection is a clean request/response channel and
 :class:`~repro.runtime.sockets.SocketTransport` drives the whole
-client side.  Training payloads stay in the CRC-checked
-:mod:`repro.runtime.codec` frames and ride as ``bytes`` arguments.
+client side.  Only *when* one reply is written is the service's choice:
+a ``pull_dispatch`` with nothing queued is held for up to ``hold_s``
+(the client's offer, capped by the service) and answered the moment a
+dispatch or capture marker is queued for that worker -- or with
+``drain`` at shutdown, or ``idle`` when the hold runs out.  Training
+payloads stay in the CRC-checked :mod:`repro.runtime.codec` frames and
+ride as ``bytes`` arguments.
 
 Request grammar (replies echo the request ``seq``; any handler error
 comes back as ``("err", seq, traceback_text)``):
@@ -19,8 +25,8 @@ request                                      replies
 ===========================================  =================================
 ``("register", seq, info)``                  ``("registered", seq, payload)``
 ``("leave", seq, wid, state)``               ``("bye", seq)``
-``("pull_dispatch", seq, wid)``              ``("dispatch", seq, tseq, frame)``
-                                             / ``("idle", seq, hint_s)`` /
+``("pull_dispatch", seq, wid, hold_s)``      ``("dispatch", seq, tseq, frame)``
+                                             / ``("idle", seq)`` /
                                              ``("capture", seq, cseq)`` /
                                              ``("drain", seq)``
 ``("push_contribution", seq, wid, tseq,      ``("accepted", seq)``
@@ -73,7 +79,7 @@ __all__ = [
 
 #: bumped on any incompatible change to the request grammar above;
 #: ``register`` is refused when client and service disagree
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: lifecycle states of a roster entry
 ACTIVE = "active"

@@ -8,7 +8,10 @@ engine's execution seam is the same
 :class:`~repro.runtime.executor.RemoteExecutor` the process pool runs
 under, over a :class:`PullLink` that queues encoded dispatches per
 worker and collects contribution frames as clients pull and push them
-through the request protocol of :mod:`repro.serve.protocol`.
+through the request protocol of :mod:`repro.serve.protocol`.  A
+``pull_dispatch`` that finds nothing queued is *held*: parked, and
+answered the moment work is queued for that worker (``idle`` after the
+hold, ``drain`` on shutdown) -- still the reply to a client's request.
 
 Determinism carries over from the process executor by construction:
 one executor encodes every dispatch and decodes every reply, clients
@@ -26,6 +29,7 @@ membership provider's wait, and checkpoint-time worker-state capture.  There are
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import pickle
 import select
 import selectors
@@ -69,6 +73,10 @@ __all__ = [
     "PullLink",
     "FedMPService",
 ]
+
+
+#: the longest a ``pull_dispatch`` is held, whatever the client offers
+MAX_HOLD_S = 0.2
 
 
 class ServiceError(RuntimeError):
@@ -116,6 +124,10 @@ class PullLink:
         self._outbox: Dict[int, deque] = {}
         #: the current round's in-flight table (empty between rounds)
         self._pending: Dict[int, InFlight] = {}
+        #: dispatch seq -> when its frame was last written to a client
+        self._handed: Dict[int, float] = {}
+        #: the gather in progress: worker id -> hand-over to reply, s
+        self._completion: Dict[int, float] = {}
         #: capture seq -> (worker id, collected runtime state or None)
         self._captures: Dict[int, Tuple[int, Optional[dict]]] = {}
 
@@ -129,6 +141,7 @@ class PullLink:
 
     def _queue(self, worker_id: int, item: Tuple) -> None:
         self._outbox.setdefault(worker_id, deque()).append(item)
+        self.service.answer_held(worker_id)
 
     # -- the executor-facing half --------------------------------------
     def gather(self, flights: List[InFlight],
@@ -145,9 +158,9 @@ class PullLink:
         """
         service = self.service
         self._pending = {self._next_seq(): flight for flight in flights}
+        self._completion = completion = {}
         for tseq, flight in self._pending.items():
             self._queue(flight.worker_id, ("dispatch", tseq, flight.frame))
-        completion: Dict[int, float] = {}
         try:
             while True:
                 missing = [
@@ -161,11 +174,7 @@ class PullLink:
                         f"after {clock.elapsed():.1f}s "
                         f"(budget {clock.budget_s:.1f}s)"
                     )
-                active = service.pump(clock.interval())
-                for flight in missing:
-                    if flight.reply is not None:
-                        completion[flight.worker_id] = clock.elapsed()
-                if active:
+                if service.pump(clock.interval()):
                     # any inbound traffic counts as liveness (idle
                     # polls, heartbeats, one chunk of a large frame):
                     # the attempt budget is for a *silent* fleet, the
@@ -192,13 +201,14 @@ class PullLink:
                     )
         finally:
             self._pending = {}
+            self._handed = {}
 
     def capture(self) -> Dict[int, Dict[str, object]]:
         """Pull runtime state from every live client, roster for the rest.
 
-        Active workers answer a queued ``capture`` marker on their next
-        poll; workers gone after a graceful leave contribute the state
-        captured at that leave.  Workers lost without a capture are
+        Active workers answer a queued ``capture`` marker on their held
+        (or next) poll; workers gone after a graceful leave contribute
+        the state captured at that leave.  Workers lost without a capture are
         omitted -- the engine then keeps its parent-side snapshot for
         them (best effort; their true stream position died with the
         client process).
@@ -247,14 +257,22 @@ class PullLink:
 
     # -- the service-facing half ---------------------------------------
     def next_for(self, worker_id: int) -> Optional[Tuple]:
-        """The next queued outbox item for a polling worker, if any."""
+        """Pop the next outbox item for a worker whose poll is being
+        answered, if any.  A dispatch is stamped here, so the worker is
+        timed from its hand-over, not from when the frame was queued."""
         queue = self._outbox.get(worker_id)
-        return queue.popleft() if queue else None
+        if not queue:
+            return None
+        item = queue.popleft()
+        if item[0] == "dispatch":
+            self._handed[item[1]] = time.perf_counter()
+        return item
 
     def deliver(self, tseq: int, worker_id: int, frame: bytes) -> None:
         """Accept one pushed contribution frame (first delivery wins)."""
         flight = self._pending.get(tseq)
-        if flight is None or flight.worker_id != worker_id:
+        handed = self._handed.get(tseq)
+        if flight is None or flight.worker_id != worker_id or handed is None:
             raise ServiceError(
                 f"unexpected contribution seq {tseq} from worker "
                 f"{worker_id}"
@@ -263,6 +281,7 @@ class PullLink:
             raise ServiceError("a contribution frame must be bytes")
         if flight.reply is None:
             flight.reply = frame
+            self._completion[worker_id] = time.perf_counter() - handed
 
     def deliver_state(self, cseq: int, worker_id: int,
                       state: dict) -> None:
@@ -328,7 +347,6 @@ class FedMPService:
                  resume_from=None,
                  min_workers: int = 1,
                  roster_script: Optional[Dict[int, List[int]]] = None,
-                 idle_hint_s: float = 0.02,
                  drain_timeout_s: float = 10.0,
                  registration_timeout_s: float = 120.0,
                  retry: Optional[RetryPolicy] = None) -> None:
@@ -362,7 +380,6 @@ class FedMPService:
              for round_index, workers in roster_script.items()}
             if roster_script is not None else None
         )
-        self.idle_hint_s = float(idle_hint_s)
         self.drain_timeout_s = float(drain_timeout_s)
         self.registration_timeout_s = float(registration_timeout_s)
         self.draining = False
@@ -380,6 +397,10 @@ class FedMPService:
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ, None)
         self._conn_by_worker: Dict[int, _Connection] = {}
+        #: worker id -> (connection, poll seq, expiry) of its held poll
+        self._held: Dict[int, Tuple[_Connection, int, float]] = {}
+        #: heap of (expiry, worker id), one per park; stale once answered
+        self._expiries: List[Tuple[float, int]] = []
 
         self.link = PullLink(self, retry=retry)
         self.executor = RemoteExecutor.from_config(
@@ -502,17 +523,36 @@ class FedMPService:
 
     # -- the pump ------------------------------------------------------
     def pump(self, timeout_s: float = 0.0) -> int:
-        """Serve pending socket events; returns how many sockets had
-        any (a partial frame is activity too: the peer is alive)."""
+        """Serve socket events, waiting up to ``timeout_s`` for the
+        first; returns how many sockets had any (a partial frame is
+        activity too: the peer is alive).  On the way, expired holds
+        are answered ``idle`` and, once draining, all of them ``drain``."""
         if self._closed:
             return 0
-        events = self._selector.select(timeout_s)
-        for key, _ in events:
-            if key.data is None:
-                self._accept()
-            else:
-                self._read(key.data)
-        return len(events)
+        deadline = time.monotonic() + timeout_s
+        while True:
+            now = time.monotonic()
+            # once the service drains, every hold is due
+            while self._expiries and (self.draining
+                                      or self._expiries[0][0] <= now):
+                expiry, worker_id = heapq.heappop(self._expiries)
+                held = self._held.get(worker_id)
+                if held is not None and held[2] == expiry:
+                    self.answer_held(worker_id)
+            wait = max(deadline - now, 0.0)
+            if self._expiries:
+                wait = min(wait, self._expiries[0][0] - now)
+            events = self._selector.select(wait)
+            for key, _ in events:
+                if key.data is None:
+                    self._accept()
+                else:
+                    self._read(key.data)
+            if events or time.monotonic() >= deadline:
+                self.telemetry.metrics.gauge("held_polls").set(
+                    float(len(self._held))
+                )
+                return len(events)
 
     def _accept(self) -> None:
         while True:
@@ -595,6 +635,9 @@ class FedMPService:
             self.telemetry.event("worker_lost", worker=worker_id)
 
     def _drop_connection(self, connection: _Connection) -> None:
+        # a held poll dies with its connection: nothing is popped for it
+        if self._held.get(connection.worker_id, (None,))[0] is connection:
+            del self._held[connection.worker_id]
         try:
             self._selector.unregister(connection.sock)
         except (KeyError, ValueError):
@@ -676,6 +719,8 @@ class FedMPService:
             self._drop_connection(stale)
         connection.worker_id = worker_id
         self._conn_by_worker[worker_id] = connection
+        # a poll still held for this slot sits on some other connection
+        self._held.pop(worker_id, None)
         self.link.forget_worker(worker_id)
         # a no-op for fleet-provisioned slots (the agent already
         # exists, no RNG is drawn), so parity with a serial reference
@@ -738,16 +783,39 @@ class FedMPService:
         return ("bye", seq)
 
     def _op_pull_dispatch(self, connection: _Connection, message):
-        _, seq, worker_id = message
+        _, seq, worker_id, hold_s = message
         entry = self._registered_entry(connection, int(worker_id))
         entry.last_seen = time.time()
-        if self.draining:
-            return ("drain", seq)
-        item = self.link.next_for(entry.worker_id)
+        hold_s = float(hold_s)
+        if not hold_s >= 0.0:
+            raise ServiceError(f"a poll cannot be held for {hold_s} s")
+        reply = self._poll_reply(entry.worker_id, seq, hold=True)
+        if reply is None:
+            # nothing to say yet: park the poll; answer_held replies
+            expiry = time.monotonic() + min(hold_s, MAX_HOLD_S)
+            self._held[entry.worker_id] = (connection, seq, expiry)
+            heapq.heappush(self._expiries, (expiry, entry.worker_id))
+        return reply
+
+    def _poll_reply(self, worker_id: int, seq: int, hold: bool):
+        """What a poll is answered with now; None = ``hold`` it."""
+        # ("dispatch", tseq, frame) or ("capture", cseq) from the outbox
+        item = ("drain",) if self.draining else self.link.next_for(worker_id)
         if item is None:
-            return ("idle", seq, self.idle_hint_s)
-        # ("dispatch", tseq, frame) or ("capture", cseq)
+            if hold:
+                return None
+            item = ("idle",)
+        self.telemetry.metrics.counter("polls_total",
+                                       outcome=item[0]).inc()
         return (item[0], seq, *item[1:])
+
+    def answer_held(self, worker_id: int) -> None:
+        """Answer the worker's held poll, if it has one, with whatever
+        is due now: a just-queued item, ``drain``, or ``idle``."""
+        held = self._held.pop(worker_id, None)
+        if held is not None:
+            self._send(held[0], self._poll_reply(worker_id, held[1],
+                                                 hold=False))
 
     def _op_push_contribution(self, connection: _Connection, message):
         _, seq, worker_id, tseq, frame = message
@@ -779,6 +847,7 @@ class FedMPService:
             "protocol": PROTOCOL_VERSION,
             "address": list(self.address),
             "draining": self.draining,
+            "held": len(self._held),
             "rounds_recorded": len(self.engine.history.rounds),
             "counters": dict(self.counters),
             "roster": {

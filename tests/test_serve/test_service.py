@@ -10,8 +10,10 @@ at 0 ULP.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
 from repro.runtime import pool
+from repro.runtime.pool import InFlight
 from repro.runtime.sockets import SocketTransport, encode_message
-from repro.runtime.transport import WorkerCrashError
+from repro.runtime.transport import RetryPolicy, WorkerCrashError
 from repro.serve import (
     ACTIVE,
     GONE,
@@ -33,6 +36,7 @@ from repro.serve import (
     ServiceError,
 )
 from repro.simulation.cluster import make_scenario_devices
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.spans import ListSink, Tracer
 from repro.verify.differential import (
@@ -165,10 +169,13 @@ def test_scripted_churn_matches_serial_reference(task, devices):
     assert _ulps(reference_state, served_capture.states[-1]) == 0
 
 
-def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch):
-    """A connection lost between pulling a dispatch and training it:
-    the redialled client is handed the very same frame -- all it needs,
-    no template to rebuild -- and the run stays bitwise on the serial
+@pytest.mark.parametrize("lost_while", ["training", "held"])
+def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch,
+                                          lost_while):
+    """A connection lost between pulling a dispatch and training it, or
+    while its poll was held with the dispatch not yet queued: the
+    redialled client is handed the very same frame -- all it needs, no
+    template to rebuild -- and the run stays bitwise on the serial
     reference."""
     script = {0: [0, 1]}
     config = _config()
@@ -181,7 +188,7 @@ def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch):
 
     def drop_first_dispatch(workers, skeleton, frame):
         seen.append(frame)
-        if len(seen) == 1:
+        if len(seen) == 1 and lost_while == "training":
             raise ConnectionResetError("lost before training")
         return handle_train(workers, skeleton, frame)
 
@@ -194,12 +201,43 @@ def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch):
                            reconnect=True)
         for wid in (0, 1)
     }
+    gather, send = service.link.gather, service._send
+    dead, written = [], []
+
+    def kill_a_held_poll_first(flights, clock):
+        if not dead:
+            # both polls parked, then worker 1's client end dies and the
+            # service sees the EOF -- all before round 0 queues a frame
+            # (a fresh park, so the EOF is read before the hold is up)
+            _pump_until(service, lambda: (
+                {0, 1} <= set(service._held)
+                and service._held[1][2] - time.monotonic() > 0.1))
+            dead.append(service._held[1][0])
+            clients[1].transport._sock.shutdown(socket.SHUT_RDWR)
+            _pump_until(service, lambda: 1 not in service._held)
+            assert service.counters["lost"] == 1
+        return gather(flights, clock)
+
+    def recording_send(connection, message):
+        written.append(connection)
+        send(connection, message)
+
+    if lost_while == "held":
+        service.link.gather = kill_a_held_poll_first
+        service._send = recording_send
     history, results, errors = _run_fleet(service, clients)
     assert errors == {}
     assert service.counters["lost"] == 1
     assert service.counters["reconnect"] == 1
-    # the re-issue is the same bytes, not a re-encode
-    assert seen.count(seen[0]) == 2
+    if lost_while == "training":
+        # the re-issue is the same bytes, not a re-encode
+        assert seen.count(seen[0]) == 2
+    else:
+        # the park died with its connection: nothing was popped for the
+        # dead socket or written to it after its ``registered`` reply,
+        # and every frame trained exactly once
+        assert written.count(dead[0]) == 1
+        assert len(set(seen)) == len(seen)
     assert (normalised_history_bytes(history)
             == normalised_history_bytes(reference))
     assert _ulps(reference_state, served_capture.states[-1]) == 0
@@ -326,6 +364,22 @@ def test_fleet_evaporating_fails_fast(task, devices):
 # ----------------------------------------------------------------------
 # protocol-level behaviour (service pumped from the test thread)
 # ----------------------------------------------------------------------
+def _pump_until(service, condition, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "the pumped service stalled"
+        service.pump(0.02)
+
+
+def _register(service, transport, worker_id):
+    reply = _pumped_request(
+        service, transport,
+        ("register", 1, {"protocol": PROTOCOL_VERSION,
+                         "worker_id": worker_id}),
+    )
+    assert reply[0] == "registered"
+
+
 def _pumped_request(service, transport, message, tries=200):
     transport.send(message)
     for _ in range(tries):
@@ -398,5 +452,218 @@ def test_duplicate_registration_for_active_slot_is_rejected(task,
     finally:
         first.close()
         second.close()
+        service.shutdown()
+        service.engine.close()
+
+
+# ----------------------------------------------------------------------
+# held polls
+# ----------------------------------------------------------------------
+HOLD_S = 0.8 * RetryPolicy().backoff(0)   # what a default client offers
+
+
+def _poll_until_dispatch(transport, seq, worker_id):
+    """Poll like a client does (blocking; the service is pumped by
+    another thread) until a dispatch comes back."""
+    while True:
+        reply = transport.request(
+            ("pull_dispatch", next(seq), worker_id, HOLD_S))
+        if reply[0] == "dispatch":
+            return reply
+        assert reply[0] == "idle"
+
+
+def test_held_poll_is_answered_the_moment_work_is_queued(task, devices):
+    service = FedMPService(task, devices, _config())
+    transport = SocketTransport(service.address).connect()
+    observer = SocketTransport(service.address).connect()
+    try:
+        _register(service, transport, 1)
+        transport.send(("pull_dispatch", 7, 1, HOLD_S))
+        _pump_until(service, lambda: 1 in service._held)
+        # nothing queued: no reply, and the park shows in `status`
+        assert transport.next_message(timeout_s=0.01) is None
+        status = _pumped_request(service, observer, ("status", 1))
+        assert status[2]["held"] == 1
+        # queueing answers it -- no second request, no pump -- under
+        # the poll's own seq
+        service.link._queue(1, ("dispatch", 5, b"frame"))
+        assert transport.next_message(timeout_s=30) == (
+            "dispatch", 7, 5, b"frame")
+        assert 1 not in service._held
+    finally:
+        transport.close()
+        observer.close()
+        service.shutdown()
+        service.engine.close()
+
+
+def test_unanswered_hold_expires_into_idle_without_a_retry(task, devices):
+    metrics = MetricsRegistry()
+    service = FedMPService(task, devices, _config())
+    transport = SocketTransport(service.address, metrics=metrics).connect()
+    box = {}
+
+    def poll(hold_s):
+        start = time.monotonic()
+        box["reply"] = transport.request(("pull_dispatch", 2, 1, hold_s))
+        box["waited"] = time.monotonic() - start
+
+    try:
+        _register(service, transport, 1)
+        # the client's own offer, then one far over the service's cap
+        for offered in (HOLD_S, 3600.0):
+            poller = threading.Thread(target=poll, args=(offered,),
+                                      daemon=True)
+            poller.start()
+            _pump_until(service, lambda: not poller.is_alive())
+            assert box["reply"] == ("idle", 2)
+            assert box["waited"] >= HOLD_S
+        assert metrics.counter("retries_total",
+                               transport="socket").value == 0
+        # garbage offers are refused, not parked
+        for offered in (-1.0, float("nan")):
+            reply = _pumped_request(service, transport,
+                                    ("pull_dispatch", 3, 1, offered))
+            assert reply[0] == "err" and "held" in reply[2]
+        assert service._held == {}
+    finally:
+        transport.close()
+        service.shutdown()
+        service.engine.close()
+
+
+def test_reregistered_worker_is_answered_on_its_new_connection(task,
+                                                                devices):
+    service = FedMPService(task, devices, _config())
+    first = SocketTransport(service.address).connect()
+    second = SocketTransport(service.address).connect()
+    try:
+        _register(service, first, 1)
+        first.send(("pull_dispatch", 2, 1, HOLD_S))
+        _pump_until(service, lambda: 1 in service._held)
+        # the slot changes hands while the first connection's poll is
+        # still parked
+        assert _pumped_request(service, first,
+                               ("leave", 3, 1, None)) == ("bye", 3)
+        _register(service, second, 1)
+        service.link._queue(1, ("dispatch", 5, b"frame"))
+        reply = _pumped_request(service, second,
+                                ("pull_dispatch", 2, 1, HOLD_S))
+        assert reply == ("dispatch", 2, 5, b"frame")
+        service.pump(HOLD_S)
+        assert first.next_message(timeout_s=0.01) is None
+    finally:
+        first.close()
+        second.close()
+        service.shutdown()
+        service.engine.close()
+
+
+def test_shutdown_drains_held_polls_at_once(task, devices):
+    metrics = MetricsRegistry()
+    service = FedMPService(task, devices, _config(),
+                           telemetry=Telemetry(metrics=metrics))
+    clients = [ServiceClient(service.address, worker_id=wid)
+               for wid in (0, 1)]
+    threads = [threading.Thread(target=client.run, daemon=True)
+               for client in clients]
+    for thread in threads:
+        thread.start()
+    _pump_until(service, lambda: len(service._held) == 2)
+    idle = metrics.counter("polls_total", outcome="idle").value
+    service.shutdown()
+    for thread in threads:
+        thread.join(timeout=30)
+    service.engine.close()
+    assert not any(thread.is_alive() for thread in threads)
+    # both parked polls were told to drain by shutdown's first pump: no
+    # hold had to run out first
+    assert metrics.counter("polls_total", outcome="drain").value == 2
+    assert metrics.counter("polls_total", outcome="idle").value == idle
+    assert service.counters["leave"] == 2
+    assert all(entry.state == GONE for entry in service.roster.values())
+
+
+def test_checkpointing_run_wakes_held_polls_and_stays_bitwise(
+        task, devices, tmp_path):
+    """A capture marker answers a held poll like a dispatch does, so a
+    run checkpointing every round neither diverges nor falls back to
+    waiting holds out: idle replies do not grow with the rounds."""
+    script = {0: [0, 1]}
+    rounds = 6
+    config = _config(max_rounds=rounds)
+    reference, reference_state = _scripted_reference(
+        task, devices, config, script
+    )
+    metrics = MetricsRegistry()
+    served_capture = StateCaptureHook()
+    service = FedMPService(
+        task, devices,
+        dataclasses.replace(config, checkpoint_dir=str(tmp_path),
+                            checkpoint_every=1),
+        hooks=[served_capture], roster_script=script,
+        telemetry=Telemetry(metrics=metrics),
+    )
+    clients = {wid: ServiceClient(service.address, worker_id=wid)
+               for wid in (0, 1)}
+    history, results, errors = _run_fleet(service, clients)
+    assert errors == {}
+    assert (normalised_history_bytes(history)
+            == normalised_history_bytes(reference))
+    assert _ulps(reference_state, served_capture.states[-1]) == 0
+
+    def polls(outcome):
+        return metrics.counter("polls_total", outcome=outcome).value
+
+    assert polls("dispatch") == 2 * rounds
+    assert polls("capture") == 2 * rounds
+    assert polls("drain") == 2
+    # at the parent commit: ~1.8 idle replies per client per round
+    assert polls("idle") < rounds
+    assert metrics.gauge("held_polls").value is not None
+
+
+def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
+    """A flight re-queued for a reconnected worker is timed from the
+    hand-over that was answered, not from when the gather began."""
+    service = FedMPService(task, devices, _config())
+    stamps = {}
+
+    def peer():
+        seq = iter(range(1, 1000))
+        register = {"protocol": PROTOCOL_VERSION, "worker_id": 1}
+        first = SocketTransport(service.address).connect()
+        first.request(("register", next(seq), register))
+        _poll_until_dispatch(first, seq, 1)
+        first.close()               # handed over once, never answered
+        second = SocketTransport(service.address).connect()
+        while True:
+            try:                    # until the service has seen the EOF
+                second.request(("register", next(seq), register))
+                break
+            except Exception:
+                time.sleep(0.01)
+        stamps["polled"] = time.perf_counter()
+        reply = _poll_until_dispatch(second, seq, 1)
+        second.request(("push_contribution", next(seq), 1, reply[2],
+                        b"reply"))
+        stamps["accepted"] = time.perf_counter()
+        second.close()
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    try:
+        _pump_until(service, lambda: 1 in service._held)
+        flight = InFlight(1, b"frame")
+        clock = RetryPolicy().clock()
+        completion = service.link.gather([flight], clock)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert flight.reply == b"reply"
+        assert service.counters["reconnect"] == 1
+        assert (completion[1] <= stamps["accepted"] - stamps["polled"]
+                < clock.elapsed())
+    finally:
         service.shutdown()
         service.engine.close()
