@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.experiments.reporting import (
     print_metrics_summary,
@@ -169,8 +169,15 @@ def _make_telemetry(args) -> Optional[Telemetry]:
     return Telemetry(tracer=tracer, metrics=metrics, profiler=profiler)
 
 
-def _build_history(task_key: str, strategy: str, args,
-                   hooks=None, telemetry=None) -> "TrainingHistory":
+def prepare_run(task_key: str, strategy: str, args):
+    """``(task, devices, config, checkpoint_meta, resume_from)`` for a
+    `run`, `compare` or `serve` command line.
+
+    The one place parsed flags become an experiment: every command
+    trains on what this returns, and so do ``repro verify``'s
+    in-process references.  With ``--resume``, ``config`` is ``None``
+    and ``resume_from`` is the loaded checkpoint.
+    """
     resume = getattr(args, "resume", None)
     if resume is not None:
         from repro.fl.checkpoint import (
@@ -200,10 +207,7 @@ def _build_history(task_key: str, strategy: str, args,
         devices = make_devices(meta.get("scenario", args.scenario),
                                count=meta.get("workers", args.workers))
         task = bench_task.make_task(meta.get("non_iid", args.non_iid))
-        return run_federated_training(
-            task, devices, None, hooks=hooks, telemetry=telemetry,
-            resume_from=checkpoint, checkpoint_meta=checkpoint.meta,
-        )
+        return task, devices, None, checkpoint.meta, checkpoint
     bench_task = make_bench_task(task_key)
     devices = make_devices(args.scenario, count=args.workers)
     overrides = dict(
@@ -235,12 +239,20 @@ def _build_history(task_key: str, strategy: str, args,
         checkpoint_meta = {"task": task_key, "scenario": args.scenario,
                            "workers": args.workers,
                            "non_iid": args.non_iid}
+    return task, devices, config, checkpoint_meta, None
+
+
+def _build_history(task_key: str, strategy: str, args,
+                   hooks=None, telemetry=None) -> "TrainingHistory":
+    task, devices, config, checkpoint_meta, resume_from = prepare_run(
+        task_key, strategy, args)
     return run_federated_training(task, devices, config, hooks=hooks,
                                   telemetry=telemetry,
-                                  checkpoint_meta=checkpoint_meta)
+                                  checkpoint_meta=checkpoint_meta,
+                                  resume_from=resume_from)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, extra_hooks=()) -> int:
     if (getattr(args, "executor", "serial") == "process"
             and getattr(args, "profile_worker", None) is not None):
         print("error: --profile-worker requires --executor serial "
@@ -249,7 +261,7 @@ def _cmd_run(args) -> int:
         return 2
     timing = TimingHook()
     comm = CommVolumeHook()
-    hooks = [timing, comm]
+    hooks = [timing, comm, *extra_hooks]
     telemetry = _make_telemetry(args)
     if telemetry is not None:
         hooks.append(TelemetryHook(telemetry))
@@ -365,10 +377,23 @@ def _cmd_verify(args) -> int:
         semisync_tolerance_ulps=semisync,
         scenario=args.scenario, workers=args.workers, seed=args.seed,
         executor=args.executor, num_procs=args.num_procs,
-        service=not args.no_service,
+        stages=args.stages, artifact_dir=args.artifact_dir,
     )
     print(report.describe())
     return 0 if report.passed else 1
+
+
+def _stage_prefixes(text: str) -> List[str]:
+    """``--stages``: comma-separated prefixes of the battery's stage
+    names; one that names no stage is a usage error."""
+    from repro.verify.run import select_stages
+
+    prefixes = text.split(",")
+    try:
+        select_stages(prefixes, executor="process")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return prefixes
 
 
 def _parse_roster_script(text: Optional[str]):
@@ -385,10 +410,13 @@ def _parse_roster_script(text: Optional[str]):
             for round_index, workers in script.items()}
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args, extra_hooks=()) -> int:
     from repro.serve import FedMPService
 
     if args.executor != "serial":
+        # the socket executor is injected through the engine's executor
+        # seam; the stored config stays "serial" so the checkpoint also
+        # resumes under plain `repro run --resume`
         print("error: `repro serve` always trains through the socket "
               "executor; drop --executor", file=sys.stderr)
         return 2
@@ -399,59 +427,13 @@ def _cmd_serve(args) -> int:
         return 2
     timing = TimingHook()
     comm = CommVolumeHook()
-    hooks = [timing, comm]
+    hooks = [timing, comm, *extra_hooks]
     telemetry = _make_telemetry(args)
     if telemetry is not None:
         hooks.append(TelemetryHook(telemetry))
 
-    resume = getattr(args, "resume", None)
-    if resume is not None:
-        from repro.fl.checkpoint import load_checkpoint, resolve_checkpoint
-
-        checkpoint = load_checkpoint(resolve_checkpoint(resume))
-        meta = checkpoint.meta or {}
-        bench_task = make_bench_task(meta.get("task", args.task))
-        devices = make_devices(meta.get("scenario", args.scenario),
-                               count=meta.get("workers", args.workers))
-        task = bench_task.make_task(meta.get("non_iid", args.non_iid))
-        config = None
-        checkpoint_meta = checkpoint.meta
-        resume_from = checkpoint
-    else:
-        bench_task = make_bench_task(args.task)
-        devices = make_devices(args.scenario, count=args.workers)
-        overrides = dict(
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            sync_scheme=args.sync_scheme,
-            scheduler=args.scheduler,
-            async_m=args.async_m,
-            semi_sync_deadline_s=args.deadline_s,
-            target_metric=args.target,
-            seed=args.seed,
-            # the socket executor is injected through the engine's
-            # executor seam; the stored config stays "serial" so the
-            # checkpoint also resumes under plain `repro run --resume`
-            executor="serial",
-            wire_profile=args.wire_profile,
-            wire_keep_fraction=args.wire_keep_fraction,
-            wire_quantize_bits=args.wire_quantize_bits,
-            nan_policy=args.nan_policy,
-            clients_per_round=args.clients_per_round,
-            history_detail=args.history_detail,
-        )
-        if args.rounds is not None:
-            overrides["max_rounds"] = args.rounds
-        config = bench_task.make_config(args.strategy, **overrides)
-        task = bench_task.make_task(args.non_iid)
-        checkpoint_meta = None
-        if config.checkpoint_dir is not None:
-            checkpoint_meta = {"task": args.task,
-                               "scenario": args.scenario,
-                               "workers": args.workers,
-                               "non_iid": args.non_iid}
-        resume_from = None
-
+    task, devices, config, checkpoint_meta, resume_from = prepare_run(
+        args.task, args.strategy, args)
     service = FedMPService(
         task, devices, config,
         host=args.host, port=args.port,
@@ -793,10 +775,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--num-procs", type=int, default=None,
                                metavar="N",
                                help="pool size for the process stage")
-    verify_parser.add_argument("--no-service", action="store_true",
-                               help="skip the loopback-socket service "
-                                    "differentials (subprocess fleets; "
-                                    "the slowest stage)")
+    verify_parser.add_argument("--stages", type=_stage_prefixes,
+                               default=None, metavar="PREFIX[,...]",
+                               help="run only the stages whose names start "
+                                    "with one of these prefixes, e.g. "
+                                    "checkpoint/ or service/ (default: "
+                                    "every stage)")
+    verify_parser.add_argument("--artifact-dir", default=None, metavar="DIR",
+                               help="keep every subprocess leg's logs, "
+                                    "checkpoints, history and trace under "
+                                    "DIR instead of a temporary directory")
     verify_parser.set_defaults(func=_cmd_verify)
 
     trace_parser = subparsers.add_parser(
@@ -832,11 +820,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None, hooks: Sequence = ()) -> int:
+    """Run one ``repro`` command line.
+
+    ``hooks`` are extra round hooks for `run` and `serve`.  They are a
+    test seam, not a flag: ``python -m repro.verify --kill-at K`` passes
+    the hook that SIGKILLs the run in round K through it.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, hooks) if hooks else args.func(args)
     except BrokenPipeError:
         # stdout went away (e.g. piped into `head`); exit quietly with
         # the conventional SIGPIPE status instead of a traceback

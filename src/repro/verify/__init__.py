@@ -18,14 +18,17 @@ it claims (see DESIGN.md section 3.4):
   duplicated, poisoned, stale and zero-sample contributions, with the
   engine's response pinned per fault kind.
 
-- :mod:`repro.verify.resume` -- the kill-and-resume differential: a
-  subprocess run is SIGKILLed mid-round, resumed from its latest
-  checkpoint in a fresh process, and must finish byte-identical to
-  the uninterrupted reference (not imported here: it doubles as the
-  ``python -m repro.verify.resume`` crash/resume harness).
+- :mod:`repro.verify.harness` -- the one proof harness: a
+  :class:`~repro.verify.harness.RunSpec` runs in-process (memoised)
+  or as production-CLI subprocess legs (`repro run|serve|client`), and
+  one comparator demands byte-identical normalised history and 0-ULP
+  final weights -- across SIGKILL-and-resume and the socket service.
+  ``python -m repro.verify --kill-at K <repro argv...>`` is the CLI
+  with a SIGKILL in round K, the crash leg of those checks.
 
-:func:`repro.verify.run.run_verification` (CLI: ``repro verify``)
-composes them into one pass/fail battery.  Property-test
+:func:`repro.verify.run.run_verification` (CLI: ``repro verify``,
+``--stages PREFIX[,...]`` for a subset) runs them as one declared
+table of pass/fail stages.  Property-test
 generators live in :mod:`repro.verify.strategies`; they are not
 imported here so ``repro.verify`` works without ``hypothesis``.
 """

@@ -22,7 +22,9 @@ natural scale-free metric for "how different did the arithmetic get".
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +48,7 @@ __all__ = [
     "differential_sync_vs_semisync",
     "differential_serial_vs_process",
     "normalised_history_bytes",
+    "normalised_history_file",
 ]
 
 #: a semi-sync deadline no simulated round can miss
@@ -286,22 +289,28 @@ def normalised_history_bytes(history: TrainingHistory) -> bytes:
     """Canonical bytes of a history with wall-clock noise removed.
 
     Runs the real JSON serialisation path (:func:`repro.io.
-    save_history`), then zeroes the two fields that measure host time
-    rather than simulated behaviour -- ``overhead_s`` and any
-    ``extras["wall_time_s"]`` a hook recorded -- and re-dumps with
-    sorted keys.  Two runs are behaviourally identical iff these bytes
-    are equal.
+    save_history`) and normalises the result with
+    :func:`normalised_history_file`.  Two runs are behaviourally
+    identical iff these bytes are equal.
     """
-    import json
     import tempfile
-    from pathlib import Path
 
     from repro.io import save_history
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "history.json"
         save_history(history, path)
-        payload = json.loads(path.read_text())
+        return normalised_history_file(path)
+
+
+def normalised_history_file(path) -> bytes:
+    """Canonical bytes of a saved history JSON file (``--history``).
+
+    Zeroes the two fields that measure host time rather than simulated
+    behaviour -- ``overhead_s`` and any ``extras["wall_time_s"]`` a
+    hook recorded -- and re-dumps with sorted keys.
+    """
+    payload = json.loads(Path(path).read_text())
     for entry in payload["rounds"]:
         entry["overhead_s"] = 0.0
         extras = entry.get("extras") or {}

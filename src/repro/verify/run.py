@@ -1,7 +1,7 @@
-"""The ``repro verify`` entry point: one self-contained conformance run.
+"""The ``repro verify`` entry point: one declared table of stages.
 
-Composes the three verification tools into a pass/fail report over a
-bench preset:
+Every stage is a row of :data:`STAGES` -- its name and the check behind
+its verdict -- run in table order over one bench preset:
 
 1. **Invariant runs** -- a FedMP run and a FlexCom run (the latter
    exercises compressed uploads, hence the error-feedback accounting)
@@ -14,26 +14,31 @@ bench preset:
 3. **Fault conformance** -- every fault kind in
    :data:`~repro.verify.faults.FAULT_KINDS` is injected into a short
    run and the engine's documented behaviour is asserted.
-4. **Kill-and-resume** -- for each scheduler, a subprocess run is
-   SIGKILLed mid-round, resumed from its latest checkpoint in a fresh
-   process, and compared against the uninterrupted reference:
-   normalised history byte-for-byte, final weights at 0 ULP (see
-   :mod:`repro.verify.resume`).
-5. **Service mode** -- a `FedMPService` subprocess on a loopback
-   socket, one client subprocess per worker, scripted churn (one
-   leave, one join), compared against a serial in-process reference
-   over the same roster script; then the same choreography with the
-   service SIGKILLed mid-round and resumed on the same port while the
-   clients reconnect (see :mod:`repro.verify.service`).
+4. **Kill-and-resume** -- for each scheduler, `repro run` is SIGKILLed
+   mid-round, resumed with ``--resume`` in a fresh process, and
+   compared against the uninterrupted in-process run: normalised
+   history byte-for-byte, final weights at 0 ULP.
+5. **Parallel-runtime parity** (``executor="process"`` only) -- serial
+   vs process-pool states at 0 ULP and byte-identical history.
+6. **Service mode** -- `repro serve` plus one `repro client` per
+   worker on a loopback socket, scripted churn (one leave, one join),
+   against the in-process run over the same roster script; the same
+   choreography with the service SIGKILLed mid-round and resumed on
+   the same port while the clients reconnect; and a live-roster run
+   drained by SIGTERM.
 
-``run_verification`` returns a :class:`VerificationReport`; the CLI
-renders it and exits non-zero when any check failed.
+Runs, legs and comparisons go through :mod:`repro.verify.harness`.
+``repro verify --stages PREFIX[,...]`` runs the rows whose names start
+with a prefix (``checkpoint/`` and ``service/`` are CI's resume and
+serve smokes).  ``run_verification`` returns a
+:class:`VerificationReport`; the CLI renders it and exits non-zero
+when any check failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +47,8 @@ from repro.fl.hooks import RoundHook
 from repro.fl.runner import run_federated_training
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.verify.differential import (
-    DifferentialReport,
     StateCaptureHook,
-    differential_engine_vs_reference,
-    differential_serial_vs_process,
-    differential_sync_vs_semisync,
+    compare_state_sequences,
 )
 from repro.verify.errors import (
     DuplicateContributionError,
@@ -54,9 +56,11 @@ from repro.verify.errors import (
     PoisonedUpdateError,
 )
 from repro.verify.faults import FaultInjectionHook, FaultSpec
+from repro.verify.harness import SCHEDULERS, Harness, RunSpec, churn_roster
 from repro.verify.invariants import InvariantHook
 
-__all__ = ["CheckResult", "VerificationReport", "run_verification"]
+__all__ = ["CheckResult", "STAGES", "Stage", "VerificationReport",
+           "run_verification", "select_stages"]
 
 #: default ULP tolerance for the sync-vs-semisync comparison: 0, because
 #: the aggregator's float64 accumulator makes the reordered float32 sums
@@ -100,6 +104,49 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+class _Battery:
+    """What the rows of one ``run_verification`` call share."""
+
+    def __init__(self, spec: RunSpec, executor: str,
+                 num_procs: Optional[int], tolerance_ulps: int,
+                 semisync_tolerance_ulps: int,
+                 artifact_dir: Optional[str]) -> None:
+        #: the plain sync run on the serial executor
+        self.spec = spec
+        #: the same run on the executor under test
+        self.parallel = replace(spec, executor=executor, num_procs=num_procs)
+        self.tolerance_ulps = tolerance_ulps
+        self.semisync_tolerance_ulps = semisync_tolerance_ulps
+        self.harness = Harness(artifact_dir)
+        self.bench = make_bench_task(spec.preset)
+        self.devices = make_devices(spec.scenario, count=spec.workers)
+        worker_ids = sorted(device.device_id for device in self.devices)
+        self.first, self.fleet = worker_ids[0], len(worker_ids)
+        self.fault_rounds = min(3, spec.rounds)
+        fleet = min(4, self.fleet)
+        self.service = replace(spec, workers=fleet, served=True,
+                               roster=churn_roster(fleet, spec.rounds))
+
+    def one_short(self, round_index: int) -> List[int]:
+        """Per-round contribution counts when ``round_index`` aggregates
+        one worker fewer than the fleet."""
+        counts = [self.fleet] * self.fault_rounds
+        counts[round_index] -= 1
+        return counts
+
+
+Check = Callable[[_Battery], Tuple[bool, str]]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the battery: its name and the check behind it."""
+
+    name: str
+    check: Check
+    process_only: bool = False
+
+
 class _AggregateCountHook(RoundHook):
     """Record how many contributions each round actually aggregated."""
 
@@ -118,110 +165,195 @@ def _counter_total(metrics: MetricsRegistry, name: str) -> float:
     return sum(c.value for c in metrics.counters if c.name == name)
 
 
-def _invariant_stage(name: str, strategy: str, bench, devices,
-                     rounds: int, seed: int) -> CheckResult:
-    config = bench.make_config(strategy, max_rounds=rounds, seed=seed,
-                               target_metric=None, eval_every=rounds)
-    hook = InvariantHook(on_violation="record")
-    telemetry = _fresh_telemetry()
-    run_federated_training(bench.make_task(0.0), devices, config,
-                           hooks=[hook], telemetry=telemetry)
-    checks = int(_counter_total(telemetry.metrics,
-                                "invariant_checks_total"))
-    if hook.violations:
-        worst = "; ".join(str(v) for v in hook.violations[:3])
-        return CheckResult(name, False,
-                           f"{len(hook.violations)} violation(s) in "
+def _invariants(strategy: str) -> Check:
+    def check(b: _Battery) -> Tuple[bool, str]:
+        rounds = b.spec.rounds
+        config = b.bench.make_config(strategy, max_rounds=rounds,
+                                     seed=b.spec.seed, target_metric=None,
+                                     eval_every=rounds)
+        hook = InvariantHook(on_violation="record")
+        telemetry = _fresh_telemetry()
+        run_federated_training(b.bench.make_task(0.0), b.devices, config,
+                               hooks=[hook], telemetry=telemetry)
+        checks = int(_counter_total(telemetry.metrics,
+                                    "invariant_checks_total"))
+        if hook.violations:
+            worst = "; ".join(str(v) for v in hook.violations[:3])
+            return False, (f"{len(hook.violations)} violation(s) in "
                            f"{checks} checks: {worst}")
-    if checks == 0:
-        return CheckResult(name, False, "no invariant checks ran")
-    return CheckResult(name, True,
-                       f"{checks} checks over {rounds} rounds, "
-                       f"0 violations")
+        if checks == 0:
+            return False, "no invariant checks ran"
+        return True, f"{checks} checks over {rounds} rounds, 0 violations"
+    return check
 
 
-def _differential_stage(name: str,
-                        report_factory: Callable[[], DifferentialReport],
-                        ) -> CheckResult:
-    report = report_factory()
-    return CheckResult(name, report.passed, report.describe())
+def _differential(label_a: str, label_b: str,
+                  candidate: Callable[[_Battery], RunSpec],
+                  semisync: bool = False) -> Check:
+    """The battery's plain run vs ``candidate``, state by state."""
+    def check(b: _Battery) -> Tuple[bool, str]:
+        _, states_a = b.harness.reference(b.spec)
+        _, states_b = b.harness.reference(candidate(b))
+        report = compare_state_sequences(
+            states_a, states_b,
+            b.semisync_tolerance_ulps if semisync else b.tolerance_ulps,
+            label_a=label_a, label_b=label_b)
+        return report.passed, report.describe()
+    return check
 
 
-def _fault_stage(name: str, bench, devices, config, specs,
-                 expect_error: Optional[type] = None,
-                 expect_counts: Optional[Callable[[List[int]], bool]] = None,
-                 count_hint: str = "",
-                 min_skipped_poison: int = 0) -> CheckResult:
+def _history_bytes(b: _Battery) -> Tuple[bool, str]:
+    identical = (b.harness.reference(b.spec)[0]
+                 == b.harness.reference(b.parallel)[0])
+    return identical, (
+        "normalised history JSON is byte-identical under both executors"
+        if identical else
+        "normalised history JSON DIFFERS between executors")
+
+
+def _fault(faults: Callable[[_Battery], List[FaultSpec]],
+           expect_error: Optional[type] = None,
+           expect_counts: Optional[Callable[[_Battery], List[int]]] = None,
+           min_skipped_poison: int = 0, **config_overrides) -> Check:
     """Run one fault scenario and assert the documented outcome."""
-    hook = FaultInjectionHook(specs)
-    counter = _AggregateCountHook()
-    capture = StateCaptureHook()
-    telemetry = _fresh_telemetry()
-    error: Optional[BaseException] = None
-    try:
-        run_federated_training(bench.make_task(0.0), devices, config,
-                               hooks=[hook, counter, capture],
-                               telemetry=telemetry)
-    except Exception as exc:   # the documented outcome may BE an error
-        error = exc
+    def check(b: _Battery) -> Tuple[bool, str]:
+        config = b.bench.make_config(
+            "fedmp", max_rounds=b.fault_rounds, seed=b.spec.seed,
+            target_metric=None, eval_every=b.fault_rounds,
+            **config_overrides)
+        hook = FaultInjectionHook(faults(b))
+        counter = _AggregateCountHook()
+        capture = StateCaptureHook()
+        telemetry = _fresh_telemetry()
+        error: Optional[BaseException] = None
+        try:
+            run_federated_training(b.bench.make_task(0.0), b.devices, config,
+                                   hooks=[hook, counter, capture],
+                                   telemetry=telemetry)
+        except Exception as exc:   # the documented outcome may BE an error
+            error = exc
 
-    injected = len(hook.injected)
-    if expect_error is not None:
-        if error is None:
-            return CheckResult(
-                name, False,
-                f"expected {expect_error.__name__}, but the run completed",
-            )
-        if not isinstance(error, expect_error):
-            return CheckResult(
-                name, False,
-                f"expected {expect_error.__name__}, "
-                f"got {type(error).__name__}: {error}",
-            )
-        return CheckResult(
-            name, True,
-            f"{injected} fault(s) injected, round rejected with "
-            f"{expect_error.__name__}",
-        )
+        injected = len(hook.injected)
+        if expect_error is not None:
+            if error is None:
+                return False, (f"expected {expect_error.__name__}, but the "
+                               f"run completed")
+            if not isinstance(error, expect_error):
+                return False, (f"expected {expect_error.__name__}, "
+                               f"got {type(error).__name__}: {error}")
+            return True, (f"{injected} fault(s) injected, round rejected "
+                          f"with {expect_error.__name__}")
 
-    if error is not None:
-        return CheckResult(name, False,
-                           f"run failed with {type(error).__name__}: {error}")
-    if injected == 0:
-        return CheckResult(name, False, "no fault was injected")
-    if hook.pending_stale:
-        return CheckResult(name, False,
-                           f"{hook.pending_stale} stale contribution(s) "
+        if error is not None:
+            return False, f"run failed with {type(error).__name__}: {error}"
+        if injected == 0:
+            return False, "no fault was injected"
+        if hook.pending_stale:
+            return False, (f"{hook.pending_stale} stale contribution(s) "
                            f"never landed")
-    if expect_counts is not None and not expect_counts(counter.counts):
-        return CheckResult(
-            name, False,
-            f"per-round aggregated-contribution counts {counter.counts} "
-            f"violate: {count_hint}",
-        )
-    skipped = int(_counter_total(telemetry.metrics,
-                                 "poisoned_updates_total"))
-    if skipped < min_skipped_poison:
-        return CheckResult(
-            name, False,
-            f"expected >= {min_skipped_poison} skipped poisoned update(s), "
-            f"telemetry counted {skipped}",
-        )
-    if capture.states:
-        final = capture.states[-1]
-        bad = [key for key, value in final.items()
-               if not np.isfinite(value).all()]
-        if bad:
-            return CheckResult(
-                name, False,
-                f"non-finite values leaked into the final global state "
-                f"({bad[:3]})",
-            )
-    detail = (f"{injected} fault(s) injected, run completed; "
-              f"per-round contributions {counter.counts}")
-    if min_skipped_poison:
-        detail += f"; {skipped} poisoned update(s) skipped and counted"
-    return CheckResult(name, True, detail)
+        expected = expect_counts(b) if expect_counts is not None else None
+        if expected is not None and counter.counts != expected:
+            return False, (f"per-round aggregated-contribution counts "
+                           f"{counter.counts}, expected {expected}")
+        skipped = int(_counter_total(telemetry.metrics,
+                                     "poisoned_updates_total"))
+        if skipped < min_skipped_poison:
+            return False, (f"expected >= {min_skipped_poison} skipped "
+                           f"poisoned update(s), telemetry counted "
+                           f"{skipped}")
+        if capture.states:
+            bad = [key for key, value in capture.states[-1].items()
+                   if not np.isfinite(value).all()]
+            if bad:
+                return False, (f"non-finite values leaked into the final "
+                               f"global state ({bad[:3]})")
+        detail = (f"{injected} fault(s) injected, run completed; "
+                  f"per-round contributions {counter.counts}")
+        if min_skipped_poison:
+            detail += f"; {skipped} poisoned update(s) skipped and counted"
+        return True, detail
+    return check
+
+
+def _kill_and_resume(b: _Battery) -> Tuple[bool, str]:
+    spec = replace(b.parallel, kill_at=max(1, b.spec.rounds // 2))
+    checks = [b.harness.kill_and_resume(replace(spec, scheduler=scheduler))
+              for scheduler in SCHEDULERS]
+    return (all(passed for passed, _ in checks),
+            "; ".join(detail for _, detail in checks))
+
+
+def _served_kill(b: _Battery) -> Tuple[bool, str]:
+    rounds = b.spec.rounds
+    return b.harness.served(
+        replace(b.service, kill_at=min(rounds - 1, rounds // 2 + 1)))
+
+
+STAGES: Tuple[Stage, ...] = (
+    Stage("invariants/fedmp", _invariants("fedmp")),
+    Stage("invariants/flexcom", _invariants("flexcom")),
+    Stage("differential/engine_vs_reference", _differential(
+        "engine", "reference",
+        lambda b: replace(b.spec, executor="reference"))),
+    Stage("differential/sync_vs_semisync", _differential(
+        "sync", "semi_sync_inf",
+        lambda b: replace(b.spec, scheduler="semi_sync_inf"),
+        semisync=True)),
+    Stage("fault/drop", _fault(
+        lambda b: [FaultSpec("drop", 1, b.first)],
+        expect_counts=lambda b: b.one_short(1))),
+    Stage("fault/drop_all", _fault(
+        lambda b: [FaultSpec("drop", 1, device.device_id)
+                   for device in b.devices],
+        expect_error=EmptyRoundError)),
+    Stage("fault/duplicate", _fault(
+        lambda b: [FaultSpec("duplicate", 1, b.first)],
+        expect_error=DuplicateContributionError)),
+    Stage("fault/poison_raise", _fault(
+        lambda b: [FaultSpec("poison", 1, b.first)],
+        expect_error=PoisonedUpdateError)),
+    Stage("fault/poison_skip", _fault(
+        lambda b: [FaultSpec("poison", 1, b.first)],
+        min_skipped_poison=1, nan_policy="skip")),
+    Stage("fault/stale", _fault(
+        lambda b: [FaultSpec("stale", 0, b.first, delay_rounds=1)],
+        # round 1 counts the late contribution in place of the fresh one
+        expect_counts=lambda b: b.one_short(0))),
+    Stage("fault/zero_samples", _fault(
+        lambda b: [FaultSpec("zero_samples", 1, b.first)],
+        # the zero-sample contribution stays in the round: the weighted
+        # aggregator skips it internally
+        expect_counts=lambda b: [b.fleet] * b.fault_rounds,
+        sync_scheme="r2sp_weighted")),
+    Stage("checkpoint/kill_and_resume", _kill_and_resume),
+    Stage("differential/serial_vs_process", _differential(
+        "serial", "process", lambda b: b.parallel), process_only=True),
+    Stage("history/serial_vs_process_bytes", _history_bytes,
+          process_only=True),
+    Stage("service/loopback_socket", lambda b: b.harness.served(b.service)),
+    Stage("service/kill_and_resume", _served_kill),
+    Stage("service/live_roster_drain",
+          lambda b: b.harness.live_roster_drain(b.spec)),
+)
+
+
+def select_stages(prefixes: Optional[Sequence[str]] = None,
+                  executor: str = "serial") -> List[Stage]:
+    """The rows a run executes, in table order: those whose names start
+    with one of ``prefixes`` (all when ``None``), the ``process_only``
+    rows only under ``executor="process"``.  A prefix that starts no
+    stage name is an error."""
+    if executor not in ("serial", "process"):
+        raise ValueError(f"unknown executor {executor!r}")
+    unknown = [prefix for prefix in prefixes or ()
+               if not any(s.name.startswith(prefix) for s in STAGES)]
+    if unknown:
+        raise ValueError(f"no stage name starts with {', '.join(unknown)} "
+                         f"(stages: {', '.join(s.name for s in STAGES)})")
+    return [stage for stage in STAGES
+            if (executor == "process" or not stage.process_only)
+            and (prefixes is None
+                 or any(stage.name.startswith(p) for p in prefixes))]
 
 
 def run_verification(preset: str = "cnn", rounds: int = 5,
@@ -233,164 +365,30 @@ def run_verification(preset: str = "cnn", rounds: int = 5,
                      seed: int = 17,
                      executor: str = "serial",
                      num_procs: Optional[int] = None,
-                     service: bool = True) -> VerificationReport:
-    """Run the full verification battery on one bench preset.
+                     stages: Optional[Sequence[str]] = None,
+                     artifact_dir: Optional[str] = None,
+                     ) -> VerificationReport:
+    """Run the verification battery (or the ``stages`` prefixes of it)
+    on one bench preset.
 
-    ``executor="process"`` adds a fourth stage: a serial-vs-process
-    differential run that must be 0-ULP identical in every per-round
-    global state *and* byte-identical in the normalised history JSON.
-    ``service=False`` skips the loopback-socket service stages (real
-    subprocess fleets; the slowest part of the battery).
+    ``executor="process"`` runs the kill-and-resume legs on the process
+    pool and adds the serial-vs-process rows.  ``artifact_dir`` keeps
+    every subprocess leg's working directory (logs, checkpoints,
+    history, trace) under it.
     """
     if rounds < 2:
         raise ValueError("verification needs at least 2 rounds")
-    bench = make_bench_task(preset)
-    devices = make_devices(scenario, count=workers)
-    worker_ids = sorted(device.device_id for device in devices)
+    selected = select_stages(stages, executor)
+    battery = _Battery(
+        RunSpec(preset=preset, scenario=scenario, workers=workers,
+                rounds=rounds, seed=seed),
+        executor, num_procs, tolerance_ulps, semisync_tolerance_ulps,
+        artifact_dir)
     report = VerificationReport(preset=preset, rounds=rounds)
-
-    # --- stage 1: runtime invariants -------------------------------------
-    report.results.append(_invariant_stage(
-        "invariants/fedmp", "fedmp", bench, devices, rounds, seed,
-    ))
-    report.results.append(_invariant_stage(
-        "invariants/flexcom", "flexcom", bench, devices, rounds, seed,
-    ))
-
-    # --- stage 2: differential runs --------------------------------------
-    base = bench.make_config("fedmp", max_rounds=rounds, seed=seed,
-                             target_metric=None, eval_every=rounds)
-    report.results.append(_differential_stage(
-        "differential/engine_vs_reference",
-        lambda: differential_engine_vs_reference(
-            lambda: bench.make_task(0.0), devices, base,
-            tolerance_ulps=tolerance_ulps,
-        ),
-    ))
-    report.results.append(_differential_stage(
-        "differential/sync_vs_semisync",
-        lambda: differential_sync_vs_semisync(
-            lambda: bench.make_task(0.0), devices, base,
-            tolerance_ulps=semisync_tolerance_ulps,
-        ),
-    ))
-
-    # --- stage 3: fault conformance --------------------------------------
-    fault_rounds = min(3, rounds)
-    fault_config = bench.make_config(
-        "fedmp", max_rounds=fault_rounds, seed=seed,
-        target_metric=None, eval_every=fault_rounds,
-    )
-    first, fleet = worker_ids[0], len(worker_ids)
-
-    report.results.append(_fault_stage(
-        "fault/drop", bench, devices, fault_config,
-        [FaultSpec("drop", 1, first)],
-        expect_counts=lambda counts: counts[1] == fleet - 1
-        and all(c == fleet for i, c in enumerate(counts) if i != 1),
-        count_hint=f"round 1 aggregates {fleet - 1} of {fleet} workers",
-    ))
-    report.results.append(_fault_stage(
-        "fault/drop_all", bench, devices, fault_config,
-        [FaultSpec("drop", 1, wid) for wid in worker_ids],
-        expect_error=EmptyRoundError,
-    ))
-    report.results.append(_fault_stage(
-        "fault/duplicate", bench, devices, fault_config,
-        [FaultSpec("duplicate", 1, first)],
-        expect_error=DuplicateContributionError,
-    ))
-    report.results.append(_fault_stage(
-        "fault/poison_raise", bench, devices, fault_config,
-        [FaultSpec("poison", 1, first)],
-        expect_error=PoisonedUpdateError,
-    ))
-    skip_config = bench.make_config(
-        "fedmp", max_rounds=fault_rounds, seed=seed, target_metric=None,
-        eval_every=fault_rounds, nan_policy="skip",
-    )
-    report.results.append(_fault_stage(
-        "fault/poison_skip", bench, devices, skip_config,
-        [FaultSpec("poison", 1, first)],
-        min_skipped_poison=1,
-    ))
-    report.results.append(_fault_stage(
-        "fault/stale", bench, devices, fault_config,
-        [FaultSpec("stale", 0, first, delay_rounds=1)],
-        expect_counts=lambda counts: counts[0] == fleet - 1
-        and all(c == fleet for i, c in enumerate(counts) if i != 0),
-        count_hint=f"round 0 aggregates {fleet - 1} workers, the stale "
-                   f"contribution replaces the fresh one in round 1",
-    ))
-    weighted_config = bench.make_config(
-        "fedmp", max_rounds=fault_rounds, seed=seed, target_metric=None,
-        eval_every=fault_rounds, sync_scheme="r2sp_weighted",
-    )
-    report.results.append(_fault_stage(
-        "fault/zero_samples", bench, devices, weighted_config,
-        [FaultSpec("zero_samples", 1, first)],
-        expect_counts=lambda counts: all(c == fleet for c in counts),
-        count_hint="the zero-sample contribution stays in the round "
-                   "(the weighted aggregator skips it internally)",
-    ))
-
-    # --- stage 4: checkpoint / kill-and-resume ----------------------------
-    # SIGKILL a subprocess run mid-round, resume it in a fresh process,
-    # and demand byte-identical normalised history plus 0-ULP final
-    # weights against the uninterrupted reference -- per scheduler.
-    # Imported lazily so `python -m repro.verify.resume` does not see
-    # the module pre-imported through the package (runpy warning).
-    from repro.verify.resume import differential_kill_and_resume
-
-    resume_checks = differential_kill_and_resume(
-        preset=preset, scenario=scenario, workers=len(worker_ids),
-        rounds=rounds, kill_at=max(1, rounds // 2), seed=seed,
-        executor=executor, num_procs=num_procs,
-    )
-    report.results.append(CheckResult(
-        "checkpoint/kill_and_resume",
-        all(check.passed for check in resume_checks),
-        "; ".join(check.detail for check in resume_checks),
-    ))
-
-    # --- stage 5: parallel-runtime parity (opt-in) ------------------------
-    if executor == "process":
-        diff_report, histories_match = differential_serial_vs_process(
-            lambda: bench.make_task(0.0), devices, base,
-            tolerance_ulps=tolerance_ulps, num_procs=num_procs,
-        )
-        report.results.append(CheckResult(
-            "differential/serial_vs_process", diff_report.passed,
-            diff_report.describe(),
-        ))
-        report.results.append(CheckResult(
-            "history/serial_vs_process_bytes", histories_match,
-            "normalised history JSON is byte-identical under both "
-            "executors" if histories_match else
-            "normalised history JSON DIFFERS between executors",
-        ))
-    elif executor != "serial":
-        raise ValueError(f"unknown executor {executor!r}")
-
-    # --- stage 6: service mode (loopback sockets) -------------------------
-    # a served run with scripted churn must equal the serial reference
-    # byte-for-byte, even across a SIGKILL-and-resume of the service
-    if service:
-        from repro.verify.service import differential_serve_loopback
-
-        fleet = min(4, len(worker_ids))
-        report.results.append(_service_check(differential_serve_loopback(
-            preset=preset, scenario=scenario, workers=fleet,
-            rounds=rounds, seed=seed,
-        )))
-        report.results.append(_service_check(differential_serve_loopback(
-            preset=preset, scenario=scenario, workers=fleet,
-            rounds=rounds, seed=seed,
-            kill_at=min(rounds - 1, rounds // 2 + 1),
-        )))
-
+    for stage in selected:
+        try:
+            passed, detail = stage.check(battery)
+        except TimeoutError as exc:   # a stuck leg fails its row only
+            passed, detail = False, str(exc)
+        report.results.append(CheckResult(stage.name, passed, detail))
     return report
-
-
-def _service_check(check) -> CheckResult:
-    return CheckResult(check.name, check.passed, check.detail)

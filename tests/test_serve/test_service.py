@@ -1,7 +1,8 @@
 """Parameter-server service mode, end to end over loopback sockets.
 
 The service and its clients run as real TCP peers (threads here,
-processes in :mod:`repro.verify.service`): registration, dispatch,
+`repro serve` / `repro client` processes in ``repro verify --stages
+service/``): registration, dispatch,
 contribution push, graceful leaves, scripted churn, and the headline
 parity guarantee -- a served run's history is byte-identical to a
 serial in-process run over the same roster script, with final weights
