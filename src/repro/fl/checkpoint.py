@@ -2,13 +2,13 @@
 
 A checkpoint snapshots everything a round depends on -- the engine's
 RNG streams (``master_rng`` / ``extract_rng`` / churn / sampling, via
-``bit_generator.state``), every worker's runtime state (shared
-iterator/worker generator position, timing-jitter generator, epoch
-permutation and cursor), the strategy object wholesale (for FedMP that
-is each E-UCB agent's partition tree, ``_RegionStats`` and pending
-play), the per-worker error-feedback memories, the global model state
-together with any rng-bearing module generators, the simulated clock,
-the training history, and the scheduler's outstanding
+``bit_generator.state``), the runtime state of every worker the run
+touched (iterator/worker generator position, timing-jitter generator,
+epoch permutation and cursor; an untouched worker is its seed), the
+strategy object wholesale (for FedMP each E-UCB agent's partition tree,
+``_RegionStats`` and pending play), the error-feedback memories, the
+global model state with any rng-bearing module generators, the
+simulated clock, the training history, and the scheduler's outstanding
 :class:`~repro.fl.schedulers.base.DispatchQueue` (in-flight completion
 events).  Everything is serialised in ONE pickle so shared-object
 identity survives: a cached sub-model template, the cohort that points

@@ -42,7 +42,6 @@ from repro.fl.config import FLConfig
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.hooks import HookList, RoundHook
 from repro.fl.strategies import Strategy, make_strategy
-from repro.fl.worker import Worker
 from repro.nn.batched import supports_cohort_training
 from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import TrainHyper
@@ -51,7 +50,7 @@ from repro.runtime.executor import (
     Executor,
     make_executor,
 )
-from repro.runtime.pool import WorkerSpec
+from repro.runtime.pool import LazyFleet, WorkerSpec
 from repro.simulation.clock import SimulationClock
 from repro.simulation.device import DeviceProfile
 from repro.simulation.faults import DeadlinePolicy, simulate_membership_churn
@@ -181,30 +180,26 @@ class Engine:
 
         shard_rng = np.random.default_rng(self.master_rng.integers(2 ** 31))
         shards = task.partition(len(devices), shard_rng)
-        self.workers: Dict[int, Worker] = {}
-        self.worker_specs: List[WorkerSpec] = []
-        for device, shard in zip(devices, shards):
-            # the seed is recorded (not just the generator) so a pool
-            # child can replay the exact construction sequence below
-            worker_seed = int(self.master_rng.integers(2 ** 31))
-            worker_rng = np.random.default_rng(worker_seed)
-            iterator = task.make_iterator(shard, config.batch_size, worker_rng)
-            self.workers[device.device_id] = Worker(
-                device.device_id, iterator, device,
-                jitter_sigma=config.jitter_sigma, rng=worker_rng,
-                num_samples=int(shard[0].shape[0]),
-            )
-            self.worker_specs.append(WorkerSpec(
-                worker_id=device.device_id, seed=worker_seed,
-                shard_inputs=shard[0], shard_targets=shard[1],
-                batch_size=config.batch_size, device=device,
-                jitter_sigma=config.jitter_sigma,
-                num_samples=int(shard[0].shape[0]),
-                iterator_kind=getattr(task, "iterator_kind", "batch"),
-                task_name=task.name,
-            ))
+        # one seed per device, in device order (one vectorised draw is
+        # bit-equal to a scalar draw each); the fleet is lazy (DESIGN.md §3.6)
+        seeds = self.master_rng.integers(2 ** 31, size=len(devices))
+        position = {device.device_id: i for i, device in enumerate(devices)}
 
-        self.worker_ids = sorted(self.workers)
+        def make_spec(worker_id: int) -> WorkerSpec:
+            index = position[worker_id]
+            inputs, targets = shards[index]
+            return WorkerSpec(
+                worker_id=worker_id, seed=int(seeds[index]),
+                shard_inputs=inputs, shard_targets=targets,
+                batch_size=config.batch_size, device=devices[index],
+                jitter_sigma=config.jitter_sigma,
+                num_samples=int(inputs.shape[0]),
+                iterator_kind=getattr(task, "iterator_kind", "batch"),
+            )
+
+        #: the fleet; ``workers.spec(id)`` reads a device, builds nothing
+        self.workers = LazyFleet(position, make_spec)
+        self.worker_ids = sorted(position)
         self.strategy: Strategy = make_strategy(
             config.strategy, self.worker_ids, config,
             rng=np.random.default_rng(self.master_rng.integers(2 ** 31)),
@@ -233,9 +228,8 @@ class Engine:
             strategy=config.strategy, model_name=task.name,
             higher_is_better=task.higher_is_better,
         )
-        self.error_feedback: Dict[int, ErrorFeedback] = {
-            wid: ErrorFeedback() for wid in self.worker_ids
-        }
+        #: per-worker upload-compression memory, made on first use
+        self.error_feedback: Dict[int, ErrorFeedback] = {}
         self.deadline_policy = (
             DeadlinePolicy(config.deadline_quorum, config.deadline_multiplier)
             if config.deadline_quorum is not None else None
@@ -275,8 +269,7 @@ class Engine:
         self.executor: Executor = (
             executor if executor is not None
             else make_executor(
-                config, workers=self.workers, specs=self.worker_specs,
-                telemetry=self.telemetry,
+                config, workers=self.workers, telemetry=self.telemetry,
                 # pool children fork here, before the model has run a
                 # forward pass: they inherit a graph free of activations
                 skeleton=self.model,
@@ -308,11 +301,13 @@ class Engine:
                 "resume with the checkpoint's own config "
                 "(Engine.restore passes it through automatically)"
             )
+        # a checkpoint covers the touched workers, not the pristine ones
         saved_workers: Dict[int, Dict[str, object]] = payload["workers"]
-        if set(saved_workers) != set(self.worker_ids):
+        unknown = sorted(w for w in saved_workers if w not in self.workers)
+        if unknown:
             raise CheckpointError(
-                f"checkpoint covers workers {sorted(saved_workers)} but "
-                f"the rebuilt fleet has {self.worker_ids}"
+                f"checkpoint covers workers {unknown} that the rebuilt "
+                f"fleet of {len(self.workers)} does not have"
             )
 
         self.master_rng.bit_generator.state = payload["rng"]["master"]
@@ -329,12 +324,8 @@ class Engine:
                 f"model: {exc}"
             ) from exc
 
-        specs_by_id = {spec.worker_id: spec for spec in self.worker_specs}
         for worker_id, state in saved_workers.items():
-            self.workers[worker_id].restore_runtime_state(state)
-            # the spec carries the state too, so a process pool spawned
-            # below respawns children at the captured stream position
-            specs_by_id[worker_id].runtime_state = state
+            self.workers.restore(worker_id, state)
 
         self.strategy = payload["strategy"]
         self.error_feedback = payload["error_feedback"]
@@ -393,23 +384,26 @@ class Engine:
     def worker_runtime_states(self) -> Dict[int, Dict[str, object]]:
         """Per-worker runtime state for checkpointing, executor-aware.
 
-        Parent-side captures cover the timing stream (always consumed
-        in the parent at dispatch pricing); in process mode the data /
-        worker generator and iterator position advance in the pool
-        children, so the executor's view overlays them -- keeping the
-        parent's timing state -- and a resumed run replays every stream
-        from the same position under either executor.
+        Parent-side captures (of the workers that are not pristine)
+        cover the timing stream (always consumed in the parent at
+        dispatch pricing); in process mode the data / worker generator
+        and iterator position advance in the pool children, so the
+        executor's view overlays them -- keeping the parent's timing
+        state -- and a resumed run replays every stream from the same
+        position under either executor.
         """
-        states = {
-            worker_id: worker.capture_runtime_state()
-            for worker_id, worker in self.workers.items()
-        }
+        states = self.workers.capture()
         for worker_id, child_state in \
                 self.executor.capture_worker_states().items():
-            merged = dict(child_state)
-            merged["timing_rng"] = states[worker_id]["timing_rng"]
-            states[worker_id] = merged
+            if worker_id in states:     # else pristine there too
+                states[worker_id] = dict(
+                    child_state, timing_rng=states[worker_id]["timing_rng"])
         return states
+
+    @property
+    def worker_specs(self) -> List[WorkerSpec]:
+        """Every worker's spec, in fleet order (builds no worker)."""
+        return [self.workers.spec(worker_id) for worker_id in self.workers]
 
     def maybe_checkpoint(self, scheduler_name: str, next_round: int,
                          queue=None, stop: bool = False) -> None:
@@ -518,7 +512,7 @@ class Engine:
         """
         buckets: Dict[tuple, List[int]] = {}
         for worker_id, ratio in ratios.items():
-            key = (float(ratio), self.workers[worker_id].device.cluster)
+            key = (float(ratio), self.workers.spec(worker_id).device.cluster)
             if self._has_rng_modules:
                 key += (worker_id,)     # never shared: a cohort of one
             buckets.setdefault(key, []).append(worker_id)
@@ -723,7 +717,7 @@ class Engine:
             dispatch = dispatches.get(worker_id)
             cluster = (
                 dispatch.cohort.cluster if dispatch is not None
-                else self.workers[worker_id].device.cluster
+                else self.workers.spec(worker_id).device.cluster
             )
             buckets.setdefault((float(ratio), cluster), []).append(worker_id)
 
@@ -734,7 +728,7 @@ class Engine:
                 "members": len(member_ids),
                 "num_samples": int(sum(
                     dispatches[w].num_samples if w in dispatches
-                    else self.workers[w].num_samples
+                    else self.workers.spec(w).num_samples
                     for w in member_ids
                 )),
             }
@@ -764,7 +758,7 @@ class Engine:
         without corrupting or crashing the feedback loop.
         """
         delta = {key: trained[key] - dispatched[key] for key in trained}
-        feedback = self.error_feedback[worker_id]
+        feedback = self.error_feedback.setdefault(worker_id, ErrorFeedback())
         compensated = feedback.compensate(delta, plan=plan)
         sparse_delta, _ = top_k_sparsify(compensated, keep)
         feedback.update(compensated, sparse_delta, plan=plan,

@@ -26,15 +26,13 @@ class Worker:
                  jitter_sigma: float = 0.08,
                  rng: Optional[np.random.Generator] = None,
                  num_samples: int = 1) -> None:
-        """RNG derivation contract (load-bearing for process-pool parity):
-        ``rng`` is the worker's shared generator -- the engine seeds it,
-        the data iterator's construction consumes it first, and this
-        constructor then draws exactly one ``integers(2**31)`` from it to
+        """RNG derivation contract: ``rng`` is the worker's shared
+        generator -- the data iterator's construction consumes it first,
+        then this constructor draws one ``integers(2**31)`` from it to
         seed the :class:`~repro.simulation.timing.TimingModel`'s jitter
-        stream.  ``repro.runtime.pool.WorkerSpec.build`` replays this
-        exact sequence in child processes, and
-        ``tests/test_runtime/test_pool.py`` pins it; change the draw
-        order/width here only together with both.
+        stream.  ``repro.runtime.pool.WorkerSpec.build``, the one
+        construction path, runs this sequence and
+        ``tests/test_runtime/test_pool.py`` pins it.
         """
         self.worker_id = worker_id
         self.iterator = iterator

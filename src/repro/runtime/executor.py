@@ -42,7 +42,7 @@ from repro.runtime.codec import (
     decode_contribution,
     encode_dispatch,
 )
-from repro.runtime.pool import InFlight, ProcessPool, WorkerSpec
+from repro.runtime.pool import InFlight, LazyFleet, ProcessPool
 from repro.runtime.transport import (
     LocalTransport,
     StragglerDetector,
@@ -507,8 +507,7 @@ class RemoteExecutor(Executor):
         self.link.close()
 
 
-def make_executor(config, *, workers: Dict[int, object],
-                  specs: Sequence[WorkerSpec],
+def make_executor(config, *, workers: LazyFleet,
                   telemetry: Optional[Telemetry] = None,
                   skeleton: Optional[Module] = None) -> Executor:
     """Build the executor ``config.executor`` names (``skeleton`` is
@@ -525,7 +524,8 @@ def make_executor(config, *, workers: Dict[int, object],
                 "train in child processes"
             )
         pool = ProcessPool(
-            list(specs), num_procs=config.num_procs, skeleton=skeleton,
+            [workers.spec(worker_id) for worker_id in workers],
+            num_procs=config.num_procs, skeleton=skeleton,
             metrics=bundle.metrics,
         )
         pool.ping()

@@ -1,14 +1,11 @@
-"""Persistent worker processes rebuilt from picklable specs.
+"""Workers built from picklable specs, and the processes that host them.
 
-The parity problem this module solves: the engine's workers own live
-RNG streams (the shared iterator/worker generator and the timing
-model's jitter generator) that are derived from ``config.seed`` in a
-fixed construction order, so a worker cannot simply be pickled into a
-child -- generator state would fork and the runs would diverge.
-Instead the engine records, per worker, the *seed* its generator was
-built from plus everything else construction needs
-(:class:`WorkerSpec`), and the child re-runs the exact construction
-sequence:
+A worker owns live RNG streams (its iterator/worker generator and the
+timing model's jitter generator), so it is never pickled -- generator
+state would fork.  What travels is a :class:`WorkerSpec`: the *seed*
+the engine drew for it plus everything else construction needs.
+:meth:`WorkerSpec.build` is the one construction path (the engine's
+fleet, pool children, service clients) and runs one sequence:
 
 1. ``rng = np.random.default_rng(seed)``;
 2. the data iterator is built first (a ``BatchIterator`` draws its
@@ -16,10 +13,9 @@ sequence:
 3. ``Worker.__init__`` then draws the :class:`~repro.simulation.timing.
    TimingModel` seed from the same generator.
 
-Step order is load-bearing: swapping 2 and 3 shifts every subsequent
-draw.  ``tests/test_runtime/test_pool.py`` pins that a spec-rebuilt
-worker reproduces both the identical jitter stream and the identical
-batch stream.
+Step order is load-bearing (``tests/test_runtime/test_pool.py`` pins
+it).  A worker's state before its first dispatch is its seed's, so the
+engine's and each pool child's :class:`LazyFleet` builds on first use.
 
 Each pool child owns a *group* of workers (round-robin over sorted
 worker ids, so the assignment is a pure function of the fleet) and
@@ -46,9 +42,10 @@ import time
 import traceback
 import zlib
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +74,7 @@ if TYPE_CHECKING:  # cycle guard: repro.fl.engine imports this package
 __all__ = [
     "ITERATOR_KINDS",
     "InFlight",
+    "LazyFleet",
     "WorkerSpec",
     "PoolMember",
     "ProcessPool",
@@ -93,7 +91,7 @@ ITERATOR_KINDS = ("batch", "sequence")
 
 @dataclass
 class WorkerSpec:
-    """Everything a child process needs to rebuild one worker exactly.
+    """Everything that builds one worker exactly (:meth:`build`).
 
     Picklable by construction: arrays, a frozen
     :class:`~repro.simulation.device.DeviceProfile` and plain scalars.
@@ -108,13 +106,9 @@ class WorkerSpec:
     jitter_sigma: float
     num_samples: int
     iterator_kind: str = "batch"
-    task_name: str = ""
     #: restored runtime state from a checkpoint (see
     #: :meth:`repro.fl.worker.Worker.capture_runtime_state`); when set,
-    #: :meth:`build` fast-forwards the freshly constructed worker's RNG
-    #: streams and iterator position to the captured point, so a
-    #: resumed pool replays the exact stream position rather than the
-    #: construction-time seed's round-0 position
+    #: :meth:`build` fast-forwards the new worker's streams to it
     runtime_state: Optional[Dict[str, object]] = None
 
     def __post_init__(self) -> None:
@@ -125,12 +119,8 @@ class WorkerSpec:
             )
 
     def build(self) -> Worker:
-        """Reconstruct the worker with bitwise-identical RNG streams.
-
-        Mirrors ``Engine.__init__`` exactly: one generator seeded from
-        ``seed``, consumed first by the iterator's construction and
-        then by ``Worker.__init__``'s timing-seed draw.
-        """
+        """The worker, with the same streams in every process: the one
+        construction path (module docstring), then ``runtime_state``."""
         # imported here, not at module scope: repro.fl.engine imports
         # this package, so a top-level repro.fl import would be a cycle
         from repro.fl.tasks import _SequenceBatchIterator
@@ -150,6 +140,56 @@ class WorkerSpec:
         if self.runtime_state is not None:
             worker.restore_runtime_state(self.runtime_state)
         return worker
+
+
+class LazyFleet(Mapping):
+    """Worker id -> :class:`Worker` over a whole fleet (``len`` and
+    iteration cover every id), each built on its first lookup from the
+    spec ``make_spec(worker_id)`` supplies the first time one is needed."""
+
+    def __init__(self, worker_ids: Collection[int],
+                 make_spec: Callable[[int], WorkerSpec]) -> None:
+        self._ids = worker_ids
+        self._make_spec = make_spec
+        self._specs: Dict[int, WorkerSpec] = {}
+        self._built: Dict[int, Worker] = {}
+
+    def spec(self, worker_id: int) -> WorkerSpec:
+        spec = self._specs.get(worker_id)
+        if spec is None:   # make_spec raises KeyError outside the fleet
+            spec = self._specs[worker_id] = self._make_spec(worker_id)
+        return spec
+
+    def __getitem__(self, worker_id: int) -> Worker:
+        worker = self._built.get(worker_id)
+        if worker is None:
+            worker = self._built[worker_id] = self.spec(worker_id).build()
+        return worker
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __contains__(self, worker_id) -> bool:
+        return worker_id in self._ids
+
+    def restore(self, worker_id: int, state: Dict[str, object]) -> None:
+        """Start ``worker_id`` (here, or in pool children spawned from its
+        spec) at a checkpointed stream position."""
+        self.spec(worker_id).runtime_state = state
+        self._built.pop(worker_id, None)
+
+    def capture(self) -> Dict[int, Dict[str, object]]:
+        """Built workers' captures, restored untouched ones' restored
+        states; a pristine worker is absent -- its seed is its state."""
+        states = {worker_id: spec.runtime_state
+                  for worker_id, spec in self._specs.items()
+                  if spec.runtime_state is not None}
+        states.update((worker_id, worker.capture_runtime_state())
+                      for worker_id, worker in self._built.items())
+        return states
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +240,7 @@ def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
     return submodel
 
 
-def handle_train(workers: Dict[int, Worker], skeleton: Optional[Module],
+def handle_train(workers: Mapping, skeleton: Optional[Module],
                  frame: bytes) -> bytes:
     """Serve one dispatch frame: derive, train, encode the reply."""
     if skeleton is None:
@@ -253,15 +293,15 @@ def _child_main(conn, skeleton: Optional[Module],
     - ``("train", seq, frame)`` -> ``("ok", seq, contribution_frame)``
       or ``("err", seq, traceback_text)``;
     - ``("capture", seq)`` -> ``("state", seq, states)`` with
-      ``{worker_id: capture_runtime_state()}`` for this child's workers
-      (the checkpoint subsystem merges these into the parent's view,
-      since in process mode the data/RNG streams advance here);
+      :meth:`LazyFleet.capture` of this child's workers (the
+      checkpoint subsystem merges these into the parent's view, since
+      in process mode the data/RNG streams advance here);
     - ``("shutdown",)`` -> exit.
     """
     for parent_end in inherited:
         parent_end.close()
-    specs: List[WorkerSpec] = pickle.loads(specs_blob)
-    workers = {spec.worker_id: spec.build() for spec in specs}
+    specs = {spec.worker_id: spec for spec in pickle.loads(specs_blob)}
+    workers = LazyFleet(specs, specs.__getitem__)
     try:
         while True:
             try:
@@ -287,10 +327,7 @@ def _child_main(conn, skeleton: Optional[Module],
             elif op == "capture":
                 _, seq = message
                 try:
-                    states = {
-                        worker_id: worker.capture_runtime_state()
-                        for worker_id, worker in workers.items()
-                    }
+                    states = workers.capture()
                 except Exception:
                     conn.send(("err", seq, traceback.format_exc()))
                 else:

@@ -433,9 +433,6 @@ class FedMPService:
             "register": 0, "reconnect": 0, "leave": 0, "lost": 0,
         }
         self._gone_reason: Dict[int, str] = {}
-        self._specs_by_id = {
-            spec.worker_id: spec for spec in self.engine.worker_specs
-        }
         restored = self.engine.restored_service_state
         if restored:
             for worker_id, summary in restored.get("roster", {}).items():
@@ -726,9 +723,8 @@ class FedMPService:
         # exists, no RNG is drawn), so parity with a serial reference
         # run survives any number of reconnects; a genuinely new
         # worker gets its E-UCB agent minted here
-        self.engine.strategy.register_worker(
-            worker_id, device=self.engine.workers[worker_id].device
-        )
+        spec = self.engine.workers.spec(worker_id)
+        self.engine.strategy.register_worker(worker_id, device=spec.device)
         kind = "register" if first else "reconnect"
         self.counters[kind] += 1
         metrics = self.telemetry.metrics
@@ -738,7 +734,6 @@ class FedMPService:
         )
         self.telemetry.event("worker_registered", worker=worker_id,
                              kind=kind)
-        spec = self._specs_by_id[worker_id]
         runtime_state = (
             entry.runtime_state if entry.runtime_state is not None
             else spec.runtime_state

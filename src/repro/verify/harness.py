@@ -68,7 +68,7 @@ Outcome = Tuple[bytes, List[Dict[str, np.ndarray]]]
 class RunSpec:
     """One seeded FedMP run of a bench preset.
 
-    ``scheduler`` is ``sync``, ``async`` (m = half the fleet),
+    ``scheduler`` is ``sync``, ``async`` (m = half those sampled),
     ``semi_sync`` (a 20 s deadline) or ``semi_sync_inf`` (a deadline no
     round can miss).  ``executor="reference"`` is the per-member
     :class:`~repro.verify.oracle.ReferenceEngine`, in-process only.  A
@@ -81,6 +81,7 @@ class RunSpec:
     preset: str = "cnn"
     scenario: str = "medium"
     workers: Optional[int] = None
+    clients_per_round: Optional[int] = None
     rounds: int = 5
     seed: int = 17
     scheduler: str = "sync"
@@ -97,9 +98,12 @@ class RunSpec:
                 "--seed", str(self.seed)]
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
+        if self.clients_per_round is not None:
+            argv += ["--clients-per-round", str(self.clients_per_round)]
         if self.scheduler == "async":
-            fleet = len(make_devices(self.scenario, count=self.workers))
-            argv += ["--async-m", str(max(1, fleet // 2))]
+            sampled = self.clients_per_round or len(
+                make_devices(self.scenario, count=self.workers))
+            argv += ["--async-m", str(max(1, sampled // 2))]
         elif self.scheduler == "semi_sync":
             argv += ["--deadline-s", str(SEMI_SYNC_DEADLINE_S)]
         elif self.scheduler == "semi_sync_inf":
@@ -274,13 +278,15 @@ class Harness:
             self._outcomes[spec] = _run_in_process(spec)
         return self._outcomes[spec]
 
-    def kill_and_resume(self, spec: RunSpec) -> Tuple[bool, str]:
+    def kill_and_resume(self, spec: RunSpec,
+                        stage: str = "checkpoint/kill_and_resume",
+                        ) -> Tuple[bool, str]:
         """SIGKILL ``spec``'s `repro run` in ``before_aggregate`` of round
         ``spec.kill_at`` -- after the round's dispatch pricing consumed
         RNG, before any history write -- resume it with ``--resume`` in
         a fresh process, and compare it against the uninterrupted run."""
         name = spec.scheduler
-        with self._legs(f"checkpoint/kill_and_resume/{name}") as legs:
+        with self._legs(f"{stage}/{name}") as legs:
             ckpt, history = legs.dir / "ckpt", legs.dir / "history.json"
             legs.start("crash", spec.argv() + ["--checkpoint-dir", str(ckpt)],
                        kill_at=spec.kill_at)

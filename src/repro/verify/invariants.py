@@ -198,10 +198,7 @@ class InvariantHook(RoundHook):
             self._check_shapes(round_index, dispatch.plan,
                                dispatch.dispatched_state, "dispatched state")
         if "error_feedback" in self.checks:
-            feedback = self._engine.error_feedback.get(dispatch.worker_id)
-            if feedback is not None:
-                self._ef_before[dispatch.worker_id] = \
-                    feedback.memory_snapshot()
+            self._ef_before[dispatch.worker_id] = self._memory(dispatch.worker_id)
 
     def on_contribution(self, round_index: int, dispatch,
                         contribution: Contribution,
@@ -224,15 +221,19 @@ class InvariantHook(RoundHook):
     # ------------------------------------------------------------------
     # error-feedback mass accounting
     # ------------------------------------------------------------------
+    def _memory(self, worker_id: int) -> Dict[str, np.ndarray]:
+        """Banked memory (none before the first compressed upload)."""
+        feedback = self._engine.error_feedback.get(worker_id)
+        return feedback.memory_snapshot() if feedback is not None else {}
+
     def _check_error_feedback(self, round_index: int, dispatch,
                               contribution: Contribution) -> None:
         worker_id = dispatch.worker_id
         before = self._ef_before.pop(worker_id, None)
-        feedback = self._engine.error_feedback.get(worker_id)
-        if before is None or feedback is None:
+        if before is None:
             return
         self._checked("error_feedback")
-        after = feedback.memory_snapshot()
+        after = self._memory(worker_id)
         keep = self._engine.strategy.upload_keep_fraction(worker_id)
         if keep >= 1.0:
             # no compression ran: the memory must be bitwise untouched

@@ -88,7 +88,7 @@ class ReferenceEngine(Engine):
             submodel = self.task.extract(self.model, plan, self.extract_rng)
             cohort = Cohort(
                 ratio=float(ratio),
-                cluster=self.workers[worker_id].device.cluster,
+                cluster=self.workers.spec(worker_id).device.cluster,
                 plan=plan, template=submodel,
                 dispatched_state=submodel.state_dict(),
                 member_ids=[worker_id],

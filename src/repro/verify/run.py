@@ -17,7 +17,8 @@ its verdict -- run in table order over one bench preset:
 4. **Kill-and-resume** -- for each scheduler, `repro run` is SIGKILLed
    mid-round, resumed with ``--resume`` in a fresh process, and
    compared against the uninterrupted in-process run: normalised
-   history byte-for-byte, final weights at 0 ULP.
+   history byte-for-byte, final weights at 0 ULP; again (sync, async)
+   on a 200-worker fleet sampling 4 a round: most workers untouched.
 5. **Parallel-runtime parity** (``executor="process"`` only) -- serial
    vs process-pool states at 0 ULP and byte-identical history.
 6. **Service mode** -- `repro serve` plus one `repro client` per
@@ -275,10 +276,13 @@ def _fault(faults: Callable[[_Battery], List[FaultSpec]],
     return check
 
 
-def _kill_and_resume(b: _Battery) -> Tuple[bool, str]:
-    spec = replace(b.parallel, kill_at=max(1, b.spec.rounds // 2))
-    checks = [b.harness.kill_and_resume(replace(spec, scheduler=scheduler))
-              for scheduler in SCHEDULERS]
+def _kill_and_resume(b: _Battery, stage: str = "checkpoint/kill_and_resume",
+                     schedulers: Sequence[str] = SCHEDULERS,
+                     **fleet) -> Tuple[bool, str]:
+    spec = replace(b.parallel, kill_at=max(1, b.spec.rounds // 2), **fleet)
+    checks = [b.harness.kill_and_resume(replace(spec, scheduler=scheduler),
+                                        stage)
+              for scheduler in schedulers]
     return (all(passed for passed, _ in checks),
             "; ".join(detail for _, detail in checks))
 
@@ -326,6 +330,9 @@ STAGES: Tuple[Stage, ...] = (
         expect_counts=lambda b: [b.fleet] * b.fault_rounds,
         sync_scheme="r2sp_weighted")),
     Stage("checkpoint/kill_and_resume", _kill_and_resume),
+    Stage("checkpoint/sampled_fleet_kill_and_resume", lambda b: _kill_and_resume(
+        b, "checkpoint/sampled_fleet_kill_and_resume", ("sync", "async"),
+        workers=200, clients_per_round=4)),
     Stage("differential/serial_vs_process", _differential(
         "serial", "process", lambda b: b.parallel), process_only=True),
     Stage("history/serial_vs_process_bytes", _history_bytes,

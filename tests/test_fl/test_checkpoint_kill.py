@@ -96,7 +96,7 @@ def leg_sessions(monkeypatch):
 
 def test_no_leg_outlives_the_kill_and_resume_row(leg_sessions):
     report = run_verification(rounds=2, workers=4, executor="process",
-                              num_procs=2, stages=["checkpoint/"])
+                              num_procs=2, stages=["checkpoint/kill"])
     assert [r.name for r in report.results] == ["checkpoint/kill_and_resume"]
     assert report.passed, report.describe()
     assert len(leg_sessions) == 2 * len(SCHEDULERS)

@@ -441,11 +441,11 @@ def test_make_executor_rejects_unknown_kind():
     config = _config()
     config.executor = "threads"
     with pytest.raises(ValueError, match="unknown executor"):
-        make_executor(config, workers={}, specs=[])
+        make_executor(config, workers={})
 
 
 def test_make_executor_rejects_profiler_with_process_pool():
     config = _config(executor="process")
     telemetry = Telemetry(profiler=LayerProfiler(0))
     with pytest.raises(ValueError, match="profiler"):
-        make_executor(config, workers={}, specs=[], telemetry=telemetry)
+        make_executor(config, workers={}, telemetry=telemetry)

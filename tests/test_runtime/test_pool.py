@@ -3,9 +3,10 @@
 The RNG-derivation contract pinned here (see ``Worker.__init__`` and
 ``repro.runtime.pool``): one generator seeded from ``WorkerSpec.seed``
 is consumed first by the data iterator's construction and then by the
-worker's single timing-seed draw.  A spec-rebuilt worker must carry
-bitwise-identical jitter and batch streams, and the construction order
-is load-bearing.
+worker's single timing-seed draw.  ``WorkerSpec.build`` is the one
+construction path (the engine's lazy fleet, pool children, service
+clients), so its draw order is pinned against raw generator calls, and
+the construction order is load-bearing.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import numpy as np
 import pytest
 
 from repro.data.loader import BatchIterator
-from repro.data.synthetic import make_synthetic_mnist
-from repro.fl.config import FLConfig
-from repro.fl.engine import Engine
-from repro.fl.tasks import ClassificationTask, _SequenceBatchIterator
+from repro.fl.tasks import _SequenceBatchIterator
 from repro.fl.worker import Worker
 from repro.runtime.pool import ProcessPool, WorkerSpec
 from repro.simulation.cluster import make_scenario_devices
@@ -104,40 +102,26 @@ def test_sequence_spec_rebuild_matches_manual_construction():
         assert np.array_equal(got[1], want[1])
 
 
-def test_engine_specs_rebuild_engine_workers_exactly():
-    """The regression the satellite asks for: a spec captured by the
-    engine rebuilds a worker whose jitter AND batch streams are
-    bitwise-identical to the engine's own in-process worker."""
-    dataset = make_synthetic_mnist(train_per_class=12, test_per_class=4,
-                                   rng=np.random.default_rng(0))
-    task = ClassificationTask(dataset, "cnn")
-    devices = make_scenario_devices({"A": 2, "B": 2},
-                                    np.random.default_rng(7))
-    config = FLConfig(strategy="fixed", strategy_kwargs={"ratio": 0.3},
-                      max_rounds=1, local_iterations=1, batch_size=8,
-                      eval_every=10, seed=5)
-    engine = Engine(task, devices, config)
-    try:
-        assert len(engine.worker_specs) == len(engine.workers)
-        for spec in engine.worker_specs:
-            live = engine.workers[spec.worker_id]
-            rebuilt = spec.build()
-            assert _rng_state(rebuilt.timing.rng) \
-                == _rng_state(live.timing.rng)
-            assert rebuilt.num_samples == live.num_samples
-            for _ in range(3):
-                got = rebuilt.iterator.next_batch()
-                want = live.iterator.next_batch()
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
-    finally:
-        engine.close()
+def test_build_draw_order_matches_an_inline_reference():
+    """``build`` is the one construction path (the engine's fleet, pool
+    children, service clients), so its draw order is pinned against the
+    raw generator calls it must make: the epoch permutation, then one
+    ``integers(2**31)`` seeding the jitter stream."""
+    spec = _batch_spec()
+    worker = spec.build()
+
+    rng = np.random.default_rng(spec.seed)
+    order = rng.permutation(spec.num_samples)
+    timing = np.random.default_rng(rng.integers(2 ** 31))
+    assert np.array_equal(worker.iterator._order, order)
+    assert _rng_state(worker.rng) == _rng_state(rng)
+    assert _rng_state(worker.timing.rng) == _rng_state(timing)
 
 
 def test_construction_order_is_load_bearing():
     """Drawing the timing seed BEFORE the iterator's construction must
     shift the jitter stream -- guards against reordering
-    ``Engine.__init__`` / ``WorkerSpec.build`` without updating both."""
+    ``WorkerSpec.build`` / ``Worker.__init__``."""
     spec = _batch_spec()
     reference = spec.build()
 

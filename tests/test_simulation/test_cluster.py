@@ -12,6 +12,8 @@ from repro.simulation.cluster import (
     make_scenario_devices,
     scenario_table,
 )
+from repro.simulation.device import JETSON_TX2_MODES, DeviceProfile
+from repro.simulation.network import bandwidth_for_distance
 
 
 def test_cluster_specs_match_fig3():
@@ -80,3 +82,27 @@ def test_scenario_table_rows(rng):
     rows = scenario_table(devices)
     assert len(rows) == 10
     assert all(len(row) == 4 for row in rows)
+
+
+@pytest.mark.parametrize("seed", [5, 17, 123456789])
+@pytest.mark.parametrize("scenario", ["low", "medium", "high",
+                                      {"A": 500, "B": 500}],
+                         ids=["low", "medium", "high", "fleet"])
+def test_devices_match_an_inline_choice_reference(seed, scenario):
+    """Drawing the mode as ``modes[integers(len(modes))]`` is bit-equal
+    to the ``rng.choice(modes)`` draw the scenarios were defined with."""
+    composition = (HETEROGENEITY_SCENARIOS[scenario]
+                   if isinstance(scenario, str) else scenario)
+    rng = np.random.default_rng(seed)
+    reference = []
+    for cluster in sorted(composition):
+        spec = CLUSTERS[cluster]
+        for _ in range(composition[cluster]):
+            mode_index = int(rng.choice(spec.modes))
+            distance = float(rng.uniform(*spec.distance_range_m))
+            reference.append(DeviceProfile(
+                device_id=len(reference), mode=JETSON_TX2_MODES[mode_index],
+                bandwidth_bps=bandwidth_for_distance(distance),
+                cluster=cluster))
+    assert make_scenario_devices(scenario, np.random.default_rng(seed)) \
+        == reference

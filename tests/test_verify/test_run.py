@@ -31,14 +31,15 @@ SERIAL_STAGES = [
     "fault/stale",
     "fault/zero_samples",
     "checkpoint/kill_and_resume",
+    "checkpoint/sampled_fleet_kill_and_resume",
     "service/loopback_socket",
     "service/kill_and_resume",
     "service/live_roster_drain",
 ]
 PROCESS_STAGES = (
-    SERIAL_STAGES[:12]
+    SERIAL_STAGES[:13]
     + ["differential/serial_vs_process", "history/serial_vs_process_bytes"]
-    + SERIAL_STAGES[12:]
+    + SERIAL_STAGES[13:]
 )
 
 
@@ -124,7 +125,8 @@ def test_stages_prefix_selects_exactly_the_kill_and_resume_row(monkeypatch):
     args = build_parser().parse_args(["verify", "--stages", "checkpoint/"])
     report = run_verification(rounds=2, stages=args.stages)
     assert ran == [r.name for r in report.results] \
-        == ["checkpoint/kill_and_resume"]
+        == ["checkpoint/kill_and_resume",
+            "checkpoint/sampled_fleet_kill_and_resume"]
     assert report.passed
 
 
