@@ -98,13 +98,13 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x)
+    """Numerically stable logistic sigmoid, ``e^x / (1 + e^x)`` where not
+    ``x >= 0``: one select over both formulas, no masked gathers (``exp``
+    of ``x`` itself there, not of ``-|x|``, keeps a NaN's sign)."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    exp_x = np.exp(x[~pos])
-    out[~pos] = exp_x / (1.0 + exp_x)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    denom = 1.0 + e
+    return np.where(pos, 1.0 / denom, e / denom)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ class Linear(Module):
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        # inference keeps no backward state
+        self._x = x if self.training else None
         return x @ self.params["weight"].T + self.params["bias"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -155,6 +156,9 @@ class BatchNorm2d(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_hat, inv_std = self._cache
+        # the channel sums below add in memory order: run them over NCHW
+        # memory whatever layout the next layer's gradient came in
+        grad_out = np.ascontiguousarray(grad_out)
         n, _, h, w = grad_out.shape
         m = n * h * w
 
@@ -192,86 +196,80 @@ class ReLU(Module):
         return grad_out * self._mask
 
 
+def _keep_or_take(dst: np.ndarray, src, keep: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """``dst = where(keep, dst, src)`` on unsigned ints, branch-free as
+    ``src ^ ((src ^ dst) & keep)`` (times the 0/1 mask is that AND): the
+    chosen operand's bits land unchanged, zero signs and NaNs included."""
+    np.bitwise_xor(src, dst, out=scratch)
+    np.multiply(scratch, keep, out=scratch)
+    np.bitwise_xor(src, scratch, out=dst)
+
+
 class MaxPool2d(Module):
     """Max pooling with square windows (kernel == stride by default).
 
-    The common non-overlapping case (stride == kernel) uses a pure
-    reshape formulation; overlapping windows fall back to im2col.
+    One fold over the ``k*k`` strided window slices serves every
+    (kernel, stride) in both modes, with argmax's rule -- the first
+    maximum of a window wins, a NaN sticks -- and in the input's memory
+    layout (DESIGN.md §3.9, "One pooling fold").
     """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
         super().__init__()
+        if not 1 <= kernel_size <= 16:  # a window's winner index is a uint8
+            raise ValueError(f"kernel_size must be in [1, 16], got {kernel_size}")
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self._cache: Optional[tuple] = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, shape: tuple):
+        """``(t, index)`` of each window slice, ``t = i * k + j`` ascending."""
         k, s = self.kernel_size, self.stride
-        out_h = F.conv_output_size(h, k, s, 0)
-        out_w = F.conv_output_size(w, k, s, 0)
+        rows, cols = (s * F.conv_output_size(size, k, s, 0) for size in shape[2:])
+        for t in range(k * k):
+            i, j = divmod(t, k)
+            yield t, (Ellipsis, slice(i, i + rows, s), slice(j, j + cols, s))
 
-        if not self.training:
-            # argmax's rule without the argmax: the first maximum of a
-            # window wins and a NaN sticks, so values and zero signs
-            # equal the training paths' below, with nothing cached
-            self._cache = None
-            out = x[:, :, :s * out_h:s, :s * out_w:s].copy()
-            for i, j in (divmod(t, k) for t in range(1, k * k)):
-                v = x[:, :, i:i + s * out_h:s, j:j + s * out_w:s]
-                np.copyto(out, v, where=~((v <= out) | (out != out)))
-            return out
-
-        if s == k:
-            windows = (
-                x[:, :, : out_h * k, : out_w * k]
-                .reshape(n, c, out_h, k, out_w, k)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, out_h, out_w, k * k)
-            )
-            argmax = windows.argmax(axis=-1)
-            out = np.take_along_axis(
-                windows, argmax[..., None], axis=-1
-            )[..., 0]
-            self._cache = ("fast", argmax, x.shape)
-            return out
-
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        argmax = cols.argmax(axis=1)
-        out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = ("cols", argmax, cols.shape, x.shape)
-        return out.reshape(n, c, out_h, out_w)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        windows = self._windows(x.shape)
+        # every buffer is like a window slice of x: x's memory order
+        out = np.copy(x[next(windows)[1]])
+        bits = out.view(f"u{x.itemsize}")
+        value, scratch = np.empty_like(bits), np.empty_like(bits)
+        keep = np.empty_like(out, dtype=bool)
+        win = np.zeros_like(out, dtype=np.uint8) if self.training else None
+        win_scratch = np.empty_like(win) if self.training else None
+        for t, index in windows:
+            np.copyto(value.view(x.dtype), x[index])
+            np.less_equal(value.view(x.dtype), out, out=keep)
+            keep |= np.isnan(out)
+            _keep_or_take(bits, value, keep, scratch)
+            if win is not None:
+                _keep_or_take(win, t, keep, win_scratch)
+        # the winner index, x's shape and its axes slowest-first in memory
+        order = sorted(range(x.ndim), key=lambda axis: -abs(x.strides[axis]))
+        self._cache = (win, x.shape, order) if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        if self._cache[0] == "fast":
-            _, argmax, x_shape = self._cache
-            n, c, h, w = x_shape
-            k = self.kernel_size
-            out_h, out_w = argmax.shape[2], argmax.shape[3]
-            grad_windows = np.zeros(
-                (n, c, out_h, out_w, k * k), dtype=grad_out.dtype
-            )
-            np.put_along_axis(
-                grad_windows, argmax[..., None], grad_out[..., None], axis=-1
-            )
-            grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
-            grad_x[:, :, : out_h * k, : out_w * k] = (
-                grad_windows
-                .reshape(n, c, out_h, out_w, k, k)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, out_h * k, out_w * k)
-            )
-            return grad_x
-
-        _, argmax, cols_shape, x_shape = self._cache
-        n, c, h, w = x_shape
-        k, s = self.kernel_size, self.stride
-        grad_cols = np.zeros(cols_shape, dtype=grad_out.dtype)
-        grad_cols[np.arange(cols_shape[0]), argmax] = grad_out.reshape(-1)
-        grad_x = F.col2im(grad_cols, (n * c, 1, h, w), k, k, s, 0)
-        return grad_x.reshape(n, c, h, w)
+        win, x_shape, order = self._cache
+        bits_type = f"u{grad_out.itemsize}"
+        grad_x = np.zeros([x_shape[axis] for axis in order],
+                          dtype=grad_out.dtype).transpose(np.argsort(order))
+        grad_bits = np.empty_like(win, dtype=bits_type)
+        np.copyto(grad_bits.view(grad_out.dtype), grad_out)
+        hit, part = np.empty_like(win, dtype=bool), np.empty_like(grad_bits)
+        for t, index in self._windows(x_shape):
+            np.equal(win, t, out=hit)
+            if self.stride == self.kernel_size:  # tiles: copy, -0.0 stays
+                np.multiply(grad_bits, hit, out=grad_x.view(bits_type)[index])
+            else:  # col2im's rule: a +0.0 start, windows added in t order
+                np.multiply(grad_bits, hit, out=part)
+                grad_x[index] += part.view(grad_out.dtype)
+        return grad_x
 
 
 class AvgPool2d(Module):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.models.cnn import build_cnn
-from repro.nn.layers import Conv2d, MaxPool2d, ReLU
+from repro.nn.layers import Conv2d, Linear, MaxPool2d, ReLU
 from repro.nn.metrics import evaluate_classifier
 
 
@@ -34,6 +34,7 @@ def _signed_zero_input(rng, shape):
 LAYERS = {
     "conv": (lambda rng: Conv2d(3, 4, 3, stride=2, padding=1, rng=rng),
              (2, 3, 7, 6), ("_cols", "_x_shape")),
+    "linear": (lambda rng: Linear(6, 4, rng=rng), (5, 6), ("_x",)),
     "relu": (lambda rng: ReLU(), (2, 3, 7, 6), ("_mask",)),
     "pool": (lambda rng: MaxPool2d(2), (2, 3, 7, 6), ("_cache",)),
     "pool_overlap": (lambda rng: MaxPool2d(3, stride=2), (2, 3, 7, 6),
@@ -47,7 +48,7 @@ def test_eval_forward_equals_train_forward_and_keeps_nothing(rng, name):
     factory, shape, state = LAYERS[name]
     layer = factory(rng)
     inputs = [rng.normal(size=shape).astype(np.float32)]
-    if name != "conv":  # a GEMM turns one NaN into many; not the point
+    if name not in ("conv", "linear"):  # a GEMM turns one NaN into many
         inputs.append(_signed_zero_input(rng, shape))
     for x in inputs:
         layer.train()
@@ -85,8 +86,8 @@ def test_evaluate_leaves_no_column_matrix_on_the_model(rng):
     evaluate_classifier(model, x, y, batch_size=4)
     assert model.training
     kept = [(name, attr) for name, module in model.named_modules()
-            if isinstance(module, (Conv2d, ReLU, MaxPool2d))
-            for attr in ("_cols", "_x_shape", "_mask", "_cache")
+            if isinstance(module, (Conv2d, Linear, ReLU, MaxPool2d))
+            for attr in ("_cols", "_x_shape", "_x", "_mask", "_cache")
             if getattr(module, attr, None) is not None]
     assert kept == []
     model.eval()
