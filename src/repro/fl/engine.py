@@ -275,6 +275,9 @@ class Engine:
                 skeleton=self.model,
             )
         )
+        # an executor built elsewhere (the service's) trains this fleet
+        if self.executor.workers is None:
+            self.executor.workers = self.workers
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -382,23 +385,10 @@ class Engine:
         return resume
 
     def worker_runtime_states(self) -> Dict[int, Dict[str, object]]:
-        """Per-worker runtime state for checkpointing, executor-aware.
-
-        Parent-side captures (of the workers that are not pristine)
-        cover the timing stream (always consumed in the parent at
-        dispatch pricing); in process mode the data / worker generator
-        and iterator position advance in the pool children, so the
-        executor's view overlays them -- keeping the parent's timing
-        state -- and a resumed run replays every stream from the same
-        position under either executor.
-        """
-        states = self.workers.capture()
-        for worker_id, child_state in \
-                self.executor.capture_worker_states().items():
-            if worker_id in states:     # else pristine there too
-                states[worker_id] = dict(
-                    child_state, timing_rng=states[worker_id]["timing_rng"])
-        return states
+        """Per-worker runtime state for checkpointing: the fleet's own
+        under every executor (a remote flight commits its stream when
+        collected; an uncollected one never does)."""
+        return self.workers.capture()
 
     @property
     def worker_specs(self) -> List[WorkerSpec]:
@@ -553,7 +543,12 @@ class Engine:
             metrics.counter("dispatch_cohort_members_total").inc(
                 len(member_ids)
             )
-        return {worker_id: dispatches[worker_id] for worker_id in ratios}
+        ordered = {worker_id: dispatches[worker_id] for worker_id in ratios}
+        # a remote executor sends the flights now; train_all collects
+        self.executor.submit(
+            self._cohort_requests(list(ordered.values()))[1], round_index
+        )
+        return ordered
 
     def _dispatch_member(self, worker_id: int, cohort: Cohort, flops: float,
                          dispatch_time: float, round_index: int) -> Dispatch:
@@ -658,14 +653,11 @@ class Engine:
             out.append((contribution, train_loss))
         return out
 
-    def _run_training(self, dispatches: Sequence[Dispatch],
-                      round_index: int) -> List[object]:
-        """Hand the dispatches to the executor as one round of cohort
-        requests.
-
-        Returns :class:`~repro.runtime.executor.TrainResult` objects
-        aligned with ``dispatches``.
-        """
+    def _cohort_requests(self, dispatches: Sequence[Dispatch],
+                         ) -> Tuple[List[List[int]],
+                                    List[CohortTrainRequest]]:
+        """One request per owning cohort and the dispatch indices each
+        covers, in dispatch order (so scatter-back is deterministic)."""
         hyper = TrainHyper(
             lr=self.config.lr, momentum=self.config.momentum,
             weight_decay=self.config.weight_decay,
@@ -673,13 +665,9 @@ class Engine:
             clip_norm=self.config.clip_norm,
         )
         emulate = self.config.emulate_device_factor
-
-        # group by owning cohort, preserving dispatch order within and
-        # across groups so result scatter-back is deterministic
         groups: Dict[int, List[int]] = {}
         for index, dispatch in enumerate(dispatches):
             groups.setdefault(id(dispatch.cohort), []).append(index)
-
         requests = [
             CohortTrainRequest(
                 cohort=dispatches[indices[0]].cohort,
@@ -689,12 +677,21 @@ class Engine:
                 emulate_s=[
                     dispatches[i].costs.total_s * emulate for i in indices
                 ],
+                finish_s=[dispatches[i].finish_time for i in indices],
             )
             for indices in groups.values()
         ]
+        return list(groups.values()), requests
+
+    def _run_training(self, dispatches: Sequence[Dispatch],
+                      round_index: int) -> List[object]:
+        """Collect the dispatches from the executor as one round of
+        cohort requests: :class:`~repro.runtime.executor.TrainResult`
+        objects aligned with ``dispatches``."""
+        groups, requests = self._cohort_requests(dispatches)
         results: List[object] = [None] * len(dispatches)
         batches = self.executor.run_round(requests, round_index)
-        for indices, batch in zip(groups.values(), batches):
+        for indices, batch in zip(groups, batches):
             for index, result in zip(indices, batch):
                 results[index] = result
         return results

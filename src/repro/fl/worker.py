@@ -9,6 +9,7 @@ import numpy as np
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD, ProximalSGD
+from repro.runtime.codec import StreamRecord, WireFormatError
 from repro.simulation.device import DeviceProfile
 from repro.simulation.timing import RoundCosts, TimingModel
 
@@ -47,38 +48,54 @@ class Worker:
         )
         self.criterion = CrossEntropyLoss()
 
-    def capture_runtime_state(self) -> Dict[str, object]:
-        """Snapshot this worker's replayable runtime state.
+    def stream(self) -> StreamRecord:
+        """Where the data stream stands: the shared worker/iterator
+        generator and a shuffling iterator's epoch order and cursor (the
+        live array: encode the record before training again)."""
+        order = getattr(self.iterator, "_order", None)
+        return StreamRecord(
+            self.worker_id, self.rng.bit_generator.state, order,
+            0 if order is None else int(self.iterator._cursor))
 
-        Covers the shared worker/iterator generator, the timing-jitter
-        generator (shared with the device's
-        :class:`~repro.simulation.wireless.WirelessLink`, so one state
-        covers both), and -- for shuffling iterators -- the current
-        epoch permutation and cursor.  Restoring the snapshot via
-        :meth:`restore_runtime_state` resumes every stream at the exact
-        position it was captured, which is what makes a resumed run
-        bitwise-identical to the uninterrupted one.
-        """
+    def load_stream(self, record: StreamRecord) -> None:
+        """Put the data stream at ``record``; a record that is not this
+        worker's, or whose order does not fit its shard, is a
+        :class:`WireFormatError`."""
+        order = getattr(self.iterator, "_order", None)
+        if record.worker_id != self.worker_id \
+                or np.shape(order) != np.shape(record.order):
+            raise WireFormatError(
+                f"worker {self.worker_id}: worker {record.worker_id}'s "
+                f"stream order {np.shape(record.order)} does not fit "
+                f"{np.shape(order)}")
+        self.rng.bit_generator.state = record.rng
+        if order is not None:
+            self.iterator._order = record.order
+            self.iterator._cursor = int(record.cursor)
+
+    def capture_runtime_state(self) -> Dict[str, object]:
+        """Snapshot the replayable runtime state -- the :meth:`stream`
+        plus the timing-jitter generator (shared with the device's
+        :class:`~repro.simulation.wireless.WirelessLink`) -- which
+        :meth:`restore_runtime_state` resumes bitwise."""
+        stream = self.stream()
         state: Dict[str, object] = {
-            "rng": self.rng.bit_generator.state,
+            "rng": stream.rng,
             "timing_rng": self.timing.rng.bit_generator.state,
         }
-        order = getattr(self.iterator, "_order", None)
-        if order is not None:
-            state["iterator"] = {
-                "order": np.array(order, copy=True),
-                "cursor": int(self.iterator._cursor),
-            }
+        if stream.order is not None:
+            state["iterator"] = {"order": stream.order.copy(),
+                                 "cursor": stream.cursor}
         return state
 
     def restore_runtime_state(self, state: Dict[str, object]) -> None:
         """Apply a :meth:`capture_runtime_state` snapshot."""
-        self.rng.bit_generator.state = state["rng"]
         self.timing.rng.bit_generator.state = state["timing_rng"]
-        iterator_state = state.get("iterator")
-        if iterator_state is not None:
-            self.iterator._order = np.array(iterator_state["order"], copy=True)
-            self.iterator._cursor = int(iterator_state["cursor"])
+        iterator = state.get("iterator") or {}
+        self.load_stream(StreamRecord(
+            self.worker_id, state["rng"],
+            np.array(iterator["order"]) if iterator else None,
+            iterator.get("cursor", 0)))
 
     def local_train(self, model: Module, tau: int, lr: float,
                     momentum: float = 0.0, weight_decay: float = 0.0,

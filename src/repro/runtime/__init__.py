@@ -12,10 +12,9 @@ package is the execution substrate that actually parallelises it:
   child-side RNG streams are bitwise-identical to in-process execution,
   each deriving dispatched sub-models from its own skeleton of the
   global model;
-- :mod:`repro.runtime.transport` -- ``LocalTransport`` (zero-copy) and
-  ``ProcessTransport`` (pipes + codec) behind one interface, with
-  per-call timeouts, bounded retry with backoff, and wall-clock
-  straggler detection that composes with
+- :mod:`repro.runtime.transport` -- ``ProcessTransport`` (pipes +
+  codec), with per-call timeouts, bounded retry with backoff, and
+  wall-clock straggler detection that composes with
   :mod:`repro.simulation.faults`;
 - :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
   :class:`~repro.runtime.executor.SerialExecutor` (default, inline) and
@@ -49,7 +48,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.pool import ProcessPool, WorkerSpec
 from repro.runtime.transport import (
-    LocalTransport,
     ProcessTransport,
     RetryPolicy,
     StragglerDetector,
@@ -63,7 +61,6 @@ __all__ = [
     "ContributionPayload",
     "DispatchPayload",
     "Executor",
-    "LocalTransport",
     "ProcessPool",
     "ProcessTransport",
     "RemoteExecutor",

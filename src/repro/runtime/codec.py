@@ -16,7 +16,10 @@ carry the negotiated wire profile:
   must use for its contribution (0 = ``exact``, 1 = ``sparse``,
   2 = ``sparse+quantized``); always 0 on contributions;
 - bit 4 (``FLAG_RNG``): the dispatch body ends with a per-module RNG
-  record (dispatch frames only, set only when the record is non-empty).
+  record (dispatch frames only, set only when the record is non-empty);
+- bit 5 (``FLAG_STREAM``): the body ends with the worker's *stream
+  record* (dispatch: where its data stream starts; contribution: where
+  training left it).
 
 The CRC32 (:func:`zlib.crc32`) covers everything before the trailer,
 so a flipped bit anywhere in the frame is caught before any payload is
@@ -34,6 +37,10 @@ thing the plan and state cannot tell it -- the generator state of each
 RNG-bearing module (``Dropout``) -- rides as the RNG record: ``count
 u16``, then per module its qualified path, a ``u8`` state width and the
 PCG64 state (``state u128 | inc u128 | has_uint32 u8 | uinteger u32``).
+The stream record -- ``worker u32``, the worker/iterator generator
+(``u8`` width + PCG64 state), ``n u32 | cursor u32 | order u32[n]``
+(``n = 0``: no epoch order) -- makes a flight independent of the
+receiver that trains it; a contribution returns it advanced.
 A **contribution** body
 carries the worker id, its sample count, the training loss, the
 child-side wall time and the trained state -- dense, or as a sparse
@@ -54,7 +61,8 @@ never negotiates them; the codec round-trips indices/codes exactly.
 Decoding validates strictly: truncated frames, bad magic, unsupported
 versions, CRC mismatches, unknown flag bits, unknown layer kinds or
 dtype codes, kept indices out of range, non-increasing sparse indices,
-out-of-range quantization scales or codes, malformed RNG records and
+out-of-range quantization scales or codes, malformed RNG or stream
+records (an order that is no permutation, a cursor past it) and
 trailing garbage all raise the typed :class:`WireFormatError` -- never a silent wrong
 decode.
 """
@@ -78,12 +86,14 @@ __all__ = [
     "FLAG_QUANTIZED",
     "FLAG_SPARSE",
     "FLAG_RNG",
+    "FLAG_STREAM",
     "WIRE_PROFILES",
     "WireFormatError",
     "TrainHyper",
     "DispatchPayload",
     "ContributionPayload",
     "SparseTensor",
+    "StreamRecord",
     "encode_dispatch",
     "decode_dispatch",
     "encode_contribution",
@@ -100,13 +110,15 @@ KIND_CONTRIBUTION = 2
 FLAG_QUANTIZED = 0x01
 FLAG_SPARSE = 0x02
 FLAG_RNG = 0x10
+FLAG_STREAM = 0x20
 
 #: negotiated wire profiles, in ascending-compression order
 WIRE_PROFILES = ("exact", "sparse", "sparse+quantized")
 _PROFILE_CODES = {name: code for code, name in enumerate(WIRE_PROFILES)}
 _PROFILE_SHIFT = 2
 _PROFILE_MASK = 0x0C
-_KNOWN_FLAGS = FLAG_QUANTIZED | FLAG_SPARSE | _PROFILE_MASK | FLAG_RNG
+_KNOWN_FLAGS = (FLAG_QUANTIZED | FLAG_SPARSE | _PROFILE_MASK | FLAG_RNG
+                | FLAG_STREAM)
 
 #: wire dtype code -> numpy little-endian dtype string
 _DTYPE_CODES: Dict[int, str] = {0: "<f4", 1: "<f8"}
@@ -136,6 +148,17 @@ class TrainHyper:
 
 
 @dataclass
+class StreamRecord:
+    """One worker's data-stream position: its worker/iterator generator
+    state and a ``BatchIterator``'s epoch order and cursor."""
+
+    worker_id: int
+    rng: dict
+    order: Optional[np.ndarray] = None
+    cursor: int = 0
+
+
+@dataclass
 class DispatchPayload:
     """A decoded dispatch frame."""
 
@@ -154,6 +177,8 @@ class DispatchPayload:
     #: module path -> ``bit_generator.state`` of its RNG (see
     #: :meth:`repro.nn.module.Module.rng_states`)
     module_rngs: Dict[str, dict] = field(default_factory=dict)
+    #: where the worker's data stream starts (None: the receiver's own)
+    stream: Optional[StreamRecord] = None
 
 
 @dataclass
@@ -210,6 +235,8 @@ class ContributionPayload:
     sparse: Optional[Dict[str, SparseTensor]] = field(
         default=None, repr=False)
     profile: str = "exact"
+    #: where training left the worker's data stream
+    stream: Optional[StreamRecord] = None
 
     def materialise(
         self, base: Optional[Dict[str, np.ndarray]] = None,
@@ -592,16 +619,8 @@ def _read_sparse_state(reader: _Reader,
 def _write_rngs(writer: _Writer, module_rngs: Dict[str, dict]) -> None:
     writer.pack("H", len(module_rngs))
     for path, state in module_rngs.items():
-        if state.get("bit_generator") != "PCG64":
-            raise WireFormatError(
-                f"module {path!r}: unsupported bit generator "
-                f"{state.get('bit_generator')!r} (the wire carries PCG64)"
-            )
         writer.string(path)
-        writer.pack("B" + _PCG64, _PCG64_WIDTH,
-                    state["state"]["state"].to_bytes(16, "little"),
-                    state["state"]["inc"].to_bytes(16, "little"),
-                    state["has_uint32"], state["uinteger"])
+        _write_pcg64(writer, state, f"module {path!r}")
 
 
 def _read_rngs(reader: _Reader) -> Dict[str, dict]:
@@ -613,20 +632,58 @@ def _read_rngs(reader: _Reader) -> Dict[str, dict]:
         path = reader.string()
         if path in module_rngs:
             raise WireFormatError(f"duplicate RNG record for {path!r}")
-        (width,) = reader.unpack("B")
-        if width != _PCG64_WIDTH:
-            raise WireFormatError(
-                f"module {path!r}: RNG state is {width} byte(s) wide, "
-                f"PCG64 needs {_PCG64_WIDTH}"
-            )
-        state, inc, has_uint32, uinteger = reader.unpack(_PCG64)
-        module_rngs[path] = {
-            "bit_generator": "PCG64",
-            "state": {"state": int.from_bytes(state, "little"),
-                      "inc": int.from_bytes(inc, "little")},
-            "has_uint32": has_uint32, "uinteger": uinteger,
-        }
+        module_rngs[path] = _read_pcg64(reader, f"module {path!r}")
     return module_rngs
+
+
+def _write_pcg64(writer: _Writer, state: dict, owner: str) -> None:
+    if state.get("bit_generator") != "PCG64":
+        raise WireFormatError(
+            f"{owner}: unsupported bit generator "
+            f"{state.get('bit_generator')!r} (the wire carries PCG64)"
+        )
+    writer.pack("B" + _PCG64, _PCG64_WIDTH,
+                state["state"]["state"].to_bytes(16, "little"),
+                state["state"]["inc"].to_bytes(16, "little"),
+                state["has_uint32"], state["uinteger"])
+
+
+def _read_pcg64(reader: _Reader, owner: str) -> dict:
+    (width,) = reader.unpack("B")
+    if width != _PCG64_WIDTH:
+        raise WireFormatError(
+            f"{owner}: RNG state is {width} byte(s) wide, "
+            f"PCG64 needs {_PCG64_WIDTH}"
+        )
+    state, inc, has_uint32, uinteger = reader.unpack(_PCG64)
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(state, "little"),
+                  "inc": int.from_bytes(inc, "little")},
+        "has_uint32": has_uint32, "uinteger": uinteger,
+    }
+
+
+def _write_stream(writer: _Writer, stream: StreamRecord) -> None:
+    order = () if stream.order is None else stream.order
+    writer.pack("I", stream.worker_id)
+    _write_pcg64(writer, stream.rng, f"worker {stream.worker_id}")
+    writer.pack("II", len(order), stream.cursor)
+    writer.array(order, "<u4")
+
+
+def _read_stream(reader: _Reader) -> StreamRecord:
+    (worker_id,) = reader.unpack("I")
+    rng = _read_pcg64(reader, f"worker {worker_id}'s stream")
+    count, cursor = reader.unpack("II")
+    order = reader.array("<u4", count).astype(np.intp)
+    if cursor > count or not np.array_equal(np.sort(order),
+                                            np.arange(count)):
+        raise WireFormatError(
+            f"worker {worker_id}: stream cursor {cursor} into an order "
+            f"that must be a permutation of range({count})"
+        )
+    return StreamRecord(worker_id, rng, order if count else None, cursor)
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +705,7 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
                     reply_keep_fraction: Optional[float] = None,
                     reply_quantize_bits: Optional[int] = None,
                     module_rngs: Optional[Dict[str, dict]] = None,
+                    stream: Optional[StreamRecord] = None,
                     ) -> bytes:
     """Encode one PS -> worker dispatch frame.
 
@@ -655,8 +713,9 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     contribution; non-exact profiles additionally ship the top-k keep
     fraction and (for ``sparse+quantized``) the code width.
     ``module_rngs`` ships the generator state of the sub-model's
-    RNG-bearing modules.  An exact dispatch of an RNG-free sub-model is
-    byte-identical to a pre-negotiation frame.
+    RNG-bearing modules, ``stream`` the worker's data-stream position.
+    An exact dispatch with neither is byte-identical to a
+    pre-negotiation frame.
     """
     if reply_profile not in _PROFILE_CODES:
         raise WireFormatError(
@@ -668,6 +727,8 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     flags |= _PROFILE_CODES[reply_profile] << _PROFILE_SHIFT
     if module_rngs:
         flags |= FLAG_RNG
+    if stream is not None:
+        flags |= FLAG_STREAM
     writer.header(KIND_DISPATCH, flags)
     writer.pack("II", worker_id, tau)
     writer.pack("d", float(emulate_s))
@@ -690,6 +751,8 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     _write_state(writer, state, quantize_bits)
     if module_rngs:
         _write_rngs(writer, module_rngs)
+    if stream is not None:
+        _write_stream(writer, stream)
     return writer.finish()
 
 
@@ -699,7 +762,8 @@ def encode_contribution(worker_id: int, state: Dict[str, np.ndarray], *,
                         quantize_bits: Optional[int] = None,
                         profile: str = "exact",
                         base: Optional[Dict[str, np.ndarray]] = None,
-                        keep_fraction: float = 0.25) -> bytes:
+                        keep_fraction: float = 0.25,
+                        stream: Optional[StreamRecord] = None) -> bytes:
     """Encode one worker -> PS contribution frame.
 
     Sparse profiles need ``base`` -- the dispatched state the receiver
@@ -725,6 +789,8 @@ def encode_contribution(worker_id: int, state: Dict[str, np.ndarray], *,
         flags = FLAG_SPARSE
         if profile == "sparse+quantized":
             flags |= FLAG_QUANTIZED
+    if stream is not None:
+        flags |= FLAG_STREAM
     writer.header(KIND_CONTRIBUTION, flags)
     writer.pack("II", worker_id, num_samples)
     writer.pack("dd", float(train_loss), float(wall_time_s))
@@ -738,6 +804,8 @@ def encode_contribution(worker_id: int, state: Dict[str, np.ndarray], *,
                 if profile == "sparse+quantized" else None
             ),
         )
+    if stream is not None:
+        _write_stream(writer, stream)
     return writer.finish()
 
 
@@ -822,6 +890,7 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
     plan = _read_plan(reader, ratio)
     state = _read_state(reader, bool(flags & FLAG_QUANTIZED))
     module_rngs = _read_rngs(reader) if flags & FLAG_RNG else {}
+    stream = _read_stream(reader) if flags & FLAG_STREAM else None
     reader.expect_exhausted()
     return DispatchPayload(
         worker_id=worker_id, tau=tau, emulate_s=emulate_s,
@@ -831,7 +900,7 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
         plan=plan, state=state, reply_profile=reply_profile,
         reply_keep_fraction=reply_keep_fraction,
         reply_quantize_bits=reply_quantize_bits,
-        module_rngs=module_rngs,
+        module_rngs=module_rngs, stream=stream,
     )
 
 
@@ -872,9 +941,10 @@ def decode_contribution(frame: bytes,
         sparse = _read_sparse_state(
             reader, bool(flags & FLAG_QUANTIZED)
         )
+    stream = _read_stream(reader) if flags & FLAG_STREAM else None
     reader.expect_exhausted()
     return ContributionPayload(
         worker_id=worker_id, num_samples=num_samples,
         train_loss=train_loss, wall_time_s=wall_time_s, state=state,
-        sparse=sparse, profile=profile,
+        sparse=sparse, profile=profile, stream=stream,
     )

@@ -1,24 +1,25 @@
 """The engine's execution seam: serial (inline) or remote training.
 
-Schedulers hand the engine a batch of dispatches; the engine submits
+Schedulers hand the engine a batch of dispatches; the engine hands
+them to the executor at dispatch (:meth:`Executor.submit`) and collects
 them, one :class:`CohortTrainRequest` per cohort, as a whole round
-(:meth:`Executor.run_round`).  :class:`SerialExecutor` preserves the
-historical inline behaviour exactly (same call order, same RNG
-consumption, same telemetry spans).  :class:`RemoteExecutor` encodes
-each member with the wire codec, hands the frames to a *link* -- the
-pipes of a persistent :class:`~repro.runtime.pool.ProcessPool` (the
-whole round at once), or the pull pump of a
-:class:`~repro.serve.service.FedMPService` (a cohort at a time) --
-gathers the contribution frames, and decodes them, with ``serialize`` /
-``transfer`` / ``parallel_train`` spans and ``wire_bytes_total`` /
-``retries_total`` / ``stragglers_total`` counters per gather.
+(:meth:`Executor.run_round`).  :class:`SerialExecutor` trains at
+collect, exactly as the historical inline engine did.
+:class:`RemoteExecutor` encodes each member with the wire codec, hands
+the frames to a *link* -- the work queue of a persistent
+:class:`~repro.runtime.pool.ProcessPool` (from dispatch on), or the
+pull pump of a :class:`~repro.serve.service.FedMPService` (a cohort at
+a time) -- gathers the contribution frames, and decodes them, with
+``serialize`` / ``transfer`` / ``parallel_train`` spans and
+``wire_bytes_total`` / ``retries_total`` / ``stragglers_total`` /
+``flights_ready_at_collect_total`` counters.
 
 Both executors return the same :class:`TrainResult` list in submission
 order, and both are bitwise-identical to each other: the receiver
 derives the sub-model from its own skeleton and the frame's plan, state
-and RNG record (:func:`repro.runtime.pool.derive_submodel`), the only
-other state a training round consumes there -- the iterator RNG stream
--- is reconstructed from the worker's spec, and trained states travel
+and RNG record (:func:`repro.runtime.pool.derive_submodel`), the
+worker's data stream rides in the frame and comes back advanced (and
+is committed when the reply is collected), and trained states travel
 back as exact ``float32`` payloads.
 """
 
@@ -28,7 +29,7 @@ import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,11 +44,7 @@ from repro.runtime.codec import (
     encode_dispatch,
 )
 from repro.runtime.pool import InFlight, LazyFleet, ProcessPool
-from repro.runtime.transport import (
-    LocalTransport,
-    StragglerDetector,
-    TransportError,
-)
+from repro.runtime.transport import StragglerDetector, TransportError
 from repro.telemetry.runtime import DISABLED_TELEMETRY, Telemetry
 
 __all__ = [
@@ -75,6 +72,8 @@ class TrainRequest:
     #: real seconds of device-latency emulation (0 disables; see
     #: ``FLConfig.emulate_device_factor``)
     emulate_s: float = 0.0
+    #: simulated finish time (orders a work queue)
+    finish_s: float = 0.0
 
 
 @dataclass
@@ -100,6 +99,7 @@ class CohortTrainRequest:
     taus: List[int]
     hyper: TrainHyper
     emulate_s: List[float] = field(default_factory=list)
+    finish_s: List[float] = field(default_factory=list)
 
 
 class Executor:
@@ -107,10 +107,17 @@ class Executor:
 
     name = "base"
 
-    def __init__(self) -> None:
+    def __init__(self, workers: Optional[LazyFleet] = None) -> None:
         #: worker ids the straggler heartbeat flagged in the most
         #: recent batch (always empty for serial execution)
         self.last_stragglers: List[int] = []
+        #: the fleet whose streams training advances (set by the engine)
+        self.workers = workers
+
+    def submit(self, requests: Sequence[CohortTrainRequest],
+               round_index: int = 0) -> None:
+        """New cohorts at dispatch, collected later by :meth:`run_round`
+        (the base route trains at collect: nothing to do yet)."""
 
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
@@ -146,10 +153,11 @@ class Executor:
         ``clone_template`` every request points at the shared template
         itself, which the caller must then only read."""
         cohort = request.cohort
-        emulate = request.emulate_s or [0.0] * len(request.worker_ids)
+        zeros = [0.0] * len(request.worker_ids)
         requests = []
-        for worker_id, tau, emulate_s in zip(
-            request.worker_ids, request.taus, emulate
+        for worker_id, tau, emulate_s, finish_s in zip(
+            request.worker_ids, request.taus,
+            request.emulate_s or zeros, request.finish_s or zeros,
         ):
             submodel = cohort.template
             if clone_template:
@@ -160,18 +168,9 @@ class Executor:
                 plan=cohort.plan, submodel=submodel,
                 dispatched_state=cohort.dispatched_state,
                 hyper=request.hyper, emulate_s=emulate_s,
+                finish_s=finish_s,
             ))
         return requests
-
-    def capture_worker_states(self) -> Dict[int, Dict[str, object]]:
-        """Worker runtime states that live on THIS executor's side.
-
-        Serial execution trains on the engine's own workers, so there
-        is nothing extra to report (the engine captures them
-        directly); the remote executor overrides this to pull each
-        receiver's advanced RNG/iterator streams for checkpointing.
-        """
-        return {}
 
     def close(self) -> None:
         """Release executor resources (no-op by default)."""
@@ -190,12 +189,10 @@ class SerialExecutor(Executor):
 
     def __init__(self, workers: Dict[int, object],
                  telemetry: Optional[Telemetry] = None) -> None:
-        super().__init__()
-        self.workers = workers
+        super().__init__(workers)
         self.telemetry = (
             telemetry if telemetry is not None else DISABLED_TELEMETRY
         )
-        self._transport = LocalTransport(self._execute)
 
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
@@ -213,7 +210,7 @@ class SerialExecutor(Executor):
                     else nullcontext()
                 )
                 with profile_ctx:
-                    result = self._transport.request(request)
+                    result = self._execute(request)
                 span.set("train_loss", float(result.train_loss))
             results.append(result)
         return results
@@ -325,18 +322,21 @@ class RemoteExecutor(Executor):
     """Training on remote receivers, behind the wire codec.
 
     Owns everything about a remote round exactly once: serialize ->
-    gather -> decode / validate / materialise -> straggler flagging,
-    with the spans and counters that go with them.  How bytes reach the
-    receivers is the ``link``'s business -- it supplies ``name``,
-    ``parallelism``, ``retry``, ``wave_cohorts`` (cohorts per gather;
-    ``None`` = a whole round), ``gather(flights, clock)`` (fill in
-    every :class:`~repro.runtime.pool.InFlight` reply, return each
-    worker's seconds from dispatch to reply), ``capture()`` and
-    ``close()``.
+    gather -> decode / validate / materialise / commit -> straggler
+    flagging, with the spans and counters that go with them.  How bytes
+    reach the receivers is the ``link``'s business -- it supplies
+    ``name``, ``parallelism``, ``retry``, ``busy_s`` (receiver-seconds
+    spent so far), ``wave_cohorts`` (cohorts per collect-time wave;
+    ``None``: flights go out at dispatch, through ``submit(flights)`` /
+    ``cancel(flight)``), ``gather(flights, clock)`` (fill in every
+    :class:`~repro.runtime.pool.InFlight` reply, return each worker's
+    seconds from send to reply) and ``close()``.
 
     A dispatch frame is all a receiver needs: it derives the sub-model
-    from its skeleton and the frame's plan, state and RNG record, so
-    ``request.submodel`` is only read for its generator states.
+    from its skeleton and the frame's plan, state and RNG record, and
+    -- once an engine has given the executor its fleet -- trains from
+    the worker's stream record, whose advanced copy :meth:`run` commits
+    on collect (a flight never collected changes nothing).
 
     ``wire_profile`` selects how receivers encode contributions:
     ``exact`` (dense float32, bitwise parity), ``sparse`` (top-k moved
@@ -367,6 +367,10 @@ class RemoteExecutor(Executor):
         self.wire_quantize_bits = wire_quantize_bits
         self.detector = StragglerDetector(straggler_quorum,
                                           straggler_multiplier)
+        #: worker id -> (request, flight) submitted at dispatch
+        self._flights: Dict[int, Tuple[TrainRequest, InFlight]] = {}
+        #: (wall clock, link busy seconds) at the last occupancy sample
+        self._window = (time.perf_counter(), 0.0)
 
     @classmethod
     def from_config(cls, link, config,
@@ -383,6 +387,67 @@ class RemoteExecutor(Executor):
             wire_quantize_bits=config.wire_quantize_bits,
         )
 
+    def _encode(self, request: TrainRequest) -> InFlight:
+        negotiated = self.wire_profile != "exact"
+        frame = encode_dispatch(
+            request.worker_id, request.plan, request.dispatched_state,
+            tau=request.tau, hyper=request.hyper,
+            emulate_s=request.emulate_s, reply_profile=self.wire_profile,
+            reply_keep_fraction=(
+                self.wire_keep_fraction if negotiated else None
+            ),
+            reply_quantize_bits=(
+                self.wire_quantize_bits if negotiated else None
+            ),
+            module_rngs=request.submodel.rng_states(),
+            stream=(self.workers[request.worker_id].stream()
+                    if self.workers is not None else None),
+        )
+        self.telemetry.metrics.counter("wire_bytes_total",
+                                       kind="dispatch").inc(len(frame))
+        return InFlight(request.worker_id, frame, finish_s=request.finish_s)
+
+    def _sample_busy_share(self) -> float:
+        """Receiver-seconds in use over receiver-seconds offered since
+        the previous collect (a round, on the pool): idle time between
+        collects counts too."""
+        now, busy = time.perf_counter(), self.link.busy_s
+        then, busy_then = self._window
+        self._window = (now, busy)
+        return (busy - busy_then) / (
+            max(self.link.parallelism, 1) * max(now - then, 1e-9))
+
+    def submit(self, requests: Sequence[CohortTrainRequest],
+               round_index: int = 0) -> None:
+        """Encode and queue new cohorts' members if the link takes
+        flights at dispatch; each replaces its worker's uncollected one
+        (a dispatch the scheduler discarded)."""
+        if self.link.wave_cohorts is not None or not requests:
+            return
+        with self.telemetry.span("serialize", round=round_index):
+            for request in requests:
+                for member in self._decompose(request, clone_template=False):
+                    if member.worker_id in self._flights:
+                        self.link.cancel(self._flights[member.worker_id][1])
+                    flight = self._encode(member)
+                    self._flights[member.worker_id] = (member, flight)
+                    self.link.submit([flight])  # children start at once
+
+    def _take(self, request: TrainRequest) -> InFlight:
+        """The flight submitted for ``request`` at dispatch, or a new
+        one if there is none or it was for other work."""
+        submitted, flight = self._flights.pop(request.worker_id,
+                                              (None, None))
+        if submitted is not None \
+                and submitted.dispatched_state is request.dispatched_state \
+                and submitted.submodel is request.submodel \
+                and (submitted.tau, submitted.hyper, submitted.emulate_s) \
+                == (request.tau, request.hyper, request.emulate_s):
+            return flight
+        if flight is not None:
+            self.link.cancel(flight)
+        return self._encode(request)
+
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
         self.last_stragglers = []
@@ -391,69 +456,55 @@ class RemoteExecutor(Executor):
         telemetry = self.telemetry
         metrics = telemetry.metrics
         profile = self.wire_profile
-        negotiated = profile != "exact"
         with telemetry.span("parallel_train", round=round_index,
                             requests=len(requests),
                             procs=self.link.parallelism) as batch_span:
-            # -- serialize ----------------------------------------------
-            flights: List[InFlight] = []
+            # -- serialize (what dispatch did not) ----------------------
             with telemetry.span("serialize", round=round_index,
                                 requests=len(requests)):
-                for request in requests:
-                    frame = encode_dispatch(
-                        request.worker_id, request.plan,
-                        request.dispatched_state, tau=request.tau,
-                        hyper=request.hyper, emulate_s=request.emulate_s,
-                        reply_profile=profile,
-                        reply_keep_fraction=(
-                            self.wire_keep_fraction if negotiated else None
-                        ),
-                        reply_quantize_bits=(
-                            self.wire_quantize_bits if negotiated else None
-                        ),
-                        module_rngs=request.submodel.rng_states(),
-                    )
-                    metrics.counter("wire_bytes_total",
-                                    kind="dispatch").inc(len(frame))
-                    flights.append(InFlight(request.worker_id, frame))
+                flights = [self._take(request) for request in requests]
+            ready = sum(flight.reply is not None for flight in flights)
+            metrics.counter("flights_ready_at_collect_total",
+                            executor=self.name).inc(ready)
 
             # -- transfer + gather --------------------------------------
             with telemetry.span("transfer", round=round_index,
                                 requests=len(requests)) as transfer_span:
-                clock = self.link.retry.clock()
-                completion_s = self.link.gather(flights, clock)
-                # receiver-seconds in use over receiver-seconds offered
-                busy_share = sum(completion_s.values()) / (
-                    max(self.link.parallelism, 1)
-                    * max(clock.elapsed(), 1e-9)
-                )
+                completion_s = self.link.gather(flights,
+                                                self.link.retry.clock())
+                busy_share = self._sample_busy_share()
                 metrics.gauge("pool_busy_share",
                               executor=self.name).set(busy_share)
                 transfer_span.set("pool_busy_share", busy_share)
+                transfer_span.set("ready_at_collect", ready)
                 reply_bytes = sum(len(flight.reply) for flight in flights)
                 metrics.counter("wire_bytes_total",
                                 kind="contribution").inc(reply_bytes)
                 transfer_span.set("reply_bytes", reply_bytes)
 
-            # -- decode + per-request spans -----------------------------
+            # -- decode + commit + per-request spans --------------------
             results = []
             for request, flight in zip(requests, flights):
                 payload = decode_contribution(flight.reply,
                                               expect_profile=profile)
                 flight.reply = None  # a wave's replies are not held twice
-                if payload.worker_id != request.worker_id:
+                worker_id, stream = request.worker_id, payload.stream
+                if payload.worker_id != worker_id or (
+                        self.workers is not None and (
+                            stream is None or stream.worker_id != worker_id)):
                     raise TransportError(
-                        f"a reply for worker {request.worker_id} carries "
-                        f"worker {payload.worker_id}"
-                    )
+                        f"a reply for worker {worker_id} carries worker "
+                        f"{payload.worker_id}, stream "
+                        f"{stream and stream.worker_id}")
+                if self.workers is not None:
+                    self.workers[worker_id].load_stream(stream)
                 with telemetry.span("local_train", round=round_index,
-                                    worker=request.worker_id,
-                                    tau=request.tau,
+                                    worker=worker_id, tau=request.tau,
                                     ratio=request.ratio) as span:
                     span.set("train_loss", float(payload.train_loss))
                     span.set("worker_wall_s", float(payload.wall_time_s))
                 results.append(TrainResult(
-                    worker_id=payload.worker_id,
+                    worker_id=worker_id,
                     sub_state=payload.materialise(
                         request.dispatched_state
                     ),
@@ -474,13 +525,14 @@ class RemoteExecutor(Executor):
 
     def run_round(self, requests: Sequence[CohortTrainRequest],
                   round_index: int = 0) -> List[List[TrainResult]]:
-        """Send the round's members through :meth:`run` in *waves* of
+        """Collect the round's members through :meth:`run` in *waves* of
         ``link.wave_cohorts`` cohorts (``None``: the whole round), one
         ``gather`` each, encoded straight from each cohort's shared
-        plan, state and generator record (no template clone).  Results
-        keep request order whatever the wave size: a worker owns its
-        RNG streams in one receiver and has at most one dispatch in
-        flight, so interleaving across workers reorders no stream.
+        plan, state and generator record (no template clone) unless
+        :meth:`submit` already sent them.  Results keep request order
+        whatever the wave size: each worker has at most one dispatch in
+        flight, and its stream advances once per collected flight, in
+        collect order -- exactly as training at collect would.
         """
         per_wave = self.link.wave_cohorts or len(requests) or 1
         batches: List[List[TrainResult]] = []
@@ -496,16 +548,9 @@ class RemoteExecutor(Executor):
             )
         return batches
 
-    def run_cohort(self, request: CohortTrainRequest,
-                   round_index: int = 0) -> List[TrainResult]:
-        return self.run_round([request], round_index)[0]
-
-    def capture_worker_states(self) -> Dict[int, Dict[str, object]]:
-        return self.link.capture()
-
     def close(self) -> None:
+        self._flights.clear()
         self.link.close()
-
 
 def make_executor(config, *, workers: LazyFleet,
                   telemetry: Optional[Telemetry] = None,

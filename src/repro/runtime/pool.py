@@ -17,35 +17,34 @@ Step order is load-bearing (``tests/test_runtime/test_pool.py`` pins
 it).  A worker's state before its first dispatch is its seed's, so the
 engine's and each pool child's :class:`LazyFleet` builds on first use.
 
-Each pool child owns a *group* of workers (round-robin over sorted
-worker ids, so the assignment is a pure function of the fleet) and
-serves ``train`` requests off one duplex pipe: decode the dispatch
-frame, derive the sub-model, run ``local_train``, reply with a
-contribution frame encoded under the dispatch's negotiated wire
-profile.  No module graph ever crosses the pipe after start-up: the
-child holds a *skeleton* of the global model (shipped once, next to its
-specs) and derives every dispatched sub-model from it -- see
-:func:`derive_submodel`.
+The parent owns every worker's data stream: a dispatch frame carries
+its :meth:`~repro.fl.worker.Worker.stream` record, the receiver trains
+from it and replies with the advanced record, which the parent commits
+when it collects the reply.  A flight's result is a function of its
+frame alone, so any receiver may train it, and sending it twice trains
+the same bits.
 
-:class:`ProcessPool` is also the pipe *link* of
-:class:`~repro.runtime.executor.RemoteExecutor`: ``gather`` pumps one
-wave of dispatch frames (a whole round's: ``wave_cohorts = None``)
-through the children's queues and collects the replies, ``capture``
-pulls their worker runtime states for a checkpoint.
+Every pool child holds every spec and serves ``train`` requests off one
+duplex pipe: decode, derive the sub-model from its *skeleton* of the
+global model (shipped once; :func:`derive_submodel`), ``local_train``,
+reply with a contribution frame.  :class:`ProcessPool` is the pipe
+*link* of :class:`~repro.runtime.executor.RemoteExecutor`: one work
+queue, drained onto whichever child is free.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
+import threading
 import time
 import traceback
 import zlib
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
-from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -176,8 +175,7 @@ class LazyFleet(Mapping):
         return worker_id in self._ids
 
     def restore(self, worker_id: int, state: Dict[str, object]) -> None:
-        """Start ``worker_id`` (here, or in pool children spawned from its
-        spec) at a checkpointed stream position."""
+        """Start ``worker_id`` at a checkpointed stream position."""
         self.spec(worker_id).runtime_state = state
         self._built.pop(worker_id, None)
 
@@ -242,12 +240,15 @@ def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
 
 def handle_train(workers: Mapping, skeleton: Optional[Module],
                  frame: bytes) -> bytes:
-    """Serve one dispatch frame: derive, train, encode the reply."""
+    """Serve one dispatch frame: derive, train from its stream record
+    (without one: from this receiver's own worker), encode the reply."""
     if skeleton is None:
         raise RuntimeError("this receiver was started without a skeleton")
     payload = decode_dispatch(frame)
     submodel = derive_submodel(skeleton, payload)
     worker = workers[payload.worker_id]
+    if payload.stream is not None:
+        worker.load_stream(payload.stream)
     hyper = payload.hyper
     start = time.perf_counter()
     if payload.emulate_s > 0.0:
@@ -274,11 +275,12 @@ def handle_train(workers: Mapping, skeleton: Optional[Module],
             payload.reply_quantize_bits
             if profile == "sparse+quantized" else None
         ),
+        stream=payload.stream and worker.stream(),
     )
 
 
 def _child_main(conn, skeleton: Optional[Module],
-                specs_blob: bytes, inherited=()) -> None:
+                specs: List[WorkerSpec], inherited=()) -> None:
     """Serve one pipe until shutdown.
 
     ``inherited`` holds the parent-side pipe ends a forked child was
@@ -292,15 +294,11 @@ def _child_main(conn, skeleton: Optional[Module],
       ``delay_s`` (the delay exists so tests can provoke timeouts);
     - ``("train", seq, frame)`` -> ``("ok", seq, contribution_frame)``
       or ``("err", seq, traceback_text)``;
-    - ``("capture", seq)`` -> ``("state", seq, states)`` with
-      :meth:`LazyFleet.capture` of this child's workers (the
-      checkpoint subsystem merges these into the parent's view, since
-      in process mode the data/RNG streams advance here);
     - ``("shutdown",)`` -> exit.
     """
     for parent_end in inherited:
         parent_end.close()
-    specs = {spec.worker_id: spec for spec in pickle.loads(specs_blob)}
+    specs = {spec.worker_id: spec for spec in specs}
     workers = LazyFleet(specs, specs.__getitem__)
     try:
         while True:
@@ -324,20 +322,14 @@ def _child_main(conn, skeleton: Optional[Module],
                     conn.send(("err", seq, traceback.format_exc()))
                 else:
                     conn.send(("ok", seq, reply))
-            elif op == "capture":
-                _, seq = message
-                try:
-                    states = workers.capture()
-                except Exception:
-                    conn.send(("err", seq, traceback.format_exc()))
-                else:
-                    conn.send(("state", seq, states))
             # unknown ops are dropped silently: the parent's sequence
             # numbers make lost requests visible as timeouts
     except KeyboardInterrupt:
         pass
     finally:
         conn.close()
+
+
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +340,11 @@ class InFlight:
     """One dispatch frame on its way through a link, and its reply."""
 
     worker_id: int
-    #: ``None`` once a link that never resends has written it out
+    #: ``None`` once the pool has written it out
     frame: Optional[bytes] = field(repr=False)
     reply: Optional[bytes] = field(default=None, repr=False)
+    finish_s: float = 0.0   # simulated finish time: the queue order
+    busy_s: float = 0.0     # receiver seconds from send to reply
 
 
 @dataclass
@@ -360,7 +354,6 @@ class PoolMember:
     index: int
     proc: mp.process.BaseProcess
     conn: object
-    worker_ids: List[int] = field(default_factory=list)
 
 
 def _pick_start_method() -> str:
@@ -369,21 +362,23 @@ def _pick_start_method() -> str:
 
 
 class ProcessPool:
-    """A fixed fleet of persistent worker processes.
+    """A fixed fleet of persistent worker processes behind one queue.
 
-    Workers are assigned round-robin over their sorted ids, so the
-    worker -> child mapping is deterministic for a given fleet and
-    pool size.  Children are daemonic and hold no copy of the parent's
-    pipe ends, so they exit on EOF however the parent dies (SIGKILL
-    included).  ``skeleton`` is what the children derive
-    sub-models from (under ``fork`` they simply inherit it: nothing is
-    pickled); a pool started without one serves only the control plane
-    (``ping`` / ``capture``).
+    Every child holds every spec, so any child trains any flight.
+    Children are daemonic and hold no copy of the parent's pipe ends,
+    so they exit on EOF however the parent dies (SIGKILL included).
+    ``skeleton`` is what the children derive sub-models from (under
+    ``fork`` they simply inherit it and the specs: nothing is pickled);
+    a pool started without one serves only ``ping``.  From the first
+    flight on, the pipes belong to a pump thread that hands the next
+    queued flight -- wanted by a ``gather`` first, then by simulated
+    finish time -- to the first free child, while the main thread
+    aggregates.
     """
 
     name = "process"
-    #: cohorts per ``RemoteExecutor.run_round`` gather: the whole round
-    #: (children are other OS processes; all of it may be in the air)
+    #: ``None``: flights are submitted at dispatch (children are other
+    #: OS processes; all of it may be in the air)
     wave_cohorts: Optional[int] = None
 
     def __init__(self, specs: List[WorkerSpec],
@@ -406,11 +401,9 @@ class ProcessPool:
             metrics if metrics is not None else DISABLED_TELEMETRY.metrics
         )
         self.members: List[PoolMember] = []
-        self.by_worker: Dict[int, PoolMember] = {}
         self.transports: Dict[int, ProcessTransport] = {}
         self._seq = 0
         for index in range(count):
-            group = specs[index::count]
             parent_conn, child_conn = ctx.Pipe()
             inherited = (
                 [parent_conn] + [member.conn for member in self.members]
@@ -418,21 +411,30 @@ class ProcessPool:
             )
             proc = ctx.Process(
                 target=_child_main,
-                args=(child_conn, skeleton, pickle.dumps(group), inherited),
+                args=(child_conn, skeleton, specs, inherited),
                 name=f"repro-pool-{index}", daemon=True,
             )
             proc.start()
             child_conn.close()
-            member = PoolMember(
-                index=index, proc=proc, conn=parent_conn,
-                worker_ids=[spec.worker_id for spec in group],
-            )
+            member = PoolMember(index=index, proc=proc, conn=parent_conn)
             self.members.append(member)
             self.transports[index] = ProcessTransport(
                 member, retry=self.retry, metrics=self.metrics
             )
-            for spec in group:
-                self.by_worker[spec.worker_id] = member
+        # shared with the pump thread, under _cond: queued flights (in
+        # submission order), the id()s a gather waits for, and each
+        # child's one request as (seq, flight, sent at)
+        self._cond = threading.Condition()
+        self._queue: List[InFlight] = []
+        self._wanted: Set[int] = set()
+        self._outstanding: Dict[int, Tuple[int, InFlight, float]] = {}
+        self._failure: Optional[TransportError] = None
+        self._busy_s = 0.0
+        self._closed = False
+        self._pump: Optional[threading.Thread] = None
+        # made after the forks: no child holds the wake-up pipe
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -441,140 +443,195 @@ class ProcessPool:
     def parallelism(self) -> int:
         return len(self.members)
 
+    @property
+    def busy_s(self) -> float:
+        """Child-seconds spent on flights so far, running ones included."""
+        with self._cond:
+            now = time.perf_counter()
+            return self._busy_s + sum(
+                now - sent_at for _, _, sent_at in self._outstanding.values()
+            )
+
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
     def ping(self) -> None:
-        """Round-trip every member: a child that died during start-up
+        """Round-trip every member (before the first flight: then the
+        pipes belong to the pump): a child that died during start-up
         surfaces here as a typed transport error."""
         for transport in self.transports.values():
             transport.request(("ping", self._next_seq(), 0.0))
 
+    def submit(self, flights: List[InFlight]) -> None:
+        with self._cond:
+            self._queue.extend(flights)
+        self._wake()
+
+    def cancel(self, flight: InFlight) -> None:
+        """Unqueue a flight nobody will collect (a sent one finishes)."""
+        with self._cond:
+            self._queue = [f for f in self._queue if f is not flight]
+
     def gather(self, flights: List[InFlight],
                clock: RetryClock) -> Dict[int, float]:
-        """Pump every flight through its worker's child; fill in the
-        replies.  Returns ``{worker_id: seconds from its own send to
-        its reply}`` -- the worker's time, not its place in the queue.
+        """Wait for every flight's reply, queueing any not yet submitted
+        and sending all of them ahead of the rest of the queue.
+        Returns ``{worker_id: seconds from its own send to its reply}``
+        -- the worker's time, not its place in the queue.
 
-        At most ONE train request is outstanding per member: the next
-        one is sent only after the previous reply has been fully read.
-        This is deadlock-free by construction -- a pipe write can only
-        stall when its reader is busy, and with one request in flight
-        the child is always parked in ``recv`` when the parent writes
-        (frames are regularly larger than the OS pipe buffer, so
-        fire-and-forget batching genuinely deadlocks: parent blocked
-        writing request *n+1*, child blocked writing reply *n*).
-        Sequencing costs nothing because each child handles requests
-        serially anyway.
-
-        Train requests are never resent (a replay would double-consume
-        child RNG streams); each empty poll interval counts as one
-        retry, and the batch fails with a typed error after
-        ``max_retries`` consecutive empty intervals, after
-        ``timeout_s`` of total waiting, or as soon as a member with
-        outstanding work dies.
+        An interval in which no child replied counts as one retry; the
+        gather fails with a typed error after ``max_retries``
+        consecutive empty intervals, after ``timeout_s`` of total
+        waiting, once a child is dead, or when a child reports an error
+        (which leaves the pool unusable).
         """
-        queues: Dict[int, deque] = {}
-        for flight in flights:
-            member = self.by_worker[flight.worker_id]
-            queues.setdefault(member.index, deque()).append(flight)
-        # member index -> (seq, flight, sent at) of its one request
-        outstanding: Dict[int, Tuple[int, InFlight, float]] = {}
-
-        def send_next(index: int) -> None:
-            flight = queues[index].popleft()
-            seq = self._next_seq()
-            sent_at = clock.elapsed()
-            self.transports[index].send(("train", seq, flight.frame))
-            flight.frame = None  # never resent: do not pin it
-            outstanding[index] = (seq, flight, sent_at)
-
-        for index in queues:
-            send_next(index)
-        completion: Dict[int, float] = {}
-        while outstanding:
-            conns = {
-                self.members[index].conn: index for index in outstanding
-            }
-            if clock.remaining() <= 0.0:
-                raise TransportTimeoutError(
-                    f"{len(outstanding)} training repl(y/ies) still "
-                    f"missing after {clock.elapsed():.1f}s "
-                    f"(budget {clock.budget_s:.1f}s)"
-                )
-            ready = _wait_for_connections(list(conns),
-                                          timeout=clock.interval())
-            if not ready:
-                self.metrics.counter("retries_total",
-                                     transport=self.name).inc()
-                for index in outstanding:
-                    if not self.transports[index].alive():
-                        raise WorkerCrashError(
-                            f"pool member {index} died with "
-                            f"{len(outstanding)} training request(s) "
-                            f"outstanding"
-                        )
-                if not clock.tick():
-                    raise TransportTimeoutError(
-                        f"no training reply after "
-                        f"{clock.attempts} backoff interval(s) "
-                        f"({clock.elapsed():.1f}s elapsed)"
-                    )
-                continue
-            clock.reset()
-            for conn in ready:
-                index = conns[conn]
-                transport = self.transports[index]
-                while conn.poll(0):
-                    reply = transport.receive()
-                    op, seq = reply[0], reply[1]
-                    if op == "err":
-                        raise TransportError(
-                            f"worker process raised during training:\n"
-                            f"{reply[2]}"
-                        )
-                    expected, flight, sent_at = outstanding[index]
-                    if op != "ok" or seq != expected:
-                        continue  # stale control-plane reply
-                    flight.reply = reply[2]
-                    completion[flight.worker_id] = (
-                        clock.elapsed() - sent_at
-                    )
-                    if queues[index]:
-                        send_next(index)
-                    else:
-                        del outstanding[index]
+        with self._cond:   # a flight keeps its frame until it is sent
+            queued = {id(flight) for flight in self._queue}
+            self._queue.extend(flight for flight in flights
+                               if flight.frame and id(flight) not in queued)
+            self._wanted = {id(flight) for flight in flights}
+        self._wake()
+        try:
+            with self._cond:
+                while self._failure is None:
+                    missing = sum(flight.reply is None for flight in flights)
+                    if not missing:
                         break
-        return completion
+                    if clock.remaining() <= 0.0:
+                        raise TransportTimeoutError(
+                            f"{missing} training repl(y/ies) still missing "
+                            f"after {clock.elapsed():.1f}s "
+                            f"(budget {clock.budget_s:.1f}s)"
+                        )
+                    if self._cond.wait(clock.interval()):
+                        clock.reset()  # some child replied: alive
+                        continue
+                    self.metrics.counter("retries_total",
+                                         transport=self.name).inc()
+                    dead = [member.index for member in self.members
+                            if not member.proc.is_alive()]
+                    if dead:
+                        raise WorkerCrashError(
+                            f"pool member(s) {dead} died with {missing} "
+                            f"training request(s) outstanding"
+                        )
+                    if not clock.tick():
+                        raise TransportTimeoutError(
+                            f"no training reply after "
+                            f"{clock.attempts} backoff interval(s) "
+                            f"({clock.elapsed():.1f}s elapsed)"
+                        )
+                if self._failure is not None:
+                    raise self._failure
+        finally:
+            with self._cond:
+                self._wanted = set()
+        return {flight.worker_id: flight.busy_s for flight in flights}
 
-    def capture(self) -> Dict[int, Dict[str, object]]:
-        """Every child's worker runtime states, over the pipes.
+    def _wake(self) -> None:
+        if self._pump is None:
+            self._pump = threading.Thread(target=self._pump_main,
+                                          name="repro-pool-pump",
+                                          daemon=True)
+            self._pump.start()
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # a wake-up is already pending
 
-        In process mode the data/worker RNG streams advance in the
-        children, so a checkpoint must read them from there.  Uses the
-        idempotent control-plane ``("capture", seq)`` round trip per
-        member (safe to resend -- capturing consumes no stream).
+    def _pump_main(self) -> None:
+        """Keep every child busy until close.
+
+        Only this thread touches the pipes, with at most ONE train
+        request outstanding per child: the next is sent only after the
+        previous reply has been fully read, so the child is always
+        parked in ``recv`` when the pump writes and no pipe write can
+        stall (frames exceed the OS pipe buffer: fire-and-forget would
+        deadlock, parent writing request *n+1*, child writing reply
+        *n*).  The main thread never waits on a pipe.
         """
-        states: Dict[int, Dict[str, object]] = {}
-        for transport in self.transports.values():
-            reply = transport.request(("capture", self._next_seq()))
-            states.update(reply[2])
-        return states
+        by_fd = {member.conn.fileno(): member for member in self.members}
+        try:
+            while True:
+                sends = []
+                with self._cond:
+                    if self._closed:
+                        return
+                    for member in self.members:
+                        if self._queue and \
+                                member.index not in self._outstanding:
+                            # wanted first, then by finish time (min()
+                            # keeps submission order among equals)
+                            flight = self._queue.pop(min(
+                                range(len(self._queue)),
+                                key=lambda i: (
+                                    id(self._queue[i]) not in self._wanted,
+                                    self._queue[i].finish_s)))
+                            seq = self._next_seq()
+                            sends.append((member, seq, flight.frame))
+                            flight.frame = None   # sent: never resent
+                            self._outstanding[member.index] = (
+                                seq, flight, time.perf_counter())
+                for member, seq, frame in sends:
+                    self.transports[member.index].send(("train", seq, frame))
+                busy = [self.members[index].conn
+                        for index in list(self._outstanding)]
+                for ready in _wait_for_connections(busy + [self._wake_r]):
+                    if ready == self._wake_r:
+                        os.read(self._wake_r, 4096)
+                        continue
+                    member = by_fd[ready.fileno()]
+                    self._settle(member.index,
+                                 self.transports[member.index].receive())
+        except Exception as exc:   # a gather raises it, never hangs
+            with self._cond:
+                self._failure = exc if isinstance(exc, TransportError) \
+                    else TransportError(f"the pool's pump failed: {exc!r}")
+                self._cond.notify_all()
+
+    def _settle(self, index: int, reply) -> None:
+        op, seq = reply[0], reply[1]
+        if op == "err":
+            raise TransportError(
+                f"worker process raised during training:\n{reply[2]}"
+            )
+        with self._cond:
+            expected, flight, sent_at = self._outstanding[index]
+            if op != "ok" or seq != expected:
+                return  # stale control-plane reply
+            del self._outstanding[index]
+            flight.busy_s = time.perf_counter() - sent_at
+            flight.reply = reply[2]
+            self._busy_s += flight.busy_s
+            self._cond.notify_all()
 
     def close(self, join_timeout_s: float = 5.0) -> None:
-        """Ask every child to exit; terminate any that do not."""
+        """Stop the pump and ask every child to exit; one still training
+        a flight nobody collects is killed, as is any that does not exit
+        in time.  Idempotent."""
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+        if self._pump is not None:
+            self._wake()
+            self._pump.join(timeout=join_timeout_s)
         for member in self.members:
             try:
                 member.conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
                 pass
+            if member.index in self._outstanding:
+                member.proc.kill()   # SIGTERM may have a forked handler
         for member in self.members:
             member.proc.join(timeout=join_timeout_s)
             if member.proc.is_alive():
-                member.proc.terminate()
+                member.proc.kill()
                 member.proc.join(timeout=join_timeout_s)
             try:
                 member.conn.close()
             except OSError:
                 pass
+        os.close(self._wake_r)
+        os.close(self._wake_w)

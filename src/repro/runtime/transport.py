@@ -1,21 +1,18 @@
 """Transport semantics over the worker pool: timeouts, retry, stragglers.
 
-Two transports share one request/response surface:
+:class:`ProcessTransport` speaks the pipe protocol of
+:mod:`repro.runtime.pool` with per-call timeouts and bounded,
+backoff-paced retry (:class:`~repro.runtime.sockets.SocketTransport` is
+its socket twin).
 
-- :class:`LocalTransport` hands the message to an in-process handler
-  (zero-copy: no serialization, no pipe);
-- :class:`ProcessTransport` speaks the pipe protocol of
-  :mod:`repro.runtime.pool` with per-call timeouts and bounded,
-  backoff-paced retry.
-
-Retry discipline: pipes do not lose messages, so only *idempotent*
-control messages (pings) are ever resent -- :meth:`ProcessTransport.
-request` resends with exponential backoff and discards duplicate
-replies by sequence number.  Training requests must never be resent
-(a replay would double-consume the child's iterator RNG and break
-parity); the executor's gather loop instead polls with the same
-backoff schedule, counts each empty poll slice in ``retries_total``,
-and escalates to :class:`TransportTimeoutError` /
+Retry discipline: pipes do not lose messages, so only control messages
+(pings) are ever resent -- :meth:`ProcessTransport.request` resends
+with exponential backoff and discards duplicate replies by sequence
+number.  Training requests are not resent (a dispatch frame carries its
+worker's stream record, so a resend would train the same bits, but
+there is nothing to recover); each link's gather loop instead waits
+with the same backoff schedule, counts each empty interval in
+``retries_total``, and escalates to :class:`TransportTimeoutError` /
 :class:`WorkerCrashError`.
 
 :class:`StragglerDetector` is the wall-clock heartbeat: it applies the
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.simulation.faults import DeadlinePolicy
 
@@ -149,19 +146,6 @@ class Transport:
         """Release channel resources (no-op by default)."""
 
 
-class LocalTransport(Transport):
-    """Zero-copy in-process transport: the message object is handed to
-    the handler directly, the reply object is returned directly."""
-
-    name = "local"
-
-    def __init__(self, handler: Callable) -> None:
-        self._handler = handler
-
-    def request(self, message, timeout_s: Optional[float] = None):
-        return self._handler(message)
-
-
 class ProcessTransport(Transport):
     """Pipe transport to one :class:`~repro.runtime.pool.PoolMember`."""
 
@@ -204,8 +188,8 @@ class ProcessTransport(Transport):
         Resends with exponential backoff (each resend counts in
         ``retries_total``); replies whose sequence number does not
         match -- duplicates provoked by an earlier resend -- are
-        discarded.  Never use this for training requests: replaying
-        one would double-consume the child's RNG streams.
+        discarded.  Training goes through the pool's pump instead: a
+        resend would train the same bits again, for nothing.
         """
         seq = message[1]
         clock = self.retry.clock(timeout_s)

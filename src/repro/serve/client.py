@@ -2,16 +2,17 @@
 
 :class:`ServiceClient` dials a :class:`~repro.serve.service.
 FedMPService`, registers (taking any free slot, or a specific
-``worker_id``), rebuilds its worker from the spec the service ships
+``worker_id``), builds its worker from the spec the service ships
 back and keeps the model skeleton shipped with it, and then serves the
 pull loop: send ``pull_dispatch`` (held by the service until it has
 work, or answered ``idle`` after the hold this client offers), run the
 exact :func:`repro.runtime.pool.handle_train` body every pool child runs
-(derive the sub-model from the skeleton and the frame, train, encode),
-push the contribution frame back.  Because both the worker
-construction (``WorkerSpec.build``) and the training body are shared
-verbatim with the process executor, socket-run training is bitwise
-identical to pipe-run training by construction.
+(derive the sub-model from the skeleton and the frame, put the worker's
+data stream at the frame's stream record, train, encode with the
+advanced record), push the contribution frame back.  The client keeps
+no state the service needs: every stream position travels in the
+frames, so socket-run training is bitwise identical to pipe-run
+training by construction, and a client may vanish at any point.
 
 The ``spec`` and ``skeleton`` blobs of the ``registered`` reply are the
 only bytes this side unpickles without the framing layer's allow-list:
@@ -19,9 +20,7 @@ a client trusts the parameter server it dialled, not the reverse.
 
 Churn knobs:
 
-- ``leave_after=N`` leaves gracefully after N completed dispatches,
-  shipping the worker's captured runtime state so a later rejoin (or
-  a resumed run) continues its streams mid-position;
+- ``leave_after=N`` leaves gracefully after N completed dispatches;
 - ``reconnect=True`` redials the same address (keeping the assigned
   worker id) when the connection drops -- the client of a SIGKILLed
   service simply waits for the resumed service to come back up.
@@ -132,9 +131,6 @@ class ServiceClient:
             )
         self.worker_id = int(payload["worker_id"])
         spec = pickle.loads(payload["spec"])
-        # a fresh registration always rebuilds the worker from the
-        # shipped spec: its runtime_state puts every stream (data RNG,
-        # iterator cursor, jitter) at the service's recorded position
         self.workers = {self.worker_id: spec.build()}
         self.skeleton = pool.unpack_skeleton(payload["skeleton"])
         self.transport = transport
@@ -170,12 +166,6 @@ class ServiceClient:
                          time.time())
                     )
                     last_beat = now
-            elif op == "capture":
-                self.transport.request(
-                    ("push_state", self._next_seq(), self.worker_id,
-                     reply[2],
-                     self.workers[self.worker_id].capture_runtime_state())
-                )
             elif op == "drain":
                 self._leave()
                 return
@@ -186,9 +176,8 @@ class ServiceClient:
 
     def _leave(self) -> None:
         try:
-            state = self.workers[self.worker_id].capture_runtime_state()
             self.transport.request(
-                ("leave", self._next_seq(), self.worker_id, state)
+                ("leave", self._next_seq(), self.worker_id)
             )
         finally:
             self._close()

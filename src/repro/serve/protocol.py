@@ -12,7 +12,7 @@ connection is a clean request/response channel and
 client side.  Only *when* one reply is written is the service's choice:
 a ``pull_dispatch`` with nothing queued is held for up to ``hold_s``
 (the client's offer, capped by the service) and answered the moment a
-dispatch or capture marker is queued for that worker -- or with
+dispatch is queued for that worker -- or with
 ``drain`` at shutdown, or ``idle`` when the hold runs out.  Training
 payloads stay in the CRC-checked :mod:`repro.runtime.codec` frames and
 ride as ``bytes`` arguments.
@@ -24,14 +24,12 @@ comes back as ``("err", seq, traceback_text)``):
 request                                      replies
 ===========================================  =================================
 ``("register", seq, info)``                  ``("registered", seq, payload)``
-``("leave", seq, wid, state)``               ``("bye", seq)``
+``("leave", seq, wid)``                      ``("bye", seq)``
 ``("pull_dispatch", seq, wid, hold_s)``      ``("dispatch", seq, tseq, frame)``
                                              / ``("idle", seq)`` /
-                                             ``("capture", seq, cseq)`` /
                                              ``("drain", seq)``
 ``("push_contribution", seq, wid, tseq,      ``("accepted", seq)``
 frame)``
-``("push_state", seq, wid, cseq, state)``    ``("accepted", seq)``
 ``("heartbeat", seq, wid, sent_at)``         ``("pong", seq)``
 ``("status", seq)``                          ``("status_ok", seq, report)``
 ===========================================  =================================
@@ -40,15 +38,14 @@ frame)``
 None}``; the ``registered`` payload returns the assigned worker id plus
 two ``bytes`` blobs the client unpickles itself (it trusts the service
 it dialled): ``spec``, a :class:`~repro.runtime.pool.WorkerSpec` from
-which it rebuilds the worker with bitwise-identical RNG streams
-(including any checkpoint- or leave-captured runtime state, so
-rejoining workers resume their streams mid-position), and
-``skeleton``, the global model's module graph.  A ``dispatch`` reply carries nothing but the codec frame:
-the client derives the sub-model from the skeleton and the frame's
-plan, state and RNG record
-(:func:`repro.runtime.pool.derive_submodel`), so a re-issued dispatch
-is the same bytes again.  ``state`` is a worker's
-``capture_runtime_state()`` dict, sent as is.
+which it builds the worker (its shard), and ``skeleton``, the global
+model's module graph.  A ``dispatch`` reply carries nothing but the
+codec frame: the client derives the sub-model from the skeleton and
+the frame's plan, state and RNG record
+(:func:`repro.runtime.pool.derive_submodel`) and trains from the
+frame's stream record, whose advanced copy rides back in the
+contribution -- so a re-issued dispatch is the same bytes again, and
+no worker state ever lives only in a client.
 
 Worker lifecycle::
 
@@ -56,16 +53,15 @@ Worker lifecycle::
                    ^                                               |
                    +--------------- re-register -------------------+
 
-A graceful ``leave`` ships the worker's captured runtime state so a
-later re-registration (same run or a resumed one) continues the exact
-data/jitter streams; a dropped connection transitions to GONE without
-a capture, and a re-registering worker then restarts from the last
-checkpointed position instead.
+A graceful ``leave`` and a dropped connection both transition to
+GONE; either way the service holds the worker's true stream position
+(committed from its last collected contribution), so a re-registering
+worker -- in this run or a resumed one -- continues it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -79,7 +75,7 @@ __all__ = [
 
 #: bumped on any incompatible change to the request grammar above;
 #: ``register`` is refused when client and service disagree
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: lifecycle states of a roster entry
 ACTIVE = "active"
@@ -98,14 +94,9 @@ class RosterEntry:
     registrations: int = 0
     #: host wall-clock of the last heartbeat or request
     last_seen: Optional[float] = None
-    #: runtime state captured at the last graceful leave; handed back
-    #: in the spec on re-registration so the worker's RNG/iterator
-    #: streams continue mid-position
-    runtime_state: Optional[dict] = field(default=None, repr=False)
 
     def summary(self) -> dict:
-        """Checkpoint/status form (no runtime state: the checkpoint's
-        ``workers`` payload is the authoritative stream capture)."""
+        """Checkpoint/status form."""
         return {
             "state": self.state,
             "registrations": self.registrations,

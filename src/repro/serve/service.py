@@ -14,21 +14,23 @@ answered the moment work is queued for that worker (``idle`` after the
 hold, ``drain`` on shutdown) -- still the reply to a client's request.
 
 Determinism carries over from the process executor by construction:
-one executor encodes every dispatch and decodes every reply, clients
-run the exact :func:`repro.runtime.pool.handle_train` body on workers
-rebuilt from their :class:`~repro.runtime.pool.WorkerSpec`, and
+one executor encodes every dispatch and decodes every reply, each
+dispatch carries the worker's stream record and each reply the
+advanced one (committed to the engine's worker on collect), clients
+run the exact :func:`repro.runtime.pool.handle_train` body, and
 decode/aggregate order in the parent is submission order -- so a
 loopback-socket run is bitwise identical to a serial run over the same
-membership script (pinned by ``repro verify``'s service stage).
+membership script (pinned by ``repro verify``'s service stage), and a
+checkpoint never needs anything from a client.
 
 The service is single-threaded: one ``selectors`` pump serves every
-connection, driven from three places -- the link's gather loop, the
-membership provider's wait, and checkpoint-time worker-state capture.  There are no locks and no cross-thread hand-offs.
+connection, driven from two places -- the link's gather loop and the
+membership provider's wait.  There are no locks and no cross-thread
+hand-offs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import pickle
 import select
@@ -104,8 +106,9 @@ class PullLink:
     frame)`` per worker and lets clients collect them through the
     service's request loop; ``gather`` pumps the service until every
     contribution frame is back.  A dispatch frame is self-sufficient
-    (the client derives the sub-model itself), so re-issuing one to a
-    reconnected worker is re-queueing the same bytes.
+    (the client derives the sub-model itself and trains from the
+    frame's stream record), so re-issuing one to a reconnected worker is
+    re-queueing the same bytes, and it trains the same bits again.
     """
 
     name = "socket"
@@ -128,8 +131,8 @@ class PullLink:
         self._handed: Dict[int, float] = {}
         #: the gather in progress: worker id -> hand-over to reply, s
         self._completion: Dict[int, float] = {}
-        #: capture seq -> (worker id, collected runtime state or None)
-        self._captures: Dict[int, Tuple[int, Optional[dict]]] = {}
+        #: client-seconds from hand-over to reply, over every gather
+        self.busy_s = 0.0
 
     @property
     def parallelism(self) -> int:
@@ -148,11 +151,11 @@ class PullLink:
                clock: RetryClock) -> Dict[int, float]:
         """Pump the service until every contribution frame is in.
 
-        Dispatches are never re-encoded mid-round (a replay with fresh
-        streams would double-consume client RNG), but a worker that
-        reconnects gets its lost frames re-queued verbatim by
-        :meth:`forget_worker`.  A worker that *gracefully leaves* with
-        work outstanding can never finish it -- that fails fast as
+        A worker that reconnects gets its lost frames re-queued verbatim
+        by :meth:`forget_worker` (each carries the stream record it
+        trains from: a second delivery trains the same bits).  A worker
+        that *gracefully leaves* with work outstanding can never finish
+        it -- that fails fast as
         :class:`~repro.runtime.transport.WorkerCrashError`; a lost
         connection waits out the retry budget (the client may redial).
         """
@@ -203,55 +206,6 @@ class PullLink:
             self._pending = {}
             self._handed = {}
 
-    def capture(self) -> Dict[int, Dict[str, object]]:
-        """Pull runtime state from every live client, roster for the rest.
-
-        Active workers answer a queued ``capture`` marker on their held
-        (or next) poll; workers gone after a graceful leave contribute
-        the state captured at that leave.  Workers lost without a capture are
-        omitted -- the engine then keeps its parent-side snapshot for
-        them (best effort; their true stream position died with the
-        client process).
-        """
-        service = self.service
-        states: Dict[int, Dict[str, object]] = {}
-        waiting: List[int] = []
-        for worker_id in sorted(service.roster):
-            entry = service.roster[worker_id]
-            if entry.state in (ACTIVE, DRAINING):
-                cseq = self._next_seq()
-                self._captures[cseq] = (worker_id, None)
-                self._queue(worker_id, ("capture", cseq))
-                waiting.append(cseq)
-            elif entry.runtime_state is not None:
-                states[worker_id] = entry.runtime_state
-        clock = self.retry.clock()
-        while waiting:
-            progressed = bool(service.pump(clock.interval()))
-            for cseq in list(waiting):
-                worker_id, state = self._captures[cseq]
-                entry = service.roster[worker_id]
-                if state is None and entry.state == GONE:
-                    # left (or was lost) while the marker was queued;
-                    # fall back to its leave capture when there is one
-                    state = entry.runtime_state
-                elif state is None:
-                    continue
-                if state is not None:
-                    states[worker_id] = state
-                waiting.remove(cseq)
-                del self._captures[cseq]
-                progressed = True
-            if progressed:
-                clock.reset()
-            elif not clock.tick():
-                owners = sorted(self._captures[cseq][0] for cseq in waiting)
-                raise TransportTimeoutError(
-                    f"worker(s) {owners} never answered the checkpoint "
-                    f"state capture"
-                )
-        return states
-
     def close(self) -> None:
         self.service.shutdown()
 
@@ -282,32 +236,20 @@ class PullLink:
         if flight.reply is None:
             flight.reply = frame
             self._completion[worker_id] = time.perf_counter() - handed
-
-    def deliver_state(self, cseq: int, worker_id: int,
-                      state: dict) -> None:
-        """Accept one pushed runtime-state capture."""
-        if self._captures.get(cseq, (None,))[0] != worker_id:
-            raise ServiceError(
-                f"unexpected state capture seq {cseq} from worker "
-                f"{worker_id}"
-            )
-        self._captures[cseq] = (worker_id, state)
+            self.busy_s += self._completion[worker_id]
 
     def forget_worker(self, worker_id: int) -> None:
         """Reset what the previous connection of a worker was owed.
 
         Called on every (re-)registration: anything handed to (or
         queued for) the previous connection is gone, so the worker's
-        unanswered dispatch frames and capture markers are re-queued,
-        in their original order.
+        unanswered dispatch frames are re-queued, in their original
+        order.
         """
         self._outbox.pop(worker_id, None)
         for tseq, flight in self._pending.items():
             if flight.worker_id == worker_id and flight.reply is None:
                 self._queue(worker_id, ("dispatch", tseq, flight.frame))
-        for cseq, (owner, state) in self._captures.items():
-            if owner == worker_id and state is None:
-                self._queue(worker_id, ("capture", cseq))
 
 
 class FedMPService:
@@ -335,8 +277,7 @@ class FedMPService:
     returns the partial history.  Resuming that checkpoint (with
     ``resume_from``) continues byte-identically -- the checkpoint's
     ``service`` payload restores the roster's registration ledger, and
-    re-registering clients get specs carrying their checkpointed
-    stream positions.
+    every dispatch carries its worker's checkpointed stream position.
     """
 
     def __init__(self, task, devices, config=None, *,
@@ -734,16 +675,10 @@ class FedMPService:
         )
         self.telemetry.event("worker_registered", worker=worker_id,
                              kind=kind)
-        runtime_state = (
-            entry.runtime_state if entry.runtime_state is not None
-            else spec.runtime_state
-        )
-        shipped = dataclasses.replace(spec, runtime_state=runtime_state)
         return ("registered", seq, {
             "protocol": PROTOCOL_VERSION,
             "worker_id": worker_id,
-            "spec": pickle.dumps(shipped,
-                                 protocol=pickle.HIGHEST_PROTOCOL),
+            "spec": pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL),
             "skeleton": self._skeleton_blob,
         })
 
@@ -757,12 +692,10 @@ class FedMPService:
         return self.roster[worker_id]
 
     def _op_leave(self, connection: _Connection, message):
-        _, seq, worker_id, state = message
+        _, seq, worker_id = message
         entry = self._registered_entry(connection, int(worker_id))
         entry.state = GONE
         entry.last_seen = time.time()
-        if state is not None:
-            entry.runtime_state = state
         self._gone_reason[entry.worker_id] = "leave"
         self.counters["leave"] += 1
         if self._conn_by_worker.get(entry.worker_id) is connection:
@@ -773,8 +706,7 @@ class FedMPService:
         metrics.gauge("connected_workers").set(
             float(self._active_count())
         )
-        self.telemetry.event("worker_left", worker=entry.worker_id,
-                             captured=state is not None)
+        self.telemetry.event("worker_left", worker=entry.worker_id)
         return ("bye", seq)
 
     def _op_pull_dispatch(self, connection: _Connection, message):
@@ -794,7 +726,7 @@ class FedMPService:
 
     def _poll_reply(self, worker_id: int, seq: int, hold: bool):
         """What a poll is answered with now; None = ``hold`` it."""
-        # ("dispatch", tseq, frame) or ("capture", cseq) from the outbox
+        # ("dispatch", tseq, frame) from the outbox
         item = ("drain",) if self.draining else self.link.next_for(worker_id)
         if item is None:
             if hold:
@@ -817,13 +749,6 @@ class FedMPService:
         entry = self._registered_entry(connection, int(worker_id))
         entry.last_seen = time.time()
         self.link.deliver(int(tseq), entry.worker_id, frame)
-        return ("accepted", seq)
-
-    def _op_push_state(self, connection: _Connection, message):
-        _, seq, worker_id, cseq, state = message
-        entry = self._registered_entry(connection, int(worker_id))
-        entry.last_seen = time.time()
-        self.link.deliver_state(int(cseq), entry.worker_id, state)
         return ("accepted", seq)
 
     def _op_heartbeat(self, connection: _Connection, message):
@@ -856,7 +781,6 @@ class FedMPService:
         "leave": _op_leave,
         "pull_dispatch": _op_pull_dispatch,
         "push_contribution": _op_push_contribution,
-        "push_state": _op_push_state,
         "heartbeat": _op_heartbeat,
         "status": _op_status,
     }

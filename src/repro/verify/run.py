@@ -20,7 +20,9 @@ its verdict -- run in table order over one bench preset:
    history byte-for-byte, final weights at 0 ULP; again (sync, async)
    on a 200-worker fleet sampling 4 a round: most workers untouched.
 5. **Parallel-runtime parity** (``executor="process"`` only) -- serial
-   vs process-pool states at 0 ULP and byte-identical history.
+   vs process-pool states at 0 ULP (sync, async and semi-sync: flights
+   that outlive a round) and byte-identical history, and an async
+   kill-and-resume whose kill lands while flights are in the air.
 6. **Service mode** -- `repro serve` plus one `repro client` per
    worker on a loopback socket, scripted churn (one leave, one join),
    against the in-process run over the same roster script; the same
@@ -190,10 +192,12 @@ def _invariants(strategy: str) -> Check:
 
 def _differential(label_a: str, label_b: str,
                   candidate: Callable[[_Battery], RunSpec],
-                  semisync: bool = False) -> Check:
-    """The battery's plain run vs ``candidate``, state by state."""
+                  semisync: bool = False, scheduler: str = "sync") -> Check:
+    """The battery's plain run (under ``scheduler``) vs ``candidate``,
+    state by state."""
     def check(b: _Battery) -> Tuple[bool, str]:
-        _, states_a = b.harness.reference(b.spec)
+        _, states_a = b.harness.reference(replace(b.spec,
+                                                  scheduler=scheduler))
         _, states_b = b.harness.reference(candidate(b))
         report = compare_state_sequences(
             states_a, states_b,
@@ -201,6 +205,13 @@ def _differential(label_a: str, label_b: str,
             label_a=label_a, label_b=label_b)
         return report.passed, report.describe()
     return check
+
+
+def _serial_vs_process(scheduler: str) -> Check:
+    return _differential(
+        f"serial/{scheduler}", "process",
+        lambda b: replace(b.parallel, scheduler=scheduler),
+        scheduler=scheduler)
 
 
 def _history_bytes(b: _Battery) -> Tuple[bool, str]:
@@ -333,10 +344,19 @@ STAGES: Tuple[Stage, ...] = (
     Stage("checkpoint/sampled_fleet_kill_and_resume", lambda b: _kill_and_resume(
         b, "checkpoint/sampled_fleet_kill_and_resume", ("sync", "async"),
         workers=200, clients_per_round=4)),
-    Stage("differential/serial_vs_process", _differential(
-        "serial", "process", lambda b: b.parallel), process_only=True),
+    Stage("differential/serial_vs_process", _serial_vs_process("sync"),
+          process_only=True),
+    Stage("differential/serial_vs_process_async",
+          _serial_vs_process("async"), process_only=True),
+    Stage("differential/serial_vs_process_semi_sync",
+          _serial_vs_process("semi_sync"), process_only=True),
     Stage("history/serial_vs_process_bytes", _history_bytes,
           process_only=True),
+    # twice the fleet, half of it collected a round: the kill always
+    # finds the other half's flights submitted and uncollected
+    Stage("checkpoint/async_flights_in_the_air", lambda b: _kill_and_resume(
+        b, "checkpoint/async_flights_in_the_air", ("async",),
+        workers=2 * b.fleet), process_only=True),
     Stage("service/loopback_socket", lambda b: b.harness.served(b.service)),
     Stage("service/kill_and_resume", _served_kill),
     Stage("service/live_roster_drain",

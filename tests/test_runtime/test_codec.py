@@ -10,6 +10,7 @@ from repro.pruning.quantize import quantize_state_dict
 from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
     FLAG_RNG,
+    FLAG_STREAM,
     KIND_CONTRIBUTION,
     KIND_DISPATCH,
     WIRE_VERSION,
@@ -363,3 +364,130 @@ def test_registry_models_roundtrip(model_name, ratio):
     corrupt[len(corrupt) // 3] ^= 0x01
     with pytest.raises(WireFormatError):
         decode_dispatch(bytes(corrupt))
+
+
+# ----------------------------------------------------------------------
+# the worker stream record
+# ----------------------------------------------------------------------
+def _worker(worker_id: int = 4, samples: int = 10, kind: str = "batch"):
+    from repro.runtime.pool import WorkerSpec
+    from repro.simulation.cluster import make_scenario_devices
+    shape = (samples, 1, 2, 2) if kind == "batch" else (samples, 3, 2)
+    return WorkerSpec(
+        worker_id=worker_id, seed=9,
+        shard_inputs=np.zeros(shape, dtype=np.float32),
+        shard_targets=np.zeros(shape[:1 if kind == "batch" else 3],
+                               dtype=np.int64),
+        batch_size=3, num_samples=samples, jitter_sigma=0.0,
+        device=make_scenario_devices({"A": 1}, np.random.default_rng(0))[0],
+        iterator_kind=kind,
+    ).build()
+
+
+def _stream_dispatch(stream) -> bytes:
+    from repro.pruning.plan import PruningPlan
+    return encode_dispatch(stream.worker_id, PruningPlan(ratio=0.0),
+                           {"w": np.ones(2, dtype=np.float32)}, tau=1,
+                           hyper=HYPER, stream=stream)
+
+
+@pytest.mark.parametrize("kind", ["batch", "sequence"])
+def test_stream_record_roundtrips_and_replays_the_stream(kind):
+    worker = _worker(kind=kind)
+    for _ in range(5):   # mid-epoch, past one reshuffle
+        worker.iterator.next_batch()
+    sent = _stream_dispatch(worker.stream())
+    reply = encode_contribution(4, {"w": np.ones(2, dtype=np.float32)},
+                                train_loss=0.0, wall_time_s=0.0,
+                                stream=worker.stream())
+    assert sent[7] & FLAG_STREAM and reply[7] & FLAG_STREAM
+    for record in (decode_dispatch(sent).stream,
+                   decode_contribution(reply).stream):
+        fresh = _worker(kind=kind)
+        fresh.load_stream(record)
+        for _ in range(4):
+            for got, want in zip(fresh.iterator.next_batch(),
+                                 worker.iterator.next_batch()):
+                np.testing.assert_array_equal(got, want)
+        worker.load_stream(record)   # rewind for the next frame
+    # a dispatch without a record sets no flag and grows by no byte
+    assert not encode_dispatch(0, decode_dispatch(sent).plan,
+                               {"w": np.ones(2, dtype=np.float32)}, tau=1,
+                               hyper=HYPER)[7] & FLAG_STREAM
+
+
+@pytest.mark.parametrize("corruption", [
+    "wrong_width", "not_a_permutation", "cursor_past_the_epoch",
+    "order_misfits_the_shard", "another_workers_record",
+    "reply_from_another_worker",
+])
+def test_stream_record_corruptions_rejected(corruption):
+    from repro.runtime.codec import StreamRecord
+    worker = _worker(samples=10)
+    stream = worker.stream()
+    if corruption == "wrong_width":
+        frame = bytearray(_stream_dispatch(stream))
+        width_at = len(frame) - 4 - (8 + 4 * 10) - 37 - 1
+        assert frame[width_at] == 37
+        frame[width_at] = 36
+        with pytest.raises(WireFormatError, match="wide"):
+            decode_dispatch(_reseal(frame))
+    elif corruption == "not_a_permutation":
+        order = stream.order.copy()
+        order[0] = order[1]
+        with pytest.raises(WireFormatError, match="permutation"):
+            decode_dispatch(_stream_dispatch(
+                StreamRecord(4, stream.rng, order, 0)))
+    elif corruption == "cursor_past_the_epoch":
+        with pytest.raises(WireFormatError, match="cursor 11"):
+            decode_dispatch(_stream_dispatch(
+                StreamRecord(4, stream.rng, stream.order, 11)))
+    elif corruption == "order_misfits_the_shard":
+        record = decode_dispatch(_stream_dispatch(
+            StreamRecord(4, stream.rng, np.arange(12), 0))).stream
+        with pytest.raises(WireFormatError, match="does not fit"):
+            worker.load_stream(record)
+    elif corruption == "another_workers_record":
+        record = decode_dispatch(_stream_dispatch(
+            StreamRecord(5, stream.rng, stream.order, 0))).stream
+        with pytest.raises(WireFormatError, match="worker 5"):
+            worker.load_stream(record)
+    else:
+        _reply_from_another_worker(worker)
+
+
+class _CrossedLink:
+    """Replies to every flight with the next worker's stream record."""
+
+    name = "crossed"
+    parallelism = 1
+    busy_s = 0.0
+    wave_cohorts = 1
+    retry = None
+
+    def gather(self, flights, clock):
+        for flight in flights:
+            record = decode_dispatch(flight.frame).stream
+            record.worker_id += 1
+            flight.reply = encode_contribution(
+                flight.worker_id, {"w": np.ones(2, dtype=np.float32)},
+                train_loss=0.0, wall_time_s=0.0, stream=record)
+        return {flight.worker_id: 0.0 for flight in flights}
+
+
+def _reply_from_another_worker(worker):
+    from repro.pruning.plan import PruningPlan
+    from repro.runtime.executor import RemoteExecutor, TrainRequest
+    from repro.runtime.transport import RetryPolicy, TransportError
+    link = _CrossedLink()
+    link.retry = RetryPolicy()
+    executor = RemoteExecutor(link)
+    executor.workers = {worker.worker_id: worker}
+    request = TrainRequest(
+        worker_id=worker.worker_id, ratio=0.0, tau=1,
+        plan=PruningPlan(ratio=0.0), submodel=build_model("cnn"),
+        dispatched_state={"w": np.ones(2, dtype=np.float32)}, hyper=HYPER)
+    before = worker.stream().cursor
+    with pytest.raises(TransportError, match="stream 5"):
+        executor.run([request])
+    assert worker.stream().cursor == before   # nothing was committed

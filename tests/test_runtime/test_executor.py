@@ -275,9 +275,10 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
 
 
 def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
-    """Three flights queue on one child and one goes to the other.
-    Equal-cost workers flag nobody however late in the queue they ran,
-    and a genuinely slow one is flagged at the head and at the tail."""
+    """Four flights share two children, so two of them wait in the
+    queue.  Equal-cost workers flag nobody however late in the queue
+    they ran, and a genuinely slow one is flagged at the head and at
+    the tail."""
     sink = ListSink()
     telemetry = Telemetry(tracer=Tracer(sink=sink),
                           metrics=MetricsRegistry())
@@ -290,27 +291,26 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
                               straggler_quorum=0.5,
                               straggler_multiplier=2.0)
     try:
-        queued = pool.members[0].worker_ids
-        assert len(queued) == 3
-        alone = pool.members[1].worker_ids[0]
+        order = engine.worker_ids[:4]
 
-        def flagged(order, slow=None):
+        def flagged(slow=None):
             executor.run(_member_requests(engine, {
                 worker_id: 0.8 if worker_id == slow else 0.2
                 for worker_id in order
             }))
             return executor.last_stragglers
 
-        assert flagged(queued + [alone]) == []
-        assert flagged(queued + [alone], slow=queued[0]) == [queued[0]]
-        assert flagged(queued + [alone], slow=queued[-1]) == [queued[-1]]
+        assert flagged() == []
+        assert flagged(slow=order[0]) == [order[0]]
+        assert flagged(slow=order[-1]) == [order[-1]]
 
-        # the same stamps give the pool's occupancy: the queued child
-        # was busy throughout, the other for a third of the gather
+        # the same stamps give the pool's occupancy since the previous
+        # collect: with one queue, equal flights keep both children busy
         shares = [span["attrs"]["pool_busy_share"]
                   for span in sink.spans("transfer")]
         assert len(shares) == 3
-        assert 0.5 < shares[0] < 0.9
+        assert shares[0] > 0.8
+        assert all(0.0 < share <= 1.0 for share in shares)
         gauge = [g for g in telemetry.metrics.gauges
                  if g.name == "pool_busy_share"]
         assert len(gauge) == 1 and gauge[0].value == shares[-1]
@@ -329,6 +329,7 @@ class _RecordingLink:
     name = "recording"
     parallelism = 2
     retry = RetryPolicy()
+    busy_s = 0.0
 
     def __init__(self, wave_cohorts):
         self.wave_cohorts = wave_cohorts
@@ -397,7 +398,8 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
         retry=RetryPolicy(timeout_s=30.0, max_retries=6, backoff_s=0.1),
     )
     try:
-        second_in_queue = pool.members[0].worker_ids[1]
+        # two children: the third flight waits in the queue
+        second_in_queue = engine.worker_ids[2]
         flights = [
             InFlight(r.worker_id, encode_dispatch(
                 r.worker_id, r.plan, r.dispatched_state, tau=r.tau,

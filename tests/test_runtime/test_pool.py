@@ -21,9 +21,14 @@ import numpy as np
 import pytest
 
 from repro.data.loader import BatchIterator
-from repro.fl.tasks import _SequenceBatchIterator
+from repro.data.synthetic import make_synthetic_mnist
+from repro.fl.config import FLConfig
+from repro.fl.engine import Engine
+from repro.fl.tasks import ClassificationTask, _SequenceBatchIterator
 from repro.fl.worker import Worker
-from repro.runtime.pool import ProcessPool, WorkerSpec
+from repro.runtime.codec import TrainHyper, decode_contribution, encode_dispatch
+from repro.runtime.pool import InFlight, ProcessPool, WorkerSpec
+from repro.runtime.transport import RetryPolicy, WorkerCrashError
 from repro.simulation.cluster import make_scenario_devices
 
 
@@ -146,20 +151,115 @@ def test_iterator_kind_validated():
 # ----------------------------------------------------------------------
 # pool plumbing
 # ----------------------------------------------------------------------
-def test_pool_round_robin_assignment_is_deterministic():
-    specs = [_batch_spec(seed=10 + wid, worker_id=wid)
-             for wid in (3, 1, 2, 0)]
-    pool = ProcessPool(specs, num_procs=2)
+@pytest.fixture(scope="module")
+def engine():
+    dataset = make_synthetic_mnist(train_per_class=8, test_per_class=2,
+                                   rng=np.random.default_rng(0))
+    fleet = make_scenario_devices({"A": 2, "B": 2}, np.random.default_rng(7))
+    engine = Engine(ClassificationTask(dataset, "cnn"), fleet, FLConfig(
+        strategy="fixed", strategy_kwargs={"ratio": 0.3}, max_rounds=1,
+        local_iterations=2, batch_size=8, lr=0.05, seed=11))
+    yield engine
+    engine.close()
+
+
+def _frames(engine, emulate_s: float = 0.0):
+    """One dispatch frame per worker, each carrying its stream record."""
+    dispatches = engine.dispatch_many(
+        {worker_id: 0.3 for worker_id in engine.worker_ids}, 0.0, 0)
+    return {
+        worker_id: encode_dispatch(
+            worker_id, d.plan, d.dispatched_state, tau=3,
+            hyper=TrainHyper(lr=0.05), emulate_s=emulate_s,
+            stream=engine.workers[worker_id].stream(),
+        )
+        for worker_id, d in dispatches.items()
+    }
+
+
+def _pool(engine, **kwargs) -> ProcessPool:
+    return ProcessPool(engine.worker_specs, num_procs=2,
+                       skeleton=engine.model, **kwargs)
+
+
+def _flights(frames):
+    return [InFlight(worker_id, frame) for worker_id, frame in frames.items()]
+
+
+def test_same_frame_on_either_child_gives_identical_reply_bytes(engine):
+    """A flight's result is a function of its frame alone: either child,
+    and the same child again, replies with the same bytes (bar the
+    measured wall time the reply reports, and so the CRC)."""
+    worker_id, frame = next(iter(_frames(engine).items()))
+    pool = _pool(engine)
     try:
-        assert len(pool) == 2
-        # sorted ids, dealt round-robin
-        assert pool.members[0].worker_ids == [0, 2]
-        assert pool.members[1].worker_ids == [1, 3]
-        for member in pool.members:
-            for worker_id in member.worker_ids:
-                assert pool.by_worker[worker_id] is member
+        replies = [pool.transports[index].request(("train", seq, frame))[2]
+                   for seq, index in enumerate((0, 1, 0), start=1)]
     finally:
         pool.close()
+    # header 8 | worker, samples u32 | loss f64 | wall f64 | ... | crc32
+    masked = {reply[:24] + reply[32:-4] for reply in replies}
+    assert len(masked) == 1
+    payload = decode_contribution(replies[0])
+    assert payload.stream.worker_id == worker_id
+    assert payload.stream.cursor != engine.workers[worker_id].stream().cursor
+
+
+def test_sigkilled_child_with_queued_flights_is_a_crash_not_a_hang(engine):
+    pool = _pool(engine, retry=RetryPolicy(timeout_s=30.0, max_retries=4,
+                                           backoff_s=0.1))
+    flights = _flights(_frames(engine, emulate_s=0.5))
+    try:
+        pool.submit(flights)
+        time.sleep(0.2)          # both children are mid-flight
+        os.kill(pool.members[0].proc.pid, signal.SIGKILL)
+        start = time.perf_counter()
+        with pytest.raises(WorkerCrashError):
+            pool.gather(flights, pool.retry.clock())
+        assert time.perf_counter() - start < 10.0
+    finally:
+        pool.close(join_timeout_s=2.0)
+
+
+def test_close_with_uncollected_flights_reaps_children_and_pump(engine):
+    pool = _pool(engine)
+    pool.submit(_flights(_frames(engine, emulate_s=2.0)))
+    time.sleep(0.2)              # two sent, two still queued
+    start = time.perf_counter()
+    pool.close(join_timeout_s=2.0)
+    assert time.perf_counter() - start < 3.0
+    assert not pool._pump.is_alive()
+    assert all(not member.proc.is_alive() for member in pool.members)
+
+
+def test_pool_under_thread_switch_pressure_loses_no_flight(engine):
+    """More children than cores and a tiny switch interval between the
+    main thread and the pump: every flight is answered exactly once
+    with the same bits, and the busy account adds up -- a lost update
+    to the queue or the account would break one of them."""
+    frames = _frames(engine)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = ProcessPool(engine.worker_specs, num_procs=3,
+                       skeleton=engine.model)
+    try:
+        rounds = []
+        for _ in range(3):
+            flights = _flights(frames)
+            pool.submit(flights[:2])     # the rest go in with the gather
+            pool.gather(flights, pool.retry.clock())
+            rounds.append(flights)
+        busy = pool.busy_s
+    finally:
+        sys.setswitchinterval(switch)
+        pool.close()
+    for flights in rounds:
+        assert [decode_contribution(f.reply).worker_id for f in flights] \
+            == list(frames)
+        # header 8 | worker, samples u32 | loss f64 | wall f64 | ... | crc
+        assert [f.reply[:24] + f.reply[32:-4] for f in flights] \
+            == [f.reply[:24] + f.reply[32:-4] for f in rounds[0]]
+    assert busy == pytest.approx(sum(f.busy_s for fs in rounds for f in fs))
 
 
 def test_pool_size_clamped_to_fleet():

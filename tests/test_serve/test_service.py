@@ -546,7 +546,7 @@ def test_reregistered_worker_is_answered_on_its_new_connection(task,
         # the slot changes hands while the first connection's poll is
         # still parked
         assert _pumped_request(service, first,
-                               ("leave", 3, 1, None)) == ("bye", 3)
+                               ("leave", 3, 1)) == ("bye", 3)
         _register(service, second, 1)
         service.link._queue(1, ("dispatch", 5, b"frame"))
         reply = _pumped_request(service, second,
@@ -588,9 +588,10 @@ def test_shutdown_drains_held_polls_at_once(task, devices):
 
 def test_checkpointing_run_wakes_held_polls_and_stays_bitwise(
         task, devices, tmp_path):
-    """A capture marker answers a held poll like a dispatch does, so a
-    run checkpointing every round neither diverges nor falls back to
-    waiting holds out: idle replies do not grow with the rounds."""
+    """A run checkpointing every round needs nothing from its clients
+    (every stream position is the service's own), so it neither
+    diverges nor falls back to waiting holds out: idle replies do not
+    grow with the rounds."""
     script = {0: [0, 1]}
     rounds = 6
     config = _config(max_rounds=rounds)
@@ -618,7 +619,7 @@ def test_checkpointing_run_wakes_held_polls_and_stays_bitwise(
         return metrics.counter("polls_total", outcome=outcome).value
 
     assert polls("dispatch") == 2 * rounds
-    assert polls("capture") == 2 * rounds
+    assert polls("capture") == 0
     assert polls("drain") == 2
     # at the parent commit: ~1.8 idle replies per client per round
     assert polls("idle") < rounds
@@ -668,3 +669,49 @@ def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
     finally:
         service.shutdown()
         service.engine.close()
+
+
+class _VanishingClient(ServiceClient):
+    """Dies once after ``leave_after`` dispatches without a ``leave``
+    (the service sees EOF: a lost worker), then redials its slot."""
+
+    def _leave(self) -> None:
+        if self.leave_after is None:   # the drain at the end
+            return super()._leave()
+        self.leave_after = None
+        self._close()
+        raise ConnectionError("vanished")
+
+
+def test_lost_worker_resumes_from_its_true_stream_position(task, devices,
+                                                            tmp_path):
+    """Worker 2 is lost after round 1, sits out round 2 and rejoins for
+    round 3.  Its stream position lives in the service (committed from
+    its last collected contribution), so the checkpoint written while
+    it was gone resumes to the uninterrupted run's history bytes."""
+    script = {0: [0, 1, 2], 2: [0, 1], 3: [0, 1, 2]}
+    config = _config(max_rounds=5, checkpoint_dir=str(tmp_path),
+                     checkpoint_every=1)
+    reference, _ = _scripted_reference(
+        task, devices, dataclasses.replace(config, checkpoint_dir=None),
+        script)
+    expected = normalised_history_bytes(reference)
+
+    service = FedMPService(task, devices, config, roster_script=script)
+    clients = {wid: ServiceClient(service.address, worker_id=wid)
+               for wid in (0, 1)}
+    clients[2] = _VanishingClient(service.address, worker_id=2,
+                                  leave_after=2, reconnect=True)
+    history, _, errors = _run_fleet(service, clients)
+    assert errors == {}
+    assert service.counters["lost"] == 1
+    assert normalised_history_bytes(history) == expected
+
+    resumed = FedMPService(task, devices, None, roster_script=script,
+                           resume_from=str(tmp_path / "ckpt-000003.ckpt"))
+    history, _, errors = _run_fleet(resumed, {
+        wid: ServiceClient(resumed.address, worker_id=wid)
+        for wid in (0, 1, 2)})
+    assert errors == {}
+    assert len(history.rounds) == 5
+    assert normalised_history_bytes(history) == expected

@@ -38,7 +38,11 @@ SERIAL_STAGES = [
 ]
 PROCESS_STAGES = (
     SERIAL_STAGES[:13]
-    + ["differential/serial_vs_process", "history/serial_vs_process_bytes"]
+    + ["differential/serial_vs_process",
+       "differential/serial_vs_process_async",
+       "differential/serial_vs_process_semi_sync",
+       "history/serial_vs_process_bytes",
+       "checkpoint/async_flights_in_the_air"]
     + SERIAL_STAGES[13:]
 )
 
