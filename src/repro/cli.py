@@ -425,6 +425,12 @@ def _cmd_serve(args, extra_hooks=()) -> int:
               "serve workers train in remote client processes",
               file=sys.stderr)
         return 2
+    for flag, value in (("--metrics-port", args.metrics_port),
+                        ("--manifest", args.manifest)):
+        if value is not None:
+            print(f"error: `repro serve` starts no scrape server and "
+                  f"writes no manifest; drop {flag}", file=sys.stderr)
+            return 2
     timing = TimingHook()
     comm = CommVolumeHook()
     hooks = [timing, comm, *extra_hooks]

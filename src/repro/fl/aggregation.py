@@ -1,9 +1,10 @@
 """Aggregator classes: the pluggable global-aggregation layer.
 
 Each :class:`Aggregator` turns one round's :class:`Contribution` set
-into a new global state.  All aggregators share the same skeleton --
-zero-expand every sub-model to the global shape, accumulate, normalise
--- and differ along two independent axes:
+into a new global state through one fold: rebuild every returned
+sub-model in the global shape (its *recovered model*), accumulate the
+weighted recovered models, normalise.  Aggregators differ along two
+independent axes:
 
 **Residual recovery** (Section III-C / Fig. 7):
 
@@ -11,11 +12,13 @@ zero-expand every sub-model to the global shape, accumulate, normalise
   residual model (global minus the dispatched sparse version) added
   back, so every parameter either carries its freshly trained value or
   its pre-round global value.  Pruned parameters survive to be trained
-  in later rounds.
+  in later rounds.  The fold builds this directly: the recovered model
+  starts as the pre-round global array and takes the uploaded values
+  at the kept positions.
 - **BSP**: plain averaging of the recovered sub-models without residual
-  recovery; positions that a worker pruned contribute zeros to the
-  average, so parameters that were ever pruned shrink towards zero --
-  the degradation Fig. 7 shows.
+  recovery -- the same fold over a zero base; positions that a worker
+  pruned contribute zeros to the average, so parameters that were ever
+  pruned shrink towards zero -- the degradation Fig. 7 shows.
 
 **Participation weighting**:
 
@@ -44,7 +47,7 @@ from typing import Dict, List, Optional, Type
 import numpy as np
 
 from repro.pruning.plan import PruningPlan
-from repro.pruning.structured import scatter_add_param, scatter_add_residual
+from repro.pruning.structured import scatter_assign_param
 
 
 class AggregationError(ValueError):
@@ -91,7 +94,8 @@ class Contribution:
     dispatched sparse version).  It is never materialised: the
     contribution carries ``global_state``, the frozen pre-round global
     state shared by every contribution of the round, and the aggregator
-    folds the residual in from it at the pruned positions.
+    starts the recovered model from it, so pruned positions keep their
+    global value and kept positions take the upload.
     """
 
     worker_id: int
@@ -198,9 +202,9 @@ class Aggregator:
         """Aggregate one round of contributions into a new global state.
 
         ``template`` supplies the global shapes for zero-expansion; see
-        :meth:`weigh` for which contributions take part.  Members of one
-        dispatched cohort fold in as a partial sum, everything else by
-        per-member scatter-add.
+        :meth:`weigh` for which contributions take part.  Every group
+        :meth:`_cohort_groups` returns -- one dispatched cohort, or a
+        single member -- goes through the one :meth:`_fold`.
         """
         weighted = self.weigh(contributions)
         accumulator: Dict[str, np.ndarray] = {
@@ -212,12 +216,7 @@ class Aggregator:
             total_weight += weight
 
         for members in self._cohort_groups(weighted):
-            if len(members) == 1:
-                contribution, weight = members[0]
-                self._accumulate_scatter(accumulator, contribution, weight,
-                                         template)
-            else:
-                self._accumulate_cohort(accumulator, members, template)
+            self._fold(accumulator, members, template)
 
         return {
             key: value / total_weight for key, value in accumulator.items()
@@ -228,117 +227,83 @@ class Aggregator:
 
         Contributions qualify when they share the identical plan object
         and the identical frozen global snapshot, and carry unit weight
-        -- the conditions under which a per-cohort partial sum plus a
-        single residual fold is exactly the member-order accumulation
-        (see :meth:`_accumulate_cohort`).  Everything else
-        stays a singleton group on the per-member scatter path.  Groups
-        come back in first-occurrence order.
+        -- the conditions under which folding the members' partial sum
+        once is exactly the member-order accumulation (see
+        :meth:`_fold`).  Everything else stays a singleton group.
+        Groups come back in first-occurrence order.
         """
         groups: Dict[object, list] = {}
-        order = []
         for contribution, weight in weighted:
             if weight == 1.0:
                 key = (id(contribution.plan), id(contribution.global_state))
             else:
                 key = ("solo", contribution.worker_id)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((contribution, weight))
-        return [groups[key] for key in order]
+            groups.setdefault(key, []).append((contribution, weight))
+        return list(groups.values())
 
-    def _accumulate_cohort(self, accumulator: Dict[str, np.ndarray],
-                           members: list,
-                           template: Dict[str, np.ndarray]) -> None:
-        """Cohort path: one partial sum + one residual fold per group.
+    def _fold(self, accumulator: Dict[str, np.ndarray], members: list,
+              template: Dict[str, np.ndarray]) -> None:
+        """Add one group's recovered model, weighted, to ``accumulator``.
 
-        All member weights are exactly 1.0 (enforced by
-        :meth:`_cohort_groups`), so the float64 partial sum accumulates
-        the identical addends the per-member path would have scattered,
-        and the residual -- identical for every member, since they share
-        the plan and the global snapshot -- folds in once with the group
-        weight, multiplied in float64 so ``M * g`` is the exact sum of
-        ``M`` unit-weight folds.
+        Per planned key the recovered model starts from its base -- the
+        pre-round global array under R2SP (so pruned positions carry the
+        residual), zeros without residual recovery -- and takes the
+        uploaded values at the kept positions.  A cohort of ``M``
+        unit-weight members uploads its float64 partial sum over a base
+        of ``M * global`` in float64.
+
+        Bitwise this is the per-member zero-expansion plus residual
+        model: every position receives the same float32 product (or,
+        for a cohort, the same exact float64 sum) in the same order.
+        Without a residual, pruned positions add ``+0.0``, which is
+        exact: an accumulator starting at ``+0.0`` never holds ``-0.0``
+        under round-to-nearest.
         """
-        first, _ = members[0]
+        first, weight = members[0]
         plan = first.plan
         planned = plan.param_names()
-        scatter_start = time.perf_counter() if self.metrics is not None \
-            else 0.0
+        count = len(members)
+        timed = self.metrics is not None and count > 1
+        scatter_start = time.perf_counter() if timed else 0.0
 
-        partial: Dict[str, np.ndarray] = {}
-        for contribution, _weight in members:
-            for key, sub_value in contribution.sub_state.items():
-                existing = partial.get(key)
-                if existing is None:
-                    partial[key] = sub_value.astype(np.float64)
-                else:
-                    existing += sub_value
+        sub_state = first.sub_state
+        if count > 1:
+            sub_state = {key: value.astype(np.float64)
+                         for key, value in sub_state.items()}
+            for contribution, _weight in members[1:]:
+                for key, partial in sub_state.items():
+                    partial += contribution.sub_state[key]
 
-        for key, full_value in template.items():
-            entry_info = planned.get(key)
-            if entry_info is not None:
-                layer_name, suffix = entry_info
-                scatter_add_param(accumulator[key], suffix, plan[layer_name],
-                                  partial[key], 1.0)
-            else:
-                if partial[key].shape != full_value.shape:
-                    raise ValueError(
-                        f"unplanned entry {key!r} changed shape: "
-                        f"{partial[key].shape} vs {full_value.shape}"
-                    )
-                accumulator[key] += partial[key]
-
-        if self.needs_residual:
-            global_state = first.global_state
-            group_weight = float(len(members))
-            for key, (layer_name, suffix) in planned.items():
-                if key in accumulator:
-                    scatter_add_residual(
-                        accumulator[key], suffix, plan[layer_name],
-                        global_state[key].astype(np.float64), group_weight,
-                    )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "aggregate_cohort_partial_sums_total",
-            ).inc()
-            self.metrics.histogram("aggregate_scatter_add_s").observe(
-                time.perf_counter() - scatter_start
-            )
-
-    def _accumulate_scatter(self, accumulator: Dict[str, np.ndarray],
-                            contribution: Contribution, weight: float,
-                            template: Dict[str, np.ndarray]) -> None:
-        """Per-member path: indexed in-place accumulation, no full-size
-        per-contribution allocations."""
-        plan = contribution.plan
-        planned = plan.param_names()
-        sub_state = contribution.sub_state
         for key, full_value in template.items():
             sub_value = sub_state[key]
             entry_info = planned.get(key)
-            if entry_info is not None:
-                layer_name, suffix = entry_info
-                scatter_add_param(accumulator[key], suffix, plan[layer_name],
-                                  sub_value, weight)
-            else:
+            if entry_info is None:
                 if sub_value.shape != full_value.shape:
                     raise ValueError(
                         f"unplanned entry {key!r} changed shape: "
                         f"{sub_value.shape} vs {full_value.shape}"
                     )
                 accumulator[key] += weight * sub_value
-        if self.needs_residual:
-            # The residual is the pre-round global value at pruned
-            # positions and zero at kept ones; unplanned keys were
-            # dispatched whole so their residual vanishes entirely.
-            global_state = contribution.global_state
-            for key, (layer_name, suffix) in planned.items():
-                if key in accumulator:
-                    scatter_add_residual(
-                        accumulator[key], suffix, plan[layer_name],
-                        global_state[key], weight,
-                    )
+                continue
+            if self.needs_residual:
+                recovered = first.global_state[key].astype(sub_value.dtype)
+                if count > 1:
+                    recovered *= count
+            else:
+                recovered = np.zeros(full_value.shape, dtype=sub_value.dtype)
+            layer_name, suffix = entry_info
+            scatter_assign_param(recovered, suffix, plan[layer_name],
+                                 sub_value)
+            recovered *= weight
+            accumulator[key] += recovered
+
+        if timed:
+            self.metrics.counter(
+                "aggregate_cohort_partial_sums_total",
+            ).inc()
+            self.metrics.histogram("aggregate_scatter_add_s").observe(
+                time.perf_counter() - scatter_start
+            )
 
 
 class BSPAggregator(Aggregator):

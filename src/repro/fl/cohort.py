@@ -10,9 +10,9 @@ bookkeeping shrinks to a handful of scalars (``tau``, round costs,
 sample counts).
 
 The cohort is also the granularity of a round's training requests
-(see :meth:`repro.runtime.executor.Executor.run_round`) and of scatter-add
-aggregation (per-cohort partial sums folded into the global
-accumulator), and -- with ``scope="cluster"`` -- the granularity at
+(see :meth:`repro.runtime.executor.Executor.run_round`) and of
+aggregation (one recovered-model fold per cohort, over its float64
+partial sum), and -- with ``scope="cluster"`` -- the granularity at
 which the E-UCB strategy observes rewards.
 """
 

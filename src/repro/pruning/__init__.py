@@ -38,7 +38,6 @@ from repro.pruning.structured import (
     gather_param,
     recover_state_dict,
     scatter_add_param,
-    scatter_add_residual,
     scatter_assign_param,
 )
 from repro.pruning.masks import residual_state_dict, sparse_state_dict
@@ -55,7 +54,6 @@ __all__ = [
     "gather_param",
     "recover_state_dict",
     "scatter_add_param",
-    "scatter_add_residual",
     "scatter_assign_param",
     "sparse_state_dict",
     "residual_state_dict",

@@ -21,7 +21,7 @@ import numpy as np
 #: counts.  ``"out"`` is the layer's own units, ``"in"`` the upstream
 #: units it reads, ``"gates"`` the layer's units once per stacked LSTM
 #: gate block; trailing axes (conv kernels) are never indexed.
-#: Gather, scatter, the residual fold, sub-model extraction and
+#: Gather, scatter, sub-model extraction and
 #: :meth:`PruningPlan.param_names` are all derived from it.  The codec
 #: writes a kind as its position here, so new kinds go at the end.
 COUPLING: Dict[str, Dict[str, Tuple[str, ...]]] = {
@@ -78,9 +78,9 @@ class LayerPrune:
                 f"no coupling rule for kind={self.kind!r} suffix={suffix!r}"
             ) from None
 
-    def axis(self, role: str, pruned: bool = False) -> np.ndarray:
+    def axis(self, role: str) -> np.ndarray:
         """Positions along one full-array axis of ``role``: those of the
-        surviving units, or with ``pruned`` those of the removed ones."""
+        surviving units."""
         if role == "in":
             if self.kept_in is None:
                 raise ValueError(
@@ -88,20 +88,11 @@ class LayerPrune:
             units, full = self.kept_in, self.in_full
         else:
             units, full = self.kept_out, self.out_full
-        if pruned:
-            mask = np.ones(full, dtype=bool)
-            mask[units] = False
-            units = np.flatnonzero(mask)
         if role == "gates":  # the four gate blocks stacked along axis 0
             units = np.concatenate(
                 [gate * full + units for gate in range(4)]
             ).astype(np.intp)
         return units
-
-    @property
-    def out_pruned(self) -> np.ndarray:
-        """Indices of removed output units."""
-        return self.axis("out", pruned=True)
 
     def keeps_everything(self) -> bool:
         """True when no unit of this layer was removed."""

@@ -283,24 +283,3 @@ def scatter_add_param(acc: np.ndarray, suffix: str, entry: LayerPrune,
     ``acc`` in place — what ``acc += weight * recovered`` does, without
     allocating the zero-expanded array."""
     acc[_kept_index(suffix, entry)] += weight * sub_value
-
-
-def scatter_add_residual(acc: np.ndarray, suffix: str, entry: LayerPrune,
-                         full_value: np.ndarray, weight: float) -> None:
-    """Accumulate ``weight * full_value`` at every *pruned* position of
-    ``acc`` in place.
-
-    For R2SP the residual of a sub-model against the global state is
-    exactly the global value at pruned positions and exactly zero at
-    kept positions, so this folds the residual model in without
-    materialising ``global - sparse`` as a full array.  The pruned set
-    is the disjoint union, over the coupled axes ``k``, of (kept on the
-    axes before ``k``) x (pruned on axis ``k``) x (everything after);
-    each position is touched once.
-    """
-    roles = entry.roles(suffix)
-    for k, role in enumerate(roles):
-        pruned = entry.axis(role, pruned=True)
-        if pruned.size:
-            idx = np.ix_(*(entry.axis(r) for r in roles[:k]), pruned)
-            acc[idx] += weight * full_value[idx]

@@ -4,8 +4,8 @@ The round engine promises that several axes are
 *semantics-preserving*:
 
 - the **production round** (plan & template caching, cohort requests
-  through the executor, scatter-add accumulation) is bitwise identical
-  to the per-member reference round with dense aggregation
+  through the executor, one aggregation fold per cohort) is bitwise
+  identical to the per-member reference round with dense aggregation
   (:class:`repro.verify.oracle.ReferenceEngine`);
 - a **semi-synchronous** round with an unreachable deadline admits
   every worker, so it aggregates the same contribution *set* as the
@@ -235,7 +235,7 @@ def differential_engine_vs_reference(task_factory: Callable[[], object],
 
     The engine buckets workers into cohorts, caches one plan and one
     template per bucket, may train a cohort as one vectorised batch,
-    and scatter-adds per-cohort float64 partial sums; the reference
+    and folds per-cohort float64 partial sums; the reference
     plans, extracts and trains every member on its own and aggregates
     densely (:mod:`repro.verify.oracle`).  The two are *specified* to
     be bitwise identical (DESIGN.md section 3.3), rng-bearing models

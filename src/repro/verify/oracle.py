@@ -1,8 +1,8 @@
 """Slow reference implementations the round engine is checked against.
 
 The engine has one production round path (cached plans and templates,
-cohort requests through the executor, scatter-add aggregation).  The
-two behaviours it must stay bitwise identical to live here, where
+cohort requests through the executor, one aggregation fold per cohort).
+The two behaviours it must stay bitwise identical to live here, where
 production code never imports them:
 
 - :func:`dense_aggregate` -- the textbook R2SP/BSP sum: every

@@ -103,6 +103,28 @@ def test_run_rejects_profiler_with_process_executor(capsys):
     assert "--profile-worker" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--metrics-port", "0"),
+                                         ("--manifest", "manifest.json")])
+def test_serve_rejects_flags_it_cannot_honour(flag, value, tmp_path,
+                                              monkeypatch, capsys):
+    """`repro serve` starts no scrape server and writes no manifest, so
+    it refuses both flags before binding any port or writing any file."""
+    import repro.serve
+    import repro.telemetry
+
+    def _no_bind(*args, **kwargs):
+        raise AssertionError("a port was bound")
+
+    monkeypatch.setattr(repro.serve, "FedMPService", _no_bind)
+    monkeypatch.setattr(repro.telemetry, "MetricsHTTPServer", _no_bind)
+    monkeypatch.chdir(tmp_path)
+    code = main(["serve", "--task", "cnn", "--rounds", "1",
+                 "--port-file", "port.txt", flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_parser_accepts_executor_flags():
     parser = build_parser()
     args = parser.parse_args(["verify", "--executor", "process",

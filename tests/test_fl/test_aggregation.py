@@ -207,9 +207,66 @@ def test_scatter_path_matches_dense_path_bitwise(scheme, rng):
     aggregator = make_aggregator(scheme)
     dense = dense_aggregate(aggregator, contributions, template)
     fast = aggregator.aggregate(contributions, template)
-    assert set(dense) == set(fast)
-    for key in dense:
-        assert np.array_equal(dense[key], fast[key]), key
+    _assert_bits_equal(dense, fast)
+
+
+def _assert_bits_equal(expected, actual):
+    """Equal as ``uint64`` views: ``-0.0`` and ``+0.0`` differ."""
+    assert set(expected) == set(actual)
+    for key in expected:
+        np.testing.assert_array_equal(expected[key].view(np.uint64),
+                                      actual[key].view(np.uint64),
+                                      err_msg=key)
+
+
+def _with_negative_zeros(state, rng):
+    """A copy of ``state`` with about 2 % of every array set to -0.0."""
+    signed = {}
+    for key, value in state.items():
+        value = value.copy()
+        flat = value.reshape(-1)
+        flat[rng.random(flat.size) < 0.02] = -0.0
+        signed[key] = value
+    return signed
+
+
+@pytest.mark.parametrize("scheme", sorted(AGGREGATORS))
+def test_mixed_round_with_a_cohort_matches_dense_path_bitwise(scheme, rng):
+    """One round mixing a 3-member cohort (one plan object, one global
+    snapshot, unit weights) with two single members at other ratios,
+    some uploads holding -0.0: the production fold equals the dense
+    zero-expansion + residual reference bit for bit."""
+    model = build_cnn(rng=rng)
+    template = model.state_dict()
+    snapshot = {key: value.copy() for key, value in template.items()}
+    extract_rng = np.random.default_rng(7)
+    plan = build_pruning_plan(model, 0.4)
+    base = extract_submodel(model, plan, rng=extract_rng).state_dict()
+    contributions = [
+        Contribution(
+            worker_id=worker_id,
+            sub_state=_with_negative_zeros(
+                {key: value + np.float32(0.25 * worker_id - 0.3)
+                 for key, value in base.items()}, rng),
+            plan=plan, num_samples=1, global_state=snapshot,
+        )
+        for worker_id in range(3)
+    ]
+    for worker_id, (ratio, shift, count) in enumerate(
+            ((0.2, -0.75, 5), (0.6, 0.5, 3)), start=3):
+        single = _trained_pruned_contribution(
+            model, worker_id, ratio, shift, extract_rng, num_samples=count)
+        single.sub_state = _with_negative_zeros(single.sub_state, rng)
+        single.global_state = snapshot
+        contributions.append(single)
+
+    aggregator = make_aggregator(scheme)
+    aggregator.metrics = MetricsRegistry()
+    dense = dense_aggregate(aggregator, contributions, template)
+    fast = aggregator.aggregate(contributions, template)
+    _assert_bits_equal(dense, fast)
+    assert aggregator.metrics.counter(
+        "aggregate_cohort_partial_sums_total").value == 1
 
 
 def test_global_state_residual_matches_materialised_residual(rng):

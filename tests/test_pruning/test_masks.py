@@ -27,7 +27,7 @@ def test_sparse_zeroes_exactly_the_pruned_positions(model_and_plan):
     sparse = sparse_state_dict(model.state_dict(), plan)
     entry = plan["conv1"]
     weight = sparse["conv1.weight"]
-    pruned = entry.out_pruned
+    pruned = np.setdiff1d(np.arange(entry.out_full), entry.kept_out)
     assert np.all(weight[pruned] == 0.0)
     assert np.allclose(
         weight[entry.kept_out], model.get("conv1").params["weight"][entry.kept_out]
@@ -47,10 +47,11 @@ def test_residual_zero_on_kept_positions(model_and_plan):
     model, plan = model_and_plan
     residual = residual_state_dict(model.state_dict(), plan)
     entry = plan["conv1"]
+    pruned = np.setdiff1d(np.arange(entry.out_full), entry.kept_out)
     assert np.all(residual["conv1.bias"][entry.kept_out] == 0.0)
     assert np.all(
-        residual["conv1.bias"][entry.out_pruned]
-        == model.get("conv1").params["bias"][entry.out_pruned]
+        residual["conv1.bias"][pruned]
+        == model.get("conv1").params["bias"][pruned]
     )
 
 

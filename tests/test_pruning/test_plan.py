@@ -22,12 +22,6 @@ def test_keep_count_rejects_out_of_range():
         keep_count(10, -0.1)
 
 
-def test_layer_prune_out_pruned_complement():
-    entry = LayerPrune(kind="conv", kept_out=np.array([0, 2]), out_full=4,
-                       kept_in=np.array([0]), in_full=1)
-    assert entry.out_pruned.tolist() == [1, 3]
-
-
 def test_layer_prune_keeps_everything():
     entry = LayerPrune(kind="bn", kept_out=np.arange(3), out_full=3)
     assert entry.keeps_everything()

@@ -1,4 +1,5 @@
-"""Property tests: the scatter fast path against dense reference oracles.
+"""Property tests: the aggregation fold and scatter helpers against
+dense reference oracles.
 
 Fuzzes over the generators in :mod:`repro.verify.strategies`:
 well-formed pruning plans on layer-chain templates of every plan kind
@@ -13,14 +14,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import Contribution, R2SPAggregator
+from repro.fl.aggregation import Contribution, R2SPAggregator, make_aggregator
 from repro.pruning.masks import residual_state_dict
 from repro.pruning.plan import PruningPlan
 from repro.pruning.structured import (
     recover_state_dict,
     scatter_add_param,
-    scatter_add_residual,
 )
+from repro.verify.oracle import dense_aggregate
 from repro.verify.strategies import (
     chain_scenarios,
     pruning_ratios,
@@ -53,23 +54,22 @@ def test_scatter_add_matches_dense_recovery(scenario):
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenario=chain_scenarios())
-def test_scatter_add_residual_matches_dense_residual(scenario):
-    """In-place residual folding == the materialised residual model."""
-    template, plan, _, weight = scenario
-    planned = plan.param_names()
-    accumulator = {
-        key: np.zeros_like(value, dtype=np.float64)
-        for key, value in template.items()
-    }
-    for key, (layer, suffix) in planned.items():
-        scatter_add_residual(accumulator[key], suffix, plan[layer],
-                             template[key], weight)
-    residual = residual_state_dict(template, plan)
-    for key in planned:
-        expected = np.zeros_like(template[key], dtype=np.float64)
-        expected += weight * residual[key]
-        np.testing.assert_array_equal(accumulator[key], expected)
+@given(scenario=chain_scenarios(), scheme=st.sampled_from(("r2sp", "bsp")))
+def test_aggregate_matches_dense_aggregate(scenario, scheme):
+    """One trained contribution folded by the aggregator equals the
+    dense zero-expansion (+ materialised residual under R2SP), compared
+    as ``uint64`` views so a signed zero would show."""
+    template, plan, sub_state, weight = scenario
+    trained = {key: value - np.float32(weight)
+               for key, value in sub_state.items()}
+    contribution = Contribution(worker_id=0, sub_state=trained, plan=plan,
+                                global_state=template)
+    aggregator = make_aggregator(scheme)
+    result = aggregator.aggregate([contribution], template)
+    expected = dense_aggregate(aggregator, [contribution], template)
+    for key in template:
+        np.testing.assert_array_equal(result[key].view(np.uint64),
+                                      expected[key].view(np.uint64))
 
 
 @settings(max_examples=50, deadline=None)

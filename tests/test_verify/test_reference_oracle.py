@@ -36,7 +36,7 @@ SCHEDULERS = {
     "async": {"async_m": 3},
     "semi_sync": {"semi_sync_deadline_s": 30.0},
 }
-SCHEMES = ("r2sp", "bsp", "r2sp_weighted")
+SCHEMES = ("r2sp", "bsp", "r2sp_weighted", "bsp_weighted")
 
 
 def _cnn_task():
@@ -166,9 +166,9 @@ def test_rng_bearing_model_dispatches_one_member_cohorts(devices):
 
 
 def test_dense_aggregate_matches_scatter_and_cohort_paths():
-    """The oracle agrees with both production accumulators: unit
-    weights sharing a plan take the cohort partial sum, sample weights
-    the per-member scatter."""
+    """The oracle agrees with the production fold bit for bit: unit
+    weights sharing a plan fold as one cohort partial sum, sample
+    weights member by member."""
     task = _cnn_task()
     model = task.build_model(np.random.default_rng(3))
     template = model.state_dict()
@@ -188,4 +188,6 @@ def test_dense_aggregate_matches_scatter_and_cohort_paths():
         expected = dense_aggregate(aggregator, contributions, template)
         actual = aggregator.aggregate(contributions, template)
         for key in template:
-            assert np.array_equal(actual[key], expected[key]), (scheme, key)
+            np.testing.assert_array_equal(
+                actual[key].view(np.uint64), expected[key].view(np.uint64),
+                err_msg=f"{scheme} {key}")
