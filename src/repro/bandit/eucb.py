@@ -282,76 +282,6 @@ class EUCBAgent:
             stats.disc_count += weight
             stats.disc_raw_sum += weight * record.reward
 
-    # ------------------------------------------------------------------
-    # live arm-population changes (service mode / dynamic fleets)
-    # ------------------------------------------------------------------
-    def add_arm(self, at: float, min_width: float = 1e-4
-                ) -> Tuple[Region, Region]:
-        """Explicitly refine the partition at a new arm value.
-
-        Used when the served arm population grows mid-run (a worker
-        registers with a capability profile suggesting ratios around
-        ``at``): the containing region is split at ``at`` and its plays
-        and discounted statistics are re-assigned to the children, so
-        the incremental stats stay equal to the full-history replay.
-        Restructuring with a play pending is refused -- the pending
-        region could be invalidated under the strategy's feet; callers
-        observe or :meth:`abandon` first.
-        """
-        if self._pending_arm is not None:
-            raise RuntimeError(
-                "cannot restructure the partition with a play pending"
-            )
-        region = self.partition.find(at)
-        left, right = self.partition.split(region, at, min_width=min_width)
-        self._split_stats(region, left, right)
-        return left, right
-
-    def retire_arm(self, arm: float) -> Region:
-        """Coarsen the partition around a retired arm value.
-
-        The region containing ``arm`` is merged into its right
-        neighbour (left for the last region); the two regions' play
-        histories are combined in step order and the merged region's
-        discounted statistics are rebuilt from them with the canonical
-        ``d**(n - step) * geom(count)`` weights, keeping incremental
-        == replay.  The sole remaining region cannot be retired, and
-        restructuring with a play pending is refused.
-        """
-        if self._pending_arm is not None:
-            raise RuntimeError(
-                "cannot restructure the partition with a play pending"
-            )
-        regions = list(self.partition)
-        if len(regions) == 1:
-            raise ValueError("cannot retire the last remaining region")
-        region = self.partition.find(arm)
-        index = regions.index(region)
-        if index + 1 < len(regions):
-            left, right = region, regions[index + 1]
-        else:
-            left, right = regions[index - 1], region
-        merged = self.partition.merge(left, right)
-        old_left = self._stats.pop(left, None)
-        old_right = self._stats.pop(right, None)
-        plays = []
-        if old_left is not None:
-            plays.extend(old_left.plays)
-        if old_right is not None:
-            plays.extend(old_right.plays)
-        if plays:
-            plays.sort(key=lambda record: record.step)
-            stats = _RegionStats()
-            n = self._total_steps
-            for record in plays:
-                weight = (self.discount ** (n - record.step)
-                          * self._geom(record.count))
-                stats.plays.append(record)
-                stats.disc_count += weight
-                stats.disc_raw_sum += weight * record.reward
-            self._stats[merged] = stats
-        return merged
-
     def snapshot(self) -> dict:
         """JSON-ready view of the agent's internal state (Eqs. 9-11).
 

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+#: narrowest region a split may create; a cut closer to an edge falls
+#: back to the midpoint
+MIN_WIDTH = 1e-4
+
 
 @dataclass(frozen=True)
 class Region:
@@ -75,27 +79,7 @@ class Partition:
                 return region
         raise ValueError(f"arm {arm} outside partition bounds")
 
-    def merge(self, left: Region, right: Region) -> Region:
-        """Merge two *adjacent* leaves back into one region.
-
-        The inverse of :meth:`split`: the partition stays a contiguous
-        tiling.  Returns the merged region; the partition is updated in
-        place.
-        """
-        if left not in self._regions:
-            raise ValueError(f"region {left} is not a leaf of this partition")
-        index = self._regions.index(left)
-        if (index + 1 >= len(self._regions)
-                or self._regions[index + 1] != right):
-            raise ValueError(
-                f"regions {left} and {right} are not adjacent leaves"
-            )
-        merged = Region(left.low, right.high)
-        self._regions[index:index + 2] = [merged]
-        return merged
-
-    def split(self, region: Region, at: float,
-              min_width: float = 1e-4) -> Tuple[Region, Region]:
+    def split(self, region: Region, at: float) -> Tuple[Region, Region]:
         """Split ``region`` at ``at``, falling back to the midpoint when
         the cut would create a degenerate sliver.
 
@@ -104,7 +88,7 @@ class Partition:
         if region not in self._regions:
             raise ValueError(f"region {region} is not a leaf of this partition")
         cut = at
-        if cut - region.low < min_width or region.high - cut < min_width:
+        if cut - region.low < MIN_WIDTH or region.high - cut < MIN_WIDTH:
             cut = region.midpoint
         left = Region(region.low, cut)
         right = Region(cut, region.high)

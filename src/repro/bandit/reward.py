@@ -11,8 +11,6 @@ leading to a higher reward."
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 def eucb_reward(delta_loss: float, completion_time: float,
                 mean_completion_time: float,
@@ -32,14 +30,3 @@ def eucb_reward(delta_loss: float, completion_time: float,
     """
     gap = abs(completion_time - mean_completion_time)
     return delta_loss / max(gap, time_eps)
-
-
-def round_rewards(delta_loss: float,
-                  completion_times: Sequence[float]) -> list:
-    """Eq. 8 evaluated for every worker of a round at once."""
-    if not completion_times:
-        return []
-    mean_time = sum(completion_times) / len(completion_times)
-    return [
-        eucb_reward(delta_loss, t, mean_time) for t in completion_times
-    ]

@@ -9,7 +9,7 @@ Section V-F defines non-IIDness by a level ``y``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -110,8 +110,3 @@ def partition_dataset(dataset: ImageDataset, num_workers: int,
     if dataset.name in ("mnist", "cifar10"):
         return label_skew_partition(labels, num_workers, non_iid_level, rng)
     return missing_classes_partition(labels, num_workers, int(non_iid_level), rng)
-
-
-def partition_sizes(parts: Sequence[np.ndarray]) -> List[int]:
-    """Sample counts per worker, for reporting."""
-    return [int(part.size) for part in parts]

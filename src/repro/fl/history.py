@@ -34,7 +34,7 @@ class RoundRecord:
     #: Values must be JSON-serialisable (numbers, strings, and nested
     #: lists/dicts thereof): scalars like ``wall_time_s`` sit next to
     #: structured payloads like the per-worker E-UCB snapshot under
-    #: ``"eucb"``, and :mod:`repro.io` round-trips them all.
+    #: ``"eucb"``, and :func:`repro.io.save_history` serialises them all.
     extras: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -68,12 +68,6 @@ class TrainingHistory:
         for record in self.rounds:
             if record.metric is not None and self._reached(record.metric, target):
                 return record.sim_time_s
-        return None
-
-    def rounds_to_target(self, target: float) -> Optional[int]:
-        for record in self.rounds:
-            if record.metric is not None and self._reached(record.metric, target):
-                return record.round_index + 1
         return None
 
     def metric_at_time(self, budget_s: float) -> Optional[float]:

@@ -93,7 +93,6 @@ class AsynchronousScheduler(Scheduler):
                 now = arrivals[-1].finish_time
                 previous_now = engine.clock.now
                 engine.clock.advance_to(max(now, previous_now))
-                engine.clock.mark_round()
 
                 trained = engine.train_all(arrivals, round_index)
                 contributions = [contribution for contribution, _ in trained]

@@ -49,13 +49,6 @@ class DispatchQueue:
     sequence)``; the sequence tiebreak reproduces the previous
     stable-sort order exactly, keeping event-driven runs bitwise
     reproducible.
-
-    The member set may change between events (service-mode live
-    churn): :meth:`discard` removes a worker's outstanding dispatch
-    immediately, its heap entry turning *stale*.  Stale entries are
-    skipped lazily -- an entry is live only while it is still the
-    worker's registered dispatch -- so discarding is O(1) and the heap
-    order of the surviving events is untouched.
     """
 
     def __init__(self) -> None:
@@ -83,28 +76,7 @@ class DispatchQueue:
         heapq.heappush(self._heap, (dispatch.finish_time, self._seq, dispatch))
         self._seq += 1
 
-    def discard(self, worker_id: int) -> Optional[Dispatch]:
-        """Drop a worker's outstanding dispatch (it left mid-flight).
-
-        Returns the discarded dispatch, or ``None`` if the worker had
-        nothing outstanding.  The heap entry is invalidated lazily.
-        """
-        return self._outstanding.pop(worker_id, None)
-
-    def _drop_stale(self) -> None:
-        while self._heap:
-            dispatch = self._heap[0][2]
-            if self._outstanding.get(dispatch.worker_id) is dispatch:
-                return
-            heapq.heappop(self._heap)
-
-    def earliest_finish(self) -> float:
-        """Finish time of the next arrival; the queue must be non-empty."""
-        self._drop_stale()
-        return self._heap[0][0]
-
     def _pop(self) -> Dispatch:
-        self._drop_stale()
         _, _, dispatch = heapq.heappop(self._heap)
         del self._outstanding[dispatch.worker_id]
         return dispatch
@@ -117,11 +89,9 @@ class DispatchQueue:
         """Remove and return every dispatch finishing at or before
         ``deadline``, earliest first."""
         arrivals = []
-        while True:
-            self._drop_stale()
-            if not self._heap or self._heap[0][0] > deadline:
-                return arrivals
+        while self._heap and self._heap[0][0] <= deadline:
             arrivals.append(self._pop())
+        return arrivals
 
 
 def make_scheduler(config: FLConfig) -> Scheduler:

@@ -93,7 +93,6 @@ class SemiSynchronousScheduler(Scheduler):
                     arrivals = outstanding.pop_first(1)
                     round_end = arrivals[-1].finish_time
                 engine.clock.advance_to(max(round_end, previous_now))
-                engine.clock.mark_round()
 
                 trained = engine.train_all(arrivals, round_index)
                 contributions = [contribution for contribution, _ in trained]

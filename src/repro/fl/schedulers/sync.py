@@ -75,7 +75,6 @@ class SynchronousScheduler(Scheduler):
                 engine.aggregate(contributions, round_index)
 
                 engine.clock.advance(round_time)
-                engine.clock.mark_round()
                 mean_train_loss = float(np.mean(train_losses))
                 delta_loss = engine.delta_loss(mean_train_loss)
                 engine.strategy.observe_round(RoundObservation(

@@ -110,7 +110,3 @@ class Strategy:
         state so a rejoining worker resumes where it left off."""
         if worker_id in self.worker_ids:
             self.worker_ids.remove(worker_id)
-
-    def overhead_note(self) -> str:
-        """Free-form description for reporting."""
-        return ""

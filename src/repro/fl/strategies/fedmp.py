@@ -234,7 +234,3 @@ class FedMPStrategy(Strategy):
                 for key, agent in self.agents.items()
             },
         }
-
-    def overhead_note(self) -> str:
-        regions = sum(agent.num_regions for agent in self.agents.values())
-        return f"{len(self.agents)} agents, {regions} partition leaves"

@@ -1,54 +1,27 @@
-"""Persistence: model checkpoints and training histories.
+"""Persistence: training histories.
 
-State dicts save to ``.npz`` (one array per parameter); histories save
-to JSON so external tooling can plot the benchmark curves.  Both
-round-trip exactly (up to float32 storage for checkpoints).
+Histories save to JSON (``repro run --history``) so external tooling
+can plot the benchmark curves; the write is atomic, so a kill
+mid-write cannot leave a torn file.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
-from typing import Dict, Union
-
-import numpy as np
+from typing import Union
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text
-from repro.fl.history import RoundRecord, TrainingHistory
+from repro.fl.history import TrainingHistory
 from repro.telemetry.spans import to_jsonable
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
-    "save_state_dict",
-    "load_state_dict",
     "save_history",
-    "load_history",
 ]
 
 PathLike = Union[str, Path]
-
-
-def save_state_dict(state: Dict[str, np.ndarray], path: PathLike) -> None:
-    """Save a state dict to a compressed ``.npz`` checkpoint.
-
-    Matches ``np.savez_compressed`` naming (a ``.npz`` suffix is
-    appended when missing) but writes atomically so a kill mid-write
-    cannot leave a torn archive.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **state)
-    atomic_write_bytes(path, buffer.getvalue())
-
-
-def load_state_dict(path: PathLike) -> Dict[str, np.ndarray]:
-    """Load a checkpoint produced by :func:`save_state_dict`."""
-    with np.load(Path(path)) as archive:
-        return {key: archive[key].copy() for key in archive.files}
 
 
 def save_history(history: TrainingHistory, path: PathLike) -> None:
@@ -87,34 +60,3 @@ def save_history(history: TrainingHistory, path: PathLike) -> None:
         ],
     }
     atomic_write_text(path, json.dumps(payload, indent=2))
-
-
-def load_history(path: PathLike) -> TrainingHistory:
-    """Load a history produced by :func:`save_history`."""
-    payload = json.loads(Path(path).read_text())
-    history = TrainingHistory(
-        strategy=payload["strategy"],
-        model_name=payload["model_name"],
-        higher_is_better=payload["higher_is_better"],
-    )
-    for entry in payload["rounds"]:
-        history.append(RoundRecord(
-            round_index=entry["round_index"],
-            sim_time_s=entry["sim_time_s"],
-            round_time_s=entry["round_time_s"],
-            metric=entry["metric"],
-            eval_loss=entry["eval_loss"],
-            train_loss=entry["train_loss"],
-            ratios={int(k): v for k, v in entry["ratios"].items()},
-            completion_times={
-                int(k): v for k, v in entry["completion_times"].items()
-            },
-            discarded=list(entry["discarded"]),
-            overhead_s=entry["overhead_s"],
-            # absent in histories written before the round engine
-            carried_over=list(entry.get("carried_over", [])),
-            # absent before cohort-sharded rounds and under member detail
-            cohorts=entry.get("cohorts"),
-            extras=dict(entry.get("extras", {})),
-        ))
-    return history

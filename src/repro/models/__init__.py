@@ -14,7 +14,7 @@ from repro.models.vgg import build_vgg19
 from repro.models.resnet import build_resnet50
 from repro.models.lstm_lm import build_lstm_lm
 from repro.models.blocks import Bottleneck
-from repro.models.flops import count_model_flops, count_model_params
+from repro.models.flops import count_model_flops
 from repro.models.registry import MODEL_BUILDERS, build_model
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "build_lstm_lm",
     "Bottleneck",
     "count_model_flops",
-    "count_model_params",
     "MODEL_BUILDERS",
     "build_model",
 ]

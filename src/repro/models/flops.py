@@ -33,11 +33,6 @@ from repro.nn.module import Module, Sequential
 from repro.nn.recurrent import LSTM, Embedding
 
 
-def count_model_params(model: Module) -> int:
-    """Number of trainable scalar parameters in ``model``."""
-    return model.num_parameters()
-
-
 def count_model_flops(model: Module,
                       input_shape: Tuple[int, ...] = None,
                       seq_len: int = 20) -> int:

@@ -26,7 +26,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.recurrent import LSTM, Embedding
-from repro.nn.loss import CrossEntropyLoss, MSELoss, softmax
+from repro.nn.loss import CrossEntropyLoss, softmax
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn import init
 from repro.nn import functional
@@ -45,7 +45,6 @@ __all__ = [
     "LSTM",
     "Embedding",
     "CrossEntropyLoss",
-    "MSELoss",
     "softmax",
     "SGD",
     "ProximalSGD",

@@ -92,11 +92,6 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectified linear unit."""
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid, ``e^x / (1 + e^x)`` where not
     ``x >= 0``: one select over both formulas, no masked gathers (``exp``

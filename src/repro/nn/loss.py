@@ -61,25 +61,6 @@ class CrossEntropyLoss:
         return self.forward(logits, targets)
 
 
-class MSELoss:
-    """Mean squared error, mainly for substrate tests."""
-
-    def __init__(self) -> None:
-        self._diff: Optional[np.ndarray] = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        self._diff = pred - target
-        return float((self._diff ** 2).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(pred, target)
-
-
 def perplexity(cross_entropy: float) -> float:
     """Perplexity = exp(cross entropy), the paper's RNN metric."""
     return float(np.exp(cross_entropy))

@@ -30,26 +30,3 @@ def pruning_error(full_state: Dict[str, np.ndarray],
         diff = value - sparse[key]
         total += float((diff ** 2).sum())
     return total
-
-
-def relative_pruning_error(full_state: Dict[str, np.ndarray],
-                           plan: PruningPlan) -> float:
-    """Pruning error normalised by the global model's squared norm."""
-    norm = sum(float((value ** 2).sum()) for value in full_state.values())
-    if norm == 0.0:
-        return 0.0
-    return pruning_error(full_state, plan) / norm
-
-
-def state_mass(state: Dict[str, np.ndarray]) -> float:
-    """Sum of absolute values across a state dict, in float64.
-
-    A cheap order-independent fingerprint of accumulated mass --
-    the checkpoint round-trip tests use it to assert that a restored
-    error-feedback memory carries exactly the mass the original did
-    (complementing the per-array bitwise comparison).
-    """
-    return float(sum(
-        np.abs(np.asarray(value, dtype=np.float64)).sum()
-        for value in state.values()
-    ))

@@ -94,12 +94,6 @@ class LayerPrune:
             ).astype(np.intp)
         return units
 
-    def keeps_everything(self) -> bool:
-        """True when no unit of this layer was removed."""
-        out_all = self.kept_out.size == self.out_full
-        in_all = self.kept_in is None or self.kept_in.size == self.in_full
-        return out_all and in_all
-
 
 @dataclass
 class PruningPlan:
@@ -147,10 +141,6 @@ class PruningPlan:
                     mapping[f"{layer_name}.{suffix}"] = (layer_name, suffix)
             self._param_names = mapping
         return self._param_names
-
-    def is_identity(self) -> bool:
-        """True when the plan removes nothing (ratio effectively 0)."""
-        return all(entry.keeps_everything() for entry in self.layers.values())
 
 
 def plan_signature(plan: PruningPlan) -> Tuple:

@@ -98,7 +98,6 @@ __all__ = [
     "decode_dispatch",
     "encode_contribution",
     "decode_contribution",
-    "frame_kind",
 ]
 
 MAGIC = b"FMPW"
@@ -841,19 +840,6 @@ def _open_frame(frame: bytes, expected_kind: int) -> Tuple[_Reader, int]:
         )
     body = memoryview(frame)[_HEADER.size:-_CRC.size]
     return _Reader(body), flags
-
-
-def frame_kind(frame: bytes) -> int:
-    """The kind code of a frame, after validating magic and version
-    (but not the CRC)."""
-    if len(frame) < _HEADER.size:
-        raise WireFormatError("frame shorter than the header")
-    magic, version, kind, _ = _HEADER.unpack(frame[:_HEADER.size])
-    if magic != MAGIC:
-        raise WireFormatError(f"bad magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise WireFormatError(f"unsupported wire version {version}")
-    return kind
 
 
 def decode_dispatch(frame: bytes) -> DispatchPayload:

@@ -17,13 +17,10 @@ that names any other global -- the ``__reduce__`` route to code
 execution -- raises :class:`~repro.runtime.transport.TransportError`
 before anything is constructed.
 
-Two consumption styles:
-
-- :func:`send_message` / :func:`recv_message` -- blocking helpers for
-  the client side and for tests;
-- :class:`FrameBuffer` -- an incremental decoder for the service's
-  non-blocking ``selectors`` loop: feed it whatever ``recv`` returned,
-  pop every complete message.
+:func:`send_message` is the blocking send; :class:`FrameBuffer` is
+the incremental decoder every receive goes through (the service's
+non-blocking ``selectors`` loop and the client transport): feed it
+whatever ``recv`` returned, pop every complete message.
 
 :class:`SocketTransport` is the worker-side
 :class:`~repro.runtime.transport.Transport`: one TCP connection to the
@@ -45,7 +42,7 @@ import select
 import socket
 import struct
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.runtime.transport import (
     RetryPolicy,
@@ -61,7 +58,6 @@ __all__ = [
     "encode_message",
     "safe_loads",
     "send_message",
-    "recv_message",
     "SocketTransport",
 ]
 
@@ -128,37 +124,6 @@ def send_message(sock: socket.socket, message) -> None:
         sock.sendall(encode_message(message))
     except (BrokenPipeError, ConnectionError, OSError) as exc:
         raise SocketClosedError(f"peer went away mid-send: {exc}") from exc
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except (ConnectionError, OSError) as exc:
-            raise SocketClosedError(
-                f"peer went away mid-receive: {exc}"
-            ) from exc
-        if not chunk:
-            raise SocketClosedError(
-                f"connection closed with {remaining} of {count} "
-                f"byte(s) unread"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_message(sock: socket.socket):
-    """Receive one framed message (blocking)."""
-    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
-    if length > MAX_MESSAGE_BYTES:
-        raise TransportError(
-            f"frame announces {length} bytes, over the "
-            f"{MAX_MESSAGE_BYTES}-byte cap -- stream corrupt?"
-        )
-    return safe_loads(_recv_exact(sock, length))
 
 
 class FrameBuffer:

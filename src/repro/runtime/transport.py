@@ -40,7 +40,6 @@ __all__ = [
     "RetryPolicy",
     "RetryClock",
     "Transport",
-    "LocalTransport",
     "ProcessTransport",
     "StragglerDetector",
 ]

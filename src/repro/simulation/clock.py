@@ -8,15 +8,12 @@ arrivals in asynchronous FL.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class SimulationClock:
-    """Monotone simulated time with a per-round history."""
+    """Monotone simulated time."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._round_marks: List[float] = []
 
     @property
     def now(self) -> float:
@@ -39,20 +36,3 @@ class SimulationClock:
             )
         self._now = timestamp
         return self._now
-
-    def mark_round(self) -> None:
-        """Record the current time as a round boundary."""
-        self._round_marks.append(self._now)
-
-    @property
-    def round_marks(self) -> List[float]:
-        return list(self._round_marks)
-
-    @property
-    def last_mark(self) -> float:
-        """Time of the most recent round boundary (0 before the first)."""
-        return self._round_marks[-1] if self._round_marks else 0.0
-
-    def reset(self) -> None:
-        self._now = 0.0
-        self._round_marks.clear()

@@ -37,13 +37,6 @@ class ComputingMode:
     gpu_ghz: float
 
     @property
-    def cpu_ghz_total(self) -> float:
-        total = self.cortex_a57[0] * self.cortex_a57[1]
-        if self.denver is not None:
-            total += self.denver[0] * self.denver[1]
-        return total
-
-    @property
     def a57_ghz_total(self) -> float:
         return self.cortex_a57[0] * self.cortex_a57[1]
 

@@ -21,8 +21,9 @@ CLI flags ``--trace-out`` / ``--metrics-out`` / ``--profile-worker``).
 On top of the core sit the observability exits and analytics:
 
 - :mod:`repro.telemetry.openmetrics` -- Prometheus/OpenMetrics text
-  rendering (``MetricsRegistry.to_openmetrics()``) and a strict
-  round-trip parser;
+  rendering (``MetricsRegistry.to_openmetrics()``; the strict
+  round-trip parser the tests check it with lives in
+  ``tests/support/telemetry.py``, next to the in-memory ``ListSink``);
 - :mod:`repro.telemetry.export` -- run-manifest JSON (trace + metrics
   + config + git SHA) and the opt-in ``/metrics`` HTTP scrape
   endpoint;
@@ -48,11 +49,7 @@ from repro.telemetry.export import (
     write_run_manifest,
 )
 from repro.telemetry.hook import TelemetryHook
-from repro.telemetry.openmetrics import (
-    OpenMetricsParseError,
-    parse_openmetrics,
-    render_openmetrics,
-)
+from repro.telemetry.openmetrics import render_openmetrics
 from repro.telemetry.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -68,7 +65,6 @@ from repro.telemetry.spans import (
     SPAN_NAMES,
     ActiveSpan,
     JsonlSink,
-    ListSink,
     Tracer,
     to_jsonable,
 )
@@ -83,10 +79,8 @@ __all__ = [
     "JsonlSink",
     "LayerProfiler",
     "LayerRecord",
-    "ListSink",
     "MetricsHTTPServer",
     "MetricsRegistry",
-    "OpenMetricsParseError",
     "RECORD_KINDS",
     "SPAN_NAMES",
     "SpanNode",
@@ -100,7 +94,6 @@ __all__ = [
     "format_instrument",
     "git_revision",
     "load_trace",
-    "parse_openmetrics",
     "phase_breakdown",
     "render_openmetrics",
     "round_summaries",

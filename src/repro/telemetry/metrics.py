@@ -305,8 +305,7 @@ class MetricsRegistry:
         ``_total`` sample suffix, histograms expand to cumulative
         ``_bucket{le=...}`` series plus ``_sum``/``_count``) and ends
         with the ``# EOF`` terminator.  See
-        :mod:`repro.telemetry.openmetrics` for the grammar and the
-        round-trip parser the tests validate against.
+        :mod:`repro.telemetry.openmetrics` for the grammar.
         """
         from repro.telemetry.openmetrics import render_openmetrics
 

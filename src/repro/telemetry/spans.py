@@ -90,35 +90,6 @@ class JsonlSink:
             self._file.close()
 
 
-class ListSink:
-    """Collects records in memory (tests and ad-hoc inspection)."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:  # symmetry with JsonlSink
-        pass
-
-    def spans(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """The collected span records, optionally filtered by name."""
-        return [
-            record for record in self.records
-            if record["kind"] == "span"
-            and (name is None or record["name"] == name)
-        ]
-
-    def events(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """The collected event records, optionally filtered by name."""
-        return [
-            record for record in self.records
-            if record["kind"] == "event"
-            and (name is None or record["name"] == name)
-        ]
-
-
 class _NoopSpan:
     """Shared do-nothing span handed out by disabled tracers."""
 

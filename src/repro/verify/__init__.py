@@ -7,10 +7,10 @@ it claims (see DESIGN.md section 3.4):
   R2SP mass conservation, plan well-formedness, error-feedback
   accounting and E-UCB statistics integrity every round against slow
   reference oracles.
-- :mod:`repro.verify.differential` -- runs semantics-preserving
+- :mod:`repro.verify.differential` -- compares semantics-preserving
   pairs (the engine vs the per-member reference round, sync vs
-  semi-sync with an unreachable deadline) under one seed and reports
-  the first ULP divergence.
+  semi-sync with an unreachable deadline) after every aggregation and
+  reports the first ULP divergence.
 - :mod:`repro.verify.oracle` -- the slow reference implementations the
   two above compare against: a dense aggregator and a per-member
   reference round.  Production code never imports it.
@@ -28,9 +28,10 @@ it claims (see DESIGN.md section 3.4):
 
 :func:`repro.verify.run.run_verification` (CLI: ``repro verify``,
 ``--stages PREFIX[,...]`` for a subset) runs them as one declared
-table of pass/fail stages.  Property-test
-generators live in :mod:`repro.verify.strategies`; they are not
-imported here so ``repro.verify`` works without ``hypothesis``.
+table of pass/fail stages.  Test-only instruments -- the
+``hypothesis`` generators and the in-process ``differential_*``
+drivers -- live under ``tests/support/``, so ``repro.verify`` needs
+nothing beyond NumPy.
 """
 
 from repro.verify.differential import (
@@ -38,15 +39,11 @@ from repro.verify.differential import (
     ParamDivergence,
     StateCaptureHook,
     compare_state_sequences,
-    differential_engine_vs_reference,
-    differential_serial_vs_process,
-    differential_sync_vs_semisync,
     normalised_history_bytes,
     ulp_distance,
 )
 from repro.verify.errors import (
     AggregationError,
-    DivergenceError,
     DuplicateContributionError,
     EmptyRoundError,
     InvariantViolation,
@@ -66,7 +63,6 @@ __all__ = [
     "ALL_CHECKS",
     "CheckResult",
     "DifferentialReport",
-    "DivergenceError",
     "DuplicateContributionError",
     "EmptyRoundError",
     "FAULT_KINDS",
@@ -80,9 +76,6 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "compare_state_sequences",
-    "differential_engine_vs_reference",
-    "differential_serial_vs_process",
-    "differential_sync_vs_semisync",
     "normalised_history_bytes",
     "run_verification",
     "ulp_distance",

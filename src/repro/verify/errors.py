@@ -22,7 +22,6 @@ __all__ = [
     "PoisonedUpdateError",
     "VerificationError",
     "InvariantViolation",
-    "DivergenceError",
 ]
 
 
@@ -51,11 +50,3 @@ class InvariantViolation(VerificationError):
         super().__init__(
             f"[round {round_index}] invariant {check!r} violated: {detail}"
         )
-
-
-class DivergenceError(VerificationError):
-    """A differential run diverged beyond the configured tolerance.
-
-    Raised by :mod:`repro.verify.differential` with the first diverging
-    round, parameter and flat index attached.
-    """

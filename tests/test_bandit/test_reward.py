@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandit.reward import eucb_reward, round_rewards
+from repro.bandit.reward import eucb_reward
 
 
 def test_reward_increases_as_gap_shrinks():
@@ -23,16 +23,3 @@ def test_reward_zero_gap_is_finite():
     value = eucb_reward(1.0, 10.0, 10.0)
     assert np.isfinite(value)
     assert value > 0
-
-
-def test_round_rewards_uses_round_mean():
-    times = [10.0, 20.0, 30.0]
-    rewards = round_rewards(2.0, times)
-    assert len(rewards) == 3
-    # mean is 20, the middle worker has the smallest gap -> highest reward
-    assert rewards[1] > rewards[0]
-    assert rewards[1] > rewards[2]
-
-
-def test_round_rewards_empty():
-    assert round_rewards(1.0, []) == []

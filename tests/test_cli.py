@@ -139,7 +139,8 @@ def test_run_exporters_and_manifest(tmp_path, capsys):
     """One run feeds every observability exit: trace JSONL that the
     analytics can read, an OpenMetrics file that round-trips through
     the parser, and a manifest tying the artifacts together."""
-    from repro.telemetry import build_tree, load_trace, parse_openmetrics
+    from repro.telemetry import build_tree, load_trace
+    from tests.support.telemetry import parse_openmetrics
 
     trace = tmp_path / "trace.jsonl"
     om = tmp_path / "metrics.om"
@@ -174,7 +175,7 @@ def test_run_metrics_port_serves_scrapes(tmp_path, capsys):
     import re
     import urllib.request
 
-    from repro.telemetry import parse_openmetrics
+    from tests.support.telemetry import parse_openmetrics
 
     code = main([
         "run", "--task", "cnn", "--strategy", "synfl",

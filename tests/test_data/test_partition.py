@@ -12,7 +12,6 @@ from repro.data.partition import (
     label_skew_partition,
     missing_classes_partition,
     partition_dataset,
-    partition_sizes,
 )
 from repro.data.synthetic import make_synthetic_emnist, make_synthetic_mnist
 
@@ -104,9 +103,3 @@ def test_partition_dataset_dispatch(rng):
     parts = partition_dataset(emnist, 4, rng, non_iid_level=3)
     present = set(np.unique(emnist.train_y[parts[0]]))
     assert len(present) <= 7
-
-
-def test_partition_sizes(rng):
-    labels = _labels(rng=rng)
-    parts = iid_partition(labels, 5, rng)
-    assert partition_sizes(parts) == [200] * 5

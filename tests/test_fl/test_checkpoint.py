@@ -43,7 +43,6 @@ from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.hooks import CommVolumeHook, TimingHook
 from repro.fl.runner import run_federated_training
-from repro.pruning.error import state_mass
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.verify.differential import normalised_history_bytes
 
@@ -148,6 +147,19 @@ def _assert_bandit_roundtrip(original_strategy, restored_strategy):
         assert agents[key].state_signature() \
             == restored[key].state_signature(), key
         assert restored[key].consistency_report() == [], key
+
+
+def state_mass(state):
+    """Sum of absolute values across a state dict, in float64.
+
+    A cheap order-independent fingerprint of accumulated mass: a
+    restored error-feedback memory must carry exactly the mass the
+    original did (complementing the per-array bitwise comparison).
+    """
+    return float(sum(
+        np.abs(np.asarray(value, dtype=np.float64)).sum()
+        for value in state.values()
+    ))
 
 
 def _assert_error_feedback_roundtrip(original, restored):
@@ -342,6 +354,29 @@ def test_resume_is_byte_identical_serial(scheduler):
 def test_resume_is_byte_identical_process_executor():
     _resume_matches_uninterrupted("sync", executor="process",
                                   num_procs=2)
+
+
+def test_resume_from_a_checkpoint_whose_clock_carries_round_marks(tmp_path):
+    """Checkpoints written while the clock kept per-round marks pickle
+    a ``_round_marks`` list with it; they still load and resume
+    byte-identically."""
+    bench, devices, config = _setup(
+        "cnn", rounds=4, checkpoint_dir=str(tmp_path / "ck"),
+    )
+    history = run_federated_training(bench.make_task(0.0), devices,
+                                     config, hooks=_hooks())
+    checkpoint = load_checkpoint(tmp_path / "ck" / "ckpt-000002.ckpt")
+    clock = checkpoint.payload["clock"]
+    clock._round_marks = [clock.now / 2, clock.now]
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, checkpoint.payload)
+    assert "_round_marks" in vars(load_checkpoint(legacy).payload["clock"])
+    resumed = run_federated_training(
+        bench.make_task(0.0), devices, None, hooks=_hooks(),
+        resume_from=str(legacy),
+    )
+    assert normalised_history_bytes(resumed) \
+        == normalised_history_bytes(history)
 
 
 def test_resume_rejects_conflicting_config(tmp_path):

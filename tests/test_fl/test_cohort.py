@@ -10,6 +10,7 @@ which is what the ``repro.verify.oracle`` reference round does.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,17 +21,17 @@ from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
-from repro.io import load_history, save_history
+from repro.io import save_history
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import Telemetry
 from repro.verify.differential import (
     StateCaptureHook,
-    capture_run,
     compare_state_sequences,
     normalised_history_bytes,
 )
 from repro.verify.oracle import ReferenceEngine
+from tests.support.differential import capture_run
 
 SCHEDULER_CONFIGS = {
     "sync": {},
@@ -209,17 +210,16 @@ def test_cohort_history_detail_shrinks_records_and_roundtrips(
     # fleet with two clusters
     assert cohort_path.stat().st_size < member_path.stat().st_size
 
-    loaded = load_history(cohort_path)
-    for record in loaded.rounds:
-        assert record.ratios == {}
-        assert record.completion_times == {}
-        assert record.cohorts, "cohort detail lost in the roundtrip"
-        assert sum(c["members"] for c in record.cohorts) == len(fleet)
-        for cohort in record.cohorts:
+    for entry in json.loads(cohort_path.read_text())["rounds"]:
+        assert entry["ratios"] == {}
+        assert entry["completion_times"] == {}
+        assert entry["cohorts"], "cohort detail lost in the export"
+        assert sum(c["members"] for c in entry["cohorts"]) == len(fleet)
+        for cohort in entry["cohorts"]:
             assert set(cohort) == {"ratio", "cluster", "members",
                                    "num_samples", "time_min",
                                    "time_mean", "time_max"}
     # member detail keeps the legacy per-worker entries
-    for record in load_history(member_path).rounds:
-        assert len(record.ratios) == len(fleet)
-        assert record.cohorts is None
+    for entry in json.loads(member_path.read_text())["rounds"]:
+        assert len(entry["ratios"]) == len(fleet)
+        assert "cohorts" not in entry

@@ -31,10 +31,6 @@ def test_time_to_target(history):
     assert history.time_to_target(0.99) is None
 
 
-def test_rounds_to_target(history):
-    assert history.rounds_to_target(0.5) == 3
-
-
 def test_metric_at_time(history):
     assert history.metric_at_time(35) == 0.5
     assert history.metric_at_time(5) is None

@@ -1,5 +1,5 @@
-"""Live-membership plumbing: churn-safe dispatch queue, strategy
-register/retire, and churn x client-sampling determinism."""
+"""Live-membership plumbing: strategy register/retire and churn x
+client-sampling determinism."""
 
 from __future__ import annotations
 
@@ -8,13 +8,10 @@ import pytest
 
 from repro.data.synthetic import make_synthetic_mnist
 from repro.fl.config import FLConfig
-from repro.fl.engine import Dispatch
 from repro.fl.runner import run_federated_training
-from repro.fl.schedulers import DispatchQueue
 from repro.fl.strategies import make_strategy
 from repro.fl.tasks import ClassificationTask
 from repro.simulation.cluster import make_scenario_devices
-from repro.simulation.timing import RoundCosts
 from repro.verify.differential import normalised_history_bytes
 
 
@@ -23,48 +20,6 @@ def task():
     dataset = make_synthetic_mnist(train_per_class=20, test_per_class=5,
                                    rng=np.random.default_rng(0))
     return ClassificationTask(dataset, "cnn")
-
-
-def _dispatch(wid: int, finish: float) -> Dispatch:
-    return Dispatch(worker_id=wid, ratio=0.0, cohort=None, tau=1,
-                    costs=RoundCosts(computation_s=finish,
-                                     download_s=0.0, upload_s=0.0))
-
-
-# ----------------------------------------------------------------------
-# DispatchQueue under churn
-# ----------------------------------------------------------------------
-def test_queue_discard_skips_stale_heap_entries():
-    queue = DispatchQueue()
-    for wid, finish in ((0, 1.0), (1, 2.0), (2, 3.0)):
-        queue.add(_dispatch(wid, finish))
-    assert queue.discard(0).worker_id == 0
-    assert queue.discard(0) is None    # nothing outstanding any more
-    assert len(queue) == 2
-    assert 0 not in queue
-    # the discarded entry is invisible to every consumer
-    assert queue.earliest_finish() == pytest.approx(2.0)
-    assert [d.worker_id for d in queue.pop_first(5)] == [1, 2]
-
-
-def test_queue_discard_then_readd_uses_fresh_entry():
-    queue = DispatchQueue()
-    queue.add(_dispatch(0, 5.0))
-    queue.discard(0)
-    queue.add(_dispatch(0, 1.0))       # rejoin, earlier finish
-    assert queue.earliest_finish() == pytest.approx(1.0)
-    arrivals = queue.pop_until(1.5)
-    assert [d.worker_id for d in arrivals] == [0]
-    assert arrivals[0].finish_time == pytest.approx(1.0)
-    assert len(queue) == 0
-
-
-def test_queue_pop_until_ignores_discarded():
-    queue = DispatchQueue()
-    queue.add(_dispatch(0, 1.0))
-    queue.add(_dispatch(1, 1.5))
-    queue.discard(1)
-    assert [d.worker_id for d in queue.pop_until(2.0)] == [0]
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,19 @@ import pytest
 
 from repro.data.synthetic import make_synthetic_mnist
 from repro.fl.config import FLConfig
+from repro.fl.engine import Dispatch
 from repro.fl.hooks import RoundHook
 from repro.fl.runner import run_federated_training
 from repro.fl.schedulers import (
     AsynchronousScheduler,
+    DispatchQueue,
     SemiSynchronousScheduler,
     SynchronousScheduler,
     make_scheduler,
 )
 from repro.fl.tasks import ClassificationTask
 from repro.simulation.cluster import make_scenario_devices
+from repro.simulation.timing import RoundCosts
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,27 @@ def _config(**kwargs):
                 batch_size=8, lr=0.05, eval_every=2, seed=3)
     base.update(kwargs)
     return FLConfig(**base)
+
+
+# ----------------------------------------------------------------------
+# the event queue of the async / semi-sync schedulers
+# ----------------------------------------------------------------------
+def _dispatch(wid: int, finish: float) -> Dispatch:
+    return Dispatch(worker_id=wid, ratio=0.0, cohort=None, tau=1,
+                    costs=RoundCosts(computation_s=finish,
+                                     download_s=0.0, upload_s=0.0))
+
+
+def test_dispatch_queue_pops_by_finish_time_then_insertion_order():
+    queue = DispatchQueue()
+    for wid, finish in ((0, 3.0), (1, 1.0), (2, 2.0), (3, 1.0)):
+        queue.add(_dispatch(wid, finish))
+    with pytest.raises(ValueError, match="outstanding"):
+        queue.add(_dispatch(2, 0.5))
+    assert [d.worker_id for d in queue.pop_until(1.5)] == [1, 3]
+    assert 1 not in queue and 2 in queue
+    assert [d.worker_id for d in queue.pop_first(5)] == [2, 0]
+    assert len(queue) == 0 and queue.pop_until(10.0) == []
 
 
 # ----------------------------------------------------------------------

@@ -83,10 +83,6 @@ def test_log_softmax_matches_definition(rng):
     assert np.allclose(np.exp(ls).sum(axis=1), 1.0)
 
 
-def test_relu_functional():
-    assert np.allclose(F.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
 def test_tanh_matches_numpy(rng):
     x = rng.normal(size=(3, 3))
     assert np.allclose(F.tanh(x), np.tanh(x))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.loss import CrossEntropyLoss, MSELoss, perplexity, softmax
+from repro.nn.loss import CrossEntropyLoss, perplexity, softmax
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -70,18 +70,6 @@ def test_cross_entropy_sequence_logits(rng):
 def test_backward_before_forward_raises():
     with pytest.raises(RuntimeError):
         CrossEntropyLoss().backward()
-    with pytest.raises(RuntimeError):
-        MSELoss().backward()
-
-
-def test_mse_loss_and_gradient(rng):
-    criterion = MSELoss()
-    pred = rng.normal(size=(4, 3))
-    target = rng.normal(size=(4, 3))
-    loss = criterion(pred, target)
-    assert np.isclose(loss, ((pred - target) ** 2).mean())
-    grad = criterion.backward()
-    assert np.allclose(grad, 2 * (pred - target) / pred.size)
 
 
 def test_perplexity_is_exp_of_cross_entropy():

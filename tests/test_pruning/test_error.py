@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.models import build_cnn
 from repro.pruning import build_pruning_plan, pruning_error
-from repro.pruning.error import relative_pruning_error
 
 
 def test_error_zero_at_ratio_zero(rng):
@@ -40,16 +39,3 @@ def test_error_equals_sum_of_pruned_squares(rng):
         for value in sparse_state_dict(state, plan).values()
     )
     assert np.isclose(error, norm - sparse_norm, rtol=1e-5)
-
-
-def test_relative_error_in_unit_interval(rng):
-    model = build_cnn(rng=rng)
-    plan = build_pruning_plan(model, 0.6)
-    rel = relative_pruning_error(model.state_dict(), plan)
-    assert 0.0 < rel < 1.0
-
-
-def test_relative_error_zero_norm():
-    from repro.pruning.plan import PruningPlan
-
-    assert relative_pruning_error({}, PruningPlan(ratio=0.5)) == 0.0

@@ -22,13 +22,6 @@ def test_keep_count_rejects_out_of_range():
         keep_count(10, -0.1)
 
 
-def test_layer_prune_keeps_everything():
-    entry = LayerPrune(kind="bn", kept_out=np.arange(3), out_full=3)
-    assert entry.keeps_everything()
-    entry = LayerPrune(kind="bn", kept_out=np.array([0]), out_full=3)
-    assert not entry.keeps_everything()
-
-
 def test_layer_prune_rejects_unknown_kind():
     with pytest.raises(ValueError):
         LayerPrune(kind="attention", kept_out=np.array([0]), out_full=1)
@@ -49,11 +42,3 @@ def test_plan_lookup_and_contains():
     assert "bn1" in plan
     assert plan["bn1"] is entry
     assert plan.get("missing") is None
-
-
-def test_plan_is_identity():
-    plan = PruningPlan(ratio=0.0)
-    plan.add("bn1", LayerPrune(kind="bn", kept_out=np.arange(2), out_full=2))
-    assert plan.is_identity()
-    plan.add("bn2", LayerPrune(kind="bn", kept_out=np.array([0]), out_full=2))
-    assert not plan.is_identity()

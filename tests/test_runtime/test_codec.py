@@ -11,8 +11,6 @@ from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
     FLAG_RNG,
     FLAG_STREAM,
-    KIND_CONTRIBUTION,
-    KIND_DISPATCH,
     WIRE_VERSION,
     TrainHyper,
     WireFormatError,
@@ -20,10 +18,9 @@ from repro.runtime.codec import (
     decode_dispatch,
     encode_contribution,
     encode_dispatch,
-    frame_kind,
 )
 from repro.runtime.pool import derive_submodel
-from repro.verify.strategies import (
+from tests.support.strategies import (
     chain_scenarios,
     state_dicts,
 )
@@ -65,7 +62,6 @@ def test_dispatch_roundtrip(scenario):
     _, plan, sub_state, _ = scenario
     frame = encode_dispatch(3, plan, sub_state, tau=7, hyper=HYPER,
                             emulate_s=0.25)
-    assert frame_kind(frame) == KIND_DISPATCH
     payload = decode_dispatch(frame)
     assert payload.worker_id == 3
     assert payload.tau == 7
@@ -80,7 +76,6 @@ def test_dispatch_roundtrip(scenario):
 def test_contribution_roundtrip(state):
     frame = encode_contribution(5, state, train_loss=1.25,
                                 wall_time_s=0.5, num_samples=48)
-    assert frame_kind(frame) == KIND_CONTRIBUTION
     payload = decode_contribution(frame)
     assert payload.worker_id == 5
     assert payload.num_samples == 48

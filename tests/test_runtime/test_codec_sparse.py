@@ -26,7 +26,7 @@ from repro.runtime.codec import (
     encode_contribution,
     encode_dispatch,
 )
-from repro.verify.strategies import state_dicts
+from tests.support.strategies import state_dicts
 
 HYPER = TrainHyper(lr=0.05)
 

@@ -43,8 +43,9 @@ from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import LayerProfiler
 from repro.telemetry.runtime import Telemetry
-from repro.telemetry.spans import ListSink, Tracer
-from repro.verify.differential import differential_serial_vs_process
+from repro.telemetry.spans import Tracer
+from tests.support.differential import differential_serial_vs_process
+from tests.support.telemetry import ListSink
 
 
 @pytest.fixture(scope="module")

@@ -7,17 +7,18 @@ import pickle
 import socket
 import struct
 import threading
+from typing import List
 
 import numpy as np
 import pytest
 
 from repro.runtime.sockets import (
+    _LENGTH,
     MAX_MESSAGE_BYTES,
     FrameBuffer,
     SocketClosedError,
     SocketTransport,
     encode_message,
-    recv_message,
     safe_loads,
     send_message,
 )
@@ -28,6 +29,38 @@ from repro.runtime.transport import (
     WorkerCrashError,
 )
 from repro.telemetry import MetricsRegistry
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    chunks: List[bytes] = []
+    remaining = count
+    while remaining:
+        try:
+            chunk = sock.recv(remaining)
+        except (ConnectionError, OSError) as exc:
+            raise SocketClosedError(
+                f"peer went away mid-receive: {exc}"
+            ) from exc
+        if not chunk:
+            raise SocketClosedError(
+                f"connection closed with {remaining} of {count} "
+                f"byte(s) unread"
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_message(sock: socket.socket):
+    """Receive one framed message (blocking); the test-side reader of
+    what :func:`send_message` writes."""
+    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
+    if length > MAX_MESSAGE_BYTES:
+        raise TransportError(
+            f"frame announces {length} bytes, over the "
+            f"{MAX_MESSAGE_BYTES}-byte cap -- stream corrupt?"
+        )
+    return safe_loads(_recv_exact(sock, length))
 
 
 # ----------------------------------------------------------------------

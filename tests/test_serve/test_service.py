@@ -39,12 +39,13 @@ from repro.serve import (
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import Telemetry
-from repro.telemetry.spans import ListSink, Tracer
+from repro.telemetry.spans import Tracer
 from repro.verify.differential import (
     StateCaptureHook,
     normalised_history_bytes,
     ulp_distance,
 )
+from tests.support.telemetry import ListSink
 
 
 @pytest.fixture(scope="module")

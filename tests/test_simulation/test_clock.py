@@ -26,31 +26,3 @@ def test_advance_to_absolute():
     with pytest.raises(ValueError):
         clock.advance_to(5.0)
 
-
-def test_round_marks():
-    clock = SimulationClock()
-    clock.advance(1.0)
-    clock.mark_round()
-    clock.advance(2.0)
-    clock.mark_round()
-    assert clock.round_marks == [1.0, 3.0]
-
-
-def test_last_mark():
-    clock = SimulationClock()
-    assert clock.last_mark == 0.0
-    clock.advance(4.0)
-    clock.mark_round()
-    clock.advance(2.0)
-    assert clock.last_mark == 4.0
-    clock.mark_round()
-    assert clock.last_mark == 6.0
-
-
-def test_reset():
-    clock = SimulationClock()
-    clock.advance(3.0)
-    clock.mark_round()
-    clock.reset()
-    assert clock.now == 0.0
-    assert clock.round_marks == []

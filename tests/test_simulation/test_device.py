@@ -40,11 +40,6 @@ def test_flops_scale_with_relative_speed():
     assert m3.flops_per_second > 0
 
 
-def test_cpu_ghz_totals():
-    assert JETSON_TX2_MODES[0].cpu_ghz_total == pytest.approx(12.0)
-    assert JETSON_TX2_MODES[1].cpu_ghz_total == pytest.approx(8.0)
-
-
 def test_device_profile_describe():
     profile = DeviceProfile(device_id=3, mode=JETSON_TX2_MODES[1],
                             bandwidth_bps=5e6, cluster="B")

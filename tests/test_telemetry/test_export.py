@@ -12,10 +12,10 @@ from repro.telemetry import (
     MetricsHTTPServer,
     MetricsRegistry,
     git_revision,
-    parse_openmetrics,
     write_run_manifest,
 )
 from repro.telemetry.export import OPENMETRICS_CONTENT_TYPE
+from tests.support.telemetry import parse_openmetrics
 
 
 def test_manifest_records_provenance(tmp_path):

@@ -10,13 +10,8 @@ from repro.fl.config import FLConfig
 from repro.fl.runner import run_federated_training
 from repro.fl.tasks import ClassificationTask
 from repro.simulation.cluster import make_scenario_devices
-from repro.telemetry import (
-    ListSink,
-    MetricsRegistry,
-    Telemetry,
-    TelemetryHook,
-    Tracer,
-)
+from repro.telemetry import MetricsRegistry, Telemetry, TelemetryHook, Tracer
+from tests.support.telemetry import ListSink
 
 
 @pytest.fixture(scope="module")

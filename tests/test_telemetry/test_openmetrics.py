@@ -6,16 +6,12 @@ import math
 
 import pytest
 
-from repro.telemetry import (
-    MetricsRegistry,
-    OpenMetricsParseError,
-    parse_openmetrics,
-    render_openmetrics,
-)
+from repro.telemetry import MetricsRegistry, render_openmetrics
 from repro.telemetry.openmetrics import (
     sanitize_label_name,
     sanitize_metric_name,
 )
+from tests.support.telemetry import OpenMetricsParseError, parse_openmetrics
 
 
 def populated_registry() -> MetricsRegistry:

@@ -18,13 +18,8 @@ from repro.fl.hooks import CommVolumeHook
 from repro.fl.runner import run_federated_training
 from repro.fl.tasks import ClassificationTask
 from repro.simulation.cluster import make_scenario_devices
-from repro.telemetry import (
-    ListSink,
-    MetricsRegistry,
-    Telemetry,
-    TelemetryHook,
-    Tracer,
-)
+from repro.telemetry import MetricsRegistry, Telemetry, TelemetryHook, Tracer
+from tests.support.telemetry import ListSink
 
 ROUNDS = 2
 

@@ -6,13 +6,8 @@ import json
 
 import numpy as np
 
-from repro.telemetry.spans import (
-    NOOP_SPAN,
-    JsonlSink,
-    ListSink,
-    Tracer,
-    to_jsonable,
-)
+from repro.telemetry.spans import NOOP_SPAN, JsonlSink, Tracer, to_jsonable
+from tests.support.telemetry import ListSink
 
 
 def test_nested_spans_reconstruct_tree():

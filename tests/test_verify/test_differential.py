@@ -7,12 +7,12 @@ import pytest
 
 from repro.experiments import fleet as fleet_experiment
 from repro.fl.config import FLConfig
-from repro.verify import (
+from repro.verify import compare_state_sequences, ulp_distance
+from tests.support.differential import (
     DivergenceError,
-    compare_state_sequences,
     differential_engine_vs_reference,
     differential_sync_vs_semisync,
-    ulp_distance,
+    raise_if_failed,
 )
 
 
@@ -95,7 +95,7 @@ def test_compare_reports_first_divergence_location():
     assert divergence.ulps == report.max_ulps > 0
     assert "round 1" in report.describe()
     with pytest.raises(DivergenceError, match=r"w\[4\]"):
-        report.raise_if_failed()
+        raise_if_failed(report)
 
 
 def test_compare_tolerance_absorbs_small_divergence():

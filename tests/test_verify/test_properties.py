@@ -22,7 +22,7 @@ from repro.pruning.structured import (
     scatter_add_param,
 )
 from repro.verify.oracle import dense_aggregate
-from repro.verify.strategies import (
+from tests.support.strategies import (
     chain_scenarios,
     pruning_ratios,
     state_dicts,

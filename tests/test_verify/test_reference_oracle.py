@@ -24,12 +24,14 @@ from repro.fl.engine import Engine
 from repro.fl.tasks import ClassificationTask, LanguageModelTask
 from repro.simulation.cluster import make_scenario_devices
 from repro.verify.differential import (
-    capture_run,
     compare_state_sequences,
-    differential_engine_vs_reference,
     normalised_history_bytes,
 )
 from repro.verify.oracle import ReferenceEngine, dense_aggregate
+from tests.support.differential import (
+    capture_run,
+    differential_engine_vs_reference,
+)
 
 SCHEDULERS = {
     "sync": {},
