@@ -410,52 +410,6 @@ class EUCBAgent:
                 )
         return problems
 
-    def state_signature(self) -> str:
-        """Stable fingerprint of the agent's complete mutable state.
-
-        Covers the partition tree, the full play history, every
-        region's incremental statistics, the pending play, the reward
-        normalisation window and the private RNG stream position --
-        everything :meth:`select_ratio` and :meth:`observe` read.  Two
-        agents with equal signatures make identical future decisions;
-        the checkpoint round-trip tests compare a restored agent
-        against the original with it.
-        """
-        import hashlib
-        import json
-
-        regions = list(self.partition)
-        payload = {
-            "discount": self.discount,
-            "theta": self.theta,
-            "exploration": self.exploration,
-            "normalize_rewards": self.normalize_rewards,
-            "partition": self.partition.snapshot(),
-            "history": [
-                (record.arm, record.reward, record.step, record.count)
-                for record in self.history
-            ],
-            "stats": [
-                (region.low, region.high,
-                 stats.plays and [
-                     (p.arm, p.reward, p.step, p.count)
-                     for p in stats.plays
-                 ] or [],
-                 stats.disc_count, stats.disc_raw_sum)
-                for region in regions
-                for stats in [self._stats.get(region, _RegionStats())]
-            ],
-            "total_steps": self._total_steps,
-            "reward_window": [self._reward_low, self._reward_high],
-            "pending": [self._pending_arm, self._pending_split,
-                        None if self._pending_region is None
-                        else (self._pending_region.low,
-                              self._pending_region.high)],
-            "rng": repr(self.rng.bit_generator.state),
-        }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     def abandon(self) -> None:
         """Discard a pending play (used when a worker misses the round
         deadline and produces no reward signal).  Because the region

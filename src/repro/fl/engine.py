@@ -390,11 +390,6 @@ class Engine:
         collected; an uncollected one never does)."""
         return self.workers.capture()
 
-    @property
-    def worker_specs(self) -> List[WorkerSpec]:
-        """Every worker's spec, in fleet order (builds no worker)."""
-        return [self.workers.spec(worker_id) for worker_id in self.workers]
-
     def maybe_checkpoint(self, scheduler_name: str, next_round: int,
                          queue=None, stop: bool = False) -> None:
         """Scheduler notification: a round just finished.

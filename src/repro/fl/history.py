@@ -130,12 +130,6 @@ class TrainingHistory:
         fraction = rank - low
         return times[low] + fraction * (times[high] - times[low])
 
-    def mean_overhead(self) -> float:
-        """Average PS-side algorithm overhead per round (Fig. 11)."""
-        if not self.rounds:
-            return 0.0
-        return sum(r.overhead_s for r in self.rounds) / len(self.rounds)
-
     @property
     def total_overhead_s(self) -> float:
         """Total PS-side decision + pruning time across the run."""

@@ -246,22 +246,3 @@ class CommVolumeHook(RoundHook):
     @property
     def total_params(self) -> float:
         return self.total_download_params + self.total_upload_params
-
-    @property
-    def pending_download_params(self) -> float:
-        """Dispatched volume not yet attributed to a finished round.
-
-        Non-zero after a run when outstanding dispatches were labelled
-        with a round that never closed (async/semi-sync tails), so
-        ``total_download_params == sum(per-round extras) + pending``.
-        """
-        return float(sum(self._download.values()))
-
-    @property
-    def pending_upload_params(self) -> float:
-        """Uploaded volume not yet attributed to a finished round.
-
-        Always 0 after a completed run: uploads are recorded in the
-        round that aggregates them, and that round always closes.
-        """
-        return float(sum(self._upload.values()))

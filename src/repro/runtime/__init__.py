@@ -11,11 +11,13 @@ package is the execution substrate that actually parallelises it:
   picklable :class:`~repro.runtime.pool.WorkerSpec` records so the
   child-side RNG streams are bitwise-identical to in-process execution,
   each deriving dispatched sub-models from its own skeleton of the
-  global model;
-- :mod:`repro.runtime.transport` -- ``ProcessTransport`` (pipes +
-  codec), with per-call timeouts, bounded retry with backoff, and
-  wall-clock straggler detection that composes with
+  global model, behind pipes that carry only frames;
+- :mod:`repro.runtime.transport` -- the one wait loop every remote
+  reply is awaited in (timeout, backoff-paced retry accounting, typed
+  errors), and wall-clock straggler detection that composes with
   :mod:`repro.simulation.faults`;
+- :mod:`repro.runtime.sockets` -- length-prefixed socket framing and
+  the service client's request/reply channel;
 - :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
   :class:`~repro.runtime.executor.SerialExecutor` (default, inline) and
   :class:`~repro.runtime.executor.RemoteExecutor` (the wire codec over a
@@ -48,7 +50,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.pool import ProcessPool, WorkerSpec
 from repro.runtime.transport import (
-    ProcessTransport,
     RetryPolicy,
     StragglerDetector,
     TransportError,
@@ -62,7 +63,6 @@ __all__ = [
     "DispatchPayload",
     "Executor",
     "ProcessPool",
-    "ProcessTransport",
     "RemoteExecutor",
     "RetryPolicy",
     "SerialExecutor",

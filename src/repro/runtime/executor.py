@@ -325,12 +325,14 @@ class RemoteExecutor(Executor):
     gather -> decode / validate / materialise / commit -> straggler
     flagging, with the spans and counters that go with them.  How bytes
     reach the receivers is the ``link``'s business -- it supplies
-    ``name``, ``parallelism``, ``retry``, ``busy_s`` (receiver-seconds
-    spent so far), ``wave_cohorts`` (cohorts per collect-time wave;
-    ``None``: flights go out at dispatch, through ``submit(flights)`` /
-    ``cancel(flight)``), ``gather(flights, clock)`` (fill in every
-    :class:`~repro.runtime.pool.InFlight` reply, return each worker's
-    seconds from send to reply) and ``close()``.
+    ``name``, ``parallelism``, ``busy_s`` (receiver-seconds spent so
+    far), ``wave_cohorts`` (cohorts per collect-time wave; ``None``:
+    flights go out at dispatch, through ``submit(flights)`` /
+    ``cancel(flight)``), ``gather(flights)`` (fill in every
+    :class:`~repro.runtime.pool.InFlight` reply, waiting in
+    :meth:`~repro.runtime.transport.RetryClock.wait_until` under its own
+    retry policy; return each worker's seconds from send to reply) and
+    ``close()``.
 
     A dispatch frame is all a receiver needs: it derives the sub-model
     from its skeleton and the frame's plan, state and RNG record, and
@@ -470,8 +472,7 @@ class RemoteExecutor(Executor):
             # -- transfer + gather --------------------------------------
             with telemetry.span("transfer", round=round_index,
                                 requests=len(requests)) as transfer_span:
-                completion_s = self.link.gather(flights,
-                                                self.link.retry.clock())
+                completion_s = self.link.gather(flights)
                 busy_share = self._sample_busy_share()
                 metrics.gauge("pool_busy_share",
                               executor=self.name).set(busy_share)
@@ -570,9 +571,7 @@ def make_executor(config, *, workers: LazyFleet,
             )
         pool = ProcessPool(
             [workers.spec(worker_id) for worker_id in workers],
-            num_procs=config.num_procs, skeleton=skeleton,
-            metrics=bundle.metrics,
+            skeleton, num_procs=config.num_procs, metrics=bundle.metrics,
         )
-        pool.ping()
         return RemoteExecutor.from_config(pool, config, telemetry)
     raise ValueError(f"unknown executor {kind!r}")

@@ -24,12 +24,13 @@ when it collects the reply.  A flight's result is a function of its
 frame alone, so any receiver may train it, and sending it twice trains
 the same bits.
 
-Every pool child holds every spec and serves ``train`` requests off one
-duplex pipe: decode, derive the sub-model from its *skeleton* of the
-global model (shipped once; :func:`derive_submodel`), ``local_train``,
-reply with a contribution frame.  :class:`ProcessPool` is the pipe
-*link* of :class:`~repro.runtime.executor.RemoteExecutor`: one work
-queue, drained onto whichever child is free.
+Every pool child holds every spec and serves one duplex pipe that
+carries only frames: a dispatch frame down, then its reply up -- decode,
+derive the sub-model from its *skeleton* of the global model (shipped
+once; :func:`derive_submodel`), ``local_train``, a contribution frame.
+:class:`ProcessPool` is the pipe *link* of
+:class:`~repro.runtime.executor.RemoteExecutor`: one work queue,
+drained onto whichever child is free.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import pickle
 import threading
 import time
 import traceback
+import weakref
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -56,11 +58,8 @@ from repro.runtime.codec import (
     encode_contribution,
 )
 from repro.runtime.transport import (
-    ProcessTransport,
-    RetryClock,
     RetryPolicy,
     TransportError,
-    TransportTimeoutError,
     WorkerCrashError,
 )
 from repro.simulation.device import DeviceProfile
@@ -238,12 +237,9 @@ def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
     return submodel
 
 
-def handle_train(workers: Mapping, skeleton: Optional[Module],
-                 frame: bytes) -> bytes:
+def handle_train(workers: Mapping, skeleton: Module, frame: bytes) -> bytes:
     """Serve one dispatch frame: derive, train from its stream record
     (without one: from this receiver's own worker), encode the reply."""
-    if skeleton is None:
-        raise RuntimeError("this receiver was started without a skeleton")
     payload = decode_dispatch(frame)
     submodel = derive_submodel(skeleton, payload)
     worker = workers[payload.worker_id]
@@ -279,22 +275,17 @@ def handle_train(workers: Mapping, skeleton: Optional[Module],
     )
 
 
-def _child_main(conn, skeleton: Optional[Module],
-                specs: List[WorkerSpec], inherited=()) -> None:
-    """Serve one pipe until shutdown.
+def _child_main(conn, skeleton: Module, specs: List[WorkerSpec],
+                inherited=()) -> None:
+    """Answer each dispatch frame that comes down ``conn`` with
+    ``("ok", contribution_frame)`` or ``("err", traceback_text)``, until
+    EOF.
 
     ``inherited`` holds the parent-side pipe ends a forked child was
-    born with (its own and every earlier member's).  They are closed
-    first: while any copy stays open, a SIGKILLed parent never shows up
-    as EOF on ``conn`` and the child would serve a dead pipe for ever.
-
-    Message grammar (tuples; ``seq`` correlates replies to requests):
-
-    - ``("ping", seq, delay_s)`` -> ``("pong", seq)`` after sleeping
-      ``delay_s`` (the delay exists so tests can provoke timeouts);
-    - ``("train", seq, frame)`` -> ``("ok", seq, contribution_frame)``
-      or ``("err", seq, traceback_text)``;
-    - ``("shutdown",)`` -> exit.
+    born with (those of every pool member in the parent, its own
+    included).  They are closed first: while any copy stays open, the parent closing its end (or
+    dying, SIGKILL included) never shows up as EOF on ``conn``, and the
+    child would serve a dead pipe for ever.
     """
     for parent_end in inherited:
         parent_end.close()
@@ -303,33 +294,18 @@ def _child_main(conn, skeleton: Optional[Module],
     try:
         while True:
             try:
-                message = conn.recv()
+                frame = conn.recv()
             except (EOFError, OSError):
                 break
-            op = message[0]
-            if op == "shutdown":
-                break
-            if op == "ping":
-                _, seq, delay_s = message
-                if delay_s:
-                    time.sleep(delay_s)
-                conn.send(("pong", seq))
-            elif op == "train":
-                _, seq, frame = message
-                try:
-                    reply = handle_train(workers, skeleton, frame)
-                except Exception:
-                    conn.send(("err", seq, traceback.format_exc()))
-                else:
-                    conn.send(("ok", seq, reply))
-            # unknown ops are dropped silently: the parent's sequence
-            # numbers make lost requests visible as timeouts
+            try:
+                reply = ("ok", handle_train(workers, skeleton, frame))
+            except Exception:
+                reply = ("err", traceback.format_exc())
+            conn.send(reply)
     except KeyboardInterrupt:
         pass
     finally:
         conn.close()
-
-
 
 
 # ----------------------------------------------------------------------
@@ -356,35 +332,31 @@ class PoolMember:
     conn: object
 
 
-def _pick_start_method() -> str:
-    methods = mp.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class ProcessPool:
     """A fixed fleet of persistent worker processes behind one queue.
 
     Every child holds every spec, so any child trains any flight.
     Children are daemonic and hold no copy of the parent's pipe ends,
-    so they exit on EOF however the parent dies (SIGKILL included).
-    ``skeleton`` is what the children derive sub-models from (under
-    ``fork`` they simply inherit it and the specs: nothing is pickled);
-    a pool started without one serves only ``ping``.  From the first
-    flight on, the pipes belong to a pump thread that hands the next
-    queued flight -- wanted by a ``gather`` first, then by simulated
-    finish time -- to the first free child, while the main thread
-    aggregates.
+    so they exit on EOF however the parent closes or dies (SIGKILL
+    included).  ``skeleton`` is what the children derive sub-models
+    from (under ``fork`` they simply inherit it and the specs: nothing
+    is pickled).  From the first flight on, the pipes belong to a pump
+    thread that hands the next queued flight -- wanted by a ``gather``
+    first, then by simulated finish time -- to the first free child,
+    while the main thread aggregates.
     """
 
     name = "process"
     #: ``None``: flights are submitted at dispatch (children are other
     #: OS processes; all of it may be in the air)
     wave_cohorts: Optional[int] = None
+    #: every pool member's parent-side pipe end in this process: a
+    #: forked child closes them all, so closing one is EOF in its child
+    #: however many pools were started after it
+    _parent_ends: weakref.WeakSet = weakref.WeakSet()
 
-    def __init__(self, specs: List[WorkerSpec],
+    def __init__(self, specs: List[WorkerSpec], skeleton: Module,
                  num_procs: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 skeleton: Optional[Module] = None,
                  retry: Optional[RetryPolicy] = None,
                  metrics=None) -> None:
         if not specs:
@@ -392,42 +364,35 @@ class ProcessPool:
         specs = sorted(specs, key=lambda spec: spec.worker_id)
         count = num_procs if num_procs is not None else (mp.cpu_count() or 1)
         count = max(1, min(int(count), len(specs)))
-        ctx = mp.get_context(start_method or _pick_start_method())
-        # only fork hands a child the parent's open descriptors (and
-        # only fork passes args without pickling them)
-        forked = ctx.get_start_method() == "fork"
+        # fork where the platform has it; only fork hands a child the
+        # parent's open descriptors (and passes args without pickling)
+        forked = "fork" in mp.get_all_start_methods()
+        ctx = mp.get_context("fork" if forked else "spawn")
         self.retry = retry if retry is not None else RetryPolicy()
         self.metrics = (
             metrics if metrics is not None else DISABLED_TELEMETRY.metrics
         )
         self.members: List[PoolMember] = []
-        self.transports: Dict[int, ProcessTransport] = {}
-        self._seq = 0
         for index in range(count):
             parent_conn, child_conn = ctx.Pipe()
-            inherited = (
-                [parent_conn] + [member.conn for member in self.members]
-                if forked else []
-            )
+            self._parent_ends.add(parent_conn)
             proc = ctx.Process(
                 target=_child_main,
-                args=(child_conn, skeleton, specs, inherited),
+                args=(child_conn, skeleton, specs,
+                      list(self._parent_ends) if forked else []),
                 name=f"repro-pool-{index}", daemon=True,
             )
             proc.start()
             child_conn.close()
-            member = PoolMember(index=index, proc=proc, conn=parent_conn)
-            self.members.append(member)
-            self.transports[index] = ProcessTransport(
-                member, retry=self.retry, metrics=self.metrics
-            )
+            self.members.append(
+                PoolMember(index=index, proc=proc, conn=parent_conn))
         # shared with the pump thread, under _cond: queued flights (in
         # submission order), the id()s a gather waits for, and each
-        # child's one request as (seq, flight, sent at)
+        # child's one flight as (flight, sent at)
         self._cond = threading.Condition()
         self._queue: List[InFlight] = []
         self._wanted: Set[int] = set()
-        self._outstanding: Dict[int, Tuple[int, InFlight, float]] = {}
+        self._outstanding: Dict[int, Tuple[InFlight, float]] = {}
         self._failure: Optional[TransportError] = None
         self._busy_s = 0.0
         self._closed = False
@@ -449,19 +414,8 @@ class ProcessPool:
         with self._cond:
             now = time.perf_counter()
             return self._busy_s + sum(
-                now - sent_at for _, _, sent_at in self._outstanding.values()
+                now - sent_at for _, sent_at in self._outstanding.values()
             )
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def ping(self) -> None:
-        """Round-trip every member (before the first flight: then the
-        pipes belong to the pump): a child that died during start-up
-        surfaces here as a typed transport error."""
-        for transport in self.transports.values():
-            transport.request(("ping", self._next_seq(), 0.0))
 
     def submit(self, flights: List[InFlight]) -> None:
         with self._cond:
@@ -473,18 +427,17 @@ class ProcessPool:
         with self._cond:
             self._queue = [f for f in self._queue if f is not flight]
 
-    def gather(self, flights: List[InFlight],
-               clock: RetryClock) -> Dict[int, float]:
+    def gather(self, flights: List[InFlight]) -> Dict[int, float]:
         """Wait for every flight's reply, queueing any not yet submitted
         and sending all of them ahead of the rest of the queue.
         Returns ``{worker_id: seconds from its own send to its reply}``
         -- the worker's time, not its place in the queue.
 
-        An interval in which no child replied counts as one retry; the
-        gather fails with a typed error after ``max_retries``
-        consecutive empty intervals, after ``timeout_s`` of total
-        waiting, once a child is dead, or when a child reports an error
-        (which leaves the pool unusable).
+        Waits in :meth:`~repro.runtime.transport.RetryClock.wait_until`
+        under the pool's :class:`RetryPolicy`; a dead child is a
+        :class:`WorkerCrashError`, and an error a child reported (which
+        leaves the pool unusable) is raised as it is, traceback
+        included.
         """
         with self._cond:   # a flight keeps its frame until it is sent
             queued = {id(flight) for flight in self._queue}
@@ -492,38 +445,21 @@ class ProcessPool:
                                if flight.frame and id(flight) not in queued)
             self._wanted = {id(flight) for flight in flights}
         self._wake()
+
+        def lost() -> Optional[str]:
+            if self._failure is not None:
+                raise self._failure
+            dead = [member.index for member in self.members
+                    if not member.proc.is_alive()]
+            return (f"pool member(s) {dead} died with training "
+                    f"request(s) outstanding") if dead else None
+
         try:
             with self._cond:
-                while self._failure is None:
-                    missing = sum(flight.reply is None for flight in flights)
-                    if not missing:
-                        break
-                    if clock.remaining() <= 0.0:
-                        raise TransportTimeoutError(
-                            f"{missing} training repl(y/ies) still missing "
-                            f"after {clock.elapsed():.1f}s "
-                            f"(budget {clock.budget_s:.1f}s)"
-                        )
-                    if self._cond.wait(clock.interval()):
-                        clock.reset()  # some child replied: alive
-                        continue
-                    self.metrics.counter("retries_total",
-                                         transport=self.name).inc()
-                    dead = [member.index for member in self.members
-                            if not member.proc.is_alive()]
-                    if dead:
-                        raise WorkerCrashError(
-                            f"pool member(s) {dead} died with {missing} "
-                            f"training request(s) outstanding"
-                        )
-                    if not clock.tick():
-                        raise TransportTimeoutError(
-                            f"no training reply after "
-                            f"{clock.attempts} backoff interval(s) "
-                            f"({clock.elapsed():.1f}s elapsed)"
-                        )
-                if self._failure is not None:
-                    raise self._failure
+                self.retry.clock().wait_until(
+                    lambda: all(flight.reply is not None
+                                for flight in flights),
+                    self._cond.wait, lost, self.metrics, self.name)
         finally:
             with self._cond:
                 self._wanted = set()
@@ -543,13 +479,15 @@ class ProcessPool:
     def _pump_main(self) -> None:
         """Keep every child busy until close.
 
-        Only this thread touches the pipes, with at most ONE train
-        request outstanding per child: the next is sent only after the
-        previous reply has been fully read, so the child is always
-        parked in ``recv`` when the pump writes and no pipe write can
-        stall (frames exceed the OS pipe buffer: fire-and-forget would
-        deadlock, parent writing request *n+1*, child writing reply
-        *n*).  The main thread never waits on a pipe.
+        Only this thread touches the pipes, with at most ONE flight
+        outstanding per child: the next is sent only after the previous
+        reply has been fully read, so the child is always parked in
+        ``recv`` when the pump writes and no pipe write can stall
+        (frames exceed the OS pipe buffer: fire-and-forget would
+        deadlock, parent writing frame *n+1*, child writing reply *n*).
+        So every reply answers its child's one outstanding flight.  The
+        main thread never waits on a pipe; a broken pipe is a
+        :class:`WorkerCrashError`.
         """
         by_fd = {member.conn.fileno(): member for member in self.members}
         try:
@@ -568,13 +506,17 @@ class ProcessPool:
                                 key=lambda i: (
                                     id(self._queue[i]) not in self._wanted,
                                     self._queue[i].finish_s)))
-                            seq = self._next_seq()
-                            sends.append((member, seq, flight.frame))
+                            sends.append((member, flight.frame))
                             flight.frame = None   # sent: never resent
                             self._outstanding[member.index] = (
-                                seq, flight, time.perf_counter())
-                for member, seq, frame in sends:
-                    self.transports[member.index].send(("train", seq, frame))
+                                flight, time.perf_counter())
+                for member, frame in sends:
+                    try:
+                        member.conn.send(frame)
+                    except OSError as exc:
+                        raise WorkerCrashError(
+                            f"pool member {member.index} is gone: {exc}"
+                        ) from exc
                 busy = [self.members[index].conn
                         for index in list(self._outstanding)]
                 for ready in _wait_for_connections(busy + [self._wake_r]):
@@ -582,8 +524,14 @@ class ProcessPool:
                         os.read(self._wake_r, 4096)
                         continue
                     member = by_fd[ready.fileno()]
-                    self._settle(member.index,
-                                 self.transports[member.index].receive())
+                    try:
+                        reply = member.conn.recv()
+                    except (EOFError, OSError) as exc:
+                        raise WorkerCrashError(
+                            f"pool member {member.index} closed its pipe "
+                            f"with a flight outstanding"
+                        ) from exc
+                    self._settle(member.index, reply)
         except Exception as exc:   # a gather raises it, never hangs
             with self._cond:
                 self._failure = exc if isinstance(exc, TransportError) \
@@ -591,25 +539,22 @@ class ProcessPool:
                 self._cond.notify_all()
 
     def _settle(self, index: int, reply) -> None:
-        op, seq = reply[0], reply[1]
+        op, body = reply
         if op == "err":
             raise TransportError(
-                f"worker process raised during training:\n{reply[2]}"
+                f"worker process raised during training:\n{body}"
             )
         with self._cond:
-            expected, flight, sent_at = self._outstanding[index]
-            if op != "ok" or seq != expected:
-                return  # stale control-plane reply
-            del self._outstanding[index]
+            flight, sent_at = self._outstanding.pop(index)
             flight.busy_s = time.perf_counter() - sent_at
-            flight.reply = reply[2]
+            flight.reply = body
             self._busy_s += flight.busy_s
             self._cond.notify_all()
 
     def close(self, join_timeout_s: float = 5.0) -> None:
-        """Stop the pump and ask every child to exit; one still training
-        a flight nobody collects is killed, as is any that does not exit
-        in time.  Idempotent."""
+        """Stop the pump and close every pipe (EOF: the child exits); a
+        child still training a flight nobody collects is killed, as is
+        any that does not exit in time.  Idempotent."""
         with self._cond:
             if self._closed:
                 return
@@ -618,10 +563,7 @@ class ProcessPool:
             self._wake()
             self._pump.join(timeout=join_timeout_s)
         for member in self.members:
-            try:
-                member.conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
+            member.conn.close()
             if member.index in self._outstanding:
                 member.proc.kill()   # SIGTERM may have a forked handler
         for member in self.members:
@@ -629,9 +571,5 @@ class ProcessPool:
             if member.proc.is_alive():
                 member.proc.kill()
                 member.proc.join(timeout=join_timeout_s)
-            try:
-                member.conn.close()
-            except OSError:
-                pass
         os.close(self._wake_r)
         os.close(self._wake_w)

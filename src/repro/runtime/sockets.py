@@ -1,14 +1,13 @@
 """Length-prefixed socket framing and the client-side socket transport.
 
-The service protocol reuses the pipe grammar's shape -- pickled
-``(op, seq, *args)`` tuples -- but crosses host boundaries, so each
-message is framed as a 4-byte big-endian length prefix followed by the
-pickled payload.  Binary training payloads stay in the CRC-checked
-:mod:`repro.runtime.codec` frames and ride inside the pickled tuple as
-``bytes``, exactly as they do over the pipe transport; the socket layer
-adds framing only, never re-encodes, so the wire profiles (exact /
-sparse / sparse+quantized) and their parity guarantees carry over
-unchanged.
+The service protocol speaks pickled ``(op, seq, *args)`` tuples across
+host boundaries, so each message is framed as a 4-byte big-endian
+length prefix followed by the pickled payload.  Binary training
+payloads stay in the CRC-checked :mod:`repro.runtime.codec` frames and
+ride inside the pickled tuple as ``bytes``, exactly the bytes a pool
+pipe carries; the socket layer adds framing only, never re-encodes, so
+the wire profiles (exact / sparse / sparse+quantized) and their parity
+guarantees carry over unchanged.
 
 Nothing that crosses the socket needs more than builtin containers,
 scalars, ``bytes`` and NumPy arrays, so every receive path here
@@ -22,16 +21,10 @@ the incremental decoder every receive goes through (the service's
 non-blocking ``selectors`` loop and the client transport): feed it
 whatever ``recv`` returned, pop every complete message.
 
-:class:`SocketTransport` is the worker-side
-:class:`~repro.runtime.transport.Transport`: one TCP connection to the
-service, request/response with the shared
-:class:`~repro.runtime.transport.RetryPolicy` backoff accounting.
-Unlike the pipe transport it never *resends* (TCP does not drop
-messages mid-connection); each empty poll interval counts in
-``retries_total{transport="socket"}`` and the call escalates to
-:class:`~repro.runtime.transport.TransportTimeoutError` /
-:class:`~repro.runtime.transport.WorkerCrashError` on the same
-schedule.
+:class:`SocketTransport` is the worker side: one TCP connection to the
+service, each request awaiting its reply in
+:meth:`~repro.runtime.transport.RetryClock.wait_until` -- the loop the
+service's own gather waits in.
 """
 
 from __future__ import annotations
@@ -41,14 +34,11 @@ import pickle
 import select
 import socket
 import struct
-import time
 from typing import Iterator, Optional, Tuple
 
 from repro.runtime.transport import (
     RetryPolicy,
-    Transport,
     TransportError,
-    TransportTimeoutError,
     WorkerCrashError,
 )
 
@@ -139,9 +129,6 @@ class FrameBuffer:
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
 
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     def pop_messages(self) -> Iterator[object]:
         while True:
             if len(self._buffer) < _LENGTH.size:
@@ -160,15 +147,14 @@ class FrameBuffer:
             yield safe_loads(payload)
 
 
-class SocketTransport(Transport):
+class SocketTransport:
     """One TCP request/response channel to the parameter-server service.
 
-    The message grammar mirrors the pipe transport: pickled
-    ``(op, seq, *args)`` tuples, replies carrying the same ``seq``,
-    ``("err", seq, traceback)`` raising :class:`TransportError`.
-    Replies whose sequence number does not match the outstanding
-    request are discarded (they can only be late replies to an earlier
-    abandoned call).
+    Pickled ``(op, seq, *args)`` tuples; the reply carries the request's
+    ``seq``, and ``("err", seq, traceback)`` raises
+    :class:`TransportError`.  Replies whose sequence number does not
+    match the outstanding request are discarded (they can only be late
+    replies to an earlier abandoned call).
     """
 
     name = "socket"
@@ -194,9 +180,6 @@ class SocketTransport(Transport):
         self._sock = sock
         return self
 
-    def alive(self) -> bool:
-        return self._sock is not None
-
     def send(self, message) -> None:
         if self._sock is None:
             raise WorkerCrashError("socket transport is not connected")
@@ -206,105 +189,51 @@ class SocketTransport(Transport):
             self.close()
             raise
 
-    # -- idempotent round trip -----------------------------------------
-    def request(self, message, timeout_s: Optional[float] = None):
-        """Send one control message and await its reply.
+    def request(self, message):
+        """Send one message and await its reply.
 
-        TCP never drops messages mid-connection, so nothing is resent;
-        each empty poll interval counts as one retry in
-        ``retries_total`` and exhausting the
-        :class:`~repro.runtime.transport.RetryPolicy` budget raises
-        :class:`~repro.runtime.transport.TransportTimeoutError`.  A
-        connection that closes with the request outstanding raises
+        TCP never drops messages mid-connection, so nothing is resent.
+        A connection that closes with the request outstanding raises
         :class:`~repro.runtime.transport.WorkerCrashError`.
         """
         seq = message[1]
-        clock = self.retry.clock(timeout_s)
+        replies = []
         self.send(message)
-        while True:
+
+        def done() -> bool:
             for reply in self._frames.pop_messages():
                 if len(reply) >= 2 and reply[1] == seq:
-                    if reply[0] == "err":
-                        raise TransportError(
-                            f"service raised while handling "
-                            f"{message[0]!r}:\n{reply[2]}"
-                        )
-                    return reply
-                # stale reply to an earlier abandoned call: discard
-            if self._sock is None:
-                raise WorkerCrashError(
-                    f"connection to {self.address} lost while a "
-                    f"{message[0]!r} request was outstanding"
-                )
-            ready, _, _ = select.select(
-                [self._sock], [], [], clock.interval()
-            )
-            if ready:
-                try:
-                    chunk = self._sock.recv(1 << 20)
-                except (ConnectionError, OSError) as exc:
-                    self.close()
-                    raise WorkerCrashError(
-                        f"connection to {self.address} broke while a "
-                        f"{message[0]!r} request was outstanding: {exc}"
-                    ) from exc
-                if not chunk:
-                    self.close()
-                    raise WorkerCrashError(
-                        f"service at {self.address} closed the "
-                        f"connection while a {message[0]!r} request "
-                        f"was outstanding"
-                    )
-                self._frames.feed(chunk)
-                clock.reset()
-                continue
-            self._count_retry()
-            if not clock.tick():
-                raise TransportTimeoutError(
-                    f"no reply to {message[0]!r} from {self.address} "
-                    f"after {clock.attempts} attempt(s) "
-                    f"({clock.budget_s:.1f}s budget)"
-                )
+                    replies.append(reply)
+                    return True
+            return False   # anything else answered an abandoned call
 
-    def next_message(self, timeout_s: Optional[float] = None):
-        """The next inbound message in arrival order (None on timeout).
-
-        Unlike :meth:`request` this never discards anything -- it is the
-        read primitive for serve-style loops that must see *every*
-        message, whatever its sequence number.
-        """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        while True:
-            for message in self._frames.pop_messages():
-                return message
-            if self._sock is None:
-                raise SocketClosedError(
-                    f"connection to {self.address} is closed"
-                )
-            if deadline is None:
-                wait = None
-            else:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    return None
-            ready, _, _ = select.select([self._sock], [], [], wait)
-            if not ready:
-                return None
+        def wait(timeout_s: float) -> bool:
+            if not select.select([self._sock], [], [], timeout_s)[0]:
+                return False
             try:
                 chunk = self._sock.recv(1 << 20)
-            except (ConnectionError, OSError) as exc:
-                self.close()
-                raise SocketClosedError(
-                    f"connection to {self.address} broke: {exc}"
-                ) from exc
-            if not chunk:
-                self.close()
-                raise SocketClosedError(
-                    f"service at {self.address} closed the connection"
-                )
-            self._frames.feed(chunk)
+            except OSError:   # reset or broken: the connection is gone
+                chunk = b""
+            if chunk:
+                self._frames.feed(chunk)
+            else:
+                self.close()   # lost() reports it
+            return True
+
+        def lost() -> Optional[str]:
+            return None if self._sock is not None else (
+                f"connection to {self.address} lost while a "
+                f"{message[0]!r} request was outstanding")
+
+        self.retry.clock().wait_until(done, wait, lost,
+                                      self.metrics, self.name)
+        reply = replies[0]
+        if reply[0] == "err":
+            raise TransportError(
+                f"service raised while handling {message[0]!r}:\n"
+                f"{reply[2]}"
+            )
+        return reply
 
     def close(self) -> None:
         if self._sock is not None:

@@ -1,19 +1,17 @@
-"""Transport semantics over the worker pool: timeouts, retry, stragglers.
+"""Waiting for remote replies: timeouts, retry accounting, stragglers.
 
-:class:`ProcessTransport` speaks the pipe protocol of
-:mod:`repro.runtime.pool` with per-call timeouts and bounded,
-backoff-paced retry (:class:`~repro.runtime.sockets.SocketTransport` is
-its socket twin).
-
-Retry discipline: pipes do not lose messages, so only control messages
-(pings) are ever resent -- :meth:`ProcessTransport.request` resends
-with exponential backoff and discards duplicate replies by sequence
-number.  Training requests are not resent (a dispatch frame carries its
-worker's stream record, so a resend would train the same bits, but
-there is nothing to recover); each link's gather loop instead waits
-with the same backoff schedule, counts each empty interval in
-``retries_total``, and escalates to :class:`TransportTimeoutError` /
-:class:`WorkerCrashError`.
+Every link that waits for a remote reply -- the pool's
+:meth:`~repro.runtime.pool.ProcessPool.gather`, the service's
+:meth:`~repro.serve.service.PullLink.gather` and a client's
+:meth:`~repro.runtime.sockets.SocketTransport.request` -- waits in one
+loop, :meth:`RetryClock.wait_until`.  Nothing is ever resent: pipes and
+TCP connections do not lose messages, and a dispatch frame trains the
+same bits wherever and however often it is trained, so there is nothing
+a resend could recover.  Each backoff interval in which nothing arrived
+counts in ``retries_total{transport=...}``; the wait ends in
+:class:`WorkerCrashError` once the caller reports its peer lost, and in
+:class:`TransportTimeoutError` once the :class:`RetryPolicy` budget is
+spent.
 
 :class:`StragglerDetector` is the wall-clock heartbeat: it applies the
 *same* quorum-deadline rule the schedulers use on simulated times
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.simulation.faults import DeadlinePolicy
 
@@ -39,8 +37,6 @@ __all__ = [
     "WorkerCrashError",
     "RetryPolicy",
     "RetryClock",
-    "Transport",
-    "ProcessTransport",
     "StragglerDetector",
 ]
 
@@ -54,18 +50,17 @@ class TransportTimeoutError(TransportError):
 
 
 class WorkerCrashError(TransportError):
-    """A pool process died with requests outstanding."""
+    """A receiver died or left with requests outstanding."""
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-call timeout and backoff-paced retry budget.
+    """One wait's timeout and backoff budget.
 
-    ``backoff(attempt)`` yields the poll/resend interval for the given
-    zero-based attempt; a call fails with
-    :class:`TransportTimeoutError` after ``max_retries`` consecutive
-    empty intervals or once ``timeout_s`` of total waiting elapses,
-    whichever comes first.
+    ``backoff(attempt)`` yields the poll interval for the given
+    zero-based attempt; a wait fails with :class:`TransportTimeoutError`
+    after ``max_retries`` consecutive empty intervals or once
+    ``timeout_s`` of total waiting elapses, whichever comes first.
     """
 
     timeout_s: float = 600.0
@@ -76,156 +71,58 @@ class RetryPolicy:
     def backoff(self, attempt: int) -> float:
         return self.backoff_s * self.backoff_factor ** attempt
 
-    def clock(self, timeout_s: Optional[float] = None,
-              start: Optional[float] = None) -> "RetryClock":
-        """Start one call's retry accounting under this policy."""
-        return RetryClock(self, timeout_s, start=start)
+    def clock(self) -> "RetryClock":
+        """Start one wait's accounting under this policy."""
+        return RetryClock(self)
 
 
 class RetryClock:
-    """One call's worth of retry/backoff accounting.
+    """One wait's retry accounting, started when the wait starts."""
 
-    Every retrying call site -- :meth:`ProcessTransport.request`, the
-    executor's gather loop, :class:`~repro.runtime.sockets.
-    SocketTransport` -- used to inline the same four lines of budget
-    arithmetic; this hoists them behind two methods:
-
-    - :meth:`interval` -- the poll/resend interval for the current
-      attempt, clamped so the call never sleeps past its budget;
-    - :meth:`tick` -- record one empty interval; returns ``False`` once
-      the attempt count or the wall-clock budget is exhausted, at which
-      point the caller raises :class:`TransportTimeoutError`.
-    """
-
-    def __init__(self, policy: RetryPolicy,
-                 timeout_s: Optional[float] = None,
-                 start: Optional[float] = None) -> None:
+    def __init__(self, policy: RetryPolicy) -> None:
         self.policy = policy
-        self.budget_s = timeout_s if timeout_s is not None \
-            else policy.timeout_s
         self.attempts = 0
-        self._start = start if start is not None else time.perf_counter()
+        self._start = time.perf_counter()
 
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._start
-
-    def reset(self) -> None:
-        """A reply arrived: consecutive-empty-interval count restarts."""
-        self.attempts = 0
-
-    def remaining(self) -> float:
-        return self.budget_s - self.elapsed()
-
-    def interval(self) -> float:
-        return min(self.policy.backoff(self.attempts),
-                   max(self.remaining(), 0.0))
-
-    def tick(self) -> bool:
+    def tick(self) -> None:
+        """One empty interval, counted against the attempt budget."""
         self.attempts += 1
-        if self.attempts > self.policy.max_retries:
-            return False
-        return self.elapsed() < self.budget_s
 
+    def wait_until(self, done: Callable[[], bool],
+                   wait: Callable[[float], object],
+                   lost: Callable[[], Optional[str]],
+                   metrics, transport: str) -> None:
+        """Wait until ``done()``, one backoff interval at a time.
 
-class Transport:
-    """One request/response channel to a training endpoint."""
-
-    name = "base"
-    metrics = None
-
-    def request(self, message, timeout_s: Optional[float] = None):
-        raise NotImplementedError
-
-    def _count_retry(self) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("retries_total",
-                                 transport=self.name).inc()
-
-    def close(self) -> None:
-        """Release channel resources (no-op by default)."""
-
-
-class ProcessTransport(Transport):
-    """Pipe transport to one :class:`~repro.runtime.pool.PoolMember`."""
-
-    name = "process"
-
-    def __init__(self, member, retry: Optional[RetryPolicy] = None,
-                 metrics=None) -> None:
-        self.member = member
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.metrics = metrics
-
-    # -- primitives (used by the executor's gather loop) ---------------
-    def alive(self) -> bool:
-        return self.member.proc.is_alive()
-
-    def send(self, message) -> None:
-        try:
-            self.member.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashError(
-                f"pool member {self.member.index} is gone: {exc}"
-            ) from exc
-
-    def poll(self, timeout_s: float) -> bool:
-        return self.member.conn.poll(timeout_s)
-
-    def receive(self):
-        try:
-            return self.member.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerCrashError(
-                f"pool member {self.member.index} closed its pipe "
-                f"mid-conversation"
-            ) from exc
-
-    # -- idempotent round trip -----------------------------------------
-    def request(self, message, timeout_s: Optional[float] = None):
-        """Send an **idempotent** control message and await its reply.
-
-        Resends with exponential backoff (each resend counts in
-        ``retries_total``); replies whose sequence number does not
-        match -- duplicates provoked by an earlier resend -- are
-        discarded.  Training goes through the pool's pump instead: a
-        resend would train the same bits again, for nothing.
+        On every pass, in this order: return once ``done()``; raise
+        :class:`WorkerCrashError` if ``lost()`` names a lost peer;
+        raise :class:`TransportTimeoutError` once either budget is
+        spent; else ``wait(seconds)`` -- truthy if anything arrived,
+        which restarts the attempt count, and an empty interval ticks
+        the clock.
         """
-        seq = message[1]
-        clock = self.retry.clock(timeout_s)
-        self.send(message)
-        while True:
-            if self.poll(clock.interval()):
-                reply = self.receive()
-                if len(reply) >= 2 and reply[1] == seq:
-                    if reply[0] == "err":
-                        # the child answered with a traceback; returning
-                        # it as if it were the reply would let callers
-                        # treat the failure as success
-                        raise TransportError(
-                            f"pool member {self.member.index} raised "
-                            f"while handling {message[0]!r}:\n{reply[2]}"
-                        )
-                    return reply
-                continue  # stale duplicate from an earlier resend
-            if not self.alive():
-                raise WorkerCrashError(
-                    f"pool member {self.member.index} died while a "
-                    f"{message[0]!r} request was outstanding"
-                )
-            self._count_retry()
-            if not clock.tick():
+        policy = self.policy
+        while not done():
+            gone = lost()
+            if gone:
+                raise WorkerCrashError(gone)
+            elapsed = time.perf_counter() - self._start
+            if elapsed >= policy.timeout_s \
+                    or self.attempts > policy.max_retries:
                 raise TransportTimeoutError(
-                    f"no reply to {message[0]!r} from pool member "
-                    f"{self.member.index} after {clock.attempts} "
-                    f"attempt(s) ({clock.budget_s:.1f}s budget)"
+                    f"no reply over the {transport} transport after "
+                    f"{elapsed:.1f}s and {self.attempts} empty backoff "
+                    f"interval(s) (budget {policy.timeout_s:.1f}s, "
+                    f"{policy.max_retries} retries)"
                 )
-            self.send(message)
-
-    def close(self) -> None:
-        try:
-            self.member.conn.close()
-        except OSError:
-            pass
+            if wait(min(policy.backoff(self.attempts),
+                        policy.timeout_s - elapsed)):
+                self.attempts = 0   # the peer is alive
+            else:
+                if metrics is not None:
+                    metrics.counter("retries_total",
+                                    transport=transport).inc()
+                self.tick()
 
 
 class StragglerDetector:

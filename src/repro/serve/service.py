@@ -24,8 +24,10 @@ membership script (pinned by ``repro verify``'s service stage), and a
 checkpoint never needs anything from a client.
 
 The service is single-threaded: one ``selectors`` pump serves every
-connection, driven from two places -- the link's gather loop and the
-membership provider's wait.  There are no locks and no cross-thread
+connection, driven from two places -- the link's gather (the
+:meth:`~repro.runtime.transport.RetryClock.wait_until` loop every
+remote reply is awaited in, the pool's and a client's included) and
+the membership provider's wait.  There are no locks and no cross-thread
 hand-offs.
 """
 
@@ -53,13 +55,7 @@ from repro.fl.schedulers import make_scheduler
 from repro.runtime.executor import RemoteExecutor
 from repro.runtime.pool import InFlight, pack_skeleton
 from repro.runtime.sockets import FrameBuffer, encode_message
-from repro.runtime.transport import (
-    RetryClock,
-    RetryPolicy,
-    TransportError,
-    TransportTimeoutError,
-    WorkerCrashError,
-)
+from repro.runtime.transport import RetryPolicy, TransportError
 from repro.serve.protocol import (
     ACTIVE,
     DRAINING,
@@ -147,61 +143,42 @@ class PullLink:
         self.service.answer_held(worker_id)
 
     # -- the executor-facing half --------------------------------------
-    def gather(self, flights: List[InFlight],
-               clock: RetryClock) -> Dict[int, float]:
+    def gather(self, flights: List[InFlight]) -> Dict[int, float]:
         """Pump the service until every contribution frame is in.
 
-        A worker that reconnects gets its lost frames re-queued verbatim
-        by :meth:`forget_worker` (each carries the stream record it
-        trains from: a second delivery trains the same bits).  A worker
-        that *gracefully leaves* with work outstanding can never finish
-        it -- that fails fast as
-        :class:`~repro.runtime.transport.WorkerCrashError`; a lost
-        connection waits out the retry budget (the client may redial).
+        Waits in :meth:`~repro.runtime.transport.RetryClock.wait_until`:
+        any inbound traffic counts as liveness (held polls expiring,
+        heartbeats, one chunk of a large frame), so the attempt budget
+        is for a *silent* fleet and the wall-clock budget bounds a
+        wedged one.  A worker that reconnects gets its lost frames
+        re-queued verbatim by :meth:`forget_worker` (each carries the
+        stream record it trains from: a second delivery trains the same
+        bits), so a lost connection waits (the client may redial).  A
+        worker that *gracefully leaves* with work outstanding can never
+        finish it -- that fails fast as
+        :class:`~repro.runtime.transport.WorkerCrashError`, whatever
+        traffic the rest of the fleet keeps up.
         """
         service = self.service
         self._pending = {self._next_seq(): flight for flight in flights}
         self._completion = completion = {}
         for tseq, flight in self._pending.items():
             self._queue(flight.worker_id, ("dispatch", tseq, flight.frame))
+
+        def left() -> Optional[str]:
+            gone = sorted({
+                flight.worker_id for flight in flights
+                if flight.reply is None
+                and service.gone_reason(flight.worker_id) == "leave"
+            })
+            return (f"worker(s) {gone} left the service with training "
+                    f"request(s) outstanding") if gone else None
+
         try:
-            while True:
-                missing = [
-                    flight for flight in flights if flight.reply is None
-                ]
-                if not missing:
-                    return completion
-                if clock.remaining() <= 0.0:
-                    raise TransportTimeoutError(
-                        f"{len(missing)} contribution(s) still missing "
-                        f"after {clock.elapsed():.1f}s "
-                        f"(budget {clock.budget_s:.1f}s)"
-                    )
-                if service.pump(clock.interval()):
-                    # any inbound traffic counts as liveness (idle
-                    # polls, heartbeats, one chunk of a large frame):
-                    # the attempt budget is for a *silent* fleet, the
-                    # wall-clock budget bounds a wedged one -- like the
-                    # pool's gather, where any readable pipe resets the
-                    # attempt clock
-                    clock.reset()
-                    continue
-                self.metrics.counter("retries_total",
-                                     transport=self.name).inc()
-                left = sorted({
-                    flight.worker_id for flight in missing
-                    if service.gone_reason(flight.worker_id) == "leave"
-                })
-                if left:
-                    raise WorkerCrashError(
-                        f"worker(s) {left} left the service with "
-                        f"training request(s) outstanding"
-                    )
-                if not clock.tick():
-                    raise TransportTimeoutError(
-                        f"no contribution after {clock.attempts} backoff "
-                        f"interval(s) ({clock.elapsed():.1f}s elapsed)"
-                    )
+            self.retry.clock().wait_until(
+                lambda: all(flight.reply is not None for flight in flights),
+                service.pump, left, self.metrics, self.name)
+            return completion
         finally:
             self._pending = {}
             self._handed = {}
@@ -803,8 +780,11 @@ class FedMPService:
         then returns exactly the scripted list; live mode waits for
         ``min_workers`` before round 0 and for at least one active
         worker before later rounds, then returns whoever is active.
-        Consumes no engine RNG either way.
+        Consumes no engine RNG either way.  What clients sent since the
+        last gather (a ``leave``, above all) is read first: a worker that
+        left between rounds is never handed the next round's flight.
         """
+        self.pump(0.0)
         deadline = time.monotonic() + self.registration_timeout_s
         while True:
             if self.roster_script is not None:

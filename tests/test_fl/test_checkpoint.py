@@ -45,6 +45,7 @@ from repro.fl.hooks import CommVolumeHook, TimingHook
 from repro.fl.runner import run_federated_training
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.verify.differential import normalised_history_bytes
+from tests.support.bandit import agent_signature
 
 SCHEDULER_OVERRIDES = {
     "sync": {},
@@ -144,8 +145,8 @@ def _assert_bandit_roundtrip(original_strategy, restored_strategy):
     restored = restored_strategy.agents
     assert agents.keys() == restored.keys()
     for key in agents:
-        assert agents[key].state_signature() \
-            == restored[key].state_signature(), key
+        assert agent_signature(agents[key]) \
+            == agent_signature(restored[key]), key
         assert restored[key].consistency_report() == [], key
 
 

@@ -68,7 +68,6 @@ def test_empty_history():
     assert h.final_metric() is None
     assert h.total_time_s == 0.0
     assert h.mean_round_time() == 0.0
-    assert h.mean_overhead() == 0.0
 
 
 def test_percentile_round_time(history):
@@ -98,4 +97,3 @@ def test_total_overhead(history):
     for i, record in enumerate(history.rounds):
         record.overhead_s = 0.01 * (i + 1)
     assert history.total_overhead_s == pytest.approx(0.15)
-    assert history.mean_overhead() == pytest.approx(0.03)

@@ -96,7 +96,7 @@ def test_engine_seeds_are_the_scalar_stream():
         reference = np.random.default_rng(5)
         reference.integers(2 ** 31)   # model
         reference.integers(2 ** 31)   # shards
-        assert [spec.seed for spec in engine.worker_specs] == [
+        assert [engine.workers.spec(wid).seed for wid in engine.worker_ids] == [
             int(reference.integers(2 ** 31)) for _ in devices]
     finally:
         engine.close()

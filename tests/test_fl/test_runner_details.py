@@ -40,7 +40,6 @@ def test_overhead_recorded_every_round(task, devices):
                       batch_size=8, seed=1)
     history = run_federated_training(task, devices, config)
     assert all(r.overhead_s > 0 for r in history.rounds)
-    assert history.mean_overhead() > 0
 
 
 def test_round_ratios_recorded(task, devices):

@@ -458,9 +458,8 @@ class _CrossedLink:
     parallelism = 1
     busy_s = 0.0
     wave_cohorts = 1
-    retry = None
 
-    def gather(self, flights, clock):
+    def gather(self, flights):
         for flight in flights:
             record = decode_dispatch(flight.frame).stream
             record.worker_id += 1

@@ -67,6 +67,11 @@ def _config(**overrides) -> FLConfig:
     return FLConfig(**base)
 
 
+def _specs(engine):
+    """Every worker's spec, in fleet order (builds no worker)."""
+    return [engine.workers.spec(wid) for wid in engine.worker_ids]
+
+
 def _counter_sum(metrics: MetricsRegistry, name: str, **labels) -> float:
     return sum(
         counter.value for counter in metrics.counters
@@ -249,7 +254,7 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
     config = _config(max_rounds=1)
     engine = Engine(task, devices, config)
     executor = RemoteExecutor(
-        ProcessPool(engine.worker_specs, num_procs=4,
+        ProcessPool(_specs(engine), num_procs=4,
                     skeleton=engine.model),
         telemetry=telemetry, straggler_quorum=0.75,
         straggler_multiplier=1.5,
@@ -286,7 +291,7 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
     fleet = make_scenario_devices({"A": 3, "B": 3}, np.random.default_rng(7))
     engine = Engine(ClassificationTask(mnist, "cnn"), fleet,
                     _config(max_rounds=1))
-    pool = ProcessPool(engine.worker_specs, num_procs=2,
+    pool = ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model)
     executor = RemoteExecutor(pool, telemetry=telemetry,
                               straggler_quorum=0.5,
@@ -329,14 +334,13 @@ class _RecordingLink:
 
     name = "recording"
     parallelism = 2
-    retry = RetryPolicy()
     busy_s = 0.0
 
     def __init__(self, wave_cohorts):
         self.wave_cohorts = wave_cohorts
         self.gathers = []
 
-    def gather(self, flights, clock):
+    def gather(self, flights):
         self.gathers.append([flight.worker_id for flight in flights])
         for flight in flights:
             payload = decode_dispatch(flight.frame)
@@ -395,7 +399,7 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
     engine = Engine(ClassificationTask(mnist, "cnn"), devices,
                     _config(max_rounds=1))
     pool = ProcessPool(
-        engine.worker_specs, num_procs=2, skeleton=engine.model,
+        _specs(engine), num_procs=2, skeleton=engine.model,
         retry=RetryPolicy(timeout_s=30.0, max_retries=6, backoff_s=0.1),
     )
     try:
@@ -414,7 +418,7 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
             if flight.worker_id == second_in_queue:
                 flight.frame = b"not a dispatch frame"
         with pytest.raises(TransportError) as caught:
-            pool.gather(flights, pool.retry.clock())
+            pool.gather(flights)
         assert not isinstance(caught.value, TransportTimeoutError)
         assert "Traceback" in str(caught.value)
         assert "WireFormatError" in str(caught.value)

@@ -28,8 +28,13 @@ from repro.fl.tasks import ClassificationTask, _SequenceBatchIterator
 from repro.fl.worker import Worker
 from repro.runtime.codec import TrainHyper, decode_contribution, encode_dispatch
 from repro.runtime.pool import InFlight, ProcessPool, WorkerSpec
-from repro.runtime.transport import RetryPolicy, WorkerCrashError
+from repro.runtime.transport import (
+    RetryPolicy,
+    TransportTimeoutError,
+    WorkerCrashError,
+)
 from repro.simulation.cluster import make_scenario_devices
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def _device(index: int = 0):
@@ -163,6 +168,11 @@ def engine():
     engine.close()
 
 
+def _specs(engine):
+    """Every worker's spec, in fleet order (builds no worker)."""
+    return [engine.workers.spec(wid) for wid in engine.worker_ids]
+
+
 def _frames(engine, emulate_s: float = 0.0):
     """One dispatch frame per worker, each carrying its stream record."""
     dispatches = engine.dispatch_many(
@@ -178,7 +188,7 @@ def _frames(engine, emulate_s: float = 0.0):
 
 
 def _pool(engine, **kwargs) -> ProcessPool:
-    return ProcessPool(engine.worker_specs, num_procs=2,
+    return ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model, **kwargs)
 
 
@@ -192,9 +202,13 @@ def test_same_frame_on_either_child_gives_identical_reply_bytes(engine):
     measured wall time the reply reports, and so the CRC)."""
     worker_id, frame = next(iter(_frames(engine).items()))
     pool = _pool(engine)
-    try:
-        replies = [pool.transports[index].request(("train", seq, frame))[2]
-                   for seq, index in enumerate((0, 1, 0), start=1)]
+    try:   # the pump starts with the first flight: the pipes are free
+        replies = []
+        for index in (0, 1, 0):
+            pool.members[index].conn.send(frame)
+            op, reply = pool.members[index].conn.recv()
+            assert op == "ok"
+            replies.append(reply)
     finally:
         pool.close()
     # header 8 | worker, samples u32 | loss f64 | wall f64 | ... | crc32
@@ -215,10 +229,27 @@ def test_sigkilled_child_with_queued_flights_is_a_crash_not_a_hang(engine):
         os.kill(pool.members[0].proc.pid, signal.SIGKILL)
         start = time.perf_counter()
         with pytest.raises(WorkerCrashError):
-            pool.gather(flights, pool.retry.clock())
+            pool.gather(flights)
         assert time.perf_counter() - start < 10.0
     finally:
         pool.close(join_timeout_s=2.0)
+
+
+def test_gather_past_its_budget_raises_typed_timeout(engine):
+    """Flights that outlast the retry budget end the gather in a typed
+    timeout, with each empty interval counted as a retry."""
+    metrics = MetricsRegistry()
+    pool = _pool(engine, metrics=metrics,
+                 retry=RetryPolicy(timeout_s=0.5, backoff_s=0.05))
+    flights = _flights(_frames(engine, emulate_s=5.0))
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TransportTimeoutError):
+            pool.gather(flights)
+        assert time.perf_counter() - start < 3.0
+    finally:
+        pool.close(join_timeout_s=1.0)
+    assert metrics.counter("retries_total", transport="process").value >= 1
 
 
 def test_close_with_uncollected_flights_reaps_children_and_pump(engine):
@@ -232,6 +263,23 @@ def test_close_with_uncollected_flights_reaps_children_and_pump(engine):
     assert all(not member.proc.is_alive() for member in pool.members)
 
 
+def test_close_is_eof_in_the_children_with_a_later_pool_alive():
+    """Closing a pool's pipe ends is EOF in its children (they exit on
+    their own, status 0) although a pool forked after it exists: the
+    later pool's children closed their copies of those ends."""
+    specs = [_batch_spec(seed=wid, worker_id=wid) for wid in range(2)]
+    first = ProcessPool(specs, None, num_procs=2)
+    second = ProcessPool(specs, None, num_procs=2)
+    try:
+        start = time.perf_counter()
+        first.close(join_timeout_s=5.0)
+        assert time.perf_counter() - start < 2.0
+        assert [member.proc.exitcode for member in first.members] == [0, 0]
+    finally:
+        first.close()
+        second.close()
+
+
 def test_pool_under_thread_switch_pressure_loses_no_flight(engine):
     """More children than cores and a tiny switch interval between the
     main thread and the pump: every flight is answered exactly once
@@ -240,14 +288,14 @@ def test_pool_under_thread_switch_pressure_loses_no_flight(engine):
     frames = _frames(engine)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    pool = ProcessPool(engine.worker_specs, num_procs=3,
+    pool = ProcessPool(_specs(engine), num_procs=3,
                        skeleton=engine.model)
     try:
         rounds = []
         for _ in range(3):
             flights = _flights(frames)
             pool.submit(flights[:2])     # the rest go in with the gather
-            pool.gather(flights, pool.retry.clock())
+            pool.gather(flights)
             rounds.append(flights)
         busy = pool.busy_s
     finally:
@@ -264,7 +312,7 @@ def test_pool_under_thread_switch_pressure_loses_no_flight(engine):
 
 def test_pool_size_clamped_to_fleet():
     specs = [_batch_spec(seed=9, worker_id=0)]
-    pool = ProcessPool(specs, num_procs=8)
+    pool = ProcessPool(specs, None, num_procs=8)
     try:
         assert len(pool) == 1
     finally:
@@ -273,7 +321,7 @@ def test_pool_size_clamped_to_fleet():
 
 def test_pool_rejects_empty_fleet():
     with pytest.raises(ValueError, match="at least one"):
-        ProcessPool([])
+        ProcessPool([], None)
 
 
 _POOL_OWNER = """
@@ -283,8 +331,7 @@ from tests.test_runtime.test_pool import _batch_spec
 from repro.runtime.pool import ProcessPool
 
 pool = ProcessPool([_batch_spec(seed=wid, worker_id=wid) for wid in range(3)],
-                   num_procs=3)
-pool.ping()
+                   None, num_procs=3)
 print(*(member.proc.pid for member in pool.members), flush=True)
 time.sleep(120)
 """

@@ -29,6 +29,7 @@ from repro.runtime.transport import (
     WorkerCrashError,
 )
 from repro.telemetry import MetricsRegistry
+from tests.support.sockets import next_message
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -86,7 +87,7 @@ def test_frame_buffer_survives_arbitrary_chunking():
         buffer.feed(wire[cut:cut + 7])
         out.extend(buffer.pop_messages())
     assert out == messages
-    assert buffer.pending_bytes() == 0
+    assert buffer._buffer == bytearray()
 
 
 def test_frame_buffer_rejects_oversized_length_prefix():
@@ -284,9 +285,9 @@ def test_next_message_returns_in_arrival_order():
     transport = _transport(server)
     try:
         transport.send(("kick", 1))
-        assert transport.next_message(timeout_s=5.0) == ("first", 100)
-        assert transport.next_message(timeout_s=5.0) == ("second", 200)
-        assert transport.next_message(timeout_s=0.05) is None
+        assert next_message(transport, timeout_s=5.0) == ("first", 100)
+        assert next_message(transport, timeout_s=5.0) == ("second", 200)
+        assert next_message(transport, timeout_s=0.05) is None
     finally:
         transport.close()
         server.close()

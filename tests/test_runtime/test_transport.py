@@ -1,23 +1,26 @@
-"""Transport semantics: retry/backoff, timeouts, crashes, stragglers."""
+"""Transport semantics: backoff, crashes, stragglers.
+
+The one wait loop's timeout and retry accounting are pinned where the
+links use it: ``test_pool.py`` (the pool's gather), ``test_sockets.py``
+(a client's request) and ``test_service.py`` (the service's gather).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.runtime.pool import ProcessPool, WorkerSpec
+from repro.runtime.pool import InFlight, ProcessPool, WorkerSpec
 from repro.runtime.transport import (
-    ProcessTransport,
     RetryPolicy,
     StragglerDetector,
-    TransportTimeoutError,
     WorkerCrashError,
 )
 from repro.simulation.cluster import make_scenario_devices
-from repro.telemetry.metrics import MetricsRegistry
 
 
 def _make_pool() -> ProcessPool:
+    """A one-child pool that never trains: no skeleton."""
     rng = np.random.default_rng(0)
     device = make_scenario_devices({"A": 1}, np.random.default_rng(3))[0]
     spec = WorkerSpec(
@@ -26,12 +29,8 @@ def _make_pool() -> ProcessPool:
         shard_targets=rng.integers(0, 2, size=8).astype(np.int64),
         batch_size=4, device=device, jitter_sigma=0.05, num_samples=8,
     )
-    return ProcessPool([spec], num_procs=1)
-
-
-def _retry_sum(metrics: MetricsRegistry) -> float:
-    return sum(counter.value for counter in metrics.counters
-               if counter.name == "retries_total")
+    return ProcessPool([spec], None, num_procs=1,
+                       retry=RetryPolicy(timeout_s=2.0, backoff_s=0.05))
 
 
 def test_backoff_schedule():
@@ -40,56 +39,16 @@ def test_backoff_schedule():
     assert policy.backoff(2) == pytest.approx(1.0)
 
 
-def test_ping_roundtrip():
-    pool = _make_pool()
-    try:
-        transport = ProcessTransport(pool.members[0])
-        assert transport.request(("ping", 1, 0.0)) == ("pong", 1)
-    finally:
-        pool.close()
-
-
-def test_delayed_reply_provokes_resend_and_duplicates_are_discarded():
-    pool = _make_pool()
-    try:
-        metrics = MetricsRegistry()
-        retry = RetryPolicy(timeout_s=20.0, max_retries=100,
-                            backoff_s=0.05, backoff_factor=1.0)
-        transport = ProcessTransport(pool.members[0], retry=retry,
-                                     metrics=metrics)
-        # the child sleeps 0.4s before answering, so the 0.05s backoff
-        # schedule resends the ping several times...
-        assert transport.request(("ping", 1, 0.4)) == ("pong", 1)
-        assert _retry_sum(metrics) >= 1
-        # ...and every duplicate pong(1) the resends provoked must be
-        # discarded by sequence number, not returned for seq 2
-        assert transport.request(("ping", 2, 0.0)) == ("pong", 2)
-    finally:
-        pool.close(join_timeout_s=1.0)
-
-
-def test_exhausted_budget_raises_typed_timeout():
-    pool = _make_pool()
-    try:
-        retry = RetryPolicy(timeout_s=0.3, max_retries=2, backoff_s=0.05)
-        transport = ProcessTransport(pool.members[0], retry=retry)
-        with pytest.raises(TransportTimeoutError, match="ping"):
-            transport.request(("ping", 1, 5.0))
-    finally:
-        pool.close(join_timeout_s=0.5)
-
-
 def test_dead_member_raises_worker_crash_error():
+    """A child that died before its first flight (at start-up, say)
+    surfaces at the first gather, typed."""
     pool = _make_pool()
     try:
         member = pool.members[0]
         member.proc.terminate()
         member.proc.join(timeout=5.0)
-        transport = ProcessTransport(
-            member, retry=RetryPolicy(timeout_s=2.0, backoff_s=0.05)
-        )
         with pytest.raises(WorkerCrashError):
-            transport.request(("ping", 1, 0.0))
+            pool.gather([InFlight(0, b"a frame nobody trains")])
     finally:
         pool.close(join_timeout_s=0.5)
 

@@ -29,11 +29,7 @@ from repro.runtime.pool import (
     pack_skeleton,
     unpack_skeleton,
 )
-from repro.runtime.transport import (
-    ProcessTransport,
-    TransportError,
-    WorkerCrashError,
-)
+from repro.runtime.transport import WorkerCrashError
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import Telemetry
@@ -56,6 +52,11 @@ def _config(**overrides) -> FLConfig:
                 eval_every=10_000, seed=11)
     base.update(overrides)
     return FLConfig(**base)
+
+
+def _specs(engine):
+    """Every worker's spec, in fleet order (builds no worker)."""
+    return [engine.workers.spec(wid) for wid in engine.worker_ids]
 
 
 def _counter_sum(metrics: MetricsRegistry, name: str, **labels) -> float:
@@ -174,7 +175,7 @@ def test_killed_worker_raises_worker_crash_error(mnist, devices):
     task = ClassificationTask(mnist, "cnn")
     config = _config()
     engine = Engine(task, devices, config)
-    pool = ProcessPool(engine.worker_specs, num_procs=2,
+    pool = ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model)
     executor = RemoteExecutor(pool)
     try:
@@ -250,28 +251,3 @@ def test_sparse_profile_matches_serial_at_full_keep(mnist, devices):
     for key in serial_state:
         np.testing.assert_array_equal(sparse_state[key],
                                       serial_state[key])
-
-
-# ----------------------------------------------------------------------
-# transport bug sweep: error replies must raise, not return
-# ----------------------------------------------------------------------
-def test_transport_request_raises_on_err_reply():
-    rng = np.random.default_rng(0)
-    device = make_scenario_devices({"A": 1}, np.random.default_rng(3))[0]
-    spec = WorkerSpec(
-        worker_id=0, seed=11,
-        shard_inputs=rng.normal(size=(8, 1, 4, 4)).astype(np.float32),
-        shard_targets=rng.integers(0, 2, size=8).astype(np.int64),
-        batch_size=4, device=device, jitter_sigma=0.05, num_samples=8,
-    )
-    pool = ProcessPool([spec], num_procs=1)
-    try:
-        transport = ProcessTransport(pool.members[0])
-        # a garbage frame makes the child reply ("err", seq, traceback);
-        # the pre-fix transport returned that tuple as a success
-        with pytest.raises(TransportError, match="raised"):
-            transport.request(("train", 1, b"garbage"))
-        # the channel survives the failed call
-        assert transport.request(("ping", 2, 0.0)) == ("pong", 2)
-    finally:
-        pool.close(join_timeout_s=1.0)

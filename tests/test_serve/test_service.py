@@ -12,6 +12,7 @@ at 0 ULP.
 from __future__ import annotations
 
 import dataclasses
+import select
 import socket
 import threading
 import time
@@ -45,6 +46,7 @@ from repro.verify.differential import (
     normalised_history_bytes,
     ulp_distance,
 )
+from tests.support.sockets import next_message
 from tests.support.telemetry import ListSink
 
 
@@ -206,7 +208,7 @@ def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch,
     gather, send = service.link.gather, service._send
     dead, written = [], []
 
-    def kill_a_held_poll_first(flights, clock):
+    def kill_a_held_poll_first(flights):
         if not dead:
             # both polls parked, then worker 1's client end dies and the
             # service sees the EOF -- all before round 0 queues a frame
@@ -218,7 +220,7 @@ def test_reissued_dispatch_trains_bitwise(task, devices, monkeypatch,
             clients[1].transport._sock.shutdown(socket.SHUT_RDWR)
             _pump_until(service, lambda: 1 not in service._held)
             assert service.counters["lost"] == 1
-        return gather(flights, clock)
+        return gather(flights)
 
     def recording_send(connection, message):
         written.append(connection)
@@ -386,7 +388,7 @@ def _pumped_request(service, transport, message, tries=200):
     transport.send(message)
     for _ in range(tries):
         service.pump(0.02)
-        reply = transport.next_message(timeout_s=0.02)
+        reply = next_message(transport, timeout_s=0.02)
         if reply is not None:
             return reply
     raise AssertionError("no reply from the pumped service")
@@ -484,13 +486,13 @@ def test_held_poll_is_answered_the_moment_work_is_queued(task, devices):
         transport.send(("pull_dispatch", 7, 1, HOLD_S))
         _pump_until(service, lambda: 1 in service._held)
         # nothing queued: no reply, and the park shows in `status`
-        assert transport.next_message(timeout_s=0.01) is None
+        assert next_message(transport, timeout_s=0.01) is None
         status = _pumped_request(service, observer, ("status", 1))
         assert status[2]["held"] == 1
         # queueing answers it -- no second request, no pump -- under
         # the poll's own seq
         service.link._queue(1, ("dispatch", 5, b"frame"))
-        assert transport.next_message(timeout_s=30) == (
+        assert next_message(transport, timeout_s=30) == (
             "dispatch", 7, 5, b"frame")
         assert 1 not in service._held
     finally:
@@ -554,7 +556,7 @@ def test_reregistered_worker_is_answered_on_its_new_connection(task,
                                 ("pull_dispatch", 2, 1, HOLD_S))
         assert reply == ("dispatch", 2, 5, b"frame")
         service.pump(HOLD_S)
-        assert first.next_message(timeout_s=0.01) is None
+        assert next_message(first, timeout_s=0.01) is None
     finally:
         first.close()
         second.close()
@@ -659,15 +661,79 @@ def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
     try:
         _pump_until(service, lambda: 1 in service._held)
         flight = InFlight(1, b"frame")
-        clock = RetryPolicy().clock()
-        completion = service.link.gather([flight], clock)
+        start = time.perf_counter()
+        completion = service.link.gather([flight])
+        elapsed = time.perf_counter() - start
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert flight.reply == b"reply"
         assert service.counters["reconnect"] == 1
         assert (completion[1] <= stamps["accepted"] - stamps["polled"]
-                < clock.elapsed())
+                < elapsed)
     finally:
+        service.shutdown()
+        service.engine.close()
+
+
+def test_a_leaver_fails_the_gather_at_once_however_busy_the_fleet(
+        task, devices):
+    """ROADMAP item 17: worker 0 leaves with its flight queued while
+    worker 1 keeps polling, so no backoff interval is ever empty.  The
+    gather fails fast as a crash; it used to wait out the whole
+    wall-clock budget."""
+    service = FedMPService(task, devices, _config(),
+                           retry=RetryPolicy(timeout_s=20.0))
+    leaver = SocketTransport(service.address).connect()
+    poller = SocketTransport(service.address).connect()
+
+    def keep_polling():
+        seq = iter(range(2, 100000))
+        while True:   # each held poll expires into idle within 0.2 s
+            reply = poller.request(("pull_dispatch", next(seq), 1, HOLD_S))
+            if reply[0] == "drain":
+                poller.request(("leave", next(seq), 1))
+                return
+            assert reply[0] == "idle"
+
+    thread = threading.Thread(target=keep_polling, daemon=True)
+    try:
+        _register(service, leaver, 0)
+        _register(service, poller, 1)
+        thread.start()
+        # read by the gather's first pump, after it queued the flight
+        leaver.send(("leave", 2, 0))
+        start = time.perf_counter()
+        with pytest.raises(WorkerCrashError, match="left"):
+            service.link.gather([InFlight(0, b"frame")])
+        assert time.perf_counter() - start < 5.0
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+        leaver.close()
+        poller.close()
+        service.engine.close()
+    assert not thread.is_alive()
+
+
+def test_a_leave_sent_between_rounds_keeps_the_leaver_out_of_the_next(
+        task, devices):
+    """A ``leave`` that reached the service after one round's gather is
+    read before the next round's live roster is fixed, so the leaver is
+    never handed a flight it cannot finish (ROADMAP item 17's race)."""
+    service = FedMPService(task, devices, _config())
+    leaver = SocketTransport(service.address).connect()
+    stayer = SocketTransport(service.address).connect()
+    try:
+        _register(service, leaver, 0)
+        _register(service, stayer, 1)
+        leaver.send(("leave", 2, 0))
+        # in the service's socket, not yet read by any pump
+        assert select.select([service._conn_by_worker[0].sock], [], [],
+                             5.0)[0]
+        assert service._membership(1) == [1]
+    finally:
+        leaver.close()
+        stayer.close()
         service.shutdown()
         service.engine.close()
 
