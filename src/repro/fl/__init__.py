@@ -14,9 +14,10 @@ independently pluggable layers:
   (Syn-FL, UP-FL, FedProx, FlexCom) and the asynchronous variants;
 - :mod:`repro.fl.engine` -- global model custody on the PS plus the
   shared dispatch/train/aggregate/record plumbing;
-- :mod:`repro.fl.schedulers` -- synchronisation rules: sync barrier
-  (Eq. 6), async first-``m`` arrivals (Algorithm 2), semi-sync
-  per-round deadline with straggler carry-over;
+- :mod:`repro.fl.schedulers` -- the round loop and its synchronisation
+  rules: sync barrier (Eq. 6), async first-``m`` arrivals
+  (Algorithm 2), semi-sync per-round deadline with straggler
+  carry-over;
 - :mod:`repro.fl.hooks` -- per-round instrumentation callbacks
   (timing, communication volume, custom observers);
 - :mod:`repro.fl.history` -- per-round records and the

@@ -189,6 +189,13 @@ class FLConfig:
             raise ValueError(
                 "async_m and semi_sync_deadline_s are mutually exclusive"
             )
+        if self.async_m is not None and self.churn_leave_prob > 0:
+            # batch async re-dispatches exactly its arrivals and never
+            # consults the churn model after round 0
+            raise ValueError(
+                "the async scheduler does not model churn; "
+                "churn_leave_prob must be 0 with async_m"
+            )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"

@@ -1,20 +1,17 @@
-"""Backward-compatible facade over the round engine.
+"""The one-call facade over the round engine.
 
-The round protocol used to live here as one monolithic session class;
-it is now composed from three pluggable layers:
+A run is composed from pluggable layers:
 
 - :mod:`repro.fl.engine` -- shared dispatch/train/record plumbing;
-- :mod:`repro.fl.schedulers` -- synchronisation rules (sync barrier,
-  async first-``m`` arrivals, semi-sync per-round deadline);
+- :mod:`repro.fl.schedulers` -- the round loop and its synchronisation
+  rules (sync barrier, async first-``m`` arrivals, semi-sync per-round
+  deadline);
 - :mod:`repro.fl.aggregation` -- R2SP/BSP aggregators and their
   sample-count-weighted variants;
 - :mod:`repro.fl.hooks` -- per-round instrumentation callbacks.
 
-``run_federated_training`` keeps the original one-call entrypoint:
-it builds an :class:`~repro.fl.engine.Engine` from the config and runs
-it under the scheduler the config selects.  Behaviour (including the
-random streams, hence the trained models) is identical to the
-pre-engine runner for every pre-engine configuration.
+``run_federated_training`` builds an :class:`~repro.fl.engine.Engine`
+from the config and runs it under the scheduler the config selects.
 """
 
 from __future__ import annotations

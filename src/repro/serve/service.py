@@ -250,11 +250,13 @@ class FedMPService:
 
     SIGTERM/SIGINT request a cooperative drain: the round in flight
     finishes, an interrupt checkpoint is written with the true next
-    round, connected clients are told to drain, and :meth:`run`
-    returns the partial history.  Resuming that checkpoint (with
-    ``resume_from``) continues byte-identically -- the checkpoint's
-    ``service`` payload restores the roster's registration ledger, and
-    every dispatch carries its worker's checkpointed stream position.
+    round (a queued rule's drain caught waiting for a roster keeps its
+    last cadence checkpoint instead), connected clients are told to
+    drain, and :meth:`run` returns the partial history.  Resuming that
+    checkpoint (with ``resume_from``) continues byte-identically -- the
+    checkpoint's ``service`` payload restores the roster's registration
+    ledger, and every dispatch carries its worker's checkpointed stream
+    position.
     """
 
     def __init__(self, task, devices, config=None, *,
@@ -815,8 +817,16 @@ class FedMPService:
 
     def _drain_abort(self, round_index: int) -> None:
         """A drain arrived while waiting for workers: checkpoint the
-        completed prefix (the cadence may not have) and bail out."""
-        if round_index > 0 and self.engine.checkpointer is not None:
+        completed prefix (the cadence may not have) and bail out.
+
+        Only a rule that keeps no queue waits at a round boundary.  A
+        queued rule asks for round ``r``'s roster from its re-dispatch
+        *inside* round ``r - 1``, whose update is already in the model
+        but whose record and flights are not saved yet: the last
+        cadence checkpoint stays the resume point.
+        """
+        if (round_index > 0 and not self._scheduler.queued
+                and self.engine.checkpointer is not None):
             self.engine.checkpointer.save(
                 self.engine, self._scheduler.name, round_index
             )

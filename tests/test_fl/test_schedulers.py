@@ -94,6 +94,8 @@ def test_config_rejects_inconsistent_scheduling():
         _config(semi_sync_deadline_s=-1.0)
     with pytest.raises(ValueError):
         _config(scheduler="bulk")
+    with pytest.raises(ValueError, match="churn"):
+        _config(async_m=4, churn_leave_prob=0.9)  # async ignores churn
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,8 @@ import pytest
 from repro.data.synthetic import make_synthetic_mnist
 from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
+from repro.fl.hooks import RoundHook
+from repro.fl.runner import run_federated_training
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
 from repro.runtime import pool
@@ -782,3 +784,40 @@ def test_lost_worker_resumes_from_its_true_stream_position(task, devices,
     assert errors == {}
     assert len(history.rounds) == 5
     assert normalised_history_bytes(history) == expected
+
+
+class _InterruptAfterAggregate(RoundHook):
+    """Requests the service's drain once round ``round_index`` has
+    aggregated (what a SIGTERM arriving mid-round does)."""
+
+    def __init__(self, round_index):
+        self.round_index = round_index
+        self.service = None
+
+    def on_aggregate(self, round_index, contributions):
+        if round_index == self.round_index:
+            self.service.engine.request_interrupt()
+
+
+def test_async_drain_while_waiting_for_a_joiner_leaves_a_resumable_checkpoint(
+        task, devices, tmp_path):
+    """Under async the next round's roster is asked from the re-dispatch
+    *inside* the round in flight.  A drain caught waiting there (worker
+    1 never registers) must not checkpoint: the round's update is in
+    the model, its record is not yet in the history and its flights are
+    not yet queued.  The last cadence checkpoint stays the resume point,
+    and it runs to ``max_rounds``."""
+    config = _config(async_m=1, checkpoint_dir=str(tmp_path),
+                     checkpoint_every=1)
+    hook = _InterruptAfterAggregate(1)
+    service = FedMPService(task, devices, config, hooks=[hook],
+                           roster_script={0: [0], 2: [0, 1]})
+    hook.service = service
+    history, _, errors = _run_fleet(
+        service, {0: ServiceClient(service.address, worker_id=0)})
+    assert errors == {}
+    assert len(history.rounds) == 1
+
+    resumed = run_federated_training(task, devices, None,
+                                     resume_from=str(tmp_path))
+    assert [record.round_index for record in resumed.rounds] == [0, 1, 2]
