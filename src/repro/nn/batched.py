@@ -11,9 +11,9 @@ The stacked computation is *specified to be bitwise identical* to the
 per-member reference path (``differential/engine_vs_reference`` in
 ``repro verify`` pins this at 0 ULPs).  The equivalences it relies on:
 
-- per-sample layers (ReLU, pooling, Flatten, im2col/col2im) act row- or
-  sample-wise, so running them on the stacked block is literally the
-  same arithmetic per member slice;
+- per-sample layers (ReLU, pooling, Flatten, im2col and the tap-wise
+  input gradient's adds) act row- or sample-wise, so running them on
+  the stacked block is literally the same arithmetic per member slice;
 - NumPy's batched matmul ``(M, B, I) @ (M, I, O)`` computes each
   ``(B, I) @ (I, O)`` slice with the same kernel as the 2-D call, so
   stacked Linear/Conv2d forward/backward products match per-member
@@ -85,6 +85,7 @@ class _StackedLinear:
                  members: int) -> None:
         self.name = name
         self.members = members
+        self.requires_input_grad = True
         self.params = {
             "weight": np.repeat(weight[None], members, axis=0),
             "bias": np.repeat(bias[None], members, axis=0),
@@ -104,7 +105,7 @@ class _StackedLinear:
         out = out + self.params["bias"][:, None, :]
         return out.reshape(-1, out.shape[-1])
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
         if self._x3 is None:
             raise RuntimeError("backward called before forward")
         m = self.members
@@ -114,6 +115,8 @@ class _StackedLinear:
         np.matmul(g3.transpose(0, 2, 1), self._x3,
                   out=self.grads["weight"])
         np.sum(g3, axis=1, out=self.grads["bias"])
+        if not self.requires_input_grad:
+            return None
         dx = g3 @ self.params["weight"]
         return dx.reshape(-1, dx.shape[-1])
 
@@ -121,9 +124,11 @@ class _StackedLinear:
 class _StackedConv2d:
     """``M`` independent Conv2d layers as one batched computation.
 
-    im2col/col2im are per-sample, so one lowering of the stacked
-    ``(M * B, C, H, W)`` block yields every member's patch rows in
-    member-major order; only the weight products need batching.
+    im2col is per-sample, so one lowering of the stacked ``(M * B, C,
+    H, W)`` block yields every member's patch rows in member-major
+    order; only the weight products need batching.  The input gradient
+    takes the ``(M, Cout, C, kh, kw)`` banks tap by tap, a block of
+    samples never spanning two members.
     """
 
     def __init__(self, name: str, template: Conv2d, weight: np.ndarray,
@@ -134,7 +139,7 @@ class _StackedConv2d:
         self.kernel_size = template.kernel_size
         self.stride = template.stride
         self.padding = template.padding
-        self.requires_input_grad = template.requires_input_grad
+        self.requires_input_grad = True
         self.params = {
             "weight": np.repeat(weight[None], members, axis=0),
             "bias": np.repeat(bias[None], members, axis=0),
@@ -145,10 +150,6 @@ class _StackedConv2d:
         }
         self._cols3: Optional[np.ndarray] = None
         self._x_shape: Optional[tuple] = None
-
-    def _w_mat3(self) -> np.ndarray:
-        m = self.members
-        return self.params["weight"].reshape(m, self.out_channels, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, _, h, w = x.shape
@@ -162,7 +163,8 @@ class _StackedConv2d:
         self._cols3 = cols3
         self._x_shape = x.shape
 
-        out = cols3 @ self._w_mat3().transpose(0, 2, 1)
+        w_mat3 = self.params["weight"].reshape(m, self.out_channels, -1)
+        out = cols3 @ w_mat3.transpose(0, 2, 1)
         out = out + self.params["bias"][:, None, :]
         return (out.reshape(n, out_h, out_w, self.out_channels)
                 .transpose(0, 3, 1, 2))
@@ -171,7 +173,7 @@ class _StackedConv2d:
         if self._cols3 is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         m = self.members
-        k, s, p = self.kernel_size, self.stride, self.padding
+        s, p = self.stride, self.padding
         grad_mat = (grad_out.transpose(0, 2, 3, 1)
                     .reshape(-1, self.out_channels))
         g3 = grad_mat.reshape(m, -1, self.out_channels)
@@ -185,8 +187,8 @@ class _StackedConv2d:
 
         if not self.requires_input_grad:
             return None
-        grad_cols = (g3 @ self._w_mat3()).reshape(grad_mat.shape[0], -1)
-        return F.col2im(grad_cols, self._x_shape, k, k, s, p)
+        return F.conv2d_input_grad(grad_mat, self.params["weight"],
+                                   self._x_shape, s, p)
 
 
 def _build_stacked(model: Sequential, init_state: Dict[str, np.ndarray],
@@ -245,6 +247,10 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         return [], []
     stacked = _build_stacked(model, init_state, members)
     param_layers = _param_layers(stacked)
+    # the backward loop stops at the first parameter layer: nothing reads
+    # its input gradient, whatever the template's flag says
+    if param_layers:
+        param_layers[0].requires_input_grad = False
     velocity: Dict[int, Dict[str, np.ndarray]] = {}
     anchor_state = anchor if anchor is not None else init_state
     totals = [0.0] * members
@@ -287,7 +293,7 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         # accumulate collapses to a single in-place write per step) ---
         for layer in reversed(stacked):
             grad = layer.backward(grad)
-            if grad is None:       # first layer skipped its input grad
+            if grad is None:       # the first parameter layer
                 break
 
         _sgd_step(param_layers, velocity, members, lr, momentum,
