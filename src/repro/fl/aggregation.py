@@ -137,7 +137,8 @@ class Aggregator:
                 return key
         return None
 
-    def weigh(self, contributions: List[Contribution]) -> list:
+    def weigh(self, contributions: List[Contribution],
+              scan: bool = True) -> list:
         """Validate one round's contributions and attach their weights.
 
         Returns the ``(contribution, weight)`` pairs that take part in
@@ -146,8 +147,9 @@ class Aggregator:
         information and are skipped; only a round where *every* weight
         vanishes is an error.  Negative weights are always rejected, as
         are duplicate worker ids (no scheduler produces them
-        legitimately).  NaN/Inf-poisoned contributions are rejected or
-        skipped per ``nan_policy``.
+        legitimately).  With ``scan``, NaN/Inf-poisoned contributions
+        are rejected or skipped per ``nan_policy``; :meth:`aggregate`
+        first weighs without it (see there).
         """
         if not contributions:
             raise EmptyRoundError("cannot aggregate an empty contribution set")
@@ -175,7 +177,7 @@ class Aggregator:
                     f"R2SP residual recovery needs the pre-round global "
                     f"state of worker {contribution.worker_id}"
                 )
-            if self.nan_policy != "off":
+            if scan and self.nan_policy != "off":
                 poisoned = self._poisoned_entry(contribution)
                 if poisoned is not None:
                     if self.nan_policy == "raise":
@@ -205,19 +207,70 @@ class Aggregator:
         :meth:`weigh` for which contributions take part.  Every group
         :meth:`_cohort_groups` returns -- one dispatched cohort, or a
         single member -- goes through the one :meth:`_fold`.
+
+        Fold first, scan on failure: every uploaded element lands in the
+        float64 accumulator, and NaN or Inf there never washes out, so
+        a finite accumulator proves that no folded upload was poisoned
+        and the per-member scan is skipped.  A non-finite accumulator
+        (or an unscanned pass that raised) redoes the round scan-first
+        -- the same :meth:`weigh` and fold -- which decides errors,
+        skips and their counters exactly as a scan-first round does.
         """
+        if self.nan_policy != "off":
+            try:
+                with np.errstate(invalid="ignore"):
+                    weighted = self.weigh(contributions, scan=False)
+                    folded = self._fold_round(weighted, template)
+            except (ValueError, KeyError):
+                folded = None
+            if folded is not None and self._clean(folded[0], weighted,
+                                                  template):
+                return self._finish(weighted, *folded)
         weighted = self.weigh(contributions)
+        return self._finish(weighted, *self._fold_round(weighted, template))
+
+    def _fold_round(self, weighted, template):
+        """The float64 accumulator of every group's :meth:`_fold`, and
+        the scatter times of the cohort groups."""
         accumulator: Dict[str, np.ndarray] = {
             key: np.zeros_like(value, dtype=np.float64)
             for key, value in template.items()
         }
+        scatter_s = [self._fold(accumulator, members, template)
+                     for members in self._cohort_groups(weighted)]
+        return accumulator, [elapsed for elapsed in scatter_s
+                             if elapsed is not None]
+
+    @staticmethod
+    def _clean(accumulator, weighted, template) -> bool:
+        """Whether an unscanned fold proves every upload finite: one
+        check per accumulator key, plus the uploads' entries outside
+        the template, which the fold never reads."""
+        if not all(np.isfinite(value).all() for value in accumulator.values()):
+            return False
+        for contribution, _weight in weighted:
+            sub_state = contribution.sub_state
+            if sub_state.keys() <= template.keys():
+                continue
+            if not all(np.isfinite(value).all()
+                       for key, value in sub_state.items()
+                       if key not in template):
+                return False
+        return True
+
+    def _finish(self, weighted, accumulator, scatter_s):
+        """Count the kept fold's cohort groups and normalise."""
+        if self.metrics is not None:
+            for elapsed in scatter_s:
+                self.metrics.counter(
+                    "aggregate_cohort_partial_sums_total",
+                ).inc()
+                self.metrics.histogram("aggregate_scatter_add_s").observe(
+                    elapsed
+                )
         total_weight = 0.0
         for _contribution, weight in weighted:
             total_weight += weight
-
-        for members in self._cohort_groups(weighted):
-            self._fold(accumulator, members, template)
-
         return {
             key: value / total_weight for key, value in accumulator.items()
         }
@@ -242,8 +295,9 @@ class Aggregator:
         return list(groups.values())
 
     def _fold(self, accumulator: Dict[str, np.ndarray], members: list,
-              template: Dict[str, np.ndarray]) -> None:
-        """Add one group's recovered model, weighted, to ``accumulator``.
+              template: Dict[str, np.ndarray]) -> Optional[float]:
+        """Add one group's recovered model, weighted, to ``accumulator``;
+        return a timed cohort's scatter seconds (``None`` otherwise).
 
         Per planned key the recovered model starts from its base -- the
         pre-round global array under R2SP (so pruned positions carry the
@@ -297,13 +351,7 @@ class Aggregator:
             recovered *= weight
             accumulator[key] += recovered
 
-        if timed:
-            self.metrics.counter(
-                "aggregate_cohort_partial_sums_total",
-            ).inc()
-            self.metrics.histogram("aggregate_scatter_add_s").observe(
-                time.perf_counter() - scatter_start
-            )
+        return time.perf_counter() - scatter_start if timed else None
 
 
 class BSPAggregator(Aggregator):

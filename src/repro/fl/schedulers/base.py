@@ -92,6 +92,10 @@ class Scheduler:
                     discarded=collected.discarded,
                     carried_over=collected.carried_over,
                 ))
+                # the contributions hold row views of the round's cohort
+                # blocks (DESIGN.md 3.3, hand-off rule): free them before
+                # the next round trains
+                del trained
                 refill_start = time.perf_counter()
                 self.refill(engine, queue, collected, round_index + 1,
                             round_span)

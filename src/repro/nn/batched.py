@@ -19,9 +19,9 @@ per-member reference path (``differential/engine_vs_reference`` in
   stacked Linear/Conv2d forward/backward products match per-member
   products bit for bit;
 - float scalars (``lr``, ``momentum``, clip scales) are applied
-  elementwise, and the clipping norm is the per-member optimiser's own
-  :func:`repro.nn.optim.squared_norm`, accumulated per member in the
-  same parameter order.
+  elementwise, and the clip scales come from the per-member
+  optimiser's own rule, :func:`repro.nn.optim.clip_scales`, over the
+  member rows of the gradient blocks in the same parameter order.
 
 Memory contract (DESIGN.md 3.3): the ``(M, ...)`` parameter and gradient
 blocks are allocated once per cohort, clipping allocates nothing
@@ -47,17 +47,13 @@ from repro.nn import functional as F
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.loss import softmax
 from repro.nn.module import Module, Sequential
-from repro.nn.optim import squared_norm
+from repro.nn.optim import clip_scales
 
 __all__ = ["supports_cohort_training", "train_cohort"]
 
 #: layers with no parameters and strictly per-sample semantics: they run
 #: unchanged on the stacked ``(M * B, ...)`` activation block
 _STATELESS_TYPES = (ReLU, MaxPool2d, AvgPool2d, Flatten)
-
-#: float64 elements per clip-norm block (256 KiB: stays in L2); a
-#: parameter wider than this is walked one member at a time
-_NORM_BLOCK_ELEMENTS = 32 * 1024
 
 
 def supports_cohort_training(model: Module) -> bool:
@@ -324,23 +320,11 @@ def _sgd_step(param_layers: Sequence[object],
                     layer.grads[name] += prox_mu * (param - ref[None])
 
     if clip_norm is not None:
-        # per-member totals in SGD._apply_clipping's parameter order;
-        # member blocks keep the float64 copy in cache and change no bit
-        # (a member's reduction covers only its own elements)
+        # SGD._apply_clipping's rule, per member in its parameter order;
+        # unclipped members keep scale 1 and are masked out
         grads = [grad.reshape(members, -1) for layer in param_layers
                  for grad in layer.grads.values()]
-        norms = np.zeros(members, dtype=np.float64)
-        for rows in grads:
-            step = max(1, _NORM_BLOCK_ELEMENTS // rows.shape[1])
-            for start in range(0, members, step):
-                norms[start:start + step] += squared_norm(
-                    rows[start:start + step], member_axis=True)
-        # the member optimiser's python-float sqrt and division, over
-        # scalars only; unclipped members keep scale 1 and are masked out
-        scales = np.array([
-            clip_norm / norm if norm > clip_norm and norm > 0 else 1.0
-            for norm in (total ** 0.5 for total in norms.tolist())
-        ])
+        scales = clip_scales(grads, members, clip_norm)
         clipped = (scales != 1.0)[:, None]
         if clipped.any():
             for rows in grads:

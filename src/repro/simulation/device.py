@@ -11,6 +11,7 @@ GPU at different frequencies.  We keep Table II verbatim and derive an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 #: Effective FLOP/s of a mode-0 device when training; calibrated so the
@@ -40,9 +41,10 @@ class ComputingMode:
     def a57_ghz_total(self) -> float:
         return self.cortex_a57[0] * self.cortex_a57[1]
 
-    @property
+    @cached_property
     def relative_speed(self) -> float:
-        """Training speed relative to mode 0.
+        """Training speed relative to mode 0 (a pure value of the frozen
+        row, so computed once: every member's dispatch prices with it).
 
         70% weight on the GPU clock and 30% on the Cortex-A57 cluster
         (the data pipeline; the Denver2 cluster contributes little to
@@ -54,7 +56,7 @@ class ComputingMode:
         cpu_term = self.a57_ghz_total / reference.a57_ghz_total
         return 0.7 * gpu_term + 0.3 * cpu_term
 
-    @property
+    @cached_property
     def flops_per_second(self) -> float:
         return BASE_FLOPS_PER_SECOND * self.relative_speed
 

@@ -416,3 +416,164 @@ def test_typed_errors_remain_value_errors():
     for error in (AggregationError, EmptyRoundError,
                   DuplicateContributionError, PoisonedUpdateError):
         assert issubclass(error, ValueError)
+
+
+# ----------------------------------------------------------------------
+# fold first, scan on failure
+# ----------------------------------------------------------------------
+def _cohort_round(rng, members=4):
+    """``members`` unit-weight contributions of one dispatched cohort
+    (one plan object, one snapshot), then one singleton at another
+    ratio: two fold groups."""
+    model = build_cnn(rng=rng)
+    template = model.state_dict()
+    snapshot = {key: value.copy() for key, value in template.items()}
+    plan = build_pruning_plan(model, 0.4)
+    base = extract_submodel(model, plan,
+                            rng=np.random.default_rng(7)).state_dict()
+    contributions = [
+        Contribution(worker_id=worker_id,
+                     sub_state={key: value + np.float32(0.125 * worker_id)
+                                for key, value in base.items()},
+                     plan=plan, num_samples=1, global_state=snapshot)
+        for worker_id in range(members)
+    ]
+    single = _trained_pruned_contribution(model, members, 0.2, -0.5,
+                                          np.random.default_rng(8))
+    single.global_state = snapshot
+    return template, contributions + [single]
+
+
+def _cohort_metrics(aggregator):
+    counters = [c.value for c in aggregator.metrics.counters
+                if c.name == "aggregate_cohort_partial_sums_total"]
+    histograms = [h.count for h in aggregator.metrics.histograms
+                  if h.name == "aggregate_scatter_add_s"]
+    return sum(counters), sum(histograms)
+
+
+def _poisoned_counts(aggregator):
+    return {c.labels["worker"]: c.value for c in aggregator.metrics.counters
+            if c.name == "poisoned_updates_total"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scheme", ["r2sp", "bsp"])
+def test_a_poisoned_cohort_member_raises_naming_the_first_in_order(
+        scheme, bad, rng):
+    template, contributions = _cohort_round(rng)
+    _poison(contributions[2], bad)
+    _poison(contributions[4], bad)             # the later singleton
+    aggregator = make_aggregator(scheme)
+    aggregator.metrics = MetricsRegistry()
+    with pytest.raises(PoisonedUpdateError,
+                       match=r"^worker 2 uploaded non-finite values in"):
+        aggregator.aggregate(contributions, template)
+    # the folded-then-rejected pass counts nothing
+    assert _cohort_metrics(aggregator) == (0, 0)
+
+
+@pytest.mark.parametrize("scheme", sorted(AGGREGATORS))
+def test_a_skipped_cohort_member_leaves_the_scan_first_bytes(scheme, rng):
+    template, contributions = _cohort_round(rng)
+    _poison(contributions[1], np.inf)
+    aggregator = make_aggregator(scheme, nan_policy="skip")
+    aggregator.metrics = MetricsRegistry()
+    after = aggregator.aggregate(contributions, template)
+
+    clean = make_aggregator(scheme)
+    clean.metrics = MetricsRegistry()
+    expected = clean.aggregate(
+        [c for c in contributions if c.worker_id != 1], template)
+    _assert_bits_equal(expected, after)
+    _assert_bits_equal(dense_aggregate(aggregator, contributions, template),
+                       after)
+    assert _poisoned_counts(aggregator) == {1: 1}
+    # one cohort group in the kept fold, counted once
+    assert _cohort_metrics(aggregator) == _cohort_metrics(clean) == (1, 1)
+
+
+def test_a_clean_round_skips_the_per_member_scan(rng, monkeypatch):
+    template, contributions = _cohort_round(rng)
+    scanned = []
+    entry = R2SPAggregator._poisoned_entry
+
+    def counting(self, contribution):
+        scanned.append(contribution.worker_id)
+        return entry(self, contribution)
+
+    monkeypatch.setattr(R2SPAggregator, "_poisoned_entry", counting)
+    after = R2SPAggregator().aggregate(contributions, template)
+    assert scanned == []
+    _assert_bits_equal(
+        dense_aggregate(R2SPAggregator(), contributions, template), after)
+    scanned.clear()
+    _poison(contributions[3])
+    with pytest.raises(PoisonedUpdateError, match="worker 3"):
+        R2SPAggregator().aggregate(contributions, template)
+    assert scanned == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip"])
+def test_a_key_outside_the_template_is_still_checked(policy, rng):
+    """The fold never reads an uploaded entry the template lacks, so its
+    finiteness is checked on its own."""
+    template, contributions = _cohort_round(rng)
+    contributions[2].sub_state["stray"] = np.array([1.0, np.nan],
+                                                   dtype=np.float32)
+    contributions[3].sub_state["stray"] = np.ones(2, dtype=np.float32)
+    aggregator = make_aggregator("r2sp", nan_policy=policy)
+    aggregator.metrics = MetricsRegistry()
+    if policy == "raise":
+        with pytest.raises(PoisonedUpdateError,
+                           match="worker 2 .* in 'stray'"):
+            aggregator.aggregate(contributions, template)
+        return
+    after = aggregator.aggregate(contributions, template)
+    assert _poisoned_counts(aggregator) == {2: 1}
+    expected = R2SPAggregator().aggregate(
+        [c for c in contributions if c.worker_id != 2], template)
+    _assert_bits_equal(expected, after)
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip", "off"])
+def test_a_non_finite_global_state_is_not_a_poisoned_upload(policy, rng):
+    """R2SP's base is the pre-round global state: a NaN there at a pruned
+    position makes the accumulator non-finite with every upload clean.
+    The scan-first pass then finds nothing and returns the same fold."""
+    template, contributions = _cohort_round(rng)
+    snapshot = contributions[0].global_state
+    plan = contributions[0].plan
+    key = "conv1.weight"
+    kept = set(plan["conv1"].kept_out.tolist())
+    pruned = next(i for i in range(template[key].shape[0]) if i not in kept)
+    snapshot[key][pruned] = np.nan
+    aggregator = make_aggregator("r2sp", nan_policy=policy)
+    aggregator.metrics = MetricsRegistry()
+    after = aggregator.aggregate(contributions, template)
+    assert np.isnan(after[key]).any()
+    expected = dense_aggregate(aggregator, contributions, template)
+    _assert_bits_equal(expected, after)
+    assert _poisoned_counts(aggregator) == {}
+    assert _cohort_metrics(aggregator) == (1, 1)
+
+
+@pytest.mark.parametrize("policy, error", [
+    ("raise", PoisonedUpdateError), ("skip", AggregationError)])
+def test_an_unscanned_pass_that_raises_keeps_the_scan_first_error(
+        policy, error, rng):
+    """A poisoned upload before a negative weight: scan-first rejects
+    the poison (``raise``) or skips and counts it before meeting the
+    weight (``skip``); the fold-first round must do the same."""
+    model = build_cnn(rng=rng)
+    contributions = [
+        _poison(_identity_contribution(model, 0, 0.0, num_samples=2)),
+        _identity_contribution(model, 1, 1.0, num_samples=-1),
+    ]
+    aggregator = make_aggregator("r2sp_weighted", nan_policy=policy)
+    aggregator.metrics = MetricsRegistry()
+    with pytest.raises(error, match="worker 0" if policy == "raise"
+                       else "negative aggregation weight"):
+        aggregator.aggregate(contributions, model.state_dict())
+    assert _poisoned_counts(aggregator) == ({0: 1} if policy == "skip"
+                                            else {})

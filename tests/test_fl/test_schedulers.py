@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.data.synthetic import make_synthetic_mnist
+from repro.experiments import fleet
 from repro.fl.config import FLConfig
-from repro.fl.engine import Dispatch
+from repro.fl.engine import Dispatch, Engine
 from repro.fl.hooks import RoundHook
 from repro.fl.runner import run_federated_training
 from repro.fl.schedulers import (
@@ -18,6 +21,7 @@ from repro.fl.schedulers import (
     make_scheduler,
 )
 from repro.fl.tasks import ClassificationTask
+from repro.runtime import executor as executor_module
 from repro.simulation.cluster import make_scenario_devices
 from repro.simulation.timing import RoundCosts
 
@@ -233,3 +237,41 @@ def test_deadline_policy_with_churn_aggregates_present_accepted(
         assert aggregated <= all_ids
         assert aggregated
     assert churn_seen, "churn never removed a worker; test is vacuous"
+
+
+@pytest.mark.parametrize("scheduler", ["sync", "async"])
+def test_a_round_frees_its_cohort_blocks_before_the_next_round_trains(
+        monkeypatch, scheduler):
+    """Trained states are row views of their cohort's stacked parameter
+    blocks; once a round has aggregated and observed its losses, the
+    loop must hold nothing that pins them while the next round trains."""
+    blocks = []
+    train_cohort = executor_module.train_cohort
+
+    def recording(*args, **kwargs):
+        states, losses = train_cohort(*args, **kwargs)
+        block = next(iter(states[0].values())).base
+        assert block is not None
+        blocks.append(weakref.ref(block))
+        return states, losses
+
+    monkeypatch.setattr(executor_module, "train_cohort", recording)
+    extra = {"async_m": 8} if scheduler == "async" else {}
+    engine = Engine(fleet.make_task(), fleet.make_fleet(200), FLConfig(
+        strategy="fixed", strategy_kwargs={"ratio": 0.3}, max_rounds=4,
+        local_iterations=2, batch_size=8, eval_every=10, seed=7,
+        clients_per_round=8, scheduler=scheduler, **extra))
+    alive_at_start = []
+    run_round = engine.executor.run_round
+
+    def checking(requests, round_index):
+        alive_at_start.append(sum(ref() is not None for ref in blocks))
+        return run_round(requests, round_index)
+
+    engine.executor.run_round = checking
+    try:
+        make_scheduler(engine.config).run(engine)
+    finally:
+        engine.close()
+    assert len(blocks) >= 4
+    assert alive_at_start == [0] * len(alive_at_start)
