@@ -98,7 +98,7 @@ class _StackedLinear:
         x3 = x.reshape(m, -1, x.shape[-1])
         self._x3 = x3
         out = x3 @ self.params["weight"].transpose(0, 2, 1)
-        out = out + self.params["bias"][:, None, :]
+        out += self.params["bias"][:, None, :]
         return out.reshape(-1, out.shape[-1])
 
     def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
@@ -155,13 +155,14 @@ class _StackedConv2d:
         out_w = F.conv_output_size(w, k, s, p)
 
         cols = F.im2col(x, k, k, s, p)
-        cols3 = cols.reshape(m, -1, cols.shape[-1])
+        cols3 = F.gemm_operand(cols.reshape(m, -1, cols.shape[-1]),
+                               self.out_channels)
         self._cols3 = cols3
         self._x_shape = x.shape
 
         w_mat3 = self.params["weight"].reshape(m, self.out_channels, -1)
         out = cols3 @ w_mat3.transpose(0, 2, 1)
-        out = out + self.params["bias"][:, None, :]
+        out += self.params["bias"][:, None, :]
         return (out.reshape(n, out_h, out_w, self.out_channels)
                 .transpose(0, 3, 1, 2))
 

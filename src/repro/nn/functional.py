@@ -11,7 +11,8 @@ where both were measured to keep the bits of the single product
 (:data:`SPLIT_GEMMS`); :func:`col2im` stays as their oracle and
 fallback.  One strided gather from a sliding-window view builds the
 matrix about 5x faster than ``kh*kw`` strided slice assignments on
-NumPy 2.4 (DESIGN.md, "Conv lowering").
+NumPy 2.4, and about 3x faster again where it is stored column-major,
+in the order the input is read (DESIGN.md, "Conv lowering").
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _SMALL_GEMM_MADDS = 10 ** 6
 #: rules were measured.  They are properties of one core's kernels: the
 #: Haswell kernels (which Zen CPUs run) round a row-blocked product
 #: differently, so on any other build inference and the input gradient
-#: keep the single product and its column matrix.
+#: keep the single product and its column matrix, and :func:`im2col`
+#: stores that matrix C-contiguous.
 _SPLIT_GEMM_BUILDS = (("0.3.31", "SkylakeX"),)
 
 
@@ -71,7 +73,8 @@ def openblas_runtime() -> Optional[Tuple[str, str]]:
 
 
 #: Whether this process splits inference and input-gradient products
-#: (DESIGN.md, "Conv lowering"): fixed at import, like the kernels.
+#: and stores float32 column matrices column-major (DESIGN.md, "Conv
+#: lowering"): fixed at import, like the kernels.
 SPLIT_GEMMS = openblas_runtime() in _SPLIT_GEMM_BUILDS
 
 
@@ -91,8 +94,12 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
 
     Returns
     -------
-    A fresh C-contiguous array of shape ``(N * out_h * out_w, C * kh *
-    kw)`` where each row is one receptive field in ``(C, kh, kw)`` order.
+    A fresh array of shape ``(N * out_h * out_w, C * kh * kw)`` where
+    each row is one receptive field in ``(C, kh, kw)`` order.  Where
+    :data:`SPLIT_GEMMS` holds and ``x`` is float32 it is stored
+    column-major (its transpose is C-contiguous): the gather's inner
+    copy run is then a whole output row instead of ``kw`` elements.
+    Elsewhere it is C-contiguous.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, padding)
@@ -103,10 +110,30 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
 
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[
+        :, :, ::stride, ::stride]
+    if SPLIT_GEMMS and x.dtype == np.float32:
+        cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+        cols[...] = windows.transpose(1, 4, 5, 0, 2, 3)
+        return cols.reshape(c * kh * kw, n * out_h * out_w).T
     cols = np.empty((n, out_h, out_w, c, kh, kw), dtype=x.dtype)
-    cols[...] = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols[...] = windows.transpose(0, 2, 3, 1, 4, 5)
     return cols.reshape(n * out_h * out_w, -1)
+
+
+def gemm_operand(cols: np.ndarray, filters: int) -> np.ndarray:
+    """``cols``, a column matrix from :func:`im2col` (or ``M`` stacked
+    ones, ``(M, R, K)``), as the first operand of its product with
+    ``filters`` columns and as the weight gradient's operand.  On the
+    builds in :data:`_SPLIT_GEMM_BUILDS` the storage changes no bits of
+    either (DESIGN.md §3.9) except where OpenBLAS takes another kernel: a product of at most :data:`_SMALL_GEMM_MADDS`
+    multiply-adds goes to its small-matrix kernels, and one filter makes
+    both products matrix-vector.  There ``cols`` is handed over as a
+    C-contiguous copy -- small, or a one-filter layer's."""
+    if (filters == 1 or cols.shape[-2] * cols.shape[-1] * filters
+            <= _SMALL_GEMM_MADDS):
+        return np.ascontiguousarray(cols)
+    return cols
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,

@@ -92,9 +92,10 @@ class Conv2d(Module):
 
         w_mat = self.params["weight"].reshape(self.out_channels, -1)
         if self.training:
-            cols = F.im2col(x, k, k, s, p)
+            cols = F.gemm_operand(F.im2col(x, k, k, s, p), self.out_channels)
             self._cols, self._x_shape = cols, x.shape
-            out = cols @ w_mat.T + self.params["bias"]
+            out = cols @ w_mat.T
+            out += self.params["bias"]
         else:
             # inference keeps no backward state: lower and multiply one
             # block of samples at a time into one output
@@ -105,7 +106,9 @@ class Conv2d(Module):
             for block in F.sample_blocks(n, rows, w_mat.shape[1],
                                          self.out_channels, out.dtype):
                 out_b = out[block.start * rows:block.stop * rows]
-                np.matmul(F.im2col(x[block], k, k, s, p), w_mat.T, out=out_b)
+                cols = F.gemm_operand(F.im2col(x[block], k, k, s, p),
+                                      self.out_channels)
+                np.matmul(cols, w_mat.T, out=out_b)
                 out_b += self.params["bias"]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 

@@ -26,7 +26,7 @@ touches is :data:`repro.pruning.plan.COUPLING`, not code here.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -256,25 +256,37 @@ def recover_state_dict(sub_state: Dict[str, np.ndarray], plan: PruningPlan,
     return recovered
 
 
-def _kept_index(suffix: str, entry: LayerPrune) -> Tuple[np.ndarray, ...]:
-    """Index selecting the kept (surviving) positions of a full array --
-    the positions a sub-model array maps onto: an open mesh of the kept
-    positions along each coupled axis."""
-    return np.ix_(*(entry.axis(role) for role in entry.roles(suffix)))
+def _kept_axes(suffix: str, entry: LayerPrune) -> List[np.ndarray]:
+    """The kept (surviving) positions along each coupled leading axis of
+    a full array -- the positions a sub-model array maps onto."""
+    return [entry.axis(role) for role in entry.roles(suffix)]
 
 
 def gather_param(suffix: str, entry: LayerPrune,
                  full_value: np.ndarray) -> np.ndarray:
     """Extract the sub-model view of a full-shape parameter (the exact
-    inverse of :func:`scatter_assign_param`).  Always returns a copy."""
-    return full_value[_kept_index(suffix, entry)]
+    inverse of :func:`scatter_assign_param`).  Always returns a copy:
+    one ``take`` per coupled axis."""
+    for axis, kept in enumerate(_kept_axes(suffix, entry)):
+        full_value = full_value.take(kept, axis=axis)
+    return full_value
 
 
 def scatter_assign_param(full: np.ndarray, suffix: str, entry: LayerPrune,
                          sub_value: np.ndarray) -> None:
     """Write ``sub_value`` into the kept positions of ``full`` in place;
-    every other position is left untouched."""
-    full[_kept_index(suffix, entry)] = sub_value
+    every other position is left untouched.  With a second coupled axis
+    the kept rows are read as one block, assigned at the kept columns
+    and written back: copies of the same values an open-mesh index
+    writes, without the mesh."""
+    rows, *cols = _kept_axes(suffix, entry)
+    if not cols:
+        full[rows] = sub_value
+        return
+    (col,) = cols
+    block = full.take(rows, axis=0)
+    block[:, col] = sub_value
+    full[rows] = block
 
 
 def scatter_add_param(acc: np.ndarray, suffix: str, entry: LayerPrune,
@@ -282,4 +294,4 @@ def scatter_add_param(acc: np.ndarray, suffix: str, entry: LayerPrune,
     """Accumulate ``weight * sub_value`` into the kept positions of
     ``acc`` in place — what ``acc += weight * recovered`` does, without
     allocating the zero-expanded array."""
-    acc[_kept_index(suffix, entry)] += weight * sub_value
+    acc[np.ix_(*_kept_axes(suffix, entry))] += weight * sub_value

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.loader import BatchIterator
 from repro.models.cnn import build_cnn
+from repro.nn import functional as F
 from repro.nn.batched import (
     _StackedConv2d,
     _StackedLinear,
@@ -203,6 +204,43 @@ def test_stacked_conv_matches_members_at_stride_2_padding_1():
         for key in ("weight", "bias"):
             assert np.array_equal(member.grads[key],
                                   stacked.grads[key][index]), key
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "single"])
+@pytest.mark.parametrize("shape,cout", [
+    ((8, 22, 14, 14), 45),  # a member's product above the small-matrix bound
+    ((2, 6, 6, 6), 4),      # below it
+    ((8, 32, 14, 14), 1),   # one filter: matrix-vector products
+])
+def test_stacked_conv_products_ignore_the_column_storage(monkeypatch, split,
+                                                         shape, cout):
+    """The stacked forward and weight gradient from ``im2col``'s matrix
+    (column-major on the split float32 build) equal those from a
+    C-ordered copy of it, zero signs included."""
+    monkeypatch.setattr(F, "SPLIT_GEMMS", split)
+    rng = np.random.default_rng(9)
+    template = Conv2d(shape[1], cout, 5, padding=2, rng=rng)
+    stacked = _StackedConv2d("conv", template, template.params["weight"],
+                             template.params["bias"], MEMBERS)
+    for key in ("weight", "bias"):
+        stacked.params[key][...] = rng.normal(
+            size=stacked.params[key].shape)
+    x = rng.normal(size=(MEMBERS * shape[0],) + shape[1:]).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    grad_out = rng.normal(size=(MEMBERS * shape[0], cout) + shape[2:])
+    grad_out = grad_out.astype(np.float32)
+
+    def products():
+        out = stacked.forward(x)
+        stacked.backward(grad_out)
+        return [(a.shape, a.tobytes()) for a in
+                (out, stacked.grads["weight"], stacked.grads["bias"])]
+
+    got = products()
+    im2col = F.im2col
+    monkeypatch.setattr(
+        F, "im2col", lambda *args: np.ascontiguousarray(im2col(*args)))
+    assert got == products()
 
 
 def test_stacked_linear_skips_its_input_grad_only_when_told():

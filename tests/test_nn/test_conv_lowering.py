@@ -4,7 +4,10 @@ The column matrix's element order fixes the conv GEMM's K order and
 col2im's add order fixes the input gradient's rounding, so every golden
 trace rests on these two functions returning exactly what the loops
 below return: same values, same zero signs, same dtype, and a fresh
-writable C-contiguous array that never aliases the input.
+writable array that never aliases the input -- C-contiguous, except
+that ``im2col`` stores a float32 matrix column-major where
+``F.SPLIT_GEMMS`` holds.  Every product a layer forms from a column
+matrix gives the same bits from either storage.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.layers import Conv2d
 
 
 def _reference_im2col(x, kh, kw, stride, padding):
@@ -77,10 +81,26 @@ def _assert_identical(out, expected, source):
     assert not np.shares_memory(out, source)
 
 
+def _assert_lowered(cols, expected, source):
+    """``im2col``'s contract: the oracle's values, stored column-major
+    (a C-contiguous transpose) on the split float32 build."""
+    if F.SPLIT_GEMMS and source.dtype == np.float32:
+        cols, expected = cols.T, expected.T
+    _assert_identical(cols, expected, source)
+
+
+@pytest.fixture(params=[True, False], ids=["split", "single"])
+def split(request, monkeypatch):
+    """``F.SPLIT_GEMMS`` forced either way: the storage follows it on any
+    BLAS, and no product depends on the storage."""
+    monkeypatch.setattr(F, "SPLIT_GEMMS", request.param)
+    return request.param
+
+
 def _check_both(rng, shape, kh, kw, stride, padding, dtype):
     x = _values(rng, shape, dtype)
     cols = F.im2col(x, kh, kw, stride, padding)
-    _assert_identical(cols, _reference_im2col(x, kh, kw, stride, padding), x)
+    _assert_lowered(cols, _reference_im2col(x, kh, kw, stride, padding), x)
     grad_cols = _values(rng, cols.shape, dtype)
     _assert_identical(
         F.col2im(grad_cols, shape, kh, kw, stride, padding),
@@ -110,6 +130,21 @@ def test_lowering_matches_reference_at_benchmark_shapes(rng, shape):
     _check_both(rng, shape, 5, 5, 1, 2, np.float32)
 
 
+def test_lowering_storage_follows_split_gemms(rng, split):
+    """Both storages against the oracle on any BLAS: the grid, a conv2
+    batch, and what ``pool1`` hands ``conv2`` -- NCHW values in
+    channel-last memory, at padding 2 and 0."""
+    for shape, dtype in itertools.product(GRID_SHAPES,
+                                          (np.float32, np.float64)):
+        for k, stride, padding in ((1, 1, 0), (3, 2, 1), (5, 1, 2)):
+            _check_both(rng, shape, k, k, stride, padding, dtype)
+    _check_both(rng, (16, 22, 14, 14), 5, 5, 1, 2, np.float32)
+    x = _values(rng, (16, 14, 14, 22), np.float32).transpose(0, 3, 1, 2)
+    for padding in (2, 0):
+        _assert_lowered(F.im2col(x, 5, 5, 1, padding),
+                        _reference_im2col(x, 5, 5, 1, padding), x)
+
+
 @pytest.mark.parametrize("block_samples", [0, 1, 3, 7, 100])
 def test_col2im_blocking_is_invisible(rng, monkeypatch, block_samples):
     """Blocks of one sample (a budget below one sample still takes one),
@@ -131,7 +166,7 @@ def test_lowering_accepts_noncontiguous_and_readonly_inputs(rng):
     assert not x.flags.c_contiguous
     x.setflags(write=False)
     cols = F.im2col(x, 3, 3, 2, 1)
-    _assert_identical(cols, _reference_im2col(x, 3, 3, 2, 1), x)
+    _assert_lowered(cols, _reference_im2col(x, 3, 3, 2, 1), x)
 
     grad_cols = _values(rng, cols.shape[::-1], np.float32).T
     assert not grad_cols.flags.c_contiguous
@@ -147,7 +182,7 @@ def test_im2col_never_returns_a_view_of_its_input(rng):
     """A 1x1 window over one channel is already in column order."""
     x = _values(rng, (4, 1, 5, 5), np.float32)
     cols = F.im2col(x, 1, 1, 1, 0)
-    _assert_identical(cols, x.reshape(-1, 1), x)
+    _assert_lowered(cols, x.reshape(-1, 1), x)
     cols[:] = 7.0
     assert not (x == 7.0).any()
 
@@ -305,3 +340,76 @@ def test_input_grad_property(members, per_member, c, cout, h, w, k, stride,
                           padding, dtype, members)
     finally:
         F._COL2IM_BLOCK_BYTES = default
+
+
+# --- products of the column matrix, from either storage ---------------------
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+# (input shape, filters, kernel, stride, padding) with the forward
+# product's multiply-adds: conv1 and conv2 pruned by 0.3 above the
+# small-matrix bound, and three at or below it -- one sample into conv2
+# pruned by 0.7 just below it, a 3x3 and a one-pixel output
+PRODUCT_SHAPES = [
+    ((16, 1, 28, 28), 32, 5, 1, 2),    # 10.0M
+    ((16, 22, 14, 14), 45, 5, 1, 2),   # 77.6M
+    ((1, 10, 14, 14), 19, 5, 1, 2),    # 931 000
+    ((2, 3, 7, 6), 4, 3, 2, 1),        # 1 152
+    ((3, 6, 3, 3), 8, 3, 1, 0),        # 432
+]
+
+
+@pytest.mark.parametrize("shape,cout,k,stride,padding", PRODUCT_SHAPES)
+def test_conv_products_ignore_the_column_storage(
+        rng, monkeypatch, split, shape, cout, k, stride, padding):
+    """The training forward, the blocked inference forward and the
+    weight gradient from ``im2col``'s matrix equal those from a
+    C-ordered copy of it, zero signs included."""
+    layer = Conv2d(shape[1], cout, k, stride=stride, padding=padding,
+                   rng=rng)
+    layer.params["bias"][...] = _values(rng, (cout,), np.float32)
+    x = _values(rng, shape, np.float32)
+    grad_out = _values(rng, layer.forward(x).shape, np.float32)
+
+    def products():
+        layer.train()
+        out = layer.forward(x)
+        layer.zero_grad()
+        layer.backward(grad_out)
+        layer.eval()
+        return [_bits(a) for a in (out, layer.grads["weight"],
+                                   layer.grads["bias"], layer.forward(x))]
+
+    cols = F.im2col(x, k, k, stride, padding)
+    assert cols.T.flags.c_contiguous == split
+    got = products()
+    im2col = F.im2col
+    monkeypatch.setattr(
+        F, "im2col", lambda *args: np.ascontiguousarray(im2col(*args)))
+    assert got == products()
+
+
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("rows,width,filters", [
+    (3136, 550, 45), (196, 250, 19), (72, 36, 4), (1, 250, 19),
+    (3136, 800, 1), (196, 250, 1)])
+def test_gemm_operand_keeps_the_c_ordered_bits(rng, members, rows, width,
+                                               filters):
+    """Column-major ``cols`` (``M`` stacked ones) through
+    ``gemm_operand`` into the forward product and the weight gradient,
+    on both sides of ``_SMALL_GEMM_MADDS`` and with one filter, where
+    both products are matrix-vector."""
+    cols = _values(rng, (width, members * rows), np.float32).T.reshape(
+        members, rows, width)
+    reference = np.ascontiguousarray(cols)
+    w_mat_t = _values(rng, (members, filters, width),
+                      np.float32).transpose(0, 2, 1)
+    grad_t = _values(rng, (members, filters, rows), np.float32)
+    for got, expected, w, g in ((cols, reference, w_mat_t, grad_t),
+                                (cols[0], reference[0], w_mat_t[0],
+                                 grad_t[0])):
+        operand = F.gemm_operand(got, filters)
+        assert _bits(operand @ w) == _bits(expected @ w)
+        assert _bits(g @ operand) == _bits(g @ expected)

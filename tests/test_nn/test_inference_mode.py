@@ -112,6 +112,8 @@ EVAL_BLOCKS = [
 @pytest.mark.parametrize("shape,filters,calls", EVAL_BLOCKS)
 def test_eval_forward_blocking_is_invisible(rng, monkeypatch, shape, filters,
                                             calls):
+    """Blocks of one sample, of three and of the batch, each block's
+    column matrix as ``im2col`` stores it and as a C-ordered copy."""
     layer = Conv2d(shape[1], filters, 5, padding=2, rng=rng)
     x = rng.normal(size=shape).astype(np.float32)
     expected = layer.forward(x)  # training: one product over the batch
@@ -119,16 +121,18 @@ def test_eval_forward_blocking_is_invisible(rng, monkeypatch, shape, filters,
 
     def counting_im2col(x, *args):
         lowered.append(x.shape[0])
-        return im2col(x, *args)
+        cols = im2col(x, *args)
+        return np.ascontiguousarray(cols) if c_ordered else cols
 
     im2col = F.im2col
     monkeypatch.setattr(F, "im2col", counting_im2col)
     layer.eval()
     sample_bytes = shape[2] * shape[3] * shape[1] * 25 * 4
-    for block_samples, count in zip((1, 3, 1000), calls):
-        monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES",
-                            block_samples * sample_bytes)
-        lowered.clear()
-        assert _bits_equal(layer.forward(x), expected)
-        assert len(lowered) == (count if F.SPLIT_GEMMS else 1)
-        assert sum(lowered) == shape[0]
+    for c_ordered in (False, True):
+        for block_samples, count in zip((1, 3, 1000), calls):
+            monkeypatch.setattr(F, "_COL2IM_BLOCK_BYTES",
+                                block_samples * sample_bytes)
+            lowered.clear()
+            assert _bits_equal(layer.forward(x), expected)
+            assert len(lowered) == (count if F.SPLIT_GEMMS else 1)
+            assert sum(lowered) == shape[0]
