@@ -26,7 +26,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.recurrent import LSTM, Embedding
-from repro.nn.loss import CrossEntropyLoss, softmax
+from repro.nn.loss import CrossEntropyLoss, softmax_with_log
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn import init
 from repro.nn import functional
@@ -45,7 +45,7 @@ __all__ = [
     "LSTM",
     "Embedding",
     "CrossEntropyLoss",
-    "softmax",
+    "softmax_with_log",
     "SGD",
     "ProximalSGD",
     "init",

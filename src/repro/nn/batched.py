@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
-from repro.nn.loss import softmax
+from repro.nn.loss import softmax_with_log
 from repro.nn.module import Module, Sequential
 from repro.nn.optim import clip_scales
 
@@ -276,8 +276,7 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         # --- loss: per-member mean over its own B rows -----------------
         logits = x
         rows = logits.shape[0]
-        probs = softmax(logits)
-        log_probs = F.log_softmax(logits)
+        probs, log_probs = softmax_with_log(logits)
         picked = log_probs[np.arange(rows), targets]
         for index in range(members):
             member_rows = picked[index * batch:(index + 1) * batch]

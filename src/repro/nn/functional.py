@@ -274,22 +274,12 @@ def conv2d_input_grad(grad_mat: np.ndarray, weight: np.ndarray,
     return out
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Numerically stable logistic sigmoid, ``e^x / (1 + e^x)`` where not
-    ``x >= 0``: one select over both formulas, no masked gathers (``exp``
-    of ``x`` itself there, not of ``-|x|``, keeps a NaN's sign)."""
+    ``x >= 0``: one select over both numerators and one divide, no masked
+    gathers (``exp`` of ``x`` itself there, not of ``-|x|``, keeps a
+    NaN's sign)."""
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
     denom = 1.0 + e
-    return np.where(pos, 1.0 / denom, e / denom)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(x)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a ``(N, K)`` logit matrix."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.divide(np.where(pos, 1.0, e), denom, out=out)

@@ -8,18 +8,19 @@ the paper's convergence analysis assumes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
 
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a ``(N, K)`` logit matrix."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def softmax_with_log(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(softmax, log_softmax)`` over the last axis of ``logits`` from one
+    shift, ``exp`` and sum: ``shifted - log(sum)`` is the log-softmax a
+    separate pass would compute, bit for bit."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=-1, keepdims=True)
+    return exp / total, shifted - np.log(total)
 
 
 class CrossEntropyLoss:
@@ -40,10 +41,9 @@ class CrossEntropyLoss:
         if logits.ndim == 3:
             logits = logits.reshape(-1, logits.shape[-1])
             targets = targets.reshape(-1)
-        self._probs = softmax(logits)
+        self._probs, log_probs = softmax_with_log(logits)
         self._targets = targets
         n = logits.shape[0]
-        log_probs = F.log_softmax(logits)
         return float(-log_probs[np.arange(n), targets].mean())
 
     def backward(self) -> np.ndarray:

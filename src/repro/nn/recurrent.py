@@ -12,7 +12,7 @@ axis role in :data:`repro.pruning.plan.COUPLING`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class Embedding(Module):
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         """Look up ``(T, B)`` integer ids, returning ``(T, B, D)``."""
-        self._ids = ids
+        self._ids = ids if self.training else None
         return self.params["weight"][ids]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -80,52 +80,73 @@ class LSTM(Module):
         self._cache: Optional[dict] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the layer over a full sequence, returning all hidden states."""
+        """Run the layer over a full sequence, returning all hidden states.
+
+        The input products of all steps are one stacked matmul (the same
+        BLAS call per step as ``x[t] @ w_ih.T``); a step is then the
+        recurrent product, one sigmoid over its whole ``4H`` gate slab
+        and a tanh written over the cell block.  States, gates and
+        ``tanh(c)`` go to per-call slabs the backward reads; the
+        returned states are a view of the ``h`` slab.
+        """
         t_steps, batch, _ = x.shape
         h_dim = self.hidden_size
         w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
         bias = self.params["bias"]
+        i_b, f_b, g_b, o_b = _gate_blocks(h_dim)
 
-        h = np.zeros((batch, h_dim))
-        c = np.zeros((batch, h_dim))
-        gates_cache: List[Tuple[np.ndarray, ...]] = []
-        h_seq = np.empty((t_steps, batch, h_dim))
-        h_prev_seq = np.empty((t_steps, batch, h_dim))
-        c_prev_seq = np.empty((t_steps, batch, h_dim))
+        x_proj = np.matmul(x, w_ih.T)
+        w_hh_t = _state_operand(w_hh.T)
+        # h[t] and c[t] are the states step t reads; h[0] = c[0] = 0
+        h = np.zeros((t_steps + 1, batch, h_dim))
+        c = np.zeros((t_steps + 1, batch, h_dim))
+        gates = np.empty((t_steps, batch, 4 * h_dim))
+        tanh_c = np.empty((t_steps, batch, h_dim))
 
         for t in range(t_steps):
-            h_prev_seq[t] = h
-            c_prev_seq[t] = c
-            pre = x[t] @ w_ih.T + h @ w_hh.T + bias
-            i_g = F.sigmoid(pre[:, 0 * h_dim: 1 * h_dim])
-            f_g = F.sigmoid(pre[:, 1 * h_dim: 2 * h_dim])
-            g_g = F.tanh(pre[:, 2 * h_dim: 3 * h_dim])
-            o_g = F.sigmoid(pre[:, 3 * h_dim: 4 * h_dim])
-            c = f_g * c + i_g * g_g
-            tanh_c = F.tanh(c)
-            h = o_g * tanh_c
-            h_seq[t] = h
-            gates_cache.append((i_g, f_g, g_g, o_g, tanh_c, c))
+            act = gates[t]
+            pre = x_proj[t] + h[t] @ w_hh_t
+            pre += bias
+            F.sigmoid(pre, out=act)
+            np.tanh(pre[:, g_b], out=act[:, g_b])
+            np.multiply(act[:, f_b], c[t], out=c[t + 1])
+            c[t + 1] += act[:, i_b] * act[:, g_b]
+            np.tanh(c[t + 1], out=tanh_c[t])
+            np.multiply(act[:, o_b], tanh_c[t], out=h[t + 1])
 
-        self._cache = {
-            "x": x,
-            "gates": gates_cache,
-            "h_prev": h_prev_seq,
-            "c_prev": c_prev_seq,
-        }
-        return h_seq
+        self._cache = ({"x": x, "h": h, "c": c, "gates": gates,
+                        "tanh_c": tanh_c} if self.training else None)
+        return h[1:]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate through time given ``(T, B, H)`` output grads."""
+        """Backpropagate through time given ``(T, B, H)`` output grads.
+
+        Only the recurrence is per step.  The derivative factors are
+        computed once over all steps, the i/f/o gradients of a step are
+        two slab-wide products, and the input gradient is one stacked
+        product after the loop.  The weight gradients stay per step:
+        each step's product rounds into the float32 accumulator, and
+        that order is part of the bits.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
-        x = cache["x"]
+        x, h, c = cache["x"], cache["h"], cache["c"]
+        gates, tanh_c = cache["gates"], cache["tanh_c"]
         t_steps, batch, _ = x.shape
         h_dim = self.hidden_size
         w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
+        i_b, f_b, g_b, o_b = _gate_blocks(h_dim)
 
-        grad_x = np.zeros_like(x)
+        d_tanh_c = 1.0 - tanh_c ** 2
+        # sigma' / sigma for the i, f, o blocks, tanh' for the cell block
+        d_gates = 1.0 - gates
+        d_gates[..., g_b] = 1.0 - gates[..., g_b] ** 2
+        w_ih_s, w_hh_s = _state_operand(w_ih), _state_operand(w_hh)
+
+        # zeroed, so the cell block a step writes last holds no garbage
+        # while the slab-wide products pass over it
+        dpre = np.zeros((t_steps, batch, 4 * h_dim))
         dh_next = np.zeros((batch, h_dim))
         dc_next = np.zeros((batch, h_dim))
         d_w_ih = np.zeros_like(w_ih)
@@ -133,34 +154,41 @@ class LSTM(Module):
         d_bias = np.zeros_like(self.params["bias"])
 
         for t in reversed(range(t_steps)):
-            i_g, f_g, g_g, o_g, tanh_c, _ = cache["gates"][t]
-            c_prev = cache["c_prev"][t]
-            h_prev = cache["h_prev"][t]
-
+            act, d = gates[t], dpre[t]
             dh = grad_out[t] + dh_next
-            do = dh * tanh_c
-            dc = dh * o_g * (1.0 - tanh_c ** 2) + dc_next
-            di = dc * g_g
-            df = dc * c_prev
-            dg = dc * i_g
-            dc_next = dc * f_g
+            dc = dh * act[:, o_b] * d_tanh_c[t] + dc_next
+            np.multiply(dc, act[:, g_b], out=d[:, i_b])
+            np.multiply(dc, c[t], out=d[:, f_b])
+            np.multiply(dh, tanh_c[t], out=d[:, o_b])
+            dc_next = dc * act[:, f_b]
+            d *= act
+            d *= d_gates[t]
+            np.multiply(dc, act[:, i_b], out=d[:, g_b])
+            d[:, g_b] *= d_gates[t, :, g_b]
 
-            dpre = np.concatenate(
-                [
-                    di * i_g * (1.0 - i_g),
-                    df * f_g * (1.0 - f_g),
-                    dg * (1.0 - g_g ** 2),
-                    do * o_g * (1.0 - o_g),
-                ],
-                axis=1,
-            )
-            d_w_ih += dpre.T @ x[t]
-            d_w_hh += dpre.T @ h_prev
-            d_bias += dpre.sum(axis=0)
-            grad_x[t] = dpre @ w_ih
-            dh_next = dpre @ w_hh
+            d_w_ih += d.T @ x[t]
+            d_w_hh += d.T @ h[t]
+            d_bias += d.sum(axis=0)
+            dh_next = d @ w_hh_s
 
         self.grads["w_ih"] += d_w_ih
         self.grads["w_hh"] += d_w_hh
         self.grads["bias"] += d_bias
-        return grad_x
+        return np.matmul(dpre, w_ih_s).astype(x.dtype, copy=False)
+
+
+def _gate_blocks(h_dim: int) -> Tuple[slice, slice, slice, slice]:
+    """Column slices of the ``(i, f, g, o)`` blocks of a ``4H`` gate row."""
+    return tuple(slice(k * h_dim, (k + 1) * h_dim)  # type: ignore[return-value]
+                 for k in range(4))
+
+
+def _state_operand(w: np.ndarray) -> np.ndarray:
+    """A float32 weight operand as its products with the float64 state
+    see it: the C-ordered float64 copy NumPy's implicit mixed-dtype cast
+    hands BLAS, made once per call instead of once per product.  An
+    F-ordered cast (``w.T.astype``) changes BLAS's kernel and the bits.
+    A float64 weight is passed through as is."""
+    if w.dtype == np.float64:
+        return w
+    return np.ascontiguousarray(w, dtype=np.float64)

@@ -15,6 +15,7 @@ from repro.models.cnn import build_cnn
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear, MaxPool2d, ReLU
 from repro.nn.metrics import evaluate_classifier
+from repro.nn.recurrent import LSTM, Embedding
 
 
 def _bits_equal(a, b):
@@ -41,6 +42,8 @@ LAYERS = {
     "pool_overlap": (lambda rng: MaxPool2d(3, stride=2), (2, 3, 7, 6),
                      ("_cache",)),
     "pool_k3": (lambda rng: MaxPool2d(3), (2, 3, 9, 10), ("_cache",)),
+    "lstm": (lambda rng: LSTM(6, 5, rng=rng), (4, 3, 6), ("_cache",)),
+    "embedding": (lambda rng: Embedding(10, 4, rng=rng), (4, 3), ("_ids",)),
 }
 
 
@@ -48,8 +51,12 @@ LAYERS = {
 def test_eval_forward_equals_train_forward_and_keeps_nothing(rng, name):
     factory, shape, state = LAYERS[name]
     layer = factory(rng)
-    inputs = [rng.normal(size=shape).astype(np.float32)]
-    if name not in ("conv", "linear"):  # a GEMM turns one NaN into many
+    if name == "embedding":  # token ids
+        inputs = [rng.integers(0, 10, size=shape)]
+    else:
+        inputs = [rng.normal(size=shape).astype(np.float32)]
+    if name not in ("conv", "linear", "lstm", "embedding"):
+        # a GEMM turns one NaN into many; an embedding takes ids
         inputs.append(_signed_zero_input(rng, shape))
     for x in inputs:
         layer.train()

@@ -1,11 +1,15 @@
-"""LSTM / Embedding gradient checks and shape behaviour."""
+"""LSTM / Embedding gradient checks, shape behaviour, and the slab LSTM
+against the per-step one it replaced (``tests/support/nn_reference``)."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.nn.recurrent import LSTM, Embedding
+from tests.support.nn_reference import StepwiseLSTM
 
 TOL = 1e-6
 
@@ -64,3 +68,59 @@ def test_embedding_forward_looks_up_rows(rng):
     out = embed.forward(ids)
     assert out.shape == (2, 2, 4)
     assert np.allclose(out[0, 1], embed.params["weight"][9])
+
+
+# the shape grid the stepwise oracle is compared over: single steps,
+# samples and hidden units included
+T_GRID, B_GRID, H_GRID, I_GRID = (1, 3, 12), (1, 2, 8), (1, 5, 34, 48), (1, 17, 24)
+
+
+def _bits_equal(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _signed_values(rng, shape, dtype):
+    """Normal values with signed zeros mixed in."""
+    values = rng.normal(scale=2.0, size=shape)
+    values[rng.random(shape) < 0.05] = 0.0
+    values[rng.random(shape) < 0.05] = -0.0
+    return values.astype(dtype)
+
+
+def _assert_matches_stepwise(rng, x_dtype, grad_dtype):
+    mismatches = []
+    for t_steps, batch, hidden, inputs in itertools.product(
+            T_GRID, B_GRID, H_GRID, I_GRID):
+        seed = int(rng.integers(2 ** 31))
+        lstm = LSTM(inputs, hidden, rng=np.random.default_rng(seed))
+        oracle = StepwiseLSTM(inputs, hidden, rng=np.random.default_rng(seed))
+        lstm.zero_grad()
+        oracle.zero_grad()
+        # two accumulating calls, then an inference forward
+        for _ in range(2):
+            x = _signed_values(rng, (t_steps, batch, inputs), x_dtype)
+            grad = _signed_values(rng, (t_steps, batch, hidden), grad_dtype)
+            pairs = [(lstm.forward(x), oracle.forward(x))]
+            pairs.append((lstm.backward(grad), oracle.backward(grad)))
+            pairs += [(lstm.grads[k], oracle.grads[k]) for k in lstm.grads]
+            lstm.eval()
+            pairs.append((lstm.forward(x), pairs[0][1]))
+            lstm.train()
+            if not all(_bits_equal(a, b) for a, b in pairs):
+                mismatches.append((t_steps, batch, hidden, inputs))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_lstm_matches_the_stepwise_oracle_bit_for_bit(rng, x_dtype, grad_dtype):
+    """Outputs, input gradients and accumulated parameter gradients of the
+    slab LSTM equal the per-step one it replaced, sign bits and dtypes
+    included, over the whole shape grid (float32 parameters)."""
+    _assert_matches_stepwise(rng, x_dtype, grad_dtype)
+
+
+@pytest.mark.usefixtures("float64_mode")
+def test_lstm_matches_the_stepwise_oracle_with_float64_parameters(rng):
+    _assert_matches_stepwise(rng, np.float64, np.float64)
