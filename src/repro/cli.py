@@ -95,8 +95,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--executor", default="serial",
                         choices=("serial", "process"),
-                        help="execution backend for local training; "
-                             "'process' fans out to a worker-process pool "
+                        help="execution backend for local training: "
+                             "'serial' trains in process, 'process' fans "
+                             "out to a worker-process pool "
                              "(bitwise-identical results)")
     parser.add_argument("--num-procs", type=int, default=None, metavar="N",
                         help="process-pool size (default: one per CPU, "
@@ -253,6 +254,14 @@ def _build_history(task_key: str, strategy: str, args,
 
 
 def _cmd_run(args, extra_hooks=()) -> int:
+    # a resume trains on its checkpoint's executor (ROADMAP item 22)
+    given = [flag for flag, value in (("--executor", args.executor),
+                                      ("--num-procs", args.num_procs))
+             if value not in (None, "serial")]
+    if args.resume is not None and given:
+        print(f"error: --resume keeps the checkpoint's executor; drop "
+              f"{' and '.join(given)}", file=sys.stderr)
+        return 2
     if (getattr(args, "executor", "serial") == "process"
             and getattr(args, "profile_worker", None) is not None):
         print("error: --profile-worker requires --executor serial "

@@ -311,7 +311,8 @@ class Aggregator:
         for a cohort, the same exact float64 sum) in the same order.
         Without a residual, pruned positions add ``+0.0``, which is
         exact: an accumulator starting at ``+0.0`` never holds ``-0.0``
-        under round-to-nearest.
+        under round-to-nearest.  A unit weight is not multiplied in:
+        ``x * 1.0 == x`` for every float, signed zeros included.
         """
         first, weight = members[0]
         plan = first.plan
@@ -337,7 +338,8 @@ class Aggregator:
                         f"unplanned entry {key!r} changed shape: "
                         f"{sub_value.shape} vs {full_value.shape}"
                     )
-                accumulator[key] += weight * sub_value
+                accumulator[key] += (sub_value if weight == 1.0
+                                     else weight * sub_value)
                 continue
             if self.needs_residual:
                 recovered = first.global_state[key].astype(sub_value.dtype)
@@ -348,7 +350,8 @@ class Aggregator:
             layer_name, suffix = entry_info
             scatter_assign_param(recovered, suffix, plan[layer_name],
                                  sub_value)
-            recovered *= weight
+            if weight != 1.0:
+                recovered *= weight
             accumulator[key] += recovered
 
         return time.perf_counter() - scatter_start if timed else None

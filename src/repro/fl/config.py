@@ -43,9 +43,10 @@ class FLConfig:
     # counts it in telemetry), "off" disables the finiteness scan
     nan_policy: str = "raise"
 
-    # execution backend: "serial" trains inline, "process" fans local
-    # training out to a persistent process pool behind the wire codec
-    # (bitwise-identical results; see repro.runtime)
+    # execution backend: "serial" trains in process (a round's flights
+    # side by side on threads), "process" fans local training out to a
+    # persistent process pool behind the wire codec (bitwise-identical
+    # results; see repro.runtime)
     executor: str = "serial"
     #: process-pool size; None means one process per CPU, clamped to the
     #: fleet size

@@ -77,8 +77,8 @@ class Dispatch:
     #: local shard size, carried so aggregation-time weighting never
     #: re-resolves the full worker table
     num_samples: int = 1
-    #: raw trained sub-model state (pre upload-compression), recorded by
-    #: ``train_all`` for observer hooks and invariant checks
+    #: raw trained sub-model state (pre upload-compression), set by
+    #: ``train_all`` only while the contribution hooks run
     trained_state: Optional[Dict[str, np.ndarray]] = None
 
     @property
@@ -645,6 +645,9 @@ class Engine:
             )
             self.hooks.on_contribution(round_index, dispatch, contribution,
                                        train_loss)
+            # the round's Collected keeps its dispatches until the next
+            # collect: a stored state would pin its cohort block so long
+            dispatch.trained_state = None
             out.append((contribution, train_loss))
         return out
 

@@ -46,11 +46,10 @@ _SMALL_GEMM_MADDS = 10 ** 6
 _SPLIT_GEMM_BUILDS = (("0.3.31", "SkylakeX"),)
 
 
-def openblas_runtime() -> Optional[Tuple[str, str]]:
-    """``(version, runtime core)`` of the OpenBLAS NumPy has loaded, read
-    from the library itself (its build configuration names the build
-    target, not the core it picked for this CPU), or None where there is
-    no such library to ask (another BLAS, or no Linux ``/proc``)."""
+def _find_openblas():
+    """``name -> function`` of the OpenBLAS NumPy has loaded (``config``,
+    ``corename``, ``num_threads``), or None where there is no such
+    library to ask (another BLAS, or no Linux ``/proc``)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split()[-1] for line in maps
@@ -63,13 +62,33 @@ def openblas_runtime() -> Optional[Tuple[str, str]]:
         # system libopenblas
         for symbol in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}",
                        "openblas_get_{}"):
-            config = getattr(lib, symbol.format("config"), None)
-            core = getattr(lib, symbol.format("corename"), None)
-            if config is not None and core is not None:
-                config.restype = core.restype = ctypes.c_char_p
-                version = config().decode().split()[1]
-                return ".".join(version.split(".")[:3]), core().decode()
+            if all(getattr(lib, symbol.format(name), None) is not None
+                   for name in ("config", "corename", "num_threads")):
+                return lambda name, lib=lib, symbol=symbol: getattr(
+                    lib, symbol.format(name))
     return None
+
+
+_OPENBLAS = _find_openblas()
+
+
+def openblas_runtime() -> Optional[Tuple[str, str]]:
+    """``(version, runtime core)`` of the OpenBLAS NumPy has loaded, read
+    from the library itself (its build configuration names the build
+    target, not the core it picked for this CPU), or None where there is
+    no such library to ask."""
+    if _OPENBLAS is None:
+        return None
+    config, core = _OPENBLAS("config"), _OPENBLAS("corename")
+    config.restype = core.restype = ctypes.c_char_p
+    version = config().decode().split()[1]
+    return ".".join(version.split(".")[:3]), core().decode()
+
+
+def openblas_threads() -> Optional[int]:
+    """Threads each call of the loaded OpenBLAS takes now (None: there
+    is no OpenBLAS to ask)."""
+    return None if _OPENBLAS is None else int(_OPENBLAS("num_threads")())
 
 
 #: Whether this process splits inference and input-gradient products

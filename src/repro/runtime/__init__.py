@@ -19,7 +19,7 @@ package is the execution substrate that actually parallelises it:
 - :mod:`repro.runtime.sockets` -- length-prefixed socket framing and
   the service client's request/reply channel;
 - :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
-  :class:`~repro.runtime.executor.SerialExecutor` (default, inline) and
+  :class:`~repro.runtime.executor.SerialExecutor` (default, in process) and
   :class:`~repro.runtime.executor.RemoteExecutor` (the wire codec over a
   link: the pool's pipes, or the service's sockets).
 

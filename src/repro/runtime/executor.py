@@ -1,10 +1,11 @@
-"""The engine's execution seam: serial (inline) or remote training.
+"""The engine's execution seam: in-process or remote training.
 
 Schedulers hand the engine a batch of dispatches; the engine hands
 them to the executor at dispatch (:meth:`Executor.submit`) and collects
 them, one :class:`CohortTrainRequest` per cohort, as a whole round
 (:meth:`Executor.run_round`).  :class:`SerialExecutor` trains at
-collect, exactly as the historical inline engine did.
+collect, in process, a round's independent flights side by side on
+threads (bitwise as one after another).
 :class:`RemoteExecutor` encodes each member with the wire codec, hands
 the frames to a *link* -- the work queue of a persistent
 :class:`~repro.runtime.pool.ProcessPool` (from dispatch on), or the
@@ -26,14 +27,20 @@ back as exact ``float32`` payloads.
 from __future__ import annotations
 
 import copy
+import ctypes
+import itertools
+import os
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.loader import BatchIterator
+from repro.nn import functional as F
 from repro.nn.batched import train_cohort
 from repro.nn.module import Module
 from repro.pruning.plan import plan_signature_digest
@@ -66,6 +73,7 @@ class TrainRequest:
     ratio: float
     tau: int
     plan: object
+    #: the template the member's model is cloned from (only read)
     submodel: object
     dispatched_state: Dict[str, np.ndarray]
     hyper: TrainHyper
@@ -128,12 +136,9 @@ class Executor:
         """Train one cohort; results align with ``request.worker_ids``.
 
         The base route decomposes the cohort into per-member
-        :class:`TrainRequest` records, each with its own clone of the
-        shared template (deep-copy + pristine-state reload, generator
-        states included, so every member trains exactly the sub-model a
-        fresh extraction would have given it), and delegates to
-        :meth:`run`.  Subclasses may override with a genuinely
-        cohort-level execution (see :meth:`SerialExecutor.run_cohort`).
+        :class:`TrainRequest` records and delegates to :meth:`run`.
+        Subclasses may override with a genuinely cohort-level execution
+        (see :meth:`SerialExecutor.run_cohort`).
         """
         return self.run(self._decompose(request), round_index)
 
@@ -147,43 +152,87 @@ class Executor:
                 for request in requests]
 
     @staticmethod
-    def _decompose(request: CohortTrainRequest,
-                   clone_template: bool = True) -> List[TrainRequest]:
-        """Per-member requests of one cohort.  Without
-        ``clone_template`` every request points at the shared template
-        itself, which the caller must then only read."""
+    def _decompose(request: CohortTrainRequest) -> List[TrainRequest]:
+        """Per-member requests of one cohort, each pointing at the
+        shared template, which a request's trainer only reads."""
         cohort = request.cohort
         zeros = [0.0] * len(request.worker_ids)
-        requests = []
-        for worker_id, tau, emulate_s, finish_s in zip(
-            request.worker_ids, request.taus,
-            request.emulate_s or zeros, request.finish_s or zeros,
-        ):
-            submodel = cohort.template
-            if clone_template:
-                submodel = copy.deepcopy(submodel)
-                submodel.load_state_dict(cohort.dispatched_state)
-            requests.append(TrainRequest(
+        return [
+            TrainRequest(
                 worker_id=worker_id, ratio=cohort.ratio, tau=tau,
-                plan=cohort.plan, submodel=submodel,
+                plan=cohort.plan, submodel=cohort.template,
                 dispatched_state=cohort.dispatched_state,
                 hyper=request.hyper, emulate_s=emulate_s,
                 finish_s=finish_s,
-            ))
-        return requests
+            )
+            for worker_id, tau, emulate_s, finish_s in zip(
+                request.worker_ids, request.taus,
+                request.emulate_s or zeros, request.finish_s or zeros,
+            )
+        ]
 
     def close(self) -> None:
         """Release executor resources (no-op by default)."""
 
 
-class SerialExecutor(Executor):
-    """Inline execution on the parent's workers (the default).
+#: glibc's ``mallopt`` (None where the C library has none)
+_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", None)
 
-    Behaviour-preserving with the pre-executor engine: one
-    ``local_train`` span per request, profiler attachment for the
-    matched worker, training mutates the dispatched sub-model in
-    place.
-    """
+
+def flight_threads() -> int:
+    """Threads a round's flights may train on: this process's CPUs over
+    each BLAS call's threads; 1 (the plain loop) without an OpenBLAS."""
+    blas = F.openblas_threads()
+    return 1 if blas is None else max(1, len(os.sched_getaffinity(0)) // blas)
+
+
+def _fan_out(flights: Sequence[Callable[[], object]],
+             threads: int) -> List[object]:
+    """Results of ``flights`` in order, run on this thread and
+    ``threads - 1`` more started and joined here.  Once one raises no
+    other starts; the first error in submission order is raised when
+    the started ones have finished."""
+    if threads <= 1:
+        return [flight() for flight in flights]
+    # one malloc arena for every thread: per-thread arenas keep what a
+    # flight freed and grow peak RSS (DESIGN.md 3.5.1)
+    if _MALLOPT is not None:
+        _MALLOPT(-8, 1)  # M_ARENA_MAX
+    results: List[object] = [None] * len(flights)
+    errors: Dict[int, BaseException] = {}
+    claims = itertools.count()
+
+    def drain() -> None:
+        while not errors:
+            index = next(claims)
+            if index >= len(flights):
+                return
+            try:
+                results[index] = flights[index]()
+            except BaseException as error:
+                errors[index] = error
+
+    helpers = [threading.Thread(target=drain, daemon=True)
+               for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+class SerialExecutor(Executor):
+    """In-process execution on the parent's workers (the default; the
+    name stays because configs and checkpoints carry it).  A round's
+    *flights* -- each member of a per-member cohort, each member slice
+    of a stacked cohort -- train side by side on :func:`flight_threads`
+    threads, bitwise as one after another; worker lookups, spans and
+    counters stay on the calling thread (DESIGN.md 3.5.1)."""
 
     name = "serial"
 
@@ -196,44 +245,70 @@ class SerialExecutor(Executor):
 
     def run(self, requests: Sequence[TrainRequest],
             round_index: int = 0) -> List[TrainResult]:
-        results = []
-        for request in requests:
+        """Train each request on its own clone of the template, as
+        flights; one ``local_train`` span per request once all landed,
+        with the flight's own seconds as ``worker_wall_s``."""
+        profiler = self.telemetry.profiler
+        profiled = [profiler is not None and profiler.matches(r.worker_id)
+                    for r in requests]
+        flights = [
+            partial(self._execute, request, self.workers[request.worker_id],
+                    profiler if profile else None)
+            for request, profile in zip(requests, profiled)
+        ]
+        # the profiler's one table is written by one flight at a time
+        results = _fan_out(flights, 1 if sum(profiled) > 1
+                           else min(flight_threads(), len(flights)))
+        for request, result in zip(requests, results):
             with self.telemetry.span("local_train", round=round_index,
                                      worker=request.worker_id,
                                      tau=request.tau,
                                      ratio=request.ratio) as span:
-                profiler = self.telemetry.profiler
-                profile_ctx = (
-                    profiler.attach(request.submodel)
-                    if profiler is not None
-                    and profiler.matches(request.worker_id)
-                    else nullcontext()
-                )
-                with profile_ctx:
-                    result = self._execute(request)
                 span.set("train_loss", float(result.train_loss))
-            results.append(result)
+                span.set("worker_wall_s", result.wall_time_s)
         return results
+
+    def run_round(self, requests: Sequence[CohortTrainRequest],
+                  round_index: int = 0) -> List[List[TrainResult]]:
+        """Every per-member cohort's members through one :meth:`run`,
+        then each stacked cohort through :meth:`run_cohort`; results in
+        request order."""
+        stacked = [self._vectorisable(request) for request in requests]
+        members = iter(self._run_members(
+            [r for r, vector in zip(requests, stacked) if not vector],
+            round_index))
+        return [self.run_cohort(request, round_index) if vector
+                else next(members)
+                for request, vector in zip(requests, stacked)]
+
+    def _run_members(self, requests: Sequence[CohortTrainRequest],
+                     round_index: int) -> List[List[TrainResult]]:
+        """Per-member cohorts, trained through one :meth:`run` call."""
+        if not requests:
+            return []
+        results = iter(self.run(
+            [member for request in requests
+             for member in self._decompose(request)], round_index))
+        metrics = self.telemetry.metrics
+        batches = []
+        for request in requests:
+            batch = [next(results) for _ in request.worker_ids]
+            metrics.counter("cohort_train_fallback_total").inc(len(batch))
+            metrics.histogram("cohort_train_s", path="fallback").observe(
+                sum(result.wall_time_s for result in batch))
+            batches.append(batch)
+        return batches
 
     def run_cohort(self, request: CohortTrainRequest,
                    round_index: int = 0) -> List[TrainResult]:
-        """Train one cohort, stacked into a single batched pass when the
-        architecture and request allow it (one forward/backward per step
-        for the whole cohort instead of per member; bitwise-identical,
-        see :mod:`repro.nn.batched`).  Ineligible cohorts fall back to
-        the per-member decomposition.
+        """Train one cohort, stacked into a single batched pass per
+        member slice when the architecture and request allow it (one
+        forward/backward per step for the slice instead of per member;
+        bitwise-identical, see :mod:`repro.nn.batched`).  Ineligible
+        cohorts fall back to the per-member decomposition.
         """
         if not self._vectorisable(request):
-            metrics = self.telemetry.metrics
-            metrics.counter(
-                "cohort_train_fallback_total",
-            ).inc(len(request.worker_ids))
-            start = time.perf_counter()
-            results = super().run_cohort(request, round_index)
-            metrics.histogram("cohort_train_s", path="fallback").observe(
-                time.perf_counter() - start
-            )
-            return results
+            return self._run_members([request], round_index)[0]
 
         cohort = request.cohort
         hyper = request.hyper
@@ -242,6 +317,8 @@ class SerialExecutor(Executor):
             self.workers[worker_id].iterator
             for worker_id in request.worker_ids
         ]
+        threads = min(flight_threads(), len(iterators))
+        bounds = [len(iterators) * k // threads for k in range(threads + 1)]
         with self.telemetry.span(
             "cohort_train", round=round_index, ratio=cohort.ratio,
             cluster=cohort.cluster, members=len(request.worker_ids),
@@ -251,13 +328,17 @@ class SerialExecutor(Executor):
                 span.set("path", "vectorised")
                 span.set("plan_sig", plan_signature_digest(cohort.plan))
             start = time.perf_counter()
-            states, losses = train_cohort(
-                cohort.template, cohort.dispatched_state, iterators, tau,
-                lr=hyper.lr, momentum=hyper.momentum,
-                weight_decay=hyper.weight_decay, prox_mu=hyper.prox_mu,
-                clip_norm=hyper.clip_norm,
-                anchor=cohort.dispatched_state,
-            )
+            slices = _fan_out([
+                partial(train_cohort, cohort.template,
+                        cohort.dispatched_state, iterators[lo:hi], tau,
+                        lr=hyper.lr, momentum=hyper.momentum,
+                        weight_decay=hyper.weight_decay,
+                        prox_mu=hyper.prox_mu, clip_norm=hyper.clip_norm,
+                        anchor=cohort.dispatched_state)
+                for lo, hi in zip(bounds, bounds[1:])
+            ], threads)
+            states = [state for part, _ in slices for state in part]
+            losses = [loss for _, part in slices for loss in part]
             elapsed = time.perf_counter() - start
             span.set("mean_train_loss",
                      float(sum(losses) / len(losses)))
@@ -298,21 +379,28 @@ class SerialExecutor(Executor):
             return False
         return len({it.batch_size for it in iterators}) == 1
 
-    def _execute(self, request: TrainRequest) -> TrainResult:
-        worker = self.workers[request.worker_id]
+    @staticmethod
+    def _execute(request: TrainRequest, worker,
+                 profiler=None) -> TrainResult:
+        """One member's flight: a clone of the template (generator states
+        included) trained, and dropped once its state is taken."""
+        model = copy.deepcopy(request.submodel)
+        model.load_state_dict(request.dispatched_state)
         hyper = request.hyper
         start = time.perf_counter()
         if request.emulate_s > 0.0:
             time.sleep(request.emulate_s)
-        train_loss = worker.local_train(
-            request.submodel, tau=request.tau, lr=hyper.lr,
-            momentum=hyper.momentum, weight_decay=hyper.weight_decay,
-            prox_mu=hyper.prox_mu, clip_norm=hyper.clip_norm,
-            anchor=request.dispatched_state,
-        )
+        with profiler.attach(model) if profiler is not None \
+                else nullcontext():
+            train_loss = worker.local_train(
+                model, tau=request.tau, lr=hyper.lr,
+                momentum=hyper.momentum, weight_decay=hyper.weight_decay,
+                prox_mu=hyper.prox_mu, clip_norm=hyper.clip_norm,
+                anchor=request.dispatched_state,
+            )
         return TrainResult(
             worker_id=request.worker_id,
-            sub_state=request.submodel.state_dict(),
+            sub_state=model.state_dict(),
             train_loss=float(train_loss),
             wall_time_s=time.perf_counter() - start,
         )
@@ -428,7 +516,7 @@ class RemoteExecutor(Executor):
             return
         with self.telemetry.span("serialize", round=round_index):
             for request in requests:
-                for member in self._decompose(request, clone_template=False):
+                for member in self._decompose(request):
                     if member.worker_id in self._flights:
                         self.link.cancel(self._flights[member.worker_id][1])
                     flight = self._encode(member)
@@ -541,7 +629,7 @@ class RemoteExecutor(Executor):
             wave = requests[start:start + per_wave]
             results = iter(self.run([
                 member for request in wave
-                for member in self._decompose(request, clone_template=False)
+                for member in self._decompose(request)
             ], round_index))
             batches.extend(
                 [next(results) for _ in request.worker_ids]

@@ -295,7 +295,9 @@ class Harness:
             if failure is not None:
                 return False, f"{name}: {failure}"
             source = latest_checkpoint(ckpt)
-            legs.start("resume", spec.argv() + [
+            # `run --resume` takes its checkpoint's executor, no flags
+            plain = replace(spec, executor="serial", num_procs=None)
+            legs.start("resume", plain.argv() + [
                 "--resume", str(ckpt), "--history", str(history)])
             failure = legs.exited("resume")
             if failure is not None:

@@ -103,6 +103,28 @@ def test_run_rejects_profiler_with_process_executor(capsys):
     assert "--profile-worker" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--executor", "process"],
+                                   ["--num-procs", "2"],
+                                   ["--executor", "process", "--num-procs",
+                                    "2"]])
+def test_run_resume_rejects_executor_flags(flags, tmp_path, monkeypatch,
+                                           capsys):
+    """A resume trains on the checkpoint's executor, so `run --resume`
+    refuses the flags that would pick another, before it reads the
+    checkpoint (the path need not exist)."""
+    import repro.cli
+
+    def _no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(repro.cli, "_build_history", _no_run)
+    code = main(["run", "--resume", str(tmp_path / "missing"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+
+
 @pytest.mark.parametrize("flag, value", [("--metrics-port", "0"),
                                          ("--manifest", "manifest.json")])
 def test_serve_rejects_flags_it_cannot_honour(flag, value, tmp_path,

@@ -269,6 +269,36 @@ def test_mixed_round_with_a_cohort_matches_dense_path_bitwise(scheme, rng):
         "aggregate_cohort_partial_sums_total").value == 1
 
 
+@pytest.mark.parametrize("round_kind", ["cohort", "singleton"])
+@pytest.mark.parametrize("scheme", sorted(AGGREGATORS))
+def test_unit_weight_fold_skips_nothing_but_the_multiply(scheme, round_kind,
+                                                         rng):
+    """The fold leaves out ``recovered *= 1.0``; the dense reference,
+    which multiplies every member by its weight, must still agree bit
+    for bit, ``-0.0`` included: on a round that is one unit-weight
+    cohort, and on a round of one member (weight 4 under the weighted
+    schemes, which keep the multiply)."""
+    model = build_cnn(rng=rng)
+    template = model.state_dict()
+    plan = build_pruning_plan(model, 0.4)
+    base = extract_submodel(model, plan,
+                            rng=np.random.default_rng(7)).state_dict()
+    members, count = (3, 1) if round_kind == "cohort" else (1, 4)
+    contributions = [
+        Contribution(
+            worker_id=worker_id,
+            sub_state=_with_negative_zeros(
+                {key: value + np.float32(0.5 * worker_id - 0.25)
+                 for key, value in base.items()}, rng),
+            plan=plan, num_samples=count, global_state=template,
+        )
+        for worker_id in range(members)
+    ]
+    aggregator = make_aggregator(scheme)
+    _assert_bits_equal(dense_aggregate(aggregator, contributions, template),
+                       aggregator.aggregate(contributions, template))
+
+
 def test_global_state_residual_matches_materialised_residual(rng):
     """Folding the residual from the shared global snapshot equals
     adding each contribution's materialised residual model, bit for

@@ -79,9 +79,10 @@ def test_cached_clones_are_independent_models(task, devices):
                 for key, value in first.dispatched_state.items()}
     # training one member must leak neither into the shared template
     # nor into the pristine state the other member starts from
-    engine.train_all([first], round_index=0)
+    # (no upload compression: the contribution carries the trained state)
+    [(contribution, _)] = engine.train_all([first], round_index=0)
     assert any(
-        not np.array_equal(first.trained_state[key], pristine[key])
+        not np.array_equal(contribution.sub_state[key], pristine[key])
         for key in pristine
     )
     template_state = second.cohort.template.state_dict()

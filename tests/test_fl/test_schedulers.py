@@ -275,3 +275,40 @@ def test_a_round_frees_its_cohort_blocks_before_the_next_round_trains(
         engine.close()
     assert len(blocks) >= 4
     assert alive_at_start == [0] * len(alive_at_start)
+
+
+@pytest.mark.parametrize("scheduler", ["sync", "async"])
+def test_no_trained_state_outlives_its_round(scheduler):
+    """The engine hands each raw trained state to the contribution hooks
+    and keeps none: when the next round dispatches or trains, every
+    state an earlier round trained is dead (the round's ``Collected``
+    holds its dispatches until the next collect returns)."""
+    extra = {"async_m": 8} if scheduler == "async" else {}
+    engine = Engine(fleet.make_task(), fleet.make_fleet(200), FLConfig(
+        strategy="fixed", strategy_kwargs={"ratio": 0.3}, max_rounds=4,
+        local_iterations=2, batch_size=8, eval_every=10, seed=7,
+        clients_per_round=8, scheduler=scheduler, **extra))
+    states, alive = [], []
+    run_round = engine.executor.run_round
+    dispatch_many = engine.dispatch_many
+
+    def training(requests, round_index):
+        alive.append(sum(ref() is not None for ref in states))
+        batches = run_round(requests, round_index)
+        states.extend(weakref.ref(array) for batch in batches
+                      for result in batch
+                      for array in result.sub_state.values())
+        return batches
+
+    def dispatching(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in states))
+        return dispatch_many(*args, **kwargs)
+
+    engine.executor.run_round = training
+    engine.dispatch_many = dispatching
+    try:
+        make_scheduler(engine.config).run(engine)
+    finally:
+        engine.close()
+    assert len(states) >= 4 and len(alive) >= 8
+    assert alive == [0] * len(alive)
