@@ -291,14 +291,3 @@ def conv2d_input_grad(grad_mat: np.ndarray, weight: np.ndarray,
             out[start:start + mb * sb] = (
                 acc_b[:, p:p + h, p:p + w, :].transpose(0, 3, 1, 2))
     return out
-
-
-def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Numerically stable logistic sigmoid, ``e^x / (1 + e^x)`` where not
-    ``x >= 0``: one select over both numerators and one divide, no masked
-    gathers (``exp`` of ``x`` itself there, not of ``-|x|``, keeps a
-    NaN's sign)."""
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    denom = 1.0 + e
-    return np.divide(np.where(pos, 1.0, e), denom, out=out)

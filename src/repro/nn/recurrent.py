@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module
 
@@ -82,33 +81,41 @@ class LSTM(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the layer over a full sequence, returning all hidden states.
 
-        The input products of all steps are one stacked matmul (the same
-        BLAS call per step as ``x[t] @ w_ih.T``); a step is then the
-        recurrent product, one sigmoid over its whole ``4H`` gate slab
-        and a tanh written over the cell block.  States, gates and
-        ``tanh(c)`` go to per-call slabs the backward reads; the
-        returned states are a view of the ``h`` slab.
+        Everything computes in the parameters' dtype.  The input products
+        of all steps and the bias are one stacked matmul and one add (the
+        matmul is the same BLAS call per step as ``x[t] @ w_ih.T``).  The
+        i/f/o columns of that slab and of a once-per-call ``w_hh.T`` copy
+        are halved, so a step is the recurrent product, one ``tanh`` over
+        its whole ``4H`` gate slab and one per-column multiply-add
+        (``sigma(z) = tanh(z/2)/2 + 1/2``), then the cell update.  States,
+        gates and ``tanh(c)`` go to per-call slabs the backward reads;
+        the returned states are a view of the ``h`` slab.
         """
+        w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
+        dtype = w_ih.dtype
+        x = x.astype(dtype, copy=False)
         t_steps, batch, _ = x.shape
         h_dim = self.hidden_size
-        w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
-        bias = self.params["bias"]
+        scale, shift = _gate_affine(h_dim, dtype)
         i_b, f_b, g_b, o_b = _gate_blocks(h_dim)
 
         x_proj = np.matmul(x, w_ih.T)
-        w_hh_t = _state_operand(w_hh.T)
+        x_proj += self.params["bias"]
+        x_proj *= scale
+        w_hh_t = np.multiply(w_hh.T, scale, order="C")
         # h[t] and c[t] are the states step t reads; h[0] = c[0] = 0
-        h = np.zeros((t_steps + 1, batch, h_dim))
-        c = np.zeros((t_steps + 1, batch, h_dim))
-        gates = np.empty((t_steps, batch, 4 * h_dim))
-        tanh_c = np.empty((t_steps, batch, h_dim))
+        h = np.zeros((t_steps + 1, batch, h_dim), dtype)
+        c = np.zeros((t_steps + 1, batch, h_dim), dtype)
+        gates = np.empty((t_steps, batch, 4 * h_dim), dtype)
+        tanh_c = np.empty((t_steps, batch, h_dim), dtype)
 
         for t in range(t_steps):
             act = gates[t]
-            pre = x_proj[t] + h[t] @ w_hh_t
-            pre += bias
-            F.sigmoid(pre, out=act)
-            np.tanh(pre[:, g_b], out=act[:, g_b])
+            np.matmul(h[t], w_hh_t, out=act)
+            act += x_proj[t]
+            np.tanh(act, out=act)
+            act *= scale
+            act += shift
             np.multiply(act[:, f_b], c[t], out=c[t + 1])
             c[t + 1] += act[:, i_b] * act[:, g_b]
             np.tanh(c[t + 1], out=tanh_c[t])
@@ -121,60 +128,57 @@ class LSTM(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate through time given ``(T, B, H)`` output grads.
 
-        Only the recurrence is per step.  The derivative factors are
-        computed once over all steps, the i/f/o gradients of a step are
-        two slab-wide products, and the input gradient is one stacked
-        product after the loop.  The weight gradients stay per step:
-        each step's product rounds into the float32 accumulator, and
-        that order is part of the bits.
+        Only the recurrence is per step.  What a gate's pre-activation
+        gradient is per unit of the step's ``dc`` (``dh`` for the output
+        gate) is one slab computed before the loop, so a step is two
+        products into its ``dpre`` row, the ``dc`` chain and the
+        recurrent product.  The input gradient is one stacked product
+        and each weight gradient one product over all ``T*B`` rows of
+        ``dpre``, after the loop.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
         x, h, c = cache["x"], cache["h"], cache["c"]
         gates, tanh_c = cache["gates"], cache["tanh_c"]
-        t_steps, batch, _ = x.shape
+        grad_out = grad_out.astype(gates.dtype, copy=False)
+        t_steps, batch, inputs = x.shape
         h_dim = self.hidden_size
         w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
         i_b, f_b, g_b, o_b = _gate_blocks(h_dim)
 
-        d_tanh_c = 1.0 - tanh_c ** 2
-        # sigma' / sigma for the i, f, o blocks, tanh' for the cell block
-        d_gates = 1.0 - gates
-        d_gates[..., g_b] = 1.0 - gates[..., g_b] ** 2
-        w_ih_s, w_hh_s = _state_operand(w_ih), _state_operand(w_hh)
+        # d sigma = sigma (1 - sigma) on i, f, o; d tanh = 1 - g^2 on g,
+        # each times the factor it meets in c' = f c + i g, h = o tanh(c)
+        dz = 1.0 - gates
+        dz *= gates
+        dz[..., g_b] = 1.0 - gates[..., g_b] ** 2
+        dz[..., i_b] *= gates[..., g_b]
+        dz[..., f_b] *= c[:-1]
+        dz[..., g_b] *= gates[..., i_b]
+        dz[..., o_b] *= tanh_c
+        dc_dh = 1.0 - tanh_c ** 2
+        dc_dh *= gates[..., o_b]
 
-        # zeroed, so the cell block a step writes last holds no garbage
-        # while the slab-wide products pass over it
-        dpre = np.zeros((t_steps, batch, 4 * h_dim))
-        dh_next = np.zeros((batch, h_dim))
-        dc_next = np.zeros((batch, h_dim))
-        d_w_ih = np.zeros_like(w_ih)
-        d_w_hh = np.zeros_like(w_hh)
-        d_bias = np.zeros_like(self.params["bias"])
+        dpre = np.empty_like(gates)
+        dz_ifg = dz.reshape(t_steps, batch, 4, h_dim)[:, :, :3]
+        dpre_ifg = dpre.reshape(t_steps, batch, 4, h_dim)[:, :, :3]
+        dh_next = np.zeros((batch, h_dim), gates.dtype)
+        dc_next = np.zeros((batch, h_dim), gates.dtype)
 
         for t in reversed(range(t_steps)):
-            act, d = gates[t], dpre[t]
             dh = grad_out[t] + dh_next
-            dc = dh * act[:, o_b] * d_tanh_c[t] + dc_next
-            np.multiply(dc, act[:, g_b], out=d[:, i_b])
-            np.multiply(dc, c[t], out=d[:, f_b])
-            np.multiply(dh, tanh_c[t], out=d[:, o_b])
-            dc_next = dc * act[:, f_b]
-            d *= act
-            d *= d_gates[t]
-            np.multiply(dc, act[:, i_b], out=d[:, g_b])
-            d[:, g_b] *= d_gates[t, :, g_b]
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(dc[:, None], dz_ifg[t], out=dpre_ifg[t])
+            np.multiply(dh, dz[t, :, o_b], out=dpre[t, :, o_b])
+            dc_next = dc * gates[t, :, f_b]
+            dh_next = dpre[t] @ w_hh
 
-            d_w_ih += d.T @ x[t]
-            d_w_hh += d.T @ h[t]
-            d_bias += d.sum(axis=0)
-            dh_next = d @ w_hh_s
-
-        self.grads["w_ih"] += d_w_ih
-        self.grads["w_hh"] += d_w_hh
-        self.grads["bias"] += d_bias
-        return np.matmul(dpre, w_ih_s).astype(x.dtype, copy=False)
+        rows = dpre.reshape(-1, 4 * h_dim)
+        self.grads["w_ih"] += rows.T @ x.reshape(-1, inputs)
+        self.grads["w_hh"] += rows.T @ h[:-1].reshape(-1, h_dim)
+        self.grads["bias"] += rows.sum(axis=0)
+        return np.matmul(dpre, w_ih)
 
 
 def _gate_blocks(h_dim: int) -> Tuple[slice, slice, slice, slice]:
@@ -183,12 +187,12 @@ def _gate_blocks(h_dim: int) -> Tuple[slice, slice, slice, slice]:
                  for k in range(4))
 
 
-def _state_operand(w: np.ndarray) -> np.ndarray:
-    """A float32 weight operand as its products with the float64 state
-    see it: the C-ordered float64 copy NumPy's implicit mixed-dtype cast
-    hands BLAS, made once per call instead of once per product.  An
-    F-ordered cast (``w.T.astype``) changes BLAS's kernel and the bits.
-    A float64 weight is passed through as is."""
-    if w.dtype == np.float64:
-        return w
-    return np.ascontiguousarray(w, dtype=np.float64)
+def _gate_affine(h_dim: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(scale, shift)`` of a ``4H`` gate row: ``1/2`` on the
+    sigmoid blocks (i, f, o), where ``tanh(z/2)/2 + 1/2`` is the sigmoid,
+    and ``(1, 0)`` on the cell block."""
+    scale = np.full(4 * h_dim, 0.5, dtype)
+    shift = scale.copy()
+    scale[2 * h_dim: 3 * h_dim] = 1.0
+    shift[2 * h_dim: 3 * h_dim] = 0.0
+    return scale, shift

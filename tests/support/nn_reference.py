@@ -1,14 +1,13 @@
-"""Frozen kernels the ``repro.nn`` layers are checked against, bit for bit.
+"""Reference kernels the ``repro.nn`` layers are checked against, bit for
+bit, so a test can assert ``array_equal`` (sign bits and dtypes included)
+between the two:
 
-Each is the shipped code as it was before the rewrite that replaced it,
-kept verbatim in its arithmetic so a test can assert ``array_equal``
-(sign bits and dtypes included) between the two:
-
-- :class:`StepwiseLSTM` -- the per-step LSTM: three ``sigmoid`` calls and
-  two ``tanh`` calls a step, the recurrent weights cast implicitly on
-  every product, one ``concatenate`` per backward step;
+- :class:`StepwiseLSTM` -- the LSTM's arithmetic written one step at a
+  time: fresh arrays per step, a per-step tuple cache, one
+  ``concatenate`` and the input-gradient product per backward step;
 - :func:`softmax` and :func:`log_softmax` -- the two passes the
-  cross-entropy loss made before one shift, ``exp`` and sum served both.
+  cross-entropy loss made before one shift, ``exp`` and sum served both,
+  kept as they shipped.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.recurrent import LSTM
 
 
@@ -35,30 +33,38 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class StepwiseLSTM(LSTM):
-    """:class:`~repro.nn.recurrent.LSTM` with the per-step forward and
-    backward it shipped with; same parameters, same gate layout."""
+    """:class:`~repro.nn.recurrent.LSTM`'s arithmetic one step at a time;
+    same parameters, same gate layout."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        t_steps, batch, _ = x.shape
-        h_dim = self.hidden_size
         w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
         bias = self.params["bias"]
+        dtype = w_ih.dtype
+        x = x.astype(dtype)
+        t_steps, batch, _ = x.shape
+        h_dim = self.hidden_size
+        # sigma(z) = tanh(z / 2) / 2 + 1/2 on the i, f, o blocks
+        sigmoid_block = np.arange(4 * h_dim) // h_dim != 2
+        scale = np.where(sigmoid_block, 0.5, 1.0).astype(dtype)
+        shift = np.where(sigmoid_block, 0.5, 0.0).astype(dtype)
+        w_hh_half = np.ascontiguousarray(w_hh.T * scale)
 
-        h = np.zeros((batch, h_dim))
-        c = np.zeros((batch, h_dim))
+        h = np.zeros((batch, h_dim), dtype)
+        c = np.zeros((batch, h_dim), dtype)
         gates_cache: List[Tuple[np.ndarray, ...]] = []
-        h_seq = np.empty((t_steps, batch, h_dim))
-        h_prev_seq = np.empty((t_steps, batch, h_dim))
-        c_prev_seq = np.empty((t_steps, batch, h_dim))
+        h_seq = np.empty((t_steps, batch, h_dim), dtype)
+        h_prev_seq = np.empty((t_steps, batch, h_dim), dtype)
+        c_prev_seq = np.empty((t_steps, batch, h_dim), dtype)
 
         for t in range(t_steps):
             h_prev_seq[t] = h
             c_prev_seq[t] = c
-            pre = x[t] @ w_ih.T + h @ w_hh.T + bias
-            i_g = F.sigmoid(pre[:, 0 * h_dim: 1 * h_dim])
-            f_g = F.sigmoid(pre[:, 1 * h_dim: 2 * h_dim])
-            g_g = np.tanh(pre[:, 2 * h_dim: 3 * h_dim])
-            o_g = F.sigmoid(pre[:, 3 * h_dim: 4 * h_dim])
+            z_half = (x[t] @ w_ih.T + bias) * scale + h @ w_hh_half
+            act = np.tanh(z_half) * scale + shift
+            i_g = act[:, 0 * h_dim: 1 * h_dim]
+            f_g = act[:, 1 * h_dim: 2 * h_dim]
+            g_g = act[:, 2 * h_dim: 3 * h_dim]
+            o_g = act[:, 3 * h_dim: 4 * h_dim]
             c = f_g * c + i_g * g_g
             tanh_c = np.tanh(c)
             h = o_g * tanh_c
@@ -78,46 +84,39 @@ class StepwiseLSTM(LSTM):
             raise RuntimeError("backward called before forward")
         cache = self._cache
         x = cache["x"]
-        t_steps, batch, _ = x.shape
+        t_steps, batch, inputs = x.shape
         h_dim = self.hidden_size
         w_ih, w_hh = self.params["w_ih"], self.params["w_hh"]
+        grad_out = grad_out.astype(w_ih.dtype)
 
         grad_x = np.zeros_like(x)
-        dh_next = np.zeros((batch, h_dim))
-        dc_next = np.zeros((batch, h_dim))
-        d_w_ih = np.zeros_like(w_ih)
-        d_w_hh = np.zeros_like(w_hh)
-        d_bias = np.zeros_like(self.params["bias"])
+        dh_next = np.zeros((batch, h_dim), x.dtype)
+        dc_next = np.zeros((batch, h_dim), x.dtype)
+        dpre_steps: List[np.ndarray] = []
 
         for t in reversed(range(t_steps)):
             i_g, f_g, g_g, o_g, tanh_c, _ = cache["gates"][t]
             c_prev = cache["c_prev"][t]
-            h_prev = cache["h_prev"][t]
 
             dh = grad_out[t] + dh_next
-            do = dh * tanh_c
-            dc = dh * o_g * (1.0 - tanh_c ** 2) + dc_next
-            di = dc * g_g
-            df = dc * c_prev
-            dg = dc * i_g
-            dc_next = dc * f_g
-
+            dc = dh * (o_g * (1.0 - tanh_c ** 2)) + dc_next
             dpre = np.concatenate(
                 [
-                    di * i_g * (1.0 - i_g),
-                    df * f_g * (1.0 - f_g),
-                    dg * (1.0 - g_g ** 2),
-                    do * o_g * (1.0 - o_g),
+                    dc * (g_g * (i_g * (1.0 - i_g))),
+                    dc * (c_prev * (f_g * (1.0 - f_g))),
+                    dc * (i_g * (1.0 - g_g ** 2)),
+                    dh * (tanh_c * (o_g * (1.0 - o_g))),
                 ],
                 axis=1,
             )
-            d_w_ih += dpre.T @ x[t]
-            d_w_hh += dpre.T @ h_prev
-            d_bias += dpre.sum(axis=0)
+            dc_next = dc * f_g
             grad_x[t] = dpre @ w_ih
             dh_next = dpre @ w_hh
+            dpre_steps.append(dpre)
 
-        self.grads["w_ih"] += d_w_ih
-        self.grads["w_hh"] += d_w_hh
-        self.grads["bias"] += d_bias
+        # the weight gradients: one product over all T*B rows, in time order
+        rows = np.concatenate(dpre_steps[::-1])
+        self.grads["w_ih"] += rows.T @ x.reshape(-1, inputs)
+        self.grads["w_hh"] += rows.T @ cache["h_prev"].reshape(-1, h_dim)
+        self.grads["bias"] += rows.sum(axis=0)
         return grad_x

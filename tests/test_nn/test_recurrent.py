@@ -1,5 +1,6 @@
-"""LSTM / Embedding gradient checks, shape behaviour, and the slab LSTM
-against the per-step one it replaced (``tests/support/nn_reference``)."""
+"""LSTM / Embedding gradient checks, shape behaviour, the dtype contract,
+and the slab LSTM against its arithmetic written one step at a time
+(``tests/support/nn_reference``)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.models.lstm_lm import build_lstm_lm
+from repro.nn.dtype import get_default_dtype, set_default_dtype
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn.recurrent import LSTM, Embedding
 from tests.support.nn_reference import StepwiseLSTM
 
@@ -68,6 +72,64 @@ def test_embedding_forward_looks_up_rows(rng):
     out = embed.forward(ids)
     assert out.shape == (2, 2, 4)
     assert np.allclose(out[0, 1], embed.params["weight"][9])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_language_model_computes_in_its_parameters_dtype(rng, dtype):
+    """States, cached slabs, logits, the loss gradient and every
+    parameter gradient of the LM carry the parameters' dtype."""
+    previous = get_default_dtype()
+    set_default_dtype(dtype)
+    try:
+        model = build_lstm_lm(vocab_size=30, embedding_dim=6, hidden_size=5,
+                              rng=rng)
+    finally:
+        set_default_dtype(previous)
+    ids = rng.integers(30, size=(4, 3))
+    criterion = CrossEntropyLoss()
+    seen = {"embedding": model.get("embed").forward(ids)}
+    seen["lstm1"] = model.get("lstm1").forward(seen["embedding"])
+    seen["lstm2"] = model.get("lstm2").forward(seen["lstm1"])
+    seen["logits"] = model.get("decoder").forward(seen["lstm2"])
+    criterion(seen["logits"], rng.integers(30, size=(4, 3)))
+    seen["loss_grad"] = criterion.backward()
+    model.zero_grad()
+    grad = model.get("decoder").backward(seen["loss_grad"])
+    seen["lstm2_input_grad"] = model.get("lstm2").backward(grad)
+    seen["lstm1_input_grad"] = model.get("lstm1").backward(
+        seen["lstm2_input_grad"])
+    for name in ("lstm1", "lstm2"):
+        for key, value in model.get(name)._cache.items():
+            seen[f"{name}.cache.{key}"] = value
+    for name, value in model.named_parameters():
+        seen[f"{name} param"] = value
+    for name, value in model.named_grads():
+        seen[f"{name} grad"] = value
+    assert {key: value.dtype for key, value in seen.items()} == {
+        key: np.dtype(dtype) for key in seen}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saturated_gates_stay_in_the_unit_interval(dtype):
+    """Pre-activations up to +-1e4 give finite gates in [0, 1] without a
+    floating-point warning, forward or backward."""
+    hidden = 6
+    lstm = LSTM(1, hidden)
+    lstm.params["w_ih"] = np.linspace(-1e4, 1e4, 4 * hidden).reshape(
+        -1, 1).astype(dtype)
+    lstm.params["w_hh"] = np.full((4 * hidden, hidden), 1e3, dtype)
+    lstm.params["bias"] = np.zeros(4 * hidden, dtype)
+    lstm.grads = {k: np.zeros_like(v) for k, v in lstm.params.items()}
+    x = np.array([1.0, -1.0, 0.5]).reshape(3, 1, 1).astype(dtype)
+    with np.errstate(all="raise"):
+        out = lstm.forward(x)
+        gates = lstm._cache["gates"]
+        lstm.backward(np.ones_like(out))
+    sigmoid_gates = np.delete(gates, np.s_[2 * hidden: 3 * hidden], axis=2)
+    assert gates.dtype == dtype
+    assert np.isfinite(gates).all() and np.isfinite(out).all()
+    assert sigmoid_gates.min() == 0.0 and sigmoid_gates.max() == 1.0
+    assert all(np.isfinite(g).all() for g in lstm.grads.values())
 
 
 # the shape grid the stepwise oracle is compared over: single steps,
