@@ -93,11 +93,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", type=float, default=None,
                         help="stop when the metric reaches this target")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--executor", default="serial",
+    parser.add_argument("--executor", default=None,
                         choices=("serial", "process"),
                         help="execution backend for local training: "
-                             "'serial' trains in process, 'process' fans "
-                             "out to a worker-process pool "
+                             "'serial' (the default) trains in process, "
+                             "'process' fans out to a worker-process pool "
                              "(bitwise-identical results)")
     parser.add_argument("--num-procs", type=int, default=None, metavar="N",
                         help="process-pool size (default: one per CPU, "
@@ -220,7 +220,7 @@ def prepare_run(task_key: str, strategy: str, args):
         semi_sync_deadline_s=args.deadline_s,
         target_metric=args.target,
         seed=args.seed,
-        executor=getattr(args, "executor", "serial"),
+        executor=getattr(args, "executor", None) or "serial",
         num_procs=getattr(args, "num_procs", None),
         wire_profile=getattr(args, "wire_profile", "exact"),
         wire_keep_fraction=getattr(args, "wire_keep_fraction", 0.25),
@@ -257,12 +257,12 @@ def _cmd_run(args, extra_hooks=()) -> int:
     # a resume trains on its checkpoint's executor (ROADMAP item 22)
     given = [flag for flag, value in (("--executor", args.executor),
                                       ("--num-procs", args.num_procs))
-             if value not in (None, "serial")]
+             if value is not None]
     if args.resume is not None and given:
         print(f"error: --resume keeps the checkpoint's executor; drop "
               f"{' and '.join(given)}", file=sys.stderr)
         return 2
-    if (getattr(args, "executor", "serial") == "process"
+    if (args.executor == "process"
             and getattr(args, "profile_worker", None) is not None):
         print("error: --profile-worker requires --executor serial "
               "(the profiled modules train in child processes)",
@@ -422,7 +422,7 @@ def _parse_roster_script(text: Optional[str]):
 def _cmd_serve(args, extra_hooks=()) -> int:
     from repro.serve import FedMPService
 
-    if args.executor != "serial":
+    if args.executor == "process":
         # the socket executor is injected through the engine's executor
         # seam; the stored config stays "serial" so the checkpoint also
         # resumes under plain `repro run --resume`

@@ -104,14 +104,15 @@ def test_run_rejects_profiler_with_process_executor(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--executor", "process"],
+                                   ["--executor", "serial"],
                                    ["--num-procs", "2"],
                                    ["--executor", "process", "--num-procs",
                                     "2"]])
 def test_run_resume_rejects_executor_flags(flags, tmp_path, monkeypatch,
                                            capsys):
     """A resume trains on the checkpoint's executor, so `run --resume`
-    refuses the flags that would pick another, before it reads the
-    checkpoint (the path need not exist)."""
+    refuses the flags that would pick one -- an explicit `serial` too --
+    before it reads the checkpoint (the path need not exist)."""
     import repro.cli
 
     def _no_run(*args, **kwargs):
@@ -123,6 +124,28 @@ def test_run_resume_rejects_executor_flags(flags, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     for flag in flags[::2]:
         assert flag in err
+
+
+def test_serve_accepts_an_explicit_serial_executor(tmp_path, monkeypatch,
+                                                   capsys):
+    """`--executor serial` names the default, so `repro serve` builds its
+    service with it; `--executor process` it refuses."""
+    import repro.serve
+
+    class _Built(Exception):
+        pass
+
+    def _build(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(repro.serve, "FedMPService", _build)
+    monkeypatch.chdir(tmp_path)
+    base = ["serve", "--task", "lstm", "--rounds", "1",
+            "--port-file", "port.txt", "--executor"]
+    with pytest.raises(_Built):
+        main(base + ["serial"])
+    assert main(base + ["process"]) == 2
+    assert "--executor" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--metrics-port", "0"),
