@@ -55,7 +55,10 @@ def _build_mlp(num_classes=10, input_shape=(1, 28, 28), rng=None):
 
 class FleetTask(ClassificationTask):
     """Shared-shard MLP task: every worker trains the same small shard,
-    so fleet size scales the *engine* work, not the dataset."""
+    so fleet size scales the *engine* work, not the dataset.  Its MLP is
+    no registry model, so the task is never served."""
+
+    registry_model = None
 
     def build_model(self, rng):
         return _build_mlp(self.dataset.num_classes,

@@ -51,12 +51,6 @@ class FLConfig:
     #: process-pool size; None means one process per CPU, clamped to the
     #: fleet size
     num_procs: Optional[int] = None
-    #: device-time emulation: before training, occupy real wall-clock for
-    #: ``emulate_device_factor * costs.total_s`` seconds (both executors,
-    #: so serial-vs-process comparisons stay fair).  0 disables.  Used by
-    #: benchmarks to surface parallel speedup on latency-dominated
-    #: workloads; never affects simulated time or training results.
-    emulate_device_factor: float = 0.0
     #: contribution wire profile for executor="process": "exact" ships
     #: dense float32 states (bitwise parity with serial), "sparse"
     #: ships top-k moved positions with exact values, "sparse+quantized"
@@ -140,8 +134,6 @@ class FLConfig:
             )
         if self.num_procs is not None and self.num_procs <= 0:
             raise ValueError("num_procs must be positive when set")
-        if self.emulate_device_factor < 0:
-            raise ValueError("emulate_device_factor must be >= 0")
         if self.wire_profile not in self._WIRE_PROFILES:
             raise ValueError(
                 f"wire_profile must be one of {self._WIRE_PROFILES}, "

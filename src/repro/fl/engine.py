@@ -662,7 +662,6 @@ class Engine:
             prox_mu=self.strategy.proximal_mu(),
             clip_norm=self.config.clip_norm,
         )
-        emulate = self.config.emulate_device_factor
         groups: Dict[int, List[int]] = {}
         for index, dispatch in enumerate(dispatches):
             groups.setdefault(id(dispatch.cohort), []).append(index)
@@ -672,9 +671,6 @@ class Engine:
                 worker_ids=[dispatches[i].worker_id for i in indices],
                 taus=[dispatches[i].tau for i in indices],
                 hyper=hyper,
-                emulate_s=[
-                    dispatches[i].costs.total_s * emulate for i in indices
-                ],
                 finish_s=[dispatches[i].finish_time for i in indices],
             )
             for indices in groups.values()

@@ -56,6 +56,11 @@ class ClassificationTask(_Task):
     def name(self) -> str:
         return f"{self.model_name}/{self.dataset.name}"
 
+    @property
+    def registry_model(self) -> Optional[Tuple[str, Dict[str, Any]]]:
+        """(registry name, kwargs) of the model, for a service client."""
+        return self.model_name, self.model_kwargs
+
     def build_model(self, rng: np.random.Generator) -> Module:
         return build_model(self.model_name, rng=rng, **self.model_kwargs)
 
@@ -125,6 +130,11 @@ class LanguageModelTask(_Task):
     @property
     def name(self) -> str:
         return f"lstm_lm/{self.dataset.name}"
+
+    @property
+    def registry_model(self) -> Tuple[str, Dict[str, Any]]:
+        """See :attr:`ClassificationTask.registry_model`."""
+        return "lstm_lm", self.model_kwargs
 
     def build_model(self, rng: np.random.Generator) -> Module:
         return build_model("lstm_lm", rng=rng, **self.model_kwargs)

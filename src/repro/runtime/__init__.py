@@ -1,23 +1,21 @@
-"""Parallel execution runtime: process-pool workers behind a wire codec.
+"""Parallel execution runtime: remote workers behind a wire codec.
 
-The FL engine historically ran every ``Worker.local_train`` inline; this
-package is the execution substrate that actually parallelises it:
-
-- :mod:`repro.runtime.codec` -- a versioned binary wire format for
+- :mod:`repro.runtime.codec` -- the versioned binary wire format:
   dispatches and contributions (pruning plans as packed ``uint32``
-  indices, contiguous ``float32`` tensor payloads, optional quantized
-  payload mode, CRC32 integrity, strict decode-time validation);
-- :mod:`repro.runtime.pool` -- persistent worker processes rebuilt from
-  picklable :class:`~repro.runtime.pool.WorkerSpec` records so the
-  child-side RNG streams are bitwise-identical to in-process execution,
-  each deriving dispatched sub-models from its own skeleton of the
-  global model, behind pipes that carry only frames;
+  indices, contiguous tensor payloads, sparse replies, CRC32 integrity,
+  strict decode-time validation) and the service socket's control
+  frames;
+- :mod:`repro.runtime.pool` -- persistent worker processes built from
+  :class:`~repro.runtime.pool.WorkerSpec` records so the child-side RNG
+  streams are bitwise-identical to in-process execution, each deriving
+  dispatched sub-models from its own skeleton of the global model,
+  behind pipes that carry only frames;
 - :mod:`repro.runtime.transport` -- the one wait loop every remote
   reply is awaited in (timeout, backoff-paced retry accounting, typed
   errors), and wall-clock straggler detection that composes with
   :mod:`repro.simulation.faults`;
-- :mod:`repro.runtime.sockets` -- length-prefixed socket framing and
-  the service client's request/reply channel;
+- :mod:`repro.runtime.sockets` -- control-frame streams and the service
+  client's request/reply channel;
 - :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
   :class:`~repro.runtime.executor.SerialExecutor` (default, in process) and
   :class:`~repro.runtime.executor.RemoteExecutor` (the wire codec over a

@@ -77,9 +77,6 @@ class TrainRequest:
     submodel: object
     dispatched_state: Dict[str, np.ndarray]
     hyper: TrainHyper
-    #: real seconds of device-latency emulation (0 disables; see
-    #: ``FLConfig.emulate_device_factor``)
-    emulate_s: float = 0.0
     #: simulated finish time (orders a work queue)
     finish_s: float = 0.0
 
@@ -106,7 +103,6 @@ class CohortTrainRequest:
     worker_ids: List[int]
     taus: List[int]
     hyper: TrainHyper
-    emulate_s: List[float] = field(default_factory=list)
     finish_s: List[float] = field(default_factory=list)
 
 
@@ -162,12 +158,10 @@ class Executor:
                 worker_id=worker_id, ratio=cohort.ratio, tau=tau,
                 plan=cohort.plan, submodel=cohort.template,
                 dispatched_state=cohort.dispatched_state,
-                hyper=request.hyper, emulate_s=emulate_s,
-                finish_s=finish_s,
+                hyper=request.hyper, finish_s=finish_s,
             )
-            for worker_id, tau, emulate_s, finish_s in zip(
-                request.worker_ids, request.taus,
-                request.emulate_s or zeros, request.finish_s or zeros,
+            for worker_id, tau, finish_s in zip(
+                request.worker_ids, request.taus, request.finish_s or zeros,
             )
         ]
 
@@ -359,15 +353,13 @@ class SerialExecutor(Executor):
 
     def _vectorisable(self, request: CohortTrainRequest) -> bool:
         """The stacked path needs >=2 members, a supported architecture,
-        uniform tau, no device-latency emulation, no attached profiler
+        uniform tau, no attached profiler
         (it instruments per-member modules), and plain equal-batch
         :class:`~repro.data.loader.BatchIterator` shards."""
         cohort = request.cohort
         if len(request.worker_ids) < 2 or not cohort.supports_vectorised:
             return False
         if len(set(request.taus)) != 1:
-            return False
-        if any(emulate_s > 0.0 for emulate_s in request.emulate_s):
             return False
         if self.telemetry.profiler is not None:
             return False
@@ -388,8 +380,6 @@ class SerialExecutor(Executor):
         model.load_state_dict(request.dispatched_state)
         hyper = request.hyper
         start = time.perf_counter()
-        if request.emulate_s > 0.0:
-            time.sleep(request.emulate_s)
         with profiler.attach(model) if profiler is not None \
                 else nullcontext():
             train_loss = worker.local_train(
@@ -482,7 +472,7 @@ class RemoteExecutor(Executor):
         frame = encode_dispatch(
             request.worker_id, request.plan, request.dispatched_state,
             tau=request.tau, hyper=request.hyper,
-            emulate_s=request.emulate_s, reply_profile=self.wire_profile,
+            reply_profile=self.wire_profile,
             reply_keep_fraction=(
                 self.wire_keep_fraction if negotiated else None
             ),
@@ -531,8 +521,8 @@ class RemoteExecutor(Executor):
         if submitted is not None \
                 and submitted.dispatched_state is request.dispatched_state \
                 and submitted.submodel is request.submodel \
-                and (submitted.tau, submitted.hyper, submitted.emulate_s) \
-                == (request.tau, request.hyper, request.emulate_s):
+                and (submitted.tau, submitted.hyper) \
+                == (request.tau, request.hyper):
             return flight
         if flight is not None:
             self.link.cancel(flight)

@@ -1,7 +1,7 @@
-"""Workers built from picklable specs, and the processes that host them.
+"""Workers built from specs, and the processes that host them.
 
 A worker owns live RNG streams (its iterator/worker generator and the
-timing model's jitter generator), so it is never pickled -- generator
+timing model's jitter generator), so it never travels -- generator
 state would fork.  What travels is a :class:`WorkerSpec`: the *seed*
 the engine drew for it plus everything else construction needs.
 :meth:`WorkerSpec.build` is the one construction path (the engine's
@@ -26,8 +26,8 @@ the same bits.
 
 Every pool child holds every spec and serves one duplex pipe that
 carries only frames: a dispatch frame down, then its reply up -- decode,
-derive the sub-model from its *skeleton* of the global model (shipped
-once; :func:`derive_submodel`), ``local_train``, a contribution frame.
+derive the sub-model from its *skeleton* of the global model (inherited
+at the fork; :func:`derive_submodel`), ``local_train``, a contribution frame.
 :class:`ProcessPool` is the pipe *link* of
 :class:`~repro.runtime.executor.RemoteExecutor`: one work queue,
 drained onto whichever child is free.
@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import threading
 import time
 import traceback
 import weakref
-import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
@@ -78,8 +76,6 @@ __all__ = [
     "ProcessPool",
     "derive_submodel",
     "handle_train",
-    "pack_skeleton",
-    "unpack_skeleton",
 ]
 
 #: iterator families a spec can rebuild ("batch" draws an epoch
@@ -89,11 +85,9 @@ ITERATOR_KINDS = ("batch", "sequence")
 
 @dataclass
 class WorkerSpec:
-    """Everything that builds one worker exactly (:meth:`build`).
-
-    Picklable by construction: arrays, a frozen
-    :class:`~repro.simulation.device.DeviceProfile` and plain scalars.
-    """
+    """Everything that builds one worker exactly (:meth:`build`):
+    arrays, a frozen :class:`~repro.simulation.device.DeviceProfile` and
+    plain scalars -- a service ships it as a codec worker record."""
 
     worker_id: int
     seed: int
@@ -190,29 +184,8 @@ class LazyFleet(Mapping):
 
 
 # ----------------------------------------------------------------------
-# the skeleton, and what a receiver does with it
+# what a receiver does with a dispatch frame
 # ----------------------------------------------------------------------
-def pack_skeleton(task) -> bytes:
-    """A skeleton for ``task`` as bytes, for a receiver in another
-    address space (a service client).
-
-    The graph's arrays are zeroed: their values are never read (each
-    dispatch overwrites them), only their shapes, and zeros compress to
-    almost nothing -- so a skeleton costs kilobytes, not a model's
-    worth.
-    """
-    model = task.build_model(np.random.default_rng(0))
-    for _, module in model.named_modules():
-        for arrays in (module.params, module.grads, module.buffers):
-            for value in arrays.values():
-                value.fill(0)
-    return zlib.compress(pickle.dumps(model, pickle.HIGHEST_PROTOCOL), 1)
-
-
-def unpack_skeleton(blob: bytes) -> Module:
-    return pickle.loads(zlib.decompress(blob))
-
-
 def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
     """The dispatched sub-model, rebuilt at the receiver.
 
@@ -247,10 +220,6 @@ def handle_train(workers: Mapping, skeleton: Module, frame: bytes) -> bytes:
         worker.load_stream(payload.stream)
     hyper = payload.hyper
     start = time.perf_counter()
-    if payload.emulate_s > 0.0:
-        # device-time emulation: occupy real wall-clock for the
-        # simulated device latency (see DESIGN.md 3.5)
-        time.sleep(payload.emulate_s)
     train_loss = worker.local_train(
         submodel, tau=payload.tau, lr=hyper.lr, momentum=hyper.momentum,
         weight_decay=hyper.weight_decay, prox_mu=hyper.prox_mu,
@@ -340,7 +309,7 @@ class ProcessPool:
     so they exit on EOF however the parent closes or dies (SIGKILL
     included).  ``skeleton`` is what the children derive sub-models
     from (under ``fork`` they simply inherit it and the specs: nothing
-    is pickled).  From the first flight on, the pipes belong to a pump
+    is serialised).  From the first flight on, the pipes belong to a pump
     thread that hands the next queued flight -- wanted by a ``gather``
     first, then by simulated finish time -- to the first free child,
     while the main thread aggregates.

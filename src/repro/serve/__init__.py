@@ -1,6 +1,6 @@
 """Parameter-server service mode: live workers over sockets.
 
-See :mod:`repro.serve.protocol` for the request grammar,
+See :mod:`repro.serve.protocol` for versioning and the lifecycle,
 :mod:`repro.serve.service` for the daemon and its pull link, and
 :mod:`repro.serve.client` for the worker process.
 """

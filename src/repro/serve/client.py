@@ -2,9 +2,9 @@
 
 :class:`ServiceClient` dials a :class:`~repro.serve.service.
 FedMPService`, registers (taking any free slot, or a specific
-``worker_id``), builds its worker from the spec the service ships
-back and keeps the model skeleton shipped with it, and then serves the
-pull loop: send ``pull_dispatch`` (held by the service until it has
+``worker_id``), builds its worker from the worker record the service
+ships back and its model skeleton from the model record (a registry
+name and builder kwargs), and then serves the pull loop: send ``pull_dispatch`` (held by the service until it has
 work, or answered ``idle`` after the hold this client offers), run the
 exact :func:`repro.runtime.pool.handle_train` body every pool child runs
 (derive the sub-model from the skeleton and the frame, put the worker's
@@ -14,9 +14,9 @@ no state the service needs: every stream position travels in the
 frames, so socket-run training is bitwise identical to pipe-run
 training by construction, and a client may vanish at any point.
 
-The ``spec`` and ``skeleton`` blobs of the ``registered`` reply are the
-only bytes this side unpickles without the framing layer's allow-list:
-a client trusts the parameter server it dialled, not the reverse.
+Every reply is a control frame whose fields the codec's op table
+types, so a malformed or hostile reply (an impersonated service's, say)
+is a :class:`~repro.runtime.codec.WireFormatError` :meth:`run` raises.
 
 Churn knobs:
 
@@ -28,15 +28,17 @@ Churn knobs:
 
 from __future__ import annotations
 
-import pickle
 import time
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from repro.models import build_model
 from repro.runtime import pool
+from repro.runtime.codec import WireFormatError
 from repro.runtime.sockets import SocketClosedError, SocketTransport
 from repro.runtime.transport import (
     RetryPolicy,
-    TransportError,
     TransportTimeoutError,
     WorkerCrashError,
 )
@@ -88,6 +90,7 @@ class ServiceClient:
         loss raises unless ``reconnect`` is set, in which case the
         client redials (keeping its worker id) until
         ``reconnect_timeout_s`` of consecutive failures have passed.
+        Anything else -- a service error, a malformed reply -- raises.
         """
         deadline = None
         while True:
@@ -96,11 +99,11 @@ class ServiceClient:
                 deadline = None
                 self._serve()
                 return self.completed
-            except (SocketClosedError, WorkerCrashError,
-                    TransportTimeoutError, ConnectionError,
-                    OSError) as exc:
+            except Exception as exc:
                 self._close()
-                if not self.reconnect:
+                if not self.reconnect or not isinstance(exc, (
+                        SocketClosedError, WorkerCrashError,
+                        TransportTimeoutError, ConnectionError, OSError)):
                     raise
                 now = time.monotonic()
                 if deadline is None:
@@ -118,22 +121,21 @@ class ServiceClient:
         transport = SocketTransport(self.address, retry=self.retry,
                                     metrics=self.metrics)
         transport.connect()
-        reply = transport.request(("register", self._next_seq(), {
-            "protocol": PROTOCOL_VERSION,
-            "worker_id": self.worker_id,
-        }))
-        payload = reply[2]
-        if payload.get("protocol") != PROTOCOL_VERSION:
-            transport.close()
-            raise ClientError(
-                f"service speaks protocol {payload.get('protocol')!r}, "
-                f"client speaks {PROTOCOL_VERSION}"
-            )
-        self.worker_id = int(payload["worker_id"])
-        spec = pickle.loads(payload["spec"])
-        self.workers = {self.worker_id: spec.build()}
-        self.skeleton = pool.unpack_skeleton(payload["skeleton"])
         self.transport = transport
+        reply = transport.request(("register", self._next_seq(),
+                                   PROTOCOL_VERSION, self.worker_id))
+        if reply[0] != "registered":
+            raise WireFormatError(f"register answered with {reply[0]!r}")
+        _, _, spec, (name, kwargs) = reply
+        try:
+            self.workers = {spec.worker_id: spec.build()}
+            self.skeleton = build_model(name, rng=np.random.default_rng(0),
+                                        **kwargs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WireFormatError(
+                f"the registered reply builds no worker and model: {exc}"
+            ) from exc
+        self.worker_id = spec.worker_id
 
     def _serve(self) -> None:
         last_beat = time.monotonic()
@@ -170,7 +172,7 @@ class ServiceClient:
                 self._leave()
                 return
             else:
-                raise TransportError(
+                raise WireFormatError(
                     f"unexpected pull_dispatch reply op {op!r}"
                 )
 

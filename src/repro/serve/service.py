@@ -8,7 +8,7 @@ engine's execution seam is the same
 :class:`~repro.runtime.executor.RemoteExecutor` the process pool runs
 under, over a :class:`PullLink` that queues encoded dispatches per
 worker and collects contribution frames as clients pull and push them
-through the request protocol of :mod:`repro.serve.protocol`.  A
+in the control messages of :data:`repro.runtime.codec.CONTROL_OPS`.  A
 ``pull_dispatch`` that finds nothing queued is *held*: parked, and
 answered the moment work is queued for that worker (``idle`` after the
 hold, ``drain`` on shutdown) -- still the reply to a client's request.
@@ -34,8 +34,6 @@ hand-offs.
 from __future__ import annotations
 
 import heapq
-import pickle
-import select
 import selectors
 import signal
 import socket
@@ -52,10 +50,11 @@ from repro.fl.checkpoint import (
 )
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
+from repro.runtime.codec import WireFormatError
 from repro.runtime.executor import RemoteExecutor
-from repro.runtime.pool import InFlight, pack_skeleton
-from repro.runtime.sockets import FrameBuffer, encode_message
-from repro.runtime.transport import RetryPolicy, TransportError
+from repro.runtime.pool import InFlight
+from repro.runtime.sockets import FrameBuffer, SocketClosedError, send_message
+from repro.runtime.transport import RetryPolicy
 from repro.serve.protocol import (
     ACTIVE,
     DRAINING,
@@ -208,8 +207,6 @@ class PullLink:
                 f"unexpected contribution seq {tseq} from worker "
                 f"{worker_id}"
             )
-        if not isinstance(frame, bytes):
-            raise ServiceError("a contribution frame must be bytes")
         if flight.reply is None:
             flight.reply = frame
             self._completion[worker_id] = time.perf_counter() - handed
@@ -270,6 +267,14 @@ class FedMPService:
                  drain_timeout_s: float = 10.0,
                  registration_timeout_s: float = 120.0,
                  retry: Optional[RetryPolicy] = None) -> None:
+        #: what a client rebuilds the model graph from: (registry name,
+        #: builder kwargs), shipped with every registration
+        self._model = getattr(task, "registry_model", None)
+        if self._model is None:
+            raise ServiceError(
+                f"task {task.name!r} builds no registry model, so a "
+                f"client cannot rebuild its model graph"
+            )
         if resume_from is not None:
             if isinstance(resume_from, Checkpoint):
                 checkpoint = resume_from
@@ -336,9 +341,6 @@ class FedMPService:
             executor=self.executor, restore=checkpoint,
             checkpoint_meta=checkpoint_meta,
         )
-        #: shipped once per registration, next to the worker's spec:
-        #: what the client derives every dispatched sub-model from
-        self._skeleton_blob = pack_skeleton(task)
         self.engine.membership_provider = self._membership
         self.engine.checkpoint_extra_provider = (
             self._service_checkpoint_state
@@ -502,10 +504,9 @@ class FedMPService:
         try:
             for message in connection.frames.pop_messages():
                 self._handle(connection, message)
-        except TransportError as exc:
-            # an over-cap length prefix or a frame the allow-list
-            # unpickler refuses: this peer is broken or hostile, and
-            # only this peer pays for it
+        except WireFormatError as exc:
+            # a malformed or over-cap frame: this peer is broken or
+            # hostile, and only this peer pays for it
             self.telemetry.event("peer_rejected",
                                  worker=connection.worker_id,
                                  reason=str(exc))
@@ -514,23 +515,10 @@ class FedMPService:
             self._disconnect(connection)
 
     def _send(self, connection: _Connection, message) -> None:
-        data = memoryview(encode_message(message))
-        sock = connection.sock
-        while data:
-            try:
-                sent = sock.send(data)
-            except BlockingIOError:
-                # the client's receive buffer is full mid-frame: wait
-                # for writability (bounded; a stuck peer is dropped)
-                _, writable, _ = select.select([], [sock], [], 5.0)
-                if not writable:
-                    self._disconnect(connection)
-                    return
-                continue
-            except (ConnectionError, OSError):
-                self._disconnect(connection)
-                return
-            data = data[sent:]
+        try:
+            send_message(connection.sock, message)
+        except SocketClosedError:   # gone, or stuck: drop the peer
+            self._disconnect(connection)
 
     def _disconnect(self, connection: _Connection) -> None:
         worker_id = connection.worker_id
@@ -579,10 +567,7 @@ class FedMPService:
 
     # -- request handling ----------------------------------------------
     def _handle(self, connection: _Connection, message) -> None:
-        try:
-            op, seq = message[0], message[1]
-        except (TypeError, IndexError):
-            return  # not even (op, seq, ...): drop silently
+        op, seq = message[0], message[1]
         handler = self._HANDLERS.get(op)
         try:
             if handler is None:
@@ -596,15 +581,13 @@ class FedMPService:
             self._send(connection, reply)
 
     def _op_register(self, connection: _Connection, message):
-        _, seq, info = message
-        client_protocol = info.get("protocol")
+        _, seq, client_protocol, worker_id = message
         if client_protocol != PROTOCOL_VERSION:
             raise ServiceError(
                 f"protocol mismatch: client speaks "
                 f"{client_protocol!r}, service speaks "
                 f"{PROTOCOL_VERSION}"
             )
-        worker_id = info.get("worker_id")
         if worker_id is None:
             for candidate in self.engine.worker_ids:
                 if self.roster[candidate].state != ACTIVE:
@@ -615,7 +598,6 @@ class FedMPService:
                     f"all {len(self.roster)} worker slots are active"
                 )
         else:
-            worker_id = int(worker_id)
             if worker_id not in self.roster:
                 raise ServiceError(
                     f"unknown worker id {worker_id}; the fleet has "
@@ -629,7 +611,6 @@ class FedMPService:
         first = entry.registrations == 0
         entry.registrations += 1
         entry.state = DRAINING if self.draining else ACTIVE
-        entry.last_seen = time.time()
         self._gone_reason.pop(worker_id, None)
         stale = self._conn_by_worker.get(worker_id)
         if stale is not None and stale is not connection:
@@ -654,12 +635,7 @@ class FedMPService:
         )
         self.telemetry.event("worker_registered", worker=worker_id,
                              kind=kind)
-        return ("registered", seq, {
-            "protocol": PROTOCOL_VERSION,
-            "worker_id": worker_id,
-            "spec": pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL),
-            "skeleton": self._skeleton_blob,
-        })
+        return ("registered", seq, spec, self._model)
 
     def _registered_entry(self, connection: _Connection,
                           worker_id: int) -> RosterEntry:
@@ -672,9 +648,8 @@ class FedMPService:
 
     def _op_leave(self, connection: _Connection, message):
         _, seq, worker_id = message
-        entry = self._registered_entry(connection, int(worker_id))
+        entry = self._registered_entry(connection, worker_id)
         entry.state = GONE
-        entry.last_seen = time.time()
         self._gone_reason[entry.worker_id] = "leave"
         self.counters["leave"] += 1
         if self._conn_by_worker.get(entry.worker_id) is connection:
@@ -690,9 +665,7 @@ class FedMPService:
 
     def _op_pull_dispatch(self, connection: _Connection, message):
         _, seq, worker_id, hold_s = message
-        entry = self._registered_entry(connection, int(worker_id))
-        entry.last_seen = time.time()
-        hold_s = float(hold_s)
+        entry = self._registered_entry(connection, worker_id)
         if not hold_s >= 0.0:
             raise ServiceError(f"a poll cannot be held for {hold_s} s")
         reply = self._poll_reply(entry.worker_id, seq, hold=True)
@@ -725,35 +698,18 @@ class FedMPService:
 
     def _op_push_contribution(self, connection: _Connection, message):
         _, seq, worker_id, tseq, frame = message
-        entry = self._registered_entry(connection, int(worker_id))
-        entry.last_seen = time.time()
-        self.link.deliver(int(tseq), entry.worker_id, frame)
+        entry = self._registered_entry(connection, worker_id)
+        self.link.deliver(tseq, entry.worker_id, frame)
         return ("accepted", seq)
 
     def _op_heartbeat(self, connection: _Connection, message):
         _, seq, worker_id, sent_at = message
-        entry = self._registered_entry(connection, int(worker_id))
-        entry.last_seen = time.time()
-        lag = max(0.0, time.time() - float(sent_at))
+        entry = self._registered_entry(connection, worker_id)
+        lag = max(0.0, time.time() - sent_at)
         self.telemetry.metrics.gauge(
             "heartbeat_lag_s", worker=str(entry.worker_id)
         ).set(lag)
         return ("pong", seq)
-
-    def _op_status(self, connection: _Connection, message):
-        _, seq = message[0], message[1]
-        return ("status_ok", seq, {
-            "protocol": PROTOCOL_VERSION,
-            "address": list(self.address),
-            "draining": self.draining,
-            "held": len(self._held),
-            "rounds_recorded": len(self.engine.history.rounds),
-            "counters": dict(self.counters),
-            "roster": {
-                worker_id: entry.summary()
-                for worker_id, entry in self.roster.items()
-            },
-        })
 
     _HANDLERS = {
         "register": _op_register,
@@ -761,7 +717,6 @@ class FedMPService:
         "pull_dispatch": _op_pull_dispatch,
         "push_contribution": _op_push_contribution,
         "heartbeat": _op_heartbeat,
-        "status": _op_status,
     }
 
     # -- membership ----------------------------------------------------
@@ -841,7 +796,8 @@ class FedMPService:
             "protocol": PROTOCOL_VERSION,
             "counters": dict(self.counters),
             "roster": {
-                worker_id: entry.summary()
+                worker_id: {"state": entry.state,
+                            "registrations": entry.registrations}
                 for worker_id, entry in self.roster.items()
             },
         }

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.models.registry import build_model
-from repro.pruning.quantize import quantize_state_dict
 from repro.pruning.structured import build_pruning_plan, extract_submodel
 from repro.runtime.codec import (
     FLAG_RNG,
@@ -60,12 +59,10 @@ def _assert_plans_equal(decoded, original):
 @settings(max_examples=50, deadline=None)
 def test_dispatch_roundtrip(scenario):
     _, plan, sub_state, _ = scenario
-    frame = encode_dispatch(3, plan, sub_state, tau=7, hyper=HYPER,
-                            emulate_s=0.25)
+    frame = encode_dispatch(3, plan, sub_state, tau=7, hyper=HYPER)
     payload = decode_dispatch(frame)
     assert payload.worker_id == 3
     assert payload.tau == 7
-    assert payload.emulate_s == 0.25
     assert payload.hyper == HYPER
     _assert_plans_equal(payload.plan, plan)
     _assert_states_equal(payload.state, sub_state)
@@ -82,22 +79,6 @@ def test_contribution_roundtrip(state):
     assert payload.train_loss == 1.25
     assert payload.wall_time_s == 0.5
     _assert_states_equal(payload.state, state)
-
-
-@given(state=state_dicts())
-@settings(max_examples=30, deadline=None)
-def test_quantized_roundtrip_matches_dequantize(state):
-    """Quantized frames are lossy vs the input but must decode to
-    exactly what quantize -> dequantize produces."""
-    frame = encode_contribution(1, state, train_loss=0.0, wall_time_s=0.0,
-                                quantize_bits=8)
-    payload = decode_contribution(frame)
-    expected = quantize_state_dict(state, bits=8).dequantize()
-    for key, value in expected.items():
-        np.testing.assert_array_equal(
-            payload.state[key], value.astype(np.float32)
-        )
-        assert payload.state[key].dtype == np.float32
 
 
 def test_none_clip_norm_roundtrips():

@@ -343,20 +343,22 @@ def test_out_of_range_quantization_codes_rejected():
         decode_contribution(_patch_first(frame, needle, hot.tobytes()))
 
 
-def test_dense_quantized_zero_scale_rejected_too():
-    """The dense-quantized path (exact profile + quantize_bits) gets the
-    same scale validation as the sparse one."""
+def test_dense_quantized_layout_rejected():
+    """FLAG_QUANTIZED without FLAG_SPARSE names a layout no encoder
+    writes: on a contribution and on a dispatch it is a wire error."""
+    from repro.pruning.plan import PruningPlan
     state = {"w": np.ones(8, dtype=np.float32)}
-    frame = encode_contribution(0, state, train_loss=0.0, wall_time_s=0.0,
-                                quantize_bits=8)
-    payload = decode_contribution(frame)
-    assert payload.state is not None  # sanity: dense quantized decodes
-    codes, scale = quantize_array(state["w"], 8)
-    needle = struct.pack("<d", scale)
-    with pytest.raises(WireFormatError, match="scale"):
-        decode_contribution(
-            _patch_first(frame, needle, struct.pack("<d", 0.0))
-        )
+    frames = {
+        decode_contribution: encode_contribution(
+            0, state, train_loss=0.0, wall_time_s=0.0),
+        decode_dispatch: encode_dispatch(
+            0, PruningPlan(ratio=0.0), state, tau=1, hyper=HYPER),
+    }
+    for decode, frame in frames.items():
+        patched = bytearray(frame)
+        patched[7] |= 0x01  # FLAG_QUANTIZED
+        with pytest.raises(WireFormatError, match="dense quantized"):
+            decode(_reseal(patched))
 
 
 def test_sparse_encode_requires_base():
@@ -406,10 +408,15 @@ def test_quantize_non_finite_values_rejected():
 
 
 def test_quantized_wire_roundtrip_of_zero_tensor():
-    """End-to-end: an all-zero tensor survives the quantized wire as
-    exact zeros (the pre-guard failure mode was NaN/garbage here)."""
+    """End-to-end: an all-zero delta crosses the sparse+quantized wire
+    as no positions under a unit scale, and materialises to exact zeros
+    (the pre-guard failure mode was a zero scale the receiver rejects,
+    or NaN/garbage)."""
     state = {"w": np.zeros((3, 3), dtype=np.float32)}
     frame = encode_contribution(0, state, train_loss=0.0, wall_time_s=0.0,
-                                quantize_bits=8)
-    decoded = decode_contribution(frame).state["w"]
+                                profile="sparse+quantized", base=state,
+                                keep_fraction=1.0, quantize_bits=8)
+    payload = decode_contribution(frame)
+    assert payload.sparse["w"].scale == 1.0
+    decoded = payload.materialise(state)["w"]
     np.testing.assert_array_equal(decoded, state["w"])

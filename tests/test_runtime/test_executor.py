@@ -45,6 +45,7 @@ from repro.telemetry.profiler import LayerProfiler
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.spans import Tracer
 from tests.support.differential import differential_serial_vs_process
+from tests.support.receivers import slow_receivers
 from tests.support.telemetry import ListSink
 
 
@@ -227,32 +228,35 @@ def _hyper(config: FLConfig) -> TrainHyper:
                       prox_mu=0.0, clip_norm=config.clip_norm)
 
 
-def _member_requests(engine: Engine, emulate_s: dict) -> list:
-    """One :class:`TrainRequest` per key of ``emulate_s``, in its
-    order."""
+def _member_requests(engine: Engine, worker_ids) -> list:
+    """One :class:`TrainRequest` per worker id, in their order."""
     dispatches = engine.dispatch_many(
-        {worker_id: 0.3 for worker_id in emulate_s}, 0.0, round_index=0,
+        {worker_id: 0.3 for worker_id in worker_ids}, 0.0, round_index=0,
     )
     return [
         TrainRequest(
             worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
             plan=d.plan, submodel=d.cohort.template,
             dispatched_state=d.dispatched_state,
-            hyper=_hyper(engine.config), emulate_s=emulate_s[d.worker_id],
+            hyper=_hyper(engine.config),
         )
-        for d in (dispatches[worker_id] for worker_id in emulate_s)
+        for d in (dispatches[worker_id] for worker_id in worker_ids)
     ]
 
 
-def test_straggler_heartbeat_flags_slow_member(mnist, devices):
-    """An emulated-latency outlier must be flagged, counted and
-    surfaced as an event -- without affecting results."""
+def test_straggler_heartbeat_flags_slow_member(mnist, devices,
+                                              monkeypatch):
+    """A slow outlier (a receiver that sleeps first) must be flagged,
+    counted and surfaced as an event -- without affecting results."""
     sink = ListSink()
     telemetry = Telemetry(tracer=Tracer(sink=sink),
                           metrics=MetricsRegistry())
     task = ClassificationTask(mnist, "cnn")
     config = _config(max_rounds=1)
     engine = Engine(task, devices, config)
+    slow_id = engine.worker_ids[-1]
+    delays = slow_receivers(monkeypatch, engine.worker_ids, 0.05)
+    delays[slow_id] = 0.8
     executor = RemoteExecutor(
         ProcessPool(_specs(engine), num_procs=4,
                     skeleton=engine.model),
@@ -260,12 +264,8 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
         straggler_multiplier=1.5,
     )
     try:
-        slow_id = engine.worker_ids[-1]
-        requests = _member_requests(engine, {
-            worker_id: 0.8 if worker_id == slow_id else 0.05
-            for worker_id in engine.worker_ids
-        })
-        results = executor.run(requests, round_index=0)
+        results = executor.run(_member_requests(engine, engine.worker_ids),
+                               round_index=0)
         assert [r.worker_id for r in results] == engine.worker_ids
         assert executor.last_stragglers == [slow_id]
         assert _counter_sum(telemetry.metrics, "stragglers_total",
@@ -280,7 +280,8 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices):
         engine.close()
 
 
-def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
+def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(
+        mnist, monkeypatch):
     """Four flights share two children, so two of them wait in the
     queue.  Equal-cost workers flag nobody however late in the queue
     they ran, and a genuinely slow one is flagged at the head and at
@@ -291,6 +292,7 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
     fleet = make_scenario_devices({"A": 3, "B": 3}, np.random.default_rng(7))
     engine = Engine(ClassificationTask(mnist, "cnn"), fleet,
                     _config(max_rounds=1))
+    delays = slow_receivers(monkeypatch, engine.worker_ids)
     pool = ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model)
     executor = RemoteExecutor(pool, telemetry=telemetry,
@@ -300,10 +302,9 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(mnist):
         order = engine.worker_ids[:4]
 
         def flagged(slow=None):
-            executor.run(_member_requests(engine, {
-                worker_id: 0.8 if worker_id == slow else 0.2
-                for worker_id in order
-            }))
+            for worker_id in order:
+                delays[worker_id] = 0.8 if worker_id == slow else 0.2
+            executor.run(_member_requests(engine, order))
             return executor.last_stragglers
 
         assert flagged() == []
@@ -390,7 +391,8 @@ def test_run_round_sends_the_waves_its_link_declares(mnist, wave_cohorts):
         engine.close()
 
 
-def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
+def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices,
+                                                       monkeypatch):
     """The second flight of one child's queue blows up while the other
     child is still working through its own: the gather raises the
     typed error with the child's traceback (the retry budget, not a
@@ -398,6 +400,7 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
     join_timeout_s = 1.5
     engine = Engine(ClassificationTask(mnist, "cnn"), devices,
                     _config(max_rounds=1))
+    slow_receivers(monkeypatch, engine.worker_ids, 0.3)
     pool = ProcessPool(
         _specs(engine), num_procs=2, skeleton=engine.model,
         retry=RetryPolicy(timeout_s=30.0, max_retries=6, backoff_s=0.1),
@@ -408,11 +411,9 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices):
         flights = [
             InFlight(r.worker_id, encode_dispatch(
                 r.worker_id, r.plan, r.dispatched_state, tau=r.tau,
-                hyper=r.hyper, emulate_s=r.emulate_s,
+                hyper=r.hyper,
             ))
-            for r in _member_requests(engine, {
-                worker_id: 0.3 for worker_id in engine.worker_ids
-            })
+            for r in _member_requests(engine, engine.worker_ids)
         ]
         for flight in flights:
             if flight.worker_id == second_in_queue:

@@ -35,6 +35,7 @@ from repro.runtime.transport import (
 )
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
+from tests.support.receivers import slow_receivers
 
 
 def _device(index: int = 0):
@@ -173,14 +174,14 @@ def _specs(engine):
     return [engine.workers.spec(wid) for wid in engine.worker_ids]
 
 
-def _frames(engine, emulate_s: float = 0.0):
+def _frames(engine):
     """One dispatch frame per worker, each carrying its stream record."""
     dispatches = engine.dispatch_many(
         {worker_id: 0.3 for worker_id in engine.worker_ids}, 0.0, 0)
     return {
         worker_id: encode_dispatch(
             worker_id, d.plan, d.dispatched_state, tau=3,
-            hyper=TrainHyper(lr=0.05), emulate_s=emulate_s,
+            hyper=TrainHyper(lr=0.05),
             stream=engine.workers[worker_id].stream(),
         )
         for worker_id, d in dispatches.items()
@@ -219,10 +220,12 @@ def test_same_frame_on_either_child_gives_identical_reply_bytes(engine):
     assert payload.stream.cursor != engine.workers[worker_id].stream().cursor
 
 
-def test_sigkilled_child_with_queued_flights_is_a_crash_not_a_hang(engine):
+def test_sigkilled_child_with_queued_flights_is_a_crash_not_a_hang(
+        engine, monkeypatch):
+    slow_receivers(monkeypatch, engine.worker_ids, 0.5)
     pool = _pool(engine, retry=RetryPolicy(timeout_s=30.0, max_retries=4,
                                            backoff_s=0.1))
-    flights = _flights(_frames(engine, emulate_s=0.5))
+    flights = _flights(_frames(engine))
     try:
         pool.submit(flights)
         time.sleep(0.2)          # both children are mid-flight
@@ -235,13 +238,14 @@ def test_sigkilled_child_with_queued_flights_is_a_crash_not_a_hang(engine):
         pool.close(join_timeout_s=2.0)
 
 
-def test_gather_past_its_budget_raises_typed_timeout(engine):
+def test_gather_past_its_budget_raises_typed_timeout(engine, monkeypatch):
     """Flights that outlast the retry budget end the gather in a typed
     timeout, with each empty interval counted as a retry."""
     metrics = MetricsRegistry()
+    slow_receivers(monkeypatch, engine.worker_ids, 5.0)
     pool = _pool(engine, metrics=metrics,
                  retry=RetryPolicy(timeout_s=0.5, backoff_s=0.05))
-    flights = _flights(_frames(engine, emulate_s=5.0))
+    flights = _flights(_frames(engine))
     try:
         start = time.perf_counter()
         with pytest.raises(TransportTimeoutError):
@@ -252,9 +256,11 @@ def test_gather_past_its_budget_raises_typed_timeout(engine):
     assert metrics.counter("retries_total", transport="process").value >= 1
 
 
-def test_close_with_uncollected_flights_reaps_children_and_pump(engine):
+def test_close_with_uncollected_flights_reaps_children_and_pump(
+        engine, monkeypatch):
+    slow_receivers(monkeypatch, engine.worker_ids, 2.0)
     pool = _pool(engine)
-    pool.submit(_flights(_frames(engine, emulate_s=2.0)))
+    pool.submit(_flights(_frames(engine)))
     time.sleep(0.2)              # two sent, two still queued
     start = time.perf_counter()
     pool.close(join_timeout_s=2.0)

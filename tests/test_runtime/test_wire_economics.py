@@ -20,15 +20,16 @@ from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
-from repro.runtime.codec import TrainHyper, decode_dispatch, encode_dispatch
-from repro.runtime.executor import RemoteExecutor, TrainRequest
-from repro.runtime.pool import (
-    ProcessPool,
-    WorkerSpec,
-    derive_submodel,
-    pack_skeleton,
-    unpack_skeleton,
+from repro.models import build_model
+from repro.runtime.codec import (
+    TrainHyper,
+    decode_control,
+    decode_dispatch,
+    encode_control,
+    encode_dispatch,
 )
+from repro.runtime.executor import RemoteExecutor, TrainRequest
+from repro.runtime.pool import ProcessPool, WorkerSpec, derive_submodel
 from repro.runtime.transport import WorkerCrashError
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
@@ -102,25 +103,15 @@ def test_receiver_derived_submodel_trains_bitwise(family, ratio):
     """From (skeleton, dispatch frame) alone the receiver rebuilds the
     sub-model the parent extracted: same parameter names and shapes,
     and -- after local training on the same batch stream -- the same
-    state to the last bit, Dropout masks included."""
+    state to the last bit, Dropout masks included.  A served client's
+    skeleton and worker are what it rebuilds from the ``registered``
+    reply's model and worker records."""
     task = TASKS[family]()
     model = task.build_model(np.random.default_rng(5))
     plan = task.build_plan(model, ratio)
     extracted = task.extract(model, plan, np.random.default_rng(6))
     rngs = extracted.rng_states()
     assert bool(rngs) == (family in ("alexnet", "vgg19"))
-
-    frame = encode_dispatch(0, plan, extracted.state_dict(), tau=3,
-                            hyper=TrainHyper(lr=0.05),
-                            module_rngs=rngs)
-    derived = derive_submodel(unpack_skeleton(pack_skeleton(task)),
-                              decode_dispatch(frame))
-    assert type(derived) is type(extracted)
-    assert ([(name, value.shape) for name, value
-             in derived.named_parameters()]
-            == [(name, value.shape) for name, value
-                in extracted.named_parameters()])
-    assert derived.rng_states() == rngs
 
     shard = task.partition(2, np.random.default_rng(8))[0]
     device = make_scenario_devices({"A": 1}, np.random.default_rng(3))[0]
@@ -130,9 +121,26 @@ def test_receiver_derived_submodel_trains_bitwise(family, ratio):
         jitter_sigma=0.05, num_samples=int(shard[0].shape[0]),
         iterator_kind=task.iterator_kind,
     )
+    if task.registry_model is None:   # never served: a pool child's
+        skeleton, wire_spec = task.build_model(np.random.default_rng(0)), spec
+    else:
+        _, _, wire_spec, (name, kwargs) = decode_control(b"".join(
+            encode_control(("registered", 1, spec, task.registry_model))))
+        skeleton = build_model(name, rng=np.random.default_rng(0), **kwargs)
+    frame = encode_dispatch(0, plan, extracted.state_dict(), tau=3,
+                            hyper=TrainHyper(lr=0.05),
+                            module_rngs=rngs)
+    derived = derive_submodel(skeleton, decode_dispatch(frame))
+    assert type(derived) is type(extracted)
+    assert ([(name, value.shape) for name, value
+             in derived.named_parameters()]
+            == [(name, value.shape) for name, value
+                in extracted.named_parameters()])
+    assert derived.rng_states() == rngs
+
     losses = [
-        spec.build().local_train(submodel, tau=3, lr=0.05, momentum=0.9)
-        for submodel in (extracted, derived)
+        worker.build().local_train(submodel, tau=3, lr=0.05, momentum=0.9)
+        for worker, submodel in ((spec, extracted), (wire_spec, derived))
     ]
     assert losses[0] == losses[1]
     trained, expected = derived.state_dict(), extracted.state_dict()
@@ -141,14 +149,27 @@ def test_receiver_derived_submodel_trains_bitwise(family, ratio):
         np.testing.assert_array_equal(trained[key], value, err_msg=key)
 
 
-def test_skeleton_ships_structure_not_weights(mnist):
-    """A skeleton's arrays are zeroed, so it compresses to a sliver of
-    the model it describes -- registration cost, not dispatch cost."""
+def test_skeleton_ships_structure_not_weights(mnist, devices):
+    """A client's skeleton crosses the wire as a model record -- the
+    registry name and builder kwargs, a sliver of the model it
+    describes -- and rebuilds the task model's graph: registration
+    cost, not dispatch cost."""
     task = ClassificationTask(mnist, "cnn")
-    blob = pack_skeleton(task)
-    model = unpack_skeleton(blob)
-    assert all(not value.any() for _, value in model.named_parameters())
-    assert len(blob) < 0.01 * 4 * model.num_parameters()
+    engine = Engine(task, devices, _config())
+    try:
+        spec = engine.workers.spec(0)
+    finally:
+        engine.close()
+    head, tail = encode_control(("registered", 1, spec,
+                                 task.registry_model))
+    model = task.build_model(np.random.default_rng(0))
+    shard_bytes = spec.shard_inputs.nbytes + spec.shard_targets.nbytes
+    assert tail == b""
+    assert len(head) - shard_bytes < 0.01 * 4 * model.num_parameters()
+    _, _, _, (name, kwargs) = decode_control(head)
+    rebuilt = build_model(name, rng=np.random.default_rng(1), **kwargs)
+    assert ([(key, value.shape) for key, value in rebuilt.named_parameters()]
+            == [(key, value.shape) for key, value in model.named_parameters()])
 
 
 def test_no_module_graph_on_the_wire(mnist, devices):
