@@ -9,6 +9,7 @@ offline and reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -62,6 +63,10 @@ def make_synthetic_ptb(vocab_size: int = 500, train_tokens: int = 40_000,
         Number of likely successors per token; smaller values make the
         corpus more predictable (lower achievable perplexity).
     """
+    for split, length in (("train", train_tokens), ("valid", valid_tokens),
+                          ("test", test_tokens)):
+        if length < 0:
+            raise ValueError(f"{split}_tokens must be >= 0, got {length}")
     rng = rng if rng is not None else np.random.default_rng(0)
 
     # Zipf-ish unigram prior over the vocabulary.
@@ -77,14 +82,26 @@ def make_synthetic_ptb(vocab_size: int = 500, train_tokens: int = 40_000,
         raw = rng.dirichlet(np.ones(branching) * 0.5)
         weights[token] = raw
 
+    # ``rng.choice(a, p=p)`` is one ``random()`` searched (side="right")
+    # in ``cumsum(p) / cumsum(p)[-1]``.  Each split draws its uniforms in
+    # one call and searches the same rows, so the tokens and the
+    # generator's end state are those of one ``choice`` per token.
+    start = unigram.cumsum()
+    start /= start[-1]
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    rows, follow = cdf.tolist(), successors.tolist()
+
     def _generate(length: int) -> np.ndarray:
-        tokens = np.empty(length, dtype=np.int64)
-        current = int(rng.choice(vocab_size, p=unigram))
-        for index in range(length):
-            tokens[index] = current
-            current = int(
-                rng.choice(successors[current], p=weights[current])
-            )
+        uniforms = rng.random(length + 1)
+        current = int(start.searchsorted(uniforms[0], side="right"))
+        tokens, walk = np.empty(length, dtype=np.int64), uniforms[1:]
+        for begin in range(0, length, 4096):   # bounds the float lists
+            chunk = walk[begin:begin + 4096].tolist()
+            for index, uniform in enumerate(chunk, begin):
+                tokens[index] = current
+                current = follow[current][bisect_right(rows[current],
+                                                       uniform)]
         return tokens
 
     return TextDataset(

@@ -60,21 +60,50 @@ def make_cluster_devices(cluster: str, count: int,
         raise KeyError(
             f"unknown cluster {cluster!r}; available: {sorted(CLUSTERS)}"
         ) from None
-    # bit-equal to rng.choice(modes), six times cheaper (fleet scale)
-    modes, (low, high) = spec.modes, spec.distance_range_m
-    devices = []
-    for offset in range(count):
-        mode_index = modes[int(rng.integers(len(modes)))]
-        distance = float(rng.uniform(low, high))
-        devices.append(
-            DeviceProfile(
-                device_id=start_id + offset,
-                mode=JETSON_TX2_MODES[mode_index],
-                bandwidth_bps=bandwidth_for_distance(distance),
-                cluster=spec.name,
-            )
+    if count < 0:
+        raise ValueError(
+            f"cluster {cluster!r}: device count must be >= 0, got {count}")
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"cluster {cluster!r}: the device draw lays out "
+                        f"PCG64 words, got {type(bits).__name__}")
+    # One ``random_raw`` holds the words that ``count`` interleaved
+    # ``rng.integers(2)`` / ``rng.uniform(low, high)`` calls consume.
+    # PCG64 serves the two-way int (every cluster has two modes) from a
+    # 32-bit half-word (a fresh word's low half, then its buffered high
+    # half) and Lemire's bound keeps the half's top bit; a uniform takes
+    # a word's top 53 bits.  So two devices take three words, [int,
+    # uniform, uniform], after a half-word already buffered on entry has
+    # served the first device.
+    entry = bits.state
+    buffered = int(count > 0 and entry["has_uint32"])
+    fresh = count - buffered
+    words = bits.random_raw(buffered + fresh + (fresh + 1) // 2)
+    ints = words[buffered::3]
+    halves = np.stack([ints >> 31 & 1, ints >> 63], axis=1).ravel()
+    mode_bits = [entry["uinteger"] >> 31] * buffered + halves[:fresh].tolist()
+    uniforms = np.delete(words, np.s_[buffered::3])
+    low, high = spec.distance_range_m
+    distances = low + (high - low) * ((uniforms >> 11) * 2.0 ** -53)
+    if count:
+        state = bits.state
+        state["has_uint32"] = fresh % 2
+        if fresh:
+            state["uinteger"] = int(ints[-1] >> 32)
+        bits.state = state
+    # bandwidth_for_distance stays a libm call per device: NumPy's SIMD
+    # log2 / power need not round like it does.
+    modes = [JETSON_TX2_MODES[mode] for mode in spec.modes]
+    return [
+        DeviceProfile(
+            device_id=start_id + offset,
+            mode=modes[bit],
+            bandwidth_bps=bandwidth_for_distance(distance),
+            cluster=spec.name,
         )
-    return devices
+        for offset, (bit, distance)
+        in enumerate(zip(mode_bits, distances.tolist()))
+    ]
 
 
 def make_scenario_devices(scenario, rng: np.random.Generator) -> List[DeviceProfile]:
