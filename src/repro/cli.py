@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.experiments.reporting import (
@@ -48,10 +49,9 @@ from repro.experiments.setups import (
     make_bench_task,
     make_devices,
 )
-from repro.fl.aggregation import AGGREGATORS
+from repro.fl.config import FLConfig
 from repro.fl.hooks import CommVolumeHook, TimingHook
 from repro.fl.runner import run_federated_training
-from repro.fl.schedulers import SCHEDULERS
 from repro.fl.strategies import STRATEGIES
 from repro.io import save_history
 from repro.simulation.cluster import HETEROGENEITY_SCENARIOS, scenario_table
@@ -65,7 +65,9 @@ from repro.telemetry import (
 )
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of every run-like command (`run`, `compare`, `serve`):
+    the workload and the :class:`~repro.fl.FLConfig` it trains under."""
     parser.add_argument("--task", default="cnn", choices=sorted(BENCH_TASKS),
                         help="bench-scale workload")
     parser.add_argument("--scenario", default="medium",
@@ -77,12 +79,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override the task's round budget")
     parser.add_argument("--non-iid", type=float, default=0.0,
                         help="non-IID level y (percent or missing classes)")
-    parser.add_argument("--sync-scheme", default="r2sp",
-                        choices=sorted(AGGREGATORS),
+    parser.add_argument("--sync-scheme", default=FLConfig.sync_scheme,
+                        choices=FLConfig._SYNC_SCHEMES,
                         help="aggregation scheme (weighted variants "
                              "weight workers by local sample count)")
-    parser.add_argument("--scheduler", default="auto",
-                        choices=("auto",) + tuple(sorted(SCHEDULERS)),
+    parser.add_argument("--scheduler", default=FLConfig.scheduler,
+                        choices=FLConfig._SCHEDULERS,
                         help="round scheduler; 'auto' derives it from "
                              "--async-m / --deadline-s")
     parser.add_argument("--async-m", type=int, default=None,
@@ -93,8 +95,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", type=float, default=None,
                         help="stop when the metric reaches this target")
     parser.add_argument("--seed", type=int, default=17)
+    # None means "not given": `run --resume` refuses an explicit executor
     parser.add_argument("--executor", default=None,
-                        choices=("serial", "process"),
+                        choices=FLConfig._EXECUTORS,
                         help="execution backend for local training: "
                              "'serial' (the default) trains in process, "
                              "'process' fans out to a worker-process pool "
@@ -102,33 +105,56 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-procs", type=int, default=None, metavar="N",
                         help="process-pool size (default: one per CPU, "
                              "clamped to the fleet size)")
-    parser.add_argument("--wire-profile", default="exact",
-                        choices=("exact", "sparse", "sparse+quantized"),
+    parser.add_argument("--wire-profile", default=FLConfig.wire_profile,
+                        choices=FLConfig._WIRE_PROFILES,
                         help="contribution wire profile for "
                              "--executor process: dense float32 (bitwise "
                              "parity), top-k exact values, or top-k "
                              "quantized deltas")
-    parser.add_argument("--wire-keep-fraction", type=float, default=0.25,
-                        metavar="F",
+    parser.add_argument("--wire-keep-fraction", type=float,
+                        default=FLConfig.wire_keep_fraction, metavar="F",
                         help="top-k keep fraction for the sparse wire "
                              "profiles")
-    parser.add_argument("--wire-quantize-bits", type=int, default=8,
-                        metavar="B",
+    parser.add_argument("--wire-quantize-bits", type=int,
+                        default=FLConfig.wire_quantize_bits, metavar="B",
                         help="delta code width for "
                              "--wire-profile sparse+quantized")
-    parser.add_argument("--nan-policy", default="raise",
-                        choices=("raise", "skip", "off"),
+    parser.add_argument("--nan-policy", default=FLConfig.nan_policy,
+                        choices=FLConfig._NAN_POLICIES,
                         help="poisoned-upload handling: reject the round, "
                              "drop the contribution, or disable the scan")
     parser.add_argument("--clients-per-round", type=int, default=None,
                         metavar="M",
                         help="sample M clients per round instead of "
                              "dispatching to the whole fleet")
-    parser.add_argument("--history-detail", default="auto",
-                        choices=("auto", "member", "cohort"),
+    parser.add_argument("--history-detail", default=FLConfig.history_detail,
+                        choices=FLConfig._HISTORY_DETAILS,
                         help="round-record granularity: per-worker entries "
                              "or per-cohort aggregates (auto switches to "
                              "cohort detail on large fleets)")
+
+
+def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of the commands that train one run and keep what it
+    leaves (`run`, `serve`): its checkpoints, history and telemetry."""
+    parser.add_argument("--strategy", default="fedmp",
+                        choices=sorted(STRATEGIES))
+    parser.add_argument("--history", default=None,
+                        help="write the round history to this JSON file")
+    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                        help="write atomic resume checkpoints "
+                             "(ckpt-NNNNNN.ckpt) into DIR")
+    parser.add_argument("--checkpoint-every", type=int,
+                        default=FLConfig.checkpoint_every, metavar="N",
+                        help="checkpoint cadence in rounds "
+                             "(default: every round)")
+    parser.add_argument("--resume", default=None, metavar="PATH",
+                        help="resume from a checkpoint file or directory "
+                             "(latest checkpoint wins); workload flags are "
+                             "taken from the checkpoint, a service's "
+                             "roster and streams resume mid-position, and "
+                             "the finished run is byte-identical to an "
+                             "uninterrupted one")
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="write engine spans/events as JSONL to FILE")
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -144,26 +170,22 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", default=None, metavar="FILE",
                         help="write a run-manifest JSON (artifacts, "
                              "resolved flags, git SHA) to FILE")
-    parser.add_argument("--profile-worker", type=int, default=None,
-                        metavar="N",
-                        help="profile worker N's per-layer forward/backward")
 
 
 def _make_telemetry(args) -> Optional[Telemetry]:
     """Build the Telemetry bundle the run flags ask for (None if none)."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    metrics_export = getattr(args, "metrics_export", None)
-    metrics_port = getattr(args, "metrics_port", None)
+    # only `run` profiles: a served worker trains in a client process
     profile_worker = getattr(args, "profile_worker", None)
     wants_metrics = any(
         value is not None
-        for value in (metrics_out, metrics_export, metrics_port)
+        for value in (args.metrics_out, args.metrics_export,
+                      args.metrics_port)
     )
-    if trace_out is None and profile_worker is None and not wants_metrics:
+    if args.trace_out is None and profile_worker is None \
+            and not wants_metrics:
         return None
-    tracer = Tracer(JsonlSink(trace_out)) if trace_out is not None \
-        else Tracer()
+    tracer = Tracer(JsonlSink(args.trace_out)) \
+        if args.trace_out is not None else Tracer()
     metrics = MetricsRegistry(enabled=wants_metrics)
     profiler = LayerProfiler(profile_worker) \
         if profile_worker is not None else None
@@ -179,6 +201,7 @@ def prepare_run(task_key: str, strategy: str, args):
     in-process references.  With ``--resume``, ``config`` is ``None``
     and ``resume_from`` is the loaded checkpoint.
     """
+    # `compare` keeps no checkpoints: it has no --resume / --checkpoint-*
     resume = getattr(args, "resume", None)
     if resume is not None:
         from repro.fl.checkpoint import (
@@ -192,13 +215,13 @@ def prepare_run(task_key: str, strategy: str, args):
         # (with a ResumeOverrideWarning naming what changed) instead of
         # being silently ignored; byte-identity holds only when they
         # match the checkpoint
-        overrides = {}
-        if getattr(args, "clients_per_round", None) is not None:
-            overrides["clients_per_round"] = args.clients_per_round
-        if getattr(args, "rounds", None) is not None:
-            overrides["max_rounds"] = args.rounds
-        if getattr(args, "target", None) is not None:
-            overrides["target_metric"] = args.target
+        overrides = {
+            field: value for field, value in (
+                ("clients_per_round", args.clients_per_round),
+                ("max_rounds", args.rounds),
+                ("target_metric", args.target))
+            if value is not None
+        }
         if overrides:
             apply_resume_overrides(checkpoint, **overrides)
         # the checkpoint's meta pins the workload it was taken from;
@@ -212,23 +235,24 @@ def prepare_run(task_key: str, strategy: str, args):
     bench_task = make_bench_task(task_key)
     devices = make_devices(args.scenario, count=args.workers)
     overrides = dict(
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
         sync_scheme=args.sync_scheme,
         scheduler=args.scheduler,
         async_m=args.async_m,
         semi_sync_deadline_s=args.deadline_s,
         target_metric=args.target,
         seed=args.seed,
-        executor=getattr(args, "executor", None) or "serial",
-        num_procs=getattr(args, "num_procs", None),
-        wire_profile=getattr(args, "wire_profile", "exact"),
-        wire_keep_fraction=getattr(args, "wire_keep_fraction", 0.25),
-        wire_quantize_bits=getattr(args, "wire_quantize_bits", 8),
-        nan_policy=getattr(args, "nan_policy", "raise"),
-        clients_per_round=getattr(args, "clients_per_round", None),
-        history_detail=getattr(args, "history_detail", "auto"),
+        executor=args.executor or FLConfig.executor,
+        num_procs=args.num_procs,
+        wire_profile=args.wire_profile,
+        wire_keep_fraction=args.wire_keep_fraction,
+        wire_quantize_bits=args.wire_quantize_bits,
+        nan_policy=args.nan_policy,
+        clients_per_round=args.clients_per_round,
+        history_detail=args.history_detail,
     )
+    if hasattr(args, "checkpoint_dir"):
+        overrides.update(checkpoint_dir=args.checkpoint_dir,
+                         checkpoint_every=args.checkpoint_every)
     if args.rounds is not None:
         overrides["max_rounds"] = args.rounds
     config = bench_task.make_config(strategy, **overrides)
@@ -243,51 +267,53 @@ def prepare_run(task_key: str, strategy: str, args):
     return task, devices, config, checkpoint_meta, None
 
 
-def _build_history(task_key: str, strategy: str, args,
-                   hooks=None, telemetry=None) -> "TrainingHistory":
+def _build_history(args, hooks=None, telemetry=None) -> "TrainingHistory":
+    """Train ``args``' run in this process."""
     task, devices, config, checkpoint_meta, resume_from = prepare_run(
-        task_key, strategy, args)
+        args.task, args.strategy, args)
     return run_federated_training(task, devices, config, hooks=hooks,
                                   telemetry=telemetry,
                                   checkpoint_meta=checkpoint_meta,
                                   resume_from=resume_from)
 
 
-def _cmd_run(args, extra_hooks=()) -> int:
-    # a resume trains on its checkpoint's executor (ROADMAP item 22)
-    given = [flag for flag, value in (("--executor", args.executor),
-                                      ("--num-procs", args.num_procs))
-             if value is not None]
-    if args.resume is not None and given:
-        print(f"error: --resume keeps the checkpoint's executor; drop "
-              f"{' and '.join(given)}", file=sys.stderr)
-        return 2
-    if (args.executor == "process"
-            and getattr(args, "profile_worker", None) is not None):
-        print("error: --profile-worker requires --executor serial "
-              "(the profiled modules train in child processes)",
-              file=sys.stderr)
-        return 2
-    timing = TimingHook()
-    comm = CommVolumeHook()
-    hooks = [timing, comm, *extra_hooks]
-    telemetry = _make_telemetry(args)
-    if telemetry is not None:
-        hooks.append(TelemetryHook(telemetry))
-    scrape_server = None
-    if telemetry is not None and args.metrics_port is not None:
-        from repro.telemetry import MetricsHTTPServer
+def _serve_history(args, hooks=None, telemetry=None) -> "TrainingHistory":
+    """Train ``args``' run through a socket service whose workers are
+    `repro client` processes."""
+    from repro.serve import FedMPService
 
-        scrape_server = MetricsHTTPServer(telemetry.metrics,
-                                          port=args.metrics_port)
-        print(f"serving metrics at {scrape_server.url}")
-    try:
-        history = _build_history(args.task, args.strategy, args,
-                                 hooks=hooks, telemetry=telemetry)
-    except BaseException:
-        if scrape_server is not None:
-            scrape_server.close()
-        raise
+    task, devices, config, checkpoint_meta, resume_from = prepare_run(
+        args.task, args.strategy, args)
+    service = FedMPService(
+        task, devices, config,
+        host=args.host, port=args.port,
+        telemetry=telemetry, hooks=hooks,
+        checkpoint_meta=checkpoint_meta, resume_from=resume_from,
+        min_workers=args.min_workers,
+        roster_script=_parse_roster_script(args.roster_script),
+        drain_timeout_s=args.drain_timeout_s,
+        registration_timeout_s=args.registration_timeout_s,
+    )
+    host, port = service.address
+    print(f"serving on {host}:{port} "
+          f"({len(service.roster)} worker slot(s), "
+          f"min_workers={service.min_workers})")
+    if args.port_file is not None:
+        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
+    sys.stdout.flush()
+    history = service.run()
+    print("fleet: " + "  ".join(
+        f"{kind}={count}" for kind, count in sorted(
+            service.counters.items())
+    ))
+    return history
+
+
+def _print_summary(args, history, timing: TimingHook,
+                   comm: CommVolumeHook) -> None:
+    if not history.rounds:
+        print("no rounds completed")
+        return
     label = METHOD_LABELS.get(args.strategy, args.strategy)
     print(f"{label} on {make_bench_task(args.task).label} "
           f"({args.scenario} scenario):")
@@ -303,6 +329,59 @@ def _cmd_run(args, extra_hooks=()) -> int:
     print(f"comm volume: {comm.total_download_params / 1e6:.2f}M params "
           f"down, {comm.total_upload_params / 1e6:.2f}M up "
           f"(host time {timing.total_wall_time_s:.1f}s)")
+
+
+def _cmd_run(args, extra_hooks=()) -> int:
+    # a resume trains on its checkpoint's executor (ROADMAP item 22)
+    given = [flag for flag, value in (("--executor", args.executor),
+                                      ("--num-procs", args.num_procs))
+             if value is not None]
+    if args.resume is not None and given:
+        print(f"error: --resume keeps the checkpoint's executor; drop "
+              f"{' and '.join(given)}", file=sys.stderr)
+        return 2
+    if args.executor == "process" and args.profile_worker is not None:
+        print("error: --profile-worker requires --executor serial "
+              "(the profiled modules train in child processes)",
+              file=sys.stderr)
+        return 2
+    return _train_and_report(args, _build_history, extra_hooks)
+
+
+def _cmd_serve(args, extra_hooks=()) -> int:
+    if args.executor == "process":
+        # the socket executor is injected through the engine's executor
+        # seam; the stored config stays "serial" so the checkpoint also
+        # resumes under plain `repro run --resume`
+        print("error: `repro serve` always trains through the socket "
+              "executor; drop --executor", file=sys.stderr)
+        return 2
+    return _train_and_report(args, _serve_history, extra_hooks)
+
+
+def _train_and_report(args, train, extra_hooks) -> int:
+    """The body of `run` and `serve`: hooks, telemetry and scrape
+    server around ``train(args, hooks=, telemetry=)``, which returns
+    the history, then the summary and every artifact asked for."""
+    timing = TimingHook()
+    comm = CommVolumeHook()
+    hooks = [timing, comm, *extra_hooks]
+    telemetry = _make_telemetry(args)
+    scrape_server = None
+    if telemetry is not None:
+        hooks.append(TelemetryHook(telemetry))
+        if args.metrics_port is not None:
+            from repro.telemetry import MetricsHTTPServer
+
+            scrape_server = MetricsHTTPServer(telemetry.metrics,
+                                              port=args.metrics_port)
+            print(f"serving metrics at {scrape_server.url}")
+    try:
+        history = train(args, hooks=hooks, telemetry=telemetry)
+    finally:
+        if scrape_server is not None:
+            scrape_server.close()
+    _print_summary(args, history, timing, comm)
     if telemetry is not None:
         if telemetry.profiler is not None:
             telemetry.profiler.publish(telemetry.metrics)
@@ -315,8 +394,6 @@ def _cmd_run(args, extra_hooks=()) -> int:
             if args.metrics_export is not None:
                 telemetry.metrics.export_openmetrics(args.metrics_export)
                 print(f"openmetrics written to {args.metrics_export}")
-        if scrape_server is not None:
-            scrape_server.close()
         telemetry.close()
         if args.trace_out is not None:
             print(f"trace written to {args.trace_out}")
@@ -353,9 +430,8 @@ def _cmd_compare(args) -> int:
     print(f"{bench_task.label}, target {target}:")
     baseline_time: Optional[float] = None
     for strategy in args.strategies:
-        args_copy = argparse.Namespace(**vars(args))
-        args_copy.target = target
-        history = _build_history(args.task, strategy, args_copy)
+        history = _build_history(argparse.Namespace(
+            **{**vars(args), "strategy": strategy, "target": target}))
         reached = history.time_to_target(target)
         time_text = f"{reached:10.1f}s" if reached is not None else "        --"
         if baseline_time is None and reached is not None:
@@ -410,92 +486,12 @@ def _parse_roster_script(text: Optional[str]):
     if text is None:
         return None
     import json
-    from pathlib import Path
 
     path = Path(text)
     raw = path.read_text(encoding="utf-8") if path.exists() else text
     script = json.loads(raw)
     return {int(round_index): [int(w) for w in workers]
             for round_index, workers in script.items()}
-
-
-def _cmd_serve(args, extra_hooks=()) -> int:
-    from repro.serve import FedMPService
-
-    if args.executor == "process":
-        # the socket executor is injected through the engine's executor
-        # seam; the stored config stays "serial" so the checkpoint also
-        # resumes under plain `repro run --resume`
-        print("error: `repro serve` always trains through the socket "
-              "executor; drop --executor", file=sys.stderr)
-        return 2
-    if args.profile_worker is not None:
-        print("error: --profile-worker requires an in-process worker; "
-              "serve workers train in remote client processes",
-              file=sys.stderr)
-        return 2
-    for flag, value in (("--metrics-port", args.metrics_port),
-                        ("--manifest", args.manifest)):
-        if value is not None:
-            print(f"error: `repro serve` starts no scrape server and "
-                  f"writes no manifest; drop {flag}", file=sys.stderr)
-            return 2
-    timing = TimingHook()
-    comm = CommVolumeHook()
-    hooks = [timing, comm, *extra_hooks]
-    telemetry = _make_telemetry(args)
-    if telemetry is not None:
-        hooks.append(TelemetryHook(telemetry))
-
-    task, devices, config, checkpoint_meta, resume_from = prepare_run(
-        args.task, args.strategy, args)
-    service = FedMPService(
-        task, devices, config,
-        host=args.host, port=args.port,
-        telemetry=telemetry, hooks=hooks,
-        checkpoint_meta=checkpoint_meta, resume_from=resume_from,
-        min_workers=args.min_workers,
-        roster_script=_parse_roster_script(args.roster_script),
-        drain_timeout_s=args.drain_timeout_s,
-        registration_timeout_s=args.registration_timeout_s,
-    )
-    host, port = service.address
-    print(f"serving on {host}:{port} "
-          f"({len(service.roster)} worker slot(s), "
-          f"min_workers={service.min_workers})")
-    if args.port_file is not None:
-        from pathlib import Path
-
-        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
-    sys.stdout.flush()
-    history = service.run()
-    rounds = len(history.rounds)
-    if rounds:
-        print(f"final metric: {history.final_metric():.4f} "
-              f"after {rounds} round(s) "
-              f"({history.total_time_s:.1f} simulated seconds)")
-    else:
-        print("no rounds completed")
-    print("fleet: " + "  ".join(
-        f"{kind}={count}" for kind, count in sorted(
-            service.counters.items())
-    ))
-    if telemetry is not None:
-        if telemetry.metrics.enabled:
-            print_metrics_summary(telemetry.metrics)
-            if args.metrics_out is not None:
-                telemetry.metrics.save(args.metrics_out)
-                print(f"metrics written to {args.metrics_out}")
-            if args.metrics_export is not None:
-                telemetry.metrics.export_openmetrics(args.metrics_export)
-                print(f"openmetrics written to {args.metrics_export}")
-        telemetry.close()
-        if args.trace_out is not None:
-            print(f"trace written to {args.trace_out}")
-    if args.history:
-        save_history(history, args.history)
-        print(f"history written to {args.history}")
-    return 0
 
 
 def _cmd_client(args) -> int:
@@ -611,8 +607,6 @@ def _cmd_trace_diff(args) -> int:
 
 
 def _cmd_trace_folded(args) -> int:
-    from pathlib import Path
-
     from repro.telemetry import build_tree, folded_stacks, load_trace
 
     text = folded_stacks(build_tree(load_trace(args.trace)))
@@ -641,29 +635,17 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run one experiment")
-    _add_run_arguments(run_parser)
-    run_parser.add_argument("--strategy", default="fedmp",
-                            choices=sorted(STRATEGIES))
-    run_parser.add_argument("--history", default=None,
-                            help="write the round history to this JSON file")
-    run_parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                            help="write atomic resume checkpoints "
-                                 "(ckpt-NNNNNN.ckpt) into DIR")
-    run_parser.add_argument("--checkpoint-every", type=int, default=1,
+    _add_workload_arguments(run_parser)
+    _add_output_arguments(run_parser)
+    run_parser.add_argument("--profile-worker", type=int, default=None,
                             metavar="N",
-                            help="checkpoint cadence in rounds "
-                                 "(default: every round)")
-    run_parser.add_argument("--resume", default=None, metavar="PATH",
-                            help="resume from a checkpoint file or "
-                                 "directory (latest checkpoint wins); "
-                                 "workload flags are taken from the "
-                                 "checkpoint, and the finished run is "
-                                 "byte-identical to an uninterrupted one")
+                            help="profile worker N's per-layer "
+                                 "forward/backward")
     run_parser.set_defaults(func=_cmd_run)
 
     compare_parser = subparsers.add_parser(
         "compare", help="race several strategies to a target")
-    _add_run_arguments(compare_parser)
+    _add_workload_arguments(compare_parser)
     compare_parser.add_argument(
         "--strategies", nargs="+", default=["synfl", "fedmp"],
         choices=sorted(STRATEGIES),
@@ -674,9 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the parameter server as a long-lived TCP service "
              "(workers connect with `repro client`)")
-    _add_run_arguments(serve_parser)
-    serve_parser.add_argument("--strategy", default="fedmp",
-                              choices=sorted(STRATEGIES))
+    _add_workload_arguments(serve_parser)
+    _add_output_arguments(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="listen address (default loopback)")
     serve_parser.add_argument("--port", type=int, default=0,
@@ -705,23 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=120.0, metavar="S",
                               help="give up waiting for the roster to "
                                    "fill after S seconds")
-    serve_parser.add_argument("--history", default=None,
-                              help="write the round history to this "
-                                   "JSON file")
-    serve_parser.add_argument("--checkpoint-dir", default=None,
-                              metavar="DIR",
-                              help="write atomic resume checkpoints "
-                                   "(ckpt-NNNNNN.ckpt) into DIR")
-    serve_parser.add_argument("--checkpoint-every", type=int, default=1,
-                              metavar="N",
-                              help="checkpoint cadence in rounds")
-    serve_parser.add_argument("--resume", default=None, metavar="PATH",
-                              help="resume a killed service from a "
-                                   "checkpoint file or directory; the "
-                                   "fleet roster and every stream resume "
-                                   "mid-position, so the finished run is "
-                                   "byte-identical to an uninterrupted "
-                                   "one")
     serve_parser.set_defaults(func=_cmd_serve)
 
     client_parser = subparsers.add_parser(
@@ -782,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--workers", type=int, default=None,
                                help="override worker count (half A / half B)")
     verify_parser.add_argument("--seed", type=int, default=17)
-    verify_parser.add_argument("--executor", default="serial",
-                               choices=("serial", "process"),
+    verify_parser.add_argument("--executor", default=FLConfig.executor,
+                               choices=FLConfig._EXECUTORS,
                                help="'process' adds the serial-vs-process "
                                     "parity stage (0-ULP states + "
                                     "byte-identical history)")

@@ -37,7 +37,7 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_bytes
 
@@ -56,6 +56,7 @@ __all__ = [
     "load_checkpoint",
     "latest_checkpoint",
     "resolve_checkpoint",
+    "resolve_resume",
     "CheckpointManager",
 ]
 
@@ -297,6 +298,30 @@ def resolve_checkpoint(path: Union[str, Path]) -> Path:
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
     return path
+
+
+def resolve_resume(
+        config, resume_from) -> Tuple[object, Optional[Checkpoint]]:
+    """``(config, checkpoint)`` a run starts from.
+
+    ``resume_from`` is ``None`` (a fresh run: ``config`` is required),
+    a checkpoint file, a checkpoint directory (its latest checkpoint)
+    or a loaded :class:`Checkpoint`.  A resume takes the checkpoint's
+    config; an explicit ``config`` must equal it, or
+    :class:`CheckpointError` is raised.
+    """
+    if resume_from is None:
+        if config is None:
+            raise ValueError("config is required unless resume_from is set")
+        return config, None
+    checkpoint = resume_from if isinstance(resume_from, Checkpoint) \
+        else load_checkpoint(resolve_checkpoint(resume_from))
+    if config is not None and config != checkpoint.config:
+        raise CheckpointError(
+            "explicit config differs from the checkpoint's; pass "
+            "config=None to resume with the checkpointed config"
+        )
+    return checkpoint.config, checkpoint
 
 
 class CheckpointManager:

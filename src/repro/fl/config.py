@@ -14,10 +14,6 @@ class FLConfig:
     granularity ``theta`` in the recommended ``[0.01, 0.05]`` band.
     """
 
-    # model / task
-    model_name: str = "cnn"
-    model_kwargs: Dict[str, Any] = field(default_factory=dict)
-
     # strategy
     strategy: str = "fedmp"
     strategy_kwargs: Dict[str, Any] = field(default_factory=dict)

@@ -19,12 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.fl.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    load_checkpoint,
-    resolve_checkpoint,
-)
+from repro.fl.checkpoint import Checkpoint, resolve_resume
 from repro.fl.config import FLConfig
 from repro.fl.engine import Dispatch, Engine
 from repro.fl.history import TrainingHistory
@@ -63,21 +58,7 @@ def run_federated_training(
     hook stack and finishes with a history byte-identical (after
     wall-time normalisation) to the uninterrupted run's.
     """
-    if resume_from is not None:
-        if isinstance(resume_from, Checkpoint):
-            checkpoint = resume_from
-        else:
-            checkpoint = load_checkpoint(resolve_checkpoint(resume_from))
-        if config is not None and config != checkpoint.config:
-            raise CheckpointError(
-                "explicit config differs from the checkpoint's; pass "
-                "config=None to resume with the checkpointed config"
-            )
-        config = checkpoint.config
-    else:
-        checkpoint = None
-        if config is None:
-            raise ValueError("config is required unless resume_from is set")
+    config, checkpoint = resolve_resume(config, resume_from)
     engine = Engine(task, devices, config, hooks=hooks,
                     telemetry=telemetry, restore=checkpoint,
                     checkpoint_meta=checkpoint_meta)

@@ -43,11 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.fl.checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    resolve_checkpoint,
-)
+from repro.fl.checkpoint import resolve_resume
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.runtime.codec import WireFormatError
@@ -275,26 +271,7 @@ class FedMPService:
                 f"task {task.name!r} builds no registry model, so a "
                 f"client cannot rebuild its model graph"
             )
-        if resume_from is not None:
-            if isinstance(resume_from, Checkpoint):
-                checkpoint = resume_from
-            else:
-                checkpoint = load_checkpoint(
-                    resolve_checkpoint(resume_from)
-                )
-            if config is not None and config != checkpoint.config:
-                raise ServiceError(
-                    "explicit config differs from the checkpoint's; "
-                    "pass config=None to resume with the checkpointed "
-                    "config"
-                )
-            config = checkpoint.config
-        else:
-            checkpoint = None
-            if config is None:
-                raise ValueError(
-                    "config is required unless resume_from is set"
-                )
+        config, checkpoint = resolve_resume(config, resume_from)
 
         self.telemetry = (
             telemetry if telemetry is not None else DISABLED_TELEMETRY

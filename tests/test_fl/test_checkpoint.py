@@ -393,6 +393,12 @@ def test_resume_rejects_conflicting_config(tmp_path):
                                resume_from=str(tmp_path / "ck"))
 
 
+def test_a_fresh_run_needs_a_config():
+    bench, devices, _ = _setup("cnn")
+    with pytest.raises(ValueError, match="config is required"):
+        run_federated_training(bench.make_task(0.0), devices, None)
+
+
 def test_resume_rejects_scheduler_mismatch(tmp_path):
     bench, devices, config = _setup(
         "cnn", scheduler="sync", rounds=2,

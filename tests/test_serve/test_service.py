@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_synthetic_mnist
+from repro.fl.checkpoint import CheckpointError
 from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.hooks import RoundHook
@@ -636,7 +637,13 @@ def test_checkpointing_run_wakes_held_polls_and_stays_bitwise(
 
 def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
     """A flight re-queued for a reconnected worker is timed from the
-    hand-over that was answered, not from when the gather began."""
+    hand-over that was answered, not from when the gather began.
+
+    Every stamp compared is ordered by a happens-before edge: the
+    peer's ``polled`` precedes its second poll, hence the answered
+    hand-over; the push that ends the service's timing precedes
+    ``gather`` returning, hence ``end``; and ``start`` precedes the
+    first hand-over, hence ``polled``."""
     service = FedMPService(task, devices, _config())
     stamps = {}
 
@@ -658,7 +665,6 @@ def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
         reply = _poll_until_dispatch(second, seq, 1)
         second.request(("push_contribution", next(seq), 1, reply[2],
                         b"reply"))
-        stamps["accepted"] = time.perf_counter()
         second.close()
 
     thread = threading.Thread(target=peer, daemon=True)
@@ -668,13 +674,12 @@ def test_gather_times_a_worker_from_its_last_hand_over(task, devices):
         flight = InFlight(1, b"frame")
         start = time.perf_counter()
         completion = service.link.gather([flight])
-        elapsed = time.perf_counter() - start
+        end = time.perf_counter()
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert flight.reply == b"reply"
         assert service.counters["reconnect"] == 1
-        assert (completion[1] <= stamps["accepted"] - stamps["polled"]
-                < elapsed)
+        assert completion[1] <= end - stamps["polled"] < end - start
     finally:
         service.shutdown()
         service.engine.close()
@@ -787,6 +792,32 @@ def test_lost_worker_resumes_from_its_true_stream_position(task, devices,
     assert errors == {}
     assert len(history.rounds) == 5
     assert normalised_history_bytes(history) == expected
+
+
+def test_service_resume_rejects_a_conflicting_config(task, devices,
+                                                     tmp_path):
+    """The service resolves ``resume_from`` with the runner's rule: an
+    explicit config must equal the checkpoint's (a ``CheckpointError``
+    otherwise, before any port is bound), and a fresh service needs a
+    config."""
+    run_federated_training(task, devices, _config(
+        max_rounds=1, checkpoint_dir=str(tmp_path)))
+    bound = []
+    real_socket = socket.socket
+
+    def _socket(*args, **kwargs):
+        bound.append(args)
+        return real_socket(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socket, "socket", _socket)
+        with pytest.raises(CheckpointError, match="differs"):
+            FedMPService(task, devices, _config(
+                max_rounds=2, checkpoint_dir=str(tmp_path)),
+                resume_from=str(tmp_path))
+        with pytest.raises(ValueError, match="config is required"):
+            FedMPService(task, devices, None)
+    assert bound == []
 
 
 class _InterruptAfterAggregate(RoundHook):
