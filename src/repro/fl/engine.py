@@ -433,7 +433,8 @@ class Engine:
     # membership
     # ------------------------------------------------------------------
     def present_workers(self, round_index: int) -> List[int]:
-        """Workers participating this round.
+        """Workers participating this round (without churn or a
+        provider, :attr:`worker_ids` itself: callers only read it).
 
         With a :attr:`membership_provider` installed (service mode) the
         live roster decides; otherwise the churn model simulates
@@ -445,7 +446,7 @@ class Engine:
         if self.membership_provider is not None:
             return sorted(self.membership_provider(round_index))
         if self.config.churn_leave_prob <= 0:
-            return list(self.worker_ids)
+            return self.worker_ids
         return simulate_membership_churn(
             self.worker_ids, round_index,
             leave_prob=self.config.churn_leave_prob,
@@ -454,16 +455,16 @@ class Engine:
         )
 
     def sample_clients(self, candidates: Sequence[int],
-                       round_index: int) -> List[int]:
+                       round_index: int) -> Sequence[int]:
         """Sample ``clients_per_round`` workers from ``candidates``.
 
         Draws from the dedicated sampling stream only when the config
         actually subsamples, so runs without ``clients_per_round`` (and
         rounds where everyone fits) consume no extra randomness.  The
         sample is returned in ``candidates`` order, keeping downstream
-        iteration order deterministic.
+        iteration order deterministic (without subsampling, it is
+        ``candidates`` itself).
         """
-        candidates = list(candidates)
         m = self.config.clients_per_round
         metrics = self.telemetry.metrics
         if m is None or m >= len(candidates):
@@ -501,6 +502,8 @@ class Engine:
             if self._has_rng_modules:
                 key += (worker_id,)     # never shared: a cohort of one
             buckets.setdefault(key, []).append(worker_id)
+        # the round's first touches, in one batch (DESIGN.md §3.6)
+        self.workers.build(ratios)
 
         metrics = self.telemetry.metrics
         dispatches: Dict[int, Dispatch] = {}
@@ -764,7 +767,7 @@ class Engine:
         return self.model.state_dict()
 
     def aggregate(self, contributions: List[Contribution],
-                  round_index: int) -> Dict[str, np.ndarray]:
+                  round_index: int) -> None:
         """Fold one round of contributions into the global model.
 
         ``before_aggregate`` hooks may rewrite the contribution set
@@ -795,7 +798,6 @@ class Engine:
             self._submodel_cache.clear()
             self._round_state = None
             self.hooks.on_aggregate(round_index, contributions)
-        return self.global_state
 
     def evaluate(self, round_index: int,
                  force: bool = False) -> Tuple[Optional[float], Optional[float]]:

@@ -26,12 +26,13 @@ class Worker:
     def __init__(self, worker_id: int, iterator, device: DeviceProfile,
                  jitter_sigma: float = 0.08,
                  rng: Optional[np.random.Generator] = None,
+                 timing_rng: Optional[np.random.Generator] = None,
                  num_samples: int = 1) -> None:
         """RNG derivation contract: ``rng`` is the worker's shared
         generator -- the data iterator's construction consumes it first,
-        then this constructor draws one ``integers(2**31)`` from it to
-        seed the :class:`~repro.simulation.timing.TimingModel`'s jitter
-        stream.  ``repro.runtime.pool.WorkerSpec.build``, the one
+        then the builder draws one ``integers(2**31)`` from it to seed
+        ``timing_rng``, the :class:`~repro.simulation.timing.TimingModel`'s
+        jitter stream.  ``repro.runtime.pool.build_workers``, the one
         construction path, runs this sequence and
         ``tests/test_runtime/test_pool.py`` pins it.
         """
@@ -42,10 +43,8 @@ class Worker:
         #: this worker's contributions
         self.num_samples = num_samples
         self.rng = rng if rng is not None else np.random.default_rng(worker_id)
-        self.timing = TimingModel(
-            device, jitter_sigma=jitter_sigma,
-            rng=np.random.default_rng(self.rng.integers(2 ** 31)),
-        )
+        self.timing = TimingModel(device, jitter_sigma=jitter_sigma,
+                                  rng=timing_rng)
         self.criterion = CrossEntropyLoss()
 
     def stream(self) -> StreamRecord:

@@ -250,7 +250,7 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         param_layers[0].requires_input_grad = False
     velocity: Dict[int, Dict[str, np.ndarray]] = {}
     anchor_state = anchor if anchor is not None else init_state
-    totals = [0.0] * members
+    totals = np.zeros(members)
     batch: Optional[int] = None
 
     for _ in range(tau):
@@ -278,9 +278,9 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
         rows = logits.shape[0]
         probs, log_probs = softmax_with_log(logits)
         picked = log_probs[np.arange(rows), targets]
-        for index in range(members):
-            member_rows = picked[index * batch:(index + 1) * batch]
-            totals[index] += float(-member_rows.mean())
+        # a row's mean is the 1-D ``.mean()`` of its B values (the same
+        # pairwise sum), so totals add what the member path adds
+        totals += -picked.reshape(members, batch).mean(axis=1)
         grad = probs.copy()
         grad[np.arange(rows), targets] -= 1.0
         grad /= batch
@@ -300,8 +300,7 @@ def train_cohort(model: Sequential, init_state: Dict[str, np.ndarray],
              for name, value in layer.params.items()]
     states = [{key: value[index] for key, value in named}
               for index in range(members)]
-    losses = [total / tau for total in totals]
-    return states, losses
+    return states, (totals / tau).tolist()
 
 
 def _sgd_step(param_layers: Sequence[object],

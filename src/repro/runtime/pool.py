@@ -4,14 +4,16 @@ A worker owns live RNG streams (its iterator/worker generator and the
 timing model's jitter generator), so it never travels -- generator
 state would fork.  What travels is a :class:`WorkerSpec`: the *seed*
 the engine drew for it plus everything else construction needs.
-:meth:`WorkerSpec.build` is the one construction path (the engine's
-fleet, pool children, service clients) and runs one sequence:
+:func:`build_workers` is the one construction path (the engine's fleet
+builds a round's new workers in one call; pool children and service
+clients, through :meth:`WorkerSpec.build`, a batch of one):
 
-1. ``rng = np.random.default_rng(seed)``;
-2. the data iterator is built first (a ``BatchIterator`` draws its
+1. each worker generator is ``Generator(PCG64(words))``, the seeds
+   hashed in one array pass (:func:`seed_words`, ``default_rng``'s state);
+2. the data iterator is built from it (a ``BatchIterator`` draws its
    epoch permutation *at construction*);
-3. ``Worker.__init__`` then draws the :class:`~repro.simulation.timing.
-   TimingModel` seed from the same generator.
+3. one ``integers(2**31)`` from it seeds the jitter generator (a second
+   pass) that ``Worker.__init__`` hands its timing model.
 
 Step order is load-bearing (``tests/test_runtime/test_pool.py`` pins
 it).  A worker's state before its first dispatch is its seed's, so the
@@ -47,6 +49,7 @@ from multiprocessing.connection import wait as _wait_for_connections
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.pruning.structured import extract_submodel
 from repro.runtime.codec import (
@@ -111,27 +114,97 @@ class WorkerSpec:
             )
 
     def build(self) -> Worker:
-        """The worker, with the same streams in every process: the one
-        construction path (module docstring), then ``runtime_state``."""
-        # imported here, not at module scope: repro.fl.engine imports
-        # this package, so a top-level repro.fl import would be a cycle
-        from repro.fl.tasks import _SequenceBatchIterator
-        from repro.fl.worker import Worker
+        """The worker, with the same streams in every process: a batch
+        of one through :func:`build_workers`."""
+        return build_workers([self])[0]
 
-        rng = np.random.default_rng(self.seed)
-        if self.iterator_kind == "batch":
-            from repro.data.loader import BatchIterator
-            iterator = BatchIterator(self.shard_inputs, self.shard_targets,
-                                     self.batch_size, rng=rng)
-        else:
-            iterator = _SequenceBatchIterator(self.shard_inputs,
-                                              self.shard_targets, rng)
-        worker = Worker(self.worker_id, iterator, self.device,
-                        jitter_sigma=self.jitter_sigma, rng=rng,
-                        num_samples=self.num_samples)
-        if self.runtime_state is not None:
-            worker.restore_runtime_state(self.runtime_state)
-        return worker
+
+def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant over ``count`` hashes, as
+    ``(xor, multiplier)`` columns (NumPy's ``bit_generator.pyx``)."""
+    values = [value]
+    for _ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array([values[:-1], values[1:]], np.uint32)[..., None]
+
+
+# 4 + 12 hashes mix a one-word seed into the 4-word pool, 8 more hash
+# out the 4 uint64 words PCG64 asks for
+_A_XOR, _A_MUL = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
+_B_XOR, _B_MUL = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
+_MIX_L, _MIX_R, _SHIFT = np.array([0xca01f9dd, 0x4973f715, 16], np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor, mul) -> np.ndarray:
+    values = (values ^ xor) * mul
+    return values ^ (values >> _SHIFT)
+
+
+def seed_words(seeds) -> np.ndarray:
+    """``(n, 4) uint64``: row ``i`` is
+    ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``,
+    in one pass of uint32 array arithmetic (the same algorithm, a column
+    per seed).  A seed is one entropy word: it must lie in ``[0, 2**32)``."""
+    seeds = np.asarray(seeds)
+    if seeds.size and (seeds.dtype.kind not in "iu" or seeds.min() < 0
+                       or seeds.max() >= 2 ** 32):
+        raise ValueError(f"seeds must be integers in [0, 2**32), got {seeds}")
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds.ravel()
+    pool = _hashmix(pool, _A_XOR[:4], _A_MUL[:4])
+    for src in range(4):   # every word into every other, in order
+        dst, k = [i for i in range(4) if i != src], slice(4 + 3 * src, 7 + 3 * src)
+        mixed = (pool[dst] * _MIX_L
+                 - _hashmix(pool[src], _A_XOR[k], _A_MUL[k]) * _MIX_R)
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    halves = _hashmix(pool[[0, 1, 2, 3] * 2], _B_XOR, _B_MUL)
+    # a word is two halves, low first (generate_state's "<u4" -> "<u8")
+    return np.ascontiguousarray(halves.T, "<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass
+class _HashedSeed(ISeedSequence):
+    """Hands ``PCG64`` the words :func:`seed_words` already hashed."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generators(seeds) -> List[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed, hashed in one pass."""
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(words)))
+            for words in seed_words(seeds)]
+
+
+def build_workers(specs: List[WorkerSpec]) -> List[Worker]:
+    """The specs' workers, in order: the one construction path (module
+    docstring), then each spec's ``runtime_state``."""
+    # imported here, not at module scope: repro.fl.engine imports
+    # this package, so a top-level repro.fl import would be a cycle
+    from repro.data.loader import BatchIterator
+    from repro.fl.tasks import _SequenceBatchIterator
+    from repro.fl.worker import Worker
+
+    rngs = _generators([spec.seed for spec in specs])
+    iterators = [
+        BatchIterator(spec.shard_inputs, spec.shard_targets, spec.batch_size,
+                      rng=rng) if spec.iterator_kind == "batch"
+        else _SequenceBatchIterator(spec.shard_inputs, spec.shard_targets, rng)
+        for spec, rng in zip(specs, rngs)]
+    # drawn after each iterator's construction: the order is load-bearing
+    timing_rngs = _generators([rng.integers(2 ** 31) for rng in rngs])
+    workers = []
+    for spec, rng, iterator, timing_rng in zip(specs, rngs, iterators,
+                                               timing_rngs):
+        workers.append(Worker(
+            spec.worker_id, iterator, spec.device,
+            jitter_sigma=spec.jitter_sigma, rng=rng, timing_rng=timing_rng,
+            num_samples=spec.num_samples))
+        if spec.runtime_state is not None:
+            workers[-1].restore_runtime_state(spec.runtime_state)
+    return workers
 
 
 class LazyFleet(Mapping):
@@ -153,10 +226,15 @@ class LazyFleet(Mapping):
         return spec
 
     def __getitem__(self, worker_id: int) -> Worker:
-        worker = self._built.get(worker_id)
-        if worker is None:
-            worker = self._built[worker_id] = self.spec(worker_id).build()
-        return worker
+        if worker_id not in self._built:
+            self.build([worker_id])
+        return self._built[worker_id]
+
+    def build(self, worker_ids: Collection[int]) -> None:
+        """Build the unbuilt workers of ``worker_ids`` in one batch."""
+        new = [w for w in worker_ids if w not in self._built]
+        if new:
+            self._built.update(zip(new, build_workers([self.spec(w) for w in new])))
 
     def __len__(self) -> int:
         return len(self._ids)

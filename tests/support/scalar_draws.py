@@ -1,8 +1,10 @@
 """Scalar-draw oracles for the seeded set-up generators.
 
 ``make_synthetic_ptb`` and ``make_cluster_devices`` once drew one
-scalar from the generator per token and per device.  They now draw a
-whole split or cluster at once; the loops below are the scalar versions
+scalar from the generator per token and per device, and
+``WorkerSpec.build`` built one worker from two ``default_rng`` calls.
+They now draw a whole split or cluster at once and hash a batch of
+worker seeds in one array pass; the code below is the scalar versions
 kept verbatim, so ``tests/test_scalar_draws.py`` can hold the vectorised
 draws to the same outputs *and* the same generator state afterwards.
 """
@@ -13,7 +15,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.data.loader import BatchIterator
 from repro.data.text import TextDataset
+from repro.fl.tasks import _SequenceBatchIterator
+from repro.fl.worker import Worker
+from repro.runtime.pool import WorkerSpec
 from repro.simulation.cluster import CLUSTERS
 from repro.simulation.device import JETSON_TX2_MODES, DeviceProfile
 from repro.simulation.network import bandwidth_for_distance
@@ -89,3 +95,24 @@ def scalar_scenario_devices(composition, rng: np.random.Generator) -> List[Devic
                                    start_id=len(devices))
         )
     return devices
+
+
+def scalar_build(spec: WorkerSpec) -> Worker:
+    """One worker, two ``default_rng`` constructions: the data iterator
+    consumes the worker generator first, then one ``integers(2**31)``
+    from it seeds the jitter generator (a draw ``Worker.__init__`` made
+    itself, inlined here as the ``timing_rng`` argument)."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.iterator_kind == "batch":
+        iterator = BatchIterator(spec.shard_inputs, spec.shard_targets,
+                                 spec.batch_size, rng=rng)
+    else:
+        iterator = _SequenceBatchIterator(spec.shard_inputs,
+                                          spec.shard_targets, rng)
+    worker = Worker(spec.worker_id, iterator, spec.device,
+                    jitter_sigma=spec.jitter_sigma, rng=rng,
+                    timing_rng=np.random.default_rng(rng.integers(2 ** 31)),
+                    num_samples=spec.num_samples)
+    if spec.runtime_state is not None:
+        worker.restore_runtime_state(spec.runtime_state)
+    return worker

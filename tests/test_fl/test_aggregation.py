@@ -355,7 +355,8 @@ def test_server_apply_uses_injected_aggregator():
         _identity_contribution(model, 0, 0.0, num_samples=1),
         _identity_contribution(model, 1, 4.0, num_samples=3),
     ]
-    after = engine.aggregate(contributions, round_index=0)
+    engine.aggregate(contributions, round_index=0)
+    after = engine.global_state
     for key in before:
         assert np.allclose(after[key], before[key] + 3.0, atol=1e-5)
 

@@ -3,7 +3,8 @@
 A worker's state before its first dispatch is a pure function of the
 seed the engine drew for it, so ``Engine`` builds none up front:
 ``engine.workers`` covers the whole fleet and builds each worker
-through ``WorkerSpec.build`` on first access.  Pinned here: no build
+through ``build_workers`` on first access (a round's first
+touches in one batch).  Pinned here: no build
 before the first dispatch, the seed stream itself, build order
 independence, and checkpoints that carry exactly the touched workers
 through kills and resumes.
@@ -28,7 +29,7 @@ from repro.fl.engine import Engine
 from repro.fl.hooks import CommVolumeHook, RoundHook, TimingHook
 from repro.fl.runner import run_federated_training
 from repro.fl.schedulers import make_scheduler
-from repro.runtime.pool import WorkerSpec
+from repro.runtime import pool
 from repro.verify.differential import normalised_history_bytes
 
 
@@ -49,13 +50,13 @@ def _fleet_config(**overrides) -> FLConfig:
 # ----------------------------------------------------------------------
 def test_no_worker_is_built_before_the_first_dispatch(monkeypatch):
     built = []
-    build = WorkerSpec.build
+    build = pool.build_workers
 
-    def counting_build(spec):
-        built.append(spec.worker_id)
-        return build(spec)
+    def counting_build(specs):
+        built.extend(spec.worker_id for spec in specs)
+        return build(specs)
 
-    monkeypatch.setattr(WorkerSpec, "build", counting_build)
+    monkeypatch.setattr(pool, "build_workers", counting_build)
     engine = Engine(fleet.make_task(), fleet.make_fleet(20_000),
                     _fleet_config())
     try:

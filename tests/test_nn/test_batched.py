@@ -44,7 +44,7 @@ def _mlp(hidden):
     return build
 
 
-def _iterators(seed_base, members=MEMBERS, poisoned=None):
+def _iterators(seed_base, members=MEMBERS, poisoned=None, batch=BATCH):
     iterators = []
     for index in range(members):
         rng = np.random.default_rng(seed_base + index)
@@ -53,20 +53,20 @@ def _iterators(seed_base, members=MEMBERS, poisoned=None):
             inputs[:, 0, 0, 0] = np.inf
         targets = rng.integers(0, CLASSES, size=20)
         iterators.append(BatchIterator(
-            inputs, targets, BATCH,
+            inputs, targets, batch,
             rng=np.random.default_rng(1000 + index),
         ))
     return iterators
 
 
 def _member_reference(init_state, tau, build=_model, members=MEMBERS,
-                      poisoned=None, **hyper):
+                      poisoned=None, batch=BATCH, **hyper):
     """The per-member path: repro.fl.worker.Worker.local_train inlined.
     Also returns every member's first-step gradient norm."""
     prox_mu = hyper.pop("prox_mu", 0.0)
     anchor = hyper.pop("anchor", None)
     states, losses, norms = [], [], []
-    for iterator in _iterators(50, members, poisoned):
+    for iterator in _iterators(50, members, poisoned, batch):
         model = build()
         model.load_state_dict(init_state)
         model.train()
@@ -158,6 +158,30 @@ def test_cohort_training_matches_member_path(build, members, hyper, poisoned):
         for key, value in ref_states[poisoned].items():
             assert np.array_equal(value, cohort_states[poisoned][key],
                                   equal_nan=True), key
+
+
+# NumPy sums 8 or more values with its unrolled pairwise loop (BATCH = 6
+# takes the plain one): each member's loss is a row mean of the cohort's
+# per-sample losses and must add exactly as the member's own ``.mean()``
+@pytest.mark.parametrize("batch", [8, 9, 16])
+@pytest.mark.parametrize("build, members, hyper, poisoned", [
+    (_model, MEMBERS, dict(lr=0.05), None),
+    (_mlp(100), 37, dict(lr=0.05, momentum=0.9, clip_norm=0.5), None),
+    pytest.param(_mlp(100), 7, dict(lr=0.05, clip_norm=0.5), 4,
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["plain", "mlp-37-members", "non-finite-member"])
+def test_cohort_losses_match_the_member_path_at_pairwise_batches(
+        build, members, hyper, poisoned, batch):
+    init_state = build().state_dict()
+    ref_states, ref_losses, _ = _member_reference(
+        init_state, TAU, build, members, poisoned, batch, **hyper)
+    cohort_states, cohort_losses = train_cohort(
+        build(), init_state, _iterators(50, members, poisoned, batch), TAU,
+        **hyper)
+    _assert_bitwise(ref_states, ref_losses, cohort_states, cohort_losses,
+                    skip=poisoned)
+    if poisoned is not None:
+        assert np.isnan(cohort_losses[poisoned])
 
 
 def test_member_states_alias_nothing_but_their_own_rows():

@@ -3,7 +3,8 @@
 The RNG-derivation contract pinned here (see ``Worker.__init__`` and
 ``repro.runtime.pool``): one generator seeded from ``WorkerSpec.seed``
 is consumed first by the data iterator's construction and then by the
-worker's single timing-seed draw.  ``WorkerSpec.build`` is the one
+worker's single timing-seed draw, which seeds the timing generator
+``Worker.__init__`` receives.  ``build_workers`` is the one
 construction path (the engine's lazy fleet, pool children, service
 clients), so its draw order is pinned against raw generator calls, and
 the construction order is load-bearing.
@@ -80,6 +81,7 @@ def test_batch_spec_rebuild_matches_manual_construction():
                              spec.batch_size, rng=rng)
     reference = Worker(spec.worker_id, iterator, spec.device,
                        jitter_sigma=spec.jitter_sigma, rng=rng,
+                       timing_rng=np.random.default_rng(rng.integers(2 ** 31)),
                        num_samples=spec.num_samples)
 
     assert _rng_state(rebuilt.timing.rng) == _rng_state(reference.timing.rng)
@@ -103,6 +105,7 @@ def test_sequence_spec_rebuild_matches_manual_construction():
                                       spec.shard_targets, rng)
     reference = Worker(spec.worker_id, iterator, spec.device,
                        jitter_sigma=spec.jitter_sigma, rng=rng,
+                       timing_rng=np.random.default_rng(rng.integers(2 ** 31)),
                        num_samples=spec.num_samples)
 
     assert _rng_state(rebuilt.timing.rng) == _rng_state(reference.timing.rng)
@@ -131,16 +134,21 @@ def test_build_draw_order_matches_an_inline_reference():
 
 def test_construction_order_is_load_bearing():
     """Drawing the timing seed BEFORE the iterator's construction must
-    shift the jitter stream -- guards against reordering
-    ``WorkerSpec.build`` / ``Worker.__init__``."""
+    shift the jitter stream and the epoch order -- guards against
+    reordering ``build_workers``."""
     spec = _batch_spec()
     reference = spec.build()
 
     rng = np.random.default_rng(spec.seed)
-    swapped = Worker(spec.worker_id, iterator=None, device=spec.device,
+    timing_rng = np.random.default_rng(rng.integers(2 ** 31))
+    iterator = BatchIterator(spec.shard_inputs, spec.shard_targets,
+                             spec.batch_size, rng=rng)
+    swapped = Worker(spec.worker_id, iterator, spec.device,
                      jitter_sigma=spec.jitter_sigma, rng=rng,
-                     num_samples=spec.num_samples)
+                     timing_rng=timing_rng, num_samples=spec.num_samples)
     assert _rng_state(swapped.timing.rng) != _rng_state(reference.timing.rng)
+    assert not np.array_equal(swapped.iterator._order,
+                              reference.iterator._order)
 
 
 def test_iterator_kind_validated():
