@@ -155,6 +155,14 @@ class EUCBAgent:
             stats_out[region] = (count, mean)
         return stats_out, total
 
+    def _padding(self, count: float, total: float) -> float:
+        """Eq. 10: ``sqrt(2 log n_k / N_k(P))`` for a region of
+        discounted count ``count`` out of ``total`` (``n_k`` clamped at
+        ``e``, so the log is at least 1), scaled by ``exploration``."""
+        return self.exploration * math.sqrt(
+            2.0 * math.log(max(total, math.e)) / count
+        )
+
     def upper_confidence_bounds(self) -> dict:
         """Eq. 11 for every region; unexplored regions get ``inf``."""
         stats, total = self._discounted_stats()
@@ -163,10 +171,7 @@ class EUCBAgent:
             if count <= 0.0 or mean is None:
                 bounds[region] = math.inf
             else:
-                padding = self.exploration * math.sqrt(
-                    2.0 * math.log(max(total, math.e)) / count
-                )
-                bounds[region] = mean + padding
+                bounds[region] = mean + self._padding(count, total)
         return bounds
 
     def _replay_stats(self) -> Tuple[dict, float]:
@@ -298,12 +303,7 @@ class EUCBAgent:
             count, mean = stats[region]
             region_stats = self._stats.get(region)
             pulls = len(region_stats.plays) if region_stats is not None else 0
-            if count > 0.0:
-                radius = self.exploration * math.sqrt(
-                    2.0 * math.log(max(total, math.e)) / count
-                )
-            else:
-                radius = None
+            radius = self._padding(count, total) if count > 0.0 else None
             arms.append({
                 "low": region.low,
                 "high": region.high,

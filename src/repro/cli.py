@@ -39,23 +39,30 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.experiments.reporting import (
+# "bitwise" means "at one BLAS thread" (DESIGN.md section 6): a GEMM's
+# reduction order follows its thread count.  Pinned before the first
+# import that loads NumPy, unless the user set a count; pool children
+# and the subprocess legs `repro verify` starts inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from repro.experiments.reporting import (  # noqa: E402
     print_metrics_summary,
     print_profile_summary,
 )
-from repro.experiments.setups import (
+from repro.experiments.setups import (  # noqa: E402
     BENCH_TASKS,
     METHOD_LABELS,
     make_bench_task,
     make_devices,
 )
-from repro.fl.config import FLConfig
-from repro.fl.hooks import CommVolumeHook, TimingHook
-from repro.fl.runner import run_federated_training
-from repro.fl.strategies import STRATEGIES
-from repro.io import save_history
-from repro.simulation.cluster import HETEROGENEITY_SCENARIOS, scenario_table
-from repro.telemetry import (
+from repro.fl.config import FLConfig  # noqa: E402
+from repro.fl.hooks import CommVolumeHook, TimingHook  # noqa: E402
+from repro.fl.runner import run_federated_training  # noqa: E402
+from repro.fl.strategies import STRATEGIES  # noqa: E402
+from repro.io import save_history  # noqa: E402
+from repro.simulation.cluster import HETEROGENEITY_SCENARIOS, scenario_table  # noqa: E402
+from repro.telemetry import (  # noqa: E402
     JsonlSink,
     LayerProfiler,
     MetricsRegistry,
@@ -109,16 +116,8 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=FLConfig._WIRE_PROFILES,
                         help="contribution wire profile for "
                              "--executor process: dense float32 (bitwise "
-                             "parity), top-k exact values, or top-k "
-                             "quantized deltas")
-    parser.add_argument("--wire-keep-fraction", type=float,
-                        default=FLConfig.wire_keep_fraction, metavar="F",
-                        help="top-k keep fraction for the sparse wire "
-                             "profiles")
-    parser.add_argument("--wire-quantize-bits", type=int,
-                        default=FLConfig.wire_quantize_bits, metavar="B",
-                        help="delta code width for "
-                             "--wire-profile sparse+quantized")
+                             "parity), or the top quarter of moved "
+                             "positions as exact values or 8-bit deltas")
     parser.add_argument("--nan-policy", default=FLConfig.nan_policy,
                         choices=FLConfig._NAN_POLICIES,
                         help="poisoned-upload handling: reject the round, "
@@ -244,8 +243,6 @@ def prepare_run(task_key: str, strategy: str, args):
         executor=args.executor or FLConfig.executor,
         num_procs=args.num_procs,
         wire_profile=args.wire_profile,
-        wire_keep_fraction=args.wire_keep_fraction,
-        wire_quantize_bits=args.wire_quantize_bits,
         nan_policy=args.nan_policy,
         clients_per_round=args.clients_per_round,
         history_detail=args.history_detail,

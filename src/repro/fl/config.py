@@ -49,14 +49,10 @@ class FLConfig:
     num_procs: Optional[int] = None
     #: contribution wire profile for executor="process": "exact" ships
     #: dense float32 states (bitwise parity with serial), "sparse"
-    #: ships top-k moved positions with exact values, "sparse+quantized"
-    #: additionally quantizes the shipped deltas (Section III-C).
+    #: ships the top quarter of moved positions with exact values,
+    #: "sparse+quantized" their deltas as 8-bit codes (Section III-C).
     #: Ignored by the serial executor (nothing crosses a wire there).
     wire_profile: str = "exact"
-    #: top-k keep fraction for the sparse wire profiles
-    wire_keep_fraction: float = 0.25
-    #: delta code width (bits) for wire_profile="sparse+quantized"
-    wire_quantize_bits: int = 8
 
     # checkpoint/resume: when checkpoint_dir is set, the engine writes a
     # versioned, atomic checkpoint every checkpoint_every completed
@@ -134,16 +130,6 @@ class FLConfig:
             raise ValueError(
                 f"wire_profile must be one of {self._WIRE_PROFILES}, "
                 f"got {self.wire_profile!r}"
-            )
-        if not 0.0 < self.wire_keep_fraction <= 1.0:
-            raise ValueError(
-                f"wire_keep_fraction must be in (0, 1], "
-                f"got {self.wire_keep_fraction}"
-            )
-        if not 2 <= self.wire_quantize_bits <= 16:
-            raise ValueError(
-                f"wire_quantize_bits must be in [2, 16], "
-                f"got {self.wire_quantize_bits}"
             )
         if self.nan_policy not in self._NAN_POLICIES:
             raise ValueError(

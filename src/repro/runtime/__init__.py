@@ -7,9 +7,10 @@
   frames;
 - :mod:`repro.runtime.pool` -- persistent worker processes built from
   :class:`~repro.runtime.pool.WorkerSpec` records so the child-side RNG
-  streams are bitwise-identical to in-process execution, each deriving
-  dispatched sub-models from its own skeleton of the global model,
-  behind pipes that carry only frames;
+  streams are bitwise-identical to in-process execution, behind pipes
+  that carry only frames, and the one body that trains a member flight
+  on every plane (``train_dispatch``: derive the sub-model from a
+  skeleton of the global model, train, reply);
 - :mod:`repro.runtime.transport` -- the one wait loop every remote
   reply is awaited in (timeout, backoff-paced retry accounting, typed
   errors), and wall-clock straggler detection that composes with
@@ -42,7 +43,6 @@ from repro.runtime.executor import (
     Executor,
     RemoteExecutor,
     SerialExecutor,
-    TrainRequest,
     TrainResult,
     make_executor,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "SerialExecutor",
     "StragglerDetector",
     "TrainHyper",
-    "TrainRequest",
     "TrainResult",
     "TransportError",
     "TransportTimeoutError",

@@ -18,8 +18,7 @@ interpreted; unknown flag bits are rejected, never ignored.
 A **dispatch** body carries the worker id, the local-iteration budget,
 the training hyper-parameters, the :class:`~repro.pruning.plan.
 PruningPlan` (kept indices as ``uint32``), the dispatched sub-model
-state, the reply profile's keep fraction and code width when one is
-negotiated, the generator state of each RNG-bearing module (the one
+state, the generator state of each RNG-bearing module (the one
 thing the receiver cannot derive from its skeleton and the plan) and
 the worker's *stream record* (its worker/iterator PCG64 state and
 epoch order and cursor), which makes a flight independent of the
@@ -33,7 +32,9 @@ where the trained state moved most (the top-k rule of
 :func:`repro.fl.compression.top_k_sparsify`) and either the exact
 trained values there (``sparse``) or quantized *delta* codes
 (``sparse+quantized``, :mod:`repro.pruning.quantize`, the paper's
-Section III-C).  The receiver overlays the block onto the dispatched
+Section III-C).  A dispatch names only the profile: receivers reply
+with :func:`encode_contribution`'s fixed keep fraction (0.25) and code
+width (8 bits).  The receiver overlays the block onto the dispatched
 base state it already holds.  Both sparse profiles are lossy, so the
 engine's 0-ULP parity path never negotiates them.
 
@@ -101,7 +102,7 @@ __all__ = [
 ]
 
 MAGIC = b"FMPW"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 KIND_DISPATCH = 1
 KIND_CONTRIBUTION = 2
@@ -201,10 +202,6 @@ class DispatchPayload:
     state: Dict[str, np.ndarray]
     #: profile the contribution reply must be encoded with
     reply_profile: str = "exact"
-    #: top-k keep fraction for sparse replies (None when exact)
-    reply_keep_fraction: Optional[float] = None
-    #: quantization code width for sparse+quantized replies
-    reply_quantize_bits: Optional[int] = None
     #: module path -> ``bit_generator.state`` of its RNG (see
     #: :meth:`repro.nn.module.Module.rng_states`)
     module_rngs: Dict[str, dict] = field(default_factory=dict)
@@ -687,18 +684,16 @@ def _clip_from_wire(value: float) -> Optional[float]:
 def encode_dispatch(worker_id: int, plan: PruningPlan,
                     state: Dict[str, np.ndarray], *, tau: int,
                     hyper: TrainHyper, reply_profile: str = "exact",
-                    reply_keep_fraction: Optional[float] = None,
-                    reply_quantize_bits: Optional[int] = None,
                     module_rngs: Optional[Dict[str, dict]] = None,
                     stream: Optional[StreamRecord] = None,
                     ) -> bytes:
     """Encode one PS -> worker dispatch frame.
 
-    ``reply_profile`` negotiates how the worker must encode its
-    contribution; non-exact profiles additionally ship the top-k keep
-    fraction and (for ``sparse+quantized``) the code width.
-    ``module_rngs`` ships the generator state of the sub-model's
-    RNG-bearing modules, ``stream`` the worker's data-stream position.
+    ``reply_profile`` names how the worker must encode its contribution
+    (the sparse profiles at :func:`encode_contribution`'s fixed keep
+    fraction and code width).  ``module_rngs`` ships the generator
+    state of the sub-model's RNG-bearing modules, ``stream`` the
+    worker's data-stream position.
     """
     if reply_profile not in _PROFILE_CODES:
         raise WireFormatError(
@@ -715,18 +710,6 @@ def encode_dispatch(worker_id: int, plan: PruningPlan,
     writer.pack("II", worker_id, tau)
     writer.pack("ddddd", hyper.lr, hyper.momentum, hyper.weight_decay,
                 hyper.prox_mu, _clip_to_wire(hyper.clip_norm))
-    if reply_profile != "exact":
-        keep = 0.25 if reply_keep_fraction is None else reply_keep_fraction
-        if not 0.0 < keep <= 1.0:
-            raise WireFormatError(
-                f"reply_keep_fraction must be in (0, 1], got {keep}"
-            )
-        bits = 8 if reply_quantize_bits is None else reply_quantize_bits
-        if not 2 <= bits <= 16:
-            raise WireFormatError(
-                f"reply_quantize_bits must be in [2, 16], got {bits}"
-            )
-        writer.pack("dB", float(keep), bits)
     writer.pack("d", float(plan.ratio))
     _write_plan(writer, plan)
     _write_state(writer, state)
@@ -854,20 +837,6 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
     reply_profile = WIRE_PROFILES[profile_code]
     worker_id, tau = reader.unpack("II")
     lr, momentum, weight_decay, prox_mu, clip = reader.unpack("ddddd")
-    reply_keep_fraction = None
-    reply_quantize_bits = None
-    if reply_profile != "exact":
-        keep, bits = reader.unpack("dB")
-        if not 0.0 < keep <= 1.0:
-            raise WireFormatError(
-                f"reply keep fraction {keep!r} out of range (0, 1]"
-            )
-        if not 2 <= bits <= 16:
-            raise WireFormatError(
-                f"reply quantization bits {bits} out of range [2, 16]"
-            )
-        reply_keep_fraction = float(keep)
-        reply_quantize_bits = int(bits)
     (ratio,) = reader.unpack("d")
     plan = _read_plan(reader, ratio)
     state = _read_state(reader)
@@ -880,8 +849,6 @@ def decode_dispatch(frame: bytes) -> DispatchPayload:
                          weight_decay=weight_decay, prox_mu=prox_mu,
                          clip_norm=_clip_from_wire(clip)),
         plan=plan, state=state, reply_profile=reply_profile,
-        reply_keep_fraction=reply_keep_fraction,
-        reply_quantize_bits=reply_quantize_bits,
         module_rngs=module_rngs, stream=stream,
     )
 

@@ -3,9 +3,13 @@
 Schedulers hand the engine a batch of dispatches; the engine hands
 them to the executor at dispatch (:meth:`Executor.submit`) and collects
 them, one :class:`CohortTrainRequest` per cohort, as a whole round
-(:meth:`Executor.run_round`).  :class:`SerialExecutor` trains at
-collect, in process, a round's independent flights side by side on
-threads (bitwise as one after another).
+(:meth:`Executor.run_round`).  A cohort's *member flights* are
+:class:`~repro.runtime.codec.DispatchPayload` records -- what a dispatch
+frame carries -- and one body trains a member flight on every plane
+(:func:`repro.runtime.pool.train_dispatch`).  :class:`SerialExecutor`
+runs it at collect, in process, on a round's independent flights side
+by side on threads (bitwise as one after another), and trains stacked
+cohorts through :mod:`repro.nn.batched`.
 :class:`RemoteExecutor` encodes each member with the wire codec, hands
 the frames to a *link* -- the work queue of a persistent
 :class:`~repro.runtime.pool.ProcessPool` (from dispatch on), or the
@@ -16,9 +20,9 @@ a time) -- gathers the contribution frames, and decodes them, with
 ``flights_ready_at_collect_total`` counters.
 
 Both executors return the same :class:`TrainResult` list in submission
-order, and both are bitwise-identical to each other: the receiver
-derives the sub-model from its own skeleton and the frame's plan, state
-and RNG record (:func:`repro.runtime.pool.derive_submodel`), the
+order, and both are bitwise-identical to each other: every plane
+derives the sub-model from a skeleton and the flight's plan, state and
+RNG record (:func:`repro.runtime.pool.derive_submodel`); over a wire the
 worker's data stream rides in the frame and comes back advanced (and
 is committed when the reply is collected), and trained states travel
 back as exact ``float32`` payloads.
@@ -26,13 +30,11 @@ back as exact ``float32`` payloads.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import itertools
 import os
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,16 +48,17 @@ from repro.nn.module import Module
 from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import (
     WIRE_PROFILES,
+    ContributionPayload,
+    DispatchPayload,
     TrainHyper,
     decode_contribution,
     encode_dispatch,
 )
-from repro.runtime.pool import InFlight, LazyFleet, ProcessPool
+from repro.runtime.pool import InFlight, LazyFleet, ProcessPool, train_dispatch
 from repro.runtime.transport import StragglerDetector, TransportError
 from repro.telemetry.runtime import DISABLED_TELEMETRY, Telemetry
 
 __all__ = [
-    "TrainRequest",
     "TrainResult",
     "CohortTrainRequest",
     "Executor",
@@ -63,22 +66,6 @@ __all__ = [
     "RemoteExecutor",
     "make_executor",
 ]
-
-
-@dataclass
-class TrainRequest:
-    """One unit of local training, as the executor sees it."""
-
-    worker_id: int
-    ratio: float
-    tau: int
-    plan: object
-    #: the template the member's model is cloned from (only read)
-    submodel: object
-    dispatched_state: Dict[str, np.ndarray]
-    hyper: TrainHyper
-    #: simulated finish time (orders a work queue)
-    finish_s: float = 0.0
 
 
 @dataclass
@@ -107,23 +94,27 @@ class CohortTrainRequest:
 
 
 class Executor:
-    """Runs batches of training requests; returns results in order."""
+    """Runs batches of member flights; returns results in order."""
 
     name = "base"
 
-    def __init__(self, workers: Optional[LazyFleet] = None) -> None:
+    def __init__(self, workers: Optional[LazyFleet] = None,
+                 telemetry: Optional[Telemetry] = None) -> None:
         #: worker ids the straggler heartbeat flagged in the most
         #: recent batch (always empty for serial execution)
         self.last_stragglers: List[int] = []
         #: the fleet whose streams training advances (set by the engine)
         self.workers = workers
+        self.telemetry = (
+            telemetry if telemetry is not None else DISABLED_TELEMETRY
+        )
 
     def submit(self, requests: Sequence[CohortTrainRequest],
                round_index: int = 0) -> None:
         """New cohorts at dispatch, collected later by :meth:`run_round`
         (the base route trains at collect: nothing to do yet)."""
 
-    def run(self, requests: Sequence[TrainRequest],
+    def run(self, flights: Sequence[DispatchPayload],
             round_index: int = 0) -> List[TrainResult]:
         raise NotImplementedError
 
@@ -131,10 +122,10 @@ class Executor:
                    round_index: int = 0) -> List[TrainResult]:
         """Train one cohort; results align with ``request.worker_ids``.
 
-        The base route decomposes the cohort into per-member
-        :class:`TrainRequest` records and delegates to :meth:`run`.
-        Subclasses may override with a genuinely cohort-level execution
-        (see :meth:`SerialExecutor.run_cohort`).
+        The base route decomposes the cohort into its member flights
+        and delegates to :meth:`run`.  Subclasses may override with a
+        genuinely cohort-level execution (see
+        :meth:`SerialExecutor.run_cohort`).
         """
         return self.run(self._decompose(request), round_index)
 
@@ -148,22 +139,36 @@ class Executor:
                 for request in requests]
 
     @staticmethod
-    def _decompose(request: CohortTrainRequest) -> List[TrainRequest]:
-        """Per-member requests of one cohort, each pointing at the
-        shared template, which a request's trainer only reads."""
+    def _decompose(request: CohortTrainRequest) -> List[DispatchPayload]:
+        """One cohort's member flights: what a dispatch frame carries,
+        each sharing the cohort's plan, dispatched state and module RNG
+        record (read once here), none of which a flight writes."""
         cohort = request.cohort
-        zeros = [0.0] * len(request.worker_ids)
+        module_rngs = cohort.template.rng_states()
         return [
-            TrainRequest(
-                worker_id=worker_id, ratio=cohort.ratio, tau=tau,
-                plan=cohort.plan, submodel=cohort.template,
-                dispatched_state=cohort.dispatched_state,
-                hyper=request.hyper, finish_s=finish_s,
+            DispatchPayload(
+                worker_id=worker_id, tau=tau, hyper=request.hyper,
+                plan=cohort.plan, state=cohort.dispatched_state,
+                module_rngs=module_rngs,
             )
-            for worker_id, tau, finish_s in zip(
-                request.worker_ids, request.taus, request.finish_s or zeros,
-            )
+            for worker_id, tau in zip(request.worker_ids, request.taus)
         ]
+
+    def _landed(self, flight: DispatchPayload, reply: ContributionPayload,
+                round_index: int) -> TrainResult:
+        """A trained flight's ``local_train`` span and result, with the
+        flight's own seconds as ``worker_wall_s``."""
+        with self.telemetry.span("local_train", round=round_index,
+                                 worker=flight.worker_id, tau=flight.tau,
+                                 ratio=flight.plan.ratio) as span:
+            span.set("train_loss", float(reply.train_loss))
+            span.set("worker_wall_s", float(reply.wall_time_s))
+        return TrainResult(
+            worker_id=flight.worker_id,
+            sub_state=reply.materialise(flight.state),
+            train_loss=float(reply.train_loss),
+            wall_time_s=float(reply.wall_time_s),
+        )
 
     def close(self) -> None:
         """Release executor resources (no-op by default)."""
@@ -230,37 +235,32 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def __init__(self, workers: Dict[int, object],
+    def __init__(self, workers: LazyFleet, skeleton: Module,
                  telemetry: Optional[Telemetry] = None) -> None:
-        super().__init__(workers)
-        self.telemetry = (
-            telemetry if telemetry is not None else DISABLED_TELEMETRY
-        )
+        super().__init__(workers, telemetry)
+        #: what each flight's sub-model is derived from (the engine's
+        #: model: only read while a round trains)
+        self.skeleton = skeleton
 
-    def run(self, requests: Sequence[TrainRequest],
+    def run(self, flights: Sequence[DispatchPayload],
             round_index: int = 0) -> List[TrainResult]:
-        """Train each request on its own clone of the template, as
-        flights; one ``local_train`` span per request once all landed,
-        with the flight's own seconds as ``worker_wall_s``."""
+        """Train each flight through :func:`~repro.runtime.pool.
+        train_dispatch`, the body pool children and served clients run,
+        side by side; one ``local_train`` span per flight once all
+        landed."""
         profiler = self.telemetry.profiler
-        profiled = [profiler is not None and profiler.matches(r.worker_id)
-                    for r in requests]
-        flights = [
-            partial(self._execute, request, self.workers[request.worker_id],
-                    profiler if profile else None)
-            for request, profile in zip(requests, profiled)
+        profiled = [profiler is not None and profiler.matches(f.worker_id)
+                    for f in flights]
+        jobs = [
+            partial(train_dispatch, self.workers[flight.worker_id],
+                    self.skeleton, flight, profiler if profile else None)
+            for flight, profile in zip(flights, profiled)
         ]
         # the profiler's one table is written by one flight at a time
-        results = _fan_out(flights, 1 if sum(profiled) > 1
-                           else min(flight_threads(), len(flights)))
-        for request, result in zip(requests, results):
-            with self.telemetry.span("local_train", round=round_index,
-                                     worker=request.worker_id,
-                                     tau=request.tau,
-                                     ratio=request.ratio) as span:
-                span.set("train_loss", float(result.train_loss))
-                span.set("worker_wall_s", result.wall_time_s)
-        return results
+        replies = _fan_out(jobs, 1 if sum(profiled) > 1
+                           else min(flight_threads(), len(jobs)))
+        return [self._landed(flight, reply, round_index)
+                for flight, reply in zip(flights, replies)]
 
     def run_round(self, requests: Sequence[CohortTrainRequest],
                   round_index: int = 0) -> List[List[TrainResult]]:
@@ -371,30 +371,6 @@ class SerialExecutor(Executor):
             return False
         return len({it.batch_size for it in iterators}) == 1
 
-    @staticmethod
-    def _execute(request: TrainRequest, worker,
-                 profiler=None) -> TrainResult:
-        """One member's flight: a clone of the template (generator states
-        included) trained, and dropped once its state is taken."""
-        model = copy.deepcopy(request.submodel)
-        model.load_state_dict(request.dispatched_state)
-        hyper = request.hyper
-        start = time.perf_counter()
-        with profiler.attach(model) if profiler is not None \
-                else nullcontext():
-            train_loss = worker.local_train(
-                model, tau=request.tau, lr=hyper.lr,
-                momentum=hyper.momentum, weight_decay=hyper.weight_decay,
-                prox_mu=hyper.prox_mu, clip_norm=hyper.clip_norm,
-                anchor=request.dispatched_state,
-            )
-        return TrainResult(
-            worker_id=request.worker_id,
-            sub_state=model.state_dict(),
-            train_loss=float(train_loss),
-            wall_time_s=time.perf_counter() - start,
-        )
-
 
 class RemoteExecutor(Executor):
     """Training on remote receivers, behind the wire codec.
@@ -419,19 +395,17 @@ class RemoteExecutor(Executor):
     on collect (a flight never collected changes nothing).
 
     ``wire_profile`` selects how receivers encode contributions:
-    ``exact`` (dense float32, bitwise parity), ``sparse`` (top-k moved
-    positions, exact at shipped positions) or ``sparse+quantized``
-    (top-k quantized deltas).  The profile rides in the dispatch frame
-    flags and replies are validated against it.
+    ``exact`` (dense float32, bitwise parity), ``sparse`` (the top
+    quarter of moved positions, exact there) or ``sparse+quantized``
+    (their deltas in 8-bit codes).  The profile rides in the dispatch
+    frame flags and replies are validated against it.
     """
 
     def __init__(self, link, telemetry: Optional[Telemetry] = None,
                  straggler_quorum: float = 0.85,
                  straggler_multiplier: float = 1.5,
-                 wire_profile: str = "exact",
-                 wire_keep_fraction: float = 0.25,
-                 wire_quantize_bits: int = 8) -> None:
-        super().__init__()
+                 wire_profile: str = "exact") -> None:
+        super().__init__(telemetry=telemetry)
         if wire_profile not in WIRE_PROFILES:
             raise ValueError(
                 f"wire_profile must be one of {WIRE_PROFILES}, "
@@ -439,16 +413,11 @@ class RemoteExecutor(Executor):
             )
         self.link = link
         self.name = link.name
-        self.telemetry = (
-            telemetry if telemetry is not None else DISABLED_TELEMETRY
-        )
         self.wire_profile = wire_profile
-        self.wire_keep_fraction = wire_keep_fraction
-        self.wire_quantize_bits = wire_quantize_bits
         self.detector = StragglerDetector(straggler_quorum,
                                           straggler_multiplier)
-        #: worker id -> (request, flight) submitted at dispatch
-        self._flights: Dict[int, Tuple[TrainRequest, InFlight]] = {}
+        #: worker id -> (flight record, flight) submitted at dispatch
+        self._flights: Dict[int, Tuple[DispatchPayload, InFlight]] = {}
         #: (wall clock, link busy seconds) at the last occupancy sample
         self._window = (time.perf_counter(), 0.0)
 
@@ -463,29 +432,21 @@ class RemoteExecutor(Executor):
             straggler_quorum=0.85 if quorum is None else quorum,
             straggler_multiplier=config.deadline_multiplier,
             wire_profile=config.wire_profile,
-            wire_keep_fraction=config.wire_keep_fraction,
-            wire_quantize_bits=config.wire_quantize_bits,
         )
 
-    def _encode(self, request: TrainRequest) -> InFlight:
-        negotiated = self.wire_profile != "exact"
+    def _encode(self, flight: DispatchPayload,
+                finish_s: float = 0.0) -> InFlight:
         frame = encode_dispatch(
-            request.worker_id, request.plan, request.dispatched_state,
-            tau=request.tau, hyper=request.hyper,
+            flight.worker_id, flight.plan, flight.state,
+            tau=flight.tau, hyper=flight.hyper,
             reply_profile=self.wire_profile,
-            reply_keep_fraction=(
-                self.wire_keep_fraction if negotiated else None
-            ),
-            reply_quantize_bits=(
-                self.wire_quantize_bits if negotiated else None
-            ),
-            module_rngs=request.submodel.rng_states(),
-            stream=(self.workers[request.worker_id].stream()
+            module_rngs=flight.module_rngs,
+            stream=(self.workers[flight.worker_id].stream()
                     if self.workers is not None else None),
         )
         self.telemetry.metrics.counter("wire_bytes_total",
                                        kind="dispatch").inc(len(frame))
-        return InFlight(request.worker_id, frame, finish_s=request.finish_s)
+        return InFlight(flight.worker_id, frame, finish_s=finish_s)
 
     def _sample_busy_share(self) -> float:
         """Receiver-seconds in use over receiver-seconds offered since
@@ -506,90 +467,77 @@ class RemoteExecutor(Executor):
             return
         with self.telemetry.span("serialize", round=round_index):
             for request in requests:
-                for member in self._decompose(request):
+                for member, finish_s in zip(
+                        self._decompose(request),
+                        request.finish_s or itertools.repeat(0.0)):
                     if member.worker_id in self._flights:
                         self.link.cancel(self._flights[member.worker_id][1])
-                    flight = self._encode(member)
+                    flight = self._encode(member, finish_s)
                     self._flights[member.worker_id] = (member, flight)
                     self.link.submit([flight])  # children start at once
 
-    def _take(self, request: TrainRequest) -> InFlight:
-        """The flight submitted for ``request`` at dispatch, or a new
+    def _take(self, member: DispatchPayload) -> InFlight:
+        """The flight submitted for ``member`` at dispatch, or a new
         one if there is none or it was for other work."""
-        submitted, flight = self._flights.pop(request.worker_id,
+        submitted, flight = self._flights.pop(member.worker_id,
                                               (None, None))
-        if submitted is not None \
-                and submitted.dispatched_state is request.dispatched_state \
-                and submitted.submodel is request.submodel \
+        if submitted is not None and submitted.state is member.state \
                 and (submitted.tau, submitted.hyper) \
-                == (request.tau, request.hyper):
+                == (member.tau, member.hyper):
             return flight
         if flight is not None:
             self.link.cancel(flight)
-        return self._encode(request)
+        return self._encode(member)
 
-    def run(self, requests: Sequence[TrainRequest],
+    def run(self, flights: Sequence[DispatchPayload],
             round_index: int = 0) -> List[TrainResult]:
         self.last_stragglers = []
-        if not requests:
+        if not flights:
             return []
         telemetry = self.telemetry
         metrics = telemetry.metrics
-        profile = self.wire_profile
         with telemetry.span("parallel_train", round=round_index,
-                            requests=len(requests),
+                            requests=len(flights),
                             procs=self.link.parallelism) as batch_span:
             # -- serialize (what dispatch did not) ----------------------
             with telemetry.span("serialize", round=round_index,
-                                requests=len(requests)):
-                flights = [self._take(request) for request in requests]
-            ready = sum(flight.reply is not None for flight in flights)
+                                requests=len(flights)):
+                sent = [self._take(flight) for flight in flights]
+            ready = sum(flight.reply is not None for flight in sent)
             metrics.counter("flights_ready_at_collect_total",
                             executor=self.name).inc(ready)
 
             # -- transfer + gather --------------------------------------
             with telemetry.span("transfer", round=round_index,
-                                requests=len(requests)) as transfer_span:
-                completion_s = self.link.gather(flights)
+                                requests=len(flights)) as transfer_span:
+                completion_s = self.link.gather(sent)
                 busy_share = self._sample_busy_share()
                 metrics.gauge("pool_busy_share",
                               executor=self.name).set(busy_share)
                 transfer_span.set("pool_busy_share", busy_share)
                 transfer_span.set("ready_at_collect", ready)
-                reply_bytes = sum(len(flight.reply) for flight in flights)
+                reply_bytes = sum(len(flight.reply) for flight in sent)
                 metrics.counter("wire_bytes_total",
                                 kind="contribution").inc(reply_bytes)
                 transfer_span.set("reply_bytes", reply_bytes)
 
-            # -- decode + commit + per-request spans --------------------
+            # -- decode + commit + per-flight spans ---------------------
             results = []
-            for request, flight in zip(requests, flights):
-                payload = decode_contribution(flight.reply,
-                                              expect_profile=profile)
-                flight.reply = None  # a wave's replies are not held twice
-                worker_id, stream = request.worker_id, payload.stream
-                if payload.worker_id != worker_id or (
+            for flight, in_flight in zip(flights, sent):
+                reply = decode_contribution(in_flight.reply,
+                                            expect_profile=self.wire_profile)
+                in_flight.reply = None  # a wave's replies are not held twice
+                worker_id, stream = flight.worker_id, reply.stream
+                if reply.worker_id != worker_id or (
                         self.workers is not None and (
                             stream is None or stream.worker_id != worker_id)):
                     raise TransportError(
                         f"a reply for worker {worker_id} carries worker "
-                        f"{payload.worker_id}, stream "
+                        f"{reply.worker_id}, stream "
                         f"{stream and stream.worker_id}")
                 if self.workers is not None:
                     self.workers[worker_id].load_stream(stream)
-                with telemetry.span("local_train", round=round_index,
-                                    worker=worker_id, tau=request.tau,
-                                    ratio=request.ratio) as span:
-                    span.set("train_loss", float(payload.train_loss))
-                    span.set("worker_wall_s", float(payload.wall_time_s))
-                results.append(TrainResult(
-                    worker_id=worker_id,
-                    sub_state=payload.materialise(
-                        request.dispatched_state
-                    ),
-                    train_loss=float(payload.train_loss),
-                    wall_time_s=float(payload.wall_time_s),
-                ))
+                results.append(self._landed(flight, reply, round_index))
 
             # -- straggler heartbeat ------------------------------------
             flagged = sorted(self.detector.flag(completion_s))
@@ -607,7 +555,7 @@ class RemoteExecutor(Executor):
         """Collect the round's members through :meth:`run` in *waves* of
         ``link.wave_cohorts`` cohorts (``None``: the whole round), one
         ``gather`` each, encoded straight from each cohort's shared
-        plan, state and generator record (no template clone) unless
+        plan, state and generator record unless
         :meth:`submit` already sent them.  Results keep request order
         whatever the wave size: each worker has at most one dispatch in
         flight, and its stream advances once per collected flight, in
@@ -631,14 +579,15 @@ class RemoteExecutor(Executor):
         self._flights.clear()
         self.link.close()
 
+
 def make_executor(config, *, workers: LazyFleet,
                   telemetry: Optional[Telemetry] = None,
                   skeleton: Optional[Module] = None) -> Executor:
     """Build the executor ``config.executor`` names (``skeleton`` is
-    what pool children derive dispatched sub-models from)."""
+    what member flights derive their sub-models from)."""
     kind = getattr(config, "executor", "serial")
     if kind == "serial":
-        return SerialExecutor(workers, telemetry=telemetry)
+        return SerialExecutor(workers, skeleton, telemetry=telemetry)
     if kind == "process":
         bundle = telemetry if telemetry is not None else DISABLED_TELEMETRY
         if bundle.profiler is not None:

@@ -26,10 +26,15 @@ when it collects the reply.  A flight's result is a function of its
 frame alone, so any receiver may train it, and sending it twice trains
 the same bits.
 
-Every pool child holds every spec and serves one duplex pipe that
-carries only frames: a dispatch frame down, then its reply up -- decode,
-derive the sub-model from its *skeleton* of the global model (inherited
-at the fork; :func:`derive_submodel`), ``local_train``, a contribution frame.
+One body trains a member flight on every plane, :func:`train_dispatch`:
+derive the sub-model from a *skeleton* of the global model and the
+flight's plan, state and RNG record (:func:`derive_submodel`), load its
+stream record, ``local_train``.  The in-process executor calls it on
+the parent's workers; a pool child or a served client calls it from
+:func:`handle_train`.  Every pool child holds every spec and serves one
+duplex pipe that carries only frames: a dispatch frame down, then its
+reply up -- decode, :func:`train_dispatch` on the skeleton it inherited
+at the fork, a contribution frame.
 :class:`ProcessPool` is the pipe *link* of
 :class:`~repro.runtime.executor.RemoteExecutor`: one work queue,
 drained onto whichever child is free.
@@ -44,6 +49,7 @@ import time
 import traceback
 import weakref
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List, Optional, Set, Tuple
@@ -53,6 +59,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from repro.pruning.structured import extract_submodel
 from repro.runtime.codec import (
+    ContributionPayload,
     DispatchPayload,
     WireFormatError,
     decode_dispatch,
@@ -78,6 +85,7 @@ __all__ = [
     "PoolMember",
     "ProcessPool",
     "derive_submodel",
+    "train_dispatch",
     "handle_train",
 ]
 
@@ -288,37 +296,45 @@ def derive_submodel(skeleton: Module, payload: DispatchPayload) -> Module:
     return submodel
 
 
-def handle_train(workers: Mapping, skeleton: Module, frame: bytes) -> bytes:
-    """Serve one dispatch frame: derive, train from its stream record
-    (without one: from this receiver's own worker), encode the reply."""
-    payload = decode_dispatch(frame)
+def train_dispatch(worker: Worker, skeleton: Module,
+                   payload: DispatchPayload,
+                   profiler=None) -> ContributionPayload:
+    """One member flight, on every plane: derive the sub-model, train it
+    from the payload's stream record (without one: from ``worker``'s
+    own stream), with ``profiler`` attached if one is given, and return
+    the exact trained state with its loss, seconds, sample count and
+    the advanced stream record."""
     submodel = derive_submodel(skeleton, payload)
-    worker = workers[payload.worker_id]
     if payload.stream is not None:
         worker.load_stream(payload.stream)
     hyper = payload.hyper
     start = time.perf_counter()
-    train_loss = worker.local_train(
-        submodel, tau=payload.tau, lr=hyper.lr, momentum=hyper.momentum,
-        weight_decay=hyper.weight_decay, prox_mu=hyper.prox_mu,
-        clip_norm=hyper.clip_norm, anchor=payload.state,
-    )
-    wall_s = time.perf_counter() - start
-    profile = payload.reply_profile
-    return encode_contribution(
-        payload.worker_id, submodel.state_dict(),
-        train_loss=float(train_loss), wall_time_s=wall_s,
-        num_samples=worker.num_samples, profile=profile,
-        base=payload.state if profile != "exact" else None,
-        keep_fraction=(
-            0.25 if payload.reply_keep_fraction is None
-            else payload.reply_keep_fraction
-        ),
-        quantize_bits=(
-            payload.reply_quantize_bits
-            if profile == "sparse+quantized" else None
-        ),
+    with profiler.attach(submodel) if profiler is not None \
+            else nullcontext():
+        train_loss = worker.local_train(
+            submodel, tau=payload.tau, lr=hyper.lr, momentum=hyper.momentum,
+            weight_decay=hyper.weight_decay, prox_mu=hyper.prox_mu,
+            clip_norm=hyper.clip_norm, anchor=payload.state,
+        )
+    return ContributionPayload(
+        worker_id=payload.worker_id, num_samples=worker.num_samples,
+        train_loss=float(train_loss),
+        wall_time_s=time.perf_counter() - start,
+        state=submodel.state_dict(),
         stream=payload.stream and worker.stream(),
+    )
+
+
+def handle_train(workers: Mapping, skeleton: Module, frame: bytes) -> bytes:
+    """Serve one dispatch frame: decode, :func:`train_dispatch`, and
+    encode the reply in the profile the frame names."""
+    payload = decode_dispatch(frame)
+    reply = train_dispatch(workers[payload.worker_id], skeleton, payload)
+    return encode_contribution(
+        reply.worker_id, reply.state, train_loss=reply.train_loss,
+        wall_time_s=reply.wall_time_s, num_samples=reply.num_samples,
+        profile=payload.reply_profile, base=payload.state,
+        stream=reply.stream,
     )
 
 

@@ -119,6 +119,46 @@ def test_incremental_stats_match_full_replay():
                                                  rel=1e-9, abs=1e-12)
 
 
+def test_ucb_is_eqs_9_to_11_in_closed_form():
+    """Every region's bound, recomputed from the play history alone:
+    Eq. 9's discounted count ``N_k(P) = sum d**(k - step)`` and
+    min-max-normalised discounted mean, Eq. 10's padding
+    ``sqrt(2 log n_k / N_k(P))`` (``n_k`` the total, clamped at ``e``)
+    and Eq. 11's sum.  The snapshot reports the same padding."""
+    rng = np.random.default_rng(4)
+    agent = EUCBAgent(discount=0.9, theta=0.05, max_ratio=0.8,
+                      rng=np.random.default_rng(9))
+    _play(agent, lambda arm: 1.0 - arm, 14, rng)
+    d, k = agent.discount, len(agent.history) + 1
+    rewards = [record.reward for record in agent.history]
+    low, high = min(rewards), max(rewards)
+    counts = {region: 0.0 for region in agent.partition}
+    sums = dict(counts)
+    for record in agent.history:
+        region = agent.partition.find(record.arm)
+        weight = d ** (k - record.step)
+        counts[region] += weight
+        sums[region] += weight * (record.reward - low) / (high - low)
+    total = sum(counts.values())
+    assert total > math.e
+
+    bounds = agent.upper_confidence_bounds()
+    played = [region for region in agent.partition if counts[region] > 0]
+    assert len(played) >= 3
+    for region in agent.partition:
+        if counts[region] == 0.0:
+            assert bounds[region] == math.inf
+            continue
+        mean = sums[region] / counts[region]
+        padding = math.sqrt(2.0 * math.log(total) / counts[region])
+        assert bounds[region] == pytest.approx(mean + padding, rel=1e-12)
+    radii = {(arm["low"], arm["high"]): arm["radius"]
+             for arm in agent.snapshot()["arms"]}
+    for region in played:
+        assert radii[(region.low, region.high)] == pytest.approx(
+            math.sqrt(2.0 * math.log(total) / counts[region]), rel=1e-12)
+
+
 def test_snapshot_pull_counts_survive_splits(rng):
     agent = EUCBAgent(theta=0.02, max_ratio=0.8,
                       rng=np.random.default_rng(6))

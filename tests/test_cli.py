@@ -280,6 +280,46 @@ def test_a_drained_serve_still_writes_its_manifest(tmp_path):
                                  "sim_time_s": 0.0}
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def test_cli_pins_blas_before_numpy_loads(tmp_path):
+    """The same `repro run` with the BLAS thread variables unset and set
+    to 1 writes the same history bytes: the CLI pins them itself before
+    NumPy loads.  Unpinned, OpenBLAS takes one thread per CPU, so on a
+    host with 2 or more CPUs the reduction order -- and round 1's
+    train loss -- would differ; on 1 CPU this passes either way (CI's
+    hosted runners have 2 or more)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.verify.differential import normalised_history_file
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    base = {key: value for key, value in os.environ.items()
+            if key not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    envs = {"unset": base,
+            "pinned": dict(base, **dict.fromkeys(BLAS_THREAD_VARS, "1"))}
+    procs = {
+        tag: subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "run", "--task", "cnn",
+             "--rounds", "3", "--workers", "6", "--seed", "17",
+             "--history", str(tmp_path / f"{tag}.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        for tag, env in envs.items()
+    }
+    for tag, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0, (tag, out.decode(errors="replace"))
+    assert normalised_history_file(tmp_path / "unset.json") \
+        == normalised_history_file(tmp_path / "pinned.json")
+
+
 @pytest.mark.parametrize("command, flag, value", [
     *[("compare", flag, value) for flag, value in (
         ("--trace-out", "t.jsonl"), ("--metrics-out", "m.json"),

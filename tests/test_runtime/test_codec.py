@@ -235,6 +235,22 @@ def test_version_mismatch_rejected():
         decode_contribution(_reseal(frame))
 
 
+def test_version_2_dispatch_rejected():
+    """Version 2 dispatches carried the sparse reply's keep fraction and
+    code width; version 3 dropped them, so a v2 frame is a typed error,
+    never a body read at the wrong offsets."""
+    import struct
+
+    from repro.pruning.plan import PruningPlan
+    assert WIRE_VERSION == 3
+    frame = bytearray(encode_dispatch(
+        1, PruningPlan(ratio=0.0), {"w": np.zeros(2, dtype=np.float32)},
+        tau=1, hyper=HYPER, reply_profile="sparse"))
+    struct.pack_into("<H", frame, 4, 2)
+    with pytest.raises(WireFormatError, match="version 2"):
+        decode_dispatch(_reseal(frame))
+
+
 def test_wrong_kind_rejected():
     frame = _sample_frame()
     with pytest.raises(WireFormatError, match="kind"):
@@ -452,16 +468,17 @@ class _CrossedLink:
 
 def _reply_from_another_worker(worker):
     from repro.pruning.plan import PruningPlan
-    from repro.runtime.executor import RemoteExecutor, TrainRequest
+    from repro.runtime.codec import DispatchPayload
+    from repro.runtime.executor import RemoteExecutor
     from repro.runtime.transport import RetryPolicy, TransportError
     link = _CrossedLink()
     link.retry = RetryPolicy()
     executor = RemoteExecutor(link)
     executor.workers = {worker.worker_id: worker}
-    request = TrainRequest(
-        worker_id=worker.worker_id, ratio=0.0, tau=1,
-        plan=PruningPlan(ratio=0.0), submodel=build_model("cnn"),
-        dispatched_state={"w": np.ones(2, dtype=np.float32)}, hyper=HYPER)
+    request = DispatchPayload(
+        worker_id=worker.worker_id, tau=1, hyper=HYPER,
+        plan=PruningPlan(ratio=0.0),
+        state={"w": np.ones(2, dtype=np.float32)})
     before = worker.stream().cursor
     with pytest.raises(TransportError, match="stream 5"):
         executor.run([request])

@@ -21,6 +21,7 @@ from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask, LanguageModelTask
 from repro.runtime.codec import (
+    DispatchPayload,
     TrainHyper,
     decode_dispatch,
     encode_contribution,
@@ -30,7 +31,6 @@ from repro.runtime.executor import (
     CohortTrainRequest,
     RemoteExecutor,
     SerialExecutor,
-    TrainRequest,
     make_executor,
 )
 from repro.runtime.pool import InFlight, ProcessPool
@@ -229,16 +229,15 @@ def _hyper(config: FLConfig) -> TrainHyper:
 
 
 def _member_requests(engine: Engine, worker_ids) -> list:
-    """One :class:`TrainRequest` per worker id, in their order."""
+    """One member flight per worker id, in their order."""
     dispatches = engine.dispatch_many(
         {worker_id: 0.3 for worker_id in worker_ids}, 0.0, round_index=0,
     )
     return [
-        TrainRequest(
-            worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
-            plan=d.plan, submodel=d.cohort.template,
-            dispatched_state=d.dispatched_state,
-            hyper=_hyper(engine.config),
+        DispatchPayload(
+            worker_id=d.worker_id, tau=d.tau, hyper=_hyper(engine.config),
+            plan=d.plan, state=d.dispatched_state,
+            module_rngs=d.cohort.template.rng_states(),
         )
         for d in (dispatches[worker_id] for worker_id in worker_ids)
     ]
@@ -410,8 +409,7 @@ def test_child_error_on_a_queued_flight_surfaces_typed(mnist, devices,
         second_in_queue = engine.worker_ids[2]
         flights = [
             InFlight(r.worker_id, encode_dispatch(
-                r.worker_id, r.plan, r.dispatched_state, tau=r.tau,
-                hyper=r.hyper,
+                r.worker_id, r.plan, r.state, tau=r.tau, hyper=r.hyper,
             ))
             for r in _member_requests(engine, engine.worker_ids)
         ]

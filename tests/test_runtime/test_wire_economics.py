@@ -22,14 +22,23 @@ from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
 from repro.models import build_model
 from repro.runtime.codec import (
+    DispatchPayload,
     TrainHyper,
+    decode_contribution,
     decode_control,
     decode_dispatch,
+    encode_contribution,
     encode_control,
     encode_dispatch,
 )
-from repro.runtime.executor import RemoteExecutor, TrainRequest
-from repro.runtime.pool import ProcessPool, WorkerSpec, derive_submodel
+from repro.runtime.executor import RemoteExecutor
+from repro.runtime.pool import (
+    ProcessPool,
+    WorkerSpec,
+    derive_submodel,
+    handle_train,
+    train_dispatch,
+)
 from repro.runtime.transport import WorkerCrashError
 from repro.simulation.cluster import make_scenario_devices
 from repro.telemetry.metrics import MetricsRegistry
@@ -79,9 +88,9 @@ def _requests(engine, config, ratio):
                        weight_decay=config.weight_decay,
                        prox_mu=0.0, clip_norm=config.clip_norm)
     return [
-        TrainRequest(worker_id=d.worker_id, ratio=d.ratio, tau=d.tau,
-                     plan=d.plan, submodel=d.cohort.template,
-                     dispatched_state=d.dispatched_state, hyper=hyper)
+        DispatchPayload(worker_id=d.worker_id, tau=d.tau, hyper=hyper,
+                        plan=d.plan, state=d.dispatched_state,
+                        module_rngs=d.cohort.template.rng_states())
         for d in dispatches
     ]
 
@@ -227,7 +236,7 @@ def test_sparse_profiles_run_through_the_engine(mnist, devices, profile):
     telemetry = Telemetry(metrics=MetricsRegistry())
     task = ClassificationTask(mnist, "cnn")
     config = _config(executor="process", num_procs=2,
-                     wire_profile=profile, wire_keep_fraction=0.25)
+                     wire_profile=profile)
     engine = Engine(task, devices, config, telemetry=telemetry)
     try:
         assert engine.executor.wire_profile == profile
@@ -248,27 +257,78 @@ def test_sparse_profiles_run_through_the_engine(mnist, devices, profile):
         engine.close()
 
 
-def test_sparse_profile_matches_serial_at_full_keep(mnist, devices):
-    """keep_fraction=1.0 sparse ships every moved position exactly, so
-    the run must stay bitwise identical to the serial executor."""
-    task_factory = lambda: ClassificationTask(mnist, "cnn")  # noqa: E731
+def test_sparse_profile_matches_serial_at_full_keep():
+    """keep_fraction=1.0 sparse ships every moved position exactly: for
+    each bench model, a full-keep sparse reply overlays onto the
+    dispatched state as the in-process flight's trained state, bit for
+    bit."""
+    for family in ("cnn", "alexnet", "vgg19", "resnet50", "lstm"):
+        task, skeleton, spec, flight = _member_flight(family, tau=1)
+        trained = train_dispatch(spec.build(), skeleton, flight).state
+        frame = encode_contribution(0, trained, train_loss=0.0,
+                                    wall_time_s=0.0, profile="sparse",
+                                    base=flight.state, keep_fraction=1.0)
+        dense = decode_contribution(
+            frame, expect_profile="sparse").materialise(flight.state)
+        assert dense.keys() == trained.keys()
+        for key, value in trained.items():
+            assert dense[key].dtype == value.dtype
+            np.testing.assert_array_equal(dense[key], value,
+                                          err_msg=f"{family} {key}")
 
-    def run(executor, profile):
-        config = _config(executor=executor, num_procs=2,
-                         wire_profile=profile, wire_keep_fraction=1.0)
-        engine = Engine(task_factory(), devices, config)
-        try:
-            history = make_scheduler(config).run(engine)
-            return [record.train_loss for record in history.rounds], {
-                key: value.copy()
-                for key, value in engine.model.state_dict().items()
-            }
-        finally:
-            engine.close()
 
-    serial_losses, serial_state = run("serial", "exact")
-    sparse_losses, sparse_state = run("process", "sparse")
-    assert sparse_losses == serial_losses
-    for key in serial_state:
-        np.testing.assert_array_equal(sparse_state[key],
-                                      serial_state[key])
+# ----------------------------------------------------------------------
+# one member flight on every plane
+# ----------------------------------------------------------------------
+def _member_flight(family, tau=3, ratio=0.3):
+    """(task, skeleton, worker spec, member flight) for one bench model:
+    the flight carries the extracted sub-model's state and RNG record,
+    as a cohort's member flights do, and no stream record."""
+    task = TASKS[family]()
+    skeleton = task.build_model(np.random.default_rng(5))
+    plan = task.build_plan(skeleton, ratio)
+    extracted = task.extract(skeleton, plan, np.random.default_rng(6))
+    shard = task.partition(2, np.random.default_rng(8))[0]
+    device = make_scenario_devices({"A": 1}, np.random.default_rng(3))[0]
+    spec = WorkerSpec(
+        worker_id=0, seed=21, shard_inputs=shard[0],
+        shard_targets=shard[1], batch_size=4, device=device,
+        jitter_sigma=0.05, num_samples=int(shard[0].shape[0]),
+        iterator_kind=task.iterator_kind,
+    )
+    flight = DispatchPayload(
+        worker_id=0, tau=tau, hyper=TrainHyper(lr=0.05, momentum=0.9),
+        plan=plan, state=extracted.state_dict(),
+        module_rngs=extracted.rng_states(),
+    )
+    return task, skeleton, spec, flight
+
+
+@pytest.mark.parametrize("family", ["cnn", "alexnet"])
+def test_in_process_flight_equals_the_receivers_reply(family):
+    """The in-process plane trains a flight on the parent's own worker;
+    a receiver decodes the same flight's frame (stream record included),
+    trains it through the same body and replies.  Same state, loss and
+    advanced stream, bit for bit -- Dropout masks included."""
+    _, skeleton, spec, flight = _member_flight(family)
+    worker = spec.build()
+    frame = encode_dispatch(0, flight.plan, flight.state, tau=flight.tau,
+                            hyper=flight.hyper,
+                            module_rngs=flight.module_rngs,
+                            stream=worker.stream())
+    local = train_dispatch(worker, skeleton, flight)
+    reply = decode_contribution(
+        handle_train({0: spec.build()}, skeleton, frame))
+
+    assert local.stream is None   # the parent's worker advanced in place
+    assert (reply.worker_id, reply.num_samples, reply.train_loss) \
+        == (local.worker_id, local.num_samples, local.train_loss)
+    assert reply.state.keys() == local.state.keys()
+    for key, value in local.state.items():
+        np.testing.assert_array_equal(reply.state[key], value, err_msg=key)
+    advanced = worker.stream()
+    assert reply.stream.rng == advanced.rng
+    assert reply.stream.cursor == advanced.cursor
+    assert (reply.stream.order is None) == (advanced.order is None)
+    if advanced.order is not None:
+        np.testing.assert_array_equal(reply.stream.order, advanced.order)
