@@ -22,6 +22,8 @@ pieces a downstream user typically needs:
   profiling over the round engine.
 """
 
+from repro import numerics  # pins BLAS to one thread (DESIGN.md section 6)
+
 __version__ = "1.0.0"
 
 __all__ = [

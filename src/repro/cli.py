@@ -39,30 +39,23 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-# "bitwise" means "at one BLAS thread" (DESIGN.md section 6): a GEMM's
-# reduction order follows its thread count.  Pinned before the first
-# import that loads NumPy, unless the user set a count; pool children
-# and the subprocess legs `repro verify` starts inherit it.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from repro.experiments.reporting import (  # noqa: E402
+from repro.experiments.reporting import (
     print_metrics_summary,
     print_profile_summary,
 )
-from repro.experiments.setups import (  # noqa: E402
+from repro.experiments.setups import (
     BENCH_TASKS,
     METHOD_LABELS,
     make_bench_task,
     make_devices,
 )
-from repro.fl.config import FLConfig  # noqa: E402
-from repro.fl.hooks import CommVolumeHook, TimingHook  # noqa: E402
-from repro.fl.runner import run_federated_training  # noqa: E402
-from repro.fl.strategies import STRATEGIES  # noqa: E402
-from repro.io import save_history  # noqa: E402
-from repro.simulation.cluster import HETEROGENEITY_SCENARIOS, scenario_table  # noqa: E402
-from repro.telemetry import (  # noqa: E402
+from repro.fl.config import FLConfig
+from repro.fl.hooks import CommVolumeHook, TimingHook
+from repro.fl.runner import run_federated_training
+from repro.fl.strategies import STRATEGIES
+from repro.io import save_history
+from repro.simulation.cluster import HETEROGENEITY_SCENARIOS, scenario_table
+from repro.telemetry import (
     JsonlSink,
     LayerProfiler,
     MetricsRegistry,

@@ -16,11 +16,11 @@ at it, and the queued dispatches that point at the cohort come back as
 the same graph, not as divergent copies.
 
 The on-disk format is versioned: ``MAGIC + little-endian uint32
-format version + pickle payload``, written atomically (same-directory
-temp file + flush + fsync + ``os.replace``) so a kill mid-write can
-never leave a truncated checkpoint behind.  The loader validates the
-header before unpickling and rejects unknown versions with a typed
-:class:`CheckpointVersionError`.
+format version + uint32 CRC-32 + pickle payload``, written atomically
+(same-directory temp file + flush + fsync + ``os.replace``) so a kill
+mid-write can never leave a truncated checkpoint behind.  The loader
+checks the header and the CRC before unpickling and rejects unknown
+versions with a typed :class:`CheckpointVersionError`.
 
 What is deliberately NOT captured: telemetry (traces, metric
 counters) restarts empty in the resumed process, and wall-clock hook
@@ -35,6 +35,7 @@ from __future__ import annotations
 import pickle
 import struct
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -64,10 +65,10 @@ __all__ = [
 #: field below versions the *payload schema*
 MAGIC = b"FEDMPCKPT\x00"
 #: current payload schema version; bump on any incompatible change
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-_VERSION_STRUCT = struct.Struct("<I")
-_HEADER_LEN = len(MAGIC) + _VERSION_STRUCT.size
+_HEADER = struct.Struct("<II")  # format version, CRC-32 of the payload
+_HEADER_LEN = len(MAGIC) + _HEADER.size
 
 
 class CheckpointError(RuntimeError):
@@ -210,28 +211,31 @@ def encode_checkpoint(payload: Dict[str, object]) -> bytes:
         raise CheckpointError(
             f"checkpoint payload is not picklable: {exc}"
         ) from exc
-    return MAGIC + _VERSION_STRUCT.pack(FORMAT_VERSION) + blob
+    return MAGIC + _HEADER.pack(FORMAT_VERSION, zlib.crc32(blob)) + blob
 
 
 def decode_checkpoint(data: bytes, source: str = "<bytes>") -> Checkpoint:
-    """Validate the container header, then unpickle the payload.
+    """Validate the container header and the payload's CRC, then unpickle.
 
-    Header validation happens *before* any unpickling so a wrong file
-    (or a future format) fails with a typed error, never with an
-    arbitrary pickle exception -- and never executes a foreign pickle.
-    """
+    Both checks run *before* any unpickling, so a wrong file, a future
+    format or a flipped byte fails with a typed error, never with an
+    arbitrary pickle exception or a silently different resume."""
     if len(data) < _HEADER_LEN or not data.startswith(MAGIC):
         raise CheckpointError(
             f"{source} is not a FedMP checkpoint (bad magic)"
         )
-    (version,) = _VERSION_STRUCT.unpack_from(data, len(MAGIC))
+    version, crc = _HEADER.unpack_from(data, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"{source} has checkpoint format version {version}; this "
             f"build supports only version {FORMAT_VERSION}"
         )
+    blob = memoryview(data)[_HEADER_LEN:]
+    if zlib.crc32(blob) != crc:
+        raise CheckpointError(f"{source} is truncated or corrupt: CRC "
+                              f"mismatch (stored {crc:#010x})")
     try:
-        payload = pickle.loads(data[_HEADER_LEN:])
+        payload = pickle.loads(blob)
     except Exception as exc:
         raise CheckpointError(
             f"{source} is truncated or corrupt: {exc}"

@@ -17,11 +17,12 @@ in the order the input is read (DESIGN.md, "Conv lowering").
 
 from __future__ import annotations
 
-import ctypes
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from repro import numerics
 
 #: Column-matrix bytes :func:`col2im` scatters per block of samples, so
 #: the block and its accumulator stay in L2 across the ``kh*kw`` passes
@@ -46,55 +47,10 @@ _SMALL_GEMM_MADDS = 10 ** 6
 _SPLIT_GEMM_BUILDS = (("0.3.31", "SkylakeX"),)
 
 
-def _find_openblas():
-    """``name -> function`` of the OpenBLAS NumPy has loaded (``config``,
-    ``corename``, ``num_threads``), or None where there is no such
-    library to ask (another BLAS, or no Linux ``/proc``)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line and "/" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        # NumPy wheels' scipy-openblas (64- or 32-bit integers), then a
-        # system libopenblas
-        for symbol in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}",
-                       "openblas_get_{}"):
-            if all(getattr(lib, symbol.format(name), None) is not None
-                   for name in ("config", "corename", "num_threads")):
-                return lambda name, lib=lib, symbol=symbol: getattr(
-                    lib, symbol.format(name))
-    return None
-
-
-_OPENBLAS = _find_openblas()
-
-
-def openblas_runtime() -> Optional[Tuple[str, str]]:
-    """``(version, runtime core)`` of the OpenBLAS NumPy has loaded, read
-    from the library itself (its build configuration names the build
-    target, not the core it picked for this CPU), or None where there is
-    no such library to ask."""
-    if _OPENBLAS is None:
-        return None
-    config, core = _OPENBLAS("config"), _OPENBLAS("corename")
-    config.restype = core.restype = ctypes.c_char_p
-    version = config().decode().split()[1]
-    return ".".join(version.split(".")[:3]), core().decode()
-
-
-def openblas_threads() -> Optional[int]:
-    """Threads each call of the loaded OpenBLAS takes now (None: there
-    is no OpenBLAS to ask)."""
-    return None if _OPENBLAS is None else int(_OPENBLAS("num_threads")())
-
-
 #: Whether this process splits inference and input-gradient products
 #: and stores float32 column matrices column-major (DESIGN.md, "Conv
 #: lowering"): fixed at import, like the kernels.
-SPLIT_GEMMS = openblas_runtime() in _SPLIT_GEMM_BUILDS
+SPLIT_GEMMS = numerics.openblas_runtime() in _SPLIT_GEMM_BUILDS
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:

@@ -30,9 +30,7 @@ back as exact ``float32`` payloads.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,9 +40,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.loader import BatchIterator
-from repro.nn import functional as F
 from repro.nn.batched import train_cohort
 from repro.nn.module import Module
+from repro.numerics import cap_malloc_arenas, flight_threads
 from repro.pruning.plan import plan_signature_digest
 from repro.runtime.codec import (
     WIRE_PROFILES,
@@ -174,17 +172,6 @@ class Executor:
         """Release executor resources (no-op by default)."""
 
 
-#: glibc's ``mallopt`` (None where the C library has none)
-_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", None)
-
-
-def flight_threads() -> int:
-    """Threads a round's flights may train on: this process's CPUs over
-    each BLAS call's threads; 1 (the plain loop) without an OpenBLAS."""
-    blas = F.openblas_threads()
-    return 1 if blas is None else max(1, len(os.sched_getaffinity(0)) // blas)
-
-
 def _fan_out(flights: Sequence[Callable[[], object]],
              threads: int) -> List[object]:
     """Results of ``flights`` in order, run on this thread and
@@ -193,10 +180,7 @@ def _fan_out(flights: Sequence[Callable[[], object]],
     the started ones have finished."""
     if threads <= 1:
         return [flight() for flight in flights]
-    # one malloc arena for every thread: per-thread arenas keep what a
-    # flight freed and grow peak RSS (DESIGN.md 3.5.1)
-    if _MALLOPT is not None:
-        _MALLOPT(-8, 1)  # M_ARENA_MAX
+    cap_malloc_arenas()
     results: List[object] = [None] * len(flights)
     errors: Dict[int, BaseException] = {}
     claims = itertools.count()

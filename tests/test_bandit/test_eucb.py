@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -22,6 +23,21 @@ def test_arms_stay_inside_bounds(rng):
         arm = agent.select_ratio()
         assert 0.0 <= arm < 0.7
         agent.observe(0.0)
+
+
+def test_arm_is_drawn_uniformly_in_the_chosen_region():
+    """Algorithm 1, line 6: the ratio is one uniform draw inside the
+    region with the highest bound, wherever that region lies."""
+    agent = EUCBAgent(theta=0.05, max_ratio=0.8,
+                      rng=np.random.default_rng(5))
+    noise = np.random.default_rng(6)
+    for _ in range(30):
+        bounds = agent.upper_confidence_bounds()
+        best = max(agent.partition, key=lambda region: bounds[region])
+        draw = copy.deepcopy(agent.rng).uniform(best.low, best.high)
+        arm = agent.select_ratio()
+        assert arm == draw
+        agent.observe(1.0 - (arm - 0.3) ** 2 + noise.normal(0, 0.02))
 
 
 def test_tree_growth_respects_theta(rng):

@@ -286,11 +286,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 def test_cli_pins_blas_before_numpy_loads(tmp_path):
     """The same `repro run` with the BLAS thread variables unset and set
-    to 1 writes the same history bytes: the CLI pins them itself before
-    NumPy loads.  Unpinned, OpenBLAS takes one thread per CPU, so on a
-    host with 2 or more CPUs the reduction order -- and round 1's
-    train loss -- would differ; on 1 CPU this passes either way (CI's
-    hosted runners have 2 or more)."""
+    to 1 writes the same history bytes: importing the package pins
+    OpenBLAS to one thread (:mod:`repro.numerics`).  Unpinned, OpenBLAS
+    takes one thread per CPU, so on a host with 2 or more CPUs the
+    reduction order -- and round 1's train loss -- would differ; on 1
+    CPU this passes either way (CI's hosted runners have 2 or more)."""
     import os
     import subprocess
     import sys

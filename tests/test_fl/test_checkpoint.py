@@ -16,6 +16,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import pickle
 import struct
 import tempfile
 from pathlib import Path
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.experiments.setups import make_bench_task, make_devices
 from repro.fl.checkpoint import (
     FORMAT_VERSION,
@@ -200,6 +202,36 @@ def test_decode_rejects_truncated_payload():
     data = encode_checkpoint({"payload": list(range(1000))})
     with pytest.raises(CheckpointError, match="truncated or corrupt"):
         decode_checkpoint(data[:-20])
+
+
+def test_decode_rejects_a_version_2_file():
+    """Version 2 had no CRC field: ``MAGIC | u32 2 | pickle``."""
+    legacy = MAGIC + struct.pack("<I", 2) + pickle.dumps({"x": 1})
+    with pytest.raises(CheckpointVersionError, match="version 2"):
+        decode_checkpoint(legacy)
+
+
+def test_flipped_byte_in_a_run_checkpoint_is_a_typed_error(tmp_path):
+    """One flipped byte in a real `repro run` checkpoint is a typed
+    error raised before the pickle runs: a version error in the version
+    field, a CRC mismatch in the CRC field or the payload (start,
+    middle, end)."""
+    assert main(["run", "--task", "cnn", "--rounds", "2", "--workers",
+                 "3", "--seed", "5", "--checkpoint-dir",
+                 str(tmp_path)]) == 0
+    path = latest_checkpoint(tmp_path)
+    data = path.read_bytes()
+    assert decode_checkpoint(data).next_round == 2
+    header = len(MAGIC) + 8
+    with pytest.raises(CheckpointVersionError):
+        decode_checkpoint(data[:len(MAGIC)] + bytes([data[len(MAGIC)] ^ 0x40])
+                          + data[len(MAGIC) + 1:])
+    for offset in (header - 1, header, header + 1,
+                   header + (len(data) - header) // 2, len(data) - 1):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x40
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            decode_checkpoint(bytes(flipped))
 
 
 def test_encode_rejects_unpicklable_payload():

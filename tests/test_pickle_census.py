@@ -22,8 +22,9 @@ PICKLERS = frozenset({"pickle", "_pickle", "cPickle", "shelve", "dill",
 
 # module -> the owner that keeps its pickle
 ALLOWED: Dict[str, str] = {
-    # checkpoints: a CRC and an allow-list unpickler first
-    "repro.fl.checkpoint": "ROADMAP item 2(b)",
+    # checkpoints: CRC-checked before the pickle runs; the pickle itself
+    # goes when a checkpoint becomes codec records
+    "repro.fl.checkpoint": "ROADMAP item 26",
 }
 
 

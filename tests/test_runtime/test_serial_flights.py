@@ -2,7 +2,7 @@
 
 ``SerialExecutor`` trains a round's independent flights (a per-member
 cohort's members, a stacked cohort's member slices) on
-``executor.flight_threads()`` threads.  Forcing that count to 1, 2 and
+``numerics.flight_threads()`` threads.  Forcing that count to 1, 2 and
 3 must change no bit of the history or of the final global state.
 """
 
@@ -16,13 +16,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import numerics
 from repro.data.synthetic import make_synthetic_cifar10, make_synthetic_mnist
 from repro.experiments import fleet
 from repro.fl.config import FLConfig
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.fl.tasks import ClassificationTask
-from repro.nn import functional as F
 from repro.runtime import executor as executor_module
 from repro.runtime.codec import TrainHyper
 from repro.runtime.executor import CohortTrainRequest
@@ -89,12 +89,12 @@ def _assert_thread_count_invariant(monkeypatch, make_task, devices, config,
 
 def test_flight_threads_divides_the_cpus_by_the_blas_threads(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    monkeypatch.setattr(F, "openblas_threads", lambda: 1)
-    assert executor_module.flight_threads() == cpus
-    monkeypatch.setattr(F, "openblas_threads", lambda: cpus)
-    assert executor_module.flight_threads() == 1
-    monkeypatch.setattr(F, "openblas_threads", lambda: None)
-    assert executor_module.flight_threads() == 1
+    monkeypatch.setattr(numerics, "openblas_threads", lambda: 1)
+    assert numerics.flight_threads() == cpus
+    monkeypatch.setattr(numerics, "openblas_threads", lambda: cpus)
+    assert numerics.flight_threads() == 1
+    monkeypatch.setattr(numerics, "openblas_threads", lambda: None)
+    assert numerics.flight_threads() == 1
 
 
 def test_cnn_r2sp_rounds_are_thread_count_invariant(monkeypatch, mnist,
