@@ -437,19 +437,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from repro.verify.run import (
-        DEFAULT_SEMISYNC_TOLERANCE_ULPS,
-        run_verification,
-    )
+    from repro.verify.run import run_verification
 
-    semisync = (
-        args.semisync_tolerance if args.semisync_tolerance is not None
-        else DEFAULT_SEMISYNC_TOLERANCE_ULPS
-    )
     report = run_verification(
         preset=args.preset, rounds=args.rounds,
         tolerance_ulps=args.tolerance,
-        semisync_tolerance_ulps=semisync,
         scenario=args.scenario, workers=args.workers, seed=args.seed,
         executor=args.executor, num_procs=args.num_procs,
         stages=args.stages, artifact_dir=args.artifact_dir,
@@ -723,14 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="rounds per verification run")
     verify_parser.add_argument("--tolerance", type=int, default=0,
                                metavar="ULPS",
-                               help="differential/engine_vs_reference "
-                                    "tolerance (specified bitwise "
-                                    "identical: default 0)")
-    verify_parser.add_argument("--semisync-tolerance", type=int,
-                               default=None, metavar="ULPS",
-                               help="sync-vs-semisync divergence tolerance "
-                                    "(default: measured headroom, see "
-                                    "DESIGN.md 3.4)")
+                               help="tolerance of every differential "
+                                    "row (specified bitwise identical: "
+                                    "default 0)")
     verify_parser.add_argument("--scenario", default="medium",
                                choices=sorted(HETEROGENEITY_SCENARIOS))
     verify_parser.add_argument("--workers", type=int, default=None,

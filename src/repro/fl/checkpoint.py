@@ -11,9 +11,13 @@ global model state with any rng-bearing module generators, the
 simulated clock, the training history, and the scheduler's outstanding
 :class:`~repro.fl.schedulers.base.DispatchQueue` (in-flight completion
 events).  Everything is serialised in ONE pickle so shared-object
-identity survives: a cached sub-model template, the cohort that points
-at it, and the queued dispatches that point at the cohort come back as
-the same graph, not as divergent copies.
+identity survives: the queued dispatches of one cohort, and the shared
+sub-model template and states that cohort points at, come back as the
+same graph, not as divergent copies.  The engine's dispatch caches are
+not captured: a sync checkpoint follows an aggregation with nothing
+dispatched since, a queued rule's resume aggregates before it
+dispatches, and aggregation empties them (format-3 files that still
+carry them load; the extra keys are ignored).
 
 The on-disk format is versioned: ``MAGIC + little-endian uint32
 format version + uint32 CRC-32 + pickle payload``, written atomically
@@ -136,7 +140,6 @@ def capture_engine_state(engine, scheduler: str, next_round: int,
     extra_provider = getattr(engine, "checkpoint_extra_provider", None)
     service_state = extra_provider() if extra_provider is not None else None
     return {
-        "format_version": FORMAT_VERSION,
         "meta": engine.checkpoint_meta,
         "config": engine.config,
         "scheduler": scheduler,
@@ -155,9 +158,6 @@ def capture_engine_state(engine, scheduler: str, next_round: int,
         "clock": engine.clock,
         "history": engine.history,
         "prev_train_loss": engine._prev_train_loss,
-        "plan_cache": engine._plan_cache,
-        "submodel_cache": engine._submodel_cache,
-        "round_state": engine._round_state,
         "hooks": hook_states,
         "queue": queue,
         "service": service_state,

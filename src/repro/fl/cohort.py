@@ -10,7 +10,10 @@ bookkeeping shrinks to a handful of scalars (``tau``, round costs,
 sample counts).
 
 The cohort is also the granularity of a round's training requests
-(see :meth:`repro.runtime.executor.Executor.run_round`) and of
+(one :class:`~repro.runtime.executor.CohortTrainRequest` each, collected
+on every plane by :meth:`repro.runtime.executor.Executor.run_round`:
+stacked through ``run_cohort`` where the in-process plane can, else as
+member flights through one ``run`` call per wave) and of
 aggregation (one recovered-model fold per cohort, over its float64
 partial sum), and -- with ``scope="cluster"`` -- the granularity at
 which the E-UCB strategy observes rewards.
@@ -29,8 +32,8 @@ class Cohort:
     """One ``(ratio, cluster)`` bucket of a round's sampled workers.
 
     ``template`` is the shared extracted sub-model; the engine's
-    executors never train it in place -- they clone it (or stack it)
-    per member.
+    executors never train it in place -- a member flight derives its
+    own sub-model, and the stacked path stacks the template.
     ``dispatched_state`` is its pristine state dict, treated as
     immutable by every consumer.
     """

@@ -64,7 +64,6 @@ class FLConfig:
 
     # bookkeeping
     eval_every: int = 1
-    eval_max_samples: Optional[int] = None
     seed: int = 0
     jitter_sigma: float = 0.08
     deadline_quorum: Optional[float] = None   # e.g. 0.85 enables deadlines

@@ -126,6 +126,10 @@ class Engine:
         / ``dispatch`` / ``local_train`` / ``aggregate`` / ``eval``)
         against it.  Defaults to the shared disabled bundle, whose
         instruments are all no-ops.
+    link:
+        Optional transport for a remote executor (the service's
+        ``PullLink``); without one ``config.executor`` names the
+        executor.  Either way the engine builds it, with its fleet.
     """
 
     def __init__(self, task, devices: Sequence[DeviceProfile],
@@ -133,7 +137,7 @@ class Engine:
                  aggregator: Optional[Aggregator] = None,
                  hooks: Optional[Iterable[RoundHook]] = None,
                  telemetry: Optional[Telemetry] = None,
-                 executor: Optional[Executor] = None,
+                 link=None,
                  restore: Optional[Checkpoint] = None,
                  checkpoint_meta: Optional[dict] = None) -> None:
         self.task = task
@@ -266,18 +270,12 @@ class Engine:
         self.hooks.attach(self)
         # the execution seam is built last: with the process executor the
         # pool forks here, after every RNG stream above has been derived
-        self.executor: Executor = (
-            executor if executor is not None
-            else make_executor(
-                config, workers=self.workers, telemetry=self.telemetry,
-                # pool children fork here, before the model has run a
-                # forward pass: they inherit a graph free of activations
-                skeleton=self.model,
-            )
+        self.executor: Executor = make_executor(
+            config, workers=self.workers, telemetry=self.telemetry,
+            # pool children fork here, before the model has run a
+            # forward pass: they inherit a graph free of activations
+            skeleton=self.model, link=link,
         )
-        # an executor built elsewhere (the service's) trains this fleet
-        if self.executor.workers is None:
-            self.executor.workers = self.workers
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -335,9 +333,6 @@ class Engine:
         self.clock = payload["clock"]
         self.history = payload["history"]
         self._prev_train_loss = payload["prev_train_loss"]
-        self._plan_cache = payload["plan_cache"]
-        self._submodel_cache = payload["submodel_cache"]
-        self._round_state = payload["round_state"]
 
         # hook states match by class name, in order: the resumed run
         # must attach the same hook stack as the original (extra saved
@@ -805,9 +800,7 @@ class Engine:
         if not (due or force):
             return None, None
         with self.telemetry.span("eval", round=round_index) as span:
-            metric, loss = self.task.evaluate(
-                self.model, max_samples=self.config.eval_max_samples
-            )
+            metric, loss = self.task.evaluate(self.model)
             if metric is not None:
                 span.set("metric", float(metric))
             if loss is not None:

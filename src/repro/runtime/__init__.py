@@ -17,7 +17,9 @@
   :mod:`repro.simulation.faults`;
 - :mod:`repro.runtime.sockets` -- control-frame streams and the service
   client's request/reply channel;
-- :mod:`repro.runtime.executor` -- the ``Engine``'s ``executor=`` seam:
+- :mod:`repro.runtime.executor` -- the ``Engine``'s execution seam, built
+  by :func:`~repro.runtime.executor.make_executor` with the engine's fleet
+  and collected through one ``Executor.run_round``:
   :class:`~repro.runtime.executor.SerialExecutor` (default, in process) and
   :class:`~repro.runtime.executor.RemoteExecutor` (the wire codec over a
   link: the pool's pipes, or the service's sockets).

@@ -3,9 +3,13 @@
 Schedulers hand the engine a batch of dispatches; the engine hands
 them to the executor at dispatch (:meth:`Executor.submit`) and collects
 them, one :class:`CohortTrainRequest` per cohort, as a whole round
-(:meth:`Executor.run_round`).  A cohort's *member flights* are
-:class:`~repro.runtime.codec.DispatchPayload` records -- what a dispatch
-frame carries -- and one body trains a member flight on every plane
+through the one collect route every plane shares
+(:meth:`Executor.run_round`): waves of :attr:`Executor.wave_cohorts`
+cohorts, each wave's per-member cohorts through one :meth:`Executor.run`
+call and each stacked cohort through :meth:`Executor.run_cohort`.  A
+cohort's *member flights* are :class:`~repro.runtime.codec.
+DispatchPayload` records -- what a dispatch frame carries -- and one
+body trains a member flight on every plane
 (:func:`repro.runtime.pool.train_dispatch`).  :class:`SerialExecutor`
 runs it at collect, in process, on a round's independent flights side
 by side on threads (bitwise as one after another), and trains stacked
@@ -17,7 +21,8 @@ pull pump of a :class:`~repro.serve.service.FedMPService` (a cohort at
 a time) -- gathers the contribution frames, and decodes them, with
 ``serialize`` / ``transfer`` / ``parallel_train`` spans and
 ``wire_bytes_total`` / ``retries_total`` / ``stragglers_total`` /
-``flights_ready_at_collect_total`` counters.
+``flights_ready_at_collect_total`` counters.  :func:`make_executor`
+builds either, always with the engine's fleet.
 
 Both executors return the same :class:`TrainResult` list in submission
 order, and both are bitwise-identical to each other: every plane
@@ -95,13 +100,15 @@ class Executor:
     """Runs batches of member flights; returns results in order."""
 
     name = "base"
+    #: cohorts per collect-time wave (``None``: the whole round)
+    wave_cohorts: Optional[int] = None
 
-    def __init__(self, workers: Optional[LazyFleet] = None,
+    def __init__(self, workers: LazyFleet,
                  telemetry: Optional[Telemetry] = None) -> None:
         #: worker ids the straggler heartbeat flagged in the most
         #: recent batch (always empty for serial execution)
         self.last_stragglers: List[int] = []
-        #: the fleet whose streams training advances (set by the engine)
+        #: the fleet whose streams training advances
         self.workers = workers
         self.telemetry = (
             telemetry if telemetry is not None else DISABLED_TELEMETRY
@@ -119,22 +126,55 @@ class Executor:
     def run_cohort(self, request: CohortTrainRequest,
                    round_index: int = 0) -> List[TrainResult]:
         """Train one cohort; results align with ``request.worker_ids``.
-
-        The base route decomposes the cohort into its member flights
-        and delegates to :meth:`run`.  Subclasses may override with a
-        genuinely cohort-level execution (see
-        :meth:`SerialExecutor.run_cohort`).
-        """
-        return self.run(self._decompose(request), round_index)
+        Here it is a one-cohort round (its member flights through
+        :meth:`run`); an executor with a stacked path overrides it (see
+        :meth:`SerialExecutor.run_cohort`)."""
+        return self.run_round([request], round_index)[0]
 
     def run_round(self, requests: Sequence[CohortTrainRequest],
                   round_index: int = 0) -> List[List[TrainResult]]:
         """Train every cohort of one round: the engine's only entry
         point.  One result list per request, each aligned with its
-        ``worker_ids``.  The base route is :meth:`run_cohort` per
-        request, in order."""
-        return [self.run_cohort(request, round_index)
-                for request in requests]
+        ``worker_ids``, in request order.
+
+        The round goes out in waves of :attr:`wave_cohorts` cohorts.
+        Within a wave, every per-member cohort's member flights go
+        through one :meth:`run` call, then each stacked cohort
+        (:meth:`_vectorisable`) through :meth:`run_cohort`.  Results
+        keep request order whatever the wave size: each worker has at
+        most one dispatch in flight, and its stream advances once per
+        collected flight, in collect order -- exactly as training at
+        collect would.
+        """
+        metrics = self.telemetry.metrics
+        per_wave = self.wave_cohorts or len(requests) or 1
+        batches: List[List[TrainResult]] = []
+        for start in range(0, len(requests), per_wave):
+            wave = requests[start:start + per_wave]
+            stacked = [self._vectorisable(request) for request in wave]
+            members = [r for r, vector in zip(wave, stacked) if not vector]
+            results = iter(self.run([
+                member for request in members
+                for member in self._decompose(request)
+            ], round_index) if members else ())
+            landed = [[next(results) for _ in request.worker_ids]
+                      for request in members]
+            for batch in landed:
+                metrics.counter("cohort_train_fallback_total").inc(
+                    len(batch))
+                metrics.histogram("cohort_train_s", path="fallback").observe(
+                    sum(result.wall_time_s for result in batch))
+            decomposed = iter(landed)
+            batches.extend(
+                self.run_cohort(request, round_index) if vector
+                else next(decomposed)
+                for request, vector in zip(wave, stacked))
+        return batches
+
+    def _vectorisable(self, request: CohortTrainRequest) -> bool:
+        """Whether ``request`` trains as one stacked cohort through
+        :meth:`run_cohort` (never, without a stacked path)."""
+        return False
 
     @staticmethod
     def _decompose(request: CohortTrainRequest) -> List[DispatchPayload]:
@@ -246,47 +286,16 @@ class SerialExecutor(Executor):
         return [self._landed(flight, reply, round_index)
                 for flight, reply in zip(flights, replies)]
 
-    def run_round(self, requests: Sequence[CohortTrainRequest],
-                  round_index: int = 0) -> List[List[TrainResult]]:
-        """Every per-member cohort's members through one :meth:`run`,
-        then each stacked cohort through :meth:`run_cohort`; results in
-        request order."""
-        stacked = [self._vectorisable(request) for request in requests]
-        members = iter(self._run_members(
-            [r for r, vector in zip(requests, stacked) if not vector],
-            round_index))
-        return [self.run_cohort(request, round_index) if vector
-                else next(members)
-                for request, vector in zip(requests, stacked)]
-
-    def _run_members(self, requests: Sequence[CohortTrainRequest],
-                     round_index: int) -> List[List[TrainResult]]:
-        """Per-member cohorts, trained through one :meth:`run` call."""
-        if not requests:
-            return []
-        results = iter(self.run(
-            [member for request in requests
-             for member in self._decompose(request)], round_index))
-        metrics = self.telemetry.metrics
-        batches = []
-        for request in requests:
-            batch = [next(results) for _ in request.worker_ids]
-            metrics.counter("cohort_train_fallback_total").inc(len(batch))
-            metrics.histogram("cohort_train_s", path="fallback").observe(
-                sum(result.wall_time_s for result in batch))
-            batches.append(batch)
-        return batches
-
     def run_cohort(self, request: CohortTrainRequest,
                    round_index: int = 0) -> List[TrainResult]:
         """Train one cohort, stacked into a single batched pass per
         member slice when the architecture and request allow it (one
         forward/backward per step for the slice instead of per member;
         bitwise-identical, see :mod:`repro.nn.batched`).  Ineligible
-        cohorts fall back to the per-member decomposition.
+        cohorts fall back to their member flights.
         """
         if not self._vectorisable(request):
-            return self._run_members([request], round_index)[0]
+            return super().run_cohort(request, round_index)
 
         cohort = request.cohort
         hyper = request.hyper
@@ -364,9 +373,10 @@ class RemoteExecutor(Executor):
     flagging, with the spans and counters that go with them.  How bytes
     reach the receivers is the ``link``'s business -- it supplies
     ``name``, ``parallelism``, ``busy_s`` (receiver-seconds spent so
-    far), ``wave_cohorts`` (cohorts per collect-time wave; ``None``:
-    flights go out at dispatch, through ``submit(flights)`` /
-    ``cancel(flight)``), ``gather(flights)`` (fill in every
+    far), ``wave_cohorts`` (cohorts per :meth:`~Executor.run_round`
+    wave; ``None``: flights go out at dispatch, through
+    ``submit(flights)`` / ``cancel(flight)``), ``gather(flights)`` (fill
+    in every
     :class:`~repro.runtime.pool.InFlight` reply, waiting in
     :meth:`~repro.runtime.transport.RetryClock.wait_until` under its own
     retry policy; return each worker's seconds from send to reply) and
@@ -374,9 +384,9 @@ class RemoteExecutor(Executor):
 
     A dispatch frame is all a receiver needs: it derives the sub-model
     from its skeleton and the frame's plan, state and RNG record, and
-    -- once an engine has given the executor its fleet -- trains from
-    the worker's stream record, whose advanced copy :meth:`run` commits
-    on collect (a flight never collected changes nothing).
+    trains from the worker's stream record, whose advanced copy
+    :meth:`run` commits to the fleet on collect (a flight never
+    collected changes nothing).
 
     ``wire_profile`` selects how receivers encode contributions:
     ``exact`` (dense float32, bitwise parity), ``sparse`` (the top
@@ -385,11 +395,12 @@ class RemoteExecutor(Executor):
     frame flags and replies are validated against it.
     """
 
-    def __init__(self, link, telemetry: Optional[Telemetry] = None,
+    def __init__(self, link, workers: LazyFleet,
+                 telemetry: Optional[Telemetry] = None,
                  straggler_quorum: float = 0.85,
                  straggler_multiplier: float = 1.5,
                  wire_profile: str = "exact") -> None:
-        super().__init__(telemetry=telemetry)
+        super().__init__(workers, telemetry)
         if wire_profile not in WIRE_PROFILES:
             raise ValueError(
                 f"wire_profile must be one of {WIRE_PROFILES}, "
@@ -405,18 +416,11 @@ class RemoteExecutor(Executor):
         #: (wall clock, link busy seconds) at the last occupancy sample
         self._window = (time.perf_counter(), 0.0)
 
-    @classmethod
-    def from_config(cls, link, config,
-                    telemetry: Optional[Telemetry] = None,
-                    ) -> "RemoteExecutor":
-        """The executor a run configuration implies, over ``link``."""
-        quorum = config.deadline_quorum
-        return cls(
-            link, telemetry=telemetry,
-            straggler_quorum=0.85 if quorum is None else quorum,
-            straggler_multiplier=config.deadline_multiplier,
-            wire_profile=config.wire_profile,
-        )
+    @property
+    def wave_cohorts(self) -> Optional[int]:
+        """The link's wave size (``None``: flights go out at dispatch
+        and a round is collected in one gather)."""
+        return self.link.wave_cohorts
 
     def _encode(self, flight: DispatchPayload,
                 finish_s: float = 0.0) -> InFlight:
@@ -425,8 +429,7 @@ class RemoteExecutor(Executor):
             tau=flight.tau, hyper=flight.hyper,
             reply_profile=self.wire_profile,
             module_rngs=flight.module_rngs,
-            stream=(self.workers[flight.worker_id].stream()
-                    if self.workers is not None else None),
+            stream=self.workers[flight.worker_id].stream(),
         )
         self.telemetry.metrics.counter("wire_bytes_total",
                                        kind="dispatch").inc(len(frame))
@@ -447,7 +450,7 @@ class RemoteExecutor(Executor):
         """Encode and queue new cohorts' members if the link takes
         flights at dispatch; each replaces its worker's uncollected one
         (a dispatch the scheduler discarded)."""
-        if self.link.wave_cohorts is not None or not requests:
+        if self.wave_cohorts is not None or not requests:
             return
         with self.telemetry.span("serialize", round=round_index):
             for request in requests:
@@ -512,15 +515,13 @@ class RemoteExecutor(Executor):
                                             expect_profile=self.wire_profile)
                 in_flight.reply = None  # a wave's replies are not held twice
                 worker_id, stream = flight.worker_id, reply.stream
-                if reply.worker_id != worker_id or (
-                        self.workers is not None and (
-                            stream is None or stream.worker_id != worker_id)):
+                if reply.worker_id != worker_id or stream is None \
+                        or stream.worker_id != worker_id:
                     raise TransportError(
                         f"a reply for worker {worker_id} carries worker "
                         f"{reply.worker_id}, stream "
                         f"{stream and stream.worker_id}")
-                if self.workers is not None:
-                    self.workers[worker_id].load_stream(stream)
+                self.workers[worker_id].load_stream(stream)
                 results.append(self._landed(flight, reply, round_index))
 
             # -- straggler heartbeat ------------------------------------
@@ -534,31 +535,6 @@ class RemoteExecutor(Executor):
                 batch_span.set("stragglers", flagged)
         return results
 
-    def run_round(self, requests: Sequence[CohortTrainRequest],
-                  round_index: int = 0) -> List[List[TrainResult]]:
-        """Collect the round's members through :meth:`run` in *waves* of
-        ``link.wave_cohorts`` cohorts (``None``: the whole round), one
-        ``gather`` each, encoded straight from each cohort's shared
-        plan, state and generator record unless
-        :meth:`submit` already sent them.  Results keep request order
-        whatever the wave size: each worker has at most one dispatch in
-        flight, and its stream advances once per collected flight, in
-        collect order -- exactly as training at collect would.
-        """
-        per_wave = self.link.wave_cohorts or len(requests) or 1
-        batches: List[List[TrainResult]] = []
-        for start in range(0, len(requests), per_wave):
-            wave = requests[start:start + per_wave]
-            results = iter(self.run([
-                member for request in wave
-                for member in self._decompose(request)
-            ], round_index))
-            batches.extend(
-                [next(results) for _ in request.worker_ids]
-                for request in wave
-            )
-        return batches
-
     def close(self) -> None:
         self._flights.clear()
         self.link.close()
@@ -566,13 +542,18 @@ class RemoteExecutor(Executor):
 
 def make_executor(config, *, workers: LazyFleet,
                   telemetry: Optional[Telemetry] = None,
-                  skeleton: Optional[Module] = None) -> Executor:
-    """Build the executor ``config.executor`` names (``skeleton`` is
-    what member flights derive their sub-models from)."""
-    kind = getattr(config, "executor", "serial")
-    if kind == "serial":
-        return SerialExecutor(workers, skeleton, telemetry=telemetry)
-    if kind == "process":
+                  skeleton: Optional[Module] = None,
+                  link=None) -> Executor:
+    """The executor a run configuration implies, training ``workers``:
+    over ``link`` when one is given (the service's), else the one
+    ``config.executor`` names -- in process, or over a process pool
+    forked here (``skeleton`` is what member flights derive their
+    sub-models from)."""
+    if link is None:
+        if config.executor == "serial":
+            return SerialExecutor(workers, skeleton, telemetry=telemetry)
+        if config.executor != "process":
+            raise ValueError(f"unknown executor {config.executor!r}")
         bundle = telemetry if telemetry is not None else DISABLED_TELEMETRY
         if bundle.profiler is not None:
             raise ValueError(
@@ -580,9 +561,14 @@ def make_executor(config, *, workers: LazyFleet,
                 "with executor='process' the modules it would instrument "
                 "train in child processes"
             )
-        pool = ProcessPool(
+        link = ProcessPool(
             [workers.spec(worker_id) for worker_id in workers],
             skeleton, num_procs=config.num_procs, metrics=bundle.metrics,
         )
-        return RemoteExecutor.from_config(pool, config, telemetry)
-    raise ValueError(f"unknown executor {kind!r}")
+    quorum = config.deadline_quorum
+    return RemoteExecutor(
+        link, workers, telemetry=telemetry,
+        straggler_quorum=0.85 if quorum is None else quorum,
+        straggler_multiplier=config.deadline_multiplier,
+        wire_profile=config.wire_profile,
+    )

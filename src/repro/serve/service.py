@@ -6,9 +6,10 @@ worker registrations, and drives the ordinary round
 itself runs in the *clients* (see :mod:`repro.serve.client`): the
 engine's execution seam is the same
 :class:`~repro.runtime.executor.RemoteExecutor` the process pool runs
-under, over a :class:`PullLink` that queues encoded dispatches per
-worker and collects contribution frames as clients pull and push them
-in the control messages of :data:`repro.runtime.codec.CONTROL_OPS`.  A
+under, built by the engine over a :class:`PullLink` that queues encoded
+dispatches per worker and collects contribution frames as clients pull
+and push them in the control messages of
+:data:`repro.runtime.codec.CONTROL_OPS`.  A
 ``pull_dispatch`` that finds nothing queued is *held*: parked, and
 answered the moment work is queued for that worker (``idle`` after the
 hold, ``drain`` on shutdown) -- still the reply to a client's request.
@@ -47,7 +48,6 @@ from repro.fl.checkpoint import resolve_resume
 from repro.fl.engine import Engine
 from repro.fl.schedulers import make_scheduler
 from repro.runtime.codec import WireFormatError
-from repro.runtime.executor import RemoteExecutor
 from repro.runtime.pool import InFlight
 from repro.runtime.sockets import FrameBuffer, SocketClosedError, send_message
 from repro.runtime.transport import RetryPolicy
@@ -103,7 +103,7 @@ class PullLink:
     """
 
     name = "socket"
-    #: cohorts per ``RemoteExecutor.run_round`` gather: one, because a
+    #: cohorts per ``Executor.run_round`` gather: one, because a
     #: served fleet may be threads of this interpreter (loopback
     #: sessions), where a round-wide wave only adds GIL contention
     wave_cohorts: Optional[int] = 1
@@ -305,17 +305,14 @@ class FedMPService:
         self._expiries: List[Tuple[float, int]] = []
 
         self.link = PullLink(self, retry=retry)
-        self.executor = RemoteExecutor.from_config(
-            self.link, config, self.telemetry
-        )
-        # note: config.executor stays "serial" -- the socket-linked
-        # executor is injected through the engine's executor seam, so
-        # the stored config equals a plain serial run's and a service
-        # checkpoint resumes under either `repro serve --resume` or
-        # `repro run --resume` without a config-equality mismatch
+        # note: config.executor stays "serial" -- the engine builds its
+        # remote executor over the link it is handed, so the stored
+        # config equals a plain serial run's and a service checkpoint
+        # resumes under either `repro serve --resume` or `repro run
+        # --resume` without a config-equality mismatch
         self.engine = Engine(
             task, devices, config, hooks=hooks, telemetry=self.telemetry,
-            executor=self.executor, restore=checkpoint,
+            link=self.link, restore=checkpoint,
             checkpoint_meta=checkpoint_meta,
         )
         self.engine.membership_provider = self._membership

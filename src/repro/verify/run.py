@@ -65,11 +65,6 @@ from repro.verify.invariants import InvariantHook
 __all__ = ["CheckResult", "STAGES", "Stage", "VerificationReport",
            "run_verification", "select_stages"]
 
-#: default ULP tolerance for the sync-vs-semisync comparison: 0, because
-#: the aggregator's float64 accumulator makes the reordered float32 sums
-#: exact (see DESIGN.md section 3.4); configurable for float64 models
-DEFAULT_SEMISYNC_TOLERANCE_ULPS = 0
-
 
 @dataclass
 class CheckResult:
@@ -112,14 +107,12 @@ class _Battery:
 
     def __init__(self, spec: RunSpec, executor: str,
                  num_procs: Optional[int], tolerance_ulps: int,
-                 semisync_tolerance_ulps: int,
                  artifact_dir: Optional[str]) -> None:
         #: the plain sync run on the serial executor
         self.spec = spec
         #: the same run on the executor under test
         self.parallel = replace(spec, executor=executor, num_procs=num_procs)
         self.tolerance_ulps = tolerance_ulps
-        self.semisync_tolerance_ulps = semisync_tolerance_ulps
         self.harness = Harness(artifact_dir)
         self.bench = make_bench_task(spec.preset)
         self.devices = make_devices(spec.scenario, count=spec.workers)
@@ -192,7 +185,7 @@ def _invariants(strategy: str) -> Check:
 
 def _differential(label_a: str, label_b: str,
                   candidate: Callable[[_Battery], RunSpec],
-                  semisync: bool = False, scheduler: str = "sync") -> Check:
+                  scheduler: str = "sync") -> Check:
     """The battery's plain run (under ``scheduler``) vs ``candidate``,
     state by state."""
     def check(b: _Battery) -> Tuple[bool, str]:
@@ -200,8 +193,7 @@ def _differential(label_a: str, label_b: str,
                                                   scheduler=scheduler))
         _, states_b = b.harness.reference(candidate(b))
         report = compare_state_sequences(
-            states_a, states_b,
-            b.semisync_tolerance_ulps if semisync else b.tolerance_ulps,
+            states_a, states_b, b.tolerance_ulps,
             label_a=label_a, label_b=label_b)
         return report.passed, report.describe()
     return check
@@ -312,8 +304,7 @@ STAGES: Tuple[Stage, ...] = (
         lambda b: replace(b.spec, executor="reference"))),
     Stage("differential/sync_vs_semisync", _differential(
         "sync", "semi_sync_inf",
-        lambda b: replace(b.spec, scheduler="semi_sync_inf"),
-        semisync=True)),
+        lambda b: replace(b.spec, scheduler="semi_sync_inf"))),
     Stage("fault/drop", _fault(
         lambda b: [FaultSpec("drop", 1, b.first)],
         expect_counts=lambda b: b.one_short(1))),
@@ -385,8 +376,6 @@ def select_stages(prefixes: Optional[Sequence[str]] = None,
 
 def run_verification(preset: str = "cnn", rounds: int = 5,
                      tolerance_ulps: int = 0,
-                     semisync_tolerance_ulps: int =
-                     DEFAULT_SEMISYNC_TOLERANCE_ULPS,
                      scenario: str = "medium",
                      workers: Optional[int] = None,
                      seed: int = 17,
@@ -409,8 +398,7 @@ def run_verification(preset: str = "cnn", rounds: int = 5,
     battery = _Battery(
         RunSpec(preset=preset, scenario=scenario, workers=workers,
                 rounds=rounds, seed=seed),
-        executor, num_procs, tolerance_ulps, semisync_tolerance_ulps,
-        artifact_dir)
+        executor, num_procs, tolerance_ulps, artifact_dir)
     report = VerificationReport(preset=preset, rounds=rounds)
     for stage in selected:
         try:

@@ -62,6 +62,26 @@ MUTANTS: Tuple[Mutant, ...] = (
          "test_weighted_r2sp_identity_on_untrained_submodels",),
     ),
     Mutant(
+        "bsp_global_base",
+        "src/repro/fl/aggregation.py",
+        "recovered = np.zeros(full_value.shape, dtype=sub_value.dtype)",
+        "recovered = np.ones(full_value.shape, dtype=sub_value.dtype)",
+        "BSP (PAPER.md section 1): a pruned-away position averages in "
+        "as zero",
+        ("tests/test_fl/test_aggregation.py::"
+         "test_bsp_counts_a_pruned_position_as_zero",),
+    ),
+    Mutant(
+        "async_pops_m_plus_one",
+        "src/repro/fl/schedulers/asynchronous.py",
+        "arrivals = queue.pop_first(self.m)",
+        "arrivals = queue.pop_first(self.m + 1)",
+        "Asyn-FedMP (PAPER.md section 1): the PS aggregates the first m "
+        "arrivals",
+        ("tests/test_fl/test_runner_integration.py::"
+         "test_async_runner_m_of_n",),
+    ),
+    Mutant(
         "iss_without_w_hh_columns",
         "src/repro/pruning/importance.py",
         "    return row_scores + col_scores\n",

@@ -136,6 +136,27 @@ def test_weighted_renormalises_over_participants(rng):
         assert np.allclose(after[key], template[key] + 1.5, atol=1e-5)
 
 
+def test_bsp_counts_a_pruned_position_as_zero(rng):
+    """BSP (PAPER.md section 1): a position a worker pruned away enters
+    the average as zero, not as the global value.  A lone ratio-0.5
+    upload comes back as its own values where it kept them and exact
+    zeros everywhere else."""
+    model = build_cnn(rng=rng)
+    template = model.state_dict()
+    plan = build_pruning_plan(model, 0.5)
+    sub = extract_submodel(model, plan, rng=rng)
+    kept = {key: value + 1.0 for key, value in sub.state_dict().items()}
+    lone = Contribution(worker_id=0, sub_state=kept, plan=plan,
+                        num_samples=1)
+    after = BSPAggregator().aggregate([lone], template)
+    assert any(kept[key].size < value.size for key, value in template.items())
+    for key, value in after.items():
+        values = value[value != 0]
+        assert values.size == np.count_nonzero(kept[key]), key
+        np.testing.assert_array_equal(
+            np.sort(values), np.sort(kept[key][kept[key] != 0]), err_msg=key)
+
+
 def test_empty_contributions_rejected(rng):
     with pytest.raises(ValueError, match="empty contribution"):
         R2SPAggregator().aggregate([], {})

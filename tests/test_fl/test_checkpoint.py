@@ -412,6 +412,38 @@ def test_resume_from_a_checkpoint_whose_clock_carries_round_marks(tmp_path):
         == normalised_history_bytes(history)
 
 
+def test_resume_from_a_format_3_file_with_retired_keys(tmp_path):
+    """Format-3 files written before the dispatch caches, the round
+    snapshot, the payload's copy of the format version and
+    ``FLConfig.eval_max_samples`` were dropped still load and resume
+    byte-identically: the restore ignores what it no longer reads.  The
+    async rule re-dispatches before it checkpoints, so the old files
+    carried non-empty caches that no resumed round read."""
+    bench, devices, config = _setup(
+        "cnn", scheduler="async", rounds=4,
+        checkpoint_dir=str(tmp_path / "ck"),
+    )
+    history = run_federated_training(bench.make_task(0.0), devices,
+                                     config, hooks=_hooks())
+    payload = load_checkpoint(tmp_path / "ck" / "ckpt-000002.ckpt").payload
+    retired = {"format_version", "plan_cache", "submodel_cache",
+               "round_state"}
+    assert not retired & set(payload)
+    payload.update(format_version=FORMAT_VERSION,
+                   plan_cache={0.5: "stale"},
+                   submodel_cache={0.5: ("stale", {})},
+                   round_state={"stale": np.zeros(1)})
+    vars(payload["config"])["eval_max_samples"] = None
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, payload)
+    resumed = run_federated_training(
+        bench.make_task(0.0), devices, None, hooks=_hooks(),
+        resume_from=str(legacy),
+    )
+    assert normalised_history_bytes(resumed) \
+        == normalised_history_bytes(history)
+
+
 def test_resume_rejects_conflicting_config(tmp_path):
     bench, devices, config = _setup(
         "cnn", rounds=2, checkpoint_dir=str(tmp_path / "ck"),

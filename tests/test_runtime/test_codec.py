@@ -473,8 +473,7 @@ def _reply_from_another_worker(worker):
     from repro.runtime.transport import RetryPolicy, TransportError
     link = _CrossedLink()
     link.retry = RetryPolicy()
-    executor = RemoteExecutor(link)
-    executor.workers = {worker.worker_id: worker}
+    executor = RemoteExecutor(link, {worker.worker_id: worker})
     request = DispatchPayload(
         worker_id=worker.worker_id, tau=1, hyper=HYPER,
         plan=PruningPlan(ratio=0.0),

@@ -258,7 +258,7 @@ def test_straggler_heartbeat_flags_slow_member(mnist, devices,
     delays[slow_id] = 0.8
     executor = RemoteExecutor(
         ProcessPool(_specs(engine), num_procs=4,
-                    skeleton=engine.model),
+                    skeleton=engine.model), engine.workers,
         telemetry=telemetry, straggler_quorum=0.75,
         straggler_multiplier=1.5,
     )
@@ -294,7 +294,7 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(
     delays = slow_receivers(monkeypatch, engine.worker_ids)
     pool = ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model)
-    executor = RemoteExecutor(pool, telemetry=telemetry,
+    executor = RemoteExecutor(pool, engine.workers, telemetry=telemetry,
                               straggler_quorum=0.5,
                               straggler_multiplier=2.0)
     try:
@@ -329,8 +329,9 @@ def test_straggler_heartbeat_times_the_worker_not_its_queue_slot(
 # the round seam: waves, alignment, failure inside a wave
 # ----------------------------------------------------------------------
 class _RecordingLink:
-    """A link with no receivers: echoes every dispatched state back as
-    an exact contribution and records the size of each ``gather``."""
+    """A link with no receivers: echoes every dispatched state and
+    stream record back as an exact contribution and records the size of
+    each ``gather``."""
 
     name = "recording"
     parallelism = 2
@@ -346,7 +347,7 @@ class _RecordingLink:
             payload = decode_dispatch(flight.frame)
             flight.reply = encode_contribution(
                 payload.worker_id, payload.state, train_loss=0.0,
-                wall_time_s=0.0, num_samples=1,
+                wall_time_s=0.0, num_samples=1, stream=payload.stream,
             )
         return {flight.worker_id: 0.0 for flight in flights}
 
@@ -373,7 +374,7 @@ def test_run_round_sends_the_waves_its_link_declares(mnist, wave_cohorts):
             for group in groups
         ]
         link = _RecordingLink(wave_cohorts)
-        executor = RemoteExecutor(link)
+        executor = RemoteExecutor(link, engine.workers)
 
         assert executor.run_round([]) == []
         assert link.gathers == []

@@ -207,7 +207,7 @@ def test_killed_worker_raises_worker_crash_error(mnist, devices):
     engine = Engine(task, devices, config)
     pool = ProcessPool(_specs(engine), num_procs=2,
                        skeleton=engine.model)
-    executor = RemoteExecutor(pool)
+    executor = RemoteExecutor(pool, engine.workers)
     try:
         executor.run(_requests(engine, config, 0.3), round_index=0)
         for member in pool.members:
@@ -225,7 +225,7 @@ def test_remote_executor_validates_wire_profile(mnist, devices):
         name = "none"
 
     with pytest.raises(ValueError, match="wire_profile"):
-        RemoteExecutor(_NoLink(), wire_profile="dense")
+        RemoteExecutor(_NoLink(), {}, wire_profile="dense")
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,15 @@ def test_counters_match_across_executors(serial_run, process_run):
                  "aggregations_total"):
         assert _counter_total(process_metrics, name) == \
             _counter_total(serial_metrics, name), name
+    # every member is counted by the route that trained it, on every
+    # plane: here the serial executor stacks each cohort, and the pool
+    # trains every member through the one member-flight route
+    routes = ("cohort_train_vectorised_total", "cohort_train_fallback_total")
+    for metrics in (serial_metrics, process_metrics):
+        assert sum(_counter_total(metrics, name) for name in routes) \
+            == ROUNDS * 4
+    assert _counter_total(process_metrics,
+                          "cohort_train_fallback_total") == ROUNDS * 4
 
 
 def test_histories_identical(serial_run, process_run):

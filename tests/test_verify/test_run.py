@@ -82,13 +82,12 @@ def test_run_verification_needs_at_least_two_rounds():
 def test_cli_parses_verify_arguments():
     args = build_parser().parse_args([
         "verify", "--preset", "lstm", "--rounds", "4",
-        "--tolerance", "2", "--semisync-tolerance", "8",
+        "--tolerance", "2",
         "--workers", "6", "--seed", "3",
     ])
     assert args.preset == "lstm"
     assert args.rounds == 4
     assert args.tolerance == 2
-    assert args.semisync_tolerance == 8
     assert args.workers == 6
     assert args.seed == 3
 
@@ -98,12 +97,18 @@ def test_cli_verify_defaults():
     assert args.preset == "cnn"
     assert args.rounds == 5
     assert args.tolerance == 0
-    assert args.semisync_tolerance is None
 
 
 def test_cli_rejects_unknown_preset():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "--preset", "transformer"])
+
+
+def test_cli_has_one_differential_tolerance():
+    """``--tolerance`` covers every differential row, sync-vs-semisync
+    included: the separate semi-sync flag is gone."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--semisync-tolerance", "8"])
 
 
 @pytest.mark.parametrize("executor, names", [
